@@ -24,6 +24,7 @@ from . import __version__
 from .configfile import ConfigTree, format_config, load_config, merge_tree, parse_config
 from .data import (
     EncoderProfile,
+    OfflineDataset,
     build_dataset,
     describe_dataset,
     load_dataset,
@@ -42,7 +43,9 @@ from .errors import (
     WorldFormatError,
 )
 from .evaluation import (
+    EvalResult,
     NetworkPolicy,
+    TaskSuite,
     compare,
     evaluate_suite,
     export_trajectories,
@@ -52,9 +55,10 @@ from .evaluation import (
     save_eval_result,
     save_suite,
 )
-from .expert import CLEAN, PERTURBED, ExpertConfig, collect, collect_to_ratio
+from .expert import (CLEAN, PERTURBED, ExpertConfig, Trajectory, collect,
+                     collect_to_ratio)
 from .sim import EpisodeConfig, RobotSpec, World, load_world, save_world
-from .trainers import METHODS, TrainerConfig, train
+from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
 
 DEFAULT_CONFIG: ConfigTree = {
@@ -74,15 +78,9 @@ DEFAULT_CONFIG: ConfigTree = {
                "harvest_inflation": 0.0},
     "collect": {"min_transitions": 20000, "target_col_ratio": 0.1,
                 "ratio_tol": 0.01},
-    "trainer": {"method": "iql_ca", "expectile": 0.7, "gamma": 0.99,
-                "weight_temp": 1.0, "max_weight": 100.0, "rho": 0.015,
-                "batch_size": 256, "lr_value": 3e-4, "lr_critic": 3e-4,
-                "lr_policy": 3e-4, "target_alpha": 0.005, "n_critics": 2,
-                "total_steps": 30000, "epoch_steps": 1000,
-                "eval_every": 10000, "hidden": [128, 128],
-                "activation": "relu", "log_std_min": -5.0,
-                "log_std_max": 2.0, "log_std_init": -0.5,
-                "policy_final_scale": 0.01, "dtype": "float32"},
+    # TrainerConfig's defaults; the seed is resolved apart, in [run]
+    "trainer": {k: v for k, v in TrainerConfig().to_dict().items()
+                if k != "seed"},
     "eval": {"n_tasks": 50, "n_trials": 3, "jitter_pos": 0.1,
              "jitter_heading": 0.1, "min_separation": 3.0},
     "pipeline": {"collect_world": "cluttered",
@@ -181,14 +179,17 @@ def expert_from(tree: ConfigTree) -> ExpertConfig:
                         harvest_inflation=float(x["harvest_inflation"]))
 
 
+def jitter_from(tree: ConfigTree) -> tuple[float, float]:
+    e = tree["eval"]
+    return float(e["jitter_pos"]), float(e["jitter_heading"])
+
+
 def trainer_from(tree: ConfigTree, seed: int,
                  method: str | None = None) -> TrainerConfig:
-    t = dict(tree["trainer"])
+    t = {**tree["trainer"], "seed": seed}
     if method:
         t["method"] = method
-    t["hidden"] = tuple(int(h) for h in t["hidden"])
-    t["seed"] = seed
-    return TrainerConfig(**t)
+    return TrainerConfig.from_dict(t)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,70 @@ def resolve_world(spec: str) -> World:
 
 
 # ---------------------------------------------------------------------------
+# stages: each subcommand wraps one, and the pipeline chains them
+# ---------------------------------------------------------------------------
+
+def collect_stage(world: World, spec: RobotSpec, episode: EpisodeConfig,
+                  expert_cfg: ExpertConfig, ccfg: dict,
+                  seed: int) -> list[Trajectory]:
+    """Demonstrations at the [collect] section's collision ratio."""
+    return collect_to_ratio(world, spec, episode, expert_cfg,
+                            min_transitions=int(ccfg["min_transitions"]),
+                            target_col_ratio=float(ccfg["target_col_ratio"]),
+                            seed=seed, ratio_tol=float(ccfg["ratio_tol"]))
+
+
+def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
+                  episode: EpisodeConfig, meta: dict,
+                  path: str) -> OfflineDataset:
+    """Encode ``trajs`` for ``world`` and ``spec``; save them to ``path``."""
+    profile = EncoderProfile.from_world_spec(world, spec)
+    ds = build_dataset(trajs, profile, episode, meta=meta)
+    save_dataset(ds, path)
+    return ds
+
+
+def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
+                out_dir: str) -> TrainResult:
+    """Echo every config value into ``out_dir``, then train there."""
+    os.makedirs(out_dir, exist_ok=True)
+    echo = _public_tree(tree)
+    echo["trainer"] = {**echo["trainer"], "method": cfg.method,
+                       "seed": cfg.seed}
+    with open(os.path.join(out_dir, "config.echo"), "w",
+              encoding="utf-8") as fh:
+        fh.write(format_config(echo))
+    return train(ds, cfg, out_dir=out_dir)
+
+
+def eval_stage(policy: NetworkPolicy, world: World, spec: RobotSpec,
+               suite: TaskSuite, n_trials: int, jitter: tuple[float, float],
+               seed: int, method: str, out_dir: str) -> EvalResult:
+    """Evaluate ``policy`` on ``suite``; write result.json and trajectories."""
+    res = evaluate_suite(policy, world, spec, suite, n_trials=n_trials,
+                         seed=seed, jitter=jitter, method=method)
+    os.makedirs(out_dir, exist_ok=True)
+    save_eval_result(res, os.path.join(out_dir, "result.json"))
+    export_trajectories(res, suite, world,
+                        os.path.join(out_dir, "trajectories"))
+    return res
+
+
+def compare_stage(results: dict[str, list[EvalResult]], out_dir: str) -> str:
+    """Write comparison.csv/.txt with the methods in ``results``' order and
+    each method's worlds by name; returns the text table."""
+    by_world = {m: sorted(rs, key=lambda r: r.world_name)
+                for m, rs in results.items()}
+    _, csv_text, table = compare(by_world)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, text in (("comparison.csv", csv_text),
+                       ("comparison.txt", table)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return table
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -287,22 +352,15 @@ def cmd_collect(args, argv) -> int:
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
     expert_cfg = expert_from(tree)
-    ccfg = tree["collect"]
     if args.episodes is not None:
-        mode = args.mode or CLEAN
         trajs = collect(world, spec, episode, expert_cfg, args.episodes,
-                        mode, seed)
+                        args.mode or CLEAN, seed)
     else:
-        trajs = collect_to_ratio(world, spec, episode, expert_cfg,
-                                 min_transitions=int(ccfg["min_transitions"]),
-                                 target_col_ratio=float(ccfg["target_col_ratio"]),
-                                 seed=seed,
-                                 ratio_tol=float(ccfg["ratio_tol"]))
-    profile = EncoderProfile.from_world_spec(world, spec)
-    ds = build_dataset(trajs, profile, episode, meta={
+        trajs = collect_stage(world, spec, episode, expert_cfg,
+                              tree["collect"], seed)
+    ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
-        "mode": args.mode or "ratio", "version": __version__})
-    save_dataset(ds, args.out)
+        "mode": args.mode or "ratio", "version": __version__}, args.out)
     inputs = {args.world: None} if os.path.exists(args.world) else {}
     write_manifest(args.out, "collect", argv, tree, seed, inputs=inputs,
                    outputs=[args.out])
@@ -327,16 +385,9 @@ def cmd_train(args, argv) -> int:
     seed = resolve_seed(args.seed, tree)
     ds = load_dataset(args.dataset)
     cfg = trainer_from(tree, seed)
-    os.makedirs(args.out_dir, exist_ok=True)
     write_manifest(args.out_dir, "train", argv, tree, seed,
                    inputs={args.dataset: None})
-    with open(os.path.join(args.out_dir, "config.echo"), "w",
-              encoding="utf-8") as fh:
-        echo = _public_tree(tree)
-        echo["trainer"] = {**echo["trainer"], "method": cfg.method,
-                           "seed": seed}
-        fh.write(format_config(echo))
-    result = train(ds, cfg, out_dir=args.out_dir)
+    result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
           f"{result.report.wall_clock:.1f}s, final losses "
@@ -354,19 +405,12 @@ def cmd_eval(args, argv) -> int:
     episode = episode_from(tree)
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
     suite = load_suite(args.suite, world.name, episode)
-    ecfg = tree["eval"]
-    n_trials = args.trials if args.trials is not None else int(ecfg["n_trials"])
-    res = evaluate_suite(policy, world, spec, suite, n_trials=n_trials,
-                         seed=seed,
-                         jitter=(float(ecfg["jitter_pos"]),
-                                 float(ecfg["jitter_heading"])),
-                         method=policy.name)
-    os.makedirs(args.out_dir, exist_ok=True)
+    n_trials = (args.trials if args.trials is not None
+                else int(tree["eval"]["n_trials"]))
+    res = eval_stage(policy, world, spec, suite, n_trials, jitter_from(tree),
+                     seed, policy.name, args.out_dir)
     write_manifest(args.out_dir, "eval", argv, tree, seed,
                    inputs={args.checkpoint: None, args.suite: None})
-    save_eval_result(res, os.path.join(args.out_dir, "result.json"))
-    export_trajectories(res, suite, world,
-                        os.path.join(args.out_dir, "trajectories"))
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
@@ -386,23 +430,15 @@ def cmd_compare(args, argv) -> int:
             raise ConfigError(f"no result.json under '{d}'")
         res = load_eval_result(path)
         grouped.setdefault(res.method, []).append(res)
-    ordered = {}
-    for method in sorted(grouped, key=_method_sort_key):
-        ordered[method] = sorted(grouped[method], key=lambda r: r.world_name)
-    rows, csv_text, table = compare(ordered)
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "comparison.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(out_dir, "comparison.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table)
-    print(table, end="")
+    ordered = {m: grouped[m] for m in sorted(grouped, key=_method_sort_key)}
+    print(compare_stage(ordered, args.out_dir or "."), end="")
     return 0
 
 
 def cmd_pipeline(args, argv) -> int:
+    """collect -> suites -> train each method -> evaluate each (method,
+    world) -> compare, through the same stage functions as the subcommands.
+    Only the suites have no subcommand of their own."""
     tree = resolve_config(args.config, args.set)
     seed = resolve_seed(args.seed, tree)
     out = args.out_dir
@@ -413,7 +449,7 @@ def cmd_pipeline(args, argv) -> int:
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
     expert_cfg = expert_from(tree)
-    pcfg = tree["pipeline"]
+    pcfg, ecfg = tree["pipeline"], tree["eval"]
     methods = [str(m) for m in pcfg["methods"]]
     for m in methods:
         if m not in METHODS:
@@ -421,23 +457,17 @@ def cmd_pipeline(args, argv) -> int:
 
     eval_worlds = [resolve_world(str(w)) for w in pcfg["eval_worlds"]]
     collect_world = resolve_world(str(pcfg["collect_world"]))
+    jitter = jitter_from(tree)
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
-    ccfg = tree["collect"]
-    trajs = collect_to_ratio(collect_world, spec, episode, expert_cfg,
-                             min_transitions=int(ccfg["min_transitions"]),
-                             target_col_ratio=float(ccfg["target_col_ratio"]),
-                             seed=seed, ratio_tol=float(ccfg["ratio_tol"]))
-    profile = EncoderProfile.from_world_spec(collect_world, spec)
-    ds = build_dataset(trajs, profile, episode, meta={
+    trajs = collect_stage(collect_world, spec, episode, expert_cfg,
+                          tree["collect"], seed)
+    ds = dataset_stage(trajs, collect_world, spec, episode, {
         "command": "pipeline", "seed": seed, "world": collect_world.name,
-        "version": __version__})
-    ds_path = os.path.join(out, "dataset.fanav")
-    save_dataset(ds, ds_path)
+        "version": __version__}, os.path.join(out, "dataset.fanav"))
     print(describe_dataset(ds))
 
     print("[2/5] building task suites")
-    ecfg = tree["eval"]
     suites = {}
     suite_dir = os.path.join(out, "suites")
     os.makedirs(suite_dir, exist_ok=True)
@@ -453,14 +483,7 @@ def cmd_pipeline(args, argv) -> int:
     for method in methods:
         cfg = trainer_from(tree, seed, method=method)
         mdir = os.path.join(out, "train", method)
-        os.makedirs(mdir, exist_ok=True)
-        with open(os.path.join(mdir, "config.echo"), "w",
-                  encoding="utf-8") as fh:
-            echo = _public_tree(tree)
-            echo["trainer"] = {**echo["trainer"], "method": method,
-                               "seed": seed}
-            fh.write(format_config(echo))
-        result = train(ds, cfg, out_dir=mdir)
+        result = train_stage(ds, cfg, tree, mdir)
         checkpoints[method] = os.path.join(
             mdir, f"ckpt_{cfg.total_steps:08d}.famlp")
         print(f"  {method}: done in {result.report.wall_clock:.1f}s")
@@ -470,33 +493,15 @@ def cmd_pipeline(args, argv) -> int:
     for method in methods:
         policy = NetworkPolicy.from_checkpoint(checkpoints[method])
         for world in eval_worlds:
-            res = evaluate_suite(policy, world, spec, suites[world.name],
-                                 n_trials=int(ecfg["n_trials"]), seed=seed,
-                                 jitter=(float(ecfg["jitter_pos"]),
-                                         float(ecfg["jitter_heading"])),
-                                 method=method)
-            rdir = os.path.join(out, "eval", method, world.name)
-            os.makedirs(rdir, exist_ok=True)
-            save_eval_result(res, os.path.join(rdir, "result.json"))
-            export_trajectories(res, suites[world.name], world,
-                                os.path.join(rdir, "trajectories"))
+            res = eval_stage(policy, world, spec, suites[world.name],
+                             int(ecfg["n_trials"]), jitter, seed, method,
+                             os.path.join(out, "eval", method, world.name))
             results[method].append(res)
             print(f"  {method}/{world.name}: SR {res.sr:.2f} CR {res.cr:.2f} "
                   f"TR {res.tr:.2f}")
 
     print("[5/5] comparison")
-    for m in results:
-        results[m].sort(key=lambda r: r.world_name)
-    rows, csv_text, table = compare(results)
-    cdir = os.path.join(out, "compare")
-    os.makedirs(cdir, exist_ok=True)
-    with open(os.path.join(cdir, "comparison.csv"), "w",
-              encoding="utf-8") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(cdir, "comparison.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(table)
-    print(table, end="")
+    print(compare_stage(results, os.path.join(out, "compare")), end="")
     return 0
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binio import Reader
 from .errors import ConfigError, DataFormatError, ShapeError
 from .expert import Trajectory
 from .sim import COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec, World
@@ -104,20 +105,6 @@ def decode_goal_dist(features: np.ndarray, profile: EncoderProfile) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Transition:
-    """A single (s, a, r, s', done) record with its provenance."""
-
-    features: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_features: np.ndarray
-    done: bool
-    outcome: str
-    traj_id: int
-    t: int
-
-
-@dataclass
 class TransitionBlock:
     """Column-array storage for one partition."""
 
@@ -138,12 +125,6 @@ class TransitionBlock:
                    np.empty(0, np.float32), np.empty((0, dim), np.float32),
                    np.empty(0, np.uint8), np.empty(0, np.int64),
                    np.empty(0, np.int32))
-
-    def row(self, i: int, outcome: str) -> Transition:
-        return Transition(self.features[i], self.actions[i],
-                          float(self.rewards[i]), self.next_features[i],
-                          bool(self.dones[i]), outcome,
-                          int(self.traj_ids[i]), int(self.step_ids[i]))
 
     def equals(self, other: "TransitionBlock") -> bool:
         return (np.array_equal(self.features, other.features)
@@ -448,35 +429,10 @@ def save_dataset(ds: OfflineDataset, path: str) -> None:
                 fh.write(chunk)
 
 
-class _Reader:
-    def __init__(self, buf: bytes, path: str):
-        self.buf = buf
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise DataFormatError(
-                f"{self.path}: truncated while reading {what}", offset=self.pos)
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def scalar(self, dtype: str, what: str):
-        n = np.dtype(dtype).itemsize
-        return np.frombuffer(self.take(n, what), dtype=dtype)[0]
-
-    def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
-        count = int(np.prod(shape)) if shape else 0
-        n = count * np.dtype(dtype).itemsize
-        arr = np.frombuffer(self.take(n, what), dtype=dtype, count=count)
-        return arr.reshape(shape).copy()
-
-
 def load_dataset(path: str) -> OfflineDataset:
     with open(path, "rb") as fh:
         buf = fh.read()
-    r = _Reader(buf, path)
+    r = Reader(buf, path)
     magic = r.take(len(MAGIC), "magic")
     if magic != MAGIC:
         raise DataFormatError(f"{path}: bad magic {magic!r}", offset=0)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, FanavError, ProtocolError, ShapeError
+from .errors import (ConfigError, FanavError, NoPathError, ProtocolError,
+                     ShapeError)
 from .data import EncoderProfile, encode_state
 from .expert import ExpertConfig, expert_action, plan_path
 from .nets import GaussianPolicyHead, load_checkpoint
@@ -98,7 +99,7 @@ def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
         if check_feasible:
             try:
                 plan_path(world, (start.x, start.y), goal, spec.radius)
-            except Exception:
+            except NoPathError:
                 continue
         tasks.append(Task(start.x, start.y, start.heading, goal[0], goal[1]))
     return TaskSuite(world.name, tasks, episode)

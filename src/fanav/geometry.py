@@ -204,13 +204,6 @@ def ray_rect(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
     return np.where(hit, t, np.inf)
 
 
-def ray_shape(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
-              shape: Shape) -> np.ndarray:
-    if isinstance(shape, Circle):
-        return ray_circle(ox, oy, dirx, diry, shape)
-    return ray_rect(ox, oy, dirx, diry, shape)
-
-
 def ray_circles(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
                 params: np.ndarray) -> np.ndarray:
     """Min hit distance per ray over many circles; ``params`` is (n, 3) of

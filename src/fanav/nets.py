@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import Reader
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
@@ -408,68 +409,55 @@ def save_checkpoint(path: str, sections: dict[str, Section],
 def load_checkpoint(path: str) -> tuple[dict[str, Section], dict]:
     with open(path, "rb") as fh:
         buf = fh.read()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(buf):
-            raise DataFormatError(f"{path}: truncated while reading {what}",
-                                  offset=pos)
-        out = buf[pos:pos + n]
-        pos += n
-        return out
-
-    def scalar(dtype: str, what: str):
-        return np.frombuffer(take(np.dtype(dtype).itemsize, what), dtype)[0]
+    r = Reader(buf, path)
 
     def vec(dtype: str, what: str) -> np.ndarray:
-        n = int(scalar("<u8", f"{what} length"))
-        raw = take(n * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(raw, dtype).copy()
+        n = int(r.scalar("<u8", f"{what} length"))
+        return r.array(dtype, (n,), what)
 
-    magic = take(len(CKPT_MAGIC), "magic")
+    magic = r.take(len(CKPT_MAGIC), "magic")
     if magic != CKPT_MAGIC:
         raise DataFormatError(f"{path}: bad checkpoint magic {magic!r}", offset=0)
-    version = int(scalar("<u4", "version"))
+    version = int(r.scalar("<u4", "version"))
     if version != CKPT_VERSION:
         raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = int(scalar("<u4", "meta length"))
+    meta_len = int(r.scalar("<u4", "meta length"))
     try:
-        meta = json.loads(take(meta_len, "metadata").decode())
+        meta = json.loads(r.take(meta_len, "metadata").decode())
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad metadata ({exc})",
-                              offset=pos) from exc
-    n_sections = int(scalar("<u4", "section count"))
+                              offset=r.pos) from exc
+    n_sections = int(r.scalar("<u4", "section count"))
     sections: dict[str, Section] = {}
     for _ in range(n_sections):
-        name_len = int(scalar("<u2", "name length"))
-        name = take(name_len, "name").decode()
-        n_widths = int(scalar("<u4", "widths count"))
-        widths = tuple(int(w) for w in
-                       np.frombuffer(take(4 * n_widths, "widths"), "<u4"))
-        act = _ACT_FROM_CODE.get(int(scalar("u1", "activation code")))
+        name_len = int(r.scalar("<u2", "name length"))
+        name = r.take(name_len, "name").decode()
+        n_widths = int(r.scalar("<u4", "widths count"))
+        widths = tuple(int(w) for w in r.array("<u4", (n_widths,), "widths"))
+        act = _ACT_FROM_CODE.get(int(r.scalar("u1", "activation code")))
         if act is None:
-            raise DataFormatError(f"{path}: unknown activation code", offset=pos)
-        dtype_code = int(scalar("u1", "dtype code"))
+            raise DataFormatError(f"{path}: unknown activation code",
+                                  offset=r.pos)
+        dtype_code = int(r.scalar("u1", "dtype code"))
         npdtype = _DTYPE_FROM_CODE.get(dtype_code)
         if npdtype is None:
-            raise DataFormatError(f"{path}: unknown dtype code", offset=pos)
+            raise DataFormatError(f"{path}: unknown dtype code", offset=r.pos)
         dtype_str = "<f4" if npdtype is np.float32 else "<f8"
         params = vec(dtype_str, f"{name} params").astype(npdtype)
         adam = None
-        if int(scalar("u1", "adam flag")):
+        if int(r.scalar("u1", "adam flag")):
             m = vec(dtype_str, f"{name} adam m").astype(npdtype)
             v = vec(dtype_str, f"{name} adam v").astype(npdtype)
-            t = int(scalar("<u8", "adam t"))
-            lr = float(scalar("<f8", "adam lr"))
-            beta1 = float(scalar("<f8", "adam beta1"))
-            beta2 = float(scalar("<f8", "adam beta2"))
-            eps = float(scalar("<f8", "adam eps"))
+            t = int(r.scalar("<u8", "adam t"))
+            lr = float(r.scalar("<f8", "adam lr"))
+            beta1 = float(r.scalar("<f8", "adam beta1"))
+            beta2 = float(r.scalar("<f8", "adam beta2"))
+            eps = float(r.scalar("<f8", "adam eps"))
             adam = AdamState(m, v, t, lr, beta1, beta2, eps)
         sections[name] = Section(widths, act, params, adam)
-    if pos != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - pos} trailing bytes",
-                              offset=pos)
+    if r.pos != len(buf):
+        raise DataFormatError(f"{path}: {len(buf) - r.pos} trailing bytes",
+                              offset=r.pos)
     return sections, meta
 
 

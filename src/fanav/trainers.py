@@ -85,7 +85,7 @@ class TrainerConfig:
     epoch_steps: int = 1_000        # logging granularity
     eval_every: int = 10_000        # checkpoint interval in steps
     seed: int = 0
-    hidden: tuple[int, ...] = (256, 256)
+    hidden: tuple[int, ...] = (128, 128)
     activation: str = "relu"
     log_std_min: float = -5.0
     log_std_max: float = 2.0
@@ -449,69 +449,37 @@ class _EpochAccumulator:
 class FailureAwareIQL:
     """Offline navigation policy learner with a fit/predict interface.
 
-    Hyperparameters mirror :class:`TrainerConfig` one to one; ``fit``
-    consumes a partitioned :class:`OfflineDataset` and exposes the learned
-    policy through ``predict`` (deterministic actions for encoded feature
-    rows) and ``state_values``. ``get_params``/``set_params`` follow the
+    Hyperparameters are the fields of :class:`TrainerConfig`, with its
+    defaults, passed as keywords; ``fit`` consumes a partitioned
+    :class:`OfflineDataset` and exposes the learned policy through
+    ``predict`` (deterministic actions for encoded feature rows) and
+    ``state_values``. ``get_params``/``set_params`` follow the
     scikit-learn estimator conventions so the class composes with tooling
     that clones estimators from their parameters.
     """
 
-    def __init__(self, method: str = "iql_ca", expectile: float = 0.7,
-                 gamma: float = 0.99, weight_temp: float = 1.0,
-                 max_weight: float = 100.0, rho: float = 0.015,
-                 batch_size: int = 256, lr_value: float = 3e-4,
-                 lr_critic: float = 3e-4, lr_policy: float = 3e-4,
-                 target_alpha: float = 0.005, n_critics: int = 2,
-                 total_steps: int = 30_000, epoch_steps: int = 1_000,
-                 eval_every: int = 10_000, seed: int = 0,
-                 hidden: tuple[int, ...] = (256, 256),
-                 activation: str = "relu", log_std_min: float = -5.0,
-                 log_std_max: float = 2.0, log_std_init: float = -0.5,
-                 policy_final_scale: float = 1e-2, dtype: str = "float32"):
-        self.method = method
-        self.expectile = expectile
-        self.gamma = gamma
-        self.weight_temp = weight_temp
-        self.max_weight = max_weight
-        self.rho = rho
-        self.batch_size = batch_size
-        self.lr_value = lr_value
-        self.lr_critic = lr_critic
-        self.lr_policy = lr_policy
-        self.target_alpha = target_alpha
-        self.n_critics = n_critics
-        self.total_steps = total_steps
-        self.epoch_steps = epoch_steps
-        self.eval_every = eval_every
-        self.seed = seed
-        self.hidden = hidden
-        self.activation = activation
-        self.log_std_min = log_std_min
-        self.log_std_max = log_std_max
-        self.log_std_init = log_std_init
-        self.policy_final_scale = policy_final_scale
-        self.dtype = dtype
+    _DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
+
+    def __init__(self, **params):
+        self.set_params(**{**self._DEFAULTS, **params})
         self.policy_ = None
         self.report_ = None
         self.value_net_ = None
         self.result_ = None
 
-    _PARAM_NAMES = tuple(f.name for f in fields(TrainerConfig))
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._PARAM_NAMES}
+        return {name: getattr(self, name) for name in self._DEFAULTS}
 
     def set_params(self, **params) -> "FailureAwareIQL":
         for key, value in params.items():
-            if key not in self._PARAM_NAMES:
+            if key not in self._DEFAULTS:
                 raise ValueError(
                     f"invalid parameter '{key}' for {type(self).__name__}")
             setattr(self, key, value)
         return self
 
     def make_config(self) -> TrainerConfig:
-        return TrainerConfig(**{k: getattr(self, k) for k in self._PARAM_NAMES})
+        return TrainerConfig(**self.get_params())
 
     def fit(self, dataset: OfflineDataset,
             out_dir: str | None = None) -> "FailureAwareIQL":

@@ -281,6 +281,34 @@ def test_eval_and_compare_from_pipeline_artifacts(tmp_path, capsys):
     assert "bc" in table and "iql_ca" in table
     assert os.path.exists(os.path.join(cdir, "comparison.csv"))
 
+    # the pipeline is the subcommands chained: collect, train each method,
+    # eval each on the pipeline's suite, compare
+    chain = tmp_path / "chain"
+    ds_path = str(chain / "d.fanav")
+    os.makedirs(chain)
+    common = ["--seed", "5", *PIPELINE_SETS]
+    assert run(["collect", "--world", "sparse", "--out", ds_path,
+                *common]) == 0
+    eval_dirs = []
+    for m in ("bc", "iql_so", "iql_dm", "iql_ca"):
+        tdir = str(chain / "train" / m)
+        assert run(["train", "--method", m, "--dataset", ds_path,
+                    "--out-dir", tdir, *common]) == 0
+        eval_dirs.append(str(chain / "eval" / m))
+        assert run(["eval", "--checkpoint",
+                    os.path.join(tdir, "ckpt_00000120.famlp"),
+                    "--world", "sparse", "--suite", suite,
+                    "--out-dir", eval_dirs[-1], *common]) == 0
+    assert run(["compare", "--results", *eval_dirs,
+                "--out-dir", str(chain / "compare")]) == 0
+    chained = open(chain / "compare" / "comparison.csv", "rb").read()
+    piped = open(os.path.join(out, "compare", "comparison.csv"), "rb").read()
+    assert chained == piped
+    a = load_dataset(ds_path)
+    b = load_dataset(os.path.join(out, "dataset.fanav"))
+    assert a.exp.equals(b.exp) and a.col.equals(b.col)
+    assert a.profile == b.profile
+
 
 def test_train_emits_expected_artifacts(tmp_path):
     ds_path = str(tmp_path / "d.fanav")

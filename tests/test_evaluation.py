@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fanav.errors import ConfigError, ProtocolError, ShapeError
+from fanav import evaluation
+from fanav.errors import ConfigError, NoPathError, ProtocolError, ShapeError
 from fanav.data import EncoderProfile
 from fanav.geometry import Circle, Rect
 from fanav.nets import GaussianPolicyHead, Mlp
@@ -75,6 +76,29 @@ def test_make_suite_properties():
     assert suite.digest == again.digest
     other = make_suite(WORLD, SPEC, EPISODE, 12, seed=4)
     assert suite.digest != other.digest
+
+
+def test_make_suite_drops_only_planner_failures(monkeypatch):
+    starts = []
+
+    def first_unplannable(world, start, goal, radius):
+        starts.append(start)
+        if len(starts) == 1:
+            raise NoPathError("no path between start and goal")
+        return [start, goal]
+
+    monkeypatch.setattr(evaluation, "plan_path", first_unplannable)
+    suite = make_suite(WORLD, SPEC, EPISODE, 3, seed=3)
+    assert len(suite) == 3 and len(starts) == 4
+    assert (suite.tasks[0].sx, suite.tasks[0].sy) == starts[1]
+
+    def broken(world, start, goal, radius):
+        raise RuntimeError("planner bug")
+
+    # any other error is a bug, not an infeasible task
+    monkeypatch.setattr(evaluation, "plan_path", broken)
+    with pytest.raises(RuntimeError, match="planner bug"):
+        make_suite(WORLD, SPEC, EPISODE, 3, seed=3)
 
 
 def test_suite_roundtrip(tmp_path):
