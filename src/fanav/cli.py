@@ -404,6 +404,13 @@ def cmd_eval(args, argv) -> int:
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
+    # the policy encodes with the checkpoint's profile and the simulator
+    # runs the configured robot; only the room size (d_norm) may differ
+    robot = EncoderProfile.from_world_spec(world, spec).to_dict()
+    for key, trained in policy.profile.to_dict().items():
+        if key != "d_norm" and robot[key] != trained:
+            raise ConfigError(f"the robot config gives {key}={robot[key]} but "
+                              f"{args.checkpoint} was trained with {trained}")
     suite = load_suite(args.suite, world.name, episode)
     n_trials = (args.trials if args.trials is not None
                 else int(tree["eval"]["n_trials"]))

@@ -133,17 +133,14 @@ def load_config(path: str) -> ConfigTree:
         return parse_config(fh.read(), source=path)
 
 
-def merge_tree(base: ConfigTree, override: ConfigTree,
-               strict: bool = True) -> ConfigTree:
+def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
     """Overlay ``override`` onto ``base``; unknown keys are config errors."""
     out = {s: dict(kv) for s, kv in base.items()}
     for section, kv in override.items():
         if section not in out:
-            if strict:
-                raise ConfigError(f"unknown config section [{section}]")
-            out[section] = {}
+            raise ConfigError(f"unknown config section [{section}]")
         for key, value in kv.items():
-            if strict and key not in out[section]:
+            if key not in out[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
             out[section][key] = value
     return out

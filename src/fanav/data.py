@@ -374,15 +374,6 @@ class PooledSampler:
         return _gather(self.ds, exp_idx, col_idx, perm)
 
 
-def sample_mixed(ds: OfflineDataset, cfg: SamplerConfig) -> Batch:
-    """One-shot stratified batch; prefer :class:`StratifiedSampler` in loops."""
-    return StratifiedSampler(ds, cfg).sample()
-
-
-def sample_exp(ds: OfflineDataset, batch_size: int, seed: int) -> Batch:
-    return ExpSampler(ds, batch_size, seed).sample()
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------

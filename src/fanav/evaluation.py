@@ -13,14 +13,13 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, FanavError, NoPathError, ProtocolError,
-                     ShapeError)
+from .errors import (ConfigError, DataFormatError, FanavError, NoPathError,
+                     ProtocolError, ShapeError)
 from .data import EncoderProfile, encode_state
 from .expert import ExpertConfig, expert_action, plan_path
 from .nets import GaussianPolicyHead, load_checkpoint
@@ -81,26 +80,24 @@ class TaskSuite:
 
 
 def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
-               n_tasks: int, seed: int, min_separation: float = 3.0,
-               clearance_margin: float = 0.1,
-               check_feasible: bool = True) -> TaskSuite:
+               n_tasks: int, seed: int,
+               min_separation: float = 3.0) -> TaskSuite:
     """Sample collision-free, planner-feasible start/goal tasks."""
     if n_tasks < 1:
         raise ConfigError("n_tasks must be >= 1")
     rng = np.random.default_rng([seed, 0x5717e])
     tasks: list[Task] = []
-    clearance = spec.radius + clearance_margin
+    clearance = spec.radius + 0.1  # free space at start and goal
     attempts = 0
     while len(tasks) < n_tasks:
         attempts += 1
         if attempts > 200 * n_tasks:
             raise ConfigError("could not sample enough feasible tasks")
         start, goal = sample_task(world, rng, clearance, min_separation)
-        if check_feasible:
-            try:
-                plan_path(world, (start.x, start.y), goal, spec.radius)
-            except NoPathError:
-                continue
+        try:
+            plan_path(world, (start.x, start.y), goal, spec.radius)
+        except NoPathError:
+            continue
         tasks.append(Task(start.x, start.y, start.heading, goal[0], goal[1]))
     return TaskSuite(world.name, tasks, episode)
 
@@ -153,13 +150,17 @@ class NetworkPolicy:
         sections, meta = load_checkpoint(path)
         if "policy_mean" not in sections or "policy_log_std" not in sections:
             raise ConfigError(f"{path} is not a policy checkpoint")
-        profile = EncoderProfile.from_dict(meta["profile"])
+        for key in ("profile", "action_scale", "log_std_bounds", "method"):
+            if key not in meta:
+                raise DataFormatError(f"{path}: checkpoint metadata lacks "
+                                      f"'{key}'")
         head = GaussianPolicyHead(
             sections["policy_mean"].to_mlp(),
             np.asarray(meta["action_scale"], np.float64),
             log_std=sections["policy_log_std"].params,
-            log_std_bounds=tuple(meta.get("log_std_bounds", (-5.0, 2.0))))
-        return cls(head, profile, name=meta.get("method", "policy"))
+            log_std_bounds=tuple(meta["log_std_bounds"]))
+        return cls(head, EncoderProfile.from_dict(meta["profile"]),
+                   name=meta["method"])
 
     def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
         pass
@@ -336,9 +337,11 @@ def load_eval_result(path: str) -> EvalResult:
 def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
                    n_trials: int = 3, seed: int = 0,
                    jitter: tuple[float, float] = (0.1, 0.1),
-                   method: str | None = None,
-                   record_trajectories: bool = True) -> EvalResult:
-    """Score a policy on every task of a suite across jittered trials."""
+                   method: str | None = None) -> EvalResult:
+    """Score a policy on every task of a suite across jittered trials.
+
+    The first trial's trajectories are kept for :func:`export_trajectories`.
+    """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
     if not suite.tasks:
@@ -356,9 +359,9 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
             start = _jittered_start(world, spec, task, trial, idx, seed, jitter)
             jt = Task(start.x, start.y, start.heading, task.gx, task.gy)
             outcome, traj = rollout(policy, world, spec, suite.episode, jt,
-                                    record=record_trajectories and trial == 0)
+                                    record=trial == 0)
             row.append(outcome)
-            if trial == 0 and record_trajectories:
+            if trial == 0:
                 trajectories.append(traj)
         outcomes.append(row)
         n_s = row.count(SUCCESS)

@@ -34,6 +34,7 @@ from .sim import (
 
 CLEAN = "clean"
 PERTURBED = "perturbed"
+MAX_EPISODES = 100_000  # collect_to_ratio gives up after this many episodes
 
 
 @dataclass(frozen=True)
@@ -235,11 +236,6 @@ def plan_path(world: World, start: tuple[float, float],
     return _shortcut(world, pts, inflate * 0.9)
 
 
-def path_length(path: list[tuple[float, float]]) -> float:
-    return sum(math.hypot(bx - ax, by - ay)
-               for (ax, ay), (bx, by) in zip(path, path[1:]))
-
-
 # ---------------------------------------------------------------------------
 # pure-pursuit tracking
 # ---------------------------------------------------------------------------
@@ -350,7 +346,7 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
-            seed: int, first_traj_id: int = 0) -> list[Trajectory]:
+            seed: int) -> list[Trajectory]:
     """Collect ``n_episodes`` labeled episodes, discarding timeouts.
 
     Each episode draws from its own random stream derived from (seed,
@@ -361,8 +357,7 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     out: list[Trajectory] = []
     for ep in range(n_episodes):
         rng = np.random.default_rng([seed, ep])
-        traj = run_episode(world, spec, episode_cfg, expert_cfg, rng, mode,
-                           first_traj_id + ep)
+        traj = run_episode(world, spec, episode_cfg, expert_cfg, rng, mode, ep)
         if traj is not None and traj.outcome in (SUCCESS, COLLISION):
             out.append(traj)
     return out
@@ -371,8 +366,7 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                      expert_cfg: ExpertConfig, min_transitions: int,
                      target_col_ratio: float, seed: int,
-                     ratio_tol: float = 0.01,
-                     max_episodes: int = 100_000) -> list[Trajectory]:
+                     ratio_tol: float = 0.01) -> list[Trajectory]:
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 
@@ -414,27 +408,27 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 
     if target_col_ratio == 0:
         while n_succ < min_transitions:
-            if ep >= max_episodes:
+            if ep >= MAX_EPISODES:
                 raise ConfigError(
                     f"only {n_succ}/{min_transitions} success transitions "
-                    f"after {max_episodes} episodes")
+                    f"after {MAX_EPISODES} episodes")
             run(CLEAN, expert_cfg)
         return _trim_to_ratio(succ, [], 0.0, ratio_tol, min_transitions)
 
     exp_target = math.ceil((1.0 - target_col_ratio) * min_transitions)
     col_target = math.ceil(target_col_ratio * min_transitions)
     while n_succ < exp_target:
-        if ep >= max_episodes:
+        if ep >= MAX_EPISODES:
             raise ConfigError(
                 f"only {n_succ}/{exp_target} success transitions after "
-                f"{max_episodes} episodes")
+                f"{MAX_EPISODES} episodes")
         run(PERTURBED, expert_cfg)
     harvest = expert_cfg.harvest_profile()
     while n_coll < col_target:
-        if ep >= max_episodes:
+        if ep >= MAX_EPISODES:
             raise ConfigError(
                 f"only {n_coll}/{col_target} collision transitions after "
-                f"{max_episodes} episodes")
+                f"{MAX_EPISODES} episodes")
         run(PERTURBED, harvest, guard=True)
     return _trim_to_ratio(succ, coll, target_col_ratio, ratio_tol,
                           min_transitions)
@@ -475,9 +469,3 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
             f"collected ratio {realized:.4f} misses target {target:.4f} "
             f"beyond tolerance {tol:.4f}; trajectories too long to trim")
     return succ + coll
-
-
-def realized_collision_ratio(trajectories: list[Trajectory]) -> float:
-    n_coll = sum(len(t) for t in trajectories if t.outcome == COLLISION)
-    total = sum(len(t) for t in trajectories)
-    return n_coll / total if total else 0.0

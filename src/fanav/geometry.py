@@ -20,11 +20,6 @@ def wrap_angle(a: float) -> float:
     return a - TWO_PI * math.ceil((a - math.pi) / TWO_PI)
 
 
-def wrap_angles(a: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`wrap_angle`."""
-    return a - TWO_PI * np.ceil((a - math.pi) / TWO_PI)
-
-
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle given by its min corner and size."""

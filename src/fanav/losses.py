@@ -119,16 +119,6 @@ def critic_loss_and_grads(critics: list[Mlp], x_sa: np.ndarray,
     return loss / n, grads
 
 
-def td_loss(batch: Batch, value_net: Mlp, critics: list[Mlp], gamma: float,
-            action_scale: np.ndarray) -> float:
-    """Scalar TD loss of a batch under the current value and critic nets."""
-    y = td_targets(value_net, batch.rewards, batch.next_features, batch.dones,
-                   gamma)
-    x_sa = critic_inputs(batch.features, batch.actions, action_scale)
-    loss, _ = critic_loss_and_grads(critics, x_sa, y)
-    return loss
-
-
 def min_target_q(target_critics: list[Mlp], x_sa: np.ndarray) -> np.ndarray:
     """Elementwise minimum over the target critic ensemble."""
     qs = [np.asarray(net.forward(x_sa)[:, 0], np.float64)
@@ -187,19 +177,8 @@ def awr_loss_and_grads(policy: GaussianPolicyHead, batch: Batch,
     return loss, g_mean, g_ls, w
 
 
-def awr_loss(policy: GaussianPolicyHead, batch: Batch, adv: np.ndarray,
-             beta: float, w_max: float) -> float:
-    loss, _, _, _ = awr_loss_and_grads(policy, batch, adv, beta, w_max)
-    return loss
-
-
 def bc_loss_and_grads(policy: GaussianPolicyHead, batch: Batch):
     """Plain behavior cloning: all advantage weights forced to one."""
     _guard_exp_only(batch, "bc_loss")
     w = np.ones(len(batch))
     return weighted_nll_and_grads(policy, batch.features, batch.actions, w)
-
-
-def bc_loss(policy: GaussianPolicyHead, batch: Batch) -> float:
-    loss, _, _ = bc_loss_and_grads(policy, batch)
-    return loss

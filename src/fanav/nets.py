@@ -173,10 +173,6 @@ class Mlp:
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.activation, self.theta.copy(), self.dtype)
 
-    def astype(self, dtype: type) -> "Mlp":
-        return Mlp(self.widths, self.activation,
-                   self.theta.astype(dtype), dtype)
-
 
 # ---------------------------------------------------------------------------
 # Adam
@@ -272,12 +268,6 @@ class GaussianPolicyHead:
         mu = self.mean_net.forward(feats)
         return np.tanh(np.asarray(mu, np.float64)) * self.action_scale
 
-    def sample(self, feats: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        mu = np.asarray(self.mean_net.forward(feats), np.float64)
-        std = np.exp(self.clipped_log_std())
-        z = mu + rng.standard_normal(mu.shape) * std
-        return np.tanh(z) * self.action_scale
-
     def _inverse_squash(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = np.atleast_2d(np.asarray(actions, np.float64))
         limit = self.action_scale - _BOUND_MARGIN
@@ -338,10 +328,6 @@ class GaussianPolicyHead:
         grad_log_std = np.where((raw >= hi) & (grad_log_std < 0), 0.0,
                                 grad_log_std)
         return loss, grad_mean, grad_log_std.astype(self.mean_net.dtype)
-
-    def copy(self) -> "GaussianPolicyHead":
-        return GaussianPolicyHead(self.mean_net.copy(), self.action_scale.copy(),
-                                  self.log_std.copy(), self.log_std_bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPoseError, ProtocolError, WorldFormatError
+from .errors import (ConfigError, InvalidPoseError, NumericError, ProtocolError,
+                     WorldFormatError)
 from .geometry import (
     Circle,
     Rect,
@@ -209,7 +210,7 @@ def step_kinematics(pose: Pose, action: Action, dt: float) -> Pose:
         raise ConfigError("dt must be positive")
     v, w, h = action.v_cmd, action.omega_cmd, pose.heading
     if not all(math.isfinite(q) for q in (v, w, pose.x, pose.y, h)):
-        raise ValueError("non-finite kinematics input")
+        raise NumericError("non-finite kinematics input")
     if abs(w) < 1e-6:
         return Pose(pose.x + v * math.cos(h) * dt,
                     pose.y + v * math.sin(h) * dt, h)
@@ -278,14 +279,6 @@ def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
                         new_pose.heading)
     state = observe(world, spec, obs_pose, goal, a.v_cmd, a.omega_cmd)
     return StepOutcome(state, reward, terminal), new_pose
-
-
-def discounted_return(rewards: list[float] | np.ndarray, gamma: float) -> float:
-    """Discounted sum of a reward sequence from its first element."""
-    total = 0.0
-    for r in reversed(list(rewards)):
-        total = r + gamma * total
-    return total
 
 
 class EpisodeEngine:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 from .data import (
     EncoderProfile,
     ExpSampler,
@@ -58,7 +58,6 @@ from .nets import (
     save_checkpoint,
     soft_update,
 )
-from .validation import check_feature_matrix, check_fitted
 
 METHODS = ("bc", "iql_so", "iql_dm", "iql_ca")
 
@@ -473,7 +472,7 @@ class FailureAwareIQL:
     def set_params(self, **params) -> "FailureAwareIQL":
         for key, value in params.items():
             if key not in self._DEFAULTS:
-                raise ValueError(
+                raise ConfigError(
                     f"invalid parameter '{key}' for {type(self).__name__}")
             setattr(self, key, value)
         return self
@@ -493,13 +492,26 @@ class FailureAwareIQL:
 
     def predict(self, X) -> np.ndarray:
         """Deterministic actions (v, omega) for encoded feature rows."""
-        check_fitted(self)
-        feats = check_feature_matrix(X, self.profile_.dim)
+        feats = self._feature_rows(X, "policy_")
         return self.policy_.mean_action(
             feats.astype(self.policy_.mean_net.dtype))
 
     def state_values(self, X) -> np.ndarray:
-        check_fitted(self, "value_net_")
-        feats = check_feature_matrix(X, self.profile_.dim)
+        feats = self._feature_rows(X, "value_net_")
         return self.value_net_.forward(
             feats.astype(self.value_net_.dtype))[:, 0]
+
+    def _feature_rows(self, X, fitted_attr: str) -> np.ndarray:
+        """``X`` as finite float rows of the fitted profile's width."""
+        if getattr(self, fitted_attr) is None:
+            raise RuntimeError(
+                f"{type(self).__name__} is not fitted yet; call fit() first")
+        arr = np.asarray(X, dtype=np.float64)
+        if arr.ndim == 1:
+            arr = arr[None, :]
+        dim = self.profile_.dim
+        if arr.ndim != 2 or arr.shape[1] != dim:
+            raise ShapeError(f"X must have shape (n, {dim}), got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NumericError("X contains non-finite values")
+        return arr

@@ -393,10 +393,10 @@ def test_c9_sanity_bounds():
     sparse = bundled("sparse")
     suite = make_suite(sparse, spec, episode, 50, seed=9)
     expert = evaluate_suite(ExpertPilot(), sparse, spec, suite, n_trials=3,
-                            seed=1, record_trajectories=False)
+                            seed=1)
     assert expert.sr == 100.0, f"expert SR {expert.sr}"
     zero = evaluate_suite(ZeroPolicy(), sparse, spec, suite, n_trials=3,
-                          seed=1, record_trajectories=False)
+                          seed=1)
     assert zero.tr == 100.0
     for res in (expert, zero):
         assert res.sr + res.cr + res.tr == 100.0

@@ -13,6 +13,7 @@ from fanav.cli import (
     resolve_seed,
 )
 from fanav.data import load_dataset
+from fanav.nets import load_checkpoint, save_checkpoint
 from fanav.sim import load_world
 
 
@@ -251,10 +252,17 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     assert manifest["config"]["eval"]["n_tasks"] == 4
 
 
-def test_eval_and_compare_from_pipeline_artifacts(tmp_path, capsys):
-    out = str(tmp_path / "run")
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("pipeline") / "run")
     assert run(["pipeline", "--out-dir", out, "--seed", "5",
                 *PIPELINE_SETS]) == 0
+    return out
+
+
+def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
+                                                  capsys):
+    out = pipeline_run
     capsys.readouterr()
     # standalone eval against the pipeline checkpoint and suite
     ckpt = os.path.join(out, "train", "iql_ca", "ckpt_00000120.famlp")
@@ -308,6 +316,33 @@ def test_eval_and_compare_from_pipeline_artifacts(tmp_path, capsys):
     b = load_dataset(os.path.join(out, "dataset.fanav"))
     assert a.exp.equals(b.exp) and a.col.equals(b.col)
     assert a.profile == b.profile
+
+
+def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
+                                                   capsys):
+    ckpt = os.path.join(pipeline_run, "train", "iql_ca", "ckpt_00000120.famlp")
+    suite = os.path.join(pipeline_run, "suites", "sparse.suite")
+
+    def eval_code(path, *sets):
+        return run(["eval", "--checkpoint", path, "--world", "sparse",
+                    "--suite", suite, "--out-dir", str(tmp_path / "e"),
+                    "--seed", "5", "--set", "robot.lidar_beams=16", *sets])
+
+    # trained at 30 m: a 6 m sensor would feed features past 1
+    assert eval_code(ckpt, "--set", "robot.lidar_range=6.0") == 3
+    assert "range_max=6.0" in capsys.readouterr().err
+    assert eval_code(ckpt, "--set", "robot.lidar_beams=12") == 3
+    assert not os.path.exists(tmp_path / "e")
+
+    sections, meta = load_checkpoint(ckpt)
+    bare = str(tmp_path / "bare.famlp")
+    save_checkpoint(bare, sections, {})
+    assert eval_code(bare) == 4
+    for key in ("profile", "action_scale", "log_std_bounds", "method"):
+        save_checkpoint(bare, sections,
+                        {k: v for k, v in meta.items() if k != key})
+        assert eval_code(bare) == 4
+        assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_train_emits_expected_artifacts(tmp_path):

@@ -22,8 +22,6 @@ from fanav.data import (
     encode_state,
     load_dataset,
     round_half_up,
-    sample_exp,
-    sample_mixed,
     save_dataset,
 )
 
@@ -180,13 +178,6 @@ def test_mixed_sampler_determinism():
     a, b = StratifiedSampler(DS, cfg), StratifiedSampler(DS, cfg)
     for _ in range(5):
         assert np.array_equal(a.sample().features, b.sample().features)
-
-
-def test_one_shot_helpers():
-    batch = sample_mixed(DS, SamplerConfig(rho=0.5, batch_size=10, seed=1))
-    assert batch.n_collision == 5
-    batch = sample_exp(DS, 16, seed=1)
-    assert batch.n_collision == 0 and len(batch) == 16
 
 
 def test_pooled_sampler_mixes_both():

@@ -8,10 +8,8 @@ from fanav.data import Batch
 from fanav.nets import GaussianPolicyHead, Mlp
 from fanav.losses import (
     advantages,
-    awr_loss,
     awr_loss_and_grads,
     awr_weights,
-    bc_loss,
     bc_loss_and_grads,
     critic_inputs,
     critic_loss_and_grads,
@@ -19,7 +17,6 @@ from fanav.losses import (
     expectile_loss,
     min_target_q,
     scalar_expectile,
-    td_loss,
     td_targets,
     value_loss_and_grad,
 )
@@ -185,7 +182,10 @@ def test_td_loss_exact_bootstrap_case():
 def test_td_loss_matches_scalar_loop_oracle():
     value, critics, _, _ = make_nets(seed=6)
     batch = make_batch(12, seed=7)
-    got = td_loss(batch, value, critics, 0.99, SCALE)
+    # composed as train() composes the critic update
+    y = td_targets(value, batch.rewards, batch.next_features, batch.dones, 0.99)
+    x_sa = critic_inputs(batch.features, batch.actions, SCALE)
+    got, _ = critic_loss_and_grads(critics, x_sa, y)
     # independent scalar-loop recomputation
     total = 0.0
     count = 0
@@ -251,12 +251,14 @@ def test_awr_weights_values_and_cap():
 def test_awr_zero_advantage_equals_bc():
     _, _, _, policy = make_nets(seed=14)
     batch = make_batch(8, seed=15)
-    a = awr_loss(policy, batch, np.zeros(8), beta=1.0, w_max=100.0)
-    b = bc_loss(policy, batch)
+    a = awr_loss_and_grads(policy, batch, np.zeros(8), beta=1.0,
+                           w_max=100.0)[0]
+    b = bc_loss_and_grads(policy, batch)[0]
     assert a == pytest.approx(b, rel=1e-12)
     # and beta = 0 degenerates the weights to one as well
-    c = awr_loss(policy, batch, np.random.default_rng(0).normal(size=8),
-                 beta=0.0, w_max=100.0)
+    c = awr_loss_and_grads(policy, batch,
+                           np.random.default_rng(0).normal(size=8),
+                           beta=0.0, w_max=100.0)[0]
     assert c == pytest.approx(b, rel=1e-12)
 
 
@@ -264,9 +266,9 @@ def test_policy_guard_rejects_collision_batches():
     _, _, _, policy = make_nets(seed=16)
     bad = make_batch(8, seed=17, with_collisions=True)
     with pytest.raises(ProtocolError, match="collision"):
-        awr_loss(policy, bad, np.zeros(8), 1.0, 100.0)
+        awr_loss_and_grads(policy, bad, np.zeros(8), 1.0, 100.0)
     with pytest.raises(ProtocolError, match="collision"):
-        bc_loss(policy, bad)
+        bc_loss_and_grads(policy, bad)
 
 
 def test_awr_full_gradient_fd():
@@ -316,4 +318,5 @@ def test_bc_overfits_tiny_dataset():
 def test_identical_batches_identical_loss():
     _, _, _, policy = make_nets(seed=23)
     batch = make_batch(6, seed=24)
-    assert bc_loss(policy, batch) == bc_loss(policy, batch)
+    assert bc_loss_and_grads(policy, batch)[0] \
+        == bc_loss_and_grads(policy, batch)[0]

@@ -285,15 +285,6 @@ def test_action_on_bound_is_clamped_not_nan():
     assert np.isfinite(logp).all()
 
 
-def test_sample_respects_bounds():
-    head = make_head(log_std=1.0)
-    rng = np.random.default_rng(12)
-    feats = rng.normal(size=(500, 6))
-    acts = head.sample(feats, rng)
-    assert np.all(np.abs(acts[:, 0]) <= SCALE[0])
-    assert np.all(np.abs(acts[:, 1]) <= SCALE[1])
-
-
 def test_nll_gradients_finite_difference():
     head = make_head()
     rng = np.random.default_rng(13)

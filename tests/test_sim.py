@@ -6,6 +6,7 @@ import pytest
 from fanav.errors import (
     ConfigError,
     InvalidPoseError,
+    NumericError,
     ProtocolError,
     WorldFormatError,
 )
@@ -21,7 +22,6 @@ from fanav.sim import (
     Pose,
     RobotSpec,
     World,
-    discounted_return,
     format_world,
     load_world,
     parse_world,
@@ -191,7 +191,7 @@ def test_kinematics_reversible_straight():
 
 
 def test_kinematics_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericError):
         step_kinematics(Pose(0, 0, 0), Action(math.nan, 0.0), 0.2)
 
 
@@ -336,15 +336,6 @@ def test_determinism_bitwise():
         return trace
 
     assert run() == run()
-
-
-def test_discounted_return():
-    assert discounted_return([1.0, 1.0, 1.0], 0.5) == pytest.approx(1.75)
-    assert discounted_return([], 0.9) == 0.0
-    rng = np.random.default_rng(2)
-    rs = rng.normal(size=30)
-    expected = sum(r * 0.99 ** k for k, r in enumerate(rs))
-    assert discounted_return(rs, 0.99) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

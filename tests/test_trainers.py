@@ -241,7 +241,7 @@ def test_get_set_params_roundtrip():
     assert clone.get_params() == params
     est.set_params(rho=0.25, batch_size=32)
     assert est.get_params()["rho"] == 0.25
-    with pytest.raises(ValueError, match="invalid parameter"):
+    with pytest.raises(ConfigError, match="invalid parameter"):
         est.set_params(bogus=1)
 
 
