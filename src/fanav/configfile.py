@@ -133,8 +133,21 @@ def load_config(path: str) -> ConfigTree:
         return parse_config(fh.read(), source=path)
 
 
+def _typed(value, default, where: str):
+    """``value`` with the type of ``default``; an int also passes for (and
+    becomes) a float, and list items go by the default list's items."""
+    if isinstance(default, float) and type(value) is int:
+        return float(value)
+    if isinstance(default, list) and isinstance(value, list) and default:
+        return [_typed(v, default[0], where) for v in value]
+    if type(value) is not type(default):
+        raise ConfigError(f"config {where} = {value!r} does not have the "
+                          f"type of its default {default!r}")
+    return value
+
+
 def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
-    """Overlay ``override`` onto ``base``; unknown keys are config errors."""
+    """Overlay ``override`` onto ``base``, typed as in ``base``."""
     out = {s: dict(kv) for s, kv in base.items()}
     for section, kv in override.items():
         if section not in out:
@@ -142,5 +155,6 @@ def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
         for key, value in kv.items():
             if key not in out[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            out[section][key] = value
+            out[section][key] = _typed(value, out[section][key],
+                                       f"{section}.{key}")
     return out

@@ -5,32 +5,22 @@ sampler fixes the number of collision transitions per batch exactly, not in
 expectation, which is what makes the collision influence on critic updates
 controllable.
 
-File format (little-endian throughout)::
-
-    magic "FANAV1" | schema u32 | beam_count u32 | n_exp u64 | n_col u64
-    | digest 32B | meta_len u32 | meta JSON
-    | exp block | col block
-
-where each block is features f32[n,D], actions f32[n,2], rewards f32[n],
-next_features f32[n,D], dones u8[n], traj_ids i64[n], step_ids i32[n].
+A saved dataset (``.fanav``) is a :mod:`fanav.binio` file of kind
+``dataset``: its header meta holds the encoder profile and the dataset's
+meta, and the arrays ``exp/<column>`` and ``col/<column>`` hold each
+partition's columns, typed as in ``_COLUMNS``.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import Reader
+from . import binio
 from .errors import ConfigError, DataFormatError, ShapeError
 from .expert import Trajectory
 from .sim import COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec, World
-
-MAGIC = b"FANAV1"
-SCHEMA_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # feature encoding
@@ -104,36 +94,42 @@ def decode_goal_dist(features: np.ndarray, profile: EncoderProfile) -> np.ndarra
 # transition storage
 # ---------------------------------------------------------------------------
 
+# every column of a partition: its dtype and the width of a row, None for
+# a scalar and "D" for the feature dim
+_COLUMNS = {"features": (np.float32, "D"), "actions": (np.float32, 2),
+            "rewards": (np.float32, None), "next_features": (np.float32, "D"),
+            "dones": (np.uint8, None), "traj_ids": (np.int64, None),
+            "step_ids": (np.int32, None)}
+
+
+def _column_shape(name: str, n: int, dim: int) -> tuple[int, ...]:
+    width = _COLUMNS[name][1]
+    return (n,) if width is None else (n, dim if width == "D" else width)
+
+
 @dataclass
 class TransitionBlock:
-    """Column-array storage for one partition."""
+    """Column-array storage for one partition, typed as in ``_COLUMNS``."""
 
-    features: np.ndarray       # (n, D) f32
-    actions: np.ndarray        # (n, 2) f32
-    rewards: np.ndarray        # (n,)   f32
-    next_features: np.ndarray  # (n, D) f32
-    dones: np.ndarray          # (n,)   u8
-    traj_ids: np.ndarray       # (n,)   i64
-    step_ids: np.ndarray       # (n,)   i32
+    features: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_features: np.ndarray
+    dones: np.ndarray
+    traj_ids: np.ndarray
+    step_ids: np.ndarray
 
     def __len__(self) -> int:
         return self.features.shape[0]
 
     @classmethod
     def empty(cls, dim: int) -> "TransitionBlock":
-        return cls(np.empty((0, dim), np.float32), np.empty((0, 2), np.float32),
-                   np.empty(0, np.float32), np.empty((0, dim), np.float32),
-                   np.empty(0, np.uint8), np.empty(0, np.int64),
-                   np.empty(0, np.int32))
+        return cls(**{c: np.empty(_column_shape(c, 0, dim), dtype)
+                      for c, (dtype, _) in _COLUMNS.items()})
 
     def equals(self, other: "TransitionBlock") -> bool:
-        return (np.array_equal(self.features, other.features)
-                and np.array_equal(self.actions, other.actions)
-                and np.array_equal(self.rewards, other.rewards)
-                and np.array_equal(self.next_features, other.next_features)
-                and np.array_equal(self.dones, other.dones)
-                and np.array_equal(self.traj_ids, other.traj_ids)
-                and np.array_equal(self.step_ids, other.step_ids))
+        return all(np.array_equal(getattr(self, c), getattr(other, c))
+                   for c in _COLUMNS)
 
 
 @dataclass
@@ -200,17 +196,11 @@ def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
                 r, feats[t + 1], done, traj.traj_id, t))
 
     def pack(rows) -> TransitionBlock:
-        if not rows:
-            return TransitionBlock.empty(profile.dim)
-        return TransitionBlock(
-            np.stack([r[0] for r in rows]).astype(np.float32),
-            np.array([r[1] for r in rows], np.float32),
-            np.array([r[2] for r in rows], np.float32),
-            np.stack([r[3] for r in rows]).astype(np.float32),
-            np.array([r[4] for r in rows], np.uint8),
-            np.array([r[5] for r in rows], np.int64),
-            np.array([r[6] for r in rows], np.int32),
-        )
+        # each row holds the columns in _COLUMNS order
+        return TransitionBlock(**{
+            c: np.array([r[i] for r in rows], dtype).reshape(
+                _column_shape(c, len(rows), profile.dim))
+            for i, (c, (dtype, _)) in enumerate(_COLUMNS.items())})
 
     return OfflineDataset(pack(parts[SUCCESS]), pack(parts[COLLISION]),
                           profile, dict(meta or {}))
@@ -378,98 +368,32 @@ class PooledSampler:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _canonical_meta_bytes(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
-
-
-def dataset_digest(ds: OfflineDataset) -> bytes:
-    h = hashlib.sha256()
-    h.update(_canonical_meta_bytes({"profile": ds.profile.to_dict(),
-                                    "meta": ds.meta}))
-    h.update(np.int64(ds.n_exp).tobytes())
-    h.update(np.int64(ds.n_col).tobytes())
-    return h.digest()
-
-
-def _block_bytes(block: TransitionBlock) -> list[bytes]:
-    return [
-        np.ascontiguousarray(block.features, "<f4").tobytes(),
-        np.ascontiguousarray(block.actions, "<f4").tobytes(),
-        np.ascontiguousarray(block.rewards, "<f4").tobytes(),
-        np.ascontiguousarray(block.next_features, "<f4").tobytes(),
-        np.ascontiguousarray(block.dones, "u1").tobytes(),
-        np.ascontiguousarray(block.traj_ids, "<i8").tobytes(),
-        np.ascontiguousarray(block.step_ids, "<i4").tobytes(),
-    ]
-
-
 def save_dataset(ds: OfflineDataset, path: str) -> None:
-    meta_bytes = _canonical_meta_bytes({"profile": ds.profile.to_dict(),
-                                        "meta": ds.meta})
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(np.uint32(SCHEMA_VERSION).tobytes())
-        fh.write(np.uint32(ds.profile.beam_count).tobytes())
-        fh.write(np.uint64(ds.n_exp).tobytes())
-        fh.write(np.uint64(ds.n_col).tobytes())
-        fh.write(dataset_digest(ds))
-        fh.write(np.uint32(len(meta_bytes)).tobytes())
-        fh.write(meta_bytes)
-        for block in (ds.exp, ds.col):
-            for chunk in _block_bytes(block):
-                fh.write(chunk)
+    arrays = {f"{part}/{c}": np.asarray(getattr(block, c), dtype)
+              for part, block in (("exp", ds.exp), ("col", ds.col))
+              for c, (dtype, _) in _COLUMNS.items()}
+    binio.write(path, "dataset", {"profile": ds.profile.to_dict(),
+                                  "meta": ds.meta}, arrays)
 
 
 def load_dataset(path: str) -> OfflineDataset:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = Reader(buf, path)
-    magic = r.take(len(MAGIC), "magic")
-    if magic != MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}", offset=0)
-    schema = int(r.scalar("<u4", "schema version"))
-    if schema != SCHEMA_VERSION:
-        raise DataFormatError(
-            f"{path}: unsupported schema version {schema}", offset=6)
-    beam_count = int(r.scalar("<u4", "beam count"))
-    n_exp = int(r.scalar("<u8", "n_exp"))
-    n_col = int(r.scalar("<u8", "n_col"))
-    digest = r.take(32, "digest")
-    meta_len = int(r.scalar("<u4", "meta length"))
-    meta_start = r.pos
+    header, arrays = binio.read(path, "dataset")
     try:
-        header = json.loads(r.take(meta_len, "metadata").decode())
         profile = EncoderProfile.from_dict(header["profile"])
-        meta = header.get("meta", {})
-    except (ValueError, KeyError) as exc:
-        raise DataFormatError(f"{path}: bad metadata block ({exc})",
-                              offset=meta_start) from exc
-    if profile.beam_count != beam_count:
-        raise DataFormatError(
-            f"{path}: header beam count {beam_count} != profile "
-            f"{profile.beam_count}", offset=meta_start)
-    dim = profile.dim
-
-    def read_block(n: int, label: str) -> TransitionBlock:
-        return TransitionBlock(
-            r.array("<f4", (n, dim), f"{label} features").astype(np.float32),
-            r.array("<f4", (n, 2), f"{label} actions").astype(np.float32),
-            r.array("<f4", (n,), f"{label} rewards").astype(np.float32),
-            r.array("<f4", (n, dim), f"{label} next features").astype(np.float32),
-            r.array("u1", (n,), f"{label} dones").astype(np.uint8),
-            r.array("<i8", (n,), f"{label} traj ids").astype(np.int64),
-            r.array("<i4", (n,), f"{label} step ids").astype(np.int32),
-        )
-
-    exp = read_block(n_exp, "exp")
-    col = read_block(n_col, "col")
-    if r.pos != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - r.pos} trailing bytes",
-                              offset=r.pos)
-    ds = OfflineDataset(exp, col, profile, meta)
-    if dataset_digest(ds) != digest:
-        raise DataFormatError(f"{path}: header digest mismatch", offset=14)
-    return ds
+        blocks = []
+        for part in ("exp", "col"):
+            n = len(arrays[f"{part}/rewards"])
+            cols = {c: arrays[f"{part}/{c}"] for c in _COLUMNS}
+            for c, arr in cols.items():
+                dtype, shape = _COLUMNS[c][0], _column_shape(c, n, profile.dim)
+                if arr.dtype != dtype or arr.shape != shape:
+                    raise DataFormatError(
+                        f"{path}: {part}/{c} is {arr.dtype} {arr.shape}, "
+                        f"expected {np.dtype(dtype)} {shape}")
+            blocks.append(TransitionBlock(**cols))
+        return OfflineDataset(*blocks, profile, dict(header["meta"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad dataset ({exc!r})") from exc
 
 
 def describe_dataset(ds: OfflineDataset) -> str:

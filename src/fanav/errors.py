@@ -26,16 +26,9 @@ class NumericError(FanavError):
 
 
 class DataFormatError(FanavError):
-    """Malformed binary dataset or checkpoint file.
-
-    ``offset`` holds the byte position at which parsing failed, when known.
-    """
-
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
-            message = f"{message} (at byte {offset})"
-        super().__init__(message)
-        self.offset = offset
+    """Unreadable dataset or checkpoint file: damaged (a failed zip CRC-32,
+    a truncated or extended archive), of another kind or format version, or
+    with arrays or metadata that do not fit; the message names the file."""
 
 
 class WorldFormatError(FanavError):

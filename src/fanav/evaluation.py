@@ -150,17 +150,18 @@ class NetworkPolicy:
         sections, meta = load_checkpoint(path)
         if "policy_mean" not in sections or "policy_log_std" not in sections:
             raise ConfigError(f"{path} is not a policy checkpoint")
-        for key in ("profile", "action_scale", "log_std_bounds", "method"):
-            if key not in meta:
-                raise DataFormatError(f"{path}: checkpoint metadata lacks "
-                                      f"'{key}'")
-        head = GaussianPolicyHead(
-            sections["policy_mean"].to_mlp(),
-            np.asarray(meta["action_scale"], np.float64),
-            log_std=sections["policy_log_std"].params,
-            log_std_bounds=tuple(meta["log_std_bounds"]))
-        return cls(head, EncoderProfile.from_dict(meta["profile"]),
-                   name=meta["method"])
+        try:
+            lo, hi = meta["log_std_bounds"]
+            head = GaussianPolicyHead(
+                sections["policy_mean"].to_mlp(),
+                np.asarray(meta["action_scale"], np.float64),
+                log_std=sections["policy_log_std"].params,
+                log_std_bounds=(float(lo), float(hi)))
+            return cls(head, EncoderProfile.from_dict(meta["profile"]),
+                       name=meta["method"])
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: incomplete or malformed "
+                                  f"checkpoint metadata ({exc!r})") from exc
 
     def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
         pass

@@ -13,20 +13,15 @@ relu (He-initialized) or tanh (Xavier-initialized).
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Reader
+from . import binio
 from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
-_ACT_CODE = {"relu": 0, "tanh": 1, "none": 2}
-_ACT_FROM_CODE = {v: k for k, v in _ACT_CODE.items()}
-_DTYPE_CODE = {"float32": 0, "float64": 1}
-_DTYPE_FROM_CODE = {0: np.float32, 1: np.float64}
 
 
 def param_count(widths: tuple[int, ...]) -> int:
@@ -331,12 +326,8 @@ class GaussianPolicyHead:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container ("FAMLP1")
+# checkpoints
 # ---------------------------------------------------------------------------
-
-CKPT_MAGIC = b"FAMLP1"
-CKPT_VERSION = 1
-
 
 @dataclass
 class Section:
@@ -354,97 +345,53 @@ class Section:
                    self.params.dtype.type)
 
 
-def _write_vec(fh, vec: np.ndarray, dtype_str: str) -> None:
-    data = np.ascontiguousarray(vec, dtype_str).tobytes()
-    fh.write(np.uint64(vec.size).tobytes())
-    fh.write(data)
+_ADAM_SCALARS = {"t": int, "lr": float, "beta1": float, "beta2": float,
+                 "eps": float}
 
 
 def save_checkpoint(path: str, sections: dict[str, Section],
                     meta: dict | None = None) -> None:
-    meta_bytes = json.dumps(meta or {}, sort_keys=True,
-                            separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(np.uint32(CKPT_VERSION).tobytes())
-        fh.write(np.uint32(len(meta_bytes)).tobytes())
-        fh.write(meta_bytes)
-        fh.write(np.uint32(len(sections)).tobytes())
-        for name, sec in sections.items():
-            nb = name.encode()
-            fh.write(np.uint16(len(nb)).tobytes())
-            fh.write(nb)
-            fh.write(np.uint32(len(sec.widths)).tobytes())
-            fh.write(np.asarray(sec.widths, "<u4").tobytes())
-            fh.write(np.uint8(_ACT_CODE[sec.activation]).tobytes())
-            dt = np.dtype(sec.params.dtype)
-            dtype_str = "<f4" if dt == np.float32 else "<f8"
-            fh.write(np.uint8(_DTYPE_CODE[dt.name]).tobytes())
-            _write_vec(fh, sec.params, dtype_str)
-            fh.write(np.uint8(1 if sec.adam else 0).tobytes())
-            if sec.adam:
-                _write_vec(fh, sec.adam.m, dtype_str)
-                _write_vec(fh, sec.adam.v, dtype_str)
-                fh.write(np.uint64(sec.adam.t).tobytes())
-                fh.write(np.float64(sec.adam.lr).tobytes())
-                fh.write(np.float64(sec.adam.beta1).tobytes())
-                fh.write(np.float64(sec.adam.beta2).tobytes())
-                fh.write(np.float64(sec.adam.eps).tobytes())
+    """A :mod:`fanav.binio` container of kind ``checkpoint``: the header
+    lists each section's widths, activation and Adam scalars in order, and
+    ``<section>/params``, ``/adam_m`` and ``/adam_v`` hold its vectors."""
+    specs, arrays = [], {}
+    for name, sec in sections.items():
+        arrays[f"{name}/params"] = sec.params
+        adam = None
+        if sec.adam is not None:
+            arrays[f"{name}/adam_m"] = sec.adam.m
+            arrays[f"{name}/adam_v"] = sec.adam.v
+            adam = {k: cast(getattr(sec.adam, k))
+                    for k, cast in _ADAM_SCALARS.items()}
+        specs.append({"name": name, "widths": [int(w) for w in sec.widths],
+                      "activation": sec.activation, "adam": adam})
+    binio.write(path, "checkpoint", {"sections": specs, "meta": meta or {}},
+                arrays)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Section], dict]:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    r = Reader(buf, path)
-
-    def vec(dtype: str, what: str) -> np.ndarray:
-        n = int(r.scalar("<u8", f"{what} length"))
-        return r.array(dtype, (n,), what)
-
-    magic = r.take(len(CKPT_MAGIC), "magic")
-    if magic != CKPT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic {magic!r}", offset=0)
-    version = int(r.scalar("<u4", "version"))
-    if version != CKPT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = int(r.scalar("<u4", "meta length"))
-    try:
-        meta = json.loads(r.take(meta_len, "metadata").decode())
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad metadata ({exc})",
-                              offset=r.pos) from exc
-    n_sections = int(r.scalar("<u4", "section count"))
+    header, arrays = binio.read(path, "checkpoint")
+    for key, arr in arrays.items():
+        if arr.dtype not in (np.float32, np.float64) or arr.ndim != 1:
+            raise DataFormatError(f"{path}: {key} is {arr.dtype} {arr.shape}, "
+                                  "expected a float32 or float64 vector")
     sections: dict[str, Section] = {}
-    for _ in range(n_sections):
-        name_len = int(r.scalar("<u2", "name length"))
-        name = r.take(name_len, "name").decode()
-        n_widths = int(r.scalar("<u4", "widths count"))
-        widths = tuple(int(w) for w in r.array("<u4", (n_widths,), "widths"))
-        act = _ACT_FROM_CODE.get(int(r.scalar("u1", "activation code")))
-        if act is None:
-            raise DataFormatError(f"{path}: unknown activation code",
-                                  offset=r.pos)
-        dtype_code = int(r.scalar("u1", "dtype code"))
-        npdtype = _DTYPE_FROM_CODE.get(dtype_code)
-        if npdtype is None:
-            raise DataFormatError(f"{path}: unknown dtype code", offset=r.pos)
-        dtype_str = "<f4" if npdtype is np.float32 else "<f8"
-        params = vec(dtype_str, f"{name} params").astype(npdtype)
-        adam = None
-        if int(r.scalar("u1", "adam flag")):
-            m = vec(dtype_str, f"{name} adam m").astype(npdtype)
-            v = vec(dtype_str, f"{name} adam v").astype(npdtype)
-            t = int(r.scalar("<u8", "adam t"))
-            lr = float(r.scalar("<f8", "adam lr"))
-            beta1 = float(r.scalar("<f8", "adam beta1"))
-            beta2 = float(r.scalar("<f8", "adam beta2"))
-            eps = float(r.scalar("<f8", "adam eps"))
-            adam = AdamState(m, v, t, lr, beta1, beta2, eps)
-        sections[name] = Section(widths, act, params, adam)
-    if r.pos != len(buf):
-        raise DataFormatError(f"{path}: {len(buf) - r.pos} trailing bytes",
-                              offset=r.pos)
-    return sections, meta
+    try:
+        for spec in header["sections"]:
+            name, act, adam = spec["name"], spec["activation"], spec["adam"]
+            if act not in ACTIVATIONS + ("none",):
+                raise DataFormatError(f"{path}: {name} has unknown "
+                                      f"activation {act!r}")
+            if adam is not None:
+                adam = AdamState(arrays[f"{name}/adam_m"],
+                                 arrays[f"{name}/adam_v"],
+                                 *(cast(adam[k])
+                                   for k, cast in _ADAM_SCALARS.items()))
+            sections[name] = Section(tuple(int(w) for w in spec["widths"]),
+                                     act, arrays[f"{name}/params"], adam)
+        return sections, dict(header["meta"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad checkpoint ({exc!r})") from exc
 
 
 def params_digest(*vectors: np.ndarray) -> str:

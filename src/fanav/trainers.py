@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ProtocolError, ShapeError
 from .data import (
     EncoderProfile,
     ExpSampler,
@@ -504,7 +504,7 @@ class FailureAwareIQL:
     def _feature_rows(self, X, fitted_attr: str) -> np.ndarray:
         """``X`` as finite float rows of the fitted profile's width."""
         if getattr(self, fitted_attr) is None:
-            raise RuntimeError(
+            raise ProtocolError(
                 f"{type(self).__name__} is not fitted yet; call fit() first")
         arr = np.asarray(X, dtype=np.float64)
         if arr.ndim == 1:

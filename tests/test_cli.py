@@ -67,6 +67,16 @@ def test_corrupt_dataset_exits_four(tmp_path):
     bad = tmp_path / "bad.fanav"
     bad.write_bytes(b"NOTFAN" + b"\x00" * 32)
     assert run(["dataset", "inspect", str(bad)]) == 4
+    # a byte flipped in the middle of a real dataset
+    ds = str(tmp_path / "d.fanav")
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", ds, "--seed", "1",
+                "--set", "robot.lidar_beams=8"]) == 0
+    assert run(["dataset", "inspect", ds]) == 0
+    blob = bytearray(open(ds, "rb").read())
+    blob[len(blob) // 2] ^= 0xFF
+    bad.write_bytes(bytes(blob))
+    assert run(["dataset", "inspect", str(bad)]) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +137,18 @@ def test_unknown_set_key_rejected():
         resolve_config(None, ["trainer.bogus=1"])
     with pytest.raises(ConfigError, match="--set expects"):
         resolve_config(None, ["no_dot=1"])
+
+
+@pytest.mark.parametrize("pair, key", [
+    ("trainer.hidden=128", "trainer.hidden"),
+    ('robot.lidar_beams="x"', "robot.lidar_beams"),
+    ('pipeline.methods="bc"', "pipeline.methods"),
+])
+def test_wrong_typed_config_value_exits_three(pair, key, tmp_path, capsys):
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), "--set", pair]) == 3
+    assert f"config {key} = " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):
@@ -232,6 +254,12 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     c1 = open(os.path.join(out1, "compare", "comparison.csv")).read()
     c2 = open(os.path.join(out2, "compare", "comparison.csv")).read()
     assert c1 == c2
+    # saved artifacts carry no clock or key-order state
+    for rel in ("dataset.fanav", *(os.path.join("train", m, "final.famlp")
+                                   for m in ("bc", "iql_so", "iql_dm",
+                                             "iql_ca"))):
+        assert (open(os.path.join(out1, rel), "rb").read()
+                == open(os.path.join(out2, rel), "rb").read()), rel
     assert "iql_ca" in c1 and "bc" in c1
     # expected artifact tree
     assert os.path.exists(os.path.join(out1, "manifest.json"))
@@ -343,6 +371,21 @@ def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
                         {k: v for k, v in meta.items() if k != key})
         assert eval_code(bare) == 4
         assert f"'{key}'" in capsys.readouterr().err
+    # present but malformed
+    profile = {k: v for k, v in meta["profile"].items() if k != "d_norm"}
+    for bad in ({"profile": profile}, {"log_std_bounds": [-5.0]},
+                {"action_scale": [0.5]}):
+        save_checkpoint(bare, sections, {**meta, **bad})
+        assert eval_code(bare) == 4
+        assert "malformed checkpoint metadata" in capsys.readouterr().err
+
+    # a byte flipped in the middle of the checkpoint
+    blob = bytearray(open(ckpt, "rb").read())
+    blob[len(blob) // 2] ^= 0xFF
+    with open(bare, "wb") as fh:
+        fh.write(bytes(blob))
+    assert eval_code(bare) == 4
+    assert "Bad CRC-32" in capsys.readouterr().err
 
 
 def test_train_emits_expected_artifacts(tmp_path):

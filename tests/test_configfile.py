@@ -62,3 +62,13 @@ def test_merge_tree_strict():
         merge_tree(base, {"a": {"zz": 1}})
     with pytest.raises(ConfigError, match="unknown config section"):
         merge_tree(base, {"nope": {"x": 1}})
+
+
+def test_merge_tree_checks_types_against_the_base():
+    base = {"a": {"f": 1.5, "i": 2, "b": True, "l": [1, 2], "s": "x"}}
+    out = merge_tree(base, {"a": {"f": 3, "l": [4]}})
+    assert out["a"]["f"] == 3.0 and isinstance(out["a"]["f"], float)
+    for key, value in (("i", True), ("i", 2.5), ("f", False), ("b", 1),
+                       ("l", 3), ("l", [1, "x"]), ("s", ["x"])):
+        with pytest.raises(ConfigError, match=f"config a.{key} = "):
+            merge_tree(base, {"a": {key: value}})

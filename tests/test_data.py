@@ -1,4 +1,7 @@
+import json
 import math
+import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from fanav.data import (
     round_half_up,
     save_dataset,
 )
+from fanav.nets import Section, load_checkpoint, save_checkpoint
 
 SPEC = RobotSpec(lidar_beam_count=24)
 WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
@@ -253,10 +257,27 @@ def test_roundtrip_bitwise(tmp_path):
     assert loaded.meta == DS.meta
 
 
+def rewrite_header(src, dst, **changes):
+    """Copy the container ``src`` to ``dst`` with header.json's top-level
+    fields updated by ``changes``."""
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for info in zin.infolist():
+            data = zin.read(info)
+            if info.filename == "header.json":
+                data = json.dumps({**json.loads(data), **changes}).encode()
+            zout.writestr(info, data)
+
+
 def test_wrong_magic(tmp_path):
     path = tmp_path / "bad.fanav"
     path.write_bytes(b"NOTFAN" + b"\x00" * 64)
-    with pytest.raises(DataFormatError, match="magic"):
+    with pytest.raises(DataFormatError,
+                       match="not a whole fanav dataset file"):
+        load_dataset(str(path))
+    # a format-1 file: no reader, one clear error
+    path.write_bytes(b"FANAV1" + b"\x01\x00\x00\x00" + b"\x00" * 64)
+    with pytest.raises(DataFormatError,
+                       match="format 1 predates checksums; re-create it"):
         load_dataset(str(path))
 
 
@@ -266,19 +287,43 @@ def test_truncated_file_reports_offset(tmp_path):
     blob = open(path, "rb").read()
     trunc = tmp_path / "trunc.fanav"
     trunc.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(DataFormatError, match="at byte"):
+    with pytest.raises(DataFormatError,
+                       match="not a whole fanav dataset file"):
         load_dataset(str(trunc))
 
 
 def test_wrong_schema_version(tmp_path):
     path = str(tmp_path / "ds.fanav")
     save_dataset(DS, path)
-    blob = bytearray(open(path, "rb").read())
-    blob[6] = 99  # schema u32 little-endian low byte
-    bad = tmp_path / "schema.fanav"
-    bad.write_bytes(bytes(blob))
-    with pytest.raises(DataFormatError, match="schema"):
-        load_dataset(str(bad))
+    bad = str(tmp_path / "schema.fanav")
+    rewrite_header(path, bad, version=99)
+    with pytest.raises(DataFormatError,
+                       match="format version 99 is not supported"):
+        load_dataset(bad)
+
+
+def test_dataset_and_checkpoint_are_not_interchangeable(tmp_path):
+    ds_path = str(tmp_path / "ds.fanav")
+    save_dataset(DS, ds_path)
+    with pytest.raises(DataFormatError, match="holds a dataset, not a "
+                                              "checkpoint"):
+        load_checkpoint(ds_path)
+    ck_path = str(tmp_path / "ck.famlp")
+    save_checkpoint(ck_path, {"v": Section((2,), "none",
+                                           np.zeros(2, np.float32))})
+    with pytest.raises(DataFormatError, match="holds a checkpoint, not a "
+                                              "dataset"):
+        load_dataset(ck_path)
+
+
+def test_arrays_must_fit_the_profile(tmp_path):
+    path = str(tmp_path / "ds.fanav")
+    narrow = replace(DS.col, features=DS.col.features[:, :-1])
+    save_dataset(OfflineDataset(DS.exp, narrow, PROFILE), path)
+    with pytest.raises(DataFormatError,
+                       match=r"col/features is float32 \(\d+, 27\), "
+                             r"expected float32 \(\d+, 28\)"):
+        load_dataset(path)
 
 
 def test_corrupt_body_digest_or_trailing(tmp_path):
@@ -289,6 +334,12 @@ def test_corrupt_body_digest_or_trailing(tmp_path):
     bad = tmp_path / "trail.fanav"
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="trailing"):
+        load_dataset(str(bad))
+    # a byte flipped in the middle of the body
+    blob = bytearray(open(path, "rb").read())
+    blob[len(blob) // 2] ^= 0xFF
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="Bad CRC-32"):
         load_dataset(str(bad))
 
 

@@ -342,7 +342,12 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "bad.famlp"
     p.write_bytes(b"XXXXXX" + b"\x00" * 20)
-    with pytest.raises(DataFormatError, match="magic"):
+    with pytest.raises(DataFormatError,
+                       match="not a whole fanav checkpoint file"):
+        load_checkpoint(str(p))
+    p.write_bytes(b"FAMLP1" + b"\x01\x00\x00\x00" + b"\x00" * 20)
+    with pytest.raises(DataFormatError,
+                       match="format 1 predates checksums; re-create it"):
         load_checkpoint(str(p))
 
 
@@ -354,8 +359,42 @@ def test_checkpoint_truncation(tmp_path):
     blob = open(path, "rb").read()
     cut = tmp_path / "cut.famlp"
     cut.write_bytes(blob[:-10])
-    with pytest.raises(DataFormatError, match="truncated"):
+    with pytest.raises(DataFormatError,
+                       match="not a whole fanav checkpoint file"):
         load_checkpoint(str(cut))
+    cut.write_bytes(blob + b"junk")
+    with pytest.raises(DataFormatError, match="trailing bytes"):
+        load_checkpoint(str(cut))
+
+
+def test_checkpoint_flipped_byte_fails_the_load(tmp_path):
+    rng = np.random.default_rng(17)
+    net = Mlp.initialized((6, 16, 1), "relu", rng)
+    st = AdamState.for_params(net.n_params, lr=3e-4)
+    path = str(tmp_path / "ck.famlp")
+    save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta, st)})
+    blob = bytearray(open(path, "rb").read())
+    blob[len(blob) // 2] ^= 0xFF
+    bad = tmp_path / "flip.famlp"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match="Bad CRC-32"):
+        load_checkpoint(str(bad))
+
+
+def test_checkpoint_keeps_section_order_and_checks_types(tmp_path):
+    vec = np.zeros(2, np.float32)
+    names = ["zeta", "alpha", "mid"]
+    path = str(tmp_path / "ck.famlp")
+    save_checkpoint(path, {n: Section((2,), "none", vec) for n in names})
+    sections, meta = load_checkpoint(path)
+    assert list(sections) == names and meta == {}
+    save_checkpoint(path, {"v": Section((2,), "none", vec.astype(np.int32))})
+    with pytest.raises(DataFormatError, match="expected a float32 or float64 "
+                                              "vector"):
+        load_checkpoint(path)
+    save_checkpoint(path, {"v": Section((2,), "sigmoid", vec)})
+    with pytest.raises(DataFormatError, match="unknown activation 'sigmoid'"):
+        load_checkpoint(path)
 
 
 def test_params_digest_changes_with_params():

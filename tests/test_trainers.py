@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fanav.errors import ConfigError, NumericError
+from fanav.errors import ConfigError, NumericError, ProtocolError
 from fanav.data import (
     EncoderProfile,
     OfflineDataset,
@@ -249,7 +249,7 @@ def test_estimator_fit_predict():
     est = FailureAwareIQL(method="iql_ca", total_steps=150, batch_size=64,
                           hidden=(32, 32), rho=0.1, seed=3,
                           epoch_steps=50, eval_every=50)
-    with pytest.raises(RuntimeError, match="not fitted"):
+    with pytest.raises(ProtocolError, match="not fitted"):
         est.predict(np.zeros((2, DIM)))
     est.fit(DS)
     acts = est.predict(DS.exp.features[:10])
