@@ -149,7 +149,9 @@ class NetworkPolicy:
     def from_checkpoint(cls, path: str) -> "NetworkPolicy":
         sections, meta = load_checkpoint(path)
         if "policy_mean" not in sections or "policy_log_std" not in sections:
-            raise ConfigError(f"{path} is not a policy checkpoint")
+            raise DataFormatError(f"{path} is not a policy checkpoint: it "
+                                  f"has no policy_mean/policy_log_std "
+                                  f"sections")
         try:
             lo, hi = meta["log_std_bounds"]
             head = GaussianPolicyHead(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -344,29 +345,47 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     return Trajectory(traj_id, outcome, states, actions, rewards, start, goal)
 
 
+def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
+             expert_cfg: ExpertConfig, mode: str, seed: int,
+             ep: int) -> Trajectory | None:
+    """Episode ``ep`` on its own random stream, derived from (seed, ep)."""
+    return run_episode(world, spec, episode_cfg, expert_cfg,
+                       np.random.default_rng([seed, ep]), mode, ep)
+
+
+def _try_episode(*args) -> Trajectory | Exception | None:
+    """:func:`_episode`, with its error returned instead of raised: an
+    episode run ahead of the serial order fails nothing unless it is used."""
+    try:
+        return _episode(*args)
+    except Exception as exc:
+        return exc
+
+
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
-            seed: int) -> list[Trajectory]:
+            seed: int, workers: int = 1) -> list[Trajectory]:
     """Collect ``n_episodes`` labeled episodes, discarding timeouts.
 
     Each episode draws from its own random stream derived from (seed,
-    episode index), so parallel and serial collection agree exactly.
+    episode index), so parallel and serial collection agree exactly: the
+    episodes run on up to ``workers`` lanes (:func:`fanav.lanes.run_lanes`).
     """
+    from .lanes import run_lanes
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    out: list[Trajectory] = []
-    for ep in range(n_episodes):
-        rng = np.random.default_rng([seed, ep])
-        traj = run_episode(world, spec, episode_cfg, expert_cfg, rng, mode, ep)
-        if traj is not None and traj.outcome in (SUCCESS, COLLISION):
-            out.append(traj)
-    return out
+    trajs = run_lanes([partial(_episode, world, spec, episode_cfg, expert_cfg,
+                               mode, seed, ep) for ep in range(n_episodes)],
+                      workers)
+    return [t for t in trajs
+            if t is not None and t.outcome in (SUCCESS, COLLISION)]
 
 
 def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                      expert_cfg: ExpertConfig, min_transitions: int,
                      target_col_ratio: float, seed: int,
-                     ratio_tol: float = 0.01) -> list[Trajectory]:
+                     ratio_tol: float = 0.01,
+                     workers: int = 1) -> list[Trajectory]:
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 
@@ -376,62 +395,63 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     finally whole trajectories are trimmed newest-first to land within
     ``ratio_tol`` of the target. With a zero target only clean episodes
     run and collision trajectories are dropped.
+
+    Episodes run in lock-step batches of ``workers`` consecutive indices on
+    :func:`fanav.lanes.run_lanes`, each batch in the current phase's mode.
+    Results are used in index order; the rest of a batch past a phase's
+    end, an error included, is dropped as the serial loop never ran it. So
+    the trajectories do not depend on ``workers``.
     """
+    from .lanes import run_lanes
     if not (0.0 <= target_col_ratio < 1.0):
         raise ConfigError("target_col_ratio must lie in [0, 1)")
-    succ: list[Trajectory] = []
-    coll: list[Trajectory] = []
-    n_succ = n_coll = 0
+    kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
+    n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
     stalled = 0
 
-    def run(mode: str, cfg: ExpertConfig, guard: bool = False) -> None:
-        nonlocal ep, n_succ, n_coll, stalled
-        rng = np.random.default_rng([seed, ep])
-        traj = run_episode(world, spec, episode_cfg, cfg, rng, mode, ep)
-        ep += 1
-        if guard:
-            stalled = 0 if (traj is not None and traj.outcome == COLLISION) \
-                else stalled + 1
-            if stalled >= 500:
-                raise ConfigError(
-                    "500 consecutive harvest episodes without a collision; "
-                    "loosen the harvest profile or lower target_col_ratio")
-        if traj is None or traj.outcome == TIMEOUT:
-            return
-        if traj.outcome == SUCCESS:
-            succ.append(traj)
-            n_succ += len(traj)
-        else:
-            coll.append(traj)
-            n_coll += len(traj)
-
-    if target_col_ratio == 0:
-        while n_succ < min_transitions:
+    def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
+             guard: bool = False) -> None:
+        """Run episodes until ``target`` ``outcome`` transitions are kept."""
+        nonlocal ep, stalled
+        while n[outcome] < target:
             if ep >= MAX_EPISODES:
                 raise ConfigError(
-                    f"only {n_succ}/{min_transitions} success transitions "
-                    f"after {MAX_EPISODES} episodes")
-            run(CLEAN, expert_cfg)
-        return _trim_to_ratio(succ, [], 0.0, ratio_tol, min_transitions)
+                    f"only {n[outcome]}/{target} {outcome} transitions after "
+                    f"{MAX_EPISODES} episodes")
+            batch = range(ep, min(ep + workers, MAX_EPISODES))
+            for traj in run_lanes([partial(_try_episode, world, spec,
+                                           episode_cfg, cfg, mode, seed, i)
+                                   for i in batch], workers):
+                if n[outcome] >= target:
+                    break  # the serial loop stops here
+                if isinstance(traj, Exception):
+                    raise traj
+                ep += 1
+                if guard:
+                    stalled = 0 if (traj is not None
+                                    and traj.outcome == COLLISION) \
+                        else stalled + 1
+                    if stalled >= 500:
+                        raise ConfigError(
+                            "500 consecutive harvest episodes without a "
+                            "collision; loosen the harvest profile or lower "
+                            "target_col_ratio")
+                if traj is not None and traj.outcome in kept:
+                    kept[traj.outcome].append(traj)
+                    n[traj.outcome] += len(traj)
 
-    exp_target = math.ceil((1.0 - target_col_ratio) * min_transitions)
-    col_target = math.ceil(target_col_ratio * min_transitions)
-    while n_succ < exp_target:
-        if ep >= MAX_EPISODES:
-            raise ConfigError(
-                f"only {n_succ}/{exp_target} success transitions after "
-                f"{MAX_EPISODES} episodes")
-        run(PERTURBED, expert_cfg)
-    harvest = expert_cfg.harvest_profile()
-    while n_coll < col_target:
-        if ep >= MAX_EPISODES:
-            raise ConfigError(
-                f"only {n_coll}/{col_target} collision transitions after "
-                f"{MAX_EPISODES} episodes")
-        run(PERTURBED, harvest, guard=True)
-    return _trim_to_ratio(succ, coll, target_col_ratio, ratio_tol,
-                          min_transitions)
+    if target_col_ratio == 0:
+        fill(SUCCESS, min_transitions, CLEAN, expert_cfg)
+        return _trim_to_ratio(kept[SUCCESS], [], 0.0, ratio_tol,
+                              min_transitions)
+
+    fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions),
+         PERTURBED, expert_cfg)
+    fill(COLLISION, math.ceil(target_col_ratio * min_transitions),
+         PERTURBED, expert_cfg.harvest_profile(), guard=True)
+    return _trim_to_ratio(kept[SUCCESS], kept[COLLISION], target_col_ratio,
+                          ratio_tol, min_transitions)
 
 
 def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fanav.cli import (
     resolve_seed,
 )
 from fanav.data import load_dataset
+from fanav.errors import NumericError
 from fanav.nets import load_checkpoint, save_checkpoint
 from fanav.sim import load_world
 
@@ -245,21 +247,43 @@ PIPELINE_SETS = [
 ]
 
 
+def run_tree(out):
+    """Every file under ``out`` by relative path, with report.csv's seconds
+    column dropped and only the manifest's config and digest kept."""
+    files = {}
+    for d, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(d, name)
+            data = open(path, "rb").read()
+            if name == "report.csv":
+                data = b"\n".join(line.rsplit(b",", 1)[0]
+                                  for line in data.splitlines())
+            elif name == "manifest.json":
+                manifest = json.loads(data)
+                data = json.dumps([manifest["config"],
+                                   manifest["config_digest"]]).encode()
+            files[os.path.relpath(path, out)] = data
+    return files
+
+
 def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
+    # serial, then on two lanes: the same bytes and the same output
     out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
-    assert run(["pipeline", "--out-dir", out1, "--seed", "7",
-                *PIPELINE_SETS]) == 0
-    assert run(["pipeline", "--out-dir", out2, "--seed", "7",
-                *PIPELINE_SETS]) == 0
+    stdout = []
+    for out, workers in ((out1, "1"), (out2, "2")):
+        capsys.readouterr()
+        assert run(["pipeline", "--out-dir", out, "--seed", "7",
+                    "--workers", workers, *PIPELINE_SETS]) == 0
+        text = capsys.readouterr().out
+        stdout.append(re.sub(r"done in \S+s", "done in", text))
+    assert stdout[0] == stdout[1]
+    assert stdout[0].count("done in") == 4
+    tree1, tree2 = run_tree(out1), run_tree(out2)
+    assert sorted(tree1) == sorted(tree2)
+    for rel in tree1:
+        assert tree1[rel] == tree2[rel], rel
+    assert len(tree1) > 40
     c1 = open(os.path.join(out1, "compare", "comparison.csv")).read()
-    c2 = open(os.path.join(out2, "compare", "comparison.csv")).read()
-    assert c1 == c2
-    # saved artifacts carry no clock or key-order state
-    for rel in ("dataset.fanav", *(os.path.join("train", m, "final.famlp")
-                                   for m in ("bc", "iql_so", "iql_dm",
-                                             "iql_ca"))):
-        assert (open(os.path.join(out1, rel), "rb").read()
-                == open(os.path.join(out2, rel), "rb").read()), rel
     assert "iql_ca" in c1 and "bc" in c1
     # expected artifact tree
     assert os.path.exists(os.path.join(out1, "manifest.json"))
@@ -278,6 +302,46 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     manifest = json.load(open(os.path.join(out1, "manifest.json")))
     assert manifest["config"]["trainer"]["total_steps"] == 120
     assert manifest["config"]["eval"]["n_tasks"] == 4
+
+
+def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys):
+    from fanav import cli
+
+    original = cli.train
+
+    def train(ds, cfg, *args, **kwargs):
+        if cfg.method == "iql_dm":
+            raise NumericError("iql_dm diverged")
+        return original(ds, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", train)
+    errors = []
+    for workers in ("1", "2"):  # on two lanes iql_dm trains in the child
+        capsys.readouterr()
+        assert run(["pipeline", "--out-dir", str(tmp_path / workers),
+                    "--seed", "7", "--workers", workers, *PIPELINE_SETS,
+                    "--set", 'pipeline.methods=["bc", "iql_dm"]']) == 5
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):  # every lane was reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1] == "error: iql_dm diverged\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two"])
+def test_workers_below_one_is_a_usage_error(value, tmp_path, monkeypatch,
+                                            capsys):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    for argv in (["pipeline", "--out-dir", str(tmp_path / "p")],
+                 ["collect", "--world", "sparse", "--episodes", "2",
+                  "--out", str(tmp_path / "d.fanav")]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--workers", value])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +428,12 @@ def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
 
     sections, meta = load_checkpoint(ckpt)
     bare = str(tmp_path / "bare.famlp")
+    # a checkpoint without the policy sections
+    final_sections, final_meta = load_checkpoint(
+        os.path.join(pipeline_run, "train", "iql_ca", "final.famlp"))
+    save_checkpoint(bare, {"value": final_sections["value"]}, final_meta)
+    assert eval_code(bare) == 4
+    assert "is not a policy checkpoint" in capsys.readouterr().err
     save_checkpoint(bare, sections, {})
     assert eval_code(bare) == 4
     for key in ("profile", "action_scale", "log_std_bounds", "method"):

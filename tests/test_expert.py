@@ -1,9 +1,11 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from fanav.errors import ConfigError, NoPathError, ProtocolError
+from fanav import expert
+from fanav.errors import ConfigError, NoPathError, NumericError, ProtocolError
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
     COLLISION,
@@ -197,3 +199,82 @@ def test_run_episode_fixed_task_is_deterministic():
                      CLEAN, 0, start, goal)
     assert t1.outcome == t2.outcome == SUCCESS
     assert [a.omega_cmd for a in t1.actions] == [a.omega_cmd for a in t2.actions]
+
+
+# ---------------------------------------------------------------------------
+# collection on lanes: results do not depend on the lane count
+# ---------------------------------------------------------------------------
+
+RATIO_WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
+                           Circle(6, 2.5, 0.6)))
+HARVEST = ExpertConfig().harvest_profile()
+
+
+def as_values(trajs):
+    """Trajectories as comparable values (a NavState holds an array)."""
+    return [(t.traj_id, t.outcome, t.start, t.goal, t.actions, t.rewards,
+             [(s.scan.tobytes(), s.goal_dist, s.goal_bearing, s.lin_vel,
+               s.ang_vel) for s in t.states]) for t in trajs]
+
+
+def ratio_run(seed, workers):
+    return collect_to_ratio(RATIO_WORLD, SPEC, EPISODE, ExpertConfig(),
+                            min_transitions=600, target_col_ratio=0.1,
+                            seed=seed, ratio_tol=0.03, workers=workers)
+
+
+def serial_episodes(monkeypatch, seed):
+    """(ep, harvest?) of every episode the serial loop runs."""
+    ran = []
+    original = expert.run_episode
+
+    def recorded(world, spec, episode, cfg, rng, mode, ep, *rest):
+        ran.append((ep, cfg == HARVEST))
+        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+
+    monkeypatch.setattr(expert, "run_episode", recorded)
+    trajs = ratio_run(seed, 1)
+    monkeypatch.setattr(expert, "run_episode", original)
+    return trajs, ran
+
+
+def test_collect_on_lanes_matches_serial():
+    world = World(8, 8, (Circle(4, 4, 0.8), Rect(5.5, 1.5, 1, 1)))
+    serial = collect(world, SPEC, EPISODE, ExpertConfig(), 7, PERTURBED,
+                     seed=2)
+    assert as_values(collect(world, SPEC, EPISODE, ExpertConfig(), 7,
+                             PERTURBED, seed=2, workers=2)) \
+        == as_values(serial)
+
+
+def test_collect_to_ratio_does_not_depend_on_workers(monkeypatch):
+    mid_batch = set()
+    for seed in (1, 2):
+        serial, ran = serial_episodes(monkeypatch, seed)
+        careful = sum(1 for _, harvest in ran if not harvest)
+        # a batch of w episodes straddles the careful -> harvest switch
+        mid_batch |= {w for w in (2, 3) if careful % w}
+        for workers in (2, 3):
+            assert as_values(ratio_run(seed, workers)) == as_values(serial)
+    assert mid_batch == {2, 3}
+
+
+def test_failing_episode_past_the_stop_is_dropped(monkeypatch, tmp_path):
+    serial, ran = serial_episodes(monkeypatch, 2)
+    original = expert.run_episode
+
+    def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
+        # any episode the serial loop never ran fails; it may run in a child,
+        # so it leaves a file behind to show that it ran
+        if (ep, cfg == HARVEST) not in ran:
+            (tmp_path / f"{ep}-{cfg == HARVEST}").touch()
+            raise NumericError(f"episode {ep} past the stop")
+        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+
+    monkeypatch.setattr(expert, "run_episode", failing)
+    assert as_values(ratio_run(2, 2)) == as_values(serial)
+    # seed 2 runs 9 careful and 5 harvest episodes: both phases end
+    # mid-batch, at the careful run of episode 9 and the harvest run of 14
+    assert sorted(os.listdir(tmp_path)) == ["14-True", "9-False"]
+    with pytest.raises(ChildProcessError):  # every lane was reaped
+        os.waitpid(-1, os.WNOHANG)
