@@ -266,14 +266,13 @@ def resolve_world(spec: str) -> World:
 # ---------------------------------------------------------------------------
 
 def collect_stage(world: World, spec: RobotSpec, episode: EpisodeConfig,
-                  expert_cfg: ExpertConfig, ccfg: dict, seed: int,
-                  workers: int) -> list[Trajectory]:
+                  expert_cfg: ExpertConfig, ccfg: dict,
+                  seed: int) -> list[Trajectory]:
     """Demonstrations at the [collect] section's collision ratio."""
     return collect_to_ratio(world, spec, episode, expert_cfg,
                             min_transitions=int(ccfg["min_transitions"]),
                             target_col_ratio=float(ccfg["target_col_ratio"]),
-                            seed=seed, ratio_tol=float(ccfg["ratio_tol"]),
-                            workers=workers)
+                            seed=seed, ratio_tol=float(ccfg["ratio_tol"]))
 
 
 def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
@@ -354,13 +353,12 @@ def cmd_collect(args, argv) -> int:
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
     expert_cfg = expert_from(tree)
-    workers = _workers_of(args)
     if args.episodes is not None:
         trajs = collect(world, spec, episode, expert_cfg, args.episodes,
-                        args.mode or CLEAN, seed, workers=workers)
+                        args.mode or CLEAN, seed)
     else:
         trajs = collect_stage(world, spec, episode, expert_cfg,
-                              tree["collect"], seed, workers)
+                              tree["collect"], seed)
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
         "mode": args.mode or "ratio", "version": __version__}, args.out)
@@ -450,14 +448,13 @@ def cmd_pipeline(args, argv) -> int:
     world) -> compare, through the same stage functions as the subcommands.
     Only the suites have no subcommand of their own.
 
-    Episodes, training jobs and evaluation jobs run on ``--workers`` lanes
-    (:func:`fanav.lanes.run_lanes`); each stage ends before the next starts
-    and prints its lines in job order, so the output does not depend on the
-    lane count."""
+    Episodes, training jobs and evaluation jobs run on the lanes, one per
+    available core (:func:`fanav.lanes.run_lanes`); each stage ends before
+    the next starts and prints its lines in job order, so the output does
+    not depend on the lane count."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
     seed = resolve_seed(args.seed, tree)
-    workers = _workers_of(args)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     write_manifest(out, "pipeline", argv, tree, seed,
@@ -478,7 +475,7 @@ def cmd_pipeline(args, argv) -> int:
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     trajs = collect_stage(collect_world, spec, episode, expert_cfg,
-                          tree["collect"], seed, workers)
+                          tree["collect"], seed)
     ds = dataset_stage(trajs, collect_world, spec, episode, {
         "command": "pipeline", "seed": seed, "world": collect_world.name,
         "version": __version__}, os.path.join(out, "dataset.fanav"))
@@ -503,7 +500,7 @@ def cmd_pipeline(args, argv) -> int:
                            os.path.join(out, "train", method)
                            ).report.wall_clock
 
-    walls = run_lanes([partial(train_job, m) for m in methods], workers)
+    walls = run_lanes([partial(train_job, m) for m in methods])
     for method, wall in zip(methods, walls):
         print(f"  {method}: done in {wall:.1f}s")
 
@@ -520,7 +517,7 @@ def cmd_pipeline(args, argv) -> int:
     pairs = [(m, w) for m in methods for w in eval_worlds]
     results: dict[str, list] = {m: [] for m in methods}
     for (method, world), res in zip(pairs, run_lanes(
-            [partial(eval_job, m, w) for m, w in pairs], workers)):
+            [partial(eval_job, m, w) for m, w in pairs])):
         results[method].append(res)
         print(f"  {method}/{world.name}: SR {res.sr:.2f} CR {res.cr:.2f} "
               f"TR {res.tr:.2f}")
@@ -533,31 +530,6 @@ def cmd_pipeline(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _lane_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expects an integer >= 1, got '{text}'")
-    return value
-
-
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=_lane_count, default=None, metavar="N",
-                   help="run jobs on N forked lanes, the parent as lane 0 "
-                        "(default: the available cores); results do not "
-                        "depend on it")
-
-
-def _workers_of(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    from .lanes import available_cores
-    return available_cores()
-
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="config file (key-value format)")
@@ -593,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--target-col-ratio", type=float, default=None,
                    help="collision transition fraction to aim for")
     c.add_argument("--out", required=True, help="output dataset path")
-    _add_workers(c)
     _add_common(c)
     c.set_defaults(fn=cmd_collect)
 
@@ -628,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("pipeline",
                         help="collect, train all methods, evaluate, compare")
     pl.add_argument("--out-dir", required=True)
-    _add_workers(pl)
     _add_common(pl)
     pl.set_defaults(fn=cmd_pipeline)
     return p

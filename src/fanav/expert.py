@@ -364,19 +364,18 @@ def _try_episode(*args) -> Trajectory | Exception | None:
 
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
-            seed: int, workers: int = 1) -> list[Trajectory]:
+            seed: int) -> list[Trajectory]:
     """Collect ``n_episodes`` labeled episodes, discarding timeouts.
 
     Each episode draws from its own random stream derived from (seed,
     episode index), so parallel and serial collection agree exactly: the
-    episodes run on up to ``workers`` lanes (:func:`fanav.lanes.run_lanes`).
+    episodes run on the lanes (:func:`fanav.lanes.run_lanes`).
     """
     from .lanes import run_lanes
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
     trajs = run_lanes([partial(_episode, world, spec, episode_cfg, expert_cfg,
-                               mode, seed, ep) for ep in range(n_episodes)],
-                      workers)
+                               mode, seed, ep) for ep in range(n_episodes)])
     return [t for t in trajs
             if t is not None and t.outcome in (SUCCESS, COLLISION)]
 
@@ -384,8 +383,7 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                      expert_cfg: ExpertConfig, min_transitions: int,
                      target_col_ratio: float, seed: int,
-                     ratio_tol: float = 0.01,
-                     workers: int = 1) -> list[Trajectory]:
+                     ratio_tol: float = 0.01) -> list[Trajectory]:
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 
@@ -396,19 +394,20 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     ``ratio_tol`` of the target. With a zero target only clean episodes
     run and collision trajectories are dropped.
 
-    Episodes run in lock-step batches of ``workers`` consecutive indices on
-    :func:`fanav.lanes.run_lanes`, each batch in the current phase's mode.
+    Episodes run in lock-step batches of consecutive indices, one per lane
+    (:func:`fanav.lanes.run_lanes`), each batch in the current phase's mode.
     Results are used in index order; the rest of a batch past a phase's
     end, an error included, is dropped as the serial loop never ran it. So
-    the trajectories do not depend on ``workers``.
+    the trajectories do not depend on the lane count.
     """
-    from .lanes import run_lanes
+    from .lanes import available_cores, run_lanes
     if not (0.0 <= target_col_ratio < 1.0):
         raise ConfigError("target_col_ratio must lie in [0, 1)")
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
     stalled = 0
+    width = available_cores()  # one episode per lane
 
     def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
              guard: bool = False) -> None:
@@ -419,10 +418,10 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 raise ConfigError(
                     f"only {n[outcome]}/{target} {outcome} transitions after "
                     f"{MAX_EPISODES} episodes")
-            batch = range(ep, min(ep + workers, MAX_EPISODES))
+            batch = range(ep, min(ep + width, MAX_EPISODES))
             for traj in run_lanes([partial(_try_episode, world, spec,
                                            episode_cfg, cfg, mode, seed, i)
-                                   for i in batch], workers):
+                                   for i in batch]):
                 if n[outcome] >= target:
                     break  # the serial loop stops here
                 if isinstance(traj, Exception):

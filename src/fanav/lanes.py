@@ -5,8 +5,9 @@ chunks, one per lane. Chunk 0 runs in the calling process; each other chunk
 runs in a child made with ``os.fork``, which sends its pickled results (or
 its exception) back through a pipe and ends with ``os._exit``. Which lane
 runs which job depends only on the job and lane counts, never on timing, so
-the caller runs the same jobs on every run. With one lane every job runs in
-the caller and nothing forks.
+the caller runs the same jobs on every run. There is one lane per core the
+process may run on (``taskset`` limits them), and never more lanes than
+jobs; with one lane every job runs in the caller and nothing forks.
 
 No child outlives the call: the caller reaps every child before it returns
 or raises, killing any that still run when it raises (an error in its own
@@ -29,8 +30,6 @@ import sys
 import traceback
 from typing import Callable, Sequence
 
-from .errors import ConfigError
-
 PR_SET_PDEATHSIG = 1  # prctl option: signal this process when its parent dies
 
 
@@ -42,20 +41,17 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_lanes(jobs: Sequence[Callable[[], object]], workers: int) -> list:
-    """Run ``jobs`` on up to ``workers`` lanes; return their results in job
-    order.
+def run_lanes(jobs: Sequence[Callable[[], object]]) -> list:
+    """Run ``jobs`` on the lanes; return their results in job order.
 
-    The lane count is ``min(workers, available_cores(), len(jobs))``. Of
-    ``n`` jobs, lane ``k`` runs ``[n * k // lanes, n * (k + 1) // lanes)``
-    in order and stops at its first error. The first error in job order is raised here,
+    The lane count is ``min(available_cores(), len(jobs))``. Of ``n`` jobs,
+    lane ``k`` runs ``[n * k // lanes, n * (k + 1) // lanes)`` in order and
+    stops at its first error. The first error in job order is raised here,
     as the serial loop would raise it; an error that cannot be pickled comes
     back as a ``RuntimeError`` carrying the child's traceback text.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
     jobs = list(jobs)
-    lanes = min(workers, available_cores(), len(jobs))
+    lanes = min(available_cores(), len(jobs))
     if lanes <= 1:
         return [job() for job in jobs]
     bounds = [len(jobs) * k // lanes for k in range(lanes + 1)]

@@ -266,14 +266,15 @@ def run_tree(out):
     return files
 
 
-def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
-    # serial, then on two lanes: the same bytes and the same output
+def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
+    # on one lane, then on two: the same bytes and the same output
     out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
     stdout = []
-    for out, workers in ((out1, "1"), (out2, "2")):
+    for out, lanes in ((out1, 1), (out2, 2)):
+        set_lanes(lanes)
         capsys.readouterr()
         assert run(["pipeline", "--out-dir", out, "--seed", "7",
-                    "--workers", workers, *PIPELINE_SETS]) == 0
+                    *PIPELINE_SETS]) == 0
         text = capsys.readouterr().out
         stdout.append(re.sub(r"done in \S+s", "done in", text))
     assert stdout[0] == stdout[1]
@@ -304,7 +305,8 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys):
     assert manifest["config"]["eval"]["n_tasks"] == 4
 
 
-def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys):
+def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys,
+                                       set_lanes):
     from fanav import cli
 
     original = cli.train
@@ -316,32 +318,16 @@ def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "train", train)
     errors = []
-    for workers in ("1", "2"):  # on two lanes iql_dm trains in the child
+    for lanes in (1, 2):  # on two lanes iql_dm trains in the child
+        set_lanes(lanes)
         capsys.readouterr()
-        assert run(["pipeline", "--out-dir", str(tmp_path / workers),
-                    "--seed", "7", "--workers", workers, *PIPELINE_SETS,
+        assert run(["pipeline", "--out-dir", str(tmp_path / str(lanes)),
+                    "--seed", "7", *PIPELINE_SETS,
                     "--set", 'pipeline.methods=["bc", "iql_dm"]']) == 5
         errors.append(capsys.readouterr().err)
         with pytest.raises(ChildProcessError):  # every lane was reaped
             os.waitpid(-1, os.WNOHANG)
     assert errors[0] == errors[1] == "error: iql_dm diverged\n"
-
-
-@pytest.mark.parametrize("value", ["0", "-1", "two"])
-def test_workers_below_one_is_a_usage_error(value, tmp_path, monkeypatch,
-                                            capsys):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    for argv in (["pipeline", "--out-dir", str(tmp_path / "p")],
-                 ["collect", "--world", "sparse", "--episodes", "2",
-                  "--out", str(tmp_path / "d.fanav")]):
-        with pytest.raises(SystemExit) as exc:
-            run([*argv, "--workers", value])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-    assert not os.listdir(tmp_path)
 
 
 @pytest.fixture(scope="module")

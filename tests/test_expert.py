@@ -217,14 +217,14 @@ def as_values(trajs):
                s.ang_vel) for s in t.states]) for t in trajs]
 
 
-def ratio_run(seed, workers):
+def ratio_run(seed):
     return collect_to_ratio(RATIO_WORLD, SPEC, EPISODE, ExpertConfig(),
                             min_transitions=600, target_col_ratio=0.1,
-                            seed=seed, ratio_tol=0.03, workers=workers)
+                            seed=seed, ratio_tol=0.03)
 
 
-def serial_episodes(monkeypatch, seed):
-    """(ep, harvest?) of every episode the serial loop runs."""
+def serial_episodes(monkeypatch, set_lanes, seed):
+    """(ep, harvest?) of every episode the one-lane loop runs."""
     ran = []
     original = expert.run_episode
 
@@ -232,35 +232,47 @@ def serial_episodes(monkeypatch, seed):
         ran.append((ep, cfg == HARVEST))
         return original(world, spec, episode, cfg, rng, mode, ep, *rest)
 
+    set_lanes(1)
     monkeypatch.setattr(expert, "run_episode", recorded)
-    trajs = ratio_run(seed, 1)
+    trajs = ratio_run(seed)
     monkeypatch.setattr(expert, "run_episode", original)
     return trajs, ran
 
 
-def test_collect_on_lanes_matches_serial():
+def test_collect_on_lanes_matches_serial(set_lanes):
     world = World(8, 8, (Circle(4, 4, 0.8), Rect(5.5, 1.5, 1, 1)))
-    serial = collect(world, SPEC, EPISODE, ExpertConfig(), 7, PERTURBED,
-                     seed=2)
-    assert as_values(collect(world, SPEC, EPISODE, ExpertConfig(), 7,
-                             PERTURBED, seed=2, workers=2)) \
-        == as_values(serial)
+    values = []
+    for n in (1, 2):
+        set_lanes(n)
+        values.append(as_values(collect(world, SPEC, EPISODE, ExpertConfig(),
+                                        7, PERTURBED, seed=2)))
+    assert values[0] == values[1]
 
 
-def test_collect_to_ratio_does_not_depend_on_workers(monkeypatch):
+def test_collect_to_ratio_does_not_depend_on_lanes(monkeypatch, set_lanes):
     mid_batch = set()
     for seed in (1, 2):
-        serial, ran = serial_episodes(monkeypatch, seed)
+        serial, ran = serial_episodes(monkeypatch, set_lanes, seed)
         careful = sum(1 for _, harvest in ran if not harvest)
-        # a batch of w episodes straddles the careful -> harvest switch
-        mid_batch |= {w for w in (2, 3) if careful % w}
-        for workers in (2, 3):
-            assert as_values(ratio_run(seed, workers)) == as_values(serial)
+        # a batch of n episodes straddles the careful -> harvest switch
+        mid_batch |= {n for n in (2, 3) if careful % n}
+        for n in (2, 3):
+            set_lanes(n)
+            assert as_values(ratio_run(seed)) == as_values(serial)
     assert mid_batch == {2, 3}
 
 
-def test_failing_episode_past_the_stop_is_dropped(monkeypatch, tmp_path):
-    serial, ran = serial_episodes(monkeypatch, 2)
+@pytest.mark.parametrize("lanes, ran_ahead", [
+    (1, []),
+    # seed 2 runs 9 careful and 5 harvest episodes: on two lanes both
+    # phases end mid-batch, at the careful run of episode 9 and the harvest
+    # run of 14; a batch holds one episode per lane, so no more run ahead
+    (2, ["14-True", "9-False"]),
+], ids=["1-lane", "2-lanes"])
+def test_failing_episode_past_the_stop_is_dropped(lanes, ran_ahead,
+                                                  monkeypatch, set_lanes,
+                                                  tmp_path):
+    serial, ran = serial_episodes(monkeypatch, set_lanes, 2)
     original = expert.run_episode
 
     def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
@@ -272,9 +284,8 @@ def test_failing_episode_past_the_stop_is_dropped(monkeypatch, tmp_path):
         return original(world, spec, episode, cfg, rng, mode, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", failing)
-    assert as_values(ratio_run(2, 2)) == as_values(serial)
-    # seed 2 runs 9 careful and 5 harvest episodes: both phases end
-    # mid-batch, at the careful run of episode 9 and the harvest run of 14
-    assert sorted(os.listdir(tmp_path)) == ["14-True", "9-False"]
+    set_lanes(lanes)
+    assert as_values(ratio_run(2)) == as_values(serial)
+    assert sorted(os.listdir(tmp_path)) == ran_ahead
     with pytest.raises(ChildProcessError):  # every lane was reaped
         os.waitpid(-1, os.WNOHANG)
