@@ -443,22 +443,32 @@ def cmd_compare(args, argv) -> int:
     return 0
 
 
+def _refuse_duplicates(names: list[str], key: str) -> None:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"'{name}' appears twice in {key}")
+
+
 def cmd_pipeline(args, argv) -> int:
     """collect -> suites -> train each method -> evaluate each (method,
     world) -> compare, through the same stage functions as the subcommands.
     Only the suites have no subcommand of their own.
 
-    Episodes, training jobs and evaluation jobs run on the lanes, one per
-    available core (:func:`fanav.lanes.run_lanes`); each stage ends before
-    the next starts and prints its lines in job order, so the output does
-    not depend on the lane count."""
+    Episodes, training jobs and evaluation jobs run on the lanes
+    (:func:`fanav.lanes.run_lanes`): on more than one core, one lane more
+    than the cores, with this process as lane 0 taking the larger first
+    chunk, so bc and iql_so train here and iql_dm and iql_ca in a child
+    each on two cores. Each stage ends before the next starts and prints
+    its lines in job order, so the output does not depend on the lane
+    count. A method's ``done in`` seconds are its job's wall time, time
+    spent sharing a core with another lane included.
+
+    Two jobs with one method or one world would write the same directory,
+    so a method or an evaluation world named twice is a ``ConfigError``,
+    raised before anything is written."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
     seed = resolve_seed(args.seed, tree)
-    out = args.out_dir
-    os.makedirs(out, exist_ok=True)
-    write_manifest(out, "pipeline", argv, tree, seed,
-                   inputs={args.config: None} if args.config else {})
 
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
@@ -468,10 +478,16 @@ def cmd_pipeline(args, argv) -> int:
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method '{m}' in pipeline.methods")
+    _refuse_duplicates(methods, "pipeline.methods")
 
     eval_worlds = [resolve_world(str(w)) for w in pcfg["eval_worlds"]]
+    _refuse_duplicates([w.name for w in eval_worlds], "pipeline.eval_worlds")
     collect_world = resolve_world(str(pcfg["collect_world"]))
     jitter = jitter_from(tree)
+    out = args.out_dir
+    os.makedirs(out, exist_ok=True)
+    write_manifest(out, "pipeline", argv, tree, seed,
+                   inputs={args.config: None} if args.config else {})
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     trajs = collect_stage(collect_world, spec, episode, expert_cfg,

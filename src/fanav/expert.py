@@ -395,19 +395,21 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     run and collision trajectories are dropped.
 
     Episodes run in lock-step batches of consecutive indices, one per lane
-    (:func:`fanav.lanes.run_lanes`), each batch in the current phase's mode.
-    Results are used in index order; the rest of a batch past a phase's
-    end, an error included, is dropped as the serial loop never ran it. So
-    the trajectories do not depend on the lane count.
+    (:func:`fanav.lanes.run_lanes`), each batch in the current phase's mode;
+    on more than one core there is one lane more than the cores, so a batch
+    holds one episode more than the cores can run at once and the kernel
+    shares them out. Results are used in index order; the rest of a batch
+    past a phase's end, an error included, is dropped as the serial loop
+    never ran it. So the trajectories do not depend on the lane count.
     """
-    from .lanes import available_cores, run_lanes
+    from .lanes import lane_count, run_lanes
     if not (0.0 <= target_col_ratio < 1.0):
         raise ConfigError("target_col_ratio must lie in [0, 1)")
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
     stalled = 0
-    width = available_cores()  # one episode per lane
+    width = lane_count()  # one episode per lane
 
     def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
              guard: bool = False) -> None:

@@ -1,13 +1,21 @@
-"""Independent jobs on forked lanes, one per core, with the caller as lane 0.
+"""Independent jobs on forked lanes, one more than the cores, with the caller
+as lane 0.
 
 :func:`run_lanes` splits a list of zero-argument callables into contiguous
 chunks, one per lane. Chunk 0 runs in the calling process; each other chunk
 runs in a child made with ``os.fork``, which sends its pickled results (or
 its exception) back through a pipe and ends with ``os._exit``. Which lane
 runs which job depends only on the job and lane counts, never on timing, so
-the caller runs the same jobs on every run. There is one lane per core the
-process may run on (``taskset`` limits them), and never more lanes than
-jobs; with one lane every job runs in the caller and nothing forks.
+the caller runs the same jobs on every run.
+
+On more than one core (``taskset`` limits them) there is one lane more than
+the cores the process may run on, and never more lanes than jobs. Chunks of
+unequal cost would leave a core idle once its lane ends; with one runnable
+lane to spare, the kernel's scheduler fills that core. Chunk sizes are
+rounded up, so the caller takes the larger first chunk: four jobs on two
+cores run as jobs 0 and 1 in the caller and jobs 2 and 3 in a child each.
+On one core there is one lane: every job runs in the caller and nothing
+forks.
 
 No child outlives the call: the caller reaps every child before it returns
 or raises, killing any that still run when it raises (an error in its own
@@ -41,20 +49,31 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def lane_count() -> int:
+    """Lanes to run jobs on: ``available_cores() + 1`` on more than one
+    core, else 1."""
+    cores = available_cores()
+    return cores + 1 if cores > 1 else 1
+
+
 def run_lanes(jobs: Sequence[Callable[[], object]]) -> list:
     """Run ``jobs`` on the lanes; return their results in job order.
 
-    The lane count is ``min(available_cores(), len(jobs))``. Of ``n`` jobs,
-    lane ``k`` runs ``[n * k // lanes, n * (k + 1) // lanes)`` in order and
-    stops at its first error. The first error in job order is raised here,
-    as the serial loop would raise it; an error that cannot be pickled comes
-    back as a ``RuntimeError`` carrying the child's traceback text.
+    The lane count is ``min(lane_count(), len(jobs))``. Of ``n`` jobs, lane
+    ``k`` runs ``[ceil(n * k / lanes), ceil(n * (k + 1) / lanes))`` in order
+    and stops at its first error; lane 0, the caller, takes the largest
+    chunk. The first error in job order is raised here, as the serial loop
+    would raise it; an error that cannot be pickled comes back as a
+    ``RuntimeError`` carrying the child's traceback text.
+
+    Lanes may share a core, so a job's own wall time includes the time it
+    waited for one.
     """
     jobs = list(jobs)
-    lanes = min(available_cores(), len(jobs))
+    lanes = min(lane_count(), len(jobs))
     if lanes <= 1:
         return [job() for job in jobs]
-    bounds = [len(jobs) * k // lanes for k in range(lanes + 1)]
+    bounds = [-(-len(jobs) * k // lanes) for k in range(lanes + 1)]
     for stream in (sys.stdout, sys.stderr):
         stream.flush()  # so that no child holds a copy of pending output
     pids: list[int] = []  # lanes 1.. not yet reaped

@@ -5,8 +5,8 @@ from fanav import lanes
 
 @pytest.fixture
 def set_lanes(monkeypatch):
-    """Set the lane count: :mod:`fanav.lanes` runs one lane per core it
-    counts, so this fixes the count it sees."""
+    """Set the lane count :mod:`fanav.lanes` runs jobs on, whatever the
+    cores."""
     def set_to(n):
-        monkeypatch.setattr(lanes, "available_cores", lambda: n)
+        monkeypatch.setattr(lanes, "lane_count", lambda: n)
     return set_to

@@ -153,6 +153,28 @@ def test_wrong_typed_config_value_exits_three(pair, key, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names, key", [
+    (["bc", "iql_so", "bc"], "pipeline.methods"),
+    # a bundled name and the path of its file resolve to one world
+    (["sparse", "dense", "{sparse_file}"], "pipeline.eval_worlds"),
+], ids=["method", "world"])
+def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
+                                              monkeypatch):
+    from fanav import cli
+
+    def collect_stage(*args):
+        raise AssertionError("collected")
+
+    monkeypatch.setattr(cli, "collect_stage", collect_stage)
+    sparse_file = str(cli.bundled_world_path("sparse"))
+    value = json.dumps([n.format(sparse_file=sparse_file) for n in names])
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out),
+                "--set", f"{key}={value}"]) == 3
+    assert f"appears twice in {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_resolution_order(tmp_path, monkeypatch):
     cfg = tmp_path / "c.toml"
     cfg.write_text("[run]\nseed = 42\n")
@@ -267,10 +289,11 @@ def run_tree(out):
 
 
 def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
-    # on one lane, then on two: the same bytes and the same output
+    # on one lane, then on three as on two cores: the same bytes and the
+    # same output
     out1, out2 = str(tmp_path / "run1"), str(tmp_path / "run2")
     stdout = []
-    for out, lanes in ((out1, 1), (out2, 2)):
+    for out, lanes in ((out1, 1), (out2, 3)):
         set_lanes(lanes)
         capsys.readouterr()
         assert run(["pipeline", "--out-dir", out, "--seed", "7",

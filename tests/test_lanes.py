@@ -10,10 +10,20 @@ from fanav.errors import NumericError
 from fanav.lanes import run_lanes
 
 
+LANE_COUNT = lanes.lane_count
+
+
 @pytest.fixture(autouse=True)
 def two_lanes(set_lanes):
     """Two lanes, whatever the cores: a child runs even on one core."""
     set_lanes(2)
+
+
+@pytest.fixture
+def set_cores(monkeypatch):
+    """Set the core count that the lane count follows."""
+    monkeypatch.setattr(lanes, "lane_count", LANE_COUNT)
+    return lambda n: monkeypatch.setattr(lanes, "available_cores", lambda: n)
 
 
 def assert_no_child_left():
@@ -45,25 +55,40 @@ class TwoArgError(Exception):
         super().__init__(f"{a}/{b}")
 
 
-def test_one_lane_runs_in_process(set_lanes, monkeypatch):
+def test_one_lane_runs_in_process(set_cores, monkeypatch):
     def no_fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    set_lanes(1)
+    set_cores(1)  # one core is one lane
+    assert lanes.lane_count() == 1
     out = run_lanes([index_and_pid(i) for i in range(3)])
     assert out == [(i, os.getpid()) for i in range(3)]
-    set_lanes(4)
+    set_cores(4)
     assert run_lanes([]) == []
 
 
-def test_contiguous_chunks_with_the_caller_as_lane_0():
+def test_two_cores_run_three_lanes(set_cores):
+    set_cores(2)
+    assert lanes.lane_count() == 3
+    # the pipeline's four methods: bc and iql_so train in the caller, which
+    # the traced benchmark needs, and iql_dm and iql_ca in a child each
+    out = run_lanes([index_and_pid(i) for i in range(4)])
+    assert [i for i, _ in out] == list(range(4))
+    pids = [pid for _, pid in out]
+    assert pids[:2] == [os.getpid()] * 2
+    assert len({os.getpid(), pids[2], pids[3]}) == 3
+    assert_no_child_left()
+
+
+def test_contiguous_chunks_with_the_caller_as_lane_0(set_lanes):
+    set_lanes(3)
     out = run_lanes([index_and_pid(i) for i in range(5)])
     assert [i for i, _ in out] == list(range(5))
     pids = [pid for _, pid in out]
-    # 5 jobs on 2 lanes: bounds 0, 2, 5
+    # 5 jobs on 3 lanes: ceil bounds 0, 2, 4, 5
     assert pids[:2] == [os.getpid()] * 2
-    assert len(set(pids[2:])) == 1 and pids[2] != os.getpid()
+    assert pids[2] == pids[3] and pids[4] not in (os.getpid(), pids[2])
     assert_no_child_left()
     # never more lanes than jobs: one job runs in process
     assert run_lanes([index_and_pid(0)]) == [(0, os.getpid())]
@@ -140,7 +165,7 @@ def test_child_dies_when_its_parent_is_killed(tmp_path):
     script = (
         "import os, time\n"
         "from fanav import lanes\n"
-        "lanes.available_cores = lambda: 2\n"
+        "lanes.lane_count = lambda: 2\n"
         "def child():\n"
         f"    with open({str(pid_file)!r} + '.tmp', 'w') as fh:\n"
         "        fh.write(str(os.getpid()))\n"
