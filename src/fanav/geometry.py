@@ -2,8 +2,9 @@
 
 All coordinates are meters in a world frame whose origin is the lower-left
 corner of the room. Obstacles are axis-aligned rectangles and circles.
-Ray casting is vectorized over beam directions; shape counts are small, so
-looping over shapes is fine.
+Ray casting is vectorized over beam directions. The distance tests here
+take one shape each; the bounding-box broad phase that picks the shapes
+worth testing is :meth:`fanav.sim.World.near`.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +29,12 @@ from .geometry import (
     wrap_angle,
 )
 
+# Slack of the broad phase (World.near), relative to the world's largest
+# coordinate: a power of two near 1e-9, far above the few ulps of rounding
+# in an axis gap or an exact distance test, so a skipped obstacle can never
+# be one the exact test would have found within reach.
+NEAR_MARGIN = 2.0 ** -30
+
 # terminal outcome labels
 NONE = "none"
 SUCCESS = "success"
@@ -46,9 +52,13 @@ class World:
     name: str = "world"
 
     def __post_init__(self):
+        if not (math.isfinite(self.width) and math.isfinite(self.height)):
+            raise ConfigError("world bounds must be finite")
         if not (self.width > 0 and self.height > 0):
             raise ConfigError("world bounds must be strictly positive")
         for i, ob in enumerate(self.obstacles):
+            if not all(map(math.isfinite, astuple(ob))):
+                raise ConfigError(f"obstacle {i} has a non-finite value")
             if not self._intersects_bounds(ob):
                 raise ConfigError(f"obstacle {i} lies entirely outside bounds")
 
@@ -72,16 +82,44 @@ class World:
         return np.array([(r.x, r.y, r.x2, r.y2) for r in self.obstacles
                          if isinstance(r, Rect)], np.float64).reshape(-1, 4)
 
+    @cached_property
+    def _boxes(self) -> tuple[tuple[Shape, float, float, float, float], ...]:
+        """Each obstacle with its bounding box (x1, y1, x2, y2), widened on
+        every side by NEAR_MARGIN times the largest coordinate (at least 1)."""
+        boxes = [(ob.cx - ob.r, ob.cy - ob.r, ob.cx + ob.r, ob.cy + ob.r)
+                 if isinstance(ob, Circle) else (ob.x, ob.y, ob.x2, ob.y2)
+                 for ob in self.obstacles]
+        m = NEAR_MARGIN * max([1.0, self.width, self.height]
+                              + [abs(v) for box in boxes for v in box])
+        return tuple((ob, x1 - m, y1 - m, x2 + m, y2 + m)
+                     for ob, (x1, y1, x2, y2) in zip(self.obstacles, boxes))
+
+    def near(self, x1: float, y1: float, x2: float, y2: float,
+             reach: float) -> list[Shape]:
+        """The obstacles, in order, whose bounding box comes within ``reach``
+        of the box [x1, x2] x [y1, y2] on both axes.
+
+        This is the collision broad phase. Every obstacle left out is farther
+        than ``reach`` from each point of the query box by more than any
+        rounding (see NEAR_MARGIN), so an exact test run on these alone
+        decides as if it ran on all of them.
+        """
+        lx, ly, hx, hy = x1 - reach, y1 - reach, x2 + reach, y2 + reach
+        return [ob for ob, bx1, by1, bx2, by2 in self._boxes
+                if not (bx1 > hx or by1 > hy or lx > bx2 or ly > by2)]
+
     def contains(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.width and 0.0 <= y <= self.height
 
     def clearance(self, x: float, y: float) -> float:
         """Distance from a point to the nearest obstacle or wall.
 
-        Negative when the point is outside the bounds.
+        Negative when the point is outside the bounds. Only obstacles within
+        the wall distance (:meth:`near`) can lower it, so only those are
+        measured.
         """
         d = min(x, y, self.width - x, self.height - y)
-        for ob in self.obstacles:
+        for ob in self.near(x, y, x, y, d):
             d = min(d, point_shape_distance(ob, x, y))
         return d
 
@@ -228,13 +266,16 @@ def _collides(world: World, spec: RobotSpec, old: Pose, new: Pose) -> bool:
     """Swept-disk collision between two consecutive poses.
 
     The motion between poses is approximated by the chord; at 5 Hz with
-    v_max = 0.5 m/s the chord error is far below the robot radius.
+    v_max = 0.5 m/s the chord error is far below the robot radius. The
+    bounding-box prefilter :meth:`World.near` leaves only the obstacles
+    within one radius of the chord's box for the exact test.
     """
     r = spec.radius
     if not (r <= new.x <= world.width - r and r <= new.y <= world.height - r):
         return True
-    for ob in world.obstacles:
-        if segment_shape_distance(ob, old.x, old.y, new.x, new.y) <= r:
+    ax, ay, bx, by = old.x, old.y, new.x, new.y
+    for ob in world.near(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by), r):
+        if segment_shape_distance(ob, ax, ay, bx, by) <= r:
             return True
     return False
 
@@ -387,6 +428,8 @@ def parse_world(text: str, source: str = "<string>") -> World:
             vals = [float(v) for v in args]
         except ValueError:
             fail(lineno, f"non-numeric value in '{line}'")
+        if not all(map(math.isfinite, vals)):
+            fail(lineno, f"non-finite value in '{line}'")
         if kind == "bounds":
             if len(vals) != 2:
                 fail(lineno, "bounds takes width and height")

@@ -231,6 +231,21 @@ def test_collect_episodes_and_inspect(tmp_path, capsys):
     assert "success" in text and "ratio" in text
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("bounds inf 10\n", 1),
+    ("bounds 10 10\nrect 1 1 inf 1\n", 2),
+    ("bounds 10 10\ncircle 5 5 inf\n", 2)])
+def test_non_finite_world_value_exits_three(text, lineno, tmp_path, capsys):
+    world = tmp_path / "bad.world"
+    world.write_text(text)
+    out = tmp_path / "d.fanav"
+    code = run(["collect", "--world", str(world), "--episodes", "1",
+                "--seed", "1", "--out", str(out)])
+    assert code == 3
+    assert f"{world}:{lineno}: non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_collect_ratio_mode(tmp_path):
     out = str(tmp_path / "r.fanav")
     code = run(["collect", "--world", "cluttered", "--seed", "3",

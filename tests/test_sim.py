@@ -365,6 +365,28 @@ def test_world_file_errors():
         parse_world("bounds 5 5\nbounds 4 4\n")
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("bounds inf 10\n", 1), ("bounds 10 1e999\n", 1), ("bounds nan 10\n", 1),
+    ("bounds 10 10\nrect 1 1 inf 1\n", 2),
+    ("bounds 10 10\nrect nan 1 1 1\n", 2),
+    ("bounds 10 10\ncircle 5 5 inf\n", 2),
+    ("bounds 10 10\ncircle 5 -inf 1\n", 2)])
+def test_world_file_refuses_non_finite_values(text, lineno):
+    with pytest.raises(WorldFormatError,
+                       match=rf"^room\.world:{lineno}: non-finite value"):
+        parse_world(text, source="room.world")
+
+
+def test_world_refuses_non_finite_values():
+    for width, height in ((math.inf, 10.0), (10.0, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            World(width, height)
+    for ob in (Rect(1.0, 1.0, math.inf, 1.0), Rect(1.0, math.nan, 1.0, 1.0),
+               Circle(5.0, 5.0, math.inf), Circle(math.nan, 5.0, 1.0)):
+        with pytest.raises(ConfigError, match="obstacle 0 has a non-finite"):
+            World(10.0, 10.0, (ob,))
+
+
 def test_world_file_comments_and_name():
     w = parse_world("# room\nname foo\nbounds 5 5  # size\ncircle 2 2 0.3\n")
     assert w.name == "foo"
