@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from functools import partial
 from importlib import resources
 
@@ -64,19 +64,9 @@ from .worldgen import generate_world
 
 DEFAULT_CONFIG: ConfigTree = {
     "run": {"seed": 0},
-    "robot": {"radius": 0.2, "v_max": 0.5,
-              "omega_max": math.pi / 2, "lidar_fov_deg": 270.0,
-              "lidar_beams": 108, "lidar_range": 30.0, "control_dt": 0.2},
-    "episode": {"gamma": 0.99, "t_max": 200, "r_success": 20.0,
-                "r_collision": -20.0, "c1": 2.0, "goal_radius": 0.3},
-    "expert": {"lookahead": 0.45, "gain_heading": 3.0, "speed_scale": 0.85,
-               "noise_std_v": 0.3, "noise_std_omega": 1.2,
-               "noise_prob": 0.4, "plan_inflation": 0.08,
-               "min_separation": 3.0,
-               "harvest_lookahead": 0.7, "harvest_gain": 2.0,
-               "harvest_speed": 1.0, "harvest_noise_std_v": 0.3,
-               "harvest_noise_std_omega": 1.0, "harvest_noise_prob": 0.15,
-               "harvest_inflation": 0.0},
+    "robot": asdict(RobotSpec()),
+    "episode": asdict(EpisodeConfig()),
+    "expert": asdict(ExpertConfig()),
     "collect": {"min_transitions": 20000, "target_col_ratio": 0.1,
                 "ratio_tol": 0.01},
     # TrainerConfig's defaults; the seed is resolved apart, in [run]
@@ -113,71 +103,29 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                    flag_overrides: ConfigTree | None = None) -> ConfigTree:
     tree = {s: dict(kv) for s, kv in DEFAULT_CONFIG.items()}
-    file_tree: ConfigTree = {}
     if config_path:
-        file_tree = load_config(config_path)
-        tree = merge_tree(tree, file_tree)
+        tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
     if flag_overrides:
         tree = merge_tree(tree, flag_overrides)
-    tree["_file"] = {"had_run_seed": "seed" in file_tree.get("run", {})}
     return tree
 
 
 def resolve_seed(args_seed: int | None, tree: ConfigTree) -> int:
-    if args_seed is not None:
-        return int(args_seed)
-    if tree.get("_file", {}).get("had_run_seed"):
-        return int(tree["run"]["seed"])
-    env = os.environ.get("FANAV_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"FANAV_SEED must be an integer, got '{env}'")
-    return int(tree["run"]["seed"])
-
-
-def _public_tree(tree: ConfigTree) -> ConfigTree:
-    return {s: kv for s, kv in tree.items() if not s.startswith("_")}
+    """``--seed``, else ``run.seed``."""
+    return tree["run"]["seed"] if args_seed is None else args_seed
 
 
 def robot_spec_from(tree: ConfigTree) -> RobotSpec:
-    r = tree["robot"]
-    return RobotSpec(radius=float(r["radius"]), v_max=float(r["v_max"]),
-                     omega_max=float(r["omega_max"]),
-                     lidar_fov=math.radians(float(r["lidar_fov_deg"])),
-                     lidar_beam_count=int(r["lidar_beams"]),
-                     lidar_range_max=float(r["lidar_range"]),
-                     control_dt=float(r["control_dt"]))
+    return RobotSpec(**tree["robot"])
 
 
 def episode_from(tree: ConfigTree) -> EpisodeConfig:
-    e = tree["episode"]
-    return EpisodeConfig(gamma=float(e["gamma"]), t_max=int(e["t_max"]),
-                         r_success=float(e["r_success"]),
-                         r_collision=float(e["r_collision"]),
-                         c1=float(e["c1"]),
-                         goal_radius=float(e["goal_radius"]))
+    return EpisodeConfig(**tree["episode"])
 
 
 def expert_from(tree: ConfigTree) -> ExpertConfig:
-    x = tree["expert"]
-    return ExpertConfig(lookahead=float(x["lookahead"]),
-                        gain_heading=float(x["gain_heading"]),
-                        speed_scale=float(x["speed_scale"]),
-                        noise_std=(float(x["noise_std_v"]),
-                                   float(x["noise_std_omega"])),
-                        noise_prob=float(x["noise_prob"]),
-                        plan_inflation=float(x["plan_inflation"]),
-                        min_separation=float(x["min_separation"]),
-                        harvest_lookahead=float(x["harvest_lookahead"]),
-                        harvest_gain=float(x["harvest_gain"]),
-                        harvest_speed=float(x["harvest_speed"]),
-                        harvest_noise_std=(float(x["harvest_noise_std_v"]),
-                                           float(x["harvest_noise_std_omega"])),
-                        harvest_noise_prob=float(x["harvest_noise_prob"]),
-                        harvest_inflation=float(x["harvest_inflation"]))
+    return ExpertConfig(**tree["expert"])
 
 
 def jitter_from(tree: ConfigTree) -> tuple[float, float]:
@@ -214,25 +162,21 @@ def write_manifest(target: str, command: str, argv: list[str],
     ``target`` is an output directory (manifest.json inside it) or an
     output file (sidecar <file>.manifest.json).
     """
-    public = _public_tree(tree)
     digest = hashlib.sha256(
-        json.dumps(public, sort_keys=True).encode()).hexdigest()
+        json.dumps(tree, sort_keys=True).encode()).hexdigest()
     payload = {
         "tool": "fanav",
         "version": __version__,
         "command": command,
         "argv": argv,
         "seed": seed,
-        "config": public,
+        "config": tree,
         "config_digest": digest,
         "inputs": {p: _sha256_file(p) for p in (inputs or {})},
         "outputs": outputs or [],
         "started_unix": time.time(),
     }
-    if os.path.isdir(target) or target.endswith(os.sep):
-        os.makedirs(target, exist_ok=True)
-        path = os.path.join(target, "manifest.json")
-    elif os.path.splitext(target)[1]:
+    if os.path.splitext(target)[1] and not os.path.isdir(target):
         path = target + ".manifest.json"
     else:
         os.makedirs(target, exist_ok=True)
@@ -269,10 +213,8 @@ def collect_stage(world: World, spec: RobotSpec, episode: EpisodeConfig,
                   expert_cfg: ExpertConfig, ccfg: dict,
                   seed: int) -> list[Trajectory]:
     """Demonstrations at the [collect] section's collision ratio."""
-    return collect_to_ratio(world, spec, episode, expert_cfg,
-                            min_transitions=int(ccfg["min_transitions"]),
-                            target_col_ratio=float(ccfg["target_col_ratio"]),
-                            seed=seed, ratio_tol=float(ccfg["ratio_tol"]))
+    return collect_to_ratio(world, spec, episode, expert_cfg, seed=seed,
+                            **ccfg)
 
 
 def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
@@ -289,9 +231,8 @@ def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
                 out_dir: str) -> TrainResult:
     """Echo every config value into ``out_dir``, then train there."""
     os.makedirs(out_dir, exist_ok=True)
-    echo = _public_tree(tree)
-    echo["trainer"] = {**echo["trainer"], "method": cfg.method,
-                       "seed": cfg.seed}
+    echo = {**tree, "trainer": {**tree["trainer"], "method": cfg.method,
+                                "seed": cfg.seed}}
     with open(os.path.join(out_dir, "config.echo"), "w",
               encoding="utf-8") as fh:
         fh.write(format_config(echo))
@@ -371,11 +312,8 @@ def cmd_collect(args, argv) -> int:
 
 
 def cmd_dataset(args, argv) -> int:
-    if args.dataset_cmd == "inspect":
-        ds = load_dataset(args.path)
-        print(describe_dataset(ds))
-        return 0
-    raise ConfigError(f"unknown dataset action '{args.dataset_cmd}'")
+    print(describe_dataset(load_dataset(args.path)))  # the one action: inspect
+    return 0
 
 
 def cmd_train(args, argv) -> int:
@@ -552,7 +490,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override any config key; repeatable")
     p.add_argument("--seed", type=int, default=None,
-                   help="random seed (overrides config and FANAV_SEED)")
+                   help="random seed (overrides run.seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:

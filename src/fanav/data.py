@@ -43,12 +43,17 @@ class EncoderProfile:
 
     @classmethod
     def from_world_spec(cls, world: World, spec: RobotSpec) -> "EncoderProfile":
-        return cls(spec.lidar_beam_count, spec.lidar_range_max,
+        return cls(spec.lidar_beams, spec.lidar_range,
                    spec.v_max, spec.omega_max, world.diagonal)
 
     @property
     def dim(self) -> int:
         return self.beam_count + 4
+
+    @property
+    def action_scale(self) -> np.ndarray:
+        """Bounds of the (v, omega) actions a policy on this robot emits."""
+        return np.array([self.v_max, self.omega_max])
 
     def to_dict(self) -> dict:
         return {"beam_count": self.beam_count, "range_max": self.range_max,

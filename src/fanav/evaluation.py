@@ -153,14 +153,14 @@ class NetworkPolicy:
                                   f"has no policy_mean/policy_log_std "
                                   f"sections")
         try:
-            lo, hi = meta["log_std_bounds"]
+            profile = EncoderProfile.from_dict(meta["profile"])
+            cfg = meta["config"]
             head = GaussianPolicyHead(
-                sections["policy_mean"].to_mlp(),
-                np.asarray(meta["action_scale"], np.float64),
+                sections["policy_mean"].to_mlp(), profile.action_scale,
                 log_std=sections["policy_log_std"].params,
-                log_std_bounds=(float(lo), float(hi)))
-            return cls(head, EncoderProfile.from_dict(meta["profile"]),
-                       name=meta["method"])
+                log_std_bounds=(float(cfg["log_std_min"]),
+                                float(cfg["log_std_max"])))
+            return cls(head, profile, name=cfg["method"])
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: incomplete or malformed "
                                   f"checkpoint metadata ({exc!r})") from exc

@@ -54,14 +54,16 @@ class ExpertConfig:
     lookahead: float = 0.45         # meters ahead along the path
     gain_heading: float = 3.0       # rad/s per rad of bearing error
     speed_scale: float = 0.85       # fraction of v_max when aligned
-    noise_std: tuple[float, float] = (0.3, 1.2)    # (m/s, rad/s)
+    noise_std_v: float = 0.3        # m/s
+    noise_std_omega: float = 1.2    # rad/s
     noise_prob: float = 0.4         # chance per step of a perturbation
     plan_inflation: float = 0.08    # extra clearance beyond the robot radius
     min_separation: float = 3.0     # start-to-goal distance when sampling
     harvest_lookahead: float = 0.7
     harvest_gain: float = 2.0
     harvest_speed: float = 1.0
-    harvest_noise_std: tuple[float, float] = (0.3, 1.0)
+    harvest_noise_std_v: float = 0.3
+    harvest_noise_std_omega: float = 1.0
     harvest_noise_prob: float = 0.15
     harvest_inflation: float = 0.0
 
@@ -69,9 +71,9 @@ class ExpertConfig:
         for prob in (self.noise_prob, self.harvest_noise_prob):
             if not (0.0 <= prob <= 1.0):
                 raise ConfigError("noise probabilities must lie in [0, 1]")
-        for std in (self.noise_std, self.harvest_noise_std):
-            if std[0] < 0 or std[1] < 0:
-                raise ConfigError("noise_std components must be non-negative")
+        if min(self.noise_std_v, self.noise_std_omega,
+               self.harvest_noise_std_v, self.harvest_noise_std_omega) < 0:
+            raise ConfigError("noise standard deviations must be non-negative")
         for scale in (self.speed_scale, self.harvest_speed):
             if not (0.0 < scale <= 1.0):
                 raise ConfigError("speed scales must lie in (0, 1]")
@@ -81,7 +83,8 @@ class ExpertConfig:
         return replace(self, lookahead=self.harvest_lookahead,
                        gain_heading=self.harvest_gain,
                        speed_scale=self.harvest_speed,
-                       noise_std=self.harvest_noise_std,
+                       noise_std_v=self.harvest_noise_std_v,
+                       noise_std_omega=self.harvest_noise_std_omega,
                        noise_prob=self.harvest_noise_prob,
                        plan_inflation=self.harvest_inflation)
 
@@ -338,8 +341,8 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
         if mode == PERTURBED and expert_cfg.noise_prob > 0:
             if rng.uniform() < expert_cfg.noise_prob:
                 dv, dw = rng.normal(0.0, 1.0, 2)
-                a = Action(a.v_cmd + dv * expert_cfg.noise_std[0],
-                           a.omega_cmd + dw * expert_cfg.noise_std[1])
+                a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
+                           a.omega_cmd + dw * expert_cfg.noise_std_omega)
         a = clamp_action(a, spec)
         out = engine.step(a)
         states.append(out.next_state)

@@ -234,9 +234,7 @@ class GaussianPolicyHead:
     """
 
     def __init__(self, mean_net: Mlp, action_scale: np.ndarray,
-                 log_std: np.ndarray | None = None,
-                 log_std_bounds: tuple[float, float] = (-5.0, 2.0),
-                 log_std_init: float = -0.5):
+                 log_std: np.ndarray, log_std_bounds: tuple[float, float]):
         if mean_net.widths[-1] != 2:
             raise ShapeError("policy mean network must have 2 outputs")
         self.mean_net = mean_net
@@ -244,8 +242,6 @@ class GaussianPolicyHead:
         if self.action_scale.shape != (2,) or np.any(self.action_scale <= 0):
             raise ConfigError("action_scale must be two positive values")
         self.log_std_bounds = (float(log_std_bounds[0]), float(log_std_bounds[1]))
-        if log_std is None:
-            log_std = np.full(2, log_std_init, dtype=mean_net.dtype)
         self.log_std = np.asarray(log_std, dtype=mean_net.dtype)
         if self.log_std.shape != (2,):
             raise ShapeError("log_std must have shape (2,)")

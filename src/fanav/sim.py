@@ -131,28 +131,28 @@ class RobotSpec:
     radius: float = 0.2
     v_max: float = 0.5
     omega_max: float = math.pi / 2
-    lidar_fov: float = math.radians(270.0)
-    lidar_beam_count: int = 108
-    lidar_range_max: float = 30.0
+    lidar_fov_deg: float = 270.0
+    lidar_beams: int = 108
+    lidar_range: float = 30.0
     control_dt: float = 0.2
 
     def __post_init__(self):
         if self.radius <= 0 or self.v_max <= 0 or self.omega_max <= 0:
             raise ConfigError("radius, v_max and omega_max must be positive")
-        if not (0.0 < self.lidar_fov <= 2 * math.pi):
-            raise ConfigError("lidar_fov must be in (0, 2*pi]")
-        if self.lidar_beam_count < 1:
-            raise ConfigError("lidar_beam_count must be >= 1")
-        if self.lidar_range_max <= 0 or self.control_dt <= 0:
-            raise ConfigError("lidar_range_max and control_dt must be positive")
+        if not (0.0 < self.lidar_fov_deg <= 360.0):
+            raise ConfigError("lidar_fov_deg must be in (0, 360]")
+        if self.lidar_beams < 1:
+            raise ConfigError("lidar_beams must be >= 1")
+        if self.lidar_range <= 0 or self.control_dt <= 0:
+            raise ConfigError("lidar_range and control_dt must be positive")
 
     def beam_bearings(self) -> np.ndarray:
         """Beam bearing offsets relative to the robot heading."""
-        n = self.lidar_beam_count
+        n = self.lidar_beams
         if n == 1:
             return np.zeros(1)
-        half = self.lidar_fov / 2.0
-        return -half + np.arange(n) * (self.lidar_fov / (n - 1))
+        fov = math.radians(self.lidar_fov_deg)
+        return -fov / 2.0 + np.arange(n) * (fov / (n - 1))
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,6 @@ class NavState:
 class EpisodeConfig:
     """Reward constants, horizon and goal threshold for one episode."""
 
-    gamma: float = 0.99
     t_max: int = 200
     r_success: float = 20.0
     r_collision: float = -20.0
@@ -194,8 +193,6 @@ class EpisodeConfig:
     goal_radius: float = 0.3
 
     def __post_init__(self):
-        if not (0.0 <= self.gamma < 1.0):
-            raise ConfigError("gamma must lie in [0, 1)")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
         if self.r_success <= 0 or self.r_collision >= 0:
@@ -239,7 +236,7 @@ def raycast(world: World, origin: Pose, spec: RobotSpec) -> np.ndarray:
                                   world._circle_params))
     t = np.minimum(t, ray_rects(origin.x, origin.y, dirx, diry,
                                 world._rect_params))
-    return np.minimum(t, spec.lidar_range_max)
+    return np.minimum(t, spec.lidar_range)
 
 
 def step_kinematics(pose: Pose, action: Action, dt: float) -> Pose:

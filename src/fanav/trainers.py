@@ -220,16 +220,9 @@ class TrainResult:
 
 
 def checkpoint_meta(cfg: TrainerConfig, profile: EncoderProfile,
-                    action_scale: np.ndarray, step: int) -> dict:
-    return {
-        "kind": "fanav-policy",
-        "method": cfg.method,
-        "step": step,
-        "profile": profile.to_dict(),
-        "action_scale": [float(a) for a in action_scale],
-        "log_std_bounds": [cfg.log_std_min, cfg.log_std_max],
-        "config": cfg.to_dict(),
-    }
+                    step: int) -> dict:
+    return {"step": step, "profile": profile.to_dict(),
+            "config": cfg.to_dict()}
 
 
 def _sum_sq(vec: np.ndarray) -> float:
@@ -251,7 +244,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
 
     dtype = _DTYPES[cfg.dtype]
     profile = ds.profile
-    action_scale = np.array([profile.v_max, profile.omega_max])
+    action_scale = profile.action_scale
     obs_dim = profile.dim
 
     ss = np.random.SeedSequence(cfg.seed)
@@ -308,7 +301,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
             return
         path = os.path.join(out_dir, f"ckpt_{step:08d}.famlp")
         save_checkpoint(path, result.checkpoint_sections(),
-                        checkpoint_meta(cfg, profile, action_scale, step))
+                        checkpoint_meta(cfg, profile, step))
 
     def guarded(name: str, step: int, fn):
         """Run a loss computation, tagging any numeric failure with its
@@ -411,8 +404,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
                                    "value": opt_value,
                                    **{f"critic_{i}": o
                                       for i, o in enumerate(opt_critics)}}),
-                        checkpoint_meta(cfg, profile, action_scale,
-                                        cfg.total_steps))
+                        checkpoint_meta(cfg, profile, cfg.total_steps))
         with open(os.path.join(out_dir, "report.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write(report.to_csv())

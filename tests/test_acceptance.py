@@ -111,7 +111,7 @@ def test_c1_gradient_correctness():
     targets = [c.copy() for c in critics]
     mean = Mlp.initialized((dim, 16, 2), "tanh", rng, dtype=np.float64,
                            final_scale=0.1)
-    policy = GaussianPolicyHead(mean, SCALE)
+    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5), (-5.0, 2.0))
 
     worst = {}
     # expectile (value) loss; residuals must sit clear of the u=0 kink for
@@ -292,7 +292,7 @@ def test_c5_value_shaping():
 
 def test_c6_module_properties(tmp_path):
     # reward telescoping
-    world, spec, cfg = World(10, 10), RobotSpec(lidar_beam_count=24), \
+    world, spec, cfg = World(10, 10), RobotSpec(lidar_beams=24), \
         EpisodeConfig()
     eng = EpisodeEngine(world, spec, cfg)
     eng.reset(Pose(1.0, 1.0, 0.3), (9.0, 9.0))
@@ -321,12 +321,12 @@ def test_c6_module_properties(tmp_path):
 
     # raycast analytic cases
     scan = raycast(World(4, 4), Pose(2, 2, 0.0),
-                   RobotSpec(lidar_beam_count=9))
+                   RobotSpec(lidar_beams=9))
     assert abs(scan[4] - 2.0) < 1e-12
     scan = raycast(World(20, 20, (Circle(13, 10, 0.5),)),
                    Pose(10, 10, 0.0),
-                   RobotSpec(lidar_beam_count=9,
-                             lidar_fov=math.radians(90)))
+                   RobotSpec(lidar_beams=9,
+                             lidar_fov_deg=90.0))
     assert abs(scan[4] - 2.5) < 1e-12
 
     # kinematics arc vs Euler oracle (< 1e-3 m)

@@ -147,7 +147,7 @@ def test_near_keeps_a_box_exactly_at_reach_plus_margin():
 
 def collect_and_evaluate():
     """Collection on cluttered and expert evaluation on dense, as values."""
-    spec = RobotSpec(lidar_beam_count=24, lidar_range_max=6.0)
+    spec = RobotSpec(lidar_beams=24, lidar_range=6.0)
     episode = EpisodeConfig()
     cluttered, dense = resolve_world("cluttered"), resolve_world("dense")
     trajs = collect_to_ratio(cluttered, spec, episode, ExpertConfig(),

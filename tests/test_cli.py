@@ -1,6 +1,8 @@
 import json
 import os
 import re
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,20 @@ from fanav.cli import (
     DEFAULT_CONFIG,
     build_parser,
     dispatch,
+    episode_from,
+    expert_from,
     main,
     resolve_config,
     resolve_seed,
+    robot_spec_from,
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
+from fanav.expert import ExpertConfig
 from fanav.nets import load_checkpoint, save_checkpoint
-from fanav.sim import load_world
+from fanav.sim import EpisodeConfig, RobotSpec, load_world
+
+DESK = str(Path(__file__).resolve().parents[1] / "desk.toml")
 
 
 def run(argv):
@@ -178,19 +186,35 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
 def test_seed_resolution_order(tmp_path, monkeypatch):
     cfg = tmp_path / "c.toml"
     cfg.write_text("[run]\nseed = 42\n")
-    monkeypatch.delenv("FANAV_SEED", raising=False)
+    assert resolve_seed(None, resolve_config(None, [])) == 0
     tree = resolve_config(str(cfg), [])
     assert resolve_seed(None, tree) == 42
     assert resolve_seed(7, tree) == 7
-    # env fallback only when neither flag nor file sets it
-    tree2 = resolve_config(None, [])
+    # --set beats the file and the flag beats --set; the environment
+    # plays no part
     monkeypatch.setenv("FANAV_SEED", "99")
-    assert resolve_seed(None, tree2) == 99
-    assert resolve_seed(3, tree2) == 3
-    monkeypatch.setenv("FANAV_SEED", "abc")
-    from fanav.errors import ConfigError
-    with pytest.raises(ConfigError):
-        resolve_seed(None, tree2)
+    tree = resolve_config(str(cfg), ["run.seed=5"])
+    assert resolve_seed(None, tree) == 5
+    assert resolve_seed(3, tree) == 3
+
+
+@pytest.mark.parametrize("section, build", [
+    ("robot", robot_spec_from), ("episode", episode_from),
+    ("expert", expert_from)])
+def test_set_reaches_the_same_named_field(section, build):
+    # a different valid value for every key, all set at once
+    new = {key: value + 1 if isinstance(value, int) else value / 2 + 0.01
+           for key, value in DEFAULT_CONFIG[section].items()}
+    built = build(resolve_config(
+        None, [f"{section}.{key}={value!r}" for key, value in new.items()]))
+    assert asdict(built) == new
+
+
+def test_desk_toml_is_the_defaults_but_lidar_range():
+    tree = resolve_config(DESK, [])
+    assert robot_spec_from(tree) == RobotSpec(lidar_range=6.0)
+    assert episode_from(tree) == EpisodeConfig()
+    assert expert_from(tree) == ExpertConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +484,18 @@ def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
     assert "is not a policy checkpoint" in capsys.readouterr().err
     save_checkpoint(bare, sections, {})
     assert eval_code(bare) == 4
-    for key in ("profile", "action_scale", "log_std_bounds", "method"):
+    for key in ("profile", "config"):
         save_checkpoint(bare, sections,
                         {k: v for k, v in meta.items() if k != key})
         assert eval_code(bare) == 4
         assert f"'{key}'" in capsys.readouterr().err
     # present but malformed
     profile = {k: v for k, v in meta["profile"].items() if k != "d_norm"}
-    for bad in ({"profile": profile}, {"log_std_bounds": [-5.0]},
-                {"action_scale": [0.5]}):
+    config = meta["config"]
+    for bad in ({"profile": profile}, {"profile": "robot"}, {"config": []},
+                {"config": {k: v for k, v in config.items()
+                            if k != "method"}},
+                {"config": {**config, "log_std_max": "high"}}):
         save_checkpoint(bare, sections, {**meta, **bad})
         assert eval_code(bare) == 4
         assert "malformed checkpoint metadata" in capsys.readouterr().err

@@ -29,7 +29,7 @@ from fanav.data import (
 )
 from fanav.nets import Section, load_checkpoint, save_checkpoint
 
-SPEC = RobotSpec(lidar_beam_count=24)
+SPEC = RobotSpec(lidar_beams=24)
 WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
                      Circle(6, 2.5, 0.6)))
 EPISODE = EpisodeConfig()
@@ -51,7 +51,7 @@ DS = toy_dataset()
 # ---------------------------------------------------------------------------
 
 def test_encode_boundaries():
-    scan = np.full(24, SPEC.lidar_range_max)
+    scan = np.full(24, SPEC.lidar_range)
     state = NavState(scan, 0.0, 0.0, 0.0, 0.0)
     f = encode_state(state, PROFILE)
     assert f.shape == (28,)

@@ -37,7 +37,7 @@ from fanav.evaluation import (
     save_suite,
 )
 
-SPEC = RobotSpec(lidar_beam_count=24)
+SPEC = RobotSpec(lidar_beams=24)
 EPISODE = EpisodeConfig()
 WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(1.5, 5.5, 1.0, 1.0)), name="w8")
 PROFILE = EncoderProfile.from_world_spec(WORLD, SPEC)
@@ -46,7 +46,8 @@ PROFILE = EncoderProfile.from_world_spec(WORLD, SPEC)
 def make_net_policy(seed=0) -> NetworkPolicy:
     rng = np.random.default_rng(seed)
     mean = Mlp.initialized((PROFILE.dim, 16, 2), "relu", rng, final_scale=1e-2)
-    head = GaussianPolicyHead(mean, np.array([SPEC.v_max, SPEC.omega_max]))
+    head = GaussianPolicyHead(mean, PROFILE.action_scale,
+                              np.full(2, -0.5, mean.dtype), (-5.0, 2.0))
     return NetworkPolicy(head, PROFILE, name="random-net")
 
 

@@ -27,7 +27,7 @@ from fanav.expert import (
     run_episode,
 )
 
-SPEC = RobotSpec(lidar_beam_count=24)
+SPEC = RobotSpec(lidar_beams=24)
 EPISODE = EpisodeConfig()
 
 
@@ -35,7 +35,9 @@ def test_expert_config_validation():
     with pytest.raises(ConfigError):
         ExpertConfig(noise_prob=1.5)
     with pytest.raises(ConfigError):
-        ExpertConfig(noise_std=(-0.1, 0.0))
+        ExpertConfig(noise_std_v=-0.1)
+    with pytest.raises(ConfigError):
+        ExpertConfig(harvest_noise_std_omega=-0.1)
     with pytest.raises(ConfigError):
         ExpertConfig(speed_scale=0.0)
 

@@ -46,7 +46,8 @@ def make_nets(seed=1, dtype=np.float64):
     targets = [c.copy() for c in critics]
     mean = Mlp.initialized((DIM, 16, 2), "relu", rng, dtype=dtype,
                            final_scale=1e-2)
-    policy = GaussianPolicyHead(mean, SCALE)
+    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5, dtype),
+                                (-5.0, 2.0))
     return value, critics, targets, policy
 
 

@@ -230,7 +230,8 @@ def make_head(seed=9, dtype=np.float64, log_std=-0.5) -> GaussianPolicyHead:
     rng = np.random.default_rng(seed)
     net = Mlp.initialized((6, 16, 2), "tanh", rng, dtype=dtype,
                           final_scale=0.5)
-    return GaussianPolicyHead(net, SCALE, log_std=np.full(2, log_std, dtype))
+    return GaussianPolicyHead(net, SCALE, np.full(2, log_std, dtype),
+                              (-5.0, 2.0))
 
 
 def test_mode_density_matches_closed_form():

@@ -54,14 +54,12 @@ def test_robot_spec_validation():
     with pytest.raises(ConfigError):
         RobotSpec(radius=-1)
     with pytest.raises(ConfigError):
-        RobotSpec(lidar_fov=7.0)
+        RobotSpec(lidar_fov_deg=400.0)
     with pytest.raises(ConfigError):
-        RobotSpec(lidar_beam_count=0)
+        RobotSpec(lidar_beams=0)
 
 
 def test_episode_config_validation():
-    with pytest.raises(ConfigError):
-        EpisodeConfig(gamma=1.0)
     with pytest.raises(ConfigError):
         EpisodeConfig(r_collision=1.0)
     with pytest.raises(ConfigError):
@@ -91,30 +89,30 @@ def test_relative_goal_cases():
 def test_raycast_empty_room_forward_beam():
     world = World(4.0, 4.0)
     # odd beam count puts the middle beam exactly along the heading
-    spec = RobotSpec(lidar_beam_count=9)
+    spec = RobotSpec(lidar_beams=9)
     scan = raycast(world, Pose(2.0, 2.0, 0.0), spec)
     assert scan[4] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_raycast_beam_geometry():
-    spec = RobotSpec(lidar_beam_count=109, lidar_fov=math.radians(270))
+    spec = RobotSpec(lidar_beams=109, lidar_fov_deg=270.0)
     b = spec.beam_bearings()
     assert b[0] == pytest.approx(-math.radians(135))
     assert b[-1] == pytest.approx(math.radians(135))
     assert np.allclose(np.diff(b), math.radians(2.5))
-    assert RobotSpec(lidar_beam_count=1).beam_bearings() == pytest.approx([0.0])
+    assert RobotSpec(lidar_beams=1).beam_bearings() == pytest.approx([0.0])
 
 
 def test_raycast_circle_ahead():
     world = World(20.0, 20.0, (Circle(13.0, 10.0, 0.5),))
-    spec = RobotSpec(lidar_beam_count=9, lidar_fov=math.radians(90))
+    spec = RobotSpec(lidar_beams=9, lidar_fov_deg=90.0)
     scan = raycast(world, Pose(10.0, 10.0, 0.0), spec)
     assert scan[4] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_raycast_clips_to_range_max():
     world = World(100.0, 100.0)
-    spec = RobotSpec(lidar_range_max=30.0)
+    spec = RobotSpec(lidar_range=30.0)
     scan = raycast(world, Pose(50.0, 50.0, 0.0), spec)
     assert np.all(scan <= 30.0)
     assert np.any(scan == 30.0)
@@ -127,7 +125,7 @@ def test_raycast_outside_bounds_raises():
 
 def test_raycast_monotone_under_added_obstacle():
     rng = np.random.default_rng(7)
-    spec = RobotSpec(lidar_beam_count=36)
+    spec = RobotSpec(lidar_beams=36)
     for _ in range(20):
         obstacles = []
         for _ in range(rng.integers(0, 4)):

@@ -202,7 +202,8 @@ def test_checkpoints_written(tmp_path):
     assert "report.csv" in files
     sections, meta = load_checkpoint(str(out / "ckpt_00000200.famlp"))
     assert set(sections) == {"policy_mean", "policy_log_std"}
-    assert meta["method"] == "iql_ca"
+    assert set(meta) == {"step", "profile", "config"}
+    assert meta["step"] == 200 and meta["config"]["method"] == "iql_ca"
     assert meta["profile"]["beam_count"] == PROFILE.beam_count
     assert np.array_equal(sections["policy_mean"].params,
                           res.policy.mean_net.theta)
