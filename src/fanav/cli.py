@@ -153,15 +153,13 @@ def _sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(target: str, command: str, argv: list[str],
+def write_manifest(path: str, command: str, argv: list[str],
                    tree: ConfigTree, seed: int,
                    inputs: dict[str, str] | None = None,
-                   outputs: list[str] | None = None) -> str:
-    """Write the run manifest atomically; returns its path.
-
-    ``target`` is an output directory (manifest.json inside it) or an
-    output file (sidecar <file>.manifest.json).
-    """
+                   outputs: list[str] | None = None) -> None:
+    """Write the run manifest atomically to ``path``, creating its
+    directory: ``<out_dir>/manifest.json`` for a command that writes a
+    directory, ``<out>.manifest.json`` beside a command's output file."""
     digest = hashlib.sha256(
         json.dumps(tree, sort_keys=True).encode()).hexdigest()
     payload = {
@@ -176,17 +174,12 @@ def write_manifest(target: str, command: str, argv: list[str],
         "outputs": outputs or [],
         "started_unix": time.time(),
     }
-    if os.path.splitext(target)[1] and not os.path.isdir(target):
-        path = target + ".manifest.json"
-    else:
-        os.makedirs(target, exist_ok=True)
-        path = os.path.join(target, "manifest.json")
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
-    return path
 
 
 def bundled_world_path(name: str):
@@ -277,8 +270,8 @@ def cmd_gen_world(args, argv) -> int:
                            name=args.name,
                            robot_radius=float(tree["robot"]["radius"]))
     save_world(world, args.out)
-    write_manifest(args.out, "gen-world", argv, tree, seed,
-                   outputs=[args.out])
+    write_manifest(args.out + ".manifest.json", "gen-world", argv, tree,
+                   seed, outputs=[args.out])
     print(f"wrote {args.out}: {len(world.obstacles)} obstacles in "
           f"{world.width:g}x{world.height:g} m")
     return 0
@@ -304,8 +297,8 @@ def cmd_collect(args, argv) -> int:
         "command": "collect", "seed": seed, "world": world.name,
         "mode": args.mode or "ratio", "version": __version__}, args.out)
     inputs = {args.world: None} if os.path.exists(args.world) else {}
-    write_manifest(args.out, "collect", argv, tree, seed, inputs=inputs,
-                   outputs=[args.out])
+    write_manifest(args.out + ".manifest.json", "collect", argv, tree, seed,
+                   inputs=inputs, outputs=[args.out])
     print(describe_dataset(ds))
     print(f"wrote {args.out}")
     return 0
@@ -324,8 +317,8 @@ def cmd_train(args, argv) -> int:
     seed = resolve_seed(args.seed, tree)
     ds = load_dataset(args.dataset)
     cfg = trainer_from(tree, seed)
-    write_manifest(args.out_dir, "train", argv, tree, seed,
-                   inputs={args.dataset: None})
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), "train",
+                   argv, tree, seed, inputs={args.dataset: None})
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
@@ -355,7 +348,8 @@ def cmd_eval(args, argv) -> int:
                 else int(tree["eval"]["n_trials"]))
     res = eval_stage(policy, world, spec, suite, n_trials, jitter_from(tree),
                      seed, policy.name, args.out_dir)
-    write_manifest(args.out_dir, "eval", argv, tree, seed,
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
+                   argv, tree, seed,
                    inputs={args.checkpoint: None, args.suite: None})
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
@@ -424,7 +418,8 @@ def cmd_pipeline(args, argv) -> int:
     jitter = jitter_from(tree)
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    write_manifest(out, "pipeline", argv, tree, seed,
+    write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
+                   tree, seed,
                    inputs={args.config: None} if args.config else {})
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")

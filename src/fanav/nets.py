@@ -9,6 +9,25 @@ training are supported; this is deliberately not a general autodiff.
 
 Layer l maps a -> act(a @ W_l + b_l) with a linear final layer. Activations:
 relu (He-initialized) or tanh (Xavier-initialized).
+
+Besides the matrix products, each elementwise stage is one pass, and each
+writes into an array which already exists: a layer's bias and ReLU into the
+product's result, the ReLU mask into the backward pass's own delta, the
+bias and weight gradients into their slices of the gradient vector, and an
+Adam step into the moments, the parameters and two scratch arrays. The bits are those of the textbook formulas
+``act(a @ W + b)``, ``delta * act'(z)``, ``a.T @ delta``, ``delta @ W.T``
+and Adam's. Three exact shortcuts keep them so:
+
+- ReLU's mask is ``post > 0``, which equals ``pre > 0``, so the cache keeps
+  only the layer outputs (``cache["inputs"]``).
+- The finiteness check is one pass: ``isnan(x . 0)`` is true exactly when
+  some element is +-inf or NaN, since 0 * x is NaN only for those and a sum
+  of zeros cannot overflow. It still runs on every layer's pre-activation,
+  so a -inf that ReLU would map to 0 is caught where it first appears.
+- ``delta @ W.T`` for a one-column W (the value and critic heads) is an
+  outer product, which ``np.multiply`` computes without a BLAS call; BLAS
+  adds each product to +0.0, so ``+= 0.0`` turns the product's -0.0 into
+  the same +0.0.
 """
 from __future__ import annotations
 
@@ -26,6 +45,26 @@ ACTIVATIONS = ("relu", "tanh")
 
 def param_count(widths: tuple[int, ...]) -> int:
     return sum(a * b + b for a, b in zip(widths, widths[1:]))
+
+
+# One read-only zero vector per dtype, replaced by a longer one when a longer
+# array is checked; its contents never change, so every caller may share it.
+_ZEROS: dict[np.dtype, np.ndarray] = {}
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """True when no element of ``arr`` is +-inf or NaN, in one pass.
+
+    0 * x is NaN exactly for those, and a sum of zeros cannot overflow, so
+    the dot product with a zero vector is NaN exactly when one is present.
+    ``np.vdot``, unlike ``np.dot``, raises no RuntimeWarning for the NaN.
+    """
+    zeros = _ZEROS.get(arr.dtype)
+    if zeros is None or zeros.size < arr.size:
+        zeros = np.zeros(arr.size, arr.dtype)
+        zeros.flags.writeable = False
+        _ZEROS[arr.dtype] = zeros
+    return not np.isnan(np.vdot(arr, zeros[:arr.size]))
 
 
 class Mlp:
@@ -89,18 +128,8 @@ class Mlp:
             b[:] = 0
         return net
 
-    def _act(self, z: np.ndarray) -> np.ndarray:
-        if self.activation == "relu":
-            return np.maximum(z, 0)
-        return np.tanh(z)
-
-    def _dact(self, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-        if self.activation == "relu":
-            return (z > 0).astype(z.dtype)
-        return 1.0 - a * a
-
     def _check(self, arr: np.ndarray, layer: int, stage: str) -> None:
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError(f"non-finite values at layer {layer} ({stage})")
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -121,14 +150,19 @@ class Mlp:
             raise ShapeError(
                 f"input width {a.shape[1]} != layer 0 width {self.widths[0]}")
         self._check(a, 0, "input")
-        cache = {"inputs": [a], "pre": []} if keep_cache else None
+        cache = {"inputs": [a]} if keep_cache else None
         last = self.n_layers - 1
         for l, (W, b) in enumerate(self._views):
-            z = a @ W + b
+            z = a @ W
+            z += b
             self._check(z, l, "forward")
-            a = z if l == last else self._act(z)
+            if l != last:
+                if self.activation == "relu":
+                    np.maximum(z, 0, out=z)
+                else:
+                    np.tanh(z, out=z)
+            a = z
             if keep_cache:
-                cache["pre"].append(z)
                 cache["inputs"].append(a)
         if squeeze:
             return a[0], cache
@@ -138,32 +172,39 @@ class Mlp:
                  need_dx: bool = False):
         """Gradient of sum(dy * output) with respect to the flat parameters.
 
-        ``dy`` is the upstream derivative, one row per batch row. Returns
-        (grad, dx) where dx is None unless requested.
+        ``dy`` is the upstream derivative, one row per batch row; it is
+        read, never written. Returns (grad, dx) where dx is None unless
+        requested.
         """
+        inputs = cache["inputs"]
         delta = np.asarray(dy, dtype=self.dtype)
         if delta.ndim == 1:
             delta = delta[None, :]
-        grad = np.zeros_like(self.theta)
+        grad = np.empty_like(self.theta)
         goff = grad.size
-        dx = None
-        for l in range(self.n_layers - 1, -1, -1):
+        last = self.n_layers - 1
+        for l in range(last, -1, -1):
             W, b = self._views[l]
-            a_in = cache["inputs"][l]
-            if l != self.n_layers - 1:
-                delta = delta * self._dact(cache["pre"][l], cache["inputs"][l + 1])
-            gb = delta.sum(axis=0)
-            gW = a_in.T @ delta
+            if l != last:
+                # delta is this pass's own array here, never the caller's dy
+                post = inputs[l + 1]
+                if self.activation == "relu":
+                    np.multiply(delta, post > 0, out=delta)
+                else:
+                    delta *= 1.0 - post * post
             goff -= b.size
-            grad[goff:goff + b.size] = gb
+            delta.sum(axis=0, out=grad[goff:goff + b.size])
             goff -= W.size
-            grad[goff:goff + W.size] = gW.reshape(-1)
+            np.matmul(inputs[l].T, delta,
+                      out=grad[goff:goff + W.size].reshape(W.shape))
             if l > 0 or need_dx:
-                delta = delta @ W.T
+                if W.shape[1] == 1:
+                    delta = np.multiply(delta, W.T)
+                    delta += 0.0
+                else:
+                    delta = delta @ W.T
                 self._check(delta, l, "backward")
-            if l == 0 and need_dx:
-                dx = delta
-        return grad, dx
+        return grad, delta if need_dx else None
 
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.activation, self.theta.copy(), self.dtype)
@@ -192,17 +233,37 @@ class AdamState:
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState
               ) -> tuple[np.ndarray, AdamState]:
-    """One in-place Adam update; returns the same arrays for convenience."""
+    """One in-place Adam update; returns the same arrays for convenience.
+
+    A non-finite gradient raises before anything is written. Every
+    intermediate has the dtype of the formula
+    ``m += (1 - b1) * (g - m); v += (1 - b2) * (g * g - v);
+    p -= (lr * m_hat / (sqrt(v_hat) + eps)).astype(p.dtype)``; two scratch
+    arrays hold them in turn.
+    """
     if params.shape != grad.shape or params.shape != state.m.shape:
         raise ShapeError("params, grad and optimizer state sizes disagree")
-    if not np.all(np.isfinite(grad)):
+    if not _all_finite(grad):
         raise NumericError("non-finite gradient passed to adam_step")
     state.t += 1
-    state.m += (1.0 - state.beta1) * (grad - state.m)
-    state.v += (1.0 - state.beta2) * (grad * grad - state.v)
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(params.dtype)
+    m, v = state.m, state.v
+    s1 = np.subtract(grad, m)
+    s1 *= 1.0 - state.beta1
+    m += s1
+    s2 = np.multiply(grad, grad)
+    np.subtract(s2, v, out=s1)
+    s1 *= 1.0 - state.beta2
+    v += s1
+    # the bias-corrected step is computed in the moments' dtype
+    step = s1 if s1.dtype == m.dtype else np.empty_like(m)
+    den = s2 if s2.dtype == m.dtype else np.empty_like(m)
+    np.divide(m, 1.0 - state.beta1 ** state.t, out=step)
+    step *= state.lr
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=den)
+    np.sqrt(den, out=den)
+    den += state.eps
+    step /= den
+    np.subtract(params, step, out=params, dtype=params.dtype)
     return params, state
 
 

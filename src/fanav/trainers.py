@@ -226,7 +226,8 @@ def checkpoint_meta(cfg: TrainerConfig, profile: EncoderProfile,
 
 
 def _sum_sq(vec: np.ndarray) -> float:
-    return float(vec.astype(np.float64) @ vec.astype(np.float64))
+    v = vec.astype(np.float64)
+    return float(v @ v)
 
 
 def train(ds: OfflineDataset, cfg: TrainerConfig,

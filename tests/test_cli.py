@@ -535,3 +535,19 @@ def test_train_emits_expected_artifacts(tmp_path):
     assert len(report) == 3  # header + 2 epochs
     manifest = json.load(open(os.path.join(tdir, "manifest.json")))
     assert ds_path in manifest["inputs"]
+
+
+def test_train_manifest_goes_inside_an_out_dir_with_a_dot(tmp_path):
+    ds = str(tmp_path / "d.fanav")
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", ds, "--seed", "1",
+                "--set", "robot.lidar_beams=8"]) == 0
+    out = tmp_path / "run.v2"
+    assert run(["train", "--method", "bc", "--dataset", ds,
+                "--out-dir", str(out), "--seed", "1",
+                "--set", "trainer.total_steps=2",
+                "--set", "trainer.batch_size=8",
+                "--set", "trainer.hidden=[8]"]) == 0
+    manifest = json.load(open(out / "manifest.json"))
+    assert manifest["command"] == "train"
+    assert not (tmp_path / "run.v2.manifest.json").exists()

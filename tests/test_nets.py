@@ -5,6 +5,7 @@ import pytest
 
 from fanav.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from fanav.nets import (
+    _all_finite,
     AdamState,
     GaussianPolicyHead,
     Mlp,
@@ -217,6 +218,262 @@ def test_soft_update_cases():
     assert np.allclose(t3, o)
     with pytest.raises(ConfigError):
         soft_update(t, o, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# byte equality with the textbook formulas
+# ---------------------------------------------------------------------------
+
+def ref_forward(net: Mlp, x: np.ndarray):
+    """act(a @ W + b) per layer; returns (output, layer inputs, pre-acts)."""
+    a = np.asarray(x, dtype=net.dtype)
+    inputs, pre = [a], []
+    last = net.n_layers - 1
+    for l, (W, b) in enumerate(net._views):
+        z = a @ W + b
+        if l == last:
+            a = z
+        elif net.activation == "relu":
+            a = np.maximum(z, 0)
+        else:
+            a = np.tanh(z)
+        pre.append(z)
+        inputs.append(a)
+    return a, inputs, pre
+
+
+def ref_backward(net: Mlp, inputs, pre, dy: np.ndarray, need_dx: bool):
+    delta = np.asarray(dy, dtype=net.dtype)
+    grad = np.zeros_like(net.theta)
+    goff = grad.size
+    last = net.n_layers - 1
+    for l in range(last, -1, -1):
+        W, b = net._views[l]
+        if l != last:
+            if net.activation == "relu":
+                dact = (pre[l] > 0).astype(pre[l].dtype)
+            else:
+                dact = 1.0 - inputs[l + 1] * inputs[l + 1]
+            delta = delta * dact
+        gb = delta.sum(axis=0)
+        gW = inputs[l].T @ delta
+        goff -= b.size
+        grad[goff:goff + b.size] = gb
+        goff -= W.size
+        grad[goff:goff + W.size] = gW.reshape(-1)
+        if l > 0 or need_dx:
+            delta = delta @ W.T
+    return grad, delta if need_dx else None
+
+
+def ref_adam(params, grad, st: AdamState) -> None:
+    st.t += 1
+    st.m += (1.0 - st.beta1) * (grad - st.m)
+    st.v += (1.0 - st.beta2) * (grad * grad - st.v)
+    m_hat = st.m / (1.0 - st.beta1 ** st.t)
+    v_hat = st.v / (1.0 - st.beta2 ** st.t)
+    params -= (st.lr * m_hat / (np.sqrt(v_hat) + st.eps)).astype(params.dtype)
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def planted_net(activation: str, dtype, out_width: int, seed: int) -> Mlp:
+    """A net with dead ReLU units, +-0.0 weights and a head whose products
+    with tiny upstream values underflow to signed zeros."""
+    rng = np.random.default_rng(seed)
+    net = Mlp.initialized((7, 16, 12, out_width), activation, rng,
+                          dtype=dtype)
+    (W0, b0), (W1, b1), (W2, _) = net._views
+    W0[:, :3] = -np.abs(W0[:, :3])   # inputs are >= 0: units 0-2 never fire
+    b0[:3] = -1.0
+    b1[5] = -50.0
+    for W in (W0, W1, W2):
+        flat = W.reshape(-1)
+        idx = rng.choice(flat.size, 6, replace=False)
+        flat[idx[:3]] = 0.0
+        flat[idx[3:]] = -0.0
+    W2[::3] = W2[::3] * np.asarray(1e-20, dtype)
+    return net
+
+
+def planted_dy(rng, rows: int, out_width: int, dtype) -> np.ndarray:
+    dy = rng.standard_normal((rows, out_width)).astype(dtype)
+    dy[::5] = 0.0
+    dy[1::5] = -0.0
+    dy[2::5] *= np.asarray(1e-30, dtype)
+    return dy
+
+
+CASES = [(act, dtype, width) for act in ("relu", "tanh")
+         for dtype in (np.float32, np.float64) for width in (1, 2)]
+
+
+@pytest.mark.parametrize("activation,dtype,out_width", CASES)
+def test_forward_and_backward_bytes_equal_the_formulas(activation, dtype,
+                                                       out_width):
+    rng = np.random.default_rng(30)
+    net = planted_net(activation, dtype, out_width, seed=31)
+    x = rng.random((40, 7)).astype(dtype)
+    x[3] = 0.0
+    ref_out, ref_inputs, ref_pre = ref_forward(net, x)
+    assert np.any(np.all(ref_pre[0] <= 0, axis=0))  # a dead unit
+    assert same_bytes(net.forward(x), ref_out)
+    out, cache = net.forward_cached(x)
+    assert same_bytes(out, ref_out)
+    assert len(cache["inputs"]) == len(ref_inputs)
+    for got, want in zip(cache["inputs"], ref_inputs):
+        assert same_bytes(got, want)
+    dy = planted_dy(rng, 40, out_width, dtype)
+    dy_before = dy.copy()
+    for need_dx in (False, True):
+        grad, dx = net.backward(cache, dy, need_dx=need_dx)
+        ref_grad, ref_dx = ref_backward(net, ref_inputs, ref_pre, dy,
+                                        need_dx)
+        assert same_bytes(grad, ref_grad)
+        assert dx is None if not need_dx else same_bytes(dx, ref_dx)
+    assert same_bytes(dy, dy_before)  # the caller's dy is never written
+
+
+def test_one_column_outer_product_keeps_blas_signed_zeros():
+    # delta @ W.T for a one-column W makes +0.0 where a product is -0.0 or
+    # underflows from below; the product without BLAS must match it. Sums
+    # start from +0.0 too, so only a one-layer net's dx shows the sign.
+    rng = np.random.default_rng(32)
+    for dtype in (np.float32, np.float64):
+        tiny = np.asarray(np.finfo(dtype).tiny, dtype)
+        for k in range(60):
+            seed = int(rng.integers(1 << 30))
+            net = planted_net("relu", dtype, 1, seed) if k % 3 else \
+                Mlp.initialized((7, 1), "relu", np.random.default_rng(seed),
+                                dtype=dtype)
+            W = net._views[-1][0]
+            W[rng.random(W.shape) < 0.3] *= tiny
+            W[rng.random(W.shape) < 0.2] = -0.0
+            x = rng.random((16, 7)).astype(dtype)
+            _, inputs, pre = ref_forward(net, x)
+            _, cache = net.forward_cached(x)
+            dy = planted_dy(rng, 16, 1, dtype)
+            dy[rng.random(dy.shape) < 0.3] *= -tiny
+            if k % 2:
+                dy = np.abs(dy)
+            got = net.backward(cache, dy, need_dx=True)
+            want = ref_backward(net, inputs, pre, dy, True)
+            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+ADAM_DTYPES = [(np.float32, np.float32, np.float32),
+               (np.float64, np.float64, np.float64),
+               (np.float64, np.float64, np.float32),   # params, grad, moments
+               (np.float32, np.float64, np.float32),
+               (np.float32, np.float32, np.float64)]
+
+
+@pytest.mark.parametrize("p_dtype,g_dtype,m_dtype", ADAM_DTYPES)
+def test_adam_and_soft_update_bytes_equal_the_formulas(p_dtype, g_dtype,
+                                                       m_dtype):
+    rng = np.random.default_rng(33)
+    n = 300
+    params = rng.standard_normal(n).astype(p_dtype)
+    ref_params = params.copy()
+    st = AdamState.for_params(n, lr=3e-4, dtype=m_dtype)
+    ref_st = AdamState.for_params(n, lr=3e-4, dtype=m_dtype)
+    for _ in range(5):
+        g = rng.standard_normal(n).astype(g_dtype)
+        g[::7] = 0.0
+        g[1::7] = -0.0
+        g[2::7] *= np.asarray(1e-30, g_dtype)
+        out, _ = adam_step(params, g, st)
+        ref_adam(ref_params, g, ref_st)
+        assert out is params
+        assert same_bytes(params, ref_params)
+        assert same_bytes(st.m, ref_st.m) and same_bytes(st.v, ref_st.v)
+        assert st.t == ref_st.t
+    target = rng.standard_normal(n).astype(p_dtype)
+    ref_target = target.copy()
+    soft_update(target, params, 0.005)
+    ref_target *= 1.0 - 0.005
+    ref_target += 0.005 * params
+    assert same_bytes(target, ref_target)
+
+
+# ---------------------------------------------------------------------------
+# where a non-finite value is reported
+# ---------------------------------------------------------------------------
+
+BAD = [np.inf, -np.inf, np.nan]
+
+
+def test_finite_check_is_exact():
+    for dtype in (np.float32, np.float64):
+        info = np.finfo(dtype)
+        ok = np.array([info.max, -info.max, info.smallest_subnormal, -0.0,
+                       0.0, 1.0] * 50, dtype)
+        assert _all_finite(ok) and _all_finite(ok.reshape(30, 10))
+        assert _all_finite(np.empty(0, dtype))
+        for bad in BAD:
+            for pos in (0, 137, ok.size - 1):
+                arr = ok.copy()
+                arr[pos] = bad
+                assert not _all_finite(arr)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_non_finite_bias_raises_at_its_layer(bad, layer):
+    # -inf in a hidden bias is mapped to 0 by ReLU, so only a check at the
+    # layer where it appears can see it
+    rng = np.random.default_rng(34)
+    net = Mlp.initialized((5, 8, 8, 1), "relu", rng)
+    net._views[layer][1][-1] = bad
+    x = rng.random((6, 5)).astype(np.float32)
+    for forward in (net.forward, net.forward_cached):
+        with pytest.raises(NumericError,
+                           match=rf"layer {layer} \(forward\)"):
+            forward(x)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_non_finite_weight_raises_at_its_layer_in_backward(bad, layer):
+    rng = np.random.default_rng(35)
+    for out_width in (1, 2):
+        net = Mlp.initialized((5, 8, 8, out_width), "relu", rng)
+        x = rng.random((6, 5)).astype(np.float32)
+        out, cache = net.forward_cached(x)
+        net._views[layer][0][0, 0] = bad
+        with pytest.raises(NumericError,
+                           match=rf"layer {layer} \(backward\)"):
+            net.backward(cache, np.ones_like(out), need_dx=True)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_non_finite_input_raises_at_layer_zero(bad):
+    net = Mlp.initialized((4, 8, 1), "relu", np.random.default_rng(36))
+    x = np.ones((3, 4), np.float32)
+    x[1, 2] = bad
+    with pytest.raises(NumericError, match=r"layer 0 \(input\)"):
+        net.forward(x)
+
+
+@pytest.mark.parametrize("bad", BAD)
+def test_adam_refuses_a_non_finite_gradient_without_writing(bad):
+    rng = np.random.default_rng(37)
+    params = rng.standard_normal(9).astype(np.float32)
+    st = AdamState.for_params(9, lr=1e-3)
+    for _ in range(2):
+        adam_step(params, rng.standard_normal(9).astype(np.float32), st)
+    before = (params.copy(), st.m.copy(), st.v.copy(), st.t)
+    g = rng.standard_normal(9).astype(np.float32)
+    g[4] = bad
+    with pytest.raises(NumericError):
+        adam_step(params, g, st)
+    assert same_bytes(params, before[0])
+    assert same_bytes(st.m, before[1]) and same_bytes(st.v, before[2])
+    assert st.t == before[3]
 
 
 # ---------------------------------------------------------------------------
