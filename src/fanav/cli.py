@@ -31,18 +31,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    FanavError,
-    GenerationError,
-    InvalidPoseError,
-    NoPathError,
-    NumericError,
-    ProtocolError,
-    ShapeError,
-    WorldFormatError,
-)
+from .errors import ConfigError, FanavError
 from .evaluation import (
     EvalResult,
     NetworkPolicy,
@@ -559,26 +548,13 @@ def dispatch(argv: list[str]) -> int:
     return args.fn(args, ["fanav"] + list(argv))
 
 
-_EXIT_CODES = (
-    ((ConfigError, WorldFormatError, ProtocolError, InvalidPoseError,
-      NoPathError, GenerationError), 3),
-    ((DataFormatError, ShapeError), 4),
-    ((NumericError,), 5),
-    ((OSError,), 6),
-)
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         return dispatch(argv)
     except FanavError as exc:
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6

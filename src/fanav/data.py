@@ -315,8 +315,6 @@ class StratifiedSampler:
         self.ds = ds
         self.cfg = cfg
         self.n_col_per_batch = round_half_up(cfg.rho * cfg.batch_size)
-        if self.n_col_per_batch > cfg.batch_size:
-            raise ConfigError("rho * batch_size exceeds the batch size")
         if self.n_col_per_batch > 0 and ds.n_col == 0:
             raise ConfigError("rho > 0 requires a non-empty collision partition")
         if cfg.batch_size - self.n_col_per_batch > 0 and ds.n_exp == 0:

@@ -1,12 +1,15 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose derives from :class:`FanavError` so callers
-(and the CLI exit-code mapping) can tell deliberate failures from bugs.
+can tell deliberate failures from bugs. Each class carries the CLI's exit
+code for it: 3 configuration/protocol, 4 data format, 5 numeric failure.
 """
 
 
 class FanavError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 3
 
 
 class ConfigError(FanavError):
@@ -20,15 +23,21 @@ class ProtocolError(FanavError):
 class ShapeError(FanavError):
     """Array or network dimension mismatch."""
 
+    exit_code = 4
+
 
 class NumericError(FanavError):
     """Non-finite value encountered during numerical computation."""
+
+    exit_code = 5
 
 
 class DataFormatError(FanavError):
     """Unreadable dataset or checkpoint file: damaged (a failed zip CRC-32,
     a truncated or extended archive), of another kind or format version, or
     with arrays or metadata that do not fit; the message names the file."""
+
+    exit_code = 4
 
 
 class WorldFormatError(FanavError):

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -122,6 +123,8 @@ def load_suite(path: str, world_name: str, episode: EpisodeConfig) -> TaskSuite:
                 vals = [float(v) for v in parts[1:]]
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: non-numeric field")
+            if not all(map(math.isfinite, vals)):
+                raise ConfigError(f"{path}:{lineno}: non-finite value")
             tasks.append(Task(*vals))
     if not tasks:
         raise ConfigError(f"{path}: empty suite")
@@ -233,18 +236,13 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
         policy.reset(world, spec, task)
     rows = [(0, task.start.x, task.start.y, task.start.heading, 0.0, 0.0)] \
         if record else None
-    outcome = TIMEOUT
     while not engine.done:
-        action = policy.act(state, engine.pose)
-        out = engine.step(action)
-        state = out.next_state
+        state = engine.step(policy.act(state, engine.pose)).next_state
         if record:
             rows.append((engine.t, engine.pose.x, engine.pose.y,
                          engine.pose.heading, state.lin_vel, state.ang_vel))
-        if out.terminal != "none":
-            outcome = out.terminal
     traj = np.array(rows, np.float64) if record else None
-    return outcome, traj
+    return engine.terminal, traj
 
 
 def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,
@@ -264,50 +262,66 @@ def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,
 
 @dataclass
 class EvalResult:
-    """Suite metrics for one policy on one world."""
+    """Suite metrics for one policy on one world.
+
+    The outcome matrix is the record: the counts, the per-trial rates and
+    their summaries are computed from it on each access.
+    """
 
     world_name: str
     suite_digest: str
     method: str
-    n_tasks: int
-    n_trials: int
     outcomes: list[list[str]]            # [trial][task]
-    sr_trials: list[float]
-    cr_trials: list[float]
-    tr_trials: list[float]
     trajectories: list[np.ndarray] = field(default_factory=list, repr=False)
 
-    @staticmethod
-    def _mean(xs) -> float:
-        return float(np.mean(xs))
+    @property
+    def n_tasks(self) -> int:
+        return len(self.outcomes[0])
 
-    @staticmethod
-    def _std(xs) -> float:
-        return float(np.std(xs))  # population std over trials
+    @property
+    def n_trials(self) -> int:
+        return len(self.outcomes)
+
+    def _rates(self, label: str) -> list[float]:
+        return [100.0 * row.count(label) / len(row) for row in self.outcomes]
+
+    @property
+    def sr_trials(self) -> list[float]:
+        return self._rates(SUCCESS)
+
+    @property
+    def cr_trials(self) -> list[float]:
+        return self._rates(COLLISION)
+
+    @property
+    def tr_trials(self) -> list[float]:
+        return [100.0 - sr - cr
+                for sr, cr in zip(self.sr_trials, self.cr_trials)]
 
     @property
     def sr(self) -> float:
-        return self._mean(self.sr_trials)
+        return float(np.mean(self.sr_trials))
 
     @property
     def cr(self) -> float:
-        return self._mean(self.cr_trials)
+        return float(np.mean(self.cr_trials))
 
     @property
     def tr(self) -> float:
         return max(0.0, 100.0 - self.sr - self.cr)
 
+    # population standard deviations over trials
     @property
     def sr_std(self) -> float:
-        return self._std(self.sr_trials)
+        return float(np.std(self.sr_trials))
 
     @property
     def cr_std(self) -> float:
-        return self._std(self.cr_trials)
+        return float(np.std(self.cr_trials))
 
     @property
     def tr_std(self) -> float:
-        return self._std(self.tr_trials)
+        return float(np.std(self.tr_trials))
 
     def to_dict(self) -> dict:
         return {"world": self.world_name, "suite_digest": self.suite_digest,
@@ -321,9 +335,7 @@ class EvalResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalResult":
-        return cls(d["world"], d["suite_digest"], d["method"], d["n_tasks"],
-                   d["n_trials"], d["outcomes"], d["sr_trials"],
-                   d["cr_trials"], d["tr_trials"])
+        return cls(d["world"], d["suite_digest"], d["method"], d["outcomes"])
 
 
 def save_eval_result(result: EvalResult, path: str) -> None:
@@ -333,8 +345,28 @@ def save_eval_result(result: EvalResult, path: str) -> None:
 
 
 def load_eval_result(path: str) -> EvalResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EvalResult.from_dict(json.load(fh))
+    """Read a ``result.json``; a file that is not JSON, lacks a field, holds
+    an empty, ragged or unknown outcome, or stores a count or rate other
+    than its outcomes give is a :class:`DataFormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+        res = EvalResult.from_dict(d)
+        rows = res.outcomes
+        if not rows or any(not row or len(row) != len(rows[0])
+                           for row in rows):
+            raise ValueError("outcome rows are empty or of unequal lengths")
+        unknown = {o for row in rows for o in row} - set(OUTCOMES)
+        if unknown:
+            raise ValueError(f"outcomes {sorted(unknown)} are not in "
+                             f"{OUTCOMES}")
+        if res.to_dict() != d:
+            raise ValueError("stored fields differ from what its outcomes "
+                             "give")
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataFormatError(f"{path}: malformed evaluation result "
+                              f"({exc!r})") from exc
+    return res
 
 
 def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
@@ -353,9 +385,7 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
         raise ProtocolError(
             f"suite was built for world '{suite.world_name}', got '{world.name}'")
     outcomes: list[list[str]] = []
-    sr_t, cr_t, tr_t = [], [], []
     trajectories: list[np.ndarray] = []
-    n = len(suite.tasks)
     for trial in range(n_trials):
         row = []
         for idx, task in enumerate(suite.tasks):
@@ -367,16 +397,9 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
             if trial == 0:
                 trajectories.append(traj)
         outcomes.append(row)
-        n_s = row.count(SUCCESS)
-        n_c = row.count(COLLISION)
-        sr = 100.0 * n_s / n
-        cr = 100.0 * n_c / n
-        sr_t.append(sr)
-        cr_t.append(cr)
-        tr_t.append(100.0 - sr - cr)
     return EvalResult(world.name, suite.digest,
                       method or getattr(policy, "name", "policy"),
-                      n, n_trials, outcomes, sr_t, cr_t, tr_t, trajectories)
+                      outcomes, trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +498,9 @@ def render_overlay_svg(result: EvalResult, suite: TaskSuite,
 # cross-method comparison
 # ---------------------------------------------------------------------------
 
+_FIGURES = ("sr", "sr_std", "cr", "cr_std", "tr", "tr_std")
+
+
 def compare(results: dict[str, list[EvalResult]]
             ) -> tuple[list[dict], str, str]:
     """Aggregate per-method results over worlds into a comparison table.
@@ -486,58 +512,41 @@ def compare(results: dict[str, list[EvalResult]]
     """
     if not results:
         raise ConfigError("no results to compare")
-    methods = list(results)
-    ref = results[methods[0]]
+    ref = next(iter(results.values()))
     world_order = [r.world_name for r in ref]
-    digests = {r.world_name: r.suite_digest for r in ref}
-    for m in methods:
-        rs = results[m]
+    digests = [r.suite_digest for r in ref]
+    table: dict[str, list[dict]] = {}  # method -> its worlds' rows, overall
+    for m, rs in results.items():
         if [r.world_name for r in rs] != world_order:
             raise ProtocolError(f"method '{m}' covers different worlds")
-        for r in rs:
-            if digests[r.world_name] != r.suite_digest:
+        for r, digest in zip(rs, digests):
+            if r.suite_digest != digest:
                 raise ProtocolError(
                     f"method '{m}' world '{r.world_name}' used a different "
                     "task suite")
-
-    rows = []
-    for m in methods:
-        for r in results[m]:
-            rows.append({"method": m, "world": r.world_name,
-                         "sr": r.sr, "sr_std": r.sr_std,
-                         "cr": r.cr, "cr_std": r.cr_std,
-                         "tr": r.tr, "tr_std": r.tr_std})
-        rs = results[m]
-        rows.append({"method": m, "world": "overall",
-                     "sr": float(np.mean([r.sr for r in rs])),
-                     "sr_std": float(np.mean([r.sr_std for r in rs])),
-                     "cr": float(np.mean([r.cr for r in rs])),
-                     "cr_std": float(np.mean([r.cr_std for r in rs])),
-                     "tr": float(np.mean([r.tr for r in rs])),
-                     "tr_std": float(np.mean([r.tr_std for r in rs]))})
+        per_world = [{"method": m, "world": r.world_name,
+                      **{k: getattr(r, k) for k in _FIGURES}} for r in rs]
+        table[m] = per_world + [{
+            "method": m, "world": "overall",
+            **{k: float(np.mean([row[k] for row in per_world]))
+               for k in _FIGURES}}]
+    rows = [row for m_rows in table.values() for row in m_rows]
 
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(("method", "world", "sr_mean", "sr_std", "cr_mean", "cr_std",
                 "tr_mean", "tr_std"))
     for r in rows:
-        w.writerow((r["method"], r["world"], f"{r['sr']:.2f}",
-                    f"{r['sr_std']:.2f}", f"{r['cr']:.2f}", f"{r['cr_std']:.2f}",
-                    f"{r['tr']:.2f}", f"{r['tr_std']:.2f}"))
+        w.writerow((r["method"], r["world"],
+                    *(f"{r[k]:.2f}" for k in _FIGURES)))
     csv_text = buf.getvalue()
 
-    cols = world_order + ["overall"]
-    lines = []
-    header = f"{'method':<10}" + "".join(
-        f"{w_ + ' ' + met:>18}" for met in ("SR", "CR", "TR") for w_ in cols)
-    lines.append(header)
-    by_key = {(r["method"], r["world"]): r for r in rows}
-    for m in methods:
-        cells = []
-        for met, key in (("SR", "sr"), ("CR", "cr"), ("TR", "tr")):
-            for w_ in cols:
-                r = by_key[(m, w_)]
-                cells.append(f"{r[key]:>11.2f} ±{r[key + '_std']:>4.2f}")
+    lines = [f"{'method':<10}" + "".join(
+        f"{w_ + ' ' + met:>18}" for met in ("SR", "CR", "TR")
+        for w_ in world_order + ["overall"])]
+    for m, m_rows in table.items():
+        cells = [f"{r[key]:>11.2f} ±{r[key + '_std']:>4.2f}"
+                 for key in ("sr", "cr", "tr") for r in m_rows]
         lines.append(f"{m:<10}" + "".join(f"{c:>18}" for c in cells))
     text = "\n".join(lines) + "\n"
     return rows, csv_text, text

@@ -19,9 +19,7 @@ from .errors import ConfigError, NoPathError, ProtocolError
 from .geometry import Circle, segment_shape_distance, wrap_angle
 from .sim import (
     COLLISION,
-    NONE,
     SUCCESS,
-    TIMEOUT,
     Action,
     EpisodeConfig,
     EpisodeEngine,
@@ -335,7 +333,6 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     states = [engine.reset(start, goal)]
     actions: list[Action] = []
     rewards: list[float] = []
-    outcome = TIMEOUT
     while not engine.done:
         a = expert_action(engine.pose, path, spec, expert_cfg)
         if mode == PERTURBED and expert_cfg.noise_prob > 0:
@@ -348,9 +345,8 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
         states.append(out.next_state)
         actions.append(a)
         rewards.append(out.reward)
-        if out.terminal != NONE:
-            outcome = out.terminal
-    return Trajectory(traj_id, outcome, states, actions, rewards, start, goal)
+    return Trajectory(traj_id, engine.terminal, states, actions, rewards,
+                      start, goal)
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,

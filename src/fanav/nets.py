@@ -28,6 +28,10 @@ and Adam's. Three exact shortcuts keep them so:
   outer product, which ``np.multiply`` computes without a BLAS call; BLAS
   adds each product to +0.0, so ``+= 0.0`` turns the product's -0.0 into
   the same +0.0.
+
+A forward or backward call runs under one ``np.errstate`` that silences
+invalid and overflow warnings, so a non-finite weight ends in the
+``NumericError`` of the layer where it shows, never in a RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -50,6 +54,10 @@ def param_count(widths: tuple[int, ...]) -> int:
 # One read-only zero vector per dtype, replaced by a longer one when a longer
 # array is checked; its contents never change, so every caller may share it.
 _ZEROS: dict[np.dtype, np.ndarray] = {}
+
+
+# entered once per forward or backward call, not once per layer
+_QUIET = np.errstate(invalid="ignore", over="ignore")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
@@ -141,6 +149,7 @@ class Mlp:
         """Forward pass retaining activations for a later backward pass."""
         return self._forward(x, keep_cache=True)
 
+    @_QUIET
     def _forward(self, x: np.ndarray, keep_cache: bool):
         a = np.asarray(x, dtype=self.dtype)
         squeeze = a.ndim == 1
@@ -168,6 +177,7 @@ class Mlp:
             return a[0], cache
         return a, cache
 
+    @_QUIET
     def backward(self, cache: dict, dy: np.ndarray,
                  need_dx: bool = False):
         """Gradient of sum(dy * output) with respect to the flat parameters.

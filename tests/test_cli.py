@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fanav import errors
 from fanav.cli import (
     DEFAULT_CONFIG,
     build_parser,
@@ -58,6 +59,30 @@ def test_missing_file_gives_io_or_config_code(tmp_path, capsys):
     code = run(["train", "--dataset", str(tmp_path / "m.fanav"),
                 "--out-dir", str(tmp_path / "o")])
     assert code == 6
+
+
+# every error class with the exit code the CLI documents for it
+DOCUMENTED_EXIT_CODES = {
+    "FanavError": 3, "ConfigError": 3, "ProtocolError": 3,
+    "WorldFormatError": 3, "InvalidPoseError": 3, "NoPathError": 3,
+    "GenerationError": 3, "DataFormatError": 4, "ShapeError": 4,
+    "NumericError": 5}
+
+
+def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
+    from fanav import cli
+
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.FanavError)}
+    assert sorted(classes) == sorted(DOCUMENTED_EXIT_CODES)
+    for name, cls in [*classes.items(), ("OSError", OSError)]:
+        def cmd_dataset(args, argv, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setattr(cli, "cmd_dataset", cmd_dataset)
+        code = run(["dataset", "inspect", "x.fanav"])
+        assert code == DOCUMENTED_EXIT_CODES.get(name, 6), name
+        assert capsys.readouterr().err == f"error: raised {name}\n"
 
 
 def test_bad_config_value_exits_three(tmp_path):
@@ -456,6 +481,58 @@ def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
     b = load_dataset(os.path.join(out, "dataset.fanav"))
     assert a.exp.equals(b.exp) and a.col.equals(b.col)
     assert a.profile == b.profile
+
+
+def test_result_json_round_trips_and_malformed_ones_exit_four(
+        pipeline_run, tmp_path, capsys):
+    from fanav.evaluation import load_eval_result, save_eval_result
+
+    good = os.path.join(pipeline_run, "eval", "bc", "sparse", "result.json")
+    again = str(tmp_path / "again.json")
+    save_eval_result(load_eval_result(good), again)
+    assert open(again, "rb").read() == open(good, "rb").read()
+
+    d = json.load(open(good))
+    n = d["n_tasks"]
+    bad_dicts = [
+        {k: v for k, v in d.items() if k != "suite_digest"},
+        {**d, "outcomes": []},
+        {**d, "outcomes": [[]] * d["n_trials"]},
+        {**d, "outcomes": [["success"] * n, ["success"] * (n - 1)]},
+        {**d, "outcomes": [["crashed"] * n] * d["n_trials"]},
+        {**d, "outcomes": [[1] * n] * d["n_trials"]},
+        {**d, "sr": d["sr"] + 1.0},
+        {**d, "n_tasks": n + 1},
+        {**d, "tr_trials": [0.5] * d["n_trials"]},
+        [d],
+    ]
+    texts = [json.dumps(b) for b in bad_dicts] + ["{not json", ""]
+    rdir = tmp_path / "r"
+    os.makedirs(rdir)
+    for text in texts:
+        (rdir / "result.json").write_text(text)
+        capsys.readouterr()
+        assert run(["compare", "--results", str(rdir),
+                    "--out-dir", str(tmp_path / "cmp")]) == 4, text
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {rdir / 'result.json'}: malformed "
+                              "evaluation result"), err
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+@pytest.mark.parametrize("line", ["task 1 1 0 nan 5", "task nan 1 0 5 5",
+                                  "task 1 1 0 5 inf"])
+def test_non_finite_suite_value_exits_three(line, pipeline_run, tmp_path,
+                                            capsys):
+    ckpt = os.path.join(pipeline_run, "train", "bc", "ckpt_00000120.famlp")
+    suite = tmp_path / "bad.suite"
+    suite.write_text(line + "\n")
+    capsys.readouterr()
+    assert run(["eval", "--checkpoint", ckpt, "--world", "sparse",
+                "--suite", str(suite), "--out-dir", str(tmp_path / "e"),
+                "--seed", "5", "--set", "robot.lidar_beams=16"]) == 3
+    assert f"{suite}:1: non-finite value" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "e")
 
 
 def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,

@@ -120,6 +120,11 @@ def test_suite_load_errors(tmp_path):
     p2.write_text("# nothing\n")
     with pytest.raises(ConfigError, match="empty"):
         load_suite(str(p2), "w", EPISODE)
+    p3 = tmp_path / "nan.suite"
+    for line in ("task 1 1 0 nan 5", "task inf 1 0 5 5", "task 1 1 1e999 5 5"):
+        p3.write_text("task 1 1 0 5 5\n" + line + "\n")
+        with pytest.raises(ConfigError, match=f"{p3}:2: non-finite value"):
+            load_suite(str(p3), "w", EPISODE)
 
 
 # ---------------------------------------------------------------------------
@@ -174,15 +179,17 @@ def test_rates_counting_and_identity():
 
 
 def test_rates_match_hand_count():
-    # synthetic result: 47 success, 2 collision, 1 timeout over 50 tasks
-    outcomes = [[SUCCESS] * 47 + [COLLISION] * 2 + [TIMEOUT]]
-    sr = 100.0 * 47 / 50
-    cr = 100.0 * 2 / 50
-    res = EvalResult("w", "d", "m", 50, 1, outcomes, [sr], [cr],
-                     [100.0 - sr - cr])
-    assert res.sr == 94.0
-    assert res.cr == 4.0
-    assert res.tr == 2.0
+    # 47 success, 2 collision, 1 timeout over 50 tasks, then 45, 4, 1
+    outcomes = [[SUCCESS] * 47 + [COLLISION] * 2 + [TIMEOUT],
+                [TIMEOUT] + [COLLISION] * 4 + [SUCCESS] * 45]
+    res = EvalResult("w", "d", "m", outcomes)
+    assert (res.n_trials, res.n_tasks) == (2, 50)
+    assert res.sr_trials == [94.0, 90.0]
+    assert res.cr_trials == [4.0, 8.0]
+    assert res.tr_trials == [2.0, 2.0]
+    assert res.sr == 92.0 and res.sr_std == 2.0
+    assert res.cr == 6.0 and res.cr_std == 2.0
+    assert res.tr == 2.0 and res.tr_std == 0.0
     assert res.sr + res.cr + res.tr == 100.0
 
 
@@ -262,26 +269,29 @@ def test_svg_marker_counts():
 # ---------------------------------------------------------------------------
 
 def fake_result(method, world, digest, sr, cr):
-    tr = 100.0 - sr - cr
-    return EvalResult(world, digest, method, 50, 3,
-                      [[SUCCESS] * 50] * 3, [sr] * 3, [cr] * 3, [tr] * 3)
+    """3 trials of 50 tasks whose outcome counts give ``sr`` and ``cr``."""
+    n_s, n_c = round(sr / 2), round(cr / 2)
+    assert (2 * n_s, 2 * n_c) == (sr, cr), "50 tasks give even rates only"
+    row = [SUCCESS] * n_s + [COLLISION] * n_c + [TIMEOUT] * (50 - n_s - n_c)
+    return EvalResult(world, digest, method, [row] * 3)
 
 
 def test_compare_overall_mean():
     results = {
-        "iql_ca": [fake_result("iql_ca", "w1", "d1", 94.0, 4.67),
-                   fake_result("iql_ca", "w2", "d2", 88.0, 2.67),
-                   fake_result("iql_ca", "w3", "d3", 74.0, 25.33)],
+        "iql_ca": [fake_result("iql_ca", "w1", "d1", 94.0, 4.0),
+                   fake_result("iql_ca", "w2", "d2", 88.0, 2.0),
+                   fake_result("iql_ca", "w3", "d3", 74.0, 26.0)],
     }
     rows, csv_text, text = compare(results)
     overall = [r for r in rows if r["world"] == "overall"][0]
     assert overall["sr"] == pytest.approx((94.0 + 88.0 + 74.0) / 3, abs=1e-12)
     assert f"{overall['sr']:.2f}" == "85.33"
+    assert overall["cr"] == pytest.approx((4.0 + 2.0 + 26.0) / 3, abs=1e-12)
     assert "overall" in csv_text and "iql_ca" in text
 
 
 def test_compare_single_method_table():
-    results = {"bc": [fake_result("bc", "w1", "d1", 90.0, 5.0)]}
+    results = {"bc": [fake_result("bc", "w1", "d1", 90.0, 6.0)]}
     rows, csv_text, text = compare(results)
     assert len(rows) == 2  # world + overall
     assert csv_text.splitlines()[0].startswith("method,world")
@@ -290,14 +300,14 @@ def test_compare_single_method_table():
 
 def test_compare_rejects_suite_mismatch():
     results = {
-        "bc": [fake_result("bc", "w1", "d1", 90.0, 5.0)],
-        "iql_ca": [fake_result("iql_ca", "w1", "OTHER", 92.0, 3.0)],
+        "bc": [fake_result("bc", "w1", "d1", 90.0, 6.0)],
+        "iql_ca": [fake_result("iql_ca", "w1", "OTHER", 92.0, 4.0)],
     }
     with pytest.raises(ProtocolError, match="different task suite"):
         compare(results)
     results2 = {
-        "bc": [fake_result("bc", "w1", "d1", 90.0, 5.0)],
-        "iql_ca": [fake_result("iql_ca", "wX", "d1", 92.0, 3.0)],
+        "bc": [fake_result("bc", "w1", "d1", 90.0, 6.0)],
+        "iql_ca": [fake_result("iql_ca", "wX", "d1", 92.0, 4.0)],
     }
     with pytest.raises(ProtocolError, match="different worlds"):
         compare(results2)

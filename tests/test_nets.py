@@ -438,6 +438,20 @@ def test_non_finite_bias_raises_at_its_layer(bad, layer):
 
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("layer", [0, 1, 2])
+def test_non_finite_weight_raises_at_its_layer_in_forward(bad, layer):
+    # a NumericError, not the RuntimeWarning the product would raise
+    rng = np.random.default_rng(38)
+    net = Mlp.initialized((5, 8, 8, 1), "relu", rng)
+    net._views[layer][0][0, 0] = bad
+    x = rng.random((6, 5)).astype(np.float32)
+    for forward in (net.forward, net.forward_cached):
+        with pytest.raises(NumericError,
+                           match=rf"layer {layer} \(forward\)"):
+            forward(x)
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("layer", [0, 1, 2])
 def test_non_finite_weight_raises_at_its_layer_in_backward(bad, layer):
     rng = np.random.default_rng(35)
     for out_width in (1, 2):
