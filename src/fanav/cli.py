@@ -3,8 +3,10 @@
 Subcommands: gen-world, collect, dataset, train, eval, compare, pipeline.
 Configuration is layered: built-in desk-scale defaults, then a config file
 (``--config``), then generic ``--set section.key=value`` overrides, then
-dedicated flags. Every value ends up echoed into the run artifacts, so no
-hyperparameter is hidden.
+dedicated flags. ``train`` and ``eval`` take ``[robot]`` from the dataset
+or checkpoint they read, and refuse a config that says otherwise. Every
+value ends up echoed into the run artifacts, so no hyperparameter is
+hidden.
 
 Exit codes: 0 success, 2 usage, 3 configuration/protocol, 4 data format,
 5 numeric failure, 6 I/O.
@@ -90,13 +92,30 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 
 
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
-                   flag_overrides: ConfigTree | None = None) -> ConfigTree:
+                   flag_overrides: ConfigTree | None = None,
+                   robot_of: tuple[str, RobotSpec] | None = None
+                   ) -> ConfigTree:
+    """Defaults, then the config file, then ``--set``, then flags.
+
+    ``robot_of`` is the path of a dataset or checkpoint and the robot it
+    holds: ``[robot]`` starts from that robot, and a config file or
+    ``--set`` value that differs from it is a ``ConfigError``."""
     tree = {s: dict(kv) for s, kv in DEFAULT_CONFIG.items()}
+    if robot_of:
+        tree["robot"] = asdict(robot_of[1])
     if config_path:
         tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
     if flag_overrides:
         tree = merge_tree(tree, flag_overrides)
+    if robot_of:
+        path, robot = robot_of
+        for key, value in asdict(robot).items():
+            if tree["robot"][key] != value:
+                raise ConfigError(
+                    f"the config gives robot.{key}={tree['robot'][key]!r} "
+                    f"but {path} holds robot.{key}={value!r}; the robot is "
+                    "read from that file")
     return tree
 
 
@@ -221,12 +240,14 @@ def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
     return train(ds, cfg, out_dir=out_dir)
 
 
-def eval_stage(policy: NetworkPolicy, world: World, spec: RobotSpec,
-               suite: TaskSuite, n_trials: int, jitter: tuple[float, float],
-               seed: int, method: str, out_dir: str) -> EvalResult:
-    """Evaluate ``policy`` on ``suite``; write result.json and trajectories."""
-    res = evaluate_suite(policy, world, spec, suite, n_trials=n_trials,
-                         seed=seed, jitter=jitter, method=method)
+def eval_stage(policy: NetworkPolicy, world: World, suite: TaskSuite,
+               n_trials: int, jitter: tuple[float, float], seed: int,
+               method: str, out_dir: str) -> EvalResult:
+    """Evaluate ``policy`` on ``suite`` with the robot it was trained on;
+    write result.json and trajectories."""
+    res = evaluate_suite(policy, world, policy.profile.robot, suite,
+                         n_trials=n_trials, seed=seed, jitter=jitter,
+                         method=method)
     os.makedirs(out_dir, exist_ok=True)
     save_eval_result(res, os.path.join(out_dir, "result.json"))
     export_trajectories(res, suite, world,
@@ -302,9 +323,10 @@ def cmd_train(args, argv) -> int:
     flag_overrides: ConfigTree = {}
     if args.method:
         flag_overrides = {"trainer": {"method": args.method}}
-    tree = resolve_config(args.config, args.set, flag_overrides)
-    seed = resolve_seed(args.seed, tree)
     ds = load_dataset(args.dataset)
+    tree = resolve_config(args.config, args.set, flag_overrides,
+                          robot_of=(args.dataset, ds.profile.robot))
+    seed = resolve_seed(args.seed, tree)
     cfg = trainer_from(tree, seed)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "train",
                    argv, tree, seed, inputs={args.dataset: None})
@@ -319,24 +341,14 @@ def cmd_train(args, argv) -> int:
 
 
 def cmd_eval(args, argv) -> int:
-    tree = resolve_config(args.config, args.set)
+    policy = NetworkPolicy.from_checkpoint(args.checkpoint)
+    tree = resolve_config(args.config, args.set,
+                          robot_of=(args.checkpoint, policy.profile.robot))
     seed = resolve_seed(args.seed, tree)
     world = resolve_world(args.world)
-    spec = robot_spec_from(tree)
-    episode = episode_from(tree)
-    policy = NetworkPolicy.from_checkpoint(args.checkpoint)
-    # the policy encodes with the checkpoint's profile and the simulator
-    # runs the configured robot; only the room size (d_norm) may differ
-    robot = EncoderProfile.from_world_spec(world, spec).to_dict()
-    for key, trained in policy.profile.to_dict().items():
-        if key != "d_norm" and robot[key] != trained:
-            raise ConfigError(f"the robot config gives {key}={robot[key]} but "
-                              f"{args.checkpoint} was trained with {trained}")
-    suite = load_suite(args.suite, world.name, episode)
-    n_trials = (args.trials if args.trials is not None
-                else int(tree["eval"]["n_trials"]))
-    res = eval_stage(policy, world, spec, suite, n_trials, jitter_from(tree),
-                     seed, policy.name, args.out_dir)
+    suite = load_suite(args.suite, episode_from(tree))
+    res = eval_stage(policy, world, suite, int(tree["eval"]["n_trials"]),
+                     jitter_from(tree), seed, policy.name, args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
                    argv, tree, seed,
                    inputs={args.checkpoint: None, args.suite: None})
@@ -448,7 +460,7 @@ def cmd_pipeline(args, argv) -> int:
         for m in methods}
 
     def eval_job(method: str, world: World) -> EvalResult:
-        return eval_stage(policies[method], world, spec, suites[world.name],
+        return eval_stage(policies[method], world, suites[world.name],
                           int(ecfg["n_trials"]), jitter, seed, method,
                           os.path.join(out, "eval", method, world.name))
 
@@ -523,7 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--world", required=True)
     e.add_argument("--suite", required=True, help="task suite file")
-    e.add_argument("--trials", type=int, default=None)
     e.add_argument("--out-dir", required=True)
     _add_common(e)
     e.set_defaults(fn=cmd_eval)

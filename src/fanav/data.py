@@ -6,14 +6,15 @@ expectation, which is what makes the collision influence on critic updates
 controllable.
 
 A saved dataset (``.fanav``) is a :mod:`fanav.binio` file of kind
-``dataset``: its header meta holds the encoder profile and the dataset's
-meta, and the arrays ``exp/<column>`` and ``col/<column>`` hold each
-partition's columns, typed as in ``_COLUMNS``.
+``dataset``: its header meta holds the encoder profile (every
+``RobotSpec`` field and ``d_norm``) and the dataset's meta, and the arrays
+``exp/<column>`` and ``col/<column>`` hold each partition's columns, typed
+as in ``_COLUMNS``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,23 +29,32 @@ from .sim import COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec, World
 
 @dataclass(frozen=True)
 class EncoderProfile:
-    """Normalization constants mapping a NavState to a feature vector.
+    """The robot and the goal-distance normalizer a NavState is encoded with.
 
     The profile is fixed at collection time and travels with datasets and
-    checkpoints so that training and deployment always encode identically,
-    even when evaluating in a different room.
+    checkpoints, whole robot included, so that training and deployment
+    always encode identically and run the same robot, even when evaluating
+    in a different room.
     """
 
-    beam_count: int
-    range_max: float
-    v_max: float
-    omega_max: float
+    robot: RobotSpec
     d_norm: float
 
     @classmethod
     def from_world_spec(cls, world: World, spec: RobotSpec) -> "EncoderProfile":
-        return cls(spec.lidar_beams, spec.lidar_range,
-                   spec.v_max, spec.omega_max, world.diagonal)
+        return cls(spec, world.diagonal)
+
+    @property
+    def beam_count(self) -> int:
+        return self.robot.lidar_beams
+
+    @property
+    def v_max(self) -> float:
+        return self.robot.v_max
+
+    @property
+    def omega_max(self) -> float:
+        return self.robot.omega_max
 
     @property
     def dim(self) -> int:
@@ -56,36 +66,35 @@ class EncoderProfile:
         return np.array([self.v_max, self.omega_max])
 
     def to_dict(self) -> dict:
-        return {"beam_count": self.beam_count, "range_max": self.range_max,
-                "v_max": self.v_max, "omega_max": self.omega_max,
-                "d_norm": self.d_norm}
+        return {"robot": asdict(self.robot), "d_norm": self.d_norm}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderProfile":
-        return cls(int(d["beam_count"]), float(d["range_max"]),
-                   float(d["v_max"]), float(d["omega_max"]), float(d["d_norm"]))
+        return cls(RobotSpec(**d["robot"]), float(d["d_norm"]))
 
 
 def encode_state(state: NavState, profile: EncoderProfile) -> np.ndarray:
     """Flatten a NavState into the network feature vector.
 
-    Layout: [scan / range_max, d / d_norm, bearing / pi, v / v_max,
+    Layout: [scan / lidar_range, d / d_norm, bearing / pi, v / v_max,
     w / omega_max]. The distance channel is clipped to [0, 1] so goals
     farther than the profile's normalizer (possible in a larger room than
     the training one) stay in range; every other entry lands in [-1, 1] by
     construction.
     """
+    robot = profile.robot
+    n = robot.lidar_beams
     scan = np.asarray(state.scan, dtype=np.float64)
-    if scan.shape != (profile.beam_count,):
+    if scan.shape != (n,):
         raise ShapeError(
             f"scan has {scan.shape[0] if scan.ndim == 1 else scan.shape} beams, "
-            f"encoder expects {profile.beam_count}")
-    out = np.empty(profile.dim, dtype=np.float32)
-    out[:profile.beam_count] = scan / profile.range_max
-    out[profile.beam_count] = min(1.0, max(0.0, state.goal_dist / profile.d_norm))
-    out[profile.beam_count + 1] = state.goal_bearing / math.pi
-    out[profile.beam_count + 2] = state.lin_vel / profile.v_max
-    out[profile.beam_count + 3] = state.ang_vel / profile.omega_max
+            f"encoder expects {n}")
+    out = np.empty(n + 4, dtype=np.float32)
+    out[:n] = scan / robot.lidar_range
+    out[n] = min(1.0, max(0.0, state.goal_dist / profile.d_norm))
+    out[n + 1] = state.goal_bearing / math.pi
+    out[n + 2] = state.lin_vel / robot.v_max
+    out[n + 3] = state.ang_vel / robot.omega_max
     return out
 
 
@@ -395,7 +404,7 @@ def load_dataset(path: str) -> OfflineDataset:
                         f"expected {np.dtype(dtype)} {shape}")
             blocks.append(TransitionBlock(**cols))
         return OfflineDataset(*blocks, profile, dict(header["meta"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad dataset ({exc!r})") from exc
 
 

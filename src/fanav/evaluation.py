@@ -1,11 +1,11 @@
 """Policy evaluation: fixed task suites, SR/CR/TR metrics, trajectory export.
 
-A suite is a persisted list of start/goal tasks for one world, so every
-method is scored on identical tasks. Each trial re-runs the suite with a
-small collision-checked start-pose jitter; rates are averaged over trials
-(mean and population standard deviation). Success, collision and timeout
-counts partition the task set, so the three rates always sum to exactly
-100 percent.
+A suite is a persisted list of start/goal tasks for one world and one
+robot radius, so every method is scored on identical tasks. Each trial
+re-runs the suite with a small collision-checked start-pose jitter; rates
+are averaged over trials (mean and population standard deviation).
+Success, collision and timeout counts partition the task set, so the three
+rates always sum to exactly 100 percent.
 """
 from __future__ import annotations
 
@@ -60,7 +60,11 @@ class Task:
 
 @dataclass
 class TaskSuite:
+    """Tasks sampled in the world ``world_name`` with clearance for a robot
+    of ``radius``; a file holds both in its first two lines."""
+
     world_name: str
+    radius: float
     tasks: list[Task]
     episode: EpisodeConfig
 
@@ -100,35 +104,51 @@ def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
         except NoPathError:
             continue
         tasks.append(Task(start.x, start.y, start.heading, goal[0], goal[1]))
-    return TaskSuite(world.name, tasks, episode)
+    return TaskSuite(world.name, spec.radius, tasks, episode)
 
 
 def save_suite(suite: TaskSuite, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(suite.canonical_text())
+        fh.write(f"world {suite.world_name}\nradius {suite.radius!r}\n"
+                 + suite.canonical_text())
 
 
-def load_suite(path: str, world_name: str, episode: EpisodeConfig) -> TaskSuite:
-    tasks = []
+def _finite(path: str, lineno: int, fields: list[str]) -> list[float]:
+    try:
+        vals = [float(v) for v in fields]
+    except ValueError:
+        raise ConfigError(f"{path}:{lineno}: non-numeric field")
+    if not all(map(math.isfinite, vals)):
+        raise ConfigError(f"{path}:{lineno}: non-finite value")
+    return vals
+
+
+def load_suite(path: str, episode: EpisodeConfig) -> TaskSuite:
+    """Read a suite: a ``world <name>`` line, a ``radius <r>`` line, then
+    one ``task sx sy sh gx gy`` line per task."""
+    heads, tasks = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
+            if len(heads) < 2:
+                want = ("world", "radius")[len(heads)]
+                if parts[0] != want or len(parts) != 2:
+                    raise ConfigError(
+                        f"{path}:{lineno}: expected '{want} ...': a suite "
+                        "starts with its world and radius lines; re-create it")
+                heads.append(parts[1] if want == "world"
+                             else _finite(path, lineno, parts[1:])[0])
+                continue
             if parts[0] != "task" or len(parts) != 6:
                 raise ConfigError(f"{path}:{lineno}: expected "
                                   "'task sx sy sh gx gy'")
-            try:
-                vals = [float(v) for v in parts[1:]]
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: non-numeric field")
-            if not all(map(math.isfinite, vals)):
-                raise ConfigError(f"{path}:{lineno}: non-finite value")
-            tasks.append(Task(*vals))
+            tasks.append(Task(*_finite(path, lineno, parts[1:])))
     if not tasks:
         raise ConfigError(f"{path}: empty suite")
-    return TaskSuite(world_name, tasks, episode)
+    return TaskSuite(*heads, tasks, episode)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +404,9 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
     if suite.world_name != world.name:
         raise ProtocolError(
             f"suite was built for world '{suite.world_name}', got '{world.name}'")
+    if suite.radius != spec.radius:
+        raise ProtocolError(f"suite was built for robot radius "
+                            f"{suite.radius!r}, got {spec.radius!r}")
     outcomes: list[list[str]] = []
     trajectories: list[np.ndarray] = []
     for trial in range(n_trials):
@@ -506,14 +529,16 @@ def compare(results: dict[str, list[EvalResult]]
     """Aggregate per-method results over worlds into a comparison table.
 
     ``results`` maps method name to its per-world results. All methods must
-    cover the same worlds with identical suites. Returns (rows, csv text,
-    aligned text table); the overall row per method is the arithmetic mean
-    across worlds.
+    cover the same worlds, each once, with identical suites. Returns (rows,
+    csv text, aligned text table); the overall row per method is the
+    arithmetic mean across worlds.
     """
     if not results:
         raise ConfigError("no results to compare")
     ref = next(iter(results.values()))
     world_order = [r.world_name for r in ref]
+    if len(set(world_order)) != len(world_order):
+        raise ProtocolError(f"a world appears twice in {world_order}")
     digests = [r.suite_digest for r in ref]
     table: dict[str, list[dict]] = {}  # method -> its worlds' rows, overall
     for m, rs in results.items():

@@ -175,8 +175,7 @@ def test_c2_expectile_oracle():
 # toy dataset used by criteria 3-5
 # ---------------------------------------------------------------------------
 
-PROFILE = EncoderProfile(beam_count=12, range_max=30.0, v_max=0.5,
-                         omega_max=math.pi / 2, d_norm=11.3)
+PROFILE = EncoderProfile(RobotSpec(lidar_beams=12), 11.3)
 
 
 def toy_dataset(n_traj=16, traj_len=16, seed=0,
@@ -193,7 +192,8 @@ def toy_dataset(n_traj=16, traj_len=16, seed=0,
             if is_col:
                 # closest obstacle closes in; the final two states sit well
                 # inside the near-collision band (min scan < radius + 5 cm)
-                near = max(0.1 / PROFILE.range_max, 0.8 * (1 - frac) ** 2)
+                near = max(0.1 / PROFILE.robot.lidar_range,
+                           0.8 * (1 - frac) ** 2)
                 scan[int(rng.integers(PROFILE.beam_count))] = near
             f = np.empty(PROFILE.dim, np.float32)
             f[:PROFILE.beam_count] = scan
@@ -274,7 +274,7 @@ def test_c5_value_shaping():
     # near-collision scan minima sit below radius + 0.05 m (normalized)
     col_last = ds.col.features[ds.col.dones.astype(bool)]
     assert np.all(col_last[:, :PROFILE.beam_count].min(axis=1)
-                  < (0.2 + 0.05) / PROFILE.range_max)
+                  < (0.2 + 0.05) / PROFILE.robot.lidar_range)
     res = train(ds, TrainerConfig(method="iql_ca", rho=0.1, batch_size=64,
                                   hidden=(32, 32), total_steps=1500,
                                   epoch_steps=500, eval_every=1500, seed=7))

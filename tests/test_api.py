@@ -1,7 +1,9 @@
-"""The documented library API: the README quick start runs as written, and
-every public function in the package has a caller outside the tests."""
+"""The documented library API: the README quick start runs as written,
+every public function in the package has a caller outside the tests, and
+every name the benchmark's tracer patches is where it looks for it."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from collections import Counter
@@ -64,3 +66,24 @@ def test_every_public_function_has_a_caller():
             if not refs[name]:
                 unused.append(f"{module.__name__}.{name}")
     assert not unused, f"public functions only tests call: {unused}"
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    # perfbench/tracer.py patches names where their callers look them up
+    # (cli.load_dataset, cli.make_suite, evaluation.load_checkpoint, ...);
+    # a name that moves fails here, not only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._patches)
+    finally:
+        tracer.uninstall()
+    names = {f"{owner.__name__}.{attr}" for owner, attr, _ in patched}
+    assert {"fanav.cli.load_dataset", "fanav.cli.make_suite",
+            "fanav.evaluation.load_checkpoint"} <= names
+    assert all(owner.__dict__.get(attr) is original
+               for owner, attr, original in patched)

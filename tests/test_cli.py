@@ -316,8 +316,9 @@ def test_collect_ratio_mode(tmp_path):
 # small end-to-end pipeline
 # ---------------------------------------------------------------------------
 
-PIPELINE_SETS = [
-    "--set", "robot.lidar_beams=16",
+ROBOT_SETS = ["--set", "robot.lidar_beams=16"]
+# the rest: train and eval take the robot from their dataset or checkpoint
+RUN_SETS = [
     "--set", "collect.min_transitions=900",
     "--set", "collect.ratio_tol=0.02",
     "--set", "trainer.total_steps=120",
@@ -331,6 +332,7 @@ PIPELINE_SETS = [
     "--set", 'pipeline.eval_worlds=["sparse"]',
     "--set", 'pipeline.collect_world="sparse"',
 ]
+PIPELINE_SETS = ROBOT_SETS + RUN_SETS
 
 
 def run_tree(out):
@@ -425,24 +427,38 @@ def pipeline_run(tmp_path_factory):
     return out
 
 
+def eval_argv(pipeline_run, method, out_dir, *extra, world="sparse",
+              suite=None):
+    """``fanav eval`` of the pipeline's ``method`` checkpoint on its sparse
+    suite with the pipeline's seed and episode horizon."""
+    ckpt = os.path.join(pipeline_run, "train", method, "ckpt_00000120.famlp")
+    suite = suite or os.path.join(pipeline_run, "suites", "sparse.suite")
+    return ["eval", "--checkpoint", ckpt, "--world", world, "--suite", suite,
+            "--out-dir", str(out_dir), "--seed", "5",
+            "--set", "episode.t_max=120", *extra]
+
+
+def test_eval_takes_the_robot_from_the_checkpoint(pipeline_run, tmp_path):
+    # no robot setting, and no config: the checkpoint's 16 beams are used
+    edir = tmp_path / "e"
+    assert run(eval_argv(pipeline_run, "iql_ca", edir,
+                         "--set", "eval.n_trials=2")) == 0
+    orig = os.path.join(pipeline_run, "eval", "iql_ca", "sparse",
+                        "result.json")
+    assert (edir / "result.json").read_bytes() == open(orig, "rb").read()
+    config = json.load(open(edir / "manifest.json"))["config"]
+    assert config["robot"] == asdict(RobotSpec(lidar_beams=16))
+    assert config["eval"]["n_trials"] == 2
+    # desk.toml's 6 m sensor is not the checkpoint's 30 m one
+    assert run(eval_argv(pipeline_run, "iql_ca", tmp_path / "desk",
+                         "--config", DESK)) == 3
+    assert not (tmp_path / "desk").exists()
+
+
 def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
                                                   capsys):
     out = pipeline_run
-    capsys.readouterr()
-    # standalone eval against the pipeline checkpoint and suite
-    ckpt = os.path.join(out, "train", "iql_ca", "ckpt_00000120.famlp")
     suite = os.path.join(out, "suites", "sparse.suite")
-    edir = str(tmp_path / "eval_again")
-    code = run(["eval", "--checkpoint", ckpt, "--world", "sparse",
-                "--suite", suite, "--trials", "2", "--out-dir", edir,
-                "--seed", "5",
-                "--set", "episode.t_max=120",
-                "--set", "robot.lidar_beams=16"])
-    assert code == 0
-    again = json.load(open(os.path.join(edir, "result.json")))
-    orig = json.load(open(os.path.join(out, "eval", "iql_ca", "sparse",
-                                       "result.json")))
-    assert again["sr_trials"] == orig["sr_trials"][:2]
     capsys.readouterr()
     cdir = str(tmp_path / "cmp")
     code = run(["compare", "--results",
@@ -459,9 +475,9 @@ def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
     chain = tmp_path / "chain"
     ds_path = str(chain / "d.fanav")
     os.makedirs(chain)
-    common = ["--seed", "5", *PIPELINE_SETS]
+    common = ["--seed", "5", *RUN_SETS]
     assert run(["collect", "--world", "sparse", "--out", ds_path,
-                *common]) == 0
+                *ROBOT_SETS, *common]) == 0
     eval_dirs = []
     for m in ("bc", "iql_so", "iql_dm", "iql_ca"):
         tdir = str(chain / "train" / m)
@@ -524,32 +540,106 @@ def test_result_json_round_trips_and_malformed_ones_exit_four(
                                   "task 1 1 0 5 inf"])
 def test_non_finite_suite_value_exits_three(line, pipeline_run, tmp_path,
                                             capsys):
-    ckpt = os.path.join(pipeline_run, "train", "bc", "ckpt_00000120.famlp")
     suite = tmp_path / "bad.suite"
-    suite.write_text(line + "\n")
+    suite.write_text("world sparse\nradius 0.2\n" + line + "\n")
     capsys.readouterr()
-    assert run(["eval", "--checkpoint", ckpt, "--world", "sparse",
-                "--suite", str(suite), "--out-dir", str(tmp_path / "e"),
-                "--seed", "5", "--set", "robot.lidar_beams=16"]) == 3
-    assert f"{suite}:1: non-finite value" in capsys.readouterr().err
+    assert run(eval_argv(pipeline_run, "bc", tmp_path / "e",
+                         suite=str(suite))) == 3
+    assert f"{suite}:3: non-finite value" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "e")
 
 
-def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
-                                                   capsys):
+def test_suite_of_another_world_or_radius_exits_three(pipeline_run,
+                                                      tmp_path, capsys):
+    edir = tmp_path / "e"
+    capsys.readouterr()
+    assert run(eval_argv(pipeline_run, "bc", edir, world="cluttered")) == 3
+    assert ("suite was built for world 'sparse', got 'cluttered'"
+            in capsys.readouterr().err)
+    text = open(os.path.join(pipeline_run, "suites", "sparse.suite")).read()
+    head, radius, tasks = text.split("\n", 2)
+    assert (head, radius) == ("world sparse", "radius 0.2")
+    suite = tmp_path / "wide.suite"
+    suite.write_text(f"{head}\nradius 0.35\n{tasks}")
+    assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
+    assert ("suite was built for robot radius 0.35, got 0.2"
+            in capsys.readouterr().err)
+    # a suite from before the world and radius lines
+    suite.write_text(tasks)
+    assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
+    err = capsys.readouterr().err
+    assert f"{suite}:1: expected 'world ...'" in err and "re-create it" in err
+    assert not edir.exists()
+
+
+# a valid value other than the pipeline robot's, for each RobotSpec field
+OTHER_ROBOT = {"radius": 0.35, "v_max": 0.25, "omega_max": 1.0,
+               "lidar_fov_deg": 180.0, "lidar_beams": 12, "lidar_range": 6.0,
+               "control_dt": 0.5}
+
+
+@pytest.mark.parametrize("field", sorted(asdict(RobotSpec())))
+def test_eval_refuses_robot_or_checkpoint_mismatch(field, pipeline_run,
+                                                   tmp_path, capsys):
+    ckpt = os.path.join(pipeline_run, "train", "iql_ca", "ckpt_00000120.famlp")
+    value = OTHER_ROBOT[field]
+    assert getattr(RobotSpec(lidar_beams=16), field) != value
+    capsys.readouterr()
+    assert run(eval_argv(pipeline_run, "iql_ca", tmp_path / "e",
+                         "--set", f"robot.{field}={value!r}")) == 3
+    err = capsys.readouterr().err
+    assert f"robot.{field}={value!r}" in err and ckpt in err, err
+    assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("field", ["radius", "lidar_beams"])
+def test_train_refuses_a_robot_other_than_the_datasets(field, pipeline_run,
+                                                       tmp_path, capsys):
+    ds = os.path.join(pipeline_run, "dataset.fanav")
+    capsys.readouterr()
+    # a short run, should the robot pass
+    assert run(["train", "--dataset", ds, "--out-dir", str(tmp_path / "t"),
+                "--set", "trainer.total_steps=2", "--set", "trainer.hidden=[8]",
+                "--set", f"robot.{field}={OTHER_ROBOT[field]!r}"]) == 3
+    err = capsys.readouterr().err
+    assert f"robot.{field}=" in err and ds in err, err
+    assert not os.path.exists(tmp_path / "t")
+
+
+def flat_profile(profile: dict) -> dict:
+    """An encoder profile in the layout that listed four robot fields."""
+    robot = profile["robot"]
+    return {"beam_count": robot["lidar_beams"],
+            "range_max": robot["lidar_range"], "v_max": robot["v_max"],
+            "omega_max": robot["omega_max"], "d_norm": profile["d_norm"]}
+
+
+def test_dataset_with_a_flat_profile_exits_four(pipeline_run, tmp_path,
+                                                capsys):
+    from fanav import binio
+
+    meta, arrays = binio.read(os.path.join(pipeline_run, "dataset.fanav"),
+                              "dataset")
+    bad = str(tmp_path / "flat.fanav")
+    binio.write(bad, "dataset",
+                {**meta, "profile": flat_profile(meta["profile"])}, arrays)
+    for argv in (["dataset", "inspect", bad],
+                 ["train", "--dataset", bad, "--out-dir",
+                  str(tmp_path / "t")]):
+        capsys.readouterr()
+        assert run(argv) == 4
+        assert f"{bad}: bad dataset (KeyError('robot')" in \
+            capsys.readouterr().err
+
+
+def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
     ckpt = os.path.join(pipeline_run, "train", "iql_ca", "ckpt_00000120.famlp")
     suite = os.path.join(pipeline_run, "suites", "sparse.suite")
 
-    def eval_code(path, *sets):
+    def eval_code(path):
         return run(["eval", "--checkpoint", path, "--world", "sparse",
                     "--suite", suite, "--out-dir", str(tmp_path / "e"),
-                    "--seed", "5", "--set", "robot.lidar_beams=16", *sets])
-
-    # trained at 30 m: a 6 m sensor would feed features past 1
-    assert eval_code(ckpt, "--set", "robot.lidar_range=6.0") == 3
-    assert "range_max=6.0" in capsys.readouterr().err
-    assert eval_code(ckpt, "--set", "robot.lidar_beams=12") == 3
-    assert not os.path.exists(tmp_path / "e")
+                    "--seed", "5"])
 
     sections, meta = load_checkpoint(ckpt)
     bare = str(tmp_path / "bare.famlp")
@@ -569,7 +659,11 @@ def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
     # present but malformed
     profile = {k: v for k, v in meta["profile"].items() if k != "d_norm"}
     config = meta["config"]
-    for bad in ({"profile": profile}, {"profile": "robot"}, {"config": []},
+    for bad in ({"profile": profile}, {"profile": "robot"},
+                {"profile": flat_profile(meta["profile"])},
+                {"profile": {**meta["profile"], "robot": {
+                    **meta["profile"]["robot"], "radius": -1.0}}},
+                {"config": []},
                 {"config": {k: v for k, v in config.items()
                             if k != "method"}},
                 {"config": {**config, "log_std_max": "high"}}):
@@ -584,6 +678,17 @@ def test_eval_refuses_robot_or_checkpoint_mismatch(pipeline_run, tmp_path,
         fh.write(bytes(blob))
     assert eval_code(bare) == 4
     assert "Bad CRC-32" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "e")
+
+
+def test_compare_refuses_a_world_twice(pipeline_run, tmp_path, capsys):
+    sparse = os.path.join(pipeline_run, "eval", "bc", "sparse")
+    capsys.readouterr()
+    assert run(["compare", "--results", sparse, sparse,
+                "--out-dir", str(tmp_path / "c")]) == 3
+    assert "a world appears twice in ['sparse', 'sparse']" in \
+        capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "c")
 
 
 def test_train_emits_expected_artifacts(tmp_path):

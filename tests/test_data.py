@@ -67,7 +67,7 @@ def test_encode_velocity_channel():
 
 
 def test_encode_dimension_matches_beam_count():
-    profile = EncoderProfile(108, 30.0, 0.5, math.pi / 2, 14.14)
+    profile = EncoderProfile(RobotSpec(), 14.14)
     assert profile.dim == 112
     state = NavState(np.zeros(108), 1.0, 0.0, 0.0, 0.0)
     assert encode_state(state, profile).shape == (112,)

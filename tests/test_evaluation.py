@@ -106,25 +106,42 @@ def test_suite_roundtrip(tmp_path):
     suite = make_suite(WORLD, SPEC, EPISODE, 6, seed=1)
     path = str(tmp_path / "tasks.suite")
     save_suite(suite, path)
-    loaded = load_suite(path, WORLD.name, EPISODE)
+    text = open(path).read()
+    assert text.startswith(f"world w8\nradius {SPEC.radius!r}\ntask ")
+    loaded = load_suite(path, EPISODE)
     assert loaded.digest == suite.digest
+    assert (loaded.world_name, loaded.radius) == ("w8", SPEC.radius)
     assert len(loaded) == 6
 
 
 def test_suite_load_errors(tmp_path):
+    head = "world w\nradius 0.2\n"
     p = tmp_path / "bad.suite"
-    p.write_text("task 1 2 3\n")
+    p.write_text(head + "task 1 2 3\n")
     with pytest.raises(ConfigError, match="expected"):
-        load_suite(str(p), "w", EPISODE)
+        load_suite(str(p), EPISODE)
     p2 = tmp_path / "empty.suite"
-    p2.write_text("# nothing\n")
-    with pytest.raises(ConfigError, match="empty"):
-        load_suite(str(p2), "w", EPISODE)
+    for text in ("# nothing\n", head):
+        p2.write_text(text)
+        with pytest.raises(ConfigError, match="empty"):
+            load_suite(str(p2), EPISODE)
     p3 = tmp_path / "nan.suite"
     for line in ("task 1 1 0 nan 5", "task inf 1 0 5 5", "task 1 1 1e999 5 5"):
-        p3.write_text("task 1 1 0 5 5\n" + line + "\n")
-        with pytest.raises(ConfigError, match=f"{p3}:2: non-finite value"):
-            load_suite(str(p3), "w", EPISODE)
+        p3.write_text(head + "task 1 1 0 5 5\n" + line + "\n")
+        with pytest.raises(ConfigError, match=f"{p3}:4: non-finite value"):
+            load_suite(str(p3), EPISODE)
+    p3.write_text("world w\nradius nan\ntask 1 1 0 5 5\n")
+    with pytest.raises(ConfigError, match=f"{p3}:2: non-finite value"):
+        load_suite(str(p3), EPISODE)
+    # the world and radius lines come first, in that order
+    for text, lineno in (("task 1 1 0 5 5\n", 1),
+                         ("radius 0.2\nworld w\ntask 1 1 0 5 5\n", 1),
+                         ("world w\ntask 1 1 0 5 5\n", 2),
+                         ("world w x\nradius 0.2\ntask 1 1 0 5 5\n", 1)):
+        p3.write_text(text)
+        with pytest.raises(ConfigError, match=f"{p3}:{lineno}: expected "
+                                              ".*; re-create it"):
+            load_suite(str(p3), EPISODE)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +176,7 @@ def test_network_policy_runs_and_validates_shape():
     outcome, traj = rollout(policy, WORLD, SPEC, EPISODE, task)
     assert outcome in (SUCCESS, COLLISION, TIMEOUT)
     # beam-count mismatch is a shape error at construction
-    bad_profile = EncoderProfile(32, 30.0, 0.5, math.pi / 2, 11.3)
+    bad_profile = EncoderProfile(RobotSpec(lidar_beams=32), 11.3)
     with pytest.raises(ShapeError, match="mismatch|features"):
         NetworkPolicy(policy.head, bad_profile)
 
@@ -228,6 +245,9 @@ def test_world_name_mismatch_rejected():
     other = World(8, 8, name="other")
     with pytest.raises(ProtocolError, match="world"):
         evaluate_suite(ZeroPolicy(), other, SPEC, suite)
+    # tasks sampled with clearance for one robot radius fit no other
+    with pytest.raises(ProtocolError, match="robot radius 0.2, got 0.35"):
+        evaluate_suite(ZeroPolicy(), WORLD, RobotSpec(radius=0.35), suite)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +331,10 @@ def test_compare_rejects_suite_mismatch():
     }
     with pytest.raises(ProtocolError, match="different worlds"):
         compare(results2)
+    # one world twice would count twice in the overall row
+    twice = [fake_result("bc", "w1", "d1", 90.0, 6.0)] * 2
+    with pytest.raises(ProtocolError, match="appears twice"):
+        compare({"bc": twice})
 
 
 def test_compare_rates_partition():

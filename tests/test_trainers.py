@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fanav.data import (
     TransitionBlock,
 )
 from fanav.nets import load_checkpoint
+from fanav.sim import RobotSpec
 from fanav.trainers import (
     METHODS,
     FailureAwareIQL,
@@ -17,8 +19,7 @@ from fanav.trainers import (
     train,
 )
 
-PROFILE = EncoderProfile(beam_count=12, range_max=30.0, v_max=0.5,
-                         omega_max=math.pi / 2, d_norm=11.3)
+PROFILE = EncoderProfile(RobotSpec(lidar_beams=12), 11.3)
 DIM = PROFILE.dim
 SCALE = np.array([0.5, math.pi / 2])
 
@@ -43,7 +44,8 @@ def synthetic_dataset(n_traj=12, traj_len=18, seed=0,
             scan = rng.uniform(0.5, 1.0, PROFILE.beam_count)
             if is_col:
                 # closest obstacle approaches: min scan goes to ~0.1 m
-                near = (1 - frac) * 0.8 + frac * (0.1 / PROFILE.range_max)
+                near = ((1 - frac) * 0.8
+                        + frac * (0.1 / PROFILE.robot.lidar_range))
                 scan[int(rng.integers(PROFILE.beam_count))] = near
             d = d0 * (1 - 0.5 * frac)
             f = np.empty(DIM, np.float32)
@@ -204,7 +206,8 @@ def test_checkpoints_written(tmp_path):
     assert set(sections) == {"policy_mean", "policy_log_std"}
     assert set(meta) == {"step", "profile", "config"}
     assert meta["step"] == 200 and meta["config"]["method"] == "iql_ca"
-    assert meta["profile"]["beam_count"] == PROFILE.beam_count
+    assert meta["profile"] == {"robot": asdict(PROFILE.robot),
+                               "d_norm": PROFILE.d_norm}
     assert np.array_equal(sections["policy_mean"].params,
                           res.policy.mean_net.theta)
     full, _ = load_checkpoint(str(out / "final.famlp"))
