@@ -387,14 +387,17 @@ def cmd_pipeline(args, argv) -> int:
     world) -> compare, through the same stage functions as the subcommands.
     Only the suites have no subcommand of their own.
 
-    Episodes, training jobs and evaluation jobs run on the lanes
-    (:func:`fanav.lanes.run_lanes`): on more than one core, one lane more
-    than the cores, with this process as lane 0 taking the larger first
-    chunk, so bc and iql_so train here and iql_dm and iql_ca in a child
-    each on two cores. Each stage ends before the next starts and prints
-    its lines in job order, so the output does not depend on the lane
-    count. A method's ``done in`` seconds are its job's wall time, time
-    spent sharing a core with another lane included.
+    Collection runs in this process. Training jobs and evaluation jobs run
+    on the lanes (:func:`fanav.lanes.run_lanes`): on more than one core,
+    one lane more than the cores, with this process as lane 0 taking the
+    larger first chunk, so bc and iql_so train here and iql_dm and iql_ca
+    in a child each on two cores. Each stage ends before the next starts
+    and prints its lines in job order, so the output does not depend on
+    the lane count. A method's ``done in`` seconds are its job's wall time,
+    time spent sharing a core with another lane included.
+
+    Evaluation reads each suite back from the file it saved, so ``fanav
+    eval`` on that file replays the pipeline's episodes exactly.
 
     Two jobs with one method or one world would write the same directory,
     so a method or an evaluation world named twice is a ``ConfigError``,
@@ -436,11 +439,12 @@ def cmd_pipeline(args, argv) -> int:
     suite_dir = os.path.join(out, "suites")
     os.makedirs(suite_dir, exist_ok=True)
     for wi, world in enumerate(eval_worlds):
-        suite = make_suite(world, spec, episode, int(ecfg["n_tasks"]),
-                           seed=seed + wi,
-                           min_separation=float(ecfg["min_separation"]))
-        save_suite(suite, os.path.join(suite_dir, f"{world.name}.suite"))
-        suites[world.name] = suite
+        path = os.path.join(suite_dir, f"{world.name}.suite")
+        save_suite(make_suite(world, spec, episode, int(ecfg["n_tasks"]),
+                              seed=seed + wi,
+                              min_separation=float(ecfg["min_separation"])),
+                   path)
+        suites[world.name] = load_suite(path, episode)
 
     print("[3/5] training " + ", ".join(methods))
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}

@@ -108,7 +108,11 @@ def _grid_distances(ob, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
 
 def occupancy_grid(world: World, inflate: float,
                    res: float = GRID_RES) -> np.ndarray:
-    """Boolean blocked-grid of cell centers, inflated by ``inflate`` meters."""
+    """Boolean blocked-grid of cell centers, inflated by ``inflate`` meters;
+    built once per ``(inflate, res)`` and kept, read-only, on ``world``."""
+    grid = world._grids.get((inflate, res))
+    if grid is not None:
+        return grid
     nx = max(1, int(math.floor(world.width / res)))
     ny = max(1, int(math.floor(world.height / res)))
     xs = (np.arange(nx) + 0.5) * res
@@ -118,6 +122,8 @@ def occupancy_grid(world: World, inflate: float,
                | (gy < inflate) | (gy > world.height - inflate))
     for ob in world.obstacles:
         blocked |= _grid_distances(ob, gx, gy) <= inflate
+    blocked.flags.writeable = False
+    world._grids[(inflate, res)] = blocked
     return blocked
 
 
@@ -146,39 +152,52 @@ def _nearest_free_cell(blocked: np.ndarray, i: int, j: int,
 
 def _astar(blocked: np.ndarray, start: tuple[int, int],
            goal: tuple[int, int]) -> list[tuple[int, int]] | None:
+    """8-connected A* with the octile heuristic, without corner cutting.
+
+    Cells are flat indices ``i * ny + j``, which order as the ``(i, j)``
+    pairs do, so equal-cost heap entries pop in the same order either way.
+    """
     nx, ny = blocked.shape
-
-    def h(c):
-        dx, dy = abs(c[0] - goal[0]), abs(c[1] - goal[1])
-        return (dx + dy) + (_SQRT2 - 2.0) * min(dx, dy)  # octile
-
-    g = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    heap = [(h(start), start)]
-    closed = set()
+    occupied = blocked.tobytes()  # one byte per cell, by flat index
+    gi, gj = goal
+    goal_k = gi * ny + gj
+    g = [math.inf] * (nx * ny)
+    parent = [-1] * (nx * ny)
+    closed = bytearray(nx * ny)
+    si, sj = start
+    dx, dy = abs(si - gi), abs(sj - gj)
+    start_k = si * ny + sj
+    g[start_k] = 0.0
+    heap = [((dx + dy) + (_SQRT2 - 2.0) * min(dx, dy), start_k)]
     while heap:
         _, cur = heapq.heappop(heap)
-        if cur == goal:
+        if cur == goal_k:
             path = [cur]
-            while cur in parent:
+            while parent[cur] >= 0:
                 cur = parent[cur]
                 path.append(cur)
-            return path[::-1]
-        if cur in closed:
+            return [divmod(k, ny) for k in reversed(path)]
+        if closed[cur]:
             continue
-        closed.add(cur)
-        ci, cj = cur
+        closed[cur] = 1
+        ci, cj = divmod(cur, ny)
+        g_cur = g[cur]
         for di, dj, cost in _MOVES:
             a, b = ci + di, cj + dj
-            if not (0 <= a < nx and 0 <= b < ny) or blocked[a, b]:
+            if not (0 <= a < nx and 0 <= b < ny):
                 continue
-            if di and dj and (blocked[ci + di, cj] or blocked[ci, cj + dj]):
+            k = a * ny + b
+            if occupied[k]:
+                continue
+            if di and dj and (occupied[cur + di * ny] or occupied[cur + dj]):
                 continue  # no corner cutting
-            cand = g[cur] + cost
-            if cand < g.get((a, b), math.inf):
-                g[(a, b)] = cand
-                parent[(a, b)] = cur
-                heapq.heappush(heap, (cand + h((a, b)), (a, b)))
+            cand = g_cur + cost
+            if cand < g[k]:
+                g[k] = cand
+                parent[k] = cur
+                dx, dy = abs(a - gi), abs(b - gj)
+                heapq.heappush(
+                    heap, (cand + ((dx + dy) + (_SQRT2 - 2.0) * min(dx, dy)), k))
     return None
 
 
@@ -357,15 +376,6 @@ def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                        np.random.default_rng([seed, ep]), mode, ep)
 
 
-def _try_episode(*args) -> Trajectory | Exception | None:
-    """:func:`_episode`, with its error returned instead of raised: an
-    episode run ahead of the serial order fails nothing unless it is used."""
-    try:
-        return _episode(*args)
-    except Exception as exc:
-        return exc
-
-
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
             seed: int) -> list[Trajectory]:
@@ -394,26 +404,21 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     Three phases: the careful demonstrator (perturbed mode) fills the
     success side; the reckless harvest variant then runs until enough
     collision transitions exist (its incidental successes are kept too);
-    finally whole trajectories are trimmed newest-first to land within
-    ``ratio_tol`` of the target. With a zero target only clean episodes
-    run and collision trajectories are dropped.
+    finally whole trajectories are trimmed to land within ``ratio_tol`` of
+    the target (:func:`_trim_to_ratio`). While no trim can, one more
+    trajectory of the short side is collected, from the phase that fills
+    it. With a zero target only clean episodes run and collision
+    trajectories are dropped.
 
-    Episodes run in lock-step batches of consecutive indices, one per lane
-    (:func:`fanav.lanes.run_lanes`), each batch in the current phase's mode;
-    on more than one core there is one lane more than the cores, so a batch
-    holds one episode more than the cores can run at once and the kernel
-    shares them out. Results are used in index order; the rest of a batch
-    past a phase's end, an error included, is dropped as the serial loop
-    never ran it. So the trajectories do not depend on the lane count.
+    Episodes run one after another in this process, each on its own random
+    stream derived from (seed, episode index).
     """
-    from .lanes import lane_count, run_lanes
     if not (0.0 <= target_col_ratio < 1.0):
         raise ConfigError("target_col_ratio must lie in [0, 1)")
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
     stalled = 0
-    width = lane_count()  # one episode per lane
 
     def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
              guard: bool = False) -> None:
@@ -424,47 +429,56 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 raise ConfigError(
                     f"only {n[outcome]}/{target} {outcome} transitions after "
                     f"{MAX_EPISODES} episodes")
-            batch = range(ep, min(ep + width, MAX_EPISODES))
-            for traj in run_lanes([partial(_try_episode, world, spec,
-                                           episode_cfg, cfg, mode, seed, i)
-                                   for i in batch]):
-                if n[outcome] >= target:
-                    break  # the serial loop stops here
-                if isinstance(traj, Exception):
-                    raise traj
-                ep += 1
-                if guard:
-                    stalled = 0 if (traj is not None
-                                    and traj.outcome == COLLISION) \
-                        else stalled + 1
-                    if stalled >= 500:
-                        raise ConfigError(
-                            "500 consecutive harvest episodes without a "
-                            "collision; loosen the harvest profile or lower "
-                            "target_col_ratio")
-                if traj is not None and traj.outcome in kept:
-                    kept[traj.outcome].append(traj)
-                    n[traj.outcome] += len(traj)
+            traj = _episode(world, spec, episode_cfg, cfg, mode, seed, ep)
+            ep += 1
+            if guard:
+                stalled = 0 if (traj is not None
+                                and traj.outcome == COLLISION) \
+                    else stalled + 1
+                if stalled >= 500:
+                    raise ConfigError(
+                        "500 consecutive harvest episodes without a "
+                        "collision; loosen the harvest profile or lower "
+                        "target_col_ratio")
+            if traj is not None and traj.outcome in kept:
+                kept[traj.outcome].append(traj)
+                n[traj.outcome] += len(traj)
 
     if target_col_ratio == 0:
         fill(SUCCESS, min_transitions, CLEAN, expert_cfg)
         return _trim_to_ratio(kept[SUCCESS], [], 0.0, ratio_tol,
                               min_transitions)
 
+    harvest = expert_cfg.harvest_profile()
     fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions),
          PERTURBED, expert_cfg)
     fill(COLLISION, math.ceil(target_col_ratio * min_transitions),
-         PERTURBED, expert_cfg.harvest_profile(), guard=True)
-    return _trim_to_ratio(kept[SUCCESS], kept[COLLISION], target_col_ratio,
-                          ratio_tol, min_transitions)
+         PERTURBED, harvest, guard=True)
+    while (trajs := _trim_to_ratio(kept[SUCCESS], kept[COLLISION],
+                                   target_col_ratio, ratio_tol,
+                                   min_transitions)) is None:
+        if n[COLLISION] > target_col_ratio * (n[SUCCESS] + n[COLLISION]):
+            fill(SUCCESS, n[SUCCESS] + 1, PERTURBED, expert_cfg)
+        else:
+            fill(COLLISION, n[COLLISION] + 1, PERTURBED, harvest, guard=True)
+    return trajs
 
 
 def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
                    target: float, tol: float,
-                   min_transitions: int) -> list[Trajectory]:
-    """Drop newest whole trajectories while that improves the ratio match."""
+                   min_transitions: int) -> list[Trajectory] | None:
+    """The trajectories to keep: at least ``min_transitions`` transitions,
+    a collision share within ``tol`` of ``target``, at least one success
+    and, for a non-zero target, one collision; None if no choice of whole
+    trajectories has them. The lists are not changed.
+
+    Newest trajectories are dropped one at a time while that improves the
+    ratio match. If that misses ``tol``, :func:`_search_drops` looks for
+    the drops among all of them.
+    """
     n_succ = sum(len(t) for t in succ)
     n_coll = sum(len(t) for t in coll)
+    ks, kc = len(succ), len(coll)  # kept: the oldest ks and kc
 
     def ratio(ns, nc):
         return nc / (ns + nc) if ns + nc else 0.0
@@ -473,24 +487,58 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
     while improved:
         improved = False
         err = abs(ratio(n_succ, n_coll) - target)
-        if len(succ) > 1:
-            cand = n_succ - len(succ[-1])
+        if ks > 1:
+            cand = n_succ - len(succ[ks - 1])
             if cand + n_coll >= min_transitions \
                     and abs(ratio(cand, n_coll) - target) < err:
                 n_succ = cand
-                succ.pop()
+                ks -= 1
                 improved = True
                 continue
-        if len(coll) > (0 if target == 0 else 1):
-            cand = n_coll - len(coll[-1])
+        if kc > (0 if target == 0 else 1):
+            cand = n_coll - len(coll[kc - 1])
             if n_succ + cand >= min_transitions \
                     and abs(ratio(n_succ, cand) - target) < err:
                 n_coll = cand
-                coll.pop()
+                kc -= 1
                 improved = True
-    realized = ratio(n_succ, n_coll)
-    if abs(realized - target) > tol:
-        raise ConfigError(
-            f"collected ratio {realized:.4f} misses target {target:.4f} "
-            f"beyond tolerance {tol:.4f}; trajectories too long to trim")
-    return succ + coll
+    if abs(ratio(n_succ, n_coll) - target) <= tol:
+        return succ[:ks] + coll[:kc]
+    return _search_drops(succ, coll, target, tol, min_transitions)
+
+
+def _search_drops(succ: list[Trajectory], coll: list[Trajectory],
+                  target: float, tol: float,
+                  min_transitions: int) -> list[Trajectory] | None:
+    """:func:`_trim_to_ratio` by exhaustive search: of the totals whole
+    trajectories make up, the (success, collision) pair within ``tol`` that
+    keeps the most transitions, ties to the fewer collisions. Each side
+    keeps its oldest trajectories that make up its total."""
+    def sums(trajs):  # [i]: bit s set when some of trajs[i:] hold s in all
+        out = [1]
+        for t in reversed(trajs):
+            out.append(out[-1] | out[-1] << len(t))
+        return out[::-1]
+
+    def oldest(trajs, reach, total):  # kept while the newer can make it up
+        out = []
+        for t, rest in zip(trajs, reach[1:]):
+            if len(t) <= total and rest >> (total - len(t)) & 1:
+                out.append(t)
+                total -= len(t)
+        return out
+
+    s_sums, c_sums = sums(succ), sums(coll)
+    n_succ, low = sum(len(t) for t in succ), target - tol
+    best = None
+    for nc in range(1, c_sums[0].bit_length()):
+        # the most success transitions that keep the share >= target - tol
+        cap = n_succ if low <= 0 else min(n_succ, int(nc * (1 - low) / low))
+        ns = (s_sums[0] & ((2 << cap) - 1)).bit_length() - 1
+        if c_sums[0] >> nc & 1 and ns >= 1 and ns + nc >= min_transitions \
+                and abs(nc / (ns + nc) - target) <= tol \
+                and (best is None or ns + nc > sum(best)):
+            best = (ns, nc)
+    if best is None:
+        return None
+    return oldest(succ, s_sums, best[0]) + oldest(coll, c_sums, best[1])

@@ -8,6 +8,11 @@ its exception) back through a pipe and ends with ``os._exit``. Which lane
 runs which job depends only on the job and lane counts, never on timing, so
 the caller runs the same jobs on every run.
 
+The jobs fanav runs here are known in full before they start: ``collect``'s
+episodes and the pipeline's training and evaluation jobs.
+``collect_to_ratio`` stops at an episode that depends on what the earlier
+ones kept, so it runs in its caller.
+
 On more than one core (``taskset`` limits them) there is one lane more than
 the cores the process may run on, and never more lanes than jobs. Chunks of
 unequal cost would leave a core idle once its lane ends; with one runnable

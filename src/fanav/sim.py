@@ -94,6 +94,12 @@ class World:
         return tuple((ob, x1 - m, y1 - m, x2 + m, y2 + m)
                      for ob, (x1, y1, x2, y2) in zip(self.obstacles, boxes))
 
+    @cached_property
+    def _grids(self) -> dict[tuple[float, float], np.ndarray]:
+        """Planning grids by ``(inflate, res)``; see
+        :func:`fanav.expert.occupancy_grid`."""
+        return {}
+
     def near(self, x1: float, y1: float, x2: float, y2: float,
              reach: float) -> list[Shape]:
         """The obstacles, in order, whose bounding box comes within ``reach``

@@ -455,6 +455,23 @@ def test_eval_takes_the_robot_from_the_checkpoint(pipeline_run, tmp_path):
     assert not (tmp_path / "desk").exists()
 
 
+def test_eval_replays_the_pipelines_episodes(pipeline_run, tmp_path):
+    # the pipeline evaluates the suite as saved, so every trajectory file
+    # of `fanav eval` on it is the pipeline's, byte for byte
+    for m in ("bc", "iql_so", "iql_dm", "iql_ca"):
+        edir = tmp_path / m
+        assert run(eval_argv(pipeline_run, m, edir,
+                             "--set", "eval.n_trials=2")) == 0
+        piped = os.path.join(pipeline_run, "eval", m, "sparse")
+        names = sorted(os.listdir(edir / "trajectories"))
+        assert names == sorted(os.listdir(os.path.join(piped,
+                                                       "trajectories")))
+        assert len(names) == 5  # four tasks and the overlay
+        for name in ["result.json"] + [f"trajectories/{n}" for n in names]:
+            assert (edir / name).read_bytes() == \
+                open(os.path.join(piped, name), "rb").read(), (m, name)
+
+
 def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
                                                   capsys):
     out = pipeline_run

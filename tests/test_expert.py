@@ -1,10 +1,11 @@
+import heapq
 import math
-import os
 
 import numpy as np
 import pytest
 
 from fanav import expert
+from fanav.cli import BUNDLED_WORLDS, resolve_world
 from fanav.errors import ConfigError, NoPathError, NumericError, ProtocolError
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
@@ -23,6 +24,7 @@ from fanav.expert import (
     collect,
     collect_to_ratio,
     expert_action,
+    occupancy_grid,
     plan_path,
     run_episode,
 )
@@ -82,6 +84,80 @@ def test_plan_rejects_bad_endpoints():
         plan_path(world, (4, 4), (1, 1), SPEC.radius)
     with pytest.raises(ConfigError):
         plan_path(world, (1, 1), (9, 1), SPEC.radius)
+
+
+def test_occupancy_grid_is_built_once_per_world_inflation_and_resolution():
+    def room():
+        return World(8, 6, (Circle(4, 3, 0.8), Rect(1, 1, 1.5, 0.5)))
+
+    world = room()
+    grid = occupancy_grid(world, 0.28)
+    assert occupancy_grid(world, 0.28) is grid
+    assert occupancy_grid(world, 0.28, 0.1) is grid  # the default res
+    fresh = occupancy_grid(room(), 0.28)
+    assert fresh is not grid and np.array_equal(fresh, grid)
+    others = [occupancy_grid(world, 0.2), occupancy_grid(world, 0.28, 0.2)]
+    assert all(g is not grid for g in others)
+    assert others[1].shape == (40, 30)
+    for g in [grid, *others]:
+        with pytest.raises(ValueError):
+            g[0, 0] = not g[0, 0]
+
+
+def tuple_astar(blocked, start, goal):
+    """A* keyed by (i, j) tuples: the reference for the flat-index one."""
+    nx, ny = blocked.shape
+
+    def h(c):
+        dx, dy = abs(c[0] - goal[0]), abs(c[1] - goal[1])
+        return (dx + dy) + (math.sqrt(2.0) - 2.0) * min(dx, dy)
+
+    g = {start: 0.0}
+    parent = {}
+    heap = [(h(start), start)]
+    closed = set()
+    while heap:
+        _, cur = heapq.heappop(heap)
+        if cur == goal:
+            path = [cur]
+            while cur in parent:
+                cur = parent[cur]
+                path.append(cur)
+            return path[::-1]
+        if cur in closed:
+            continue
+        closed.add(cur)
+        ci, cj = cur
+        for di, dj, cost in expert._MOVES:
+            a, b = ci + di, cj + dj
+            if not (0 <= a < nx and 0 <= b < ny) or blocked[a, b]:
+                continue
+            if di and dj and (blocked[ci + di, cj] or blocked[ci, cj + dj]):
+                continue
+            cand = g[cur] + cost
+            if cand < g.get((a, b), math.inf):
+                g[(a, b)] = cand
+                parent[(a, b)] = cur
+                heapq.heappush(heap, (cand + h((a, b)), (a, b)))
+    return None
+
+
+@pytest.mark.parametrize("name", BUNDLED_WORLDS)
+def test_flat_astar_matches_the_tuple_keyed_one(name):
+    world = resolve_world(name)
+    rng = np.random.default_rng(5)
+    for inflate in (0.20, 0.28, 0.30):
+        blocked = occupancy_grid(world, inflate)
+        free = np.argwhere(~blocked)
+        for _ in range(15):
+            s, t = (tuple(map(int, free[k]))
+                    for k in rng.choice(len(free), 2, replace=False))
+            assert expert._astar(blocked, s, t) == tuple_astar(blocked, s, t)
+    # no path: a wall splits the grid
+    blocked = np.zeros((6, 5), bool)
+    blocked[3] = True
+    assert expert._astar(blocked, (0, 0), (5, 4)) is None
+    assert tuple_astar(blocked, (0, 0), (5, 4)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +268,54 @@ def test_collect_to_ratio_hits_target():
         assert t.outcome in (SUCCESS, COLLISION)
 
 
+# Episode ids kept at sizes where the newest-first trim alone lands within
+# the tolerance: the search and the top-up must leave them as they are.
+GREEDY_KEPT = {450: [0, 1, 2, 3, 4, 5, 8, 9], 800: list(range(11)),
+               1000: list(range(12)),
+               1200: [*range(12), 13, 16, 12, 14, 15, 17]}
+
+
+def test_collect_to_ratio_meets_the_tolerance_at_every_size():
+    # cluttered at desk's robot: at 300-400, 550-750, 1050 and 1100 the
+    # newest-first trim misses 0.01; then the search drops older
+    # trajectories, or one more success is collected at 300-400, where a
+    # single 53-step collision outweighs every success
+    world = resolve_world("cluttered")
+    spec = RobotSpec(lidar_range=6.0)
+    for size in range(300, 1201, 50):
+        trajs = collect_to_ratio(world, spec, EPISODE, ExpertConfig(), size,
+                                 0.1, seed=0)
+        total = sum(len(t) for t in trajs)
+        n_coll = sum(len(t) for t in trajs if t.outcome == COLLISION)
+        assert total >= size
+        assert abs(n_coll / total - 0.1) <= 0.01, size
+        assert {t.outcome for t in trajs} == {SUCCESS, COLLISION}
+        if size in GREEDY_KEPT:
+            assert [t.traj_id for t in trajs] == GREEDY_KEPT[size]
+
+
+def test_search_keeps_the_oldest_trajectories_of_each_total():
+    def trajs(outcome, lengths):
+        return [expert.Trajectory(i, outcome, [], [None] * n, [], None, None)
+                for i, n in enumerate(lengths)]
+
+    succ = trajs(SUCCESS, [94, 57, 85, 80, 53, 127, 71, 90])
+    coll = trajs(COLLISION, [34, 16, 67])
+    # cluttered's lists at 550: newest-first ends at 0.081, but the newest
+    # collision alone with every success holds 0.0925
+    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 550) == \
+        succ + coll[2:]
+    assert len(succ) == 8 and len(coll) == 3  # the inputs are unchanged
+    # newest-first ends at 30/230; 150 success steps and the 15-step
+    # collision fit, and the oldest three successes make up the 150
+    succ, coll = trajs(SUCCESS, [50] * 4), trajs(COLLISION, [30, 15])
+    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 100) == \
+        succ[:3] + coll[1:]
+    # a single collision too long for every success: nothing fits
+    assert expert._trim_to_ratio(succ[:5], trajs(COLLISION, [53]), 0.1,
+                                 0.01, 300) is None
+
+
 def test_run_episode_fixed_task_is_deterministic():
     world = World(8, 8, (Circle(4, 4, 0.8),))
     start, goal = Pose(1, 1, 0.3), (7.0, 7.0)
@@ -204,7 +328,8 @@ def test_run_episode_fixed_task_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# collection on lanes: results do not depend on the lane count
+# collection order: results do not depend on the lane count, and no episode
+# runs past the serial stop
 # ---------------------------------------------------------------------------
 
 RATIO_WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
@@ -225,22 +350,6 @@ def ratio_run(seed):
                             seed=seed, ratio_tol=0.03)
 
 
-def serial_episodes(monkeypatch, set_lanes, seed):
-    """(ep, harvest?) of every episode the one-lane loop runs."""
-    ran = []
-    original = expert.run_episode
-
-    def recorded(world, spec, episode, cfg, rng, mode, ep, *rest):
-        ran.append((ep, cfg == HARVEST))
-        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
-
-    set_lanes(1)
-    monkeypatch.setattr(expert, "run_episode", recorded)
-    trajs = ratio_run(seed)
-    monkeypatch.setattr(expert, "run_episode", original)
-    return trajs, ran
-
-
 def test_collect_on_lanes_matches_serial(set_lanes):
     world = World(8, 8, (Circle(4, 4, 0.8), Rect(5.5, 1.5, 1, 1)))
     values = []
@@ -251,43 +360,23 @@ def test_collect_on_lanes_matches_serial(set_lanes):
     assert values[0] == values[1]
 
 
-def test_collect_to_ratio_does_not_depend_on_lanes(monkeypatch, set_lanes):
-    mid_batch = set()
-    for seed in (1, 2):
-        serial, ran = serial_episodes(monkeypatch, set_lanes, seed)
-        careful = sum(1 for _, harvest in ran if not harvest)
-        # a batch of n episodes straddles the careful -> harvest switch
-        mid_batch |= {n for n in (2, 3) if careful % n}
-        for n in (2, 3):
-            set_lanes(n)
-            assert as_values(ratio_run(seed)) == as_values(serial)
-    assert mid_batch == {2, 3}
-
-
-@pytest.mark.parametrize("lanes, ran_ahead", [
-    (1, []),
-    # seed 2 runs 9 careful and 5 harvest episodes: on two lanes both
-    # phases end mid-batch, at the careful run of episode 9 and the harvest
-    # run of 14; a batch holds one episode per lane, so no more run ahead
-    (2, ["14-True", "9-False"]),
-], ids=["1-lane", "2-lanes"])
-def test_failing_episode_past_the_stop_is_dropped(lanes, ran_ahead,
-                                                  monkeypatch, set_lanes,
-                                                  tmp_path):
-    serial, ran = serial_episodes(monkeypatch, set_lanes, 2)
+def test_failing_episode_past_the_stop_is_dropped(monkeypatch):
+    ran = []  # (ep, harvest?) of every episode the loop runs
     original = expert.run_episode
 
+    def recorded(world, spec, episode, cfg, rng, mode, ep, *rest):
+        ran.append((ep, cfg == HARVEST))
+        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+
+    monkeypatch.setattr(expert, "run_episode", recorded)
+    serial = ratio_run(2)
+    # seed 2 runs 9 careful and 5 harvest episodes
+    assert ran == [(ep, ep >= 9) for ep in range(14)]
+
     def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
-        # any episode the serial loop never ran fails; it may run in a child,
-        # so it leaves a file behind to show that it ran
         if (ep, cfg == HARVEST) not in ran:
-            (tmp_path / f"{ep}-{cfg == HARVEST}").touch()
             raise NumericError(f"episode {ep} past the stop")
         return original(world, spec, episode, cfg, rng, mode, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", failing)
-    set_lanes(lanes)
     assert as_values(ratio_run(2)) == as_values(serial)
-    assert sorted(os.listdir(tmp_path)) == ran_ahead
-    with pytest.raises(ChildProcessError):  # every lane was reaped
-        os.waitpid(-1, os.WNOHANG)
