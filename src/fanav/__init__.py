@@ -20,11 +20,9 @@ from .data import (
 from .errors import FanavError
 from .evaluation import (
     EvalResult,
-    ExpertPilot,
     NetworkPolicy,
     Task,
     TaskSuite,
-    ZeroPolicy,
     compare,
     evaluate_suite,
     export_trajectories,
@@ -58,7 +56,6 @@ __all__ = [
     "EpisodeEngine",
     "EvalResult",
     "ExpertConfig",
-    "ExpertPilot",
     "FailureAwareIQL",
     "FanavError",
     "METHODS",
@@ -75,7 +72,6 @@ __all__ = [
     "TrainerConfig",
     "Trajectory",
     "World",
-    "ZeroPolicy",
     "build_dataset",
     "collect",
     "collect_to_ratio",

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataFormatError, FanavError, NoPathError,
-                     ProtocolError, ShapeError)
+from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
+                     ShapeError)
 from .data import EncoderProfile, encode_state
-from .expert import ExpertConfig, expert_action, plan_path
+from .expert import plan_path
 from .nets import GaussianPolicyHead, load_checkpoint
 from .sim import (
     COLLISION,
@@ -195,47 +195,6 @@ class NetworkPolicy:
         feats = encode_state(state, self.profile)
         v, w = self.head.mean_action(feats[None, :])[0]
         return Action(float(v), float(w))
-
-
-class ExpertPilot:
-    """The scripted demonstrator wrapped as an evaluation policy."""
-
-    def __init__(self, cfg: ExpertConfig | None = None, name: str = "expert"):
-        self.cfg = cfg or ExpertConfig()
-        self.name = name
-        self._path = None
-        self._spec = None
-
-    def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
-        self._spec = spec
-        # fall back to tighter margins when the preferred one cannot plan
-        margins = sorted({self.cfg.plan_inflation, 0.05, 0.02}, reverse=True)
-        last_exc = None
-        for margin in margins:
-            try:
-                self._path = plan_path(world, (task.sx, task.sy), task.goal,
-                                       spec.radius, margin)
-                return
-            except FanavError as exc:
-                last_exc = exc
-        raise last_exc
-
-    def act(self, state: NavState, pose: Pose) -> Action:
-        if self._path is None:
-            raise ProtocolError("ExpertPilot.act before reset")
-        return expert_action(pose, self._path, self._spec, self.cfg)
-
-
-class ZeroPolicy:
-    """Stands still; times out every task. Useful as a metrics baseline."""
-
-    name = "zero"
-
-    def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
-        pass
-
-    def act(self, state: NavState, pose: Pose) -> Action:
-        return Action(0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -398,12 +398,12 @@ class GaussianPolicyHead:
 
 @dataclass
 class Section:
-    """One named parameter vector with its topology and optimizer state."""
+    """One named parameter vector with its topology; a checkpoint holds no
+    optimizer state, since nothing that loads one resumes training."""
 
     widths: tuple[int, ...]
     activation: str            # "relu" / "tanh" / "none" for bare vectors
     params: np.ndarray
-    adam: AdamState | None = None
 
     def to_mlp(self) -> Mlp:
         if self.activation == "none":
@@ -412,31 +412,23 @@ class Section:
                    self.params.dtype.type)
 
 
-_ADAM_SCALARS = {"t": int, "lr": float, "beta1": float, "beta2": float,
-                 "eps": float}
-
-
 def save_checkpoint(path: str, sections: dict[str, Section],
                     meta: dict | None = None) -> None:
     """A :mod:`fanav.binio` container of kind ``checkpoint``: the header
-    lists each section's widths, activation and Adam scalars in order, and
-    ``<section>/params``, ``/adam_m`` and ``/adam_v`` hold its vectors."""
-    specs, arrays = [], {}
-    for name, sec in sections.items():
-        arrays[f"{name}/params"] = sec.params
-        adam = None
-        if sec.adam is not None:
-            arrays[f"{name}/adam_m"] = sec.adam.m
-            arrays[f"{name}/adam_v"] = sec.adam.v
-            adam = {k: cast(getattr(sec.adam, k))
-                    for k, cast in _ADAM_SCALARS.items()}
-        specs.append({"name": name, "widths": [int(w) for w in sec.widths],
-                      "activation": sec.activation, "adam": adam})
+    lists each section's widths and activation in order, and
+    ``<section>/params`` holds its vector."""
+    specs = [{"name": name, "widths": [int(w) for w in sec.widths],
+              "activation": sec.activation}
+             for name, sec in sections.items()]
+    arrays = {f"{name}/params": sec.params for name, sec in sections.items()}
     binio.write(path, "checkpoint", {"sections": specs, "meta": meta or {}},
                 arrays)
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Section], dict]:
+    """Sections and metadata of a checkpoint. Members the sections do not
+    name, such as the Adam moments older files hold, are checked by
+    :func:`fanav.binio.read` and otherwise ignored."""
     header, arrays = binio.read(path, "checkpoint")
     for key, arr in arrays.items():
         if arr.dtype not in (np.float32, np.float64) or arr.ndim != 1:
@@ -445,17 +437,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, Section], dict]:
     sections: dict[str, Section] = {}
     try:
         for spec in header["sections"]:
-            name, act, adam = spec["name"], spec["activation"], spec["adam"]
+            name, act = spec["name"], spec["activation"]
             if act not in ACTIVATIONS + ("none",):
                 raise DataFormatError(f"{path}: {name} has unknown "
                                       f"activation {act!r}")
-            if adam is not None:
-                adam = AdamState(arrays[f"{name}/adam_m"],
-                                 arrays[f"{name}/adam_v"],
-                                 *(cast(adam[k])
-                                   for k, cast in _ADAM_SCALARS.items()))
             sections[name] = Section(tuple(int(w) for w in spec["widths"]),
-                                     act, arrays[f"{name}/params"], adam)
+                                     act, arrays[f"{name}/params"])
         return sections, dict(header["meta"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad checkpoint ({exc!r})") from exc

@@ -66,7 +66,11 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Every knob of a training run, serialized alongside its artifacts."""
+    """Every knob of a training run, serialized alongside its artifacts.
+
+    A run writes two checkpoints, both at ``total_steps``: the policy
+    (``ckpt_<total_steps>.famlp``) and every network (``final.famlp``).
+    """
 
     method: str = "iql_ca"
     expectile: float = 0.7          # tau of the value expectile regression
@@ -82,7 +86,6 @@ class TrainerConfig:
     n_critics: int = 2
     total_steps: int = 30_000
     epoch_steps: int = 1_000        # logging granularity
-    eval_every: int = 10_000        # checkpoint interval in steps
     seed: int = 0
     hidden: tuple[int, ...] = (128, 128)
     activation: str = "relu"
@@ -107,7 +110,7 @@ class TrainerConfig:
             raise ConfigError("rho must lie in [0, 1)")
         if self.n_critics < 1:
             raise ConfigError("n_critics must be >= 1")
-        if self.total_steps < 1 or self.epoch_steps < 1 or self.eval_every < 1:
+        if self.total_steps < 1 or self.epoch_steps < 1:
             raise ConfigError("step counts must be >= 1")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}")
@@ -196,24 +199,20 @@ class TrainResult:
     report: TrainReport
     param_trace: list[str] = field(default_factory=list)
 
-    def checkpoint_sections(self, include_all: bool = False,
-                            optim: dict | None = None) -> dict[str, Section]:
-        optim = optim or {}
+    def checkpoint_sections(self, include_all: bool = False
+                            ) -> dict[str, Section]:
         secs = {
             "policy_mean": Section(self.policy.mean_net.widths,
                                    self.policy.mean_net.activation,
-                                   self.policy.mean_net.theta,
-                                   optim.get("policy_mean")),
-            "policy_log_std": Section((2,), "none", self.policy.log_std,
-                                      optim.get("policy_log_std")),
+                                   self.policy.mean_net.theta),
+            "policy_log_std": Section((2,), "none", self.policy.log_std),
         }
         if include_all and self.value_net is not None:
             secs["value"] = Section(self.value_net.widths,
                                     self.value_net.activation,
-                                    self.value_net.theta, optim.get("value"))
+                                    self.value_net.theta)
             for i, (c, t) in enumerate(zip(self.critics, self.target_critics)):
-                secs[f"critic_{i}"] = Section(c.widths, c.activation, c.theta,
-                                              optim.get(f"critic_{i}"))
+                secs[f"critic_{i}"] = Section(c.widths, c.activation, c.theta)
                 secs[f"target_critic_{i}"] = Section(t.widths, t.activation,
                                                      t.theta)
         return secs
@@ -296,13 +295,6 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-
-    def save_numbered(step: int) -> None:
-        if not out_dir:
-            return
-        path = os.path.join(out_dir, f"ckpt_{step:08d}.famlp")
-        save_checkpoint(path, result.checkpoint_sections(),
-                        checkpoint_meta(cfg, profile, step))
 
     def guarded(name: str, step: int, fn):
         """Run a loss computation, tagging any numeric failure with its
@@ -390,22 +382,16 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
                 step=step, seconds=now - t_epoch))
             t_epoch = now
             acc = _EpochAccumulator()
-        if step % cfg.eval_every == 0 and step != cfg.total_steps:
-            save_numbered(step)
 
     report.wall_clock = time.perf_counter() - t_start
     report.final_digest = params_digest(mean_net.theta, policy.log_std)
-    save_numbered(cfg.total_steps)
     if out_dir:
+        meta = checkpoint_meta(cfg, profile, cfg.total_steps)
+        save_checkpoint(
+            os.path.join(out_dir, f"ckpt_{cfg.total_steps:08d}.famlp"),
+            result.checkpoint_sections(), meta)
         save_checkpoint(os.path.join(out_dir, "final.famlp"),
-                        result.checkpoint_sections(
-                            include_all=True,
-                            optim={"policy_mean": opt_mean,
-                                   "policy_log_std": opt_log_std,
-                                   "value": opt_value,
-                                   **{f"critic_{i}": o
-                                      for i, o in enumerate(opt_critics)}}),
-                        checkpoint_meta(cfg, profile, cfg.total_steps))
+                        result.checkpoint_sections(include_all=True), meta)
         with open(os.path.join(out_dir, "report.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write(report.to_csv())
@@ -485,18 +471,22 @@ class FailureAwareIQL:
 
     def predict(self, X) -> np.ndarray:
         """Deterministic actions (v, omega) for encoded feature rows."""
-        feats = self._feature_rows(X, "policy_")
+        feats = self._feature_rows(X)
         return self.policy_.mean_action(
             feats.astype(self.policy_.mean_net.dtype))
 
     def state_values(self, X) -> np.ndarray:
-        feats = self._feature_rows(X, "value_net_")
+        """V(s) of encoded feature rows; ``bc`` trains no value network."""
+        feats = self._feature_rows(X)
+        if self.value_net_ is None:
+            raise ProtocolError(f"method '{self.report_.method}' trains no "
+                                "value network, so it has no state values")
         return self.value_net_.forward(
             feats.astype(self.value_net_.dtype))[:, 0]
 
-    def _feature_rows(self, X, fitted_attr: str) -> np.ndarray:
+    def _feature_rows(self, X) -> np.ndarray:
         """``X`` as finite float rows of the fitted profile's width."""
-        if getattr(self, fitted_attr) is None:
+        if self.policy_ is None:
             raise ProtocolError(
                 f"{type(self).__name__} is not fitted yet; call fit() first")
         arr = np.asarray(X, dtype=np.float64)

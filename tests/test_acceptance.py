@@ -23,12 +23,7 @@ from fanav.data import (
     load_dataset,
     save_dataset,
 )
-from fanav.evaluation import (
-    ExpertPilot,
-    ZeroPolicy,
-    evaluate_suite,
-    make_suite,
-)
+from fanav.evaluation import evaluate_suite, make_suite
 from fanav.expert import ExpertConfig, collect_to_ratio
 from fanav.geometry import Circle, Rect
 from fanav.losses import (
@@ -58,6 +53,8 @@ from fanav.sim import (
     step_kinematics,
 )
 from fanav.trainers import TrainerConfig, train
+
+from baselines import ExpertPilot, ZeroPolicy
 
 SCALE = np.array([0.5, math.pi / 2])
 
@@ -234,7 +231,7 @@ def test_c3_asymmetry_guard_and_stratification():
     ds = toy_dataset(seed=5)
     cfg = TrainerConfig(method="iql_ca", rho=0.015, batch_size=256,
                         hidden=(32, 32), total_steps=2000, epoch_steps=500,
-                        eval_every=2000, seed=3)
+                        seed=3)
     res = train(ds, cfg)
     r = res.report
     assert r.policy_collision_count == 0
@@ -253,7 +250,7 @@ def test_c3_asymmetry_guard_and_stratification():
 def test_c4_degeneracy_collapse():
     ds = toy_dataset(seed=7)
     kw = dict(batch_size=64, hidden=(32, 32), total_steps=500,
-              epoch_steps=250, eval_every=500, seed=11)
+              epoch_steps=250, seed=11)
     ca = train(ds, TrainerConfig(method="iql_ca", rho=0.0, **kw),
                trace_params=True)
     so = train(ds, TrainerConfig(method="iql_so", rho=0.5, **kw),
@@ -277,7 +274,7 @@ def test_c5_value_shaping():
                   < (0.2 + 0.05) / PROFILE.robot.lidar_range)
     res = train(ds, TrainerConfig(method="iql_ca", rho=0.1, batch_size=64,
                                   hidden=(32, 32), total_steps=1500,
-                                  epoch_steps=500, eval_every=1500, seed=7))
+                                  epoch_steps=500, seed=7))
     v_col = float(res.value_net.forward(col_last)[:, 0].mean())
     mid = (ds.exp.step_ids > 4) & (ds.exp.step_ids < 12)
     v_exp = float(res.value_net.forward(ds.exp.features[mid])[:, 0].mean())

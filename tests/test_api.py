@@ -1,11 +1,12 @@
 """The documented library API: the README quick start runs as written,
-every public function in the package has a caller outside the tests, and
+every public name in the package has a user outside the tests, and
 every name the benchmark's tracer patches is where it looks for it."""
 import ast
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -13,14 +14,21 @@ import fanav
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# reference implementations that tests compare the vectorized code against
-TEST_ORACLES = {"ray_circle", "ray_rect", "scalar_expectile"}
+# reference implementations that tests compare the vectorized code against,
+# and the objective the finite-difference gradient checks differentiate
+TEST_ORACLES = {"ray_circle", "ray_rect", "scalar_expectile",
+                "GaussianPolicyHead.log_prob"}
+
+
+def quick_start_code() -> str:
+    """The README's library quick start, as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Quick start (library)", 1)[1]
+    return code.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_readme_quick_start_runs_at_toy_size(monkeypatch, capsys):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = readme.split("## Quick start (library)", 1)[1]
-    code = code.split("```python\n", 1)[1].split("```", 1)[0]
+    code = quick_start_code()
     # 400 transitions are too few whole trajectories to trim to the default
     # ratio_tol of 0.01 on this world and seed; 500 are enough
     for full, toy in (("min_transitions=20_000", "min_transitions=500"),
@@ -32,17 +40,18 @@ def test_readme_quick_start_runs_at_toy_size(monkeypatch, capsys):
     ns = {}
     exec(compile(code, "README.md", "exec"), ns)
     assert ns["actions"].shape == (8, 2)
+    assert ns["v_col"].shape == (8,)
     result = ns["result"]
     assert len(ns["suite"]) == 2 and result.n_trials == 3
     assert result.sr + result.cr + result.tr == 100.0
     assert capsys.readouterr().out.strip()
 
 
-def code_references(path: Path) -> Counter:
-    """Identifiers the code in ``path`` refers to: names, attributes and
+def code_references(tree: ast.AST) -> Counter:
+    """Identifiers the code in ``tree`` refers to: names, attributes and
     imported names; strings and comments do not count."""
     refs = Counter()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
@@ -52,20 +61,39 @@ def code_references(path: Path) -> Counter:
     return refs
 
 
-def test_every_public_function_has_a_caller():
-    refs = sum((code_references(p)
-                for d in (ROOT / "src" / "fanav", ROOT / "perfbench")
-                for p in sorted(d.glob("*.py"))), Counter())
-    unused = []
+def public_names():
+    """``(module, name)`` of every public function, class and method
+    (property, classmethod and staticmethod included) a fanav module
+    defines; a method's name is ``Class.method``."""
     for info in pkgutil.iter_modules(fanav.__path__):
         module = importlib.import_module(f"fanav.{info.name}")
-        for name, fn in inspect.getmembers(module, inspect.isfunction):
-            if (name.startswith("_") or fn.__module__ != module.__name__
-                    or name in fanav.__all__ or name in TEST_ORACLES):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not (
+                    inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    or obj.__module__ != module.__name__:
                 continue
-            if not refs[name]:
-                unused.append(f"{module.__name__}.{name}")
-    assert not unused, f"public functions only tests call: {unused}"
+            yield module.__name__, name
+            if not inspect.isclass(obj):
+                continue
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and isinstance(
+                        member, (types.FunctionType, property, classmethod,
+                                 staticmethod)):
+                    yield module.__name__, f"{name}.{attr}"
+
+
+def test_every_public_name_has_a_caller():
+    # a caller is package code (not the re-exports in __init__.py), the
+    # benchmark, or the README quick start, which the test above runs
+    sources = [p for d in (ROOT / "src" / "fanav", ROOT / "perfbench")
+               for p in sorted(d.glob("*.py")) if p.name != "__init__.py"]
+    refs = sum((code_references(ast.parse(p.read_text(encoding="utf-8")))
+                for p in sources),
+               code_references(ast.parse(quick_start_code())))
+    unused = [f"{module}.{name}" for module, name in public_names()
+              if not refs[name.rsplit(".", 1)[-1]]
+              and name not in TEST_ORACLES]
+    assert not unused, f"public names only tests use: {unused}"
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

@@ -14,11 +14,13 @@ import pytest
 from fanav import expert, sim
 from fanav.cli import resolve_world
 from fanav.data import EncoderProfile, build_dataset
-from fanav.evaluation import ExpertPilot, evaluate_suite, make_suite
+from fanav.evaluation import evaluate_suite, make_suite
 from fanav.expert import ExpertConfig, _segment_clear, collect_to_ratio
 from fanav.geometry import (Circle, Rect, point_shape_distance,
                             segment_shape_distance)
 from fanav.sim import NEAR_MARGIN, EpisodeConfig, Pose, RobotSpec, World
+
+from baselines import ExpertPilot
 
 SPEC = RobotSpec()
 INFLATE = SPEC.radius + ExpertConfig().plan_inflation  # plan_path's

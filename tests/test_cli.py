@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import os
 import re
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,7 +27,8 @@ from fanav.expert import ExpertConfig
 from fanav.nets import load_checkpoint, save_checkpoint
 from fanav.sim import EpisodeConfig, RobotSpec, load_world
 
-DESK = str(Path(__file__).resolve().parents[1] / "desk.toml")
+ROOT = Path(__file__).resolve().parents[1]
+DESK = str(ROOT / "desk.toml")
 
 
 def run(argv):
@@ -172,6 +175,22 @@ def test_unknown_set_key_rejected():
         resolve_config(None, ["trainer.bogus=1"])
     with pytest.raises(ConfigError, match="--set expects"):
         resolve_config(None, ["no_dot=1"])
+
+
+@pytest.mark.parametrize("source", ["set", "file"])
+def test_checkpoint_interval_key_is_unknown(source, tmp_path, capsys):
+    # a run writes its checkpoints once, at total_steps; the interval key
+    # that numbered the intermediate ones is gone
+    if source == "set":
+        extra = ["--set", "trainer.eval_every=60"]
+    else:
+        cfg = tmp_path / "old.toml"
+        cfg.write_text("[trainer]\neval_every = 10000\n")
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), *extra]) == 3
+    assert "unknown config key trainer.eval_every" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("pair, key", [
@@ -323,7 +342,6 @@ RUN_SETS = [
     "--set", "collect.ratio_tol=0.02",
     "--set", "trainer.total_steps=120",
     "--set", "trainer.epoch_steps=60",
-    "--set", "trainer.eval_every=60",
     "--set", "trainer.batch_size=32",
     "--set", "trainer.hidden=[24, 24]",
     "--set", "eval.n_tasks=4",
@@ -425,6 +443,25 @@ def pipeline_run(tmp_path_factory):
     assert run(["pipeline", "--out-dir", out, "--seed", "5",
                 *PIPELINE_SETS]) == 0
     return out
+
+
+def test_pipeline_writes_every_artifact_the_benchmark_reads(pipeline_run,
+                                                           monkeypatch):
+    # perfbench/workloads.py fails a pipeline operation on a missing or
+    # empty artifact; a file dropped here fails this test, not a benchmark
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    workload = module.Pipeline(str(ROOT), pipeline_run, seed=5)
+    workload.tree = resolve_config(None, PIPELINE_SETS[1::2])
+    paths = workload.artifacts()
+    assert "train/iql_ca/ckpt_00000120.famlp" in paths
+    for rel in paths:
+        path = os.path.join(pipeline_run, rel)
+        assert os.path.isfile(path) and os.path.getsize(path) > 0, rel
 
 
 def eval_argv(pipeline_run, method, out_dir, *extra, world="sparse",
@@ -720,7 +757,6 @@ def test_train_emits_expected_artifacts(tmp_path):
                 "--out-dir", tdir, "--seed", "1",
                 "--set", "trainer.total_steps=50",
                 "--set", "trainer.epoch_steps=25",
-                "--set", "trainer.eval_every=25",
                 "--set", "trainer.batch_size=16",
                 "--set", "trainer.hidden=[16]"]) == 0
     echo = open(os.path.join(tdir, "config.echo")).read()

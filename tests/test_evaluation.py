@@ -20,11 +20,9 @@ from fanav.sim import (
 )
 from fanav.evaluation import (
     EvalResult,
-    ExpertPilot,
     NetworkPolicy,
     Task,
     TaskSuite,
-    ZeroPolicy,
     compare,
     evaluate_suite,
     export_trajectories,
@@ -36,6 +34,8 @@ from fanav.evaluation import (
     save_eval_result,
     save_suite,
 )
+
+from baselines import ExpertPilot, ZeroPolicy
 
 SPEC = RobotSpec(lidar_beams=24)
 EPISODE = EpisodeConfig()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fanav import binio
 from fanav.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from fanav.nets import (
     _all_finite,
@@ -590,21 +591,15 @@ def test_deterministic_action_is_squashed_mean():
 def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(15)
     net = Mlp.initialized((6, 8, 1), "relu", rng)
-    st = AdamState.for_params(net.n_params, lr=3e-4)
-    adam_step(net.theta, rng.normal(size=net.n_params).astype(np.float32), st)
     log_std = np.array([-0.5, 0.1], dtype=np.float32)
     path = str(tmp_path / "ck.famlp")
     save_checkpoint(path, {
-        "value": Section(net.widths, net.activation, net.theta, st),
+        "value": Section(net.widths, net.activation, net.theta),
         "policy_log_std": Section((2,), "none", log_std),
     }, meta={"note": "test", "dim": 6})
     sections, meta = load_checkpoint(path)
     assert meta == {"note": "test", "dim": 6}
     assert np.array_equal(sections["value"].params, net.theta)
-    assert np.array_equal(sections["value"].adam.m, st.m)
-    assert np.array_equal(sections["value"].adam.v, st.v)
-    assert sections["value"].adam.t == st.t
-    assert sections["value"].adam.lr == st.lr
     assert np.array_equal(sections["policy_log_std"].params, log_std)
     restored = sections["value"].to_mlp()
     x = rng.normal(size=(4, 6)).astype(np.float32)
@@ -642,15 +637,47 @@ def test_checkpoint_truncation(tmp_path):
 def test_checkpoint_flipped_byte_fails_the_load(tmp_path):
     rng = np.random.default_rng(17)
     net = Mlp.initialized((6, 16, 1), "relu", rng)
-    st = AdamState.for_params(net.n_params, lr=3e-4)
     path = str(tmp_path / "ck.famlp")
-    save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta, st)})
+    save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta)})
     blob = bytearray(open(path, "rb").read())
     blob[len(blob) // 2] ^= 0xFF
     bad = tmp_path / "flip.famlp"
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="Bad CRC-32"):
         load_checkpoint(str(bad))
+
+
+def test_checkpoint_with_adam_moments_loads_to_the_same_sections(tmp_path):
+    # the layout checkpoints had while they stored Adam state: an "adam"
+    # entry per header section and <section>/adam_m, /adam_v members
+    rng = np.random.default_rng(18)
+    net = Mlp.initialized((6, 8, 1), "relu", rng)
+    log_std = np.array([-0.5, 0.1], dtype=np.float32)
+    st = AdamState.for_params(net.n_params, lr=3e-4)
+    adam_step(net.theta, rng.normal(size=net.n_params).astype(np.float32), st)
+    old = str(tmp_path / "old.famlp")
+    binio.write(old, "checkpoint", {
+        "sections": [
+            {"name": "value", "widths": [6, 8, 1], "activation": "relu",
+             "adam": {"t": st.t, "lr": st.lr, "beta1": st.beta1,
+                      "beta2": st.beta2, "eps": st.eps}},
+            {"name": "policy_log_std", "widths": [2], "activation": "none",
+             "adam": None}],
+        "meta": {"step": 1}},
+        {"value/params": net.theta, "value/adam_m": st.m,
+         "value/adam_v": st.v, "policy_log_std/params": log_std})
+    new = str(tmp_path / "new.famlp")
+    save_checkpoint(new, {
+        "value": Section(net.widths, net.activation, net.theta),
+        "policy_log_std": Section((2,), "none", log_std)}, meta={"step": 1})
+    old_sections, old_meta = load_checkpoint(old)
+    new_sections, new_meta = load_checkpoint(new)
+    assert old_meta == new_meta == {"step": 1}
+    assert list(old_sections) == list(new_sections)
+    for name, sec in new_sections.items():
+        assert old_sections[name].widths == sec.widths
+        assert old_sections[name].activation == sec.activation
+        assert np.array_equal(old_sections[name].params, sec.params)
 
 
 def test_checkpoint_keeps_section_order_and_checks_types(tmp_path):

@@ -10,6 +10,7 @@ from fanav.data import (
     OfflineDataset,
     TransitionBlock,
 )
+from fanav import binio
 from fanav.nets import load_checkpoint
 from fanav.sim import RobotSpec
 from fanav.trainers import (
@@ -87,7 +88,7 @@ DS = synthetic_dataset()
 
 def quick_config(**kw) -> TrainerConfig:
     base = dict(method="iql_ca", batch_size=64, hidden=(32, 32),
-                total_steps=300, epoch_steps=100, eval_every=100, seed=1,
+                total_steps=300, epoch_steps=100, seed=1,
                 rho=0.1)
     base.update(kw)
     return TrainerConfig(**base)
@@ -195,13 +196,10 @@ def test_nan_abort_names_loss_and_step():
 
 def test_checkpoints_written(tmp_path):
     out = tmp_path / "run"
-    res = train(DS, quick_config(total_steps=200, eval_every=100),
-                out_dir=str(out))
-    files = sorted(p.name for p in out.iterdir())
-    assert "ckpt_00000100.famlp" in files
-    assert "ckpt_00000200.famlp" in files
-    assert "final.famlp" in files
-    assert "report.csv" in files
+    res = train(DS, quick_config(total_steps=200), out_dir=str(out))
+    # the policy that eval deploys, every network, and the loss curves
+    assert {p.name for p in out.iterdir()} == {
+        "ckpt_00000200.famlp", "final.famlp", "report.csv"}
     sections, meta = load_checkpoint(str(out / "ckpt_00000200.famlp"))
     assert set(sections) == {"policy_mean", "policy_log_std"}
     assert set(meta) == {"step", "profile", "config"}
@@ -210,8 +208,20 @@ def test_checkpoints_written(tmp_path):
                                "d_norm": PROFILE.d_norm}
     assert np.array_equal(sections["policy_mean"].params,
                           res.policy.mean_net.theta)
-    full, _ = load_checkpoint(str(out / "final.famlp"))
-    assert "value" in full and "critic_0" in full and "critic_1" in full
+    full, full_meta = load_checkpoint(str(out / "final.famlp"))
+    assert set(full) == {"policy_mean", "policy_log_std", "value",
+                         "critic_0", "critic_1", "target_critic_0",
+                         "target_critic_1"}
+    assert full_meta == meta
+    for name, sec in sections.items():
+        assert full[name].widths == sec.widths
+        assert full[name].activation == sec.activation
+        assert np.array_equal(full[name].params, sec.params)
+    # no optimizer state: nothing that loads a checkpoint resumes training
+    header, arrays = binio.read(str(out / "final.famlp"), "checkpoint")
+    assert sorted(arrays) == sorted(f"{name}/params" for name in full)
+    assert all(set(spec) == {"name", "widths", "activation"}
+               for spec in header["sections"])
     csv_text = (out / "report.csv").read_text()
     assert csv_text.splitlines()[0].startswith("epoch,step,loss_value")
 
@@ -252,7 +262,7 @@ def test_get_set_params_roundtrip():
 def test_estimator_fit_predict():
     est = FailureAwareIQL(method="iql_ca", total_steps=150, batch_size=64,
                           hidden=(32, 32), rho=0.1, seed=3,
-                          epoch_steps=50, eval_every=50)
+                          epoch_steps=50)
     with pytest.raises(ProtocolError, match="not fitted"):
         est.predict(np.zeros((2, DIM)))
     est.fit(DS)
@@ -270,8 +280,16 @@ def test_estimator_fit_predict():
 
 def test_estimator_params_drive_training():
     a = FailureAwareIQL(method="bc", total_steps=60, batch_size=32,
-                        hidden=(16,), seed=0, epoch_steps=30, eval_every=30)
+                        hidden=(16,), seed=0, epoch_steps=30)
     b = FailureAwareIQL(**a.get_params())
     a.fit(DS)
     b.fit(DS)
     assert a.report_.final_digest == b.report_.final_digest
+
+
+def test_bc_estimator_has_no_state_values():
+    est = FailureAwareIQL(method="bc", total_steps=20, batch_size=32,
+                          hidden=(16,), seed=0).fit(DS)
+    assert est.predict(DS.exp.features[:3]).shape == (3, 2)
+    with pytest.raises(ProtocolError, match="'bc' trains no value network"):
+        est.state_values(DS.exp.features[:3])
