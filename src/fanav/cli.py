@@ -35,6 +35,9 @@ from .data import (
 )
 from .errors import ConfigError, FanavError
 from .evaluation import (
+    JITTER,
+    MIN_SEPARATION,
+    N_TRIALS,
     EvalResult,
     NetworkPolicy,
     TaskSuite,
@@ -47,8 +50,8 @@ from .evaluation import (
     save_eval_result,
     save_suite,
 )
-from .expert import (CLEAN, PERTURBED, ExpertConfig, Trajectory, collect,
-                     collect_to_ratio)
+from .expert import (CLEAN, PERTURBED, RATIO_TOL, ExpertConfig, Trajectory,
+                     collect, collect_to_ratio)
 from .sim import EpisodeConfig, RobotSpec, World, load_world, save_world
 from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
@@ -59,12 +62,12 @@ DEFAULT_CONFIG: ConfigTree = {
     "episode": asdict(EpisodeConfig()),
     "expert": asdict(ExpertConfig()),
     "collect": {"min_transitions": 20000, "target_col_ratio": 0.1,
-                "ratio_tol": 0.01},
+                "ratio_tol": RATIO_TOL},
     # TrainerConfig's defaults; the seed is resolved apart, in [run]
     "trainer": {k: v for k, v in TrainerConfig().to_dict().items()
                 if k != "seed"},
-    "eval": {"n_tasks": 50, "n_trials": 3, "jitter_pos": 0.1,
-             "jitter_heading": 0.1, "min_separation": 3.0},
+    "eval": {"n_tasks": 50, "n_trials": N_TRIALS, "jitter_pos": JITTER[0],
+             "jitter_heading": JITTER[1], "min_separation": MIN_SEPARATION},
     "pipeline": {"collect_world": "cluttered",
                  "eval_worlds": ["cluttered", "sparse", "dense"],
                  "methods": list(METHODS)},
@@ -78,16 +81,20 @@ BUNDLED_WORLDS = ("cluttered", "sparse", "dense")
 # ---------------------------------------------------------------------------
 
 def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
+    """Each ``section.key=value`` pair read as one line of TOML; a later
+    pair for the same key wins."""
     tree: ConfigTree = {}
-    for pair in pairs or []:
-        if "=" not in pair or "." not in pair.split("=", 1)[0]:
+    for pair in pairs:
+        key_path, eq, _ = pair.partition("=")
+        if not eq or "." not in key_path:
             raise ConfigError(
                 f"--set expects section.key=value, got '{pair}'")
-        key_path, value = pair.split("=", 1)
-        section, key = key_path.split(".", 1)
-        sub = parse_config(f"[{section}]\n{key} = {value.strip()}\n",
-                           source="--set")
-        tree.setdefault(section.strip(), {}).update(sub[section.strip()])
+        try:
+            sub = parse_config(pair, source=f"--set '{pair}'")
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}; strings need double quotes") from None
+        for section, kv in sub.items():
+            tree.setdefault(section, {}).update(kv)
     return tree
 
 
@@ -154,11 +161,8 @@ def trainer_from(tree: ConfigTree, seed: int,
 # ---------------------------------------------------------------------------
 
 def _sha256_file(path: str) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def write_manifest(path: str, command: str, argv: list[str],

@@ -1,7 +1,6 @@
-"""Minimal key-value configuration format with TOML-style grammar.
+"""Configuration files: TOML, read by the standard library's ``tomllib``.
 
-Supported syntax, parsed natively (no tomllib dependency, the package
-supports Python 3.10)::
+Every key belongs to a ``[section]``::
 
     # comment
     [section]
@@ -11,104 +10,44 @@ supports Python 3.10)::
     string_key = "hello"
     list_key = [1, 2, 3]
 
-Values keep their parsed Python types. ``format_config`` emits the same
-grammar, so resolved configurations echo back losslessly.
+A repeated key or section is an error, as TOML requires. Values keep
+their parsed Python types. ``format_config`` writes the same grammar, so
+a resolved configuration echoes back to its tree.
 """
 from __future__ import annotations
+
+import tomllib
 
 from .errors import ConfigError
 
 ConfigTree = dict[str, dict[str, object]]
 
-
-def _parse_scalar(tok: str, where: str):
-    tok = tok.strip()
-    if tok == "true":
-        return True
-    if tok == "false":
-        return False
-    if len(tok) >= 2 and tok[0] == '"' and tok[-1] == '"':
-        return tok[1:-1]
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse value '{tok}' "
-                          "(strings need double quotes)")
-
-
-def _split_list(body: str, where: str) -> list[str]:
-    items, depth, cur = [], 0, []
-    in_str = False
-    for ch in body:
-        if ch == '"':
-            in_str = not in_str
-            cur.append(ch)
-        elif ch == "," and not in_str:
-            items.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if in_str:
-        raise ConfigError(f"{where}: unterminated string in list")
-    if cur and "".join(cur).strip():
-        items.append("".join(cur))
-    return [i for i in items if i.strip()]
+# what a TOML basic string must escape: the quote, the backslash and the
+# control characters
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
+            **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}}
 
 
 def parse_config(text: str, source: str = "<config>") -> ConfigTree:
-    tree: ConfigTree = {}
-    section: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        where = f"{source}:{lineno}"
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]") or len(line) < 3:
-                raise ConfigError(f"{where}: malformed section header '{line}'")
-            section = line[1:-1].strip()
-            tree.setdefault(section, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{where}: expected 'key = value'")
-        if section is None:
-            raise ConfigError(f"{where}: key outside of any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
-            raise ConfigError(f"{where}: expected 'key = value'")
-        if value.startswith("["):
-            if not value.endswith("]"):
-                raise ConfigError(f"{where}: unterminated list")
-            items = _split_list(value[1:-1], where)
-            tree[section][key] = [_parse_scalar(i, where) for i in items]
-        else:
-            tree[section][key] = _parse_scalar(value, where)
+    """The sections of TOML ``text``. A TOML error, whose message gives
+    the line, or a key outside any section is a ``ConfigError`` that
+    names ``source``."""
+    try:
+        tree = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+    for key, value in tree.items():
+        if not isinstance(value, dict):
+            raise ConfigError(f"{source}: key '{key}' outside of any "
+                              "[section]")
     return tree
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_str = False
-    for ch in line:
-        if ch == '"':
-            in_str = not in_str
-        if ch == "#" and not in_str:
-            break
-        out.append(ch)
-    return "".join(out)
 
 
 def _format_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
-        return f'"{v}"'
+        return f'"{v.translate(_ESCAPES)}"'
     if isinstance(v, float):
         return repr(v)
     return str(v)

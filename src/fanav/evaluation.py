@@ -39,6 +39,9 @@ from .sim import (
 )
 
 OUTCOMES = (SUCCESS, COLLISION, TIMEOUT)
+MIN_SEPARATION = 3.0  # least start-to-goal distance of a task, metres
+N_TRIALS = 3  # jittered runs of each task
+JITTER = (0.1, 0.1)  # start-pose jitter: metres, radians
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class TaskSuite:
 
 def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
                n_tasks: int, seed: int,
-               min_separation: float = 3.0) -> TaskSuite:
+               min_separation: float = MIN_SEPARATION) -> TaskSuite:
     """Sample collision-free, planner-feasible start/goal tasks."""
     if n_tasks < 1:
         raise ConfigError("n_tasks must be >= 1")
@@ -349,8 +352,8 @@ def load_eval_result(path: str) -> EvalResult:
 
 
 def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
-                   n_trials: int = 3, seed: int = 0,
-                   jitter: tuple[float, float] = (0.1, 0.1),
+                   n_trials: int = N_TRIALS, seed: int = 0,
+                   jitter: tuple[float, float] = JITTER,
                    method: str | None = None) -> EvalResult:
     """Score a policy on every task of a suite across jittered trials.
 

@@ -34,6 +34,7 @@ from .sim import (
 CLEAN = "clean"
 PERTURBED = "perturbed"
 MAX_EPISODES = 100_000  # collect_to_ratio gives up after this many episodes
+RATIO_TOL = 0.01  # how far collect_to_ratio may land from the target ratio
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                      expert_cfg: ExpertConfig, min_transitions: int,
                      target_col_ratio: float, seed: int,
-                     ratio_tol: float = 0.01) -> list[Trajectory]:
+                     ratio_tol: float = RATIO_TOL) -> list[Trajectory]:
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 

@@ -78,7 +78,7 @@ def value_loss_and_grad(value_net: Mlp, feats: np.ndarray,
     u = np.asarray(q_targets, np.float64) - np.asarray(v[:, 0], np.float64)
     loss = expectile_loss(u, tau)
     dv = (-expectile_grad(u, tau))[:, None]
-    grad, _ = value_net.backward(cache, dv.astype(value_net.dtype))
+    grad = value_net.backward(cache, dv.astype(value_net.dtype))
     return loss, grad
 
 
@@ -114,7 +114,7 @@ def critic_loss_and_grads(critics: list[Mlp], x_sa: np.ndarray,
         resid = np.asarray(q[:, 0], np.float64) - y
         loss += float(np.sum(resid * resid))
         dq = (2.0 * resid / n)[:, None]
-        g, _ = net.backward(cache, dq.astype(net.dtype))
+        g = net.backward(cache, dq.astype(net.dtype))
         grads.append(g)
     return loss / n, grads
 

@@ -178,13 +178,11 @@ class Mlp:
         return a, cache
 
     @_QUIET
-    def backward(self, cache: dict, dy: np.ndarray,
-                 need_dx: bool = False):
+    def backward(self, cache: dict, dy: np.ndarray) -> np.ndarray:
         """Gradient of sum(dy * output) with respect to the flat parameters.
 
         ``dy`` is the upstream derivative, one row per batch row; it is
-        read, never written. Returns (grad, dx) where dx is None unless
-        requested.
+        read, never written.
         """
         inputs = cache["inputs"]
         delta = np.asarray(dy, dtype=self.dtype)
@@ -207,14 +205,14 @@ class Mlp:
             goff -= W.size
             np.matmul(inputs[l].T, delta,
                       out=grad[goff:goff + W.size].reshape(W.shape))
-            if l > 0 or need_dx:
+            if l > 0:
                 if W.shape[1] == 1:
                     delta = np.multiply(delta, W.T)
                     delta += 0.0
                 else:
                     delta = delta @ W.T
                 self._check(delta, l, "backward")
-        return grad, delta if need_dx else None
+        return grad
 
     def copy(self) -> "Mlp":
         return Mlp(self.widths, self.activation, self.theta.copy(), self.dtype)
@@ -378,7 +376,7 @@ class GaussianPolicyHead:
         loss = float(-(w @ logp) / n)
         # d loss / d mu = -(w/n) * (z - mu) / sigma^2
         dmu = (-(w[:, None] / n) * parts["resid"] * parts["inv_var"])
-        grad_mean, _ = self.mean_net.backward(
+        grad_mean = self.mean_net.backward(
             parts["cache"], dmu.astype(self.mean_net.dtype))
         # d logp / d log_std = resid^2/sigma^2 - 1 (zero where the clamp binds)
         dls = -(w[:, None] / n) * (parts["resid"] ** 2 * parts["inv_var"] - 1.0)

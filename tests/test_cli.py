@@ -160,6 +160,10 @@ def test_precedence_set_over_file(tmp_path):
     path.write_text("[trainer]\nbatch_size = 64\n")
     tree = resolve_config(str(path), ["trainer.batch_size=32"])
     assert tree["trainer"]["batch_size"] == 32
+    # of two --set for one key, the later wins
+    tree = resolve_config(str(path), ["trainer.batch_size=32",
+                                      "trainer.batch_size=16"])
+    assert tree["trainer"]["batch_size"] == 16
 
 
 def test_precedence_flag_over_set(tmp_path):
@@ -175,6 +179,8 @@ def test_unknown_set_key_rejected():
         resolve_config(None, ["trainer.bogus=1"])
     with pytest.raises(ConfigError, match="--set expects"):
         resolve_config(None, ["no_dot=1"])
+    with pytest.raises(ConfigError, match="strings need double quotes"):
+        resolve_config(None, ["trainer.method=bc"])
 
 
 @pytest.mark.parametrize("source", ["set", "file"])
@@ -190,6 +196,24 @@ def test_checkpoint_interval_key_is_unknown(source, tmp_path, capsys):
     out = tmp_path / "p"
     assert run(["pipeline", "--out-dir", str(out), *extra]) == 3
     assert "unknown config key trainer.eval_every" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[trainer]\nrho = 0.1\nrho = 0.5\n", 3),
+    ("[trainer]\nrho = 0.1\n\n[trainer]\ngamma = 0.9\n", 4),
+], ids=["key", "section"])
+def test_repeated_config_key_or_section_exits_three(text, line, tmp_path,
+                                                    capsys):
+    from fanav.errors import ConfigError
+    cfg = tmp_path / "twice.toml"
+    cfg.write_text(text)
+    where = re.escape(str(cfg)) + rf": .*\(at line {line},"
+    with pytest.raises(ConfigError, match=where):
+        resolve_config(str(cfg), [])
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), "--config", str(cfg)]) == 3
+    assert re.search(where, capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from fanav.cli import DEFAULT_CONFIG
 from fanav.errors import ConfigError
 from fanav.configfile import format_config, merge_tree, parse_config
 
@@ -29,17 +30,28 @@ def test_parse_inline_comments_and_hash_in_string():
     assert tree["s"]["name"] == "a#b"
 
 
+def test_parse_literal_strings_multiline_arrays_and_hex():
+    tree = parse_config("[s]\npath = 'C:\\data'\nl = [\n  1,\n  2,\n]\n"
+                        "h = 0x10\n")
+    assert tree["s"] == {"path": "C:\\data", "l": [1, 2], "h": 16}
+
+
 def test_parse_errors_carry_line_numbers():
-    with pytest.raises(ConfigError, match=":2:"):
-        parse_config("[s]\nk 5\n")
-    with pytest.raises(ConfigError, match="outside"):
-        parse_config("k = 5\n")
-    with pytest.raises(ConfigError, match="cannot parse"):
-        parse_config("[s]\nk = bare_string\n")
-    with pytest.raises(ConfigError, match="unterminated list"):
-        parse_config("[s]\nk = [1, 2\n")
-    with pytest.raises(ConfigError, match="malformed section"):
-        parse_config("[s\nk = 1\n")
+    with pytest.raises(ConfigError, match="c.toml: Expected '=' .* line 2,"):
+        parse_config("[s]\nk 5\n", source="c.toml")
+    # TOML allows a key before any section, and such a key is refused;
+    # tomllib gives no position, and the key is unique there
+    with pytest.raises(ConfigError, match="c.toml: key 'k' outside"):
+        parse_config("k = 5\n[s]\nj = 1\n", source="c.toml")
+    with pytest.raises(ConfigError, match="c.toml: Invalid value .* line 2,"):
+        parse_config("[s]\nk = bare_string\n", source="c.toml")
+    with pytest.raises(ConfigError, match="c.toml: Unclosed array .* line 3,"):
+        parse_config("[s]\nk = [1, 2\nj = 3\n", source="c.toml")
+    with pytest.raises(ConfigError, match="c.toml: Expected ']' .* line 1,"):
+        parse_config("[s\nk = 1\n", source="c.toml")
+    for number in (".5", "3.", "007"):
+        with pytest.raises(ConfigError, match="c.toml: .* line 2,"):
+            parse_config(f"[s]\nk = {number}\n", source="c.toml")
 
 
 def test_format_roundtrip():
@@ -51,6 +63,14 @@ def test_format_roundtrip():
     assert again == {"a": {**tree["a"], "l": [1, 2, 3]}, "b": {"q": False}}
     # stable under a second round trip
     assert format_config(again) == text
+
+
+def test_echo_reads_back_to_its_tree():
+    tree = {**DEFAULT_CONFIG,
+            "text": {"quote": 'a"b#c', "backslash": "C:\\data\\",
+                     "tab": "a\tb", "letter": "café",
+                     "control": "a\nb\x00\x7f", "list": ['"x"', "y\\", "#"]}}
+    assert parse_config(format_config(tree)) == tree
 
 
 def test_merge_tree_strict():

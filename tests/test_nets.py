@@ -115,7 +115,7 @@ def test_backward_squared_loss_finite_difference():
 
     out, cache = net.forward_cached(x)
     dy = 2.0 * (out - y) / x.shape[0]
-    grad, _ = net.backward(cache, dy)
+    grad = net.backward(cache, dy)
     idx = rng.choice(net.n_params, 20, replace=False)
     fd = numerical_grad(loss, net.theta, idx)
     assert rel_err(fd, grad[idx]) < 1e-4
@@ -130,24 +130,10 @@ def test_backward_linear_closed_form():
     net.theta[:d] = rng.normal(size=d)
     w = net.theta[:d].reshape(d, 1)
     out, cache = net.forward_cached(X)
-    grad, _ = net.backward(cache, 2.0 * (out - y) / n)
+    grad = net.backward(cache, 2.0 * (out - y) / n)
     closed = (2.0 * X.T @ (X @ w - y) / n).reshape(-1)
     assert np.allclose(grad[:d], closed, atol=1e-10)
     assert grad[d] == pytest.approx(float(2.0 * np.mean(X @ w - y)), abs=1e-10)
-
-
-def test_backward_input_gradient():
-    rng = np.random.default_rng(6)
-    net = Mlp.initialized((4, 8, 1), "tanh", rng, dtype=np.float64)
-    x = rng.normal(size=(3, 4))
-    out, cache = net.forward_cached(x)
-    _, dx = net.backward(cache, np.ones_like(out), need_dx=True)
-    h = 1e-6
-    for i in range(4):
-        xp = x.copy(); xp[1, i] += h
-        xm = x.copy(); xm[1, i] -= h
-        fd = (net.forward(xp).sum() - net.forward(xm).sum()) / (2 * h)
-        assert dx[1, i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +229,7 @@ def ref_forward(net: Mlp, x: np.ndarray):
     return a, inputs, pre
 
 
-def ref_backward(net: Mlp, inputs, pre, dy: np.ndarray, need_dx: bool):
+def ref_backward(net: Mlp, inputs, pre, dy: np.ndarray):
     delta = np.asarray(dy, dtype=net.dtype)
     grad = np.zeros_like(net.theta)
     goff = grad.size
@@ -262,9 +248,9 @@ def ref_backward(net: Mlp, inputs, pre, dy: np.ndarray, need_dx: bool):
         grad[goff:goff + b.size] = gb
         goff -= W.size
         grad[goff:goff + W.size] = gW.reshape(-1)
-        if l > 0 or need_dx:
+        if l > 0:
             delta = delta @ W.T
-    return grad, delta if need_dx else None
+    return grad
 
 
 def ref_adam(params, grad, st: AdamState) -> None:
@@ -330,19 +316,15 @@ def test_forward_and_backward_bytes_equal_the_formulas(activation, dtype,
         assert same_bytes(got, want)
     dy = planted_dy(rng, 40, out_width, dtype)
     dy_before = dy.copy()
-    for need_dx in (False, True):
-        grad, dx = net.backward(cache, dy, need_dx=need_dx)
-        ref_grad, ref_dx = ref_backward(net, ref_inputs, ref_pre, dy,
-                                        need_dx)
-        assert same_bytes(grad, ref_grad)
-        assert dx is None if not need_dx else same_bytes(dx, ref_dx)
+    grad = net.backward(cache, dy)
+    assert same_bytes(grad, ref_backward(net, ref_inputs, ref_pre, dy))
     assert same_bytes(dy, dy_before)  # the caller's dy is never written
 
 
 def test_one_column_outer_product_keeps_blas_signed_zeros():
     # delta @ W.T for a one-column W makes +0.0 where a product is -0.0 or
-    # underflows from below; the product without BLAS must match it. Sums
-    # start from +0.0 too, so only a one-layer net's dx shows the sign.
+    # underflows from below; the product without BLAS must match it. The
+    # gradients it feeds are sums, which start from +0.0 too.
     rng = np.random.default_rng(32)
     for dtype in (np.float32, np.float64):
         tiny = np.asarray(np.finfo(dtype).tiny, dtype)
@@ -361,9 +343,8 @@ def test_one_column_outer_product_keeps_blas_signed_zeros():
             dy[rng.random(dy.shape) < 0.3] *= -tiny
             if k % 2:
                 dy = np.abs(dy)
-            got = net.backward(cache, dy, need_dx=True)
-            want = ref_backward(net, inputs, pre, dy, True)
-            assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+            assert same_bytes(net.backward(cache, dy),
+                              ref_backward(net, inputs, pre, dy))
 
 
 ADAM_DTYPES = [(np.float32, np.float32, np.float32),
@@ -452,8 +433,9 @@ def test_non_finite_weight_raises_at_its_layer_in_forward(bad, layer):
 
 
 @pytest.mark.parametrize("bad", BAD)
-@pytest.mark.parametrize("layer", [0, 1, 2])
+@pytest.mark.parametrize("layer", [1, 2])
 def test_non_finite_weight_raises_at_its_layer_in_backward(bad, layer):
+    # backward reads layer 0's weights nowhere: no delta goes below it
     rng = np.random.default_rng(35)
     for out_width in (1, 2):
         net = Mlp.initialized((5, 8, 8, out_width), "relu", rng)
@@ -462,7 +444,7 @@ def test_non_finite_weight_raises_at_its_layer_in_backward(bad, layer):
         net._views[layer][0][0, 0] = bad
         with pytest.raises(NumericError,
                            match=rf"layer {layer} \(backward\)"):
-            net.backward(cache, np.ones_like(out), need_dx=True)
+            net.backward(cache, np.ones_like(out))
 
 
 @pytest.mark.parametrize("bad", BAD)
