@@ -44,7 +44,7 @@ from .sim import (
     load_world,
     save_world,
 )
-from .trainers import METHODS, FailureAwareIQL, TrainerConfig, TrainReport, train
+from .trainers import METHODS, TrainerConfig, TrainReport, train
 from .worldgen import generate_world
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "EpisodeEngine",
     "EvalResult",
     "ExpertConfig",
-    "FailureAwareIQL",
     "FanavError",
     "METHODS",
     "NavState",

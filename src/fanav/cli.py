@@ -214,14 +214,6 @@ def resolve_world(spec: str) -> World:
 # stages: each subcommand wraps one, and the pipeline chains them
 # ---------------------------------------------------------------------------
 
-def collect_stage(world: World, spec: RobotSpec, episode: EpisodeConfig,
-                  expert_cfg: ExpertConfig, ccfg: dict,
-                  seed: int) -> list[Trajectory]:
-    """Demonstrations at the [collect] section's collision ratio."""
-    return collect_to_ratio(world, spec, episode, expert_cfg, seed=seed,
-                            **ccfg)
-
-
 def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
                   episode: EpisodeConfig, meta: dict,
                   path: str) -> OfflineDataset:
@@ -246,12 +238,12 @@ def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
 
 def eval_stage(policy: NetworkPolicy, world: World, suite: TaskSuite,
                n_trials: int, jitter: tuple[float, float], seed: int,
-               method: str, out_dir: str) -> EvalResult:
+               out_dir: str) -> EvalResult:
     """Evaluate ``policy`` on ``suite`` with the robot it was trained on;
     write result.json and trajectories."""
     res = evaluate_suite(policy, world, policy.profile.robot, suite,
                          n_trials=n_trials, seed=seed, jitter=jitter,
-                         method=method)
+                         method=policy.name)
     os.makedirs(out_dir, exist_ok=True)
     save_eval_result(res, os.path.join(out_dir, "result.json"))
     export_trajectories(res, suite, world,
@@ -305,8 +297,8 @@ def cmd_collect(args, argv) -> int:
         trajs = collect(world, spec, episode, expert_cfg, args.episodes,
                         args.mode or CLEAN, seed)
     else:
-        trajs = collect_stage(world, spec, episode, expert_cfg,
-                              tree["collect"], seed)
+        trajs = collect_to_ratio(world, spec, episode, expert_cfg,
+                                 seed=seed, **tree["collect"])
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
         "mode": args.mode or "ratio", "version": __version__}, args.out)
@@ -352,7 +344,7 @@ def cmd_eval(args, argv) -> int:
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
     res = eval_stage(policy, world, suite, int(tree["eval"]["n_trials"]),
-                     jitter_from(tree), seed, policy.name, args.out_dir)
+                     jitter_from(tree), seed, args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
                    argv, tree, seed,
                    inputs={args.checkpoint: None, args.suite: None})
@@ -431,8 +423,8 @@ def cmd_pipeline(args, argv) -> int:
                    inputs={args.config: None} if args.config else {})
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
-    trajs = collect_stage(collect_world, spec, episode, expert_cfg,
-                          tree["collect"], seed)
+    trajs = collect_to_ratio(collect_world, spec, episode, expert_cfg,
+                             seed=seed, **tree["collect"])
     ds = dataset_stage(trajs, collect_world, spec, episode, {
         "command": "pipeline", "seed": seed, "world": collect_world.name,
         "version": __version__}, os.path.join(out, "dataset.fanav"))
@@ -469,7 +461,7 @@ def cmd_pipeline(args, argv) -> int:
 
     def eval_job(method: str, world: World) -> EvalResult:
         return eval_stage(policies[method], world, suites[world.name],
-                          int(ecfg["n_trials"]), jitter, seed, method,
+                          int(ecfg["n_trials"]), jitter, seed,
                           os.path.join(out, "eval", method, world.name))
 
     pairs = [(m, w) for m in methods for w in eval_worlds]

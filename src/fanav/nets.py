@@ -25,9 +25,9 @@ and Adam's. Three exact shortcuts keep them so:
   of zeros cannot overflow. It still runs on every layer's pre-activation,
   so a -inf that ReLU would map to 0 is caught where it first appears.
 - ``delta @ W.T`` for a one-column W (the value and critic heads) is an
-  outer product, which ``np.multiply`` computes without a BLAS call; BLAS
-  adds each product to +0.0, so ``+= 0.0`` turns the product's -0.0 into
-  the same +0.0.
+  outer product, which ``np.multiply`` computes without a BLAS call. Its
+  -0.0 where BLAS gives +0.0 reaches only sums that start from +0.0, so
+  every gradient keeps its bits.
 
 A forward or backward call runs under one ``np.errstate`` that silences
 invalid and overflow warnings, so a non-finite weight ends in the
@@ -208,7 +208,6 @@ class Mlp:
             if l > 0:
                 if W.shape[1] == 1:
                     delta = np.multiply(delta, W.T)
-                    delta += 0.0
                 else:
                     delta = delta @ W.T
                 self._check(delta, l, "backward")

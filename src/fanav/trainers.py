@@ -18,8 +18,6 @@ itself is free of other randomness.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import time
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ProtocolError, ShapeError
+from .errors import ConfigError, NumericError
 from .data import (
     EncoderProfile,
     ExpSampler,
@@ -49,6 +47,7 @@ from .losses import (
     weighted_nll_and_grads,
 )
 from .nets import (
+    ACTIVATIONS,
     AdamState,
     GaussianPolicyHead,
     Mlp,
@@ -108,10 +107,23 @@ class TrainerConfig:
             raise ConfigError("max_weight must be >= 1")
         if not (0.0 <= self.rho < 1.0):
             raise ConfigError("rho must lie in [0, 1)")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        for key in ("lr_value", "lr_critic", "lr_policy"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive")
+        if not (0.0 < self.target_alpha <= 1.0):
+            raise ConfigError("target_alpha must lie in (0, 1]")
         if self.n_critics < 1:
             raise ConfigError("n_critics must be >= 1")
         if self.total_steps < 1 or self.epoch_steps < 1:
             raise ConfigError("step counts must be >= 1")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError("hidden widths must be >= 1")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"activation must be one of {list(ACTIVATIONS)}")
+        if not self.log_std_min < self.log_std_max:
+            raise ConfigError("log_std_min must be below log_std_max")
         if self.dtype not in _DTYPES:
             raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}")
 
@@ -130,6 +142,8 @@ class TrainerConfig:
 
 @dataclass
 class EpochRow:
+    """One line of ``report.csv``, whose header is these field names."""
+
     epoch: int
     step: int
     loss_value: float
@@ -154,9 +168,6 @@ class TrainReport:
     policy_collision_count: int = 0     # collision rows consumed by policy loss
     critic_col_min: int | None = None   # per-batch collision count extremes
     critic_col_max: int | None = None
-    critic_col_total: int = 0
-    critic_batches: int = 0
-    max_weight_seen: float = 0.0
     wall_clock: float = 0.0
     final_digest: str = ""
 
@@ -165,32 +176,25 @@ class TrainReport:
             else min(self.critic_col_min, n_col)
         self.critic_col_max = n_col if self.critic_col_max is None \
             else max(self.critic_col_max, n_col)
-        self.critic_col_total += n_col
-        self.critic_batches += 1
-
-    CSV_FIELDS = ("epoch", "step", "loss_value", "loss_critic", "loss_policy",
-                  "grad_value", "grad_critic", "grad_policy",
-                  "collision_in_critic", "adv_mean", "weight_mean",
-                  "weight_max", "seconds")
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.CSV_FIELDS)
-        for r in self.rows:
-            w.writerow([r.epoch, r.step,
-                        f"{r.loss_value:.8g}", f"{r.loss_critic:.8g}",
-                        f"{r.loss_policy:.8g}", f"{r.grad_value:.8g}",
-                        f"{r.grad_critic:.8g}", f"{r.grad_policy:.8g}",
-                        r.collision_in_critic, f"{r.adv_mean:.8g}",
-                        f"{r.weight_mean:.8g}", f"{r.weight_max:.8g}",
-                        f"{r.seconds:.3f}"])
-        return buf.getvalue()
+        """A header of the ``EpochRow`` field names, then one line per row:
+        ints as they are, floats to 8 significant digits and ``seconds``
+        to the millisecond."""
+        def cell(row: EpochRow, f) -> str:
+            value = getattr(row, f.name)
+            if f.name == "seconds":
+                return f"{value:.3f}"
+            return f"{value:.8g}" if f.type == "float" else str(value)
+
+        cols = fields(EpochRow)
+        lines = [[f.name for f in cols]]
+        lines += [[cell(r, f) for f in cols] for r in self.rows]
+        return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 @dataclass
 class TrainResult:
-    config: TrainerConfig
     profile: EncoderProfile
     policy: GaussianPolicyHead
     value_net: Mlp | None
@@ -288,7 +292,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
         policy_sampler = ExpSampler(ds, cfg.batch_size, seed_policy_sampler)
 
     report = TrainReport(method=cfg.method)
-    result = TrainResult(cfg, profile, policy,
+    result = TrainResult(profile, policy,
                          value_net if uses_critics else None,
                          critics if uses_critics else [],
                          target_critics if uses_critics else [], report)
@@ -360,7 +364,6 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
                     policy, pbatch, adv, cfg.weight_temp, cfg.max_weight))
         adam_step(mean_net.theta, g_mean, opt_mean)
         adam_step(policy.log_std, g_ls, opt_log_std)
-        report.max_weight_seen = max(report.max_weight_seen, float(w.max()))
 
         acc.add(loss_v, loss_q, loss_pi,
                 _sum_sq(g_v) if g_v is not None else 0.0, grad_q_sq,
@@ -418,83 +421,3 @@ class _EpochAccumulator:
         s = self.sums / n
         return EpochRow(epoch, step, s[0], s[1], s[2], s[3], s[4], s[5],
                         self.col, s[6], s[7], self.w_max, seconds)
-
-
-# ---------------------------------------------------------------------------
-# estimator-style front end
-# ---------------------------------------------------------------------------
-
-class FailureAwareIQL:
-    """Offline navigation policy learner with a fit/predict interface.
-
-    Hyperparameters are the fields of :class:`TrainerConfig`, with its
-    defaults, passed as keywords; ``fit`` consumes a partitioned
-    :class:`OfflineDataset` and exposes the learned policy through
-    ``predict`` (deterministic actions for encoded feature rows) and
-    ``state_values``. ``get_params``/``set_params`` follow the
-    scikit-learn estimator conventions so the class composes with tooling
-    that clones estimators from their parameters.
-    """
-
-    _DEFAULTS = {f.name: f.default for f in fields(TrainerConfig)}
-
-    def __init__(self, **params):
-        self.set_params(**{**self._DEFAULTS, **params})
-        self.policy_ = None
-        self.report_ = None
-        self.value_net_ = None
-        self.result_ = None
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._DEFAULTS}
-
-    def set_params(self, **params) -> "FailureAwareIQL":
-        for key, value in params.items():
-            if key not in self._DEFAULTS:
-                raise ConfigError(
-                    f"invalid parameter '{key}' for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
-    def make_config(self) -> TrainerConfig:
-        return TrainerConfig(**self.get_params())
-
-    def fit(self, dataset: OfflineDataset,
-            out_dir: str | None = None) -> "FailureAwareIQL":
-        result = train(dataset, self.make_config(), out_dir=out_dir)
-        self.result_ = result
-        self.policy_ = result.policy
-        self.report_ = result.report
-        self.value_net_ = result.value_net
-        self.profile_ = result.profile
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """Deterministic actions (v, omega) for encoded feature rows."""
-        feats = self._feature_rows(X)
-        return self.policy_.mean_action(
-            feats.astype(self.policy_.mean_net.dtype))
-
-    def state_values(self, X) -> np.ndarray:
-        """V(s) of encoded feature rows; ``bc`` trains no value network."""
-        feats = self._feature_rows(X)
-        if self.value_net_ is None:
-            raise ProtocolError(f"method '{self.report_.method}' trains no "
-                                "value network, so it has no state values")
-        return self.value_net_.forward(
-            feats.astype(self.value_net_.dtype))[:, 0]
-
-    def _feature_rows(self, X) -> np.ndarray:
-        """``X`` as finite float rows of the fitted profile's width."""
-        if self.policy_ is None:
-            raise ProtocolError(
-                f"{type(self).__name__} is not fitted yet; call fit() first")
-        arr = np.asarray(X, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        dim = self.profile_.dim
-        if arr.ndim != 2 or arr.shape[1] != dim:
-            raise ShapeError(f"X must have shape (n, {dim}), got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("X contains non-finite values")
-        return arr

@@ -236,11 +236,10 @@ def test_c3_asymmetry_guard_and_stratification():
     r = res.report
     assert r.policy_collision_count == 0
     assert r.critic_col_min == 4 == r.critic_col_max  # round(0.015*256)=4
-    assert r.critic_batches == 2000
-    assert r.critic_col_total == 8000
+    assert sum(row.collision_in_critic for row in r.rows) == 4 * 2000
     ok("C3 asymmetry guard",
        f"policy consumed 0 collision rows; every critic batch had exactly 4 "
-       f"of 256 (rho=0.015) over {r.critic_batches} steps")
+       f"of 256 (rho=0.015) over {r.rows[-1].step} steps")
 
 
 # ---------------------------------------------------------------------------

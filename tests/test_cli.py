@@ -111,7 +111,7 @@ def test_corrupt_dataset_exits_four(tmp_path):
                 "--out", ds, "--seed", "1",
                 "--set", "robot.lidar_beams=8"]) == 0
     assert run(["dataset", "inspect", ds]) == 0
-    blob = bytearray(open(ds, "rb").read())
+    blob = bytearray(Path(ds).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     bad.write_bytes(bytes(blob))
     assert run(["dataset", "inspect", str(bad)]) == 4
@@ -238,10 +238,10 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
                                               monkeypatch):
     from fanav import cli
 
-    def collect_stage(*args):
+    def collect_to_ratio(*args, **kwargs):
         raise AssertionError("collected")
 
-    monkeypatch.setattr(cli, "collect_stage", collect_stage)
+    monkeypatch.setattr(cli, "collect_to_ratio", collect_to_ratio)
     sparse_file = str(cli.bundled_world_path("sparse"))
     value = json.dumps([n.format(sparse_file=sparse_file) for n in names])
     out = tmp_path / "p"
@@ -295,7 +295,7 @@ def test_gen_world_deterministic_bytes(tmp_path):
                 "--out", a]) == 0
     assert run(["gen-world", "--density", "0.1", "--seed", "5",
                 "--out", b]) == 0
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
     w = load_world(a)
     assert len(w.obstacles) > 0
     assert os.path.exists(a + ".manifest.json")
@@ -349,7 +349,7 @@ def test_collect_ratio_mode(tmp_path):
     ds = load_dataset(out)
     assert ds.n_col > 0
     assert abs(ds.collision_ratio - 0.1) <= 0.02
-    manifest = json.load(open(out + ".manifest.json"))
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
     assert manifest["seed"] == 3
     assert manifest["command"] == "collect"
     assert manifest["config"]["collect"]["min_transitions"] == 1200
@@ -384,7 +384,7 @@ def run_tree(out):
     for d, _, names in os.walk(out):
         for name in names:
             path = os.path.join(d, name)
-            data = open(path, "rb").read()
+            data = Path(path).read_bytes()
             if name == "report.csv":
                 data = b"\n".join(line.rsplit(b",", 1)[0]
                                   for line in data.splitlines())
@@ -415,7 +415,7 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
     for rel in tree1:
         assert tree1[rel] == tree2[rel], rel
     assert len(tree1) > 40
-    c1 = open(os.path.join(out1, "compare", "comparison.csv")).read()
+    c1 = Path(out1, "compare", "comparison.csv").read_text()
     assert "iql_ca" in c1 and "bc" in c1
     # expected artifact tree
     assert os.path.exists(os.path.join(out1, "manifest.json"))
@@ -431,7 +431,7 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
         assert os.path.exists(os.path.join(out1, "eval", m, "sparse",
                                            "trajectories", "overlay.svg"))
     # manifest can rebuild the config: echoed values match the overrides
-    manifest = json.load(open(os.path.join(out1, "manifest.json")))
+    manifest = json.loads(Path(out1, "manifest.json").read_text())
     assert manifest["config"]["trainer"]["total_steps"] == 120
     assert manifest["config"]["eval"]["n_tasks"] == 4
 
@@ -506,8 +506,8 @@ def test_eval_takes_the_robot_from_the_checkpoint(pipeline_run, tmp_path):
                          "--set", "eval.n_trials=2")) == 0
     orig = os.path.join(pipeline_run, "eval", "iql_ca", "sparse",
                         "result.json")
-    assert (edir / "result.json").read_bytes() == open(orig, "rb").read()
-    config = json.load(open(edir / "manifest.json"))["config"]
+    assert (edir / "result.json").read_bytes() == Path(orig).read_bytes()
+    config = json.loads((edir / "manifest.json").read_text())["config"]
     assert config["robot"] == asdict(RobotSpec(lidar_beams=16))
     assert config["eval"]["n_trials"] == 2
     # desk.toml's 6 m sensor is not the checkpoint's 30 m one
@@ -530,7 +530,7 @@ def test_eval_replays_the_pipelines_episodes(pipeline_run, tmp_path):
         assert len(names) == 5  # four tasks and the overlay
         for name in ["result.json"] + [f"trajectories/{n}" for n in names]:
             assert (edir / name).read_bytes() == \
-                open(os.path.join(piped, name), "rb").read(), (m, name)
+                Path(piped, name).read_bytes(), (m, name)
 
 
 def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
@@ -568,8 +568,8 @@ def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
                     "--out-dir", eval_dirs[-1], *common]) == 0
     assert run(["compare", "--results", *eval_dirs,
                 "--out-dir", str(chain / "compare")]) == 0
-    chained = open(chain / "compare" / "comparison.csv", "rb").read()
-    piped = open(os.path.join(out, "compare", "comparison.csv"), "rb").read()
+    chained = (chain / "compare" / "comparison.csv").read_bytes()
+    piped = Path(out, "compare", "comparison.csv").read_bytes()
     assert chained == piped
     a = load_dataset(ds_path)
     b = load_dataset(os.path.join(out, "dataset.fanav"))
@@ -584,9 +584,9 @@ def test_result_json_round_trips_and_malformed_ones_exit_four(
     good = os.path.join(pipeline_run, "eval", "bc", "sparse", "result.json")
     again = str(tmp_path / "again.json")
     save_eval_result(load_eval_result(good), again)
-    assert open(again, "rb").read() == open(good, "rb").read()
+    assert Path(again).read_bytes() == Path(good).read_bytes()
 
-    d = json.load(open(good))
+    d = json.loads(Path(good).read_text())
     n = d["n_tasks"]
     bad_dicts = [
         {k: v for k, v in d.items() if k != "suite_digest"},
@@ -634,7 +634,7 @@ def test_suite_of_another_world_or_radius_exits_three(pipeline_run,
     assert run(eval_argv(pipeline_run, "bc", edir, world="cluttered")) == 3
     assert ("suite was built for world 'sparse', got 'cluttered'"
             in capsys.readouterr().err)
-    text = open(os.path.join(pipeline_run, "suites", "sparse.suite")).read()
+    text = Path(pipeline_run, "suites", "sparse.suite").read_text()
     head, radius, tasks = text.split("\n", 2)
     assert (head, radius) == ("world sparse", "radius 0.2")
     suite = tmp_path / "wide.suite"
@@ -681,6 +681,28 @@ def test_train_refuses_a_robot_other_than_the_datasets(field, pipeline_run,
                 "--set", f"robot.{field}={OTHER_ROBOT[field]!r}"]) == 3
     err = capsys.readouterr().err
     assert f"robot.{field}=" in err and ds in err, err
+    assert not os.path.exists(tmp_path / "t")
+
+
+@pytest.mark.parametrize("method, pair, key", [
+    ("iql_ca", "lr_value=-3e-4", "lr_value"),  # Adam would ascend the loss
+    ("iql_ca", "lr_policy=0", "lr_policy"),
+    ("iql_ca", "log_std_min=3.0", "log_std_min"),  # above log_std_max
+    ("iql_ca", "target_alpha=0.0", "target_alpha"),
+    ("bc", "target_alpha=2.0", "target_alpha"),  # bc blends no targets
+    ("bc", "batch_size=0", "batch_size"),
+    ("bc", 'activation="gelu"', "activation"),
+    ("bc", "hidden=[0]", "hidden"),
+])
+def test_train_refuses_a_bad_trainer_value_before_writing(
+        method, pair, key, pipeline_run, tmp_path, capsys):
+    ds = os.path.join(pipeline_run, "dataset.fanav")
+    capsys.readouterr()
+    assert run(["train", "--method", method, "--dataset", ds,
+                "--out-dir", str(tmp_path / "t"),
+                "--set", "trainer.total_steps=2", "--set", "trainer.hidden=[8]",
+                "--set", f"trainer.{pair}"]) == 3
+    assert key in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "t")
 
 
@@ -750,7 +772,7 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
         assert "malformed checkpoint metadata" in capsys.readouterr().err
 
     # a byte flipped in the middle of the checkpoint
-    blob = bytearray(open(ckpt, "rb").read())
+    blob = bytearray(Path(ckpt).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     with open(bare, "wb") as fh:
         fh.write(bytes(blob))
@@ -783,16 +805,16 @@ def test_train_emits_expected_artifacts(tmp_path):
                 "--set", "trainer.epoch_steps=25",
                 "--set", "trainer.batch_size=16",
                 "--set", "trainer.hidden=[16]"]) == 0
-    echo = open(os.path.join(tdir, "config.echo")).read()
+    echo = Path(tdir, "config.echo").read_text()
     assert 'method = "bc"' in echo
     assert "seed = 1" in echo
     assert "total_steps = 50" in echo
     # every section is echoed so no hyperparameter stays hidden
     for section in ("robot", "episode", "expert", "collect", "trainer", "eval"):
         assert f"[{section}]" in echo
-    report = open(os.path.join(tdir, "report.csv")).read().splitlines()
+    report = Path(tdir, "report.csv").read_text().splitlines()
     assert len(report) == 3  # header + 2 epochs
-    manifest = json.load(open(os.path.join(tdir, "manifest.json")))
+    manifest = json.loads(Path(tdir, "manifest.json").read_text())
     assert ds_path in manifest["inputs"]
 
 
@@ -807,6 +829,6 @@ def test_train_manifest_goes_inside_an_out_dir_with_a_dot(tmp_path):
                 "--set", "trainer.total_steps=2",
                 "--set", "trainer.batch_size=8",
                 "--set", "trainer.hidden=[8]"]) == 0
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert not (tmp_path / "run.v2.manifest.json").exists()

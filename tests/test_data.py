@@ -2,6 +2,7 @@ import json
 import math
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ def test_wrong_magic(tmp_path):
 def test_truncated_file_reports_offset(tmp_path):
     path = str(tmp_path / "ds.fanav")
     save_dataset(DS, path)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     trunc = tmp_path / "trunc.fanav"
     trunc.write_bytes(blob[: len(blob) // 2])
     with pytest.raises(DataFormatError,
@@ -329,14 +330,14 @@ def test_arrays_must_fit_the_profile(tmp_path):
 def test_corrupt_body_digest_or_trailing(tmp_path):
     path = str(tmp_path / "ds.fanav")
     save_dataset(DS, path)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob.extend(b"junk")
     bad = tmp_path / "trail.fanav"
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="trailing"):
         load_dataset(str(bad))
     # a byte flipped in the middle of the body
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     bad.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match="Bad CRC-32"):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_suite_roundtrip(tmp_path):
     suite = make_suite(WORLD, SPEC, EPISODE, 6, seed=1)
     path = str(tmp_path / "tasks.suite")
     save_suite(suite, path)
-    text = open(path).read()
+    text = Path(path).read_text()
     assert text.startswith(f"world w8\nradius {SPEC.radius!r}\ntask ")
     loaded = load_suite(path, EPISODE)
     assert loaded.digest == suite.digest
@@ -261,7 +262,7 @@ def test_export_csv_and_svg(tmp_path):
     written = export_trajectories(res, suite, WORLD, str(out))
     csvs = [p for p in written if p.endswith(".csv")]
     assert len(csvs) == 6
-    first = open(csvs[0]).read().splitlines()
+    first = Path(csvs[0]).read_text().splitlines()
     assert first[0] == "t,x,y,heading,v,omega"
     assert len(first) == len(res.trajectories[0]) + 1
     svg = (out / "overlay.svg").read_text()

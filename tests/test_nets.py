@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,8 +324,9 @@ def test_forward_and_backward_bytes_equal_the_formulas(activation, dtype,
 
 def test_one_column_outer_product_keeps_blas_signed_zeros():
     # delta @ W.T for a one-column W makes +0.0 where a product is -0.0 or
-    # underflows from below; the product without BLAS must match it. The
-    # gradients it feeds are sums, which start from +0.0 too.
+    # underflows from below, while the product without BLAS keeps -0.0. The
+    # gradients it feeds are sums that start from +0.0, so their bytes must
+    # still equal the formula's.
     rng = np.random.default_rng(32)
     for dtype in (np.float32, np.float64):
         tiny = np.asarray(np.finfo(dtype).tiny, dtype)
@@ -605,7 +607,7 @@ def test_checkpoint_truncation(tmp_path):
     net = Mlp.initialized((4, 4, 1), "relu", rng)
     path = str(tmp_path / "ck.famlp")
     save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta)})
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     cut = tmp_path / "cut.famlp"
     cut.write_bytes(blob[:-10])
     with pytest.raises(DataFormatError,
@@ -621,7 +623,7 @@ def test_checkpoint_flipped_byte_fails_the_load(tmp_path):
     net = Mlp.initialized((6, 16, 1), "relu", rng)
     path = str(tmp_path / "ck.famlp")
     save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta)})
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     bad = tmp_path / "flip.famlp"
     bad.write_bytes(bytes(blob))

@@ -1,10 +1,10 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from fanav.errors import ConfigError, NumericError, ProtocolError
+from fanav.errors import ConfigError, NumericError
 from fanav.data import (
     EncoderProfile,
     OfflineDataset,
@@ -15,7 +15,7 @@ from fanav.nets import load_checkpoint
 from fanav.sim import RobotSpec
 from fanav.trainers import (
     METHODS,
-    FailureAwareIQL,
+    EpochRow,
     TrainerConfig,
     train,
 )
@@ -132,6 +132,7 @@ def test_all_methods_run_and_report():
         res = train(DS, quick_config(method=method, total_steps=120))
         assert len(res.report.rows) == 2  # 100-step epochs + final partial
         assert res.report.final_digest
+        assert (res.value_net is None) == (method == "bc")
         last = res.report.rows[-1]
         assert math.isfinite(last.loss_policy)
         if method != "bc":
@@ -167,8 +168,8 @@ def test_asymmetry_guard_counters():
     n_expected = round(0.1 * 64)
     assert res.report.critic_col_min == n_expected
     assert res.report.critic_col_max == n_expected
-    assert res.report.critic_batches == 200
-    assert res.report.critic_col_total == 200 * n_expected
+    assert sum(r.collision_in_critic for r in res.report.rows) \
+        == 200 * n_expected
 
 
 def test_dm_policy_actually_consumes_collisions():
@@ -184,7 +185,7 @@ def test_so_and_bc_never_touch_collisions():
 
 def test_weight_cap_respected():
     res = train(DS, quick_config(total_steps=200, max_weight=7.0))
-    assert res.report.max_weight_seen <= 7.0
+    assert max(r.weight_max for r in res.report.rows) <= 7.0
 
 
 def test_nan_abort_names_loss_and_step():
@@ -222,8 +223,23 @@ def test_checkpoints_written(tmp_path):
     assert sorted(arrays) == sorted(f"{name}/params" for name in full)
     assert all(set(spec) == {"name", "widths", "activation"}
                for spec in header["sections"])
-    csv_text = (out / "report.csv").read_text()
-    assert csv_text.splitlines()[0].startswith("epoch,step,loss_value")
+    # report.csv is EpochRow: its header, then one line per row that parses
+    # back to the row's values (floats to 8 digits, seconds to 1 ms)
+    header, *lines = (out / "report.csv").read_text().splitlines()
+    cols = fields(EpochRow)
+    assert header.split(",") == [f.name for f in cols]
+    assert len(lines) == len(res.report.rows) == 2
+    for line, row in zip(lines, res.report.rows):
+        cells = line.split(",")
+        assert len(cells) == len(cols)
+        for cell, f in zip(cells, cols):
+            value = getattr(row, f.name)
+            if f.name == "seconds":
+                assert float(cell) == pytest.approx(value, abs=5e-4)
+            elif f.type == "float":
+                assert float(cell) == pytest.approx(value, rel=1e-7)
+            else:
+                assert int(cell) == value
 
 
 def test_value_shaping_on_synthetic_data():
@@ -241,55 +257,3 @@ def test_value_shaping_on_synthetic_data():
     v_exp = res.value_net.forward(exp_mid)[:, 0].mean()
     assert v_col < v_exp
 
-
-# ---------------------------------------------------------------------------
-# estimator API
-# ---------------------------------------------------------------------------
-
-def test_get_set_params_roundtrip():
-    est = FailureAwareIQL(method="bc", total_steps=10)
-    params = est.get_params()
-    assert params["method"] == "bc"
-    assert params["expectile"] == 0.7
-    clone = FailureAwareIQL(**params)
-    assert clone.get_params() == params
-    est.set_params(rho=0.25, batch_size=32)
-    assert est.get_params()["rho"] == 0.25
-    with pytest.raises(ConfigError, match="invalid parameter"):
-        est.set_params(bogus=1)
-
-
-def test_estimator_fit_predict():
-    est = FailureAwareIQL(method="iql_ca", total_steps=150, batch_size=64,
-                          hidden=(32, 32), rho=0.1, seed=3,
-                          epoch_steps=50)
-    with pytest.raises(ProtocolError, match="not fitted"):
-        est.predict(np.zeros((2, DIM)))
-    est.fit(DS)
-    acts = est.predict(DS.exp.features[:10])
-    assert acts.shape == (10, 2)
-    assert np.all(np.abs(acts[:, 0]) <= 0.5)
-    assert np.all(np.abs(acts[:, 1]) <= math.pi / 2)
-    vals = est.state_values(DS.exp.features[:10])
-    assert vals.shape == (10,)
-    # shape validation
-    from fanav.errors import ShapeError
-    with pytest.raises(ShapeError):
-        est.predict(np.zeros((2, DIM + 1)))
-
-
-def test_estimator_params_drive_training():
-    a = FailureAwareIQL(method="bc", total_steps=60, batch_size=32,
-                        hidden=(16,), seed=0, epoch_steps=30)
-    b = FailureAwareIQL(**a.get_params())
-    a.fit(DS)
-    b.fit(DS)
-    assert a.report_.final_digest == b.report_.final_digest
-
-
-def test_bc_estimator_has_no_state_values():
-    est = FailureAwareIQL(method="bc", total_steps=20, batch_size=32,
-                          hidden=(16,), seed=0).fit(DS)
-    assert est.predict(DS.exp.features[:3]).shape == (3, 2)
-    with pytest.raises(ProtocolError, match="'bc' trains no value network"):
-        est.state_values(DS.exp.features[:3])
