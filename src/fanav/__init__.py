@@ -39,7 +39,6 @@ from .sim import (
     NavState,
     Pose,
     RobotSpec,
-    StepOutcome,
     World,
     load_world,
     save_world,
@@ -64,7 +63,6 @@ __all__ = [
     "Pose",
     "RobotSpec",
     "SamplerConfig",
-    "StepOutcome",
     "Task",
     "TaskSuite",
     "TrainReport",

@@ -397,7 +397,9 @@ def cmd_pipeline(args, argv) -> int:
 
     Two jobs with one method or one world would write the same directory,
     so a method or an evaluation world named twice is a ``ConfigError``,
-    raised before anything is written."""
+    raised before anything is written. So are a trainer value that
+    ``TrainerConfig`` refuses and an ``eval.n_tasks`` or ``eval.n_trials``
+    below 1, which would otherwise stop the run only after collection."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
     seed = resolve_seed(args.seed, tree)
@@ -416,6 +418,10 @@ def cmd_pipeline(args, argv) -> int:
     _refuse_duplicates([w.name for w in eval_worlds], "pipeline.eval_worlds")
     collect_world = resolve_world(str(pcfg["collect_world"]))
     jitter = jitter_from(tree)
+    cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
+    for key in ("n_tasks", "n_trials"):
+        if int(ecfg[key]) < 1:
+            raise ConfigError(f"eval.{key} must be >= 1")
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
@@ -443,7 +449,6 @@ def cmd_pipeline(args, argv) -> int:
         suites[world.name] = load_suite(path, episode)
 
     print("[3/5] training " + ", ".join(methods))
-    cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
 
     def train_job(method: str) -> float:
         return train_stage(ds, cfgs[method], tree,

@@ -171,12 +171,21 @@ class OfflineDataset:
     def collision_ratio(self) -> float:
         return self.n_col / self.n_total if self.n_total else 0.0
 
-    def block(self, outcome: str) -> TransitionBlock:
-        if outcome == SUCCESS:
-            return self.exp
-        if outcome == COLLISION:
-            return self.col
-        raise ConfigError(f"unknown partition '{outcome}'")
+
+def _transition_rewards(features: np.ndarray, next_features: np.ndarray,
+                        dones: np.ndarray, terminal: str,
+                        profile: EncoderProfile,
+                        episode: EpisodeConfig) -> np.ndarray:
+    """Rewards of one partition's transitions, in float64.
+
+    A done row carries the reward of the episode's ``terminal`` outcome
+    (``r_success`` or ``r_collision``); every other row carries
+    ``c1 * (d - d')`` over the goal distances decoded from its features.
+    """
+    reward = {SUCCESS: episode.r_success, COLLISION: episode.r_collision}
+    dense = episode.c1 * (decode_goal_dist(features, profile)
+                          - decode_goal_dist(next_features, profile))
+    return np.where(dones.astype(bool), reward[terminal], dense)
 
 
 def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
@@ -184,57 +193,44 @@ def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
                   meta: dict | None = None) -> OfflineDataset:
     """Encode labeled trajectories into a partitioned dataset.
 
-    Dense rewards are recomputed from the float32-quantized encoded
-    distances so that a reward audit against the stored features is exact
-    to well under 1e-6; terminal rewards keep their exact configured values.
+    Dense rewards are computed from the float32-quantized encoded distances
+    so that a reward audit against the stored features is exact to well
+    under 1e-6; terminal rewards keep their exact configured values.
     """
-    parts: dict[str, list] = {SUCCESS: [], COLLISION: []}
+    parts: dict[str, list[dict]] = {SUCCESS: [], COLLISION: []}
     for traj in trajectories:
         if traj.outcome not in parts:
             raise ConfigError(
                 f"trajectory {traj.traj_id} has outcome '{traj.outcome}', "
                 "only success/collision trajectories belong in a dataset")
         feats = np.stack([encode_state(s, profile) for s in traj.states])
-        dists = decode_goal_dist(feats, profile)
         T = len(traj.actions)
-        for t in range(T):
-            done = t == T - 1
-            if done and traj.outcome == SUCCESS:
-                r = episode_cfg.r_success
-            elif done and traj.outcome == COLLISION:
-                r = episode_cfg.r_collision
-            else:
-                r = episode_cfg.c1 * (dists[t] - dists[t + 1])
-            parts[traj.outcome].append((
-                feats[t], (traj.actions[t].v_cmd, traj.actions[t].omega_cmd),
-                r, feats[t + 1], done, traj.traj_id, t))
-
-    def pack(rows) -> TransitionBlock:
-        # each row holds the columns in _COLUMNS order
-        return TransitionBlock(**{
-            c: np.array([r[i] for r in rows], dtype).reshape(
-                _column_shape(c, len(rows), profile.dim))
-            for i, (c, (dtype, _)) in enumerate(_COLUMNS.items())})
-
-    return OfflineDataset(pack(parts[SUCCESS]), pack(parts[COLLISION]),
-                          profile, dict(meta or {}))
+        dones = np.arange(T) == T - 1
+        parts[traj.outcome].append({
+            "features": feats[:-1],
+            "actions": [(a.v_cmd, a.omega_cmd) for a in traj.actions],
+            "rewards": _transition_rewards(feats[:-1], feats[1:], dones,
+                                           traj.outcome, profile, episode_cfg),
+            "next_features": feats[1:], "dones": dones,
+            "traj_ids": np.full(T, traj.traj_id), "step_ids": np.arange(T)})
+    exp, col = (TransitionBlock(**{
+        c: np.concatenate([np.asarray(t[c], dtype) for t in trajs])
+        for c, (dtype, _) in _COLUMNS.items()})
+        if trajs else TransitionBlock.empty(profile.dim)
+        for trajs in (parts[SUCCESS], parts[COLLISION]))
+    return OfflineDataset(exp, col, profile, dict(meta or {}))
 
 
 def audit_rewards(ds: OfflineDataset, episode_cfg: EpisodeConfig) -> float:
     """Max absolute error between stored rewards and their recomputation."""
     worst = 0.0
-    for outcome in (SUCCESS, COLLISION):
-        block = ds.block(outcome)
-        if not len(block):
-            continue
-        d_now = decode_goal_dist(block.features, ds.profile)
-        d_next = decode_goal_dist(block.next_features, ds.profile)
-        expected = episode_cfg.c1 * (d_now - d_next)
-        terminal = episode_cfg.r_success if outcome == SUCCESS \
-            else episode_cfg.r_collision
-        expected = np.where(block.dones.astype(bool), terminal, expected)
-        worst = max(worst, float(np.max(np.abs(
-            block.rewards.astype(np.float64) - expected))))
+    for outcome, block in ((SUCCESS, ds.exp), (COLLISION, ds.col)):
+        if len(block):
+            expected = _transition_rewards(
+                block.features, block.next_features, block.dones, outcome,
+                ds.profile, episode_cfg)
+            worst = max(worst, float(np.max(np.abs(
+                block.rewards.astype(np.float64) - expected))))
     return worst
 
 

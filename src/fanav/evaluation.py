@@ -219,7 +219,7 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
     rows = [(0, task.start.x, task.start.y, task.start.heading, 0.0, 0.0)] \
         if record else None
     while not engine.done:
-        state = engine.step(policy.act(state, engine.pose)).next_state
+        state = engine.step(policy.act(state, engine.pose))
         if record:
             rows.append((engine.t, engine.pose.x, engine.pose.y,
                          engine.pose.heading, state.lin_vel, state.ang_vel))

@@ -324,7 +324,6 @@ class Trajectory:
     outcome: str                 # SUCCESS or COLLISION (timeouts are dropped)
     states: list[NavState]       # length T+1
     actions: list[Action]        # length T
-    rewards: list[float]         # length T
     start: Pose
     goal: tuple[float, float]
 
@@ -352,7 +351,6 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     engine = EpisodeEngine(world, spec, episode_cfg)
     states = [engine.reset(start, goal)]
     actions: list[Action] = []
-    rewards: list[float] = []
     while not engine.done:
         a = expert_action(engine.pose, path, spec, expert_cfg)
         if mode == PERTURBED and expert_cfg.noise_prob > 0:
@@ -361,12 +359,9 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
                            a.omega_cmd + dw * expert_cfg.noise_std_omega)
         a = clamp_action(a, spec)
-        out = engine.step(a)
-        states.append(out.next_state)
+        states.append(engine.step(a))
         actions.append(a)
-        rewards.append(out.reward)
-    return Trajectory(traj_id, engine.terminal, states, actions, rewards,
-                      start, goal)
+    return Trajectory(traj_id, engine.terminal, states, actions, start, goal)
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,

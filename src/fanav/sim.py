@@ -1,10 +1,11 @@
-"""Deterministic 2-D navigation world: kinematics, LiDAR, reward, termination.
+"""Deterministic 2-D navigation world: kinematics, LiDAR, termination.
 
 The robot is a differential-drive disk moving in a walled rectangular room
 with static obstacles. Each control step clamps the commanded velocities,
 integrates the exact unicycle model, then evaluates termination in a fixed
 order: goal reached, collision, timeout. Everything here is noise-free and
 deterministic, so identical inputs produce bit-identical trajectories.
+Rewards are the dataset's (:mod:`fanav.data`).
 """
 from __future__ import annotations
 
@@ -190,7 +191,9 @@ class NavState:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    """Reward constants, horizon and goal threshold for one episode."""
+    """Horizon and goal threshold of an episode, and the reward constants
+    (``r_success``, ``r_collision``, ``c1``) that only :mod:`fanav.data`
+    reads."""
 
     t_max: int = 200
     r_success: float = 20.0
@@ -205,13 +208,6 @@ class EpisodeConfig:
             raise ConfigError("expected r_success > 0 and r_collision < 0")
         if self.c1 <= 0 or self.goal_radius <= 0:
             raise ConfigError("c1 and goal_radius must be positive")
-
-
-@dataclass
-class StepOutcome:
-    next_state: NavState
-    reward: float
-    terminal: str  # one of NONE / SUCCESS / COLLISION / TIMEOUT
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +287,27 @@ def observe(world: World, spec: RobotSpec, pose: Pose,
 
 def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
              goal: tuple[float, float], action: Action,
-             t: int) -> tuple[StepOutcome, Pose]:
-    """Advance one control step and score it.
+             t: int) -> tuple[NavState, str, Pose]:
+    """Advance one control step.
 
-    Returns the outcome (next observation, reward, terminal flag) and the
-    post-step pose. ``t`` is the zero-based index of the step being taken;
-    the episode times out when step t_max - 1 ends without another terminal.
+    Returns the next observation, the terminal label (NONE, SUCCESS,
+    COLLISION or TIMEOUT) and the post-step pose. ``t`` is the zero-based
+    index of the step being taken; the episode times out when step
+    t_max - 1 ends without another terminal.
     """
     if t >= cfg.t_max:
         raise ProtocolError(f"step index {t} beyond horizon {cfg.t_max}")
     a = clamp_action(action, spec)
-    d_before, _ = relative_goal(pose, goal)
     new_pose = step_kinematics(pose, a, spec.control_dt)
-    d_after, _ = relative_goal(new_pose, goal)
 
-    if d_after <= cfg.goal_radius:
-        reward, terminal = cfg.r_success, SUCCESS
+    if relative_goal(new_pose, goal)[0] <= cfg.goal_radius:
+        terminal = SUCCESS
     elif _collides(world, spec, pose, new_pose):
-        reward, terminal = cfg.r_collision, COLLISION
+        terminal = COLLISION
     elif t + 1 >= cfg.t_max:
-        reward, terminal = cfg.c1 * (d_before - d_after), TIMEOUT
+        terminal = TIMEOUT
     else:
-        reward, terminal = cfg.c1 * (d_before - d_after), NONE
+        terminal = NONE
 
     # Observation from wherever the robot ended up. If it left the room the
     # scan is taken at the clipped position so the record stays well formed.
@@ -322,7 +317,7 @@ def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
                         min(world.height, max(0.0, new_pose.y)),
                         new_pose.heading)
     state = observe(world, spec, obs_pose, goal, a.v_cmd, a.omega_cmd)
-    return StepOutcome(state, reward, terminal), new_pose
+    return state, terminal, new_pose
 
 
 class EpisodeEngine:
@@ -356,16 +351,18 @@ class EpisodeEngine:
     def done(self) -> bool:
         return self.terminal != NONE
 
-    def step(self, action: Action) -> StepOutcome:
+    def step(self, action: Action) -> NavState:
+        """Take one step; returns the next observation. How the step ended
+        is left in :attr:`terminal`."""
         if self.pose is None:
             raise ProtocolError("step() before reset()")
         if self.done:
             raise ProtocolError(f"step() after terminal '{self.terminal}'")
-        outcome, self.pose = step_env(self.world, self.spec, self.cfg,
-                                      self.pose, self.goal, action, self.t)
+        state, self.terminal, self.pose = step_env(
+            self.world, self.spec, self.cfg, self.pose, self.goal, action,
+            self.t)
         self.t += 1
-        self.terminal = outcome.terminal
-        return outcome
+        return state
 
 
 # ---------------------------------------------------------------------------

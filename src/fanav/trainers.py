@@ -60,8 +60,6 @@ from .nets import (
 
 METHODS = ("bc", "iql_so", "iql_dm", "iql_ca")
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -92,7 +90,6 @@ class TrainerConfig:
     log_std_max: float = 2.0
     log_std_init: float = -0.5
     policy_final_scale: float = 1e-2
-    dtype: str = "float32"
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -124,8 +121,6 @@ class TrainerConfig:
             raise ConfigError(f"activation must be one of {list(ACTIVATIONS)}")
         if not self.log_std_min < self.log_std_max:
             raise ConfigError("log_std_min must be below log_std_max")
-        if self.dtype not in _DTYPES:
-            raise ConfigError(f"dtype must be one of {sorted(_DTYPES)}")
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -246,7 +241,6 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     if ds.n_exp == 0:
         raise ConfigError("empty success partition")
 
-    dtype = _DTYPES[cfg.dtype]
     profile = ds.profile
     action_scale = profile.action_scale
     obs_dim = profile.dim
@@ -260,25 +254,25 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     seed_policy_sampler = child[4]
     # child[5] reserved so adding a stream later cannot shift existing ones
 
+    # networks and Adam moments are float32, the nets' default
     value_net = Mlp.initialized((obs_dim, *cfg.hidden, 1), cfg.activation,
-                                rng_value, dtype=dtype)
+                                rng_value)
     critics = [Mlp.initialized((obs_dim + 2, *cfg.hidden, 1), cfg.activation,
-                               rng_q, dtype=dtype)
+                               rng_q)
                for _ in range(cfg.n_critics)]
     target_critics = [c.copy() for c in critics]
     mean_net = Mlp.initialized((obs_dim, *cfg.hidden, 2), cfg.activation,
-                               rng_policy, dtype=dtype,
-                               final_scale=cfg.policy_final_scale)
+                               rng_policy, final_scale=cfg.policy_final_scale)
     policy = GaussianPolicyHead(mean_net, action_scale,
-                                log_std=np.full(2, cfg.log_std_init, dtype),
+                                log_std=np.full(2, cfg.log_std_init),
                                 log_std_bounds=(cfg.log_std_min,
                                                 cfg.log_std_max))
 
-    opt_value = AdamState.for_params(value_net.n_params, cfg.lr_value, dtype)
-    opt_critics = [AdamState.for_params(c.n_params, cfg.lr_critic, dtype)
+    opt_value = AdamState.for_params(value_net.n_params, cfg.lr_value)
+    opt_critics = [AdamState.for_params(c.n_params, cfg.lr_critic)
                    for c in critics]
-    opt_mean = AdamState.for_params(mean_net.n_params, cfg.lr_policy, dtype)
-    opt_log_std = AdamState.for_params(2, cfg.lr_policy, dtype)
+    opt_mean = AdamState.for_params(mean_net.n_params, cfg.lr_policy)
+    opt_log_std = AdamState.for_params(2, cfg.lr_policy)
 
     uses_critics = cfg.method != "bc"
     rho = cfg.rho if cfg.method == "iql_ca" else 0.0

@@ -24,7 +24,7 @@ from fanav.data import (
     save_dataset,
 )
 from fanav.evaluation import evaluate_suite, make_suite
-from fanav.expert import ExpertConfig, collect_to_ratio
+from fanav.expert import CLEAN, ExpertConfig, run_episode
 from fanav.geometry import Circle, Rect
 from fanav.losses import (
     advantages,
@@ -49,7 +49,6 @@ from fanav.sim import (
     World,
     load_world,
     raycast,
-    relative_goal,
     step_kinematics,
 )
 from fanav.trainers import TrainerConfig, train
@@ -287,20 +286,19 @@ def test_c5_value_shaping():
 # ---------------------------------------------------------------------------
 
 def test_c6_module_properties(tmp_path):
-    # reward telescoping
+    # reward telescoping over one built trajectory's stored rewards, within
+    # float32 rounding; the terminal reward is exact
     world, spec, cfg = World(10, 10), RobotSpec(lidar_beams=24), \
         EpisodeConfig()
-    eng = EpisodeEngine(world, spec, cfg)
-    eng.reset(Pose(1.0, 1.0, 0.3), (9.0, 9.0))
-    d0, _ = relative_goal(eng.pose, eng.goal)
     rng = np.random.default_rng(3)
-    total = 0.0
-    for _ in range(80):
-        out = eng.step(Action(rng.uniform(0, 0.3), rng.uniform(-1, 1)))
-        assert out.terminal == "none"
-        total += out.reward
-    dT, _ = relative_goal(eng.pose, eng.goal)
-    assert abs(total - cfg.c1 * (d0 - dT)) < 1e-9
+    traj = run_episode(world, spec, cfg, ExpertConfig(), rng, CLEAN, 0,
+                       start=Pose(1.0, 1.0, 0.3), goal=(9.0, 9.0))
+    assert traj.outcome == "success"
+    rewards = build_dataset([traj], EncoderProfile.from_world_spec(
+        world, spec), cfg).exp.rewards.astype(np.float64)
+    d0, dT = traj.states[0].goal_dist, traj.states[-2].goal_dist
+    assert abs(rewards[:-1].sum() - cfg.c1 * (d0 - dT)) < 1e-5
+    assert rewards[-1] == cfg.r_success
 
     # terminal exclusivity
     world2 = World(6, 6, (Circle(3, 3, 0.6),))
@@ -309,10 +307,9 @@ def test_c6_module_properties(tmp_path):
         eng2.reset(Pose(1.0, 1.0, 0.0), (5.0, 5.0))
         terminals = []
         while not eng2.done:
-            out = eng2.step(Action(rng.uniform(-0.5, 0.5),
-                                   rng.uniform(-1.6, 1.6)))
-            if out.terminal != "none":
-                terminals.append(out.terminal)
+            eng2.step(Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6)))
+            if eng2.terminal != "none":
+                terminals.append(eng2.terminal)
         assert len(terminals) == 1
 
     # raycast analytic cases

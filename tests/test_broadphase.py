@@ -160,7 +160,7 @@ def collect_and_evaluate():
     suite = make_suite(dense, spec, episode, 6, seed=3)
     result = evaluate_suite(ExpertPilot(), dense, spec, suite, n_trials=2,
                             seed=3)
-    return ([(t.traj_id, t.outcome, t.start, t.goal, t.actions, t.rewards,
+    return ([(t.traj_id, t.outcome, t.start, t.goal, t.actions,
               [(s.scan.tobytes(), s.goal_dist, s.goal_bearing, s.lin_vel,
                 s.ang_vel) for s in t.states]) for t in trajs],
             [getattr(block, c).tobytes() for block in (ds.exp, ds.col)

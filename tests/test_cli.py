@@ -251,6 +251,26 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("eval.n_trials=0", "eval.n_trials must be >= 1"),
+    ("eval.n_tasks=0", "eval.n_tasks must be >= 1"),
+    ("trainer.batch_size=0", "batch_size must be >= 1"),
+])
+def test_bad_trainer_or_eval_value_exits_before_collection(
+        pair, message, tmp_path, capsys, monkeypatch):
+    from fanav import cli
+
+    def collect_to_ratio(*args, **kwargs):
+        raise AssertionError("collected")
+
+    monkeypatch.setattr(cli, "collect_to_ratio", collect_to_ratio)
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), "--set", pair]) == 3
+    assert message in capsys.readouterr().err
+    assert not (out / "dataset.fanav").exists()
+    assert not out.exists()
+
+
 def test_seed_resolution_order(tmp_path, monkeypatch):
     cfg = tmp_path / "c.toml"
     cfg.write_text("[run]\nseed = 42\n")

@@ -10,7 +10,8 @@ import pytest
 from fanav.errors import ConfigError, DataFormatError, ShapeError
 from fanav.expert import CLEAN, PERTURBED, ExpertConfig, collect_to_ratio
 from fanav.geometry import Circle, Rect
-from fanav.sim import EpisodeConfig, NavState, RobotSpec, World
+from fanav.sim import (COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec,
+                       World)
 from fanav.data import (
     Batch,
     EncoderProfile,
@@ -20,6 +21,7 @@ from fanav.data import (
     SamplerConfig,
     StratifiedSampler,
     TransitionBlock,
+    _transition_rewards,
     audit_rewards,
     build_dataset,
     describe_dataset,
@@ -114,6 +116,54 @@ def test_partitions_are_pure_and_nonempty():
 
 def test_reward_audit_under_1e6():
     assert audit_rewards(DS, EPISODE) < 1e-6
+
+
+def test_transition_rewards_by_hand():
+    # goal distances 5, 2.5 and 1.25 m falling to 2.5, 1.25 and 0.625 m
+    # under d_norm = 10, all exact in float32; the last row is done
+    profile = EncoderProfile(SPEC, 10.0)
+    feats = np.zeros((3, profile.dim), np.float32)
+    nxt = np.zeros_like(feats)
+    feats[:, 24] = [0.5, 0.25, 0.125]
+    nxt[:, 24] = [0.25, 0.125, 0.0625]
+    dones = np.array([0, 0, 1], np.uint8)
+    cfg = EpisodeConfig(r_success=7.5, r_collision=-4.0, c1=3.0)
+    for outcome, terminal in ((SUCCESS, 7.5), (COLLISION, -4.0)):
+        r = _transition_rewards(feats, nxt, dones, outcome, profile, cfg)
+        assert r.dtype == np.float64
+        assert r.tolist() == [3.0 * 2.5, 3.0 * 1.25, terminal]
+    # a built dataset's terminal rows carry the configured values exactly
+    assert np.all(DS.exp.rewards[DS.exp.dones == 1] == EPISODE.r_success)
+    assert np.all(DS.col.rewards[DS.col.dones == 1] == EPISODE.r_collision)
+
+
+def test_build_dataset_matches_a_per_transition_reference():
+    # the row-at-a-time build that the column build replaced, kept as the
+    # reference: every column must come out bitwise equal
+    trajs = collect_to_ratio(WORLD, SPEC, EPISODE, ExpertConfig(),
+                             min_transitions=300, target_col_ratio=0.1,
+                             seed=6, ratio_tol=0.05)
+    ds = build_dataset(trajs, PROFILE, EPISODE)
+    rows = {SUCCESS: [], COLLISION: []}
+    for traj in trajs:
+        feats = [encode_state(s, PROFILE) for s in traj.states]
+        T = len(traj.actions)
+        for t, a in enumerate(traj.actions):
+            done = t == T - 1
+            if done:
+                r = EPISODE.r_success if traj.outcome == SUCCESS \
+                    else EPISODE.r_collision
+            else:
+                d, d_next = (float(f[24]) * PROFILE.d_norm
+                             for f in feats[t:t + 2])
+                r = EPISODE.c1 * (d - d_next)
+            rows[traj.outcome].append((feats[t], (a.v_cmd, a.omega_cmd), r,
+                                       feats[t + 1], done, traj.traj_id, t))
+    for outcome, block in ((SUCCESS, ds.exp), (COLLISION, ds.col)):
+        assert rows[outcome]
+        for column, values in zip(vars(block).values(),
+                                  zip(*rows[outcome])):
+            assert np.array_equal(column, np.array(values, column.dtype))
 
 
 def test_collision_ratio_near_target():

@@ -250,7 +250,6 @@ def test_label_purity_and_done_position():
     for t in trajs:
         assert t.outcome in (SUCCESS, COLLISION)
         assert len(t.states) == len(t.actions) + 1
-        assert len(t.rewards) == len(t.actions)
 
 
 def test_collect_to_ratio_hits_target():
@@ -296,7 +295,7 @@ def test_collect_to_ratio_meets_the_tolerance_at_every_size():
 
 def test_search_keeps_the_oldest_trajectories_of_each_total():
     def trajs(outcome, lengths):
-        return [expert.Trajectory(i, outcome, [], [None] * n, [], None, None)
+        return [expert.Trajectory(i, outcome, [], [None] * n, None, None)
                 for i, n in enumerate(lengths)]
 
     succ = trajs(SUCCESS, [94, 57, 85, 80, 53, 127, 71, 90])
@@ -339,7 +338,7 @@ HARVEST = ExpertConfig().harvest_profile()
 
 def as_values(trajs):
     """Trajectories as comparable values (a NavState holds an array)."""
-    return [(t.traj_id, t.outcome, t.start, t.goal, t.actions, t.rewards,
+    return [(t.traj_id, t.outcome, t.start, t.goal, t.actions,
              [(s.scan.tobytes(), s.goal_dist, s.goal_bearing, s.lin_vel,
                s.ang_vel) for s in t.states]) for t in trajs]
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fanav.data import EncoderProfile, build_dataset
 from fanav.errors import (
     ConfigError,
     InvalidPoseError,
@@ -10,6 +11,7 @@ from fanav.errors import (
     ProtocolError,
     WorldFormatError,
 )
+from fanav.expert import CLEAN, ExpertConfig, run_episode
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
     COLLISION,
@@ -202,63 +204,62 @@ def empty_episode(width=10.0, height=10.0):
 
 
 def test_step_env_dense_reward():
+    """A step that ends nowhere: the dense reward, c1 * (d_t - d_{t+1}),
+    is the dataset's (see test_data), read from the goal distance that
+    the step's observation reports."""
     world, spec, cfg = empty_episode()
     # moving straight toward a goal 5 m ahead for one step of 0.1 m
-    outcome, pose = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
-                             (7.0, 5.0), Action(0.5, 0.0), 0)
-    assert outcome.terminal == NONE
-    assert outcome.reward == pytest.approx(cfg.c1 * 0.1, abs=1e-12)
+    state, terminal, pose = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
+                                     (7.0, 5.0), Action(0.5, 0.0), 0)
+    assert terminal == NONE
     assert pose.x == pytest.approx(2.1)
-    # reward equals c1 * (d_t - d_{t+1}) for arbitrary distances
-    assert cfg.c1 * (5.0 - 4.8) == pytest.approx(0.4)
+    assert state.goal_dist == pytest.approx(4.9, abs=1e-12)
 
 
 def test_step_env_success_branch():
     world, spec, cfg = empty_episode()
-    outcome, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
-                          (5.25, 5.0), Action(0.5, 0.0), 0)
-    assert outcome.terminal == SUCCESS
-    assert outcome.reward == cfg.r_success
+    _, terminal, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
+                              (5.25, 5.0), Action(0.5, 0.0), 0)
+    assert terminal == SUCCESS
 
 
 def test_step_env_collision_branch():
     world = World(10, 10, (Rect(5.25, 4.0, 1.0, 2.0),))
     spec, cfg = small_spec(), EpisodeConfig()
-    outcome, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
-                          (9.0, 5.0), Action(0.5, 0.0), 0)
-    assert outcome.terminal == COLLISION
-    assert outcome.reward == cfg.r_collision
+    _, terminal, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
+                              (9.0, 5.0), Action(0.5, 0.0), 0)
+    assert terminal == COLLISION
 
 
 def test_step_env_wall_collision():
     world, spec, cfg = empty_episode(4.0, 4.0)
-    outcome, _ = step_env(world, spec, cfg, Pose(3.75, 2.0, 0.0),
-                          (0.5, 3.5), Action(0.5, 0.0), 0)
-    assert outcome.terminal == COLLISION
+    _, terminal, _ = step_env(world, spec, cfg, Pose(3.75, 2.0, 0.0),
+                              (0.5, 3.5), Action(0.5, 0.0), 0)
+    assert terminal == COLLISION
 
 
 def test_step_env_success_beats_collision():
     # goal ring touching a wall: both conditions can hold after one step
     world = World(10, 10, (Rect(5.45, 4.0, 1.0, 2.0),))
     spec, cfg = small_spec(), EpisodeConfig()
-    outcome, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
-                          (5.3, 5.0), Action(0.5, 0.0), 0)
-    assert outcome.terminal == SUCCESS
+    _, terminal, _ = step_env(world, spec, cfg, Pose(5.0, 5.0, 0.0),
+                              (5.3, 5.0), Action(0.5, 0.0), 0)
+    assert terminal == SUCCESS
 
 
 def test_step_env_timeout_at_horizon():
     world, spec, cfg = empty_episode()
-    outcome, _ = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
-                          (9.0, 5.0), Action(0.0, 0.0), cfg.t_max - 1)
-    assert outcome.terminal == TIMEOUT
+    _, terminal, _ = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
+                              (9.0, 5.0), Action(0.0, 0.0), cfg.t_max - 1)
+    assert terminal == TIMEOUT
 
 
 def test_step_env_clamps_action():
     world, spec, cfg = empty_episode()
-    outcome, pose = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
-                             (9.0, 5.0), Action(10.0, 0.0), 0)
+    state, _, pose = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
+                              (9.0, 5.0), Action(10.0, 0.0), 0)
     assert pose.x == pytest.approx(2.0 + spec.v_max * spec.control_dt)
-    assert outcome.next_state.lin_vel == spec.v_max
+    assert state.lin_vel == spec.v_max
 
 
 def test_engine_protocol():
@@ -268,8 +269,9 @@ def test_engine_protocol():
         eng.step(Action(0, 0))
     state = eng.reset(Pose(5.0, 5.0, 0.0), (5.35, 5.0))
     assert state.goal_dist == pytest.approx(0.35)
-    out = eng.step(Action(0.5, 0.0))
-    assert out.terminal == SUCCESS
+    state = eng.step(Action(0.5, 0.0))
+    assert eng.terminal == SUCCESS
+    assert state.goal_dist == pytest.approx(0.25)
     with pytest.raises(ProtocolError):
         eng.step(Action(0, 0))
 
@@ -284,20 +286,20 @@ def test_engine_reset_validation():
 
 
 def test_reward_telescoping():
-    """Dense rewards over a terminal-free stretch sum to c1*(d0 - dT)."""
+    """The stored dense rewards of one built trajectory sum to
+    c1 * (d_0 - d_{T-1}), within float32 rounding, and its last transition
+    carries r_success exactly."""
     world, spec, cfg = empty_episode()
-    eng = EpisodeEngine(world, spec, cfg)
-    eng.reset(Pose(1.0, 1.0, 0.3), (9.0, 9.0))
-    d0, _ = relative_goal(eng.pose, eng.goal)
-    total = 0.0
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        a = Action(rng.uniform(0, 0.3), rng.uniform(-1.0, 1.0))
-        out = eng.step(a)
-        assert out.terminal == NONE
-        total += out.reward
-    dT, _ = relative_goal(eng.pose, eng.goal)
-    assert total == pytest.approx(cfg.c1 * (d0 - dT), abs=1e-9)
+    traj = run_episode(world, spec, cfg, ExpertConfig(),
+                       np.random.default_rng(11), CLEAN, 0,
+                       start=Pose(1.0, 1.0, 0.3), goal=(9.0, 9.0))
+    assert traj.outcome == SUCCESS and len(traj) > 40
+    ds = build_dataset([traj], EncoderProfile.from_world_spec(world, spec),
+                       cfg)
+    rewards = ds.exp.rewards.astype(np.float64)
+    d0, dT = traj.states[0].goal_dist, traj.states[-2].goal_dist
+    assert rewards[:-1].sum() == pytest.approx(cfg.c1 * (d0 - dT), abs=1e-5)
+    assert rewards[-1] == cfg.r_success
 
 
 def test_terminal_exclusivity_and_no_post_terminal_steps():
@@ -310,9 +312,9 @@ def test_terminal_exclusivity_and_no_post_terminal_steps():
         eng.reset(start, goal)
         terminals = []
         while not eng.done:
-            out = eng.step(Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6)))
-            if out.terminal != NONE:
-                terminals.append(out.terminal)
+            eng.step(Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6)))
+            if eng.terminal != NONE:
+                terminals.append(eng.terminal)
         assert len(terminals) == 1
         assert terminals[0] in (SUCCESS, COLLISION, TIMEOUT)
         with pytest.raises(ProtocolError):
@@ -329,8 +331,10 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(42)
         trace = []
         while not eng.done:
-            out = eng.step(Action(rng.uniform(0, 0.5), rng.uniform(-1, 1)))
-            trace.append((eng.pose.x, eng.pose.y, eng.pose.heading, out.reward))
+            state = eng.step(Action(rng.uniform(0, 0.5), rng.uniform(-1, 1)))
+            trace.append((eng.pose.x, eng.pose.y, eng.pose.heading,
+                          eng.terminal, state.scan.tobytes(),
+                          state.goal_dist, state.goal_bearing))
         return trace
 
     assert run() == run()

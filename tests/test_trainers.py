@@ -107,8 +107,6 @@ def test_config_validation():
         TrainerConfig(max_weight=0.5)
     with pytest.raises(ConfigError):
         TrainerConfig(rho=1.0)
-    with pytest.raises(ConfigError):
-        TrainerConfig(dtype="float16")
 
 
 def test_config_roundtrip():
