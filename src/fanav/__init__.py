@@ -11,7 +11,6 @@ suite-based evaluation harness with SR/CR/TR reporting.
 from .data import (
     EncoderProfile,
     OfflineDataset,
-    SamplerConfig,
     build_dataset,
     encode_state,
     load_dataset,
@@ -62,7 +61,6 @@ __all__ = [
     "OfflineDataset",
     "Pose",
     "RobotSpec",
-    "SamplerConfig",
     "Task",
     "TaskSuite",
     "TrainReport",

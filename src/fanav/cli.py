@@ -2,11 +2,14 @@
 
 Subcommands: gen-world, collect, dataset, train, eval, compare, pipeline.
 Configuration is layered: built-in desk-scale defaults, then a config file
-(``--config``), then generic ``--set section.key=value`` overrides, then
-dedicated flags. ``train`` and ``eval`` take ``[robot]`` from the dataset
-or checkpoint they read, and refuse a config that says otherwise. Every
-value ends up echoed into the run artifacts, so no hyperparameter is
-hidden.
+(``--config``), then ``--set section.key=value`` overrides, of which
+``--seed``, ``train --method`` and ``collect --target-col-ratio`` are
+shorthands (:data:`SHORTHANDS`). ``train`` and ``eval`` take ``[robot]``
+from the dataset or checkpoint they read, and refuse a config that says
+otherwise. Every value ends up echoed into the run artifacts, so no
+hyperparameter is hidden: ``fanav train --config
+<run>/train/<method>/config.echo --dataset <run>/dataset.fanav`` replays
+one method of a pipeline run.
 
 Exit codes: 0 success, 2 usage, 3 configuration/protocol, 4 data format,
 5 numeric failure, 6 I/O.
@@ -24,7 +27,8 @@ from functools import partial
 from importlib import resources
 
 from . import __version__
-from .configfile import ConfigTree, format_config, load_config, merge_tree, parse_config
+from .configfile import (ConfigTree, format_config, format_scalar,
+                         load_config, merge_tree, parse_config)
 from .data import (
     EncoderProfile,
     OfflineDataset,
@@ -63,7 +67,7 @@ DEFAULT_CONFIG: ConfigTree = {
     "expert": asdict(ExpertConfig()),
     "collect": {"min_transitions": 20000, "target_col_ratio": 0.1,
                 "ratio_tol": RATIO_TOL},
-    # TrainerConfig's defaults; the seed is resolved apart, in [run]
+    # TrainerConfig's defaults; its seed is run.seed
     "trainer": {k: v for k, v in TrainerConfig().to_dict().items()
                 if k != "seed"},
     "eval": {"n_tasks": 50, "n_trials": N_TRIALS, "jitter_pos": JITTER[0],
@@ -99,10 +103,9 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 
 
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
-                   flag_overrides: ConfigTree | None = None,
                    robot_of: tuple[str, RobotSpec] | None = None
                    ) -> ConfigTree:
-    """Defaults, then the config file, then ``--set``, then flags.
+    """Defaults, then the config file, then ``--set``.
 
     ``robot_of`` is the path of a dataset or checkpoint and the robot it
     holds: ``[robot]`` starts from that robot, and a config file or
@@ -113,8 +116,6 @@ def resolve_config(config_path: str | None, set_pairs: list[str] | None,
     if config_path:
         tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
-    if flag_overrides:
-        tree = merge_tree(tree, flag_overrides)
     if robot_of:
         path, robot = robot_of
         for key, value in asdict(robot).items():
@@ -124,11 +125,6 @@ def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                     f"but {path} holds robot.{key}={value!r}; the robot is "
                     "read from that file")
     return tree
-
-
-def resolve_seed(args_seed: int | None, tree: ConfigTree) -> int:
-    """``--seed``, else ``run.seed``."""
-    return tree["run"]["seed"] if args_seed is None else args_seed
 
 
 def robot_spec_from(tree: ConfigTree) -> RobotSpec:
@@ -166,8 +162,7 @@ def _sha256_file(path: str) -> str:
 
 
 def write_manifest(path: str, command: str, argv: list[str],
-                   tree: ConfigTree, seed: int,
-                   inputs: dict[str, str] | None = None,
+                   tree: ConfigTree, inputs: dict[str, str] | None = None,
                    outputs: list[str] | None = None) -> None:
     """Write the run manifest atomically to ``path``, creating its
     directory: ``<out_dir>/manifest.json`` for a command that writes a
@@ -179,7 +174,7 @@ def write_manifest(path: str, command: str, argv: list[str],
         "version": __version__,
         "command": command,
         "argv": argv,
-        "seed": seed,
+        "seed": tree["run"]["seed"],
         "config": tree,
         "config_digest": digest,
         "inputs": {p: _sha256_file(p) for p in (inputs or {})},
@@ -228,8 +223,7 @@ def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
                 out_dir: str) -> TrainResult:
     """Echo every config value into ``out_dir``, then train there."""
     os.makedirs(out_dir, exist_ok=True)
-    echo = {**tree, "trainer": {**tree["trainer"], "method": cfg.method,
-                                "seed": cfg.seed}}
+    echo = {**tree, "trainer": {**tree["trainer"], "method": cfg.method}}
     with open(os.path.join(out_dir, "config.echo"), "w",
               encoding="utf-8") as fh:
         fh.write(format_config(echo))
@@ -271,24 +265,20 @@ def compare_stage(results: dict[str, list[EvalResult]], out_dir: str) -> str:
 
 def cmd_gen_world(args, argv) -> int:
     tree = resolve_config(args.config, args.set)
-    seed = resolve_seed(args.seed, tree)
-    world = generate_world(args.width, args.height, args.density, seed,
-                           name=args.name,
+    world = generate_world(args.width, args.height, args.density,
+                           tree["run"]["seed"], name=args.name,
                            robot_radius=float(tree["robot"]["radius"]))
     save_world(world, args.out)
     write_manifest(args.out + ".manifest.json", "gen-world", argv, tree,
-                   seed, outputs=[args.out])
+                   outputs=[args.out])
     print(f"wrote {args.out}: {len(world.obstacles)} obstacles in "
           f"{world.width:g}x{world.height:g} m")
     return 0
 
 
 def cmd_collect(args, argv) -> int:
-    flag_overrides: ConfigTree = {}
-    if args.target_col_ratio is not None:
-        flag_overrides = {"collect": {"target_col_ratio": args.target_col_ratio}}
-    tree = resolve_config(args.config, args.set, flag_overrides)
-    seed = resolve_seed(args.seed, tree)
+    tree = resolve_config(args.config, args.set)
+    seed = tree["run"]["seed"]
     world = resolve_world(args.world)
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
@@ -303,7 +293,7 @@ def cmd_collect(args, argv) -> int:
         "command": "collect", "seed": seed, "world": world.name,
         "mode": args.mode or "ratio", "version": __version__}, args.out)
     inputs = {args.world: None} if os.path.exists(args.world) else {}
-    write_manifest(args.out + ".manifest.json", "collect", argv, tree, seed,
+    write_manifest(args.out + ".manifest.json", "collect", argv, tree,
                    inputs=inputs, outputs=[args.out])
     print(describe_dataset(ds))
     print(f"wrote {args.out}")
@@ -316,16 +306,12 @@ def cmd_dataset(args, argv) -> int:
 
 
 def cmd_train(args, argv) -> int:
-    flag_overrides: ConfigTree = {}
-    if args.method:
-        flag_overrides = {"trainer": {"method": args.method}}
     ds = load_dataset(args.dataset)
-    tree = resolve_config(args.config, args.set, flag_overrides,
+    tree = resolve_config(args.config, args.set,
                           robot_of=(args.dataset, ds.profile.robot))
-    seed = resolve_seed(args.seed, tree)
-    cfg = trainer_from(tree, seed)
+    cfg = trainer_from(tree, tree["run"]["seed"])
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "train",
-                   argv, tree, seed, inputs={args.dataset: None})
+                   argv, tree, inputs={args.dataset: None})
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
@@ -340,14 +326,12 @@ def cmd_eval(args, argv) -> int:
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
     tree = resolve_config(args.config, args.set,
                           robot_of=(args.checkpoint, policy.profile.robot))
-    seed = resolve_seed(args.seed, tree)
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
     res = eval_stage(policy, world, suite, int(tree["eval"]["n_trials"]),
-                     jitter_from(tree), seed, args.out_dir)
+                     jitter_from(tree), tree["run"]["seed"], args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
-                   argv, tree, seed,
-                   inputs={args.checkpoint: None, args.suite: None})
+                   argv, tree, inputs={args.checkpoint: None, args.suite: None})
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
@@ -398,11 +382,12 @@ def cmd_pipeline(args, argv) -> int:
     Two jobs with one method or one world would write the same directory,
     so a method or an evaluation world named twice is a ``ConfigError``,
     raised before anything is written. So are a trainer value that
-    ``TrainerConfig`` refuses and an ``eval.n_tasks`` or ``eval.n_trials``
-    below 1, which would otherwise stop the run only after collection."""
+    ``TrainerConfig`` refuses, an ``eval.n_tasks`` or ``eval.n_trials``
+    below 1 and a negative ``eval`` jitter or separation, which would
+    otherwise stop the run only after collection."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
-    seed = resolve_seed(args.seed, tree)
+    seed = tree["run"]["seed"]
 
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
@@ -419,14 +404,14 @@ def cmd_pipeline(args, argv) -> int:
     collect_world = resolve_world(str(pcfg["collect_world"]))
     jitter = jitter_from(tree)
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
-    for key in ("n_tasks", "n_trials"):
-        if int(ecfg[key]) < 1:
-            raise ConfigError(f"eval.{key} must be >= 1")
+    for key, low in (("n_tasks", 1), ("n_trials", 1), ("jitter_pos", 0),
+                     ("jitter_heading", 0), ("min_separation", 0)):
+        if not ecfg[key] >= low:
+            raise ConfigError(f"eval.{key} must be >= {low}")
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
-                   tree, seed,
-                   inputs={args.config: None} if args.config else {})
+                   tree, inputs={args.config: None} if args.config else {})
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     trajs = collect_to_ratio(collect_world, spec, episode, expert_cfg,
@@ -491,7 +476,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
                    help="override any config key; repeatable")
     p.add_argument("--seed", type=int, default=None,
-                   help="random seed (overrides run.seed)")
+                   help="same as --set run.seed=SEED")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="episode count (omit to target a collision ratio)")
     c.add_argument("--mode", choices=(CLEAN, PERTURBED), default=None)
     c.add_argument("--target-col-ratio", type=float, default=None,
-                   help="collision transition fraction to aim for")
+                   help="same as --set collect.target_col_ratio=RATIO")
     c.add_argument("--out", required=True, help="output dataset path")
     _add_common(c)
     c.set_defaults(fn=cmd_collect)
@@ -530,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_dataset)
 
     t = sub.add_parser("train", help="train one method on a dataset")
-    t.add_argument("--method", choices=METHODS, default=None)
+    t.add_argument("--method", choices=METHODS, default=None,
+                   help='same as --set trainer.method="METHOD"')
     t.add_argument("--dataset", required=True)
     t.add_argument("--out-dir", required=True)
     _add_common(t)
@@ -558,9 +544,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the config key of each shorthand flag, by its argparse name
+SHORTHANDS = {"seed": "run.seed", "method": "trainer.method",
+              "target_col_ratio": "collect.target_col_ratio"}
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run ``argv``'s subcommand; a shorthand flag becomes a ``--set`` pair
+    after the user's own, so it wins."""
+    args = build_parser().parse_args(argv)
+    for dest, key in SHORTHANDS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            args.set = [*(args.set or []), f"{key}={format_scalar(value)}"]
     return args.fn(args, ["fanav"] + list(argv))
 
 

@@ -43,7 +43,7 @@ def parse_config(text: str, source: str = "<config>") -> ConfigTree:
     return tree
 
 
-def _format_scalar(v) -> str:
+def format_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
@@ -59,10 +59,10 @@ def format_config(tree: ConfigTree) -> str:
         lines.append(f"[{section}]")
         for key, value in kv.items():
             if isinstance(value, (list, tuple)):
-                body = ", ".join(_format_scalar(v) for v in value)
+                body = ", ".join(format_scalar(v) for v in value)
                 lines.append(f"{key} = [{body}]")
             else:
-                lines.append(f"{key} = {_format_scalar(value)}")
+                lines.append(f"{key} = {format_scalar(value)}")
         lines.append("")
     return "\n".join(lines)
 

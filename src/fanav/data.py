@@ -238,19 +238,6 @@ def audit_rewards(ds: OfflineDataset, episode_cfg: EpisodeConfig) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    rho: float = 0.015
-    batch_size: int = 256
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 <= self.rho < 1.0):
-            raise ConfigError("rho must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-
-
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -276,6 +263,8 @@ class Batch:
 
 def _gather(ds: OfflineDataset, exp_idx: np.ndarray, col_idx: np.ndarray,
             perm: np.ndarray | None) -> Batch:
+    """Rows of both partitions, scattered to their slots of ``perm``, which
+    a batch without collision rows never reads."""
     n_exp, n_col = len(exp_idx), len(col_idx)
     n = n_exp + n_col
     if n_col == 0:
@@ -285,8 +274,7 @@ def _gather(ds: OfflineDataset, exp_idx: np.ndarray, col_idx: np.ndarray,
                      ds.exp.dones[exp_idx].astype(np.float32),
                      np.zeros(n, bool))
     # scatter each partition's rows into its shuffled slots in one pass
-    pos_exp = perm[:n_exp] if perm is not None else np.arange(n_exp)
-    pos_col = perm[n_exp:] if perm is not None else np.arange(n_exp, n)
+    pos_exp, pos_col = perm[:n_exp], perm[n_exp:]
     dim = ds.profile.dim
     feats = np.empty((n, dim), np.float32)
     acts = np.empty((n, 2), np.float32)
@@ -316,22 +304,27 @@ class StratifiedSampler:
     so a given (seed, call index) pair always produces the same batch.
     """
 
-    def __init__(self, ds: OfflineDataset, cfg: SamplerConfig):
+    def __init__(self, ds: OfflineDataset, rho: float, batch_size: int,
+                 seed: int):
+        if not (0.0 <= rho < 1.0):
+            raise ConfigError("rho must lie in [0, 1)")
+        if batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
         self.ds = ds
-        self.cfg = cfg
-        self.n_col_per_batch = round_half_up(cfg.rho * cfg.batch_size)
+        self.batch_size = batch_size
+        self.n_col_per_batch = round_half_up(rho * batch_size)
         if self.n_col_per_batch > 0 and ds.n_col == 0:
             raise ConfigError("rho > 0 requires a non-empty collision partition")
-        if cfg.batch_size - self.n_col_per_batch > 0 and ds.n_exp == 0:
+        if batch_size - self.n_col_per_batch > 0 and ds.n_exp == 0:
             raise ConfigError("empty success partition")
-        self.rng = np.random.default_rng(cfg.seed)
+        self.rng = np.random.default_rng(seed)
 
     def sample(self) -> Batch:
         n_col = self.n_col_per_batch
-        n_exp = self.cfg.batch_size - n_col
+        n_exp = self.batch_size - n_col
         exp_idx = self.rng.integers(0, self.ds.n_exp, n_exp) if n_exp else _NO_IDX
         col_idx = self.rng.integers(0, self.ds.n_col, n_col) if n_col else _NO_IDX
-        perm = self.rng.permutation(self.cfg.batch_size)
+        perm = self.rng.permutation(self.batch_size)
         return _gather(self.ds, exp_idx, col_idx, perm)
 
 

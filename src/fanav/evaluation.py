@@ -93,6 +93,8 @@ def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
     """Sample collision-free, planner-feasible start/goal tasks."""
     if n_tasks < 1:
         raise ConfigError("n_tasks must be >= 1")
+    if not min_separation >= 0:
+        raise ConfigError("min_separation must be >= 0")
     rng = np.random.default_rng([seed, 0x5717e])
     tasks: list[Task] = []
     clearance = spec.radius + 0.1  # free space at start and goal
@@ -361,6 +363,8 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
     """
     if n_trials < 1:
         raise ConfigError("n_trials must be >= 1")
+    if not all(j >= 0 for j in jitter):
+        raise ConfigError("jitter must be >= 0")
     if not suite.tasks:
         raise ConfigError("empty task suite")
     if suite.world_name != world.name:

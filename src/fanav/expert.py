@@ -76,6 +76,8 @@ class ExpertConfig:
         for scale in (self.speed_scale, self.harvest_speed):
             if not (0.0 < scale <= 1.0):
                 raise ConfigError("speed scales must lie in (0, 1]")
+        if not self.min_separation >= 0:
+            raise ConfigError("min_separation must be >= 0")
 
     def harvest_profile(self) -> "ExpertConfig":
         """The reckless variant used to harvest collision episodes."""
@@ -107,31 +109,30 @@ def _grid_distances(ob, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def occupancy_grid(world: World, inflate: float,
-                   res: float = GRID_RES) -> np.ndarray:
-    """Boolean blocked-grid of cell centers, inflated by ``inflate`` meters;
-    built once per ``(inflate, res)`` and kept, read-only, on ``world``."""
-    grid = world._grids.get((inflate, res))
+def occupancy_grid(world: World, inflate: float) -> np.ndarray:
+    """Boolean blocked-grid of ``GRID_RES`` cell centers, inflated by
+    ``inflate`` meters; built once per inflation and kept, read-only, on
+    ``world``."""
+    grid = world._grids.get(inflate)
     if grid is not None:
         return grid
-    nx = max(1, int(math.floor(world.width / res)))
-    ny = max(1, int(math.floor(world.height / res)))
-    xs = (np.arange(nx) + 0.5) * res
-    ys = (np.arange(ny) + 0.5) * res
+    nx = max(1, int(math.floor(world.width / GRID_RES)))
+    ny = max(1, int(math.floor(world.height / GRID_RES)))
+    xs = (np.arange(nx) + 0.5) * GRID_RES
+    ys = (np.arange(ny) + 0.5) * GRID_RES
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     blocked = ((gx < inflate) | (gx > world.width - inflate)
                | (gy < inflate) | (gy > world.height - inflate))
     for ob in world.obstacles:
         blocked |= _grid_distances(ob, gx, gy) <= inflate
     blocked.flags.writeable = False
-    world._grids[(inflate, res)] = blocked
+    world._grids[inflate] = blocked
     return blocked
 
 
-def _cell_of(x: float, y: float, blocked: np.ndarray,
-             res: float) -> tuple[int, int]:
-    i = min(blocked.shape[0] - 1, max(0, int(x / res)))
-    j = min(blocked.shape[1] - 1, max(0, int(y / res)))
+def _cell_of(x: float, y: float, blocked: np.ndarray) -> tuple[int, int]:
+    i = min(blocked.shape[0] - 1, max(0, int(x / GRID_RES)))
+    j = min(blocked.shape[1] - 1, max(0, int(y / GRID_RES)))
     return i, j
 
 
@@ -250,8 +251,8 @@ def plan_path(world: World, start: tuple[float, float],
         return [tuple(map(float, start)), tuple(map(float, goal))]
 
     blocked = occupancy_grid(world, inflate)
-    s = _nearest_free_cell(blocked, *_cell_of(start[0], start[1], blocked, GRID_RES))
-    t = _nearest_free_cell(blocked, *_cell_of(goal[0], goal[1], blocked, GRID_RES))
+    s = _nearest_free_cell(blocked, *_cell_of(start[0], start[1], blocked))
+    t = _nearest_free_cell(blocked, *_cell_of(goal[0], goal[1], blocked))
     if s is None or t is None:
         raise NoPathError("start or goal cell blocked on the planning grid")
     cells = _astar(blocked, s, t)

@@ -76,22 +76,20 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 
 class Mlp:
-    """Fixed-topology multilayer perceptron over a flat parameter vector."""
+    """Fixed-topology multilayer perceptron over a flat parameter vector,
+    computing in its dtype (float32 zeros when ``theta`` is not given)."""
 
     def __init__(self, widths: tuple[int, ...], activation: str = "relu",
-                 theta: np.ndarray | None = None,
-                 dtype: type = np.float32):
+                 theta: np.ndarray | None = None):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ConfigError(f"bad layer widths {widths}")
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation '{activation}'")
         self.widths = tuple(int(w) for w in widths)
         self.activation = activation
-        self.dtype = np.dtype(dtype).type
         n = param_count(self.widths)
-        if theta is None:
-            theta = np.zeros(n, dtype=self.dtype)
-        theta = np.asarray(theta, dtype=self.dtype)
+        theta = np.zeros(n, np.float32) if theta is None else np.asarray(theta)
+        self.dtype = theta.dtype.type
         if theta.shape != (n,):
             raise ShapeError(f"theta has shape {theta.shape}, expected ({n},)")
         self.theta = theta
@@ -117,14 +115,14 @@ class Mlp:
 
     @classmethod
     def initialized(cls, widths: tuple[int, ...], activation: str,
-                    rng: np.random.Generator, dtype: type = np.float32,
+                    rng: np.random.Generator,
                     final_scale: float = 1.0) -> "Mlp":
-        """He (relu) or Xavier (tanh) weight init with zero biases.
+        """He (relu) or Xavier (tanh) float32 weights with zero biases.
 
         ``final_scale`` shrinks the last layer's weights; near-zero initial
         outputs keep early policy actions small.
         """
-        net = cls(widths, activation, dtype=dtype)
+        net = cls(widths, activation)
         gain = 2.0 if activation == "relu" else 1.0
         n_layers = net.n_layers
         for l, (W, b) in enumerate(net._views):
@@ -214,7 +212,7 @@ class Mlp:
         return grad
 
     def copy(self) -> "Mlp":
-        return Mlp(self.widths, self.activation, self.theta.copy(), self.dtype)
+        return Mlp(self.widths, self.activation, self.theta.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +232,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, n: int, lr: float, dtype: type = np.float32) -> "AdamState":
-        return cls(np.zeros(n, dtype=dtype), np.zeros(n, dtype=dtype), 0, lr)
+    def for_params(cls, n: int, lr: float) -> "AdamState":
+        return cls(np.zeros(n, np.float32), np.zeros(n, np.float32), 0, lr)
 
 
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState
@@ -405,8 +403,7 @@ class Section:
     def to_mlp(self) -> Mlp:
         if self.activation == "none":
             raise ConfigError("section holds a bare vector, not a network")
-        return Mlp(self.widths, self.activation, self.params,
-                   self.params.dtype.type)
+        return Mlp(self.widths, self.activation, self.params)
 
 
 def save_checkpoint(path: str, sections: dict[str, Section],

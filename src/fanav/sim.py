@@ -96,8 +96,8 @@ class World:
                      for ob, (x1, y1, x2, y2) in zip(self.obstacles, boxes))
 
     @cached_property
-    def _grids(self) -> dict[tuple[float, float], np.ndarray]:
-        """Planning grids by ``(inflate, res)``; see
+    def _grids(self) -> dict[float, np.ndarray]:
+        """Planning grids by inflation; see
         :func:`fanav.expert.occupancy_grid`."""
         return {}
 

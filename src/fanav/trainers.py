@@ -31,7 +31,6 @@ from .data import (
     ExpSampler,
     OfflineDataset,
     PooledSampler,
-    SamplerConfig,
     StratifiedSampler,
 )
 from .losses import (
@@ -281,7 +280,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
         policy_sampler = PooledSampler(ds, cfg.batch_size, seed_policy_sampler)
     else:
         critic_sampler = StratifiedSampler(
-            ds, SamplerConfig(rho, cfg.batch_size, seed_critic_sampler)) \
+            ds, rho, cfg.batch_size, seed_critic_sampler) \
             if uses_critics else None
         policy_sampler = ExpSampler(ds, cfg.batch_size, seed_policy_sampler)
 

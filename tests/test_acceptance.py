@@ -16,7 +16,6 @@ import pytest
 from fanav.data import (
     EncoderProfile,
     OfflineDataset,
-    SamplerConfig,
     StratifiedSampler,
     TransitionBlock,
     build_dataset,
@@ -101,12 +100,15 @@ def test_c1_gradient_correctness():
     from fanav.data import Batch
     batch = Batch(feats, actions, rewards, nxt, dones, np.zeros(n, bool))
 
-    value = Mlp.initialized((dim, 16, 1), "tanh", rng, dtype=np.float64)
-    critics = [Mlp.initialized((dim + 2, 16, 1), "tanh", rng, dtype=np.float64)
+    def as_float64(net: Mlp) -> Mlp:
+        return Mlp(net.widths, net.activation, net.theta.astype(np.float64))
+
+    value = as_float64(Mlp.initialized((dim, 16, 1), "tanh", rng))
+    critics = [as_float64(Mlp.initialized((dim + 2, 16, 1), "tanh", rng))
                for _ in range(2)]
     targets = [c.copy() for c in critics]
-    mean = Mlp.initialized((dim, 16, 2), "tanh", rng, dtype=np.float64,
-                           final_scale=0.1)
+    mean = as_float64(Mlp.initialized((dim, 16, 2), "tanh", rng,
+                                      final_scale=0.1))
     policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5), (-5.0, 2.0))
 
     worst = {}
@@ -349,8 +351,7 @@ def test_c6_module_properties(tmp_path):
             ds.col.next_features, ds.col.dones, ds.col.traj_ids,
             ds.col.step_ids)]),
         PROFILE)
-    sampler = StratifiedSampler(small, SamplerConfig(rho=0.5, batch_size=100,
-                                                     seed=13))
+    sampler = StratifiedSampler(small, 0.5, 100, seed=13)
     counts = np.zeros(80)
     keys = {}
     for part, block in ((0, small.exp), (1, small.col)):

@@ -18,14 +18,13 @@ from fanav.cli import (
     expert_from,
     main,
     resolve_config,
-    resolve_seed,
     robot_spec_from,
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
-from fanav.expert import ExpertConfig
 from fanav.nets import load_checkpoint, save_checkpoint
-from fanav.sim import EpisodeConfig, RobotSpec, load_world
+from fanav.sim import RobotSpec, load_world
+from fanav.trainers import METHODS
 
 ROOT = Path(__file__).resolve().parents[1]
 DESK = str(ROOT / "desk.toml")
@@ -118,7 +117,7 @@ def test_corrupt_dataset_exits_four(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# config precedence: flag > --set > file > default, for every key
+# config precedence: shorthand flag > --set > file > default
 # ---------------------------------------------------------------------------
 
 def test_precedence_file_over_default_every_key(tmp_path):
@@ -167,10 +166,28 @@ def test_precedence_set_over_file(tmp_path):
 
 
 def test_precedence_flag_over_set(tmp_path):
-    # dedicated flags land last: --method beats --set trainer.method
-    tree = resolve_config(None, ["trainer.method=\"bc\""],
-                          {"trainer": {"method": "iql_dm"}})
-    assert tree["trainer"]["method"] == "iql_dm"
+    # each shorthand flag is a --set pair after the user's own, so it wins
+    # and the manifest, the echo and the checkpoint record its value
+    ds = str(tmp_path / "d.fanav")
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", ds, "--target-col-ratio", "0.2", "--seed", "1",
+                "--set", "collect.target_col_ratio=0.3", "--set", "run.seed=9",
+                "--set", "robot.lidar_beams=8"]) == 0
+    config = json.loads(Path(ds + ".manifest.json").read_text())["config"]
+    assert config["collect"]["target_col_ratio"] == 0.2
+    assert config["run"]["seed"] == 1
+    out = tmp_path / "t"
+    assert run(["train", "--dataset", ds, "--out-dir", str(out),
+                "--method", "bc", "--seed", "4",
+                "--set", 'trainer.method="iql_dm"', "--set", "run.seed=9",
+                "--set", "trainer.total_steps=2", "--set", "trainer.hidden=[8]"
+                ]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["trainer"]["method"], config["run"]["seed"]) == ("bc", 4)
+    echo = resolve_config(str(out / "config.echo"), [])
+    assert (echo["trainer"]["method"], echo["run"]["seed"]) == ("bc", 4)
+    _, meta = load_checkpoint(str(out / "final.famlp"))
+    assert (meta["config"]["method"], meta["config"]["seed"]) == ("bc", 4)
 
 
 def test_unknown_set_key_rejected():
@@ -255,6 +272,11 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
     ("eval.n_trials=0", "eval.n_trials must be >= 1"),
     ("eval.n_tasks=0", "eval.n_tasks must be >= 1"),
     ("trainer.batch_size=0", "batch_size must be >= 1"),
+    ("eval.jitter_pos=-1.0", "eval.jitter_pos must be >= 0"),
+    ("eval.jitter_pos=nan", "eval.jitter_pos must be >= 0"),
+    ("eval.jitter_heading=-0.5", "eval.jitter_heading must be >= 0"),
+    ("eval.min_separation=-1.0", "eval.min_separation must be >= 0"),
+    ("expert.min_separation=-1.0", "min_separation must be >= 0"),
 ])
 def test_bad_trainer_or_eval_value_exits_before_collection(
         pair, message, tmp_path, capsys, monkeypatch):
@@ -274,16 +296,24 @@ def test_bad_trainer_or_eval_value_exits_before_collection(
 def test_seed_resolution_order(tmp_path, monkeypatch):
     cfg = tmp_path / "c.toml"
     cfg.write_text("[run]\nseed = 42\n")
-    assert resolve_seed(None, resolve_config(None, [])) == 0
-    tree = resolve_config(str(cfg), [])
-    assert resolve_seed(None, tree) == 42
-    assert resolve_seed(7, tree) == 7
+
+    def seed_of(*extra):
+        out = str(tmp_path / "w.world")
+        assert run(["gen-world", "--density", "0.0", "--out", out,
+                    *extra]) == 0
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        assert manifest["seed"] == manifest["config"]["run"]["seed"]
+        return manifest["seed"]
+
+    assert seed_of() == 0
+    assert seed_of("--config", str(cfg)) == 42
+    assert seed_of("--config", str(cfg), "--seed", "7") == 7
     # --set beats the file and the flag beats --set; the environment
     # plays no part
     monkeypatch.setenv("FANAV_SEED", "99")
-    tree = resolve_config(str(cfg), ["run.seed=5"])
-    assert resolve_seed(None, tree) == 5
-    assert resolve_seed(3, tree) == 3
+    assert seed_of("--config", str(cfg), "--set", "run.seed=5") == 5
+    assert seed_of("--seed", "3", "--config", str(cfg),
+                   "--set", "run.seed=5") == 3
 
 
 @pytest.mark.parametrize("section, build", [
@@ -299,10 +329,13 @@ def test_set_reaches_the_same_named_field(section, build):
 
 
 def test_desk_toml_is_the_defaults_but_lidar_range():
-    tree = resolve_config(DESK, [])
-    assert robot_spec_from(tree) == RobotSpec(lidar_range=6.0)
-    assert episode_from(tree) == EpisodeConfig()
-    assert expert_from(tree) == ExpertConfig()
+    # as its header says: a desk value that drifts from its code default
+    # fails here
+    desk, default = resolve_config(DESK, []), resolve_config(None, [])
+    assert robot_spec_from(desk) == RobotSpec(lidar_range=6.0)
+    assert desk["robot"].pop("lidar_range") == 6.0
+    del default["robot"]["lidar_range"]
+    assert desk == default
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +512,26 @@ def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys,
         with pytest.raises(ChildProcessError):  # every lane was reaped
             os.waitpid(-1, os.WNOHANG)
     assert errors[0] == errors[1] == "error: iql_dm diverged\n"
+
+
+def test_config_echo_replays_each_method_of_a_pipeline(tmp_path):
+    # the echo holds the seed the run used and the job's method, so
+    # training on the pipeline's dataset with it alone rewrites its
+    # checkpoints and its echo byte for byte
+    out = tmp_path / "run"
+    assert run(["pipeline", "--out-dir", str(out), "--seed", "3",
+                *PIPELINE_SETS, "--set", "eval.n_tasks=1",
+                "--set", "eval.n_trials=1"]) == 0
+    for m in METHODS:
+        piped, again = out / "train" / m, tmp_path / m
+        assert run(["train", "--config", str(piped / "config.echo"),
+                    "--dataset", str(out / "dataset.fanav"),
+                    "--out-dir", str(again)]) == 0
+        names = sorted(p.name for p in piped.glob("*.famlp"))
+        assert names == ["ckpt_00000120.famlp", "final.famlp"]
+        for name in names + ["config.echo"]:
+            assert (again / name).read_bytes() == \
+                (piped / name).read_bytes(), (m, name)
 
 
 @pytest.fixture(scope="module")
@@ -827,7 +880,7 @@ def test_train_emits_expected_artifacts(tmp_path):
                 "--set", "trainer.hidden=[16]"]) == 0
     echo = Path(tdir, "config.echo").read_text()
     assert 'method = "bc"' in echo
-    assert "seed = 1" in echo
+    assert "[run]\nseed = 1\n" in echo
     assert "total_steps = 50" in echo
     # every section is echoed so no hyperparameter stays hidden
     for section in ("robot", "episode", "expert", "collect", "trainer", "eval"):

@@ -18,7 +18,6 @@ from fanav.data import (
     ExpSampler,
     OfflineDataset,
     PooledSampler,
-    SamplerConfig,
     StratifiedSampler,
     TransitionBlock,
     _transition_rewards,
@@ -182,15 +181,15 @@ def test_round_half_up():
 
 
 def test_sampler_config_validation():
-    with pytest.raises(ConfigError):
-        SamplerConfig(rho=1.0)
-    with pytest.raises(ConfigError):
-        SamplerConfig(batch_size=0)
+    for rho in (1.0, -0.1):
+        with pytest.raises(ConfigError, match="rho"):
+            StratifiedSampler(DS, rho, 256, seed=0)
+    with pytest.raises(ConfigError, match="batch_size"):
+        StratifiedSampler(DS, 0.015, 0, seed=0)
 
 
 def test_stratified_exact_counts():
-    cfg = SamplerConfig(rho=0.015, batch_size=256, seed=0)
-    s = StratifiedSampler(DS, cfg)
+    s = StratifiedSampler(DS, 0.015, 256, seed=0)
     assert s.n_col_per_batch == 4  # round(3.84)
     for _ in range(50):
         batch = s.sample()
@@ -199,23 +198,23 @@ def test_stratified_exact_counts():
 
 
 def test_stratified_even_split():
-    s = StratifiedSampler(DS, SamplerConfig(rho=0.5, batch_size=100, seed=1))
+    s = StratifiedSampler(DS, 0.5, 100, seed=1)
     batch = s.sample()
     assert batch.n_collision == 50
 
 
 def test_rho_zero_draws_exp_only():
-    s = StratifiedSampler(DS, SamplerConfig(rho=0.0, batch_size=64, seed=2))
+    s = StratifiedSampler(DS, 0.0, 64, seed=2)
     for _ in range(10):
         assert s.sample().n_collision == 0
 
 
 def test_rho_zero_works_with_empty_col():
     empty = OfflineDataset(DS.exp, TransitionBlock.empty(PROFILE.dim), PROFILE)
-    s = StratifiedSampler(empty, SamplerConfig(rho=0.0, batch_size=32, seed=3))
+    s = StratifiedSampler(empty, 0.0, 32, seed=3)
     assert s.sample().n_collision == 0
     with pytest.raises(ConfigError):
-        StratifiedSampler(empty, SamplerConfig(rho=0.1, batch_size=32, seed=3))
+        StratifiedSampler(empty, 0.1, 32, seed=3)
 
 
 def test_exp_sampler_purity_and_determinism():
@@ -229,8 +228,7 @@ def test_exp_sampler_purity_and_determinism():
 
 
 def test_mixed_sampler_determinism():
-    cfg = SamplerConfig(rho=0.1, batch_size=64, seed=11)
-    a, b = StratifiedSampler(DS, cfg), StratifiedSampler(DS, cfg)
+    a, b = (StratifiedSampler(DS, 0.1, 64, seed=11) for _ in range(2))
     for _ in range(5):
         assert np.array_equal(a.sample().features, b.sample().features)
 
@@ -258,7 +256,7 @@ def test_sampler_uniformity_chi_square():
             DS.col.dones[:col_n], np.arange(col_n, dtype=np.int64),
             DS.col.step_ids[:col_n]),
         PROFILE)
-    s = StratifiedSampler(small, SamplerConfig(rho=0.5, batch_size=100, seed=13))
+    s = StratifiedSampler(small, 0.5, 100, seed=13)
     draws_per_side = 0
     counts_exp = np.zeros(exp_n)
     counts_col = np.zeros(col_n)

@@ -251,6 +251,17 @@ def test_world_name_mismatch_rejected():
         evaluate_suite(ZeroPolicy(), WORLD, RobotSpec(radius=0.35), suite)
 
 
+@pytest.mark.parametrize("bad", [-0.1, float("nan")])
+def test_negative_jitter_or_separation_rejected(bad):
+    # numpy's uniform(-j, j) raises its own ValueError for j < 0
+    suite = make_suite(WORLD, SPEC, EPISODE, 2, seed=15)
+    for jitter in ((bad, 0.1), (0.1, bad)):
+        with pytest.raises(ConfigError, match="jitter"):
+            evaluate_suite(ZeroPolicy(), WORLD, SPEC, suite, jitter=jitter)
+    with pytest.raises(ConfigError, match="min_separation"):
+        make_suite(WORLD, SPEC, EPISODE, 2, seed=15, min_separation=bad)
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

@@ -42,6 +42,9 @@ def test_expert_config_validation():
         ExpertConfig(harvest_noise_std_omega=-0.1)
     with pytest.raises(ConfigError):
         ExpertConfig(speed_scale=0.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ConfigError, match="min_separation"):
+            ExpertConfig(min_separation=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +89,19 @@ def test_plan_rejects_bad_endpoints():
         plan_path(world, (1, 1), (9, 1), SPEC.radius)
 
 
-def test_occupancy_grid_is_built_once_per_world_inflation_and_resolution():
+def test_occupancy_grid_is_built_once_per_world_and_inflation():
     def room():
         return World(8, 6, (Circle(4, 3, 0.8), Rect(1, 1, 1.5, 0.5)))
 
     world = room()
     grid = occupancy_grid(world, 0.28)
+    assert grid.shape == (80, 60)  # GRID_RES cells
     assert occupancy_grid(world, 0.28) is grid
-    assert occupancy_grid(world, 0.28, 0.1) is grid  # the default res
     fresh = occupancy_grid(room(), 0.28)
     assert fresh is not grid and np.array_equal(fresh, grid)
-    others = [occupancy_grid(world, 0.2), occupancy_grid(world, 0.28, 0.2)]
-    assert all(g is not grid for g in others)
-    assert others[1].shape == (40, 30)
-    for g in [grid, *others]:
+    other = occupancy_grid(world, 0.2)
+    assert other is not grid and other.sum() < grid.sum()
+    for g in (grid, other):
         with pytest.raises(ValueError):
             g[0, 0] = not g[0, 0]
 

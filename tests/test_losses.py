@@ -38,16 +38,20 @@ def make_batch(n=16, seed=0, with_collisions=False) -> Batch:
     return Batch(feats, acts, rews, nxt, dones, mask)
 
 
-def make_nets(seed=1, dtype=np.float64):
+def as_float64(net: Mlp) -> Mlp:
+    """``net`` rebuilt on a float64 copy of its parameters."""
+    return Mlp(net.widths, net.activation, net.theta.astype(np.float64))
+
+
+def make_nets(seed=1):
     rng = np.random.default_rng(seed)
-    value = Mlp.initialized((DIM, 16, 1), "relu", rng, dtype=dtype)
-    critics = [Mlp.initialized((DIM + 2, 16, 1), "relu", rng, dtype=dtype)
+    value = as_float64(Mlp.initialized((DIM, 16, 1), "relu", rng))
+    critics = [as_float64(Mlp.initialized((DIM + 2, 16, 1), "relu", rng))
                for _ in range(2)]
     targets = [c.copy() for c in critics]
-    mean = Mlp.initialized((DIM, 16, 2), "relu", rng, dtype=dtype,
-                           final_scale=1e-2)
-    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5, dtype),
-                                (-5.0, 2.0))
+    mean = as_float64(Mlp.initialized((DIM, 16, 2), "relu", rng,
+                                      final_scale=1e-2))
+    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5), (-5.0, 2.0))
     return value, critics, targets, policy
 
 
@@ -159,7 +163,7 @@ def test_td_targets_mask_terminals():
 
 def test_td_loss_zero_when_targets_met():
     # single linear critic forced to predict exactly the target
-    critic = Mlp((3, 1), "relu", dtype=np.float64)
+    critic = Mlp((3, 1), "relu", np.zeros(4))
     critic.theta[3] = -20.0  # bias-only prediction
     x = np.zeros((4, 3))
     loss, grads = critic_loss_and_grads([critic], x, np.full(4, -20.0))
@@ -169,9 +173,9 @@ def test_td_loss_zero_when_targets_met():
 
 def test_td_loss_exact_bootstrap_case():
     # r=0, V(s') = 10, gamma=0.99 and Q = 9.9 gives zero loss
-    value = Mlp((DIM, 1), "relu", dtype=np.float64)
+    value = Mlp((DIM, 1), "relu", np.zeros(DIM + 1))
     value.theta[DIM] = 10.0
-    critic = Mlp((DIM + 2, 1), "relu", dtype=np.float64)
+    critic = Mlp((DIM + 2, 1), "relu", np.zeros(DIM + 3))
     critic.theta[DIM + 2] = 9.9
     batch = make_batch(4)
     y = td_targets(value, np.zeros(4), batch.next_features, np.zeros(4), 0.99)
@@ -302,9 +306,9 @@ def test_bc_overfits_tiny_dataset():
     from fanav.nets import AdamState, adam_step
     _, _, _, policy = make_nets(seed=21)
     batch = make_batch(10, seed=22)
-    opt_m = AdamState.for_params(policy.mean_net.n_params, lr=1e-3,
-                                 dtype=np.float64)
-    opt_s = AdamState.for_params(2, lr=1e-3, dtype=np.float64)
+    n = policy.mean_net.n_params
+    opt_m = AdamState(np.zeros(n), np.zeros(n), 0, lr=1e-3)
+    opt_s = AdamState(np.zeros(2), np.zeros(2), 0, lr=1e-3)
     losses = []
     for _ in range(100):
         loss, g_mean, g_ls = bc_loss_and_grads(policy, batch)

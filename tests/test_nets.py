@@ -21,6 +21,11 @@ from fanav.nets import (
 )
 
 
+def cast(net: Mlp, dtype) -> Mlp:
+    """``net`` rebuilt on a copy of its parameters in ``dtype``."""
+    return Mlp(net.widths, net.activation, net.theta.astype(dtype))
+
+
 # ---------------------------------------------------------------------------
 # forward pass
 # ---------------------------------------------------------------------------
@@ -48,7 +53,7 @@ def test_zero_weights_bias_only():
 
 def test_forward_matches_matrix_oracle():
     rng = np.random.default_rng(2)
-    net = Mlp.initialized((112, 256, 256, 1), "relu", rng, dtype=np.float64)
+    net = cast(Mlp.initialized((112, 256, 256, 1), "relu", rng), np.float64)
     x = rng.normal(size=(5, 112))
     # straight-line recomputation from the parameter views
     (w1, b1), (w2, b2), (w3, b3) = net._views
@@ -107,7 +112,7 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def test_backward_squared_loss_finite_difference():
     rng = np.random.default_rng(4)
-    net = Mlp.initialized((6, 16, 16, 1), "relu", rng, dtype=np.float64)
+    net = cast(Mlp.initialized((6, 16, 16, 1), "relu", rng), np.float64)
     x = rng.normal(size=(32, 6))
     y = rng.normal(size=(32, 1))
 
@@ -127,7 +132,7 @@ def test_backward_linear_closed_form():
     n, d = 40, 5
     X = rng.normal(size=(n, d))
     y = rng.normal(size=(n, 1))
-    net = Mlp((d, 1), "relu", dtype=np.float64)
+    net = Mlp((d, 1), "relu", np.zeros(d + 1))
     net.theta[:d] = rng.normal(size=d)
     w = net.theta[:d].reshape(d, 1)
     out, cache = net.forward_cached(X)
@@ -143,7 +148,7 @@ def test_backward_linear_closed_form():
 
 def test_adam_first_step_hand_check():
     p = np.zeros(1, dtype=np.float64)
-    st = AdamState.for_params(1, lr=3e-4, dtype=np.float64)
+    st = AdamState(np.zeros(1), np.zeros(1), 0, lr=3e-4)
     adam_step(p, np.ones(1), st)
     # bias-corrected m_hat = v_hat = 1 at t=1, so the step is -lr/(1+eps)
     assert p[0] == pytest.approx(-3e-4, rel=1e-6)
@@ -273,8 +278,8 @@ def planted_net(activation: str, dtype, out_width: int, seed: int) -> Mlp:
     """A net with dead ReLU units, +-0.0 weights and a head whose products
     with tiny upstream values underflow to signed zeros."""
     rng = np.random.default_rng(seed)
-    net = Mlp.initialized((7, 16, 12, out_width), activation, rng,
-                          dtype=dtype)
+    net = cast(Mlp.initialized((7, 16, 12, out_width), activation, rng),
+               dtype)
     (W0, b0), (W1, b1), (W2, _) = net._views
     W0[:, :3] = -np.abs(W0[:, :3])   # inputs are >= 0: units 0-2 never fire
     b0[:3] = -1.0
@@ -333,8 +338,8 @@ def test_one_column_outer_product_keeps_blas_signed_zeros():
         for k in range(60):
             seed = int(rng.integers(1 << 30))
             net = planted_net("relu", dtype, 1, seed) if k % 3 else \
-                Mlp.initialized((7, 1), "relu", np.random.default_rng(seed),
-                                dtype=dtype)
+                cast(Mlp.initialized((7, 1), "relu",
+                                     np.random.default_rng(seed)), dtype)
             W = net._views[-1][0]
             W[rng.random(W.shape) < 0.3] *= tiny
             W[rng.random(W.shape) < 0.2] = -0.0
@@ -363,8 +368,8 @@ def test_adam_and_soft_update_bytes_equal_the_formulas(p_dtype, g_dtype,
     n = 300
     params = rng.standard_normal(n).astype(p_dtype)
     ref_params = params.copy()
-    st = AdamState.for_params(n, lr=3e-4, dtype=m_dtype)
-    ref_st = AdamState.for_params(n, lr=3e-4, dtype=m_dtype)
+    st = AdamState(np.zeros(n, m_dtype), np.zeros(n, m_dtype), 0, lr=3e-4)
+    ref_st = AdamState(np.zeros(n, m_dtype), np.zeros(n, m_dtype), 0, lr=3e-4)
     for _ in range(5):
         g = rng.standard_normal(n).astype(g_dtype)
         g[::7] = 0.0
@@ -482,12 +487,11 @@ def test_adam_refuses_a_non_finite_gradient_without_writing(bad):
 SCALE = np.array([0.5, math.pi / 2])
 
 
-def make_head(seed=9, dtype=np.float64, log_std=-0.5) -> GaussianPolicyHead:
+def make_head(seed=9, log_std=-0.5) -> GaussianPolicyHead:
     rng = np.random.default_rng(seed)
-    net = Mlp.initialized((6, 16, 2), "tanh", rng, dtype=dtype,
-                          final_scale=0.5)
-    return GaussianPolicyHead(net, SCALE, np.full(2, log_std, dtype),
-                              (-5.0, 2.0))
+    net = cast(Mlp.initialized((6, 16, 2), "tanh", rng, final_scale=0.5),
+               np.float64)
+    return GaussianPolicyHead(net, SCALE, np.full(2, log_std), (-5.0, 2.0))
 
 
 def test_mode_density_matches_closed_form():
