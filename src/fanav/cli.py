@@ -27,8 +27,9 @@ from functools import partial
 from importlib import resources
 
 from . import __version__
-from .configfile import (ConfigTree, format_config, format_scalar,
-                         load_config, merge_tree, parse_config)
+from .configfile import (ConfigTree, Settings, format_config,
+                         format_scalar, load_config, merge_tree, parse_config,
+                         setting)
 from .data import (
     EncoderProfile,
     OfflineDataset,
@@ -39,9 +40,7 @@ from .data import (
 )
 from .errors import ConfigError, FanavError
 from .evaluation import (
-    JITTER,
-    MIN_SEPARATION,
-    N_TRIALS,
+    EvalConfig,
     EvalResult,
     NetworkPolicy,
     TaskSuite,
@@ -54,30 +53,46 @@ from .evaluation import (
     save_eval_result,
     save_suite,
 )
-from .expert import (CLEAN, PERTURBED, RATIO_TOL, ExpertConfig, Trajectory,
-                     collect, collect_to_ratio)
+from .expert import (CLEAN, PERTURBED, CollectConfig, ExpertConfig,
+                     Trajectory, collect, collect_to_ratio)
 from .sim import EpisodeConfig, RobotSpec, World, load_world, save_world
 from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
 
-DEFAULT_CONFIG: ConfigTree = {
-    "run": {"seed": 0},
-    "robot": asdict(RobotSpec()),
-    "episode": asdict(EpisodeConfig()),
-    "expert": asdict(ExpertConfig()),
-    "collect": {"min_transitions": 20000, "target_col_ratio": 0.1,
-                "ratio_tol": RATIO_TOL},
-    # TrainerConfig's defaults; its seed is run.seed
-    "trainer": {k: v for k, v in TrainerConfig().to_dict().items()
-                if k != "seed"},
-    "eval": {"n_tasks": 50, "n_trials": N_TRIALS, "jitter_pos": JITTER[0],
-             "jitter_heading": JITTER[1], "min_separation": MIN_SEPARATION},
-    "pipeline": {"collect_world": "cluttered",
-                 "eval_worlds": ["cluttered", "sparse", "dense"],
-                 "methods": list(METHODS)},
-}
-
 BUNDLED_WORLDS = ("cluttered", "sparse", "dense")
+
+
+class RunConfig(Settings, section="run"):
+    """``[run]``: the seed every stage derives its random streams from."""
+
+    seed: int = setting(0, ">= 0")
+
+
+class PipelineConfig(Settings, section="pipeline"):
+    """``[pipeline]``: its collection world, evaluation worlds and methods;
+    two jobs with one method or one world would write one directory."""
+
+    collect_world: str = "cluttered"
+    eval_worlds: tuple[str, ...] = BUNDLED_WORLDS
+    methods: tuple[str, ...] = METHODS
+
+    def __post_init__(self):
+        for key in ("eval_worlds", "methods"):
+            names = list(getattr(self, key))
+            if not names or len(set(names)) < len(names):
+                raise ConfigError(f"pipeline.{key} must name one or more "
+                                  f"entries, each once, got {names!r}")
+        if not set(self.methods) <= set(METHODS):
+            raise ConfigError(f"pipeline.methods must be among {METHODS}, "
+                              f"got {list(self.methods)!r}")
+
+
+# the config sections, in the order the config tree lists them
+SECTIONS = (RunConfig, RobotSpec, EpisodeConfig, ExpertConfig, CollectConfig,
+            TrainerConfig, EvalConfig, PipelineConfig)
+
+DEFAULT_CONFIG: ConfigTree = {cls.section: cls().to_dict() for cls in SECTIONS}
+del DEFAULT_CONFIG["trainer"]["seed"]  # TrainerConfig's seed is run.seed
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +120,8 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                    robot_of: tuple[str, RobotSpec] | None = None
                    ) -> ConfigTree:
-    """Defaults, then the config file, then ``--set``.
+    """Defaults, then the config file, then ``--set``; every section is
+    built, so a value outside its declared bound is a ``ConfigError``.
 
     ``robot_of`` is the path of a dataset or checkpoint and the robot it
     holds: ``[robot]`` starts from that robot, and a config file or
@@ -124,6 +140,8 @@ def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                     f"the config gives robot.{key}={tree['robot'][key]!r} "
                     f"but {path} holds robot.{key}={value!r}; the robot is "
                     "read from that file")
+    for cls in SECTIONS:  # building a section checks it
+        cls.from_dict(tree[cls.section])
     return tree
 
 
@@ -137,11 +155,6 @@ def episode_from(tree: ConfigTree) -> EpisodeConfig:
 
 def expert_from(tree: ConfigTree) -> ExpertConfig:
     return ExpertConfig(**tree["expert"])
-
-
-def jitter_from(tree: ConfigTree) -> tuple[float, float]:
-    e = tree["eval"]
-    return float(e["jitter_pos"]), float(e["jitter_heading"])
 
 
 def trainer_from(tree: ConfigTree, seed: int,
@@ -231,12 +244,12 @@ def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
 
 
 def eval_stage(policy: NetworkPolicy, world: World, suite: TaskSuite,
-               n_trials: int, jitter: tuple[float, float], seed: int,
-               out_dir: str) -> EvalResult:
-    """Evaluate ``policy`` on ``suite`` with the robot it was trained on;
-    write result.json and trajectories."""
+               ecfg: dict, seed: int, out_dir: str) -> EvalResult:
+    """Evaluate ``policy`` on ``suite`` with the robot it was trained on
+    and ``ecfg``'s ``[eval]`` trials; write result.json and trajectories."""
     res = evaluate_suite(policy, world, policy.profile.robot, suite,
-                         n_trials=n_trials, seed=seed, jitter=jitter,
+                         n_trials=ecfg["n_trials"], seed=seed,
+                         jitter=(ecfg["jitter_pos"], ecfg["jitter_heading"]),
                          method=policy.name)
     os.makedirs(out_dir, exist_ok=True)
     save_eval_result(res, os.path.join(out_dir, "result.json"))
@@ -328,8 +341,8 @@ def cmd_eval(args, argv) -> int:
                           robot_of=(args.checkpoint, policy.profile.robot))
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
-    res = eval_stage(policy, world, suite, int(tree["eval"]["n_trials"]),
-                     jitter_from(tree), tree["run"]["seed"], args.out_dir)
+    res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
+                     args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
                    argv, tree, inputs={args.checkpoint: None, args.suite: None})
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
@@ -356,12 +369,6 @@ def cmd_compare(args, argv) -> int:
     return 0
 
 
-def _refuse_duplicates(names: list[str], key: str) -> None:
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ConfigError(f"'{name}' appears twice in {key}")
-
-
 def cmd_pipeline(args, argv) -> int:
     """collect -> suites -> train each method -> evaluate each (method,
     world) -> compare, through the same stage functions as the subcommands.
@@ -377,14 +384,9 @@ def cmd_pipeline(args, argv) -> int:
     time spent sharing a core with another lane included.
 
     Evaluation reads each suite back from the file it saved, so ``fanav
-    eval`` on that file replays the pipeline's episodes exactly.
-
-    Two jobs with one method or one world would write the same directory,
-    so a method or an evaluation world named twice is a ``ConfigError``,
-    raised before anything is written. So are a trainer value that
-    ``TrainerConfig`` refuses, an ``eval.n_tasks`` or ``eval.n_trials``
-    below 1 and a negative ``eval`` jitter or separation, which would
-    otherwise stop the run only after collection."""
+    eval`` on that file replays the pipeline's episodes exactly. A bundled
+    name and the path of its file are one world, so naming both is a
+    ``ConfigError``, raised before anything is written."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
     seed = tree["run"]["seed"]
@@ -393,21 +395,13 @@ def cmd_pipeline(args, argv) -> int:
     episode = episode_from(tree)
     expert_cfg = expert_from(tree)
     pcfg, ecfg = tree["pipeline"], tree["eval"]
-    methods = [str(m) for m in pcfg["methods"]]
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method '{m}' in pipeline.methods")
-    _refuse_duplicates(methods, "pipeline.methods")
-
-    eval_worlds = [resolve_world(str(w)) for w in pcfg["eval_worlds"]]
-    _refuse_duplicates([w.name for w in eval_worlds], "pipeline.eval_worlds")
-    collect_world = resolve_world(str(pcfg["collect_world"]))
-    jitter = jitter_from(tree)
+    methods = pcfg["methods"]
+    eval_worlds = {w.name: w for w in map(resolve_world, pcfg["eval_worlds"])}
+    if len(eval_worlds) < len(pcfg["eval_worlds"]):
+        raise ConfigError("pipeline.eval_worlds must name each world once, "
+                          f"got {pcfg['eval_worlds']!r}")
+    collect_world = resolve_world(pcfg["collect_world"])
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
-    for key, low in (("n_tasks", 1), ("n_trials", 1), ("jitter_pos", 0),
-                     ("jitter_heading", 0), ("min_separation", 0)):
-        if not ecfg[key] >= low:
-            raise ConfigError(f"eval.{key} must be >= {low}")
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
@@ -425,12 +419,11 @@ def cmd_pipeline(args, argv) -> int:
     suites = {}
     suite_dir = os.path.join(out, "suites")
     os.makedirs(suite_dir, exist_ok=True)
-    for wi, world in enumerate(eval_worlds):
+    for wi, world in enumerate(eval_worlds.values()):
         path = os.path.join(suite_dir, f"{world.name}.suite")
-        save_suite(make_suite(world, spec, episode, int(ecfg["n_tasks"]),
+        save_suite(make_suite(world, spec, episode, ecfg["n_tasks"],
                               seed=seed + wi,
-                              min_separation=float(ecfg["min_separation"])),
-                   path)
+                              min_separation=ecfg["min_separation"]), path)
         suites[world.name] = load_suite(path, episode)
 
     print("[3/5] training " + ", ".join(methods))
@@ -444,17 +437,16 @@ def cmd_pipeline(args, argv) -> int:
     for method, wall in zip(methods, walls):
         print(f"  {method}: done in {wall:.1f}s")
 
-    print("[4/5] evaluating on " + ", ".join(w.name for w in eval_worlds))
+    print("[4/5] evaluating on " + ", ".join(eval_worlds))
     policies = {m: NetworkPolicy.from_checkpoint(os.path.join(
         out, "train", m, f"ckpt_{cfgs[m].total_steps:08d}.famlp"))
         for m in methods}
 
     def eval_job(method: str, world: World) -> EvalResult:
-        return eval_stage(policies[method], world, suites[world.name],
-                          int(ecfg["n_trials"]), jitter, seed,
-                          os.path.join(out, "eval", method, world.name))
+        return eval_stage(policies[method], world, suites[world.name], ecfg,
+                          seed, os.path.join(out, "eval", method, world.name))
 
-    pairs = [(m, w) for m in methods for w in eval_worlds]
+    pairs = [(m, w) for m in methods for w in eval_worlds.values()]
     results: dict[str, list] = {m: [] for m in methods}
     for (method, world), res in zip(pairs, run_lanes(
             [partial(eval_job, m, w) for m, w in pairs])):

@@ -13,10 +13,18 @@ Every key belongs to a ``[section]``::
 A repeated key or section is an error, as TOML requires. Values keep
 their parsed Python types. ``format_config`` writes the same grammar, so
 a resolved configuration echoes back to its tree.
+
+Each section is a frozen :class:`Settings` dataclass; a numeric setting
+declares its bounds beside its default (:func:`setting`), and building the
+section refuses a value outside them.
 """
 from __future__ import annotations
 
+import math
+import operator
 import tomllib
+from dataclasses import asdict, dataclass, field, fields
+from typing import dataclass_transform
 
 from .errors import ConfigError
 
@@ -97,3 +105,48 @@ def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
             out[section][key] = _typed(value, out[section][key],
                                        f"{section}.{key}")
     return out
+
+
+def setting(default, *bounds: str):
+    """A field of a :class:`Settings` dataclass: its ``default`` and the
+    comparisons its value must pass, such as ``"> 0"`` and ``"<= 1"``."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+                "<=": operator.le}
+
+
+@dataclass_transform(frozen_default=True)
+class Settings:
+    """Base of the config sections: ``class RobotSpec(Settings,
+    section="robot")`` is a frozen dataclass of ``[robot]``. Building one
+    refuses a value that fails a bound of its field, or a non-finite
+    float, with a ``ConfigError`` that names ``section.key`` and the value."""
+
+    def __init_subclass__(cls, section: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.section = section
+        dataclass(frozen=True)(cls)
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, where = getattr(self, f.name), f"{self.section}.{f.name}"
+            for bound in f.metadata.get("bounds", ()):
+                op, limit = bound.split()
+                if not _COMPARISONS[op](value, float(limit)):
+                    raise ConfigError(f"{where} must be {bound}, got "
+                                      f"{value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{where} must be finite, got {value!r}")
+
+    def to_dict(self) -> dict:
+        """The values as a config tree holds them: tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Settings":
+        """The section of ``d``'s values: lists as tuples."""
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in d.items()})

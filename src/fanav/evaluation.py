@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
                      ShapeError)
+from .configfile import Settings, setting
 from .data import EncoderProfile, encode_state
 from .expert import plan_path
 from .nets import GaussianPolicyHead, load_checkpoint
@@ -39,9 +40,17 @@ from .sim import (
 )
 
 OUTCOMES = (SUCCESS, COLLISION, TIMEOUT)
-MIN_SEPARATION = 3.0  # least start-to-goal distance of a task, metres
-N_TRIALS = 3  # jittered runs of each task
-JITTER = (0.1, 0.1)  # start-pose jitter: metres, radians
+
+
+class EvalConfig(Settings, section="eval"):
+    """``[eval]``: tasks per suite, jittered runs per task, the start-pose
+    jitter (m, rad) and the least start-to-goal distance of a task (m)."""
+
+    n_tasks: int = setting(50, ">= 1")
+    n_trials: int = setting(3, ">= 1")
+    jitter_pos: float = setting(0.1, ">= 0")
+    jitter_heading: float = setting(0.1, ">= 0")
+    min_separation: float = setting(3.0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -89,12 +98,10 @@ class TaskSuite:
 
 def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
                n_tasks: int, seed: int,
-               min_separation: float = MIN_SEPARATION) -> TaskSuite:
+               min_separation: float = EvalConfig.min_separation
+               ) -> TaskSuite:
     """Sample collision-free, planner-feasible start/goal tasks."""
-    if n_tasks < 1:
-        raise ConfigError("n_tasks must be >= 1")
-    if not min_separation >= 0:
-        raise ConfigError("min_separation must be >= 0")
+    EvalConfig(n_tasks=n_tasks, min_separation=min_separation)  # bound checks
     rng = np.random.default_rng([seed, 0x5717e])
     tasks: list[Task] = []
     clearance = spec.radius + 0.1  # free space at start and goal
@@ -354,17 +361,16 @@ def load_eval_result(path: str) -> EvalResult:
 
 
 def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
-                   n_trials: int = N_TRIALS, seed: int = 0,
-                   jitter: tuple[float, float] = JITTER,
+                   n_trials: int = EvalConfig.n_trials, seed: int = 0,
+                   jitter: tuple[float, float] = (EvalConfig.jitter_pos,
+                                                  EvalConfig.jitter_heading),
                    method: str | None = None) -> EvalResult:
     """Score a policy on every task of a suite across jittered trials.
 
     The first trial's trajectories are kept for :func:`export_trajectories`.
     """
-    if n_trials < 1:
-        raise ConfigError("n_trials must be >= 1")
-    if not all(j >= 0 for j in jitter):
-        raise ConfigError("jitter must be >= 0")
+    EvalConfig(n_trials=n_trials, jitter_pos=jitter[0],
+               jitter_heading=jitter[1])  # bound checks
     if not suite.tasks:
         raise ConfigError("empty task suite")
     if suite.world_name != world.name:
@@ -508,6 +514,8 @@ def compare(results: dict[str, list[EvalResult]]
     digests = [r.suite_digest for r in ref]
     table: dict[str, list[dict]] = {}  # method -> its worlds' rows, overall
     for m, rs in results.items():
+        if not rs:
+            raise ConfigError(f"method '{m}' has no results to compare")
         if [r.world_name for r in rs] != world_order:
             raise ProtocolError(f"method '{m}' covers different worlds")
         for r, digest in zip(rs, digests):

@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 
+from .configfile import Settings, setting
 from .errors import ConfigError, NoPathError, ProtocolError
 from .geometry import Circle, segment_shape_distance, wrap_angle
 from .sim import (
@@ -34,11 +35,9 @@ from .sim import (
 CLEAN = "clean"
 PERTURBED = "perturbed"
 MAX_EPISODES = 100_000  # collect_to_ratio gives up after this many episodes
-RATIO_TOL = 0.01  # how far collect_to_ratio may land from the target ratio
 
 
-@dataclass(frozen=True)
-class ExpertConfig:
+class ExpertConfig(Settings, section="expert"):
     """Tuning knobs of the scripted demonstrator.
 
     The primary fields describe the careful demonstrator used for success
@@ -50,34 +49,21 @@ class ExpertConfig:
     collector uses it to fill the collision partition.
     """
 
-    lookahead: float = 0.45         # meters ahead along the path
-    gain_heading: float = 3.0       # rad/s per rad of bearing error
-    speed_scale: float = 0.85       # fraction of v_max when aligned
-    noise_std_v: float = 0.3        # m/s
-    noise_std_omega: float = 1.2    # rad/s
-    noise_prob: float = 0.4         # chance per step of a perturbation
-    plan_inflation: float = 0.08    # extra clearance beyond the robot radius
-    min_separation: float = 3.0     # start-to-goal distance when sampling
-    harvest_lookahead: float = 0.7
-    harvest_gain: float = 2.0
-    harvest_speed: float = 1.0
-    harvest_noise_std_v: float = 0.3
-    harvest_noise_std_omega: float = 1.0
-    harvest_noise_prob: float = 0.15
-    harvest_inflation: float = 0.0
-
-    def __post_init__(self):
-        for prob in (self.noise_prob, self.harvest_noise_prob):
-            if not (0.0 <= prob <= 1.0):
-                raise ConfigError("noise probabilities must lie in [0, 1]")
-        if min(self.noise_std_v, self.noise_std_omega,
-               self.harvest_noise_std_v, self.harvest_noise_std_omega) < 0:
-            raise ConfigError("noise standard deviations must be non-negative")
-        for scale in (self.speed_scale, self.harvest_speed):
-            if not (0.0 < scale <= 1.0):
-                raise ConfigError("speed scales must lie in (0, 1]")
-        if not self.min_separation >= 0:
-            raise ConfigError("min_separation must be >= 0")
+    lookahead: float = setting(0.45, "> 0")  # meters ahead along the path
+    gain_heading: float = setting(3.0, "> 0")  # rad/s per rad of bearing error
+    speed_scale: float = setting(0.85, "> 0", "<= 1")  # of v_max when aligned
+    noise_std_v: float = setting(0.3, ">= 0")  # m/s
+    noise_std_omega: float = setting(1.2, ">= 0")  # rad/s
+    noise_prob: float = setting(0.4, ">= 0", "<= 1")  # chance per step
+    plan_inflation: float = setting(0.08, ">= 0")  # beyond the robot radius
+    min_separation: float = setting(3.0, ">= 0")  # start to goal, sampling
+    harvest_lookahead: float = setting(0.7, "> 0")
+    harvest_gain: float = setting(2.0, "> 0")
+    harvest_speed: float = setting(1.0, "> 0", "<= 1")
+    harvest_noise_std_v: float = setting(0.3, ">= 0")
+    harvest_noise_std_omega: float = setting(1.0, ">= 0")
+    harvest_noise_prob: float = setting(0.15, ">= 0", "<= 1")
+    harvest_inflation: float = setting(0.0, ">= 0")
 
     def harvest_profile(self) -> "ExpertConfig":
         """The reckless variant used to harvest collision episodes."""
@@ -88,6 +74,15 @@ class ExpertConfig:
                        noise_std_omega=self.harvest_noise_std_omega,
                        noise_prob=self.harvest_noise_prob,
                        plan_inflation=self.harvest_inflation)
+
+
+class CollectConfig(Settings, section="collect"):
+    """The targets of :func:`collect_to_ratio`; ``ratio_tol`` is how far
+    the collision fraction may land from ``target_col_ratio``."""
+
+    min_transitions: int = setting(20000, ">= 1")
+    target_col_ratio: float = setting(0.1, ">= 0", "< 1")
+    ratio_tol: float = setting(0.01, "> 0")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +389,8 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                      expert_cfg: ExpertConfig, min_transitions: int,
                      target_col_ratio: float, seed: int,
-                     ratio_tol: float = RATIO_TOL) -> list[Trajectory]:
+                     ratio_tol: float = CollectConfig.ratio_tol
+                     ) -> list[Trajectory]:
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 
@@ -410,8 +406,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     Episodes run one after another in this process, each on its own random
     stream derived from (seed, episode index).
     """
-    if not (0.0 <= target_col_ratio < 1.0):
-        raise ConfigError("target_col_ratio must lie in [0, 1)")
+    CollectConfig(min_transitions, target_col_ratio, ratio_tol)  # bound checks
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .configfile import Settings, setting
 from .errors import (ConfigError, InvalidPoseError, NumericError, ProtocolError,
                      WorldFormatError)
 from .geometry import (
@@ -131,27 +132,16 @@ class World:
         return d
 
 
-@dataclass(frozen=True)
-class RobotSpec:
+class RobotSpec(Settings, section="robot"):
     """Physical robot and sensor parameters."""
 
-    radius: float = 0.2
-    v_max: float = 0.5
-    omega_max: float = math.pi / 2
-    lidar_fov_deg: float = 270.0
-    lidar_beams: int = 108
-    lidar_range: float = 30.0
-    control_dt: float = 0.2
-
-    def __post_init__(self):
-        if self.radius <= 0 or self.v_max <= 0 or self.omega_max <= 0:
-            raise ConfigError("radius, v_max and omega_max must be positive")
-        if not (0.0 < self.lidar_fov_deg <= 360.0):
-            raise ConfigError("lidar_fov_deg must be in (0, 360]")
-        if self.lidar_beams < 1:
-            raise ConfigError("lidar_beams must be >= 1")
-        if self.lidar_range <= 0 or self.control_dt <= 0:
-            raise ConfigError("lidar_range and control_dt must be positive")
+    radius: float = setting(0.2, "> 0")
+    v_max: float = setting(0.5, "> 0")
+    omega_max: float = setting(math.pi / 2, "> 0")
+    lidar_fov_deg: float = setting(270.0, "> 0", "<= 360")
+    lidar_beams: int = setting(108, ">= 1")
+    lidar_range: float = setting(30.0, "> 0")
+    control_dt: float = setting(0.2, "> 0")
 
     def beam_bearings(self) -> np.ndarray:
         """Beam bearing offsets relative to the robot heading."""
@@ -189,25 +179,16 @@ class NavState:
     ang_vel: float
 
 
-@dataclass(frozen=True)
-class EpisodeConfig:
+class EpisodeConfig(Settings, section="episode"):
     """Horizon and goal threshold of an episode, and the reward constants
     (``r_success``, ``r_collision``, ``c1``) that only :mod:`fanav.data`
     reads."""
 
-    t_max: int = 200
-    r_success: float = 20.0
-    r_collision: float = -20.0
-    c1: float = 2.0
-    goal_radius: float = 0.3
-
-    def __post_init__(self):
-        if self.t_max < 1:
-            raise ConfigError("t_max must be >= 1")
-        if self.r_success <= 0 or self.r_collision >= 0:
-            raise ConfigError("expected r_success > 0 and r_collision < 0")
-        if self.c1 <= 0 or self.goal_radius <= 0:
-            raise ConfigError("c1 and goal_radius must be positive")
+    t_max: int = setting(200, ">= 1")
+    r_success: float = setting(20.0, "> 0")
+    r_collision: float = setting(-20.0, "< 0")
+    c1: float = setting(2.0, "> 0")
+    goal_radius: float = setting(0.3, "> 0")
 
 
 # ---------------------------------------------------------------------------

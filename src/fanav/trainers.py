@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .configfile import Settings, setting
 from .errors import ConfigError, NumericError
 from .data import (
     EncoderProfile,
@@ -60,8 +61,7 @@ from .nets import (
 METHODS = ("bc", "iql_so", "iql_dm", "iql_ca")
 
 
-@dataclass(frozen=True)
-class TrainerConfig:
+class TrainerConfig(Settings, section="trainer"):
     """Every knob of a training run, serialized alongside its artifacts.
 
     A run writes two checkpoints, both at ``total_steps``: the policy
@@ -69,20 +69,20 @@ class TrainerConfig:
     """
 
     method: str = "iql_ca"
-    expectile: float = 0.7          # tau of the value expectile regression
-    gamma: float = 0.99
-    weight_temp: float = 1.0        # beta of the advantage weights
-    max_weight: float = 100.0
-    rho: float = 0.015              # collision fraction of critic batches
-    batch_size: int = 256
-    lr_value: float = 3e-4
-    lr_critic: float = 3e-4
-    lr_policy: float = 3e-4
-    target_alpha: float = 0.005
-    n_critics: int = 2
-    total_steps: int = 30_000
-    epoch_steps: int = 1_000        # logging granularity
-    seed: int = 0
+    expectile: float = setting(0.7, "> 0", "< 1")  # tau of the expectile
+    gamma: float = setting(0.99, ">= 0", "< 1")
+    weight_temp: float = setting(1.0, "> 0")  # beta of the advantage weights
+    max_weight: float = setting(100.0, ">= 1")
+    rho: float = setting(0.015, ">= 0", "< 1")  # collision share, critics
+    batch_size: int = setting(256, ">= 1")
+    lr_value: float = setting(3e-4, "> 0")
+    lr_critic: float = setting(3e-4, "> 0")
+    lr_policy: float = setting(3e-4, "> 0")
+    target_alpha: float = setting(0.005, "> 0", "<= 1")
+    n_critics: int = setting(2, ">= 1")
+    total_steps: int = setting(30_000, ">= 1")
+    epoch_steps: int = setting(1_000, ">= 1")  # logging granularity
+    seed: int = setting(0, ">= 0")
     hidden: tuple[int, ...] = (128, 128)
     activation: str = "relu"
     log_std_min: float = -5.0
@@ -91,47 +91,15 @@ class TrainerConfig:
     policy_final_scale: float = 1e-2
 
     def __post_init__(self):
+        super().__post_init__()
         if self.method not in METHODS:
             raise ConfigError(f"unknown method '{self.method}'")
-        if not (0.0 < self.expectile < 1.0):
-            raise ConfigError("expectile must lie in (0, 1)")
-        if not (0.0 <= self.gamma < 1.0):
-            raise ConfigError("gamma must lie in [0, 1)")
-        if self.weight_temp <= 0:
-            raise ConfigError("weight_temp must be positive")
-        if self.max_weight < 1.0:
-            raise ConfigError("max_weight must be >= 1")
-        if not (0.0 <= self.rho < 1.0):
-            raise ConfigError("rho must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        for key in ("lr_value", "lr_critic", "lr_policy"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be positive")
-        if not (0.0 < self.target_alpha <= 1.0):
-            raise ConfigError("target_alpha must lie in (0, 1]")
-        if self.n_critics < 1:
-            raise ConfigError("n_critics must be >= 1")
-        if self.total_steps < 1 or self.epoch_steps < 1:
-            raise ConfigError("step counts must be >= 1")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden widths must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {list(ACTIVATIONS)}")
         if not self.log_std_min < self.log_std_max:
             raise ConfigError("log_std_min must be below log_std_max")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["hidden"] = list(self.hidden)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainerConfig":
-        kwargs = dict(d)
-        if "hidden" in kwargs:
-            kwargs["hidden"] = tuple(int(h) for h in kwargs["hidden"])
-        return cls(**kwargs)
 
 
 @dataclass

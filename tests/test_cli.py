@@ -1,9 +1,10 @@
 import importlib.util
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from fanav import errors
 from fanav.cli import (
     DEFAULT_CONFIG,
+    SECTIONS,
     build_parser,
     dispatch,
     episode_from,
@@ -87,17 +89,20 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: raised {name}\n"
 
 
-def test_bad_config_value_exits_three(tmp_path):
+def test_bad_config_value_exits_three(tmp_path, capsys):
+    # every command checks every section, the ones it does not read too
     cfg = tmp_path / "bad.toml"
     cfg.write_text("[trainer]\nrho = 2.0\n")
-    ds = tmp_path / "d.fanav"
-    code = run(["collect", "--world", "sparse", "--episodes", "1",
-                "--config", str(cfg), "--out", str(ds), "--seed", "1",
-                "--set", "robot.lidar_beams=8"])
-    assert code == 0  # collect does not build a TrainerConfig
+    ds, bad = tmp_path / "d.fanav", tmp_path / "bad.fanav"
+    collect = ["collect", "--world", "sparse", "--episodes", "1", "--seed",
+               "1", "--set", "robot.lidar_beams=8"]
+    assert run([*collect, "--out", str(ds)]) == 0
+    assert run([*collect, "--out", str(bad), "--config", str(cfg)]) == 3
+    assert not bad.exists()
     code = run(["train", "--dataset", str(ds), "--out-dir",
                 str(tmp_path / "t"), "--config", str(cfg)])
-    assert code == 3
+    assert code == 3 and not (tmp_path / "t").exists()
+    assert "trainer.rho must be < 1, got 2.0" in capsys.readouterr().err
 
 
 def test_corrupt_dataset_exits_four(tmp_path):
@@ -126,16 +131,17 @@ def test_precedence_file_over_default_every_key(tmp_path):
     for section, kv in DEFAULT_CONFIG.items():
         lines.append(f"[{section}]")
         for key, value in kv.items():
+            # another value that each bound admits
             if isinstance(value, bool):
                 nv = not value
             elif isinstance(value, int):
                 nv = value + 1
             elif isinstance(value, float):
-                nv = value + 0.125
+                nv = value / 2 + 0.01
             elif isinstance(value, str):
-                nv = value + "x"
+                nv = {"iql_ca": "bc", "relu": "tanh"}.get(value, value + "x")
             elif isinstance(value, list):
-                nv = list(value) + value[-1:]
+                nv = value[1:]
             if isinstance(nv, list):
                 body = ", ".join(
                     f'"{v}"' if isinstance(v, str) else str(v) for v in nv)
@@ -264,7 +270,7 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
     out = tmp_path / "p"
     assert run(["pipeline", "--out-dir", str(out),
                 "--set", f"{key}={value}"]) == 3
-    assert f"appears twice in {key}" in capsys.readouterr().err
+    assert f"{key} must name" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -291,6 +297,60 @@ def test_bad_trainer_or_eval_value_exits_before_collection(
     assert message in capsys.readouterr().err
     assert not (out / "dataset.fanav").exists()
     assert not out.exists()
+
+
+def just_past(value, bound: str):
+    """The value nearest to ``bound``, of ``value``'s type, that fails it."""
+    op, limit = bound.split()
+    limit = type(value)(float(limit))
+    if op in (">", "<"):
+        return limit
+    if isinstance(value, int):
+        return limit - 1 if op == ">=" else limit + 1
+    return math.nextafter(limit, -math.inf if op == ">=" else math.inf)
+
+
+# every declared bound of a config key, crossed, then every float key at
+# nan and inf, then the pipeline's lists; the first cases, and run.seed=-1,
+# passed before bounds were declared beside their defaults
+BAD_SETTINGS = [
+    ("expert.lookahead", -1.0),
+    ("expert.plan_inflation", -5.0), ("collect.ratio_tol", -1.0),
+    ("pipeline.eval_worlds", []),
+    *((f"{cls.section}.{f.name}", just_past(f.default, bound))
+      for cls in SECTIONS for f in fields(cls)
+      if f.name in DEFAULT_CONFIG[cls.section]
+      for bound in f.metadata.get("bounds", ())),
+    *((f"{section}.{key}", bad) for section, kv in DEFAULT_CONFIG.items()
+      for key, value in kv.items() if isinstance(value, float)
+      for bad in (math.nan, math.inf)),
+    ("pipeline.methods", []), ("pipeline.methods", ["bc", "dqn"]),
+    ("pipeline.methods", ["bc", "iql_so", "bc"]),
+    ("pipeline.eval_worlds", ["sparse", "dense", "sparse"]),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_SETTINGS,
+                         ids=[f"{k}={v!r}" for k, v in BAD_SETTINGS])
+def test_pipeline_refuses_each_bad_setting_before_writing(key, value,
+                                                           tmp_path, capsys):
+    out = tmp_path / "p"
+    text = json.dumps(value) if isinstance(value, list) else repr(value)
+    assert run(["pipeline", "--out-dir", str(out), "--set",
+                f"{key}={text}"]) == 3
+    assert f"error: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_numeric_setting_but_the_policy_heads_has_a_bound():
+    # a bound that went missing would drop its cases from BAD_SETTINGS
+    unbounded = {f"{cls.section}.{f.name}" for cls in SECTIONS
+                 for f in fields(cls)
+                 if f.name in DEFAULT_CONFIG[cls.section]
+                 and isinstance(f.default, (int, float))
+                 and not f.metadata.get("bounds")}
+    assert unbounded == {"trainer.log_std_min", "trainer.log_std_max",
+                         "trainer.log_std_init", "trainer.policy_final_scale"}
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):

@@ -349,6 +349,16 @@ def test_compare_rejects_suite_mismatch():
         compare({"bc": twice})
 
 
+def test_compare_refuses_a_method_without_results():
+    # averaging no worlds gave nan rows, on which a pipeline with no
+    # evaluation world exited 0
+    with pytest.raises(ConfigError, match="'bc' has no results"):
+        compare({"bc": []})
+    with pytest.raises(ConfigError, match="'iql_ca' has no results"):
+        compare({"bc": [fake_result("bc", "w1", "d1", 90.0, 6.0)],
+                 "iql_ca": []})
+
+
 def test_compare_rates_partition():
     rows, _, _ = compare({"m": [fake_result("m", "w1", "d", 94.0, 4.0),
                                 fake_result("m", "w2", "d2", 88.0, 8.0)]})

@@ -276,6 +276,23 @@ GREEDY_KEPT = {450: [0, 1, 2, 3, 4, 5, 8, 9], 800: list(range(11)),
                1200: [*range(12), 13, 16, 12, 14, 15, 17]}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("ratio_tol", -1.0), ("ratio_tol", 0.0), ("ratio_tol", math.nan),
+    ("ratio_tol", math.inf), ("min_transitions", 0),
+    ("target_col_ratio", 1.0)])
+def test_collect_to_ratio_refuses_a_bad_target_before_an_episode(
+        key, value, monkeypatch):
+    # a negative ratio_tol reached the trim search as a negative shift count
+    def episode(*args):
+        raise AssertionError("ran an episode")
+
+    monkeypatch.setattr(expert, "_episode", episode)
+    targets = {"min_transitions": 10, "target_col_ratio": 0.1, key: value}
+    with pytest.raises(ConfigError, match=f"^collect.{key} must be .*, got "):
+        collect_to_ratio(resolve_world("sparse"), SPEC, EPISODE,
+                         ExpertConfig(), seed=0, **targets)
+
+
 def test_collect_to_ratio_meets_the_tolerance_at_every_size():
     # cluttered at desk's robot: at 300-400, 550-750, 1050 and 1100 the
     # newest-first trim misses 0.01; then the search drops older
