@@ -74,17 +74,15 @@ class PipelineConfig(Settings, section="pipeline"):
 
     collect_world: str = "cluttered"
     eval_worlds: tuple[str, ...] = BUNDLED_WORLDS
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = setting(METHODS, among=METHODS)
 
     def __post_init__(self):
+        super().__post_init__()
         for key in ("eval_worlds", "methods"):
             names = list(getattr(self, key))
             if not names or len(set(names)) < len(names):
                 raise ConfigError(f"pipeline.{key} must name one or more "
                                   f"entries, each once, got {names!r}")
-        if not set(self.methods) <= set(METHODS):
-            raise ConfigError(f"pipeline.methods must be among {METHODS}, "
-                              f"got {list(self.methods)!r}")
 
 
 # the config sections, in the order the config tree lists them
@@ -290,21 +288,24 @@ def cmd_gen_world(args, argv) -> int:
 
 
 def cmd_collect(args, argv) -> int:
+    if args.mode and args.episodes is None:
+        args.usage_error("--mode applies only with --episodes")
     tree = resolve_config(args.config, args.set)
     seed = tree["run"]["seed"]
     world = resolve_world(args.world)
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
     expert_cfg = expert_from(tree)
-    if args.episodes is not None:
-        trajs = collect(world, spec, episode, expert_cfg, args.episodes,
-                        args.mode or CLEAN, seed)
-    else:
+    mode = "ratio" if args.episodes is None else args.mode or CLEAN
+    if mode == "ratio":
         trajs = collect_to_ratio(world, spec, episode, expert_cfg,
                                  seed=seed, **tree["collect"])
+    else:
+        trajs = collect(world, spec, episode, expert_cfg, args.episodes,
+                        mode, seed)
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
-        "mode": args.mode or "ratio", "version": __version__}, args.out)
+        "mode": mode, "version": __version__}, args.out)
     inputs = {args.world: None} if os.path.exists(args.world) else {}
     write_manifest(args.out + ".manifest.json", "collect", argv, tree,
                    inputs=inputs, outputs=[args.out])
@@ -491,14 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collect", help="collect demonstrator episodes")
     c.add_argument("--world", required=True,
                    help="world file or bundled name")
-    c.add_argument("--episodes", type=int, default=None,
-                   help="episode count (omit to target a collision ratio)")
-    c.add_argument("--mode", choices=(CLEAN, PERTURBED), default=None)
-    c.add_argument("--target-col-ratio", type=float, default=None,
-                   help="same as --set collect.target_col_ratio=RATIO")
+    count = c.add_mutually_exclusive_group()
+    count.add_argument("--episodes", type=int, default=None,
+                       help="episode count (omit to target a collision ratio)")
+    count.add_argument("--target-col-ratio", type=float, default=None,
+                       help="same as --set collect.target_col_ratio=RATIO")
+    c.add_argument("--mode", choices=(CLEAN, PERTURBED), default=None,
+                   help=f"with --episodes only (default {CLEAN})")
     c.add_argument("--out", required=True, help="output dataset path")
     _add_common(c)
-    c.set_defaults(fn=cmd_collect)
+    c.set_defaults(fn=cmd_collect, usage_error=c.error)
 
     d = sub.add_parser("dataset", help="dataset utilities")
     dsub = d.add_subparsers(dest="dataset_cmd", required=True)

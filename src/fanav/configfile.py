@@ -14,9 +14,9 @@ A repeated key or section is an error, as TOML requires. Values keep
 their parsed Python types. ``format_config`` writes the same grammar, so
 a resolved configuration echoes back to its tree.
 
-Each section is a frozen :class:`Settings` dataclass; a numeric setting
-declares its bounds beside its default (:func:`setting`), and building the
-section refuses a value outside them.
+Each section is a frozen :class:`Settings` dataclass; a setting declares
+its bounds, or the values it must be among, beside its default
+(:func:`setting`), and building the section refuses a value outside them.
 """
 from __future__ import annotations
 
@@ -107,10 +107,11 @@ def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
     return out
 
 
-def setting(default, *bounds: str):
-    """A field of a :class:`Settings` dataclass: its ``default`` and the
-    comparisons its value must pass, such as ``"> 0"`` and ``"<= 1"``."""
-    return field(default=default, metadata={"bounds": bounds})
+def setting(default, *bounds: str, among: tuple = ()):
+    """A field of a :class:`Settings` dataclass: its ``default``, the
+    comparisons its value (each item of a tuple) must pass, such as ``"> 0"``
+    and ``"<= 1"``, and the values it must be ``among``, if any."""
+    return field(default=default, metadata={"bounds": bounds, "among": among})
 
 
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
@@ -121,8 +122,8 @@ _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
 class Settings:
     """Base of the config sections: ``class RobotSpec(Settings,
     section="robot")`` is a frozen dataclass of ``[robot]``. Building one
-    refuses a value that fails a bound of its field, or a non-finite
-    float, with a ``ConfigError`` that names ``section.key`` and the value."""
+    refuses a value that fails a rule of its field, or a non-finite float,
+    with a ``ConfigError`` that names ``section.key`` and the value."""
 
     def __init_subclass__(cls, section: str, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -132,13 +133,18 @@ class Settings:
     def __post_init__(self):
         for f in fields(self):
             value, where = getattr(self, f.name), f"{self.section}.{f.name}"
-            for bound in f.metadata.get("bounds", ()):
-                op, limit = bound.split()
-                if not _COMPARISONS[op](value, float(limit)):
-                    raise ConfigError(f"{where} must be {bound}, got "
-                                      f"{value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{where} must be finite, got {value!r}")
+            among = f.metadata.get("among")
+            for item in value if isinstance(value, tuple) else (value,):
+                for bound in f.metadata.get("bounds", ()):
+                    op, limit = bound.split()
+                    if not _COMPARISONS[op](item, float(limit)):
+                        raise ConfigError(f"{where} must be {bound}, got "
+                                          f"{item!r}")
+                if among and item not in among:
+                    raise ConfigError(f"{where} must be among {list(among)}, "
+                                      f"got {item!r}")
+                if isinstance(item, float) and not math.isfinite(item):
+                    raise ConfigError(f"{where} must be finite, got {item!r}")
 
     def to_dict(self) -> dict:
         """The values as a config tree holds them: tuples as lists."""

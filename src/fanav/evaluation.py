@@ -218,13 +218,14 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
             ) -> tuple[str, np.ndarray | None]:
     """Run one episode; returns (outcome, trajectory).
 
-    The trajectory has one row per visited pose: (t, x, y, heading, v, w),
-    starting at rest and ending at the terminal pose.
+    ``policy.reset(world, spec, task)`` is called once, then
+    ``policy.act(state, pose)`` once per step. The trajectory has one row
+    per visited pose: (t, x, y, heading, v, w), starting at rest and ending
+    at the terminal pose.
     """
     engine = EpisodeEngine(world, spec, episode)
     state = engine.reset(task.start, task.goal)
-    if hasattr(policy, "reset"):
-        policy.reset(world, spec, task)
+    policy.reset(world, spec, task)
     rows = [(0, task.start.x, task.start.y, task.start.heading, 0.0, 0.0)] \
         if record else None
     while not engine.done:
@@ -239,8 +240,7 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
 def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,
                     task_idx: int, seed: int,
                     jitter: tuple[float, float]) -> Pose:
-    if jitter[0] == 0 and jitter[1] == 0:
-        return task.start
+    # at zero jitter every draw is the stored start
     rng = np.random.default_rng([seed, trial, task_idx])
     for _ in range(50):
         x = task.sx + rng.uniform(-jitter[0], jitter[0])
@@ -446,10 +446,11 @@ def _svg_marker(kind: str, color: str, x: float, y: float, r: float) -> str:
 
 
 def render_overlay_svg(result: EvalResult, suite: TaskSuite,
-                       world: World, scale: float = 60.0) -> str:
+                       world: World) -> str:
     """World, trajectories and outcome markers as deterministic SVG text."""
     from .geometry import Circle, Rect
 
+    scale = 60.0  # pixels per metre
     W = world.width * scale
     H = world.height * scale
 

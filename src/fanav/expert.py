@@ -131,11 +131,11 @@ def _cell_of(x: float, y: float, blocked: np.ndarray) -> tuple[int, int]:
     return i, j
 
 
-def _nearest_free_cell(blocked: np.ndarray, i: int, j: int,
-                       max_ring: int = 5) -> tuple[int, int] | None:
+def _nearest_free_cell(blocked: np.ndarray, i: int, j: int
+                       ) -> tuple[int, int] | None:
     if not blocked[i, j]:
         return i, j
-    for ring in range(1, max_ring + 1):
+    for ring in range(1, 6):  # five rings out at most
         for di in range(-ring, ring + 1):
             for dj in range(-ring, ring + 1):
                 if max(abs(di), abs(dj)) != ring:

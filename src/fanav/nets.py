@@ -150,12 +150,9 @@ class Mlp:
     @_QUIET
     def _forward(self, x: np.ndarray, keep_cache: bool):
         a = np.asarray(x, dtype=self.dtype)
-        squeeze = a.ndim == 1
-        if squeeze:
-            a = a[None, :]
-        if a.shape[1] != self.widths[0]:
-            raise ShapeError(
-                f"input width {a.shape[1]} != layer 0 width {self.widths[0]}")
+        if a.ndim != 2 or a.shape[1] != self.widths[0]:
+            raise ShapeError(f"input shape {a.shape} is not a batch of "
+                             f"(rows, {self.widths[0]})")
         self._check(a, 0, "input")
         cache = {"inputs": [a]} if keep_cache else None
         last = self.n_layers - 1
@@ -171,8 +168,6 @@ class Mlp:
             a = z
             if keep_cache:
                 cache["inputs"].append(a)
-        if squeeze:
-            return a[0], cache
         return a, cache
 
     @_QUIET
@@ -184,8 +179,9 @@ class Mlp:
         """
         inputs = cache["inputs"]
         delta = np.asarray(dy, dtype=self.dtype)
-        if delta.ndim == 1:
-            delta = delta[None, :]
+        if delta.shape != inputs[-1].shape:
+            raise ShapeError(f"dy shape {delta.shape} != output shape "
+                             f"{inputs[-1].shape}")
         grad = np.empty_like(self.theta)
         goff = grad.size
         last = self.n_layers - 1
@@ -335,16 +331,12 @@ class GaussianPolicyHead:
 
     def log_prob(self, feats: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Log density of raw actions, including the tanh change of variables."""
-        logp, _ = self._log_prob_parts(feats, actions, keep_cache=False)
+        logp, _ = self._log_prob_parts(feats, actions)
         return logp
 
-    def _log_prob_parts(self, feats: np.ndarray, actions: np.ndarray,
-                        keep_cache: bool):
-        if keep_cache:
-            mu, cache = self.mean_net.forward_cached(feats)
-        else:
-            mu, cache = self.mean_net.forward(feats), None
-        mu = np.atleast_2d(np.asarray(mu, np.float64))
+    def _log_prob_parts(self, feats: np.ndarray, actions: np.ndarray):
+        mu, cache = self.mean_net.forward_cached(feats)
+        mu = np.asarray(mu, np.float64)
         z, t = self._inverse_squash(actions)
         if z.shape != mu.shape:
             raise ShapeError(f"actions shape {z.shape} != mean shape {mu.shape}")
@@ -365,7 +357,7 @@ class GaussianPolicyHead:
         Loss = -mean_i(w_i * log pi(a_i | s_i)); returns (loss, grad wrt
         mean-net parameters, grad wrt log_std).
         """
-        logp, parts = self._log_prob_parts(feats, actions, keep_cache=True)
+        logp, parts = self._log_prob_parts(feats, actions)
         w = np.asarray(weights, np.float64).reshape(-1)
         if w.shape[0] != logp.shape[0]:
             raise ShapeError("weights length does not match the batch")

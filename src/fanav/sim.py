@@ -363,17 +363,16 @@ def sample_free_point(world: World, rng: np.random.Generator,
 
 
 def sample_task(world: World, rng: np.random.Generator, clearance: float,
-                min_separation: float, max_tries: int = 10_000
-                ) -> tuple[Pose, tuple[float, float]]:
+                min_separation: float) -> tuple[Pose, tuple[float, float]]:
     """Draw a collision-free (start pose, goal point) pair."""
-    for _ in range(max_tries):
-        sx, sy = sample_free_point(world, rng, clearance, max_tries)
-        gx, gy = sample_free_point(world, rng, clearance, max_tries)
+    for _ in range(10_000):
+        sx, sy = sample_free_point(world, rng, clearance)
+        gx, gy = sample_free_point(world, rng, clearance)
         if math.hypot(gx - sx, gy - sy) >= min_separation:
             heading = rng.uniform(-math.pi, math.pi)
             return Pose(sx, sy, heading), (gx, gy)
     raise ConfigError(
-        f"no start/goal pair {min_separation:.1f} m apart after {max_tries} samples")
+        f"no start/goal pair {min_separation:.1f} m apart after 10000 samples")
 
 
 # ---------------------------------------------------------------------------

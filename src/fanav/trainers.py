@@ -68,7 +68,7 @@ class TrainerConfig(Settings, section="trainer"):
     (``ckpt_<total_steps>.famlp``) and every network (``final.famlp``).
     """
 
-    method: str = "iql_ca"
+    method: str = setting("iql_ca", among=METHODS)
     expectile: float = setting(0.7, "> 0", "< 1")  # tau of the expectile
     gamma: float = setting(0.99, ">= 0", "< 1")
     weight_temp: float = setting(1.0, "> 0")  # beta of the advantage weights
@@ -83,8 +83,8 @@ class TrainerConfig(Settings, section="trainer"):
     total_steps: int = setting(30_000, ">= 1")
     epoch_steps: int = setting(1_000, ">= 1")  # logging granularity
     seed: int = setting(0, ">= 0")
-    hidden: tuple[int, ...] = (128, 128)
-    activation: str = "relu"
+    hidden: tuple[int, ...] = setting((128, 128), ">= 1")
+    activation: str = setting("relu", among=ACTIVATIONS)
     log_std_min: float = -5.0
     log_std_max: float = 2.0
     log_std_init: float = -0.5
@@ -92,14 +92,10 @@ class TrainerConfig(Settings, section="trainer"):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method '{self.method}'")
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden widths must be >= 1")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"activation must be one of {list(ACTIVATIONS)}")
         if not self.log_std_min < self.log_std_max:
-            raise ConfigError("log_std_min must be below log_std_max")
+            raise ConfigError(
+                f"trainer.log_std_min {self.log_std_min!r} must be below "
+                f"trainer.log_std_max {self.log_std_max!r}")
 
 
 @dataclass

@@ -175,12 +175,14 @@ def test_precedence_flag_over_set(tmp_path):
     # each shorthand flag is a --set pair after the user's own, so it wins
     # and the manifest, the echo and the checkpoint record its value
     ds = str(tmp_path / "d.fanav")
-    assert run(["collect", "--world", "sparse", "--episodes", "2",
-                "--out", ds, "--target-col-ratio", "0.2", "--seed", "1",
+    assert run(["collect", "--world", "sparse", "--out", ds,
+                "--target-col-ratio", "0.12", "--seed", "1",
                 "--set", "collect.target_col_ratio=0.3", "--set", "run.seed=9",
+                "--set", "collect.min_transitions=700",
+                "--set", "collect.ratio_tol=0.03",
                 "--set", "robot.lidar_beams=8"]) == 0
     config = json.loads(Path(ds + ".manifest.json").read_text())["config"]
-    assert config["collect"]["target_col_ratio"] == 0.2
+    assert config["collect"]["target_col_ratio"] == 0.12
     assert config["run"]["seed"] == 1
     out = tmp_path / "t"
     assert run(["train", "--dataset", ds, "--out-dir", str(out),
@@ -300,7 +302,10 @@ def test_bad_trainer_or_eval_value_exits_before_collection(
 
 
 def just_past(value, bound: str):
-    """The value nearest to ``bound``, of ``value``'s type, that fails it."""
+    """The value nearest to ``bound``, of ``value``'s type, that fails it;
+    for a tuple, a list of one such item."""
+    if isinstance(value, tuple):
+        return [just_past(value[0], bound)]
     op, limit = bound.split()
     limit = type(value)(float(limit))
     if op in (">", "<"):
@@ -311,8 +316,9 @@ def just_past(value, bound: str):
 
 
 # every declared bound of a config key, crossed, then every float key at
-# nan and inf, then the pipeline's lists; the first cases, and run.seed=-1,
-# passed before bounds were declared beside their defaults
+# nan and inf, then the memberships, a later list item, the cross-field rule
+# and the pipeline's lists; the first cases, and run.seed=-1, passed before
+# bounds were declared beside their defaults
 BAD_SETTINGS = [
     ("expert.lookahead", -1.0),
     ("expert.plan_inflation", -5.0), ("collect.ratio_tol", -1.0),
@@ -324,6 +330,8 @@ BAD_SETTINGS = [
     *((f"{section}.{key}", bad) for section, kv in DEFAULT_CONFIG.items()
       for key, value in kv.items() if isinstance(value, float)
       for bad in (math.nan, math.inf)),
+    ("trainer.method", "dqn"), ("trainer.activation", "gelu"),
+    ("trainer.hidden", [64, 0]), ("trainer.log_std_min", 3.0),
     ("pipeline.methods", []), ("pipeline.methods", ["bc", "dqn"]),
     ("pipeline.methods", ["bc", "iql_so", "bc"]),
     ("pipeline.eval_worlds", ["sparse", "dense", "sparse"]),
@@ -436,6 +444,29 @@ def test_collect_episodes_and_inspect(tmp_path, capsys):
     assert "success" in text and "ratio" in text
 
 
+@pytest.mark.parametrize("mode", [None, "clean", "perturbed"])
+def test_collect_records_the_mode_that_ran(mode, tmp_path):
+    out = tmp_path / "d.fanav"
+    flags = ["--mode", mode] if mode else []
+    assert run(["collect", "--world", "sparse", "--episodes", "2", *flags,
+                "--out", str(out), "--set", "robot.lidar_beams=8"]) == 0
+    assert load_dataset(str(out)).meta["mode"] == (mode or "clean")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "perturbed"],  # only an episode count runs a mode
+    ["--episodes", "2", "--target-col-ratio", "0.5"]])  # a count has no ratio
+def test_collect_refuses_a_flag_it_would_ignore(flags, tmp_path, capsys):
+    out = tmp_path / "d.fanav"
+    with pytest.raises(SystemExit) as exc:
+        run(["collect", "--world", "sparse", *flags, "--out", str(out),
+             "--set", "collect.min_transitions=300",
+             "--set", "robot.lidar_beams=8"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("bounds inf 10\n", 1),
     ("bounds 10 10\nrect 1 1 inf 1\n", 2),
@@ -460,6 +491,7 @@ def test_collect_ratio_mode(tmp_path):
                 "--set", "collect.ratio_tol=0.02"])
     assert code == 0
     ds = load_dataset(out)
+    assert ds.meta["mode"] == "ratio"
     assert ds.n_col > 0
     assert abs(ds.collision_ratio - 0.1) <= 0.02
     manifest = json.loads(Path(out + ".manifest.json").read_text())

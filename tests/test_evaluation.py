@@ -230,6 +230,22 @@ def test_jitter_respects_clearance():
                for row in res.outcomes for o in row)
 
 
+def test_zero_jitter_starts_each_task_at_its_stored_pose():
+    class StartRecorder(StraightPolicy):
+        def __init__(self):
+            self.starts = []
+
+        def reset(self, world, spec, task):
+            self.starts.append((task.sx, task.sy, task.sheading))
+
+    suite = make_suite(WORLD, SPEC, EPISODE, 6, seed=11)
+    policy = StartRecorder()
+    evaluate_suite(policy, WORLD, SPEC, suite, n_trials=2, seed=2,
+                   jitter=(0.0, 0.0))
+    stored = [(t.sx, t.sy, t.sheading) for t in suite.tasks]
+    assert policy.starts == stored * 2
+
+
 def test_eval_result_json_roundtrip(tmp_path):
     suite = make_suite(WORLD, SPEC, EPISODE, 5, seed=13)
     res = evaluate_suite(ZeroPolicy(), WORLD, SPEC, suite, n_trials=2, seed=0)

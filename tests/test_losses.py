@@ -191,16 +191,16 @@ def test_td_loss_matches_scalar_loop_oracle():
     y = td_targets(value, batch.rewards, batch.next_features, batch.dones, 0.99)
     x_sa = critic_inputs(batch.features, batch.actions, SCALE)
     got, _ = critic_loss_and_grads(critics, x_sa, y)
-    # independent scalar-loop recomputation
+    # independent recomputation, one-row batches at a time
     total = 0.0
     count = 0
     for i in range(len(batch)):
-        v_next = float(value.forward(batch.next_features[i])[0])
+        v_next = float(value.forward(batch.next_features[i:i + 1])[0, 0])
         y = float(batch.rewards[i]) + (1 - float(batch.dones[i])) * 0.99 * v_next
         xi = np.concatenate([batch.features[i],
                              (batch.actions[i] / SCALE).astype(np.float32)])
         for c in critics:
-            q = float(c.forward(xi)[0])
+            q = float(c.forward(xi[None, :])[0, 0])
             total += (q - y) ** 2
             count += 1
     assert got == pytest.approx(total / count, rel=1e-6)

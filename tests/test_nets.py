@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +72,19 @@ def test_forward_shape_checks():
         net.forward(np.array([[1.0, np.nan, 0.0, 0.0]]))
 
 
-def test_single_row_convenience():
+def test_non_batch_input_is_refused():
+    # a batch is (rows, width); a lone row or a stack of batches is not,
+    # even when its second axis has the input width
     rng = np.random.default_rng(3)
     net = Mlp.initialized((4, 8, 2), "tanh", rng)
-    x = rng.normal(size=4).astype(np.float32)
-    single = net.forward(x)
-    batched = net.forward(x[None, :])
-    assert single.shape == (2,)
-    assert np.allclose(single, batched[0])
+    x = rng.normal(size=(3, 4)).astype(np.float32)
+    for bad in (x[0], x[None], x.reshape(3, 4, 1)):
+        for forward in (net.forward, net.forward_cached):
+            with pytest.raises(ShapeError, match=re.escape(str(bad.shape))):
+                forward(bad)
+    _, cache = net.forward_cached(x)
+    with pytest.raises(ShapeError, match="dy shape"):
+        net.backward(cache, np.ones(2, np.float32))
 
 
 def test_bad_configs():
