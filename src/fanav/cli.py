@@ -290,6 +290,10 @@ def cmd_gen_world(args, argv) -> int:
 def cmd_collect(args, argv) -> int:
     if args.mode and args.episodes is None:
         args.usage_error("--mode applies only with --episodes")
+    if (args.episodes is not None
+            and "collect" in _parse_set_overrides(args.set or [])):
+        args.usage_error("--target-col-ratio and --set collect.* apply only "
+                         "without --episodes")
     tree = resolve_config(args.config, args.set)
     seed = tree["run"]["seed"]
     world = resolve_world(args.world)
@@ -492,11 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("collect", help="collect demonstrator episodes")
     c.add_argument("--world", required=True,
                    help="world file or bundled name")
-    count = c.add_mutually_exclusive_group()
-    count.add_argument("--episodes", type=int, default=None,
-                       help="episode count (omit to target a collision ratio)")
-    count.add_argument("--target-col-ratio", type=float, default=None,
-                       help="same as --set collect.target_col_ratio=RATIO")
+    c.add_argument("--episodes", type=int, default=None,
+                   help="episode count (omit to target a collision ratio)")
+    c.add_argument("--target-col-ratio", type=float, default=None,
+                   help="same as --set collect.target_col_ratio=RATIO")
     c.add_argument("--mode", choices=(CLEAN, PERTURBED), default=None,
                    help=f"with --episodes only (default {CLEAN})")
     c.add_argument("--out", required=True, help="output dataset path")

@@ -235,7 +235,8 @@ def audit_rewards(ds: OfflineDataset, episode_cfg: EpisodeConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling: each sampler draws from partitions that train() has checked are
+# non-empty, with a batch size and rho that TrainerConfig has bounded
 # ---------------------------------------------------------------------------
 
 def round_half_up(x: float) -> int:
@@ -306,17 +307,9 @@ class StratifiedSampler:
 
     def __init__(self, ds: OfflineDataset, rho: float, batch_size: int,
                  seed: int):
-        if not (0.0 <= rho < 1.0):
-            raise ConfigError("rho must lie in [0, 1)")
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         self.ds = ds
         self.batch_size = batch_size
         self.n_col_per_batch = round_half_up(rho * batch_size)
-        if self.n_col_per_batch > 0 and ds.n_col == 0:
-            raise ConfigError("rho > 0 requires a non-empty collision partition")
-        if batch_size - self.n_col_per_batch > 0 and ds.n_exp == 0:
-            raise ConfigError("empty success partition")
         self.rng = np.random.default_rng(seed)
 
     def sample(self) -> Batch:
@@ -332,10 +325,6 @@ class ExpSampler:
     """Uniform batches from the success partition only."""
 
     def __init__(self, ds: OfflineDataset, batch_size: int, seed: int):
-        if ds.n_exp == 0:
-            raise ConfigError("empty success partition")
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         self.ds = ds
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
@@ -349,10 +338,6 @@ class PooledSampler:
     """Uniform batches over the union of both partitions (direct mixing)."""
 
     def __init__(self, ds: OfflineDataset, batch_size: int, seed: int):
-        if ds.n_total == 0:
-            raise ConfigError("empty dataset")
-        if batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
         self.ds = ds
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)

@@ -16,7 +16,7 @@ from functools import partial
 import numpy as np
 
 from .configfile import Settings, setting
-from .errors import ConfigError, NoPathError, ProtocolError
+from .errors import ConfigError, NoPathError
 from .geometry import Circle, segment_shape_distance, wrap_angle
 from .sim import (
     COLLISION,
@@ -299,8 +299,6 @@ def _lookahead_point(path: list[tuple[float, float]], x: float, y: float,
 def expert_action(pose: Pose, path: list[tuple[float, float]],
                   spec: RobotSpec, cfg: ExpertConfig) -> Action:
     """Pure-pursuit command toward the lookahead point on the path."""
-    if not path:
-        raise ProtocolError("expert_action called with an empty path")
     tx, ty = _lookahead_point(path, pose.x, pose.y, cfg.lookahead)
     phi = wrap_angle(math.atan2(ty - pose.y, tx - pose.x) - pose.heading)
     v = cfg.speed_scale * spec.v_max * max(0.0, math.cos(phi))

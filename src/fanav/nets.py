@@ -79,12 +79,10 @@ class Mlp:
     """Fixed-topology multilayer perceptron over a flat parameter vector,
     computing in its dtype (float32 zeros when ``theta`` is not given)."""
 
-    def __init__(self, widths: tuple[int, ...], activation: str = "relu",
+    def __init__(self, widths: tuple[int, ...], activation: str,
                  theta: np.ndarray | None = None):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ConfigError(f"bad layer widths {widths}")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation '{activation}'")
         self.widths = tuple(int(w) for w in widths)
         self.activation = activation
         n = param_count(self.widths)
@@ -270,8 +268,6 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState
 
 def soft_update(target: np.ndarray, online: np.ndarray, alpha: float) -> np.ndarray:
     """Polyak blend target <- (1 - alpha) * target + alpha * online, in place."""
-    if not (0.0 < alpha <= 1.0):
-        raise ConfigError("alpha must lie in (0, 1]")
     if target.shape != online.shape:
         raise ShapeError("target and online parameter sizes disagree")
     target *= (1.0 - alpha)
@@ -301,8 +297,6 @@ class GaussianPolicyHead:
             raise ShapeError("policy mean network must have 2 outputs")
         self.mean_net = mean_net
         self.action_scale = np.asarray(action_scale, dtype=np.float64)
-        if self.action_scale.shape != (2,) or np.any(self.action_scale <= 0):
-            raise ConfigError("action_scale must be two positive values")
         self.log_std_bounds = (float(log_std_bounds[0]), float(log_std_bounds[1]))
         self.log_std = np.asarray(log_std, dtype=mean_net.dtype)
         if self.log_std.shape != (2,):

@@ -224,8 +224,6 @@ def raycast(world: World, origin: Pose, spec: RobotSpec) -> np.ndarray:
 
 def step_kinematics(pose: Pose, action: Action, dt: float) -> Pose:
     """Integrate the exact unicycle model for one interval of length ``dt``."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
     v, w, h = action.v_cmd, action.omega_cmd, pose.heading
     if not all(math.isfinite(q) for q in (v, w, pose.x, pose.y, h)):
         raise NumericError("non-finite kinematics input")
@@ -276,8 +274,6 @@ def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
     index of the step being taken; the episode times out when step
     t_max - 1 ends without another terminal.
     """
-    if t >= cfg.t_max:
-        raise ProtocolError(f"step index {t} beyond horizon {cfg.t_max}")
     a = clamp_action(action, spec)
     new_pose = step_kinematics(pose, a, spec.control_dt)
 

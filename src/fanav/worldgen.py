@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError, GenerationError, NoPathError
 from .expert import plan_path
 from .geometry import Circle, Rect, Shape
-from .sim import World, sample_free_point
+from .sim import RobotSpec, World, sample_free_point
 
 PROBE_PAIRS = 20
 
@@ -55,7 +55,8 @@ def _connected(world: World, robot_radius: float,
 
 
 def generate_world(width: float, height: float, density: float, seed: int,
-                   name: str = "generated", robot_radius: float = 0.2,
+                   name: str = "generated",
+                   robot_radius: float = RobotSpec.radius,
                    max_attempts: int = 100) -> World:
     """Generate a connected cluttered room at the requested obstacle density.
 

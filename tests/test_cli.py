@@ -454,13 +454,16 @@ def test_collect_records_the_mode_that_ran(mode, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--mode", "perturbed"],  # only an episode count runs a mode
-    ["--episodes", "2", "--target-col-ratio", "0.5"]])  # a count has no ratio
+    # only an episode count runs a mode
+    ["--mode", "perturbed", "--set", "collect.min_transitions=300"],
+    # an episode count reads no [collect] setting, by flag or by --set,
+    # whose key may start with a space
+    ["--episodes", "2", "--target-col-ratio", "0.5"],
+    ["--episodes", "2", "--set", " collect.target_col_ratio=0.5"]])
 def test_collect_refuses_a_flag_it_would_ignore(flags, tmp_path, capsys):
     out = tmp_path / "d.fanav"
     with pytest.raises(SystemExit) as exc:
         run(["collect", "--world", "sparse", *flags, "--out", str(out),
-             "--set", "collect.min_transitions=300",
              "--set", "robot.lidar_beams=8"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err

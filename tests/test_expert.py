@@ -6,7 +6,7 @@ import pytest
 
 from fanav import expert
 from fanav.cli import BUNDLED_WORLDS, resolve_world
-from fanav.errors import ConfigError, NoPathError, NumericError, ProtocolError
+from fanav.errors import ConfigError, NoPathError, NumericError
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
     COLLISION,
@@ -194,11 +194,6 @@ def test_pursuit_formula_values():
     assert a.v_cmd == pytest.approx(0.25)
     assert 2.0 * phi == pytest.approx(2.0943951, abs=1e-6)
     assert a.omega_cmd == pytest.approx(math.pi / 2)
-
-
-def test_pursuit_empty_path():
-    with pytest.raises(ProtocolError):
-        expert_action(Pose(0, 0, 0), [], SPEC, ExpertConfig())
 
 
 # ---------------------------------------------------------------------------

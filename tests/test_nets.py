@@ -90,8 +90,6 @@ def test_non_batch_input_is_refused():
 def test_bad_configs():
     with pytest.raises(ConfigError):
         Mlp((4,), "relu")
-    with pytest.raises(ConfigError):
-        Mlp((4, 2), "sigmoid")
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +213,6 @@ def test_soft_update_cases():
     t3 = o.copy()
     soft_update(t3, o, 0.25)
     assert np.allclose(t3, o)
-    with pytest.raises(ConfigError):
-        soft_update(t, o, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,16 @@ def test_ca_requires_collision_partition():
         train(empty_col, quick_config(total_steps=5))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_train_refuses_an_empty_success_partition(method, tmp_path):
+    # the one guard in front of the samplers, which draw from this partition
+    empty_exp = OfflineDataset(TransitionBlock.empty(DIM), DS.col, PROFILE)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="empty success partition"):
+        train(empty_exp, quick_config(method=method, total_steps=5), str(out))
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # training mechanics
 # ---------------------------------------------------------------------------
