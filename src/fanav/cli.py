@@ -406,6 +406,14 @@ def cmd_pipeline(args, argv) -> int:
         raise ConfigError("pipeline.eval_worlds must name each world once, "
                           f"got {pcfg['eval_worlds']!r}")
     collect_world = resolve_world(pcfg["collect_world"])
+    # no two points of a room are farther apart than its diagonal
+    for section, world in [*(("eval", w) for w in eval_worlds.values()),
+                           ("expert", collect_world)]:
+        value = tree[section]["min_separation"]
+        if value >= world.diagonal:
+            raise ConfigError(f"{section}.min_separation must be below the "
+                              f"{world.diagonal:.2f} m diagonal of world "
+                              f"'{world.name}', got {value!r}")
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
     out = args.out_dir
     os.makedirs(out, exist_ok=True)

@@ -189,13 +189,10 @@ class NetworkPolicy:
                                   f"sections")
         try:
             profile = EncoderProfile.from_dict(meta["profile"])
-            cfg = meta["config"]
             head = GaussianPolicyHead(
                 sections["policy_mean"].to_mlp(), profile.action_scale,
-                log_std=sections["policy_log_std"].params,
-                log_std_bounds=(float(cfg["log_std_min"]),
-                                float(cfg["log_std_max"])))
-            return cls(head, profile, name=cfg["method"])
+                log_std=sections["policy_log_std"].params)
+            return cls(head, profile, name=meta["config"]["method"])
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: incomplete or malformed "
                                   f"checkpoint metadata ({exc!r})") from exc

@@ -287,17 +287,22 @@ class GaussianPolicyHead:
     """Diagonal Gaussian squashed to the action box by tanh.
 
     The mean comes from an MLP; the log standard deviations are two
-    state-independent learned parameters clamped to a fixed interval.
-    Raw actions live in [-scale_i, scale_i] per channel.
+    state-independent learned parameters clamped to ``LOG_STD_BOUNDS``.
+    Raw actions live in [-scale_i, scale_i] per channel. A new head starts
+    at ``LOG_STD_INIT``, with the mean net's last-layer weights scaled by
+    ``FINAL_SCALE``, so early actions stay small.
     """
 
+    LOG_STD_BOUNDS = (-5.0, 2.0)
+    LOG_STD_INIT = -0.5
+    FINAL_SCALE = 1e-2
+
     def __init__(self, mean_net: Mlp, action_scale: np.ndarray,
-                 log_std: np.ndarray, log_std_bounds: tuple[float, float]):
+                 log_std: np.ndarray):
         if mean_net.widths[-1] != 2:
             raise ShapeError("policy mean network must have 2 outputs")
         self.mean_net = mean_net
         self.action_scale = np.asarray(action_scale, dtype=np.float64)
-        self.log_std_bounds = (float(log_std_bounds[0]), float(log_std_bounds[1]))
         self.log_std = np.asarray(log_std, dtype=mean_net.dtype)
         if self.log_std.shape != (2,):
             raise ShapeError("log_std must have shape (2,)")
@@ -307,7 +312,7 @@ class GaussianPolicyHead:
         return self.mean_net.widths[0]
 
     def clipped_log_std(self) -> np.ndarray:
-        lo, hi = self.log_std_bounds
+        lo, hi = self.LOG_STD_BOUNDS
         return np.clip(self.log_std.astype(np.float64), lo, hi)
 
     def mean_action(self, feats: np.ndarray) -> np.ndarray:
@@ -364,7 +369,7 @@ class GaussianPolicyHead:
         # d logp / d log_std = resid^2/sigma^2 - 1 (zero where the clamp binds)
         dls = -(w[:, None] / n) * (parts["resid"] ** 2 * parts["inv_var"] - 1.0)
         grad_log_std = dls.sum(axis=0)
-        lo, hi = self.log_std_bounds
+        lo, hi = self.LOG_STD_BOUNDS
         raw = self.log_std.astype(np.float64)
         grad_log_std = np.where((raw <= lo) & (grad_log_std > 0), 0.0,
                                 grad_log_std)

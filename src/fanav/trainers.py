@@ -85,17 +85,6 @@ class TrainerConfig(Settings, section="trainer"):
     seed: int = setting(0, ">= 0")
     hidden: tuple[int, ...] = setting((128, 128), ">= 1")
     activation: str = setting("relu", among=ACTIVATIONS)
-    log_std_min: float = -5.0
-    log_std_max: float = 2.0
-    log_std_init: float = -0.5
-    policy_final_scale: float = 1e-2
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.log_std_min < self.log_std_max:
-            raise ConfigError(
-                f"trainer.log_std_min {self.log_std_min!r} must be below "
-                f"trainer.log_std_max {self.log_std_max!r}")
 
 
 @dataclass
@@ -225,11 +214,11 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
                for _ in range(cfg.n_critics)]
     target_critics = [c.copy() for c in critics]
     mean_net = Mlp.initialized((obs_dim, *cfg.hidden, 2), cfg.activation,
-                               rng_policy, final_scale=cfg.policy_final_scale)
-    policy = GaussianPolicyHead(mean_net, action_scale,
-                                log_std=np.full(2, cfg.log_std_init),
-                                log_std_bounds=(cfg.log_std_min,
-                                                cfg.log_std_max))
+                               rng_policy,
+                               final_scale=GaussianPolicyHead.FINAL_SCALE)
+    policy = GaussianPolicyHead(
+        mean_net, action_scale,
+        log_std=np.full(2, GaussianPolicyHead.LOG_STD_INIT))
 
     opt_value = AdamState.for_params(value_net.n_params, cfg.lr_value)
     opt_critics = [AdamState.for_params(c.n_params, cfg.lr_critic)

@@ -109,7 +109,7 @@ def test_c1_gradient_correctness():
     targets = [c.copy() for c in critics]
     mean = as_float64(Mlp.initialized((dim, 16, 2), "tanh", rng,
                                       final_scale=0.1))
-    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5), (-5.0, 2.0))
+    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5))
 
     worst = {}
     # expectile (value) loss; residuals must sit clear of the u=0 kink for

@@ -24,7 +24,7 @@ from fanav.cli import (
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
-from fanav.nets import load_checkpoint, save_checkpoint
+from fanav.nets import GaussianPolicyHead, load_checkpoint, save_checkpoint
 from fanav.sim import RobotSpec, load_world
 from fanav.trainers import METHODS
 
@@ -316,9 +316,9 @@ def just_past(value, bound: str):
 
 
 # every declared bound of a config key, crossed, then every float key at
-# nan and inf, then the memberships, a later list item, the cross-field rule
-# and the pipeline's lists; the first cases, and run.seed=-1, passed before
-# bounds were declared beside their defaults
+# nan and inf, then the memberships, a later list item, the pipeline's lists
+# and a separation longer than a room's diagonal; the first cases, and
+# run.seed=-1, passed before bounds were declared beside their defaults
 BAD_SETTINGS = [
     ("expert.lookahead", -1.0),
     ("expert.plan_inflation", -5.0), ("collect.ratio_tol", -1.0),
@@ -331,10 +331,11 @@ BAD_SETTINGS = [
       for key, value in kv.items() if isinstance(value, float)
       for bad in (math.nan, math.inf)),
     ("trainer.method", "dqn"), ("trainer.activation", "gelu"),
-    ("trainer.hidden", [64, 0]), ("trainer.log_std_min", 3.0),
+    ("trainer.hidden", [64, 0]),
     ("pipeline.methods", []), ("pipeline.methods", ["bc", "dqn"]),
     ("pipeline.methods", ["bc", "iql_so", "bc"]),
     ("pipeline.eval_worlds", ["sparse", "dense", "sparse"]),
+    ("eval.min_separation", 100.0), ("expert.min_separation", 100.0),
 ]
 
 
@@ -350,15 +351,14 @@ def test_pipeline_refuses_each_bad_setting_before_writing(key, value,
     assert not out.exists()
 
 
-def test_each_numeric_setting_but_the_policy_heads_has_a_bound():
+def test_each_numeric_setting_has_a_bound():
     # a bound that went missing would drop its cases from BAD_SETTINGS
     unbounded = {f"{cls.section}.{f.name}" for cls in SECTIONS
                  for f in fields(cls)
                  if f.name in DEFAULT_CONFIG[cls.section]
                  and isinstance(f.default, (int, float))
                  and not f.metadata.get("bounds")}
-    assert unbounded == {"trainer.log_std_min", "trainer.log_std_max",
-                         "trainer.log_std_init", "trainer.policy_final_scale"}
+    assert unbounded == set()
 
 
 def test_seed_resolution_order(tmp_path, monkeypatch):
@@ -526,22 +526,14 @@ PIPELINE_SETS = ROBOT_SETS + RUN_SETS
 
 
 def run_tree(out):
-    """Every file under ``out`` by relative path, with report.csv's seconds
-    column dropped and only the manifest's config and digest kept."""
-    files = {}
-    for d, _, names in os.walk(out):
-        for name in names:
-            path = os.path.join(d, name)
-            data = Path(path).read_bytes()
-            if name == "report.csv":
-                data = b"\n".join(line.rsplit(b",", 1)[0]
-                                  for line in data.splitlines())
-            elif name == "manifest.json":
-                manifest = json.loads(data)
-                data = json.dumps([manifest["config"],
-                                   manifest["config_digest"]]).encode()
-            files[os.path.relpath(path, out)] = data
-    return files
+    """Every file under ``out`` by relative path, normalized as
+    ``tools/run_digests.py`` hashes it: without the manifest's
+    ``started_unix`` and ``argv`` or report.csv's seconds column."""
+    spec = importlib.util.spec_from_file_location(
+        "run_digests", ROOT / "tools" / "run_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.run_tree(out)
 
 
 def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
@@ -582,6 +574,23 @@ def test_pipeline_end_to_end_and_deterministic(tmp_path, capsys, set_lanes):
     manifest = json.loads(Path(out1, "manifest.json").read_text())
     assert manifest["config"]["trainer"]["total_steps"] == 120
     assert manifest["config"]["eval"]["n_tasks"] == 4
+
+
+def test_pipeline_banners_are_the_tracers_stage_marks(tmp_path, capsys):
+    # perfbench/tracer.py times cli.stage.<stage>_s from the printed line
+    # that starts with each stage's "[k/5]"; a banner reworded, dropped or
+    # moved would mislabel those spans in a traced run without failing it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    capsys.readouterr()
+    assert run(["pipeline", "--out-dir", str(tmp_path / "p"), "--seed", "3",
+                *PIPELINE_SETS, "--set", 'pipeline.methods=["bc"]',
+                "--set", "eval.n_tasks=1", "--set", "eval.n_trials=1"]) == 0
+    marks = [line[:5] for line in capsys.readouterr().out.splitlines()
+             if line[:5] in tracer.BANNERS]
+    assert marks == list(tracer.BANNERS)
 
 
 def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys,
@@ -855,7 +864,6 @@ def test_train_refuses_a_robot_other_than_the_datasets(field, pipeline_run,
 @pytest.mark.parametrize("method, pair, key", [
     ("iql_ca", "lr_value=-3e-4", "lr_value"),  # Adam would ascend the loss
     ("iql_ca", "lr_policy=0", "lr_policy"),
-    ("iql_ca", "log_std_min=3.0", "log_std_min"),  # above log_std_max
     ("iql_ca", "target_alpha=0.0", "target_alpha"),
     ("bc", "target_alpha=2.0", "target_alpha"),  # bc blends no targets
     ("bc", "batch_size=0", "batch_size"),
@@ -934,7 +942,7 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
                 {"config": []},
                 {"config": {k: v for k, v in config.items()
                             if k != "method"}},
-                {"config": {**config, "log_std_max": "high"}}):
+                {"profile": {**meta["profile"], "d_norm": "far"}}):
         save_checkpoint(bare, sections, {**meta, **bad})
         assert eval_code(bare) == 4
         assert "malformed checkpoint metadata" in capsys.readouterr().err
@@ -947,6 +955,49 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
     assert eval_code(bare) == 4
     assert "Bad CRC-32" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "e")
+
+
+# the four [trainer] settings that were the policy head's constants, at the
+# values every checkpoint written with them lists
+HEAD_SETTINGS = {"log_std_min": -5.0, "log_std_max": 2.0,
+                 "log_std_init": -0.5, "policy_final_scale": 0.01}
+
+
+def test_a_checkpoint_listing_the_head_settings_evaluates_as_before(
+        pipeline_run, tmp_path):
+    assert GaussianPolicyHead.LOG_STD_BOUNDS == (
+        HEAD_SETTINGS["log_std_min"], HEAD_SETTINGS["log_std_max"])
+    assert GaussianPolicyHead.LOG_STD_INIT == HEAD_SETTINGS["log_std_init"]
+    assert GaussianPolicyHead.FINAL_SCALE == \
+        HEAD_SETTINGS["policy_final_scale"]
+    argv = eval_argv(pipeline_run, "iql_ca", tmp_path / "e",
+                     "--set", "eval.n_trials=2")
+    at = argv.index("--checkpoint") + 1
+    sections, meta = load_checkpoint(argv[at])
+    argv[at] = str(tmp_path / "older.famlp")
+    save_checkpoint(argv[at], sections,
+                    {**meta, "config": {**meta["config"], **HEAD_SETTINGS}})
+    assert run(argv) == 0
+    piped = Path(pipeline_run, "eval", "iql_ca", "sparse", "result.json")
+    assert (tmp_path / "e" / "result.json").read_bytes() == \
+        piped.read_bytes()
+
+
+def test_an_echo_naming_a_head_setting_exits_three(pipeline_run, tmp_path,
+                                                  capsys):
+    # a config.echo written while the head's values were settings lists
+    # them under [trainer]
+    piped = Path(pipeline_run, "train", "iql_ca", "config.echo")
+    echo = tmp_path / "config.echo"
+    echo.write_text(piped.read_text().replace(
+        "[trainer]\n", "[trainer]\nlog_std_min = -5.0\n"))
+    capsys.readouterr()
+    assert run(["train", "--config", str(echo), "--dataset",
+                os.path.join(pipeline_run, "dataset.fanav"),
+                "--out-dir", str(tmp_path / "t")]) == 3
+    assert "unknown config key trainer.log_std_min" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_compare_refuses_a_world_twice(pipeline_run, tmp_path, capsys):

@@ -48,7 +48,7 @@ def make_net_policy(seed=0) -> NetworkPolicy:
     rng = np.random.default_rng(seed)
     mean = Mlp.initialized((PROFILE.dim, 16, 2), "relu", rng, final_scale=1e-2)
     head = GaussianPolicyHead(mean, PROFILE.action_scale,
-                              np.full(2, -0.5, mean.dtype), (-5.0, 2.0))
+                              np.full(2, -0.5, mean.dtype))
     return NetworkPolicy(head, PROFILE, name="random-net")
 
 

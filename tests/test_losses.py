@@ -51,7 +51,7 @@ def make_nets(seed=1):
     targets = [c.copy() for c in critics]
     mean = as_float64(Mlp.initialized((DIM, 16, 2), "relu", rng,
                                       final_scale=1e-2))
-    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5), (-5.0, 2.0))
+    policy = GaussianPolicyHead(mean, SCALE, np.full(2, -0.5))
     return value, critics, targets, policy
 
 

@@ -493,7 +493,7 @@ def make_head(seed=9, log_std=-0.5) -> GaussianPolicyHead:
     rng = np.random.default_rng(seed)
     net = cast(Mlp.initialized((6, 16, 2), "tanh", rng, final_scale=0.5),
                np.float64)
-    return GaussianPolicyHead(net, SCALE, np.full(2, log_std), (-5.0, 2.0))
+    return GaussianPolicyHead(net, SCALE, np.full(2, log_std))
 
 
 def test_mode_density_matches_closed_form():
