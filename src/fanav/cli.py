@@ -173,11 +173,12 @@ def _sha256_file(path: str) -> str:
 
 
 def write_manifest(path: str, command: str, argv: list[str],
-                   tree: ConfigTree, inputs: dict[str, str] | None = None,
+                   tree: ConfigTree, inputs: list[str] | None = None,
                    outputs: list[str] | None = None) -> None:
     """Write the run manifest atomically to ``path``, creating its
     directory: ``<out_dir>/manifest.json`` for a command that writes a
-    directory, ``<out>.manifest.json`` beside a command's output file."""
+    directory, ``<out>.manifest.json`` beside a command's output file. It
+    holds the SHA-256 of each file in ``inputs``."""
     digest = hashlib.sha256(
         json.dumps(tree, sort_keys=True).encode()).hexdigest()
     payload = {
@@ -188,7 +189,7 @@ def write_manifest(path: str, command: str, argv: list[str],
         "seed": tree["run"]["seed"],
         "config": tree,
         "config_digest": digest,
-        "inputs": {p: _sha256_file(p) for p in (inputs or {})},
+        "inputs": {p: _sha256_file(p) for p in (inputs or [])},
         "outputs": outputs or [],
         "started_unix": time.time(),
     }
@@ -310,9 +311,9 @@ def cmd_collect(args, argv) -> int:
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
         "mode": mode, "version": __version__}, args.out)
-    inputs = {args.world: None} if os.path.exists(args.world) else {}
     write_manifest(args.out + ".manifest.json", "collect", argv, tree,
-                   inputs=inputs, outputs=[args.out])
+                   inputs=[args.world] if os.path.exists(args.world) else [],
+                   outputs=[args.out])
     print(describe_dataset(ds))
     print(f"wrote {args.out}")
     return 0
@@ -329,7 +330,7 @@ def cmd_train(args, argv) -> int:
                           robot_of=(args.dataset, ds.profile.robot))
     cfg = trainer_from(tree, tree["run"]["seed"])
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "train",
-                   argv, tree, inputs={args.dataset: None})
+                   argv, tree, inputs=[args.dataset])
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
@@ -349,7 +350,7 @@ def cmd_eval(args, argv) -> int:
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
                      args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
-                   argv, tree, inputs={args.checkpoint: None, args.suite: None})
+                   argv, tree, inputs=[args.checkpoint, args.suite])
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
@@ -418,7 +419,7 @@ def cmd_pipeline(args, argv) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
-                   tree, inputs={args.config: None} if args.config else {})
+                   tree, inputs=[args.config] if args.config else [])
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     trajs = collect_to_ratio(collect_world, spec, episode, expert_cfg,

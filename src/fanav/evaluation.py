@@ -13,7 +13,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -36,6 +35,7 @@ from .sim import (
     Pose,
     RobotSpec,
     World,
+    read_directives,
     sample_task,
 )
 
@@ -125,39 +125,26 @@ def save_suite(suite: TaskSuite, path: str) -> None:
                  + suite.canonical_text())
 
 
-def _finite(path: str, lineno: int, fields: list[str]) -> list[float]:
-    try:
-        vals = [float(v) for v in fields]
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: non-numeric field")
-    if not all(map(math.isfinite, vals)):
-        raise ConfigError(f"{path}:{lineno}: non-finite value")
-    return vals
-
-
 def load_suite(path: str, episode: EpisodeConfig) -> TaskSuite:
     """Read a suite: a ``world <name>`` line, a ``radius <r>`` line, then
     one ``task sx sy sh gx gy`` line per task."""
-    heads, tasks = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(heads) < 2:
-                want = ("world", "radius")[len(heads)]
-                if parts[0] != want or len(parts) != 2:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected '{want} ...': a suite "
-                        "starts with its world and radius lines; re-create it")
-                heads.append(parts[1] if want == "world"
-                             else _finite(path, lineno, parts[1:])[0])
-                continue
-            if parts[0] != "task" or len(parts) != 6:
-                raise ConfigError(f"{path}:{lineno}: expected "
-                                  "'task sx sy sh gx gy'")
-            tasks.append(Task(*_finite(path, lineno, parts[1:])))
+        text = fh.read()
+    heads, tasks = [], []
+    for lineno, kind, args in read_directives(text, path, ConfigError,
+                                              words=("world",)):
+        if len(heads) < 2:
+            want = ("world", "radius")[len(heads)]
+            if kind != want or len(args) != 1:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected '{want} ...': a suite "
+                    "starts with its world and radius lines; re-create it")
+            heads.append(args[0])
+        elif kind != "task" or len(args) != 5:
+            raise ConfigError(f"{path}:{lineno}: expected "
+                              "'task sx sy sh gx gy'")
+        else:
+            tasks.append(Task(*args))
     if not tasks:
         raise ConfigError(f"{path}: empty suite")
     return TaskSuite(*heads, tasks, episode)
@@ -192,7 +179,10 @@ class NetworkPolicy:
             head = GaussianPolicyHead(
                 sections["policy_mean"].to_mlp(), profile.action_scale,
                 log_std=sections["policy_log_std"].params)
-            return cls(head, profile, name=meta["config"]["method"])
+            name = meta["config"]["method"]
+            if not isinstance(name, str):
+                raise TypeError(f"method {name!r} is not a name")
+            return cls(head, profile, name=name)
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: incomplete or malformed "
                                   f"checkpoint metadata ({exc!r})") from exc

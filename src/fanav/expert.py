@@ -35,18 +35,22 @@ from .sim import (
 CLEAN = "clean"
 PERTURBED = "perturbed"
 MAX_EPISODES = 100_000  # collect_to_ratio gives up after this many episodes
+# the reckless variant of the demonstrator that harvests collision episodes:
+# thin planning margins, long lookahead and full speed, whose systematic
+# corner-cutting produces genuine, state-attributable collisions
+HARVEST = {"lookahead": 0.7, "gain_heading": 2.0, "speed_scale": 1.0,
+           "noise_std_v": 0.3, "noise_std_omega": 1.0, "noise_prob": 0.15,
+           "plan_inflation": 0.0}
 
 
 class ExpertConfig(Settings, section="expert"):
     """Tuning knobs of the scripted demonstrator.
 
-    The primary fields describe the careful demonstrator used for success
+    The fields describe the careful demonstrator used for success
     demonstrations; mild per-step action noise decorrelates consecutive
     actions so clones cannot latch onto the velocity feedback channels.
-    The ``harvest_*`` fields describe a reckless variant (thin planning
-    margins, long lookahead, full speed) whose systematic corner-cutting
-    produces genuine, state-attributable collision episodes; the ratio
-    collector uses it to fill the collision partition.
+    The ratio collector fills the collision partition with a reckless
+    variant, these fields overridden by :data:`HARVEST`.
     """
 
     lookahead: float = setting(0.45, "> 0")  # meters ahead along the path
@@ -57,23 +61,6 @@ class ExpertConfig(Settings, section="expert"):
     noise_prob: float = setting(0.4, ">= 0", "<= 1")  # chance per step
     plan_inflation: float = setting(0.08, ">= 0")  # beyond the robot radius
     min_separation: float = setting(3.0, ">= 0")  # start to goal, sampling
-    harvest_lookahead: float = setting(0.7, "> 0")
-    harvest_gain: float = setting(2.0, "> 0")
-    harvest_speed: float = setting(1.0, "> 0", "<= 1")
-    harvest_noise_std_v: float = setting(0.3, ">= 0")
-    harvest_noise_std_omega: float = setting(1.0, ">= 0")
-    harvest_noise_prob: float = setting(0.15, ">= 0", "<= 1")
-    harvest_inflation: float = setting(0.0, ">= 0")
-
-    def harvest_profile(self) -> "ExpertConfig":
-        """The reckless variant used to harvest collision episodes."""
-        return replace(self, lookahead=self.harvest_lookahead,
-                       gain_heading=self.harvest_gain,
-                       speed_scale=self.harvest_speed,
-                       noise_std_v=self.harvest_noise_std_v,
-                       noise_std_omega=self.harvest_noise_std_omega,
-                       noise_prob=self.harvest_noise_prob,
-                       plan_inflation=self.harvest_inflation)
 
 
 class CollectConfig(Settings, section="collect"):
@@ -393,13 +380,13 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     transitions at the target collision fraction.
 
     Three phases: the careful demonstrator (perturbed mode) fills the
-    success side; the reckless harvest variant then runs until enough
-    collision transitions exist (its incidental successes are kept too);
-    finally whole trajectories are trimmed to land within ``ratio_tol`` of
-    the target (:func:`_trim_to_ratio`). While no trim can, one more
-    trajectory of the short side is collected, from the phase that fills
-    it. With a zero target only clean episodes run and collision
-    trajectories are dropped.
+    success side; the reckless variant, ``expert_cfg`` with :data:`HARVEST`'s
+    values, then runs until enough collision transitions exist (its
+    incidental successes are kept too); finally whole trajectories are
+    trimmed to land within ``ratio_tol`` of the target
+    (:func:`_trim_to_ratio`). While no trim can, one more trajectory of the
+    short side is collected, from the phase that fills it. With a zero
+    target only clean episodes run and collision trajectories are dropped.
 
     Episodes run one after another in this process, each on its own random
     stream derived from (seed, episode index).
@@ -428,8 +415,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 if stalled >= 500:
                     raise ConfigError(
                         "500 consecutive harvest episodes without a "
-                        "collision; loosen the harvest profile or lower "
-                        "target_col_ratio")
+                        "collision; lower target_col_ratio")
             if traj is not None and traj.outcome in kept:
                 kept[traj.outcome].append(traj)
                 n[traj.outcome] += len(traj)
@@ -439,7 +425,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
         return _trim_to_ratio(kept[SUCCESS], [], 0.0, ratio_tol,
                               min_transitions)
 
-    harvest = expert_cfg.harvest_profile()
+    harvest = replace(expert_cfg, **HARVEST)
     fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions),
          PERTURBED, expert_cfg)
     fill(COLLISION, math.ceil(target_col_ratio * min_transitions),

@@ -381,6 +381,29 @@ def load_world(path: str) -> World:
     return parse_world(text, source=path)
 
 
+def read_directives(text: str, source: str, error: type[Exception],
+                    words: tuple[str, ...] = ()):
+    """Each line of a line format (worlds, task suites) that holds more
+    than a ``#`` comment, as ``(lineno, directive, args)``. The args of a
+    directive in ``words`` stay strings; any other directive's are finite
+    floats, or ``error`` names ``source:lineno`` and the line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *args = line.split()
+        if kind not in words:
+            try:
+                args = [float(v) for v in args]
+            except ValueError:
+                raise error(f"{source}:{lineno}: non-numeric value in "
+                            f"'{line}'") from None
+            if not all(map(math.isfinite, args)):
+                raise error(f"{source}:{lineno}: non-finite value in "
+                            f"'{line}'")
+        yield lineno, kind, args
+
+
 def parse_world(text: str, source: str = "<string>") -> World:
     bounds: tuple[float, float] | None = None
     obstacles: list[Shape] = []
@@ -389,24 +412,13 @@ def parse_world(text: str, source: str = "<string>") -> World:
     def fail(lineno: int, msg: str):
         raise WorldFormatError(f"{source}:{lineno}: {msg}")
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
+    for lineno, kind, vals in read_directives(text, source, WorldFormatError,
+                                              words=("name",)):
         if kind == "name":
-            if len(args) != 1:
+            if len(vals) != 1:
                 fail(lineno, "name takes exactly one identifier")
-            name = args[0]
-            continue
-        try:
-            vals = [float(v) for v in args]
-        except ValueError:
-            fail(lineno, f"non-numeric value in '{line}'")
-        if not all(map(math.isfinite, vals)):
-            fail(lineno, f"non-finite value in '{line}'")
-        if kind == "bounds":
+            name = vals[0]
+        elif kind == "bounds":
             if len(vals) != 2:
                 fail(lineno, "bounds takes width and height")
             if bounds is not None:

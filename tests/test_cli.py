@@ -361,6 +361,16 @@ def test_each_numeric_setting_has_a_bound():
     assert unbounded == set()
 
 
+def test_a_harvest_key_is_unknown(tmp_path, capsys):
+    # the collision harvest's values are expert.HARVEST, not settings
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), "--set",
+                "expert.harvest_noise_prob=0.2"]) == 3
+    assert "unknown config key expert.harvest_noise_prob" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_resolution_order(tmp_path, monkeypatch):
     cfg = tmp_path / "c.toml"
     cfg.write_text("[run]\nseed = 42\n")
@@ -942,6 +952,9 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
                 {"config": []},
                 {"config": {k: v for k, v in config.items()
                             if k != "method"}},
+                # compare would table the result under such a method
+                {"config": {**config, "method": 7}},
+                {"config": {**config, "method": ["bc"]}},
                 {"profile": {**meta["profile"], "d_norm": "far"}}):
         save_checkpoint(bare, sections, {**meta, **bad})
         assert eval_code(bare) == 4

@@ -1,5 +1,6 @@
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_expert_config_validation():
     with pytest.raises(ConfigError):
         ExpertConfig(noise_std_v=-0.1)
     with pytest.raises(ConfigError):
-        ExpertConfig(harvest_noise_std_omega=-0.1)
+        ExpertConfig(noise_std_omega=-0.1)
     with pytest.raises(ConfigError):
         ExpertConfig(speed_scale=0.0)
     for bad in (-1.0, float("nan")):
@@ -347,7 +348,7 @@ def test_run_episode_fixed_task_is_deterministic():
 
 RATIO_WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
                            Circle(6, 2.5, 0.6)))
-HARVEST = ExpertConfig().harvest_profile()
+HARVEST = replace(ExpertConfig(), **expert.HARVEST)
 
 
 def as_values(trajs):
