@@ -20,11 +20,14 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
 from functools import partial
 from importlib import resources
+
+import numpy as np
 
 from . import __version__
 from .configfile import (ConfigTree, Settings, format_config,
@@ -172,13 +175,29 @@ def _sha256_file(path: str) -> str:
         return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
+def numeric_platform() -> dict:
+    """What a run's bits depend on beyond fanav: Python, numpy, the BLAS
+    numpy was built with and the CPU model. It reads files only, so it
+    starts no subprocess, as ``platform.processor()`` would."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), None)
+    except OSError:  # not Linux
+        cpu = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
+
+
 def write_manifest(path: str, command: str, argv: list[str],
                    tree: ConfigTree, inputs: list[str] | None = None,
                    outputs: list[str] | None = None) -> None:
     """Write the run manifest atomically to ``path``, creating its
     directory: ``<out_dir>/manifest.json`` for a command that writes a
     directory, ``<out>.manifest.json`` beside a command's output file. It
-    holds the SHA-256 of each file in ``inputs``."""
+    holds the SHA-256 of each file in ``inputs`` and the
+    :func:`numeric_platform`."""
     digest = hashlib.sha256(
         json.dumps(tree, sort_keys=True).encode()).hexdigest()
     payload = {
@@ -191,6 +210,7 @@ def write_manifest(path: str, command: str, argv: list[str],
         "config_digest": digest,
         "inputs": {p: _sha256_file(p) for p in (inputs or [])},
         "outputs": outputs or [],
+        "platform": numeric_platform(),
         "started_unix": time.time(),
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -422,9 +442,10 @@ def cmd_pipeline(args, argv) -> int:
                    tree, inputs=[args.config] if args.config else [])
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
-    trajs = collect_to_ratio(collect_world, spec, episode, expert_cfg,
-                             seed=seed, **tree["collect"])
-    ds = dataset_stage(trajs, collect_world, spec, episode, {
+    # no name holds the episodes, so they are freed once they are encoded
+    ds = dataset_stage(collect_to_ratio(
+        collect_world, spec, episode, expert_cfg, seed=seed,
+        **tree["collect"]), collect_world, spec, episode, {
         "command": "pipeline", "seed": seed, "world": collect_world.name,
         "version": __version__}, os.path.join(out, "dataset.fanav"))
     print(describe_dataset(ds))

@@ -137,8 +137,8 @@ class TransitionBlock:
         return self.features.shape[0]
 
     @classmethod
-    def empty(cls, dim: int) -> "TransitionBlock":
-        return cls(**{c: np.empty(_column_shape(c, 0, dim), dtype)
+    def empty(cls, dim: int, n: int = 0) -> "TransitionBlock":
+        return cls(**{c: np.empty(_column_shape(c, n, dim), dtype)
                       for c, (dtype, _) in _COLUMNS.items()})
 
     def equals(self, other: "TransitionBlock") -> bool:
@@ -191,34 +191,33 @@ def _transition_rewards(features: np.ndarray, next_features: np.ndarray,
 def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
                   episode_cfg: EpisodeConfig,
                   meta: dict | None = None) -> OfflineDataset:
-    """Encode labeled trajectories into a partitioned dataset.
+    """Encode labeled trajectories into a partitioned dataset, writing each
+    trajectory's rows straight into its partition's preallocated columns.
 
     Dense rewards are computed from the float32-quantized encoded distances
     so that a reward audit against the stored features is exact to well
     under 1e-6; terminal rewards keep their exact configured values.
     """
-    parts: dict[str, list[dict]] = {SUCCESS: [], COLLISION: []}
+    rows, filled = {SUCCESS: 0, COLLISION: 0}, {SUCCESS: 0, COLLISION: 0}
     for traj in trajectories:
-        if traj.outcome not in parts:
+        if traj.outcome not in rows:
             raise ConfigError(
                 f"trajectory {traj.traj_id} has outcome '{traj.outcome}', "
                 "only success/collision trajectories belong in a dataset")
+        rows[traj.outcome] += len(traj.actions)
+    blocks = {o: TransitionBlock.empty(profile.dim, n) for o, n in rows.items()}
+    for traj in trajectories:
+        block, T = blocks[traj.outcome], len(traj.actions)
+        at = slice(filled[traj.outcome], filled[traj.outcome] + T)
+        filled[traj.outcome] += T
         feats = np.stack([encode_state(s, profile) for s in traj.states])
-        T = len(traj.actions)
-        dones = np.arange(T) == T - 1
-        parts[traj.outcome].append({
-            "features": feats[:-1],
-            "actions": [(a.v_cmd, a.omega_cmd) for a in traj.actions],
-            "rewards": _transition_rewards(feats[:-1], feats[1:], dones,
-                                           traj.outcome, profile, episode_cfg),
-            "next_features": feats[1:], "dones": dones,
-            "traj_ids": np.full(T, traj.traj_id), "step_ids": np.arange(T)})
-    exp, col = (TransitionBlock(**{
-        c: np.concatenate([np.asarray(t[c], dtype) for t in trajs])
-        for c, (dtype, _) in _COLUMNS.items()})
-        if trajs else TransitionBlock.empty(profile.dim)
-        for trajs in (parts[SUCCESS], parts[COLLISION]))
-    return OfflineDataset(exp, col, profile, dict(meta or {}))
+        block.dones[at] = dones = np.arange(T) == T - 1
+        block.features[at], block.next_features[at] = feats[:-1], feats[1:]
+        block.actions[at] = [(a.v_cmd, a.omega_cmd) for a in traj.actions]
+        block.rewards[at] = _transition_rewards(
+            feats[:-1], feats[1:], dones, traj.outcome, profile, episode_cfg)
+        block.traj_ids[at], block.step_ids[at] = traj.traj_id, np.arange(T)
+    return OfflineDataset(*blocks.values(), profile, dict(meta or {}))
 
 
 def audit_rewards(ds: OfflineDataset, episode_cfg: EpisodeConfig) -> float:

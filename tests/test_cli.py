@@ -2,7 +2,9 @@ import importlib.util
 import json
 import math
 import os
+import platform
 import re
+import subprocess
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -673,6 +675,45 @@ def test_pipeline_writes_every_artifact_the_benchmark_reads(pipeline_run,
     for rel in paths:
         path = os.path.join(pipeline_run, rel)
         assert os.path.isfile(path) and os.path.getsize(path) > 0, rel
+
+
+def test_every_manifest_records_the_numeric_platform(pipeline_run, tmp_path,
+                                                     monkeypatch):
+    # the record reads files only: platform.processor() would start
+    # `uname -p`, a child whose peak memory is its parent's
+    def no_child(*args, **kwargs):
+        raise AssertionError(f"a manifest started a process: {args}")
+
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    monkeypatch.setattr(os, "fork", no_child)
+    out = str(tmp_path / "g.world")
+    assert run(["gen-world", "--density", "0.1", "--out", out]) == 0
+    record = json.loads(Path(out + ".manifest.json").read_text())["platform"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert record == {"python": platform.python_version(),
+                      "numpy": np.__version__,
+                      "blas": f"{blas['name']} {blas['version']}",
+                      "cpu": record["cpu"]}
+    assert record["cpu"] in Path("/proc/cpuinfo").read_text()
+    piped = json.loads(Path(pipeline_run, "manifest.json").read_text())
+    assert piped["platform"] == record
+
+
+def test_peak_rss_tool_runs_one_command_and_keeps_its_exit_code(tmp_path):
+    tool = [sys.executable, str(ROOT / "tools" / "peak_rss.py")]
+    out = tmp_path / "g.world"
+    done = subprocess.run([*tool, "gen-world", "--density", "0.1", "--out",
+                           str(out)], capture_output=True, text=True)
+    assert done.returncode == 0 and out.exists()
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("wrote ")
+    assert re.fullmatch(r"peak_rss_mb \d+\.\d\d \(\d+\.\d MiB\)", lines[-1])
+    # numpy alone takes more than 10 MB
+    assert float(lines[-1].split()[1]) > 10
+    argv = ["dataset", "inspect", str(tmp_path / "none.fanav")]
+    failed = subprocess.run([*tool, *argv], capture_output=True, text=True)
+    assert failed.returncode == run(argv) != 0
+    assert failed.stdout.startswith("peak_rss_mb ")
 
 
 def eval_argv(pipeline_run, method, out_dir, *extra, world="sparse",

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import zipfile
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +21,7 @@ from fanav.data import (
     PooledSampler,
     StratifiedSampler,
     TransitionBlock,
+    _COLUMNS,
     _transition_rewards,
     audit_rewards,
     build_dataset,
@@ -38,14 +40,10 @@ EPISODE = EpisodeConfig()
 PROFILE = EncoderProfile.from_world_spec(WORLD, SPEC)
 
 
-def toy_dataset(min_transitions=1200, seed=4) -> OfflineDataset:
-    trajs = collect_to_ratio(WORLD, SPEC, EPISODE, ExpertConfig(),
-                             min_transitions=min_transitions,
-                             target_col_ratio=0.1, seed=seed, ratio_tol=0.02)
-    return build_dataset(trajs, PROFILE, EPISODE, meta={"seed": seed})
-
-
-DS = toy_dataset()
+TRAJS = collect_to_ratio(WORLD, SPEC, EPISODE, ExpertConfig(),
+                         min_transitions=1200, target_col_ratio=0.1, seed=4,
+                         ratio_tol=0.02)
+DS = build_dataset(TRAJS, PROFILE, EPISODE, meta={"seed": 4})
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +161,60 @@ def test_build_dataset_matches_a_per_transition_reference():
         for column, values in zip(vars(block).values(),
                                   zip(*rows[outcome])):
             assert np.array_equal(column, np.array(values, column.dtype))
+
+
+def staged_build(trajectories, profile, episode) -> list[TransitionBlock]:
+    """The success and collision blocks as the build before the one-pass
+    one made them: every trajectory's columns staged, then concatenated.
+    Kept as the reference the one-pass build must equal."""
+    parts = {SUCCESS: [], COLLISION: []}
+    for traj in trajectories:
+        feats = np.stack([encode_state(s, profile) for s in traj.states])
+        T = len(traj.actions)
+        dones = np.arange(T) == T - 1
+        parts[traj.outcome].append({
+            "features": feats[:-1],
+            "actions": [(a.v_cmd, a.omega_cmd) for a in traj.actions],
+            "rewards": _transition_rewards(feats[:-1], feats[1:], dones,
+                                           traj.outcome, profile, episode),
+            "next_features": feats[1:], "dones": dones,
+            "traj_ids": np.full(T, traj.traj_id), "step_ids": np.arange(T)})
+    return [TransitionBlock(**{
+        c: np.concatenate([np.asarray(t[c], dtype) for t in trajs])
+        for c, (dtype, _) in _COLUMNS.items()})
+        if trajs else TransitionBlock.empty(profile.dim)
+        for trajs in (parts[SUCCESS], parts[COLLISION])]
+
+
+@pytest.mark.parametrize("outcomes", [(SUCCESS, COLLISION), (SUCCESS,),
+                                      (COLLISION,)])
+def test_one_pass_build_equals_the_staged_build(outcomes):
+    trajs = [t for t in TRAJS if t.outcome in outcomes]
+    ds = build_dataset(trajs, PROFILE, EPISODE)
+    assert (ds.n_exp > 0, ds.n_col > 0) == (SUCCESS in outcomes,
+                                           COLLISION in outcomes)
+    for block, ref in zip((ds.exp, ds.col),
+                          staged_build(trajs, PROFILE, EPISODE)):
+        for c in _COLUMNS:
+            got, want = getattr(block, c), getattr(ref, c)
+            assert got.dtype == want.dtype and got.shape == want.shape, c
+            assert np.array_equal(got, want), c
+
+
+def test_build_dataset_holds_each_column_once():
+    # the staged build held every column twice, staged and concatenated;
+    # one pass holds the columns plus one trajectory's temporaries
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ds = build_dataset(TRAJS, PROFILE, EPISODE)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    nbytes = sum(getattr(block, c).nbytes for block in (ds.exp, ds.col)
+                 for c in _COLUMNS)
+    longest = max(len(t.actions) for t in TRAJS) * nbytes / ds.n_total
+    assert peak < nbytes + longest + 64 * 1024, (peak, nbytes, longest)
 
 
 def test_collision_ratio_near_target():
