@@ -29,9 +29,12 @@ def write(path: str, kind: str, meta: dict,
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         zf.writestr(zipfile.ZipInfo(_HEADER, _STAMP), header)
         for name, arr in arrays.items():
+            # np.save's bytes, written from the array's own buffer
+            arr = np.ascontiguousarray(arr)
             with zf.open(zipfile.ZipInfo(f"{name}.npy", _STAMP), "w") as fh:
-                np.lib.format.write_array(fh, np.ascontiguousarray(arr),
-                                          allow_pickle=False)
+                np.lib.format.write_array_header_1_0(
+                    fh, np.lib.format.header_data_from_array_1_0(arr))
+                fh.write(arr.reshape(-1).view(np.uint8))
 
 
 def read(path: str, kind: str) -> tuple[dict, dict[str, np.ndarray]]:

@@ -77,7 +77,7 @@ class PipelineConfig(Settings, section="pipeline"):
 
     collect_world: str = "cluttered"
     eval_worlds: tuple[str, ...] = BUNDLED_WORLDS
-    methods: tuple[str, ...] = setting(METHODS, among=METHODS)
+    methods: tuple[str, ...] = setting(tuple(METHODS), among=METHODS)
 
     def __post_init__(self):
         super().__post_init__()
@@ -378,8 +378,8 @@ def cmd_eval(args, argv) -> int:
 
 
 def _method_sort_key(method: str):
-    return (METHODS.index(method) if method in METHODS else len(METHODS),
-            method)
+    return (list(METHODS).index(method) if method in METHODS
+            else len(METHODS), method)
 
 
 def cmd_compare(args, argv) -> int:

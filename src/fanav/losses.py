@@ -7,8 +7,9 @@ target is a constant to the critic loss, and the advantage weights are
 constants to the policy loss. No gradient crosses between them.
 
 The policy losses enforce the asymmetry contract: batches that contain
-collision-labeled transitions are rejected. The pooled-data trainer that
-deliberately mixes partitions calls the unguarded core instead.
+collision-labeled transitions are rejected. A method whose policy batches
+are pooled (a row of ``trainers.METHODS``) weights them with
+``awr_weights`` and calls the unguarded core, ``weighted_nll_and_grads``.
 """
 from __future__ import annotations
 

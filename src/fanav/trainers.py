@@ -1,16 +1,10 @@
-"""Offline trainers: behavior cloning and three IQL variants.
+"""Offline trainers: behavior cloning and three IQL variants in one loop.
 
-The central method ("iql_ca") trains the value and critic networks on
-stratified batches that mix success and collision transitions, while the
-policy is extracted from success transitions only. Per step the update
-order is fixed: value, critics, target blend, policy. The other methods are
-controlled degenerations of the same loop:
-
-* ``iql_so``  - identical loop with the collision ratio forced to zero and
-  success-only batches everywhere.
-* ``iql_dm``  - identical loop with every batch drawn uniformly from the
-  pooled dataset, collision transitions reaching the policy loss included.
-* ``bc``      - policy-only updates with unit weights.
+Each method is a row of :data:`METHODS`: what its value and critic batches
+hold, what its policy batches hold, and how its policy weights them. The
+central row, ``iql_ca``, mixes collision rows into the critic batches only;
+the others are controlled degenerations of it. Per step the update order
+is fixed: value, critics, target blend, policy.
 
 Runs are bit-reproducible for a given config: network init and each
 sampler use independent child streams of the config seed, and the loop
@@ -58,7 +52,23 @@ from .nets import (
     soft_update,
 )
 
-METHODS = ("bc", "iql_so", "iql_dm", "iql_ca")
+
+@dataclass(frozen=True)
+class Recipe:
+    """A row of :data:`METHODS`: the batches of the value and critic nets
+    (``None``: no such nets), those of the policy, and its weights."""
+
+    critic: str | None  # "stratified_rho", "stratified_0" or "pooled"
+    policy: str  # "success" or "pooled"
+    weights: str  # "unit" or "advantage"
+
+
+METHODS = {
+    "bc": Recipe(None, "success", "unit"),
+    "iql_so": Recipe("stratified_0", "success", "advantage"),
+    "iql_dm": Recipe("pooled", "pooled", "advantage"),
+    "iql_ca": Recipe("stratified_rho", "success", "advantage"),
+}
 
 
 class TrainerConfig(Settings, section="trainer"):
@@ -73,7 +83,8 @@ class TrainerConfig(Settings, section="trainer"):
     gamma: float = setting(0.99, ">= 0", "< 1")
     weight_temp: float = setting(1.0, "> 0")  # beta of the advantage weights
     max_weight: float = setting(100.0, ">= 1")
-    rho: float = setting(0.015, ">= 0", "< 1")  # collision share, critics
+    # the collision share of a "stratified_rho" critic batch
+    rho: float = setting(0.015, ">= 0", "< 1")
     batch_size: int = setting(256, ">= 1")
     lr_value: float = setting(3e-4, "> 0")
     lr_critic: float = setting(3e-4, "> 0")
@@ -119,10 +130,9 @@ class TrainReport:
     final_digest: str = ""
 
     def note_critic_batch(self, n_col: int) -> None:
-        self.critic_col_min = n_col if self.critic_col_min is None \
-            else min(self.critic_col_min, n_col)
-        self.critic_col_max = n_col if self.critic_col_max is None \
-            else max(self.critic_col_max, n_col)
+        lo, hi = self.critic_col_min, self.critic_col_max
+        self.critic_col_min = n_col if lo is None else min(lo, n_col)
+        self.critic_col_max = n_col if hi is None else max(hi, n_col)
 
     def to_csv(self) -> str:
         """A header of the ``EpochRow`` field names, then one line per row:
@@ -152,20 +162,16 @@ class TrainResult:
 
     def checkpoint_sections(self, include_all: bool = False
                             ) -> dict[str, Section]:
-        secs = {
-            "policy_mean": Section(self.policy.mean_net.widths,
-                                   self.policy.mean_net.activation,
-                                   self.policy.mean_net.theta),
-            "policy_log_std": Section((2,), "none", self.policy.log_std),
-        }
+        def of(net: Mlp) -> Section:
+            return Section(net.widths, net.activation, net.theta)
+
+        secs = {"policy_mean": of(self.policy.mean_net),
+                "policy_log_std": Section((2,), "none", self.policy.log_std)}
         if include_all and self.value_net is not None:
-            secs["value"] = Section(self.value_net.widths,
-                                    self.value_net.activation,
-                                    self.value_net.theta)
+            secs["value"] = of(self.value_net)
             for i, (c, t) in enumerate(zip(self.critics, self.target_critics)):
-                secs[f"critic_{i}"] = Section(c.widths, c.activation, c.theta)
-                secs[f"target_critic_{i}"] = Section(t.widths, t.activation,
-                                                     t.theta)
+                secs[f"critic_{i}"] = of(c)
+                secs[f"target_critic_{i}"] = of(t)
         return secs
 
 
@@ -180,6 +186,15 @@ def _sum_sq(vec: np.ndarray) -> float:
     return float(v @ v)
 
 
+def _sampler(kind: str, ds: OfflineDataset, cfg: TrainerConfig, seed):
+    if kind == "pooled":
+        return PooledSampler(ds, cfg.batch_size, seed)
+    if kind == "success":
+        return ExpSampler(ds, cfg.batch_size, seed)
+    rho = cfg.rho if kind == "stratified_rho" else 0.0
+    return StratifiedSampler(ds, rho, cfg.batch_size, seed)
+
+
 def train(ds: OfflineDataset, cfg: TrainerConfig,
           out_dir: str | None = None,
           trace_params: bool = False) -> TrainResult:
@@ -188,8 +203,9 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     ``trace_params`` records a digest of every network after each step,
     which the equivalence tests use to compare runs bit-for-bit.
     """
-    if cfg.method == "iql_ca" and ds.n_col == 0:
-        raise ConfigError("iql_ca needs a non-empty collision partition")
+    recipe = METHODS[cfg.method]
+    if recipe.critic == "stratified_rho" and ds.n_col == 0:
+        raise ConfigError(f"{cfg.method}: empty collision partition")
     if ds.n_exp == 0:
         raise ConfigError("empty success partition")
 
@@ -197,21 +213,20 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     action_scale = profile.action_scale
     obs_dim = profile.dim
 
-    ss = np.random.SeedSequence(cfg.seed)
-    child = ss.spawn(6)
+    # child streams 3 and 4 draw the critic and policy batches; child[5] is
+    # reserved so adding a stream later cannot shift existing ones
+    child = np.random.SeedSequence(cfg.seed).spawn(6)
     rng_value = np.random.default_rng(child[0])
     rng_q = np.random.default_rng(child[1])
     rng_policy = np.random.default_rng(child[2])
-    seed_critic_sampler = child[3]
-    seed_policy_sampler = child[4]
-    # child[5] reserved so adding a stream later cannot shift existing ones
 
     # networks and Adam moments are float32, the nets' default
+    uses_critics = recipe.critic is not None
     value_net = Mlp.initialized((obs_dim, *cfg.hidden, 1), cfg.activation,
-                                rng_value)
+                                rng_value) if uses_critics else None
     critics = [Mlp.initialized((obs_dim + 2, *cfg.hidden, 1), cfg.activation,
                                rng_q)
-               for _ in range(cfg.n_critics)]
+               for _ in range(cfg.n_critics if uses_critics else 0)]
     target_critics = [c.copy() for c in critics]
     mean_net = Mlp.initialized((obs_dim, *cfg.hidden, 2), cfg.activation,
                                rng_policy,
@@ -220,28 +235,20 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
         mean_net, action_scale,
         log_std=np.full(2, GaussianPolicyHead.LOG_STD_INIT))
 
-    opt_value = AdamState.for_params(value_net.n_params, cfg.lr_value)
+    opt_value = AdamState.for_params(value_net.n_params, cfg.lr_value) \
+        if uses_critics else None
     opt_critics = [AdamState.for_params(c.n_params, cfg.lr_critic)
                    for c in critics]
     opt_mean = AdamState.for_params(mean_net.n_params, cfg.lr_policy)
     opt_log_std = AdamState.for_params(2, cfg.lr_policy)
 
-    uses_critics = cfg.method != "bc"
-    rho = cfg.rho if cfg.method == "iql_ca" else 0.0
-    if cfg.method == "iql_dm":
-        critic_sampler = PooledSampler(ds, cfg.batch_size, seed_critic_sampler)
-        policy_sampler = PooledSampler(ds, cfg.batch_size, seed_policy_sampler)
-    else:
-        critic_sampler = StratifiedSampler(
-            ds, rho, cfg.batch_size, seed_critic_sampler) \
-            if uses_critics else None
-        policy_sampler = ExpSampler(ds, cfg.batch_size, seed_policy_sampler)
+    critic_sampler = _sampler(recipe.critic, ds, cfg, child[3]) \
+        if uses_critics else None
+    policy_sampler = _sampler(recipe.policy, ds, cfg, child[4])
 
     report = TrainReport(method=cfg.method)
-    result = TrainResult(profile, policy,
-                         value_net if uses_critics else None,
-                         critics if uses_critics else [],
-                         target_critics if uses_critics else [], report)
+    result = TrainResult(profile, policy, value_net, critics, target_critics,
+                         report)
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -263,66 +270,60 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     t_epoch = t_start
 
     for step in range(1, cfg.total_steps + 1):
+        loss_v = loss_q = grad_v_sq = grad_q_sq = n_col = 0
         if uses_critics:
             batch = critic_sampler.sample()
-            report.note_critic_batch(batch.n_collision)
+            n_col = batch.n_collision
+            report.note_critic_batch(n_col)
             x_sa = critic_inputs(batch.features, batch.actions, action_scale)
             q_hat = min_target_q(target_critics, x_sa)
 
             loss_v, g_v = guarded("value", step, lambda: value_loss_and_grad(
                 value_net, batch.features, q_hat, cfg.expectile))
             adam_step(value_net.theta, g_v, opt_value)
+            grad_v_sq = _sum_sq(g_v)
 
             y = td_targets(value_net, batch.rewards, batch.next_features,
                            batch.dones, cfg.gamma)
             loss_q, g_qs = guarded("critic", step, lambda: critic_loss_and_grads(
                 critics, x_sa, y))
-            grad_q_sq = 0.0
             for c, g, opt in zip(critics, g_qs, opt_critics):
                 grad_q_sq += _sum_sq(g)
                 adam_step(c.theta, g, opt)
             for c, t in zip(critics, target_critics):
                 soft_update(t.theta, c.theta, cfg.target_alpha)
-        else:
-            loss_v = loss_q = 0.0
-            g_v = None
-            grad_q_sq = 0.0
 
         pbatch = policy_sampler.sample()
         report.policy_collision_count += pbatch.n_collision
-        if cfg.method == "bc":
+        if recipe.weights == "unit":
             adv = np.zeros(len(pbatch))
             w = np.ones(len(pbatch))
             loss_pi, g_mean, g_ls = guarded(
                 "policy", step, lambda: bc_loss_and_grads(policy, pbatch))
-        elif cfg.method == "iql_dm":
-            adv = advantages(target_critics, value_net, pbatch.features,
-                             pbatch.actions, action_scale)
-            w = awr_weights(adv, cfg.weight_temp, cfg.max_weight)
-            loss_pi, g_mean, g_ls = guarded(
-                "policy", step, lambda: weighted_nll_and_grads(
-                    policy, pbatch.features, pbatch.actions, w))
         else:
             adv = advantages(target_critics, value_net, pbatch.features,
                              pbatch.actions, action_scale)
-            loss_pi, g_mean, g_ls, w = guarded(
-                "policy", step, lambda: awr_loss_and_grads(
-                    policy, pbatch, adv, cfg.weight_temp, cfg.max_weight))
+            if recipe.policy == "pooled":
+                w = awr_weights(adv, cfg.weight_temp, cfg.max_weight)
+                loss_pi, g_mean, g_ls = guarded(
+                    "policy", step, lambda: weighted_nll_and_grads(
+                        policy, pbatch.features, pbatch.actions, w))
+            else:
+                loss_pi, g_mean, g_ls, w = guarded(
+                    "policy", step, lambda: awr_loss_and_grads(
+                        policy, pbatch, adv, cfg.weight_temp, cfg.max_weight))
         adam_step(mean_net.theta, g_mean, opt_mean)
         adam_step(policy.log_std, g_ls, opt_log_std)
 
-        acc.add(loss_v, loss_q, loss_pi,
-                _sum_sq(g_v) if g_v is not None else 0.0, grad_q_sq,
-                _sum_sq(g_mean) + _sum_sq(g_ls),
-                batch.n_collision if uses_critics else 0,
+        acc.add(loss_v, loss_q, loss_pi, grad_v_sq, grad_q_sq,
+                _sum_sq(g_mean) + _sum_sq(g_ls), n_col,
                 float(adv.mean()), float(w.mean()), float(w.max()))
 
         if trace_params:
-            nets = [mean_net.theta, policy.log_std]
-            if uses_critics:
-                nets += [value_net.theta] + [c.theta for c in critics] \
-                    + [t.theta for t in target_critics]
-            result.param_trace.append(params_digest(*nets))
+            nets = [value_net, *critics, *target_critics] if uses_critics \
+                else []
+            result.param_trace.append(params_digest(
+                mean_net.theta, policy.log_std, *(n.theta for n in nets)))
 
         if step % cfg.epoch_steps == 0 or step == cfg.total_steps:
             now = time.perf_counter()
@@ -363,7 +364,6 @@ class _EpochAccumulator:
         self.w_max = max(self.w_max, w_max)
 
     def to_row(self, epoch: int, step: int, seconds: float) -> EpochRow:
-        n = max(1, self.n)
-        s = self.sums / n
+        s = self.sums / self.n
         return EpochRow(epoch, step, s[0], s[1], s[2], s[3], s[4], s[5],
                         self.col, s[6], s[7], self.w_max, seconds)

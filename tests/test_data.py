@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fanav import binio
 from fanav.errors import DataFormatError, ShapeError
 from fanav.expert import CLEAN, PERTURBED, ExpertConfig, collect_to_ratio
 from fanav.geometry import Circle, Rect
@@ -346,6 +348,46 @@ def test_roundtrip_bitwise(tmp_path):
     assert loaded.col.equals(DS.col)
     assert loaded.profile == DS.profile
     assert loaded.meta == DS.meta
+
+
+def test_members_hold_write_arrays_bytes(tmp_path):
+    # binio writes each array from its own buffer, not through a copy
+    arrays = {"empty": np.zeros((0, 7), np.float32),
+              "flat": np.arange(5, dtype=np.float32),
+              "grid": np.arange(12, dtype=np.float32).reshape(3, 4),
+              "bytes": np.arange(9, dtype=np.uint8),
+              "ids": np.arange(-3, 3, dtype=np.int64),
+              "flags": np.array([True, False, True])}
+    path = tmp_path / "arrays.bin"
+    binio.write(str(path), "test", {}, arrays)
+    with zipfile.ZipFile(path) as zf:
+        for name, arr in arrays.items():
+            expected = io.BytesIO()
+            np.lib.format.write_array(expected, arr, allow_pickle=False)
+            assert zf.read(f"{name}.npy") == expected.getvalue(), name
+    _, loaded = binio.read(str(path), "test")
+    for name, arr in arrays.items():
+        assert loaded[name].dtype == arr.dtype
+        assert np.array_equal(loaded[name], arr), name
+
+
+def test_save_dataset_copies_no_column(tmp_path):
+    rng = np.random.default_rng(0)
+    n, dim = 8000, PROFILE.dim
+    block = TransitionBlock(
+        rng.random((n, dim), np.float32), rng.random((n, 2), np.float32),
+        rng.random(n, np.float32), rng.random((n, dim), np.float32),
+        np.zeros(n, np.uint8), np.zeros(n, np.int64), np.zeros(n, np.int32))
+    ds = OfflineDataset(block, TransitionBlock.empty(dim), PROFILE, {})
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_dataset(ds, str(tmp_path / "big.fanav"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # a copy of the largest column would be n * dim * 4 bytes
+    assert peak < n * dim * 4 // 8, peak
 
 
 def rewrite_header(src, dst, **changes):

@@ -1,5 +1,11 @@
+import hashlib
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +15,10 @@ from fanav.data import (
     EncoderProfile,
     OfflineDataset,
     TransitionBlock,
+    round_half_up,
+    save_dataset,
 )
-from fanav import binio
+from fanav import binio, trainers
 from fanav.nets import load_checkpoint
 from fanav.sim import RobotSpec
 from fanav.trainers import (
@@ -83,6 +91,7 @@ def synthetic_dataset(n_traj=12, traj_len=18, seed=0,
                           {"synthetic": True})
 
 
+ROOT = Path(__file__).resolve().parents[1]
 DS = synthetic_dataset()
 
 
@@ -115,10 +124,12 @@ def test_config_roundtrip():
     assert again == cfg
 
 
-def test_ca_requires_collision_partition():
+@pytest.mark.parametrize("method", [m for m, r in METHODS.items()
+                                    if r.critic == "stratified_rho"])
+def test_ca_requires_collision_partition(method):
     empty_col = OfflineDataset(DS.exp, TransitionBlock.empty(DIM), PROFILE)
     with pytest.raises(ConfigError, match="collision"):
-        train(empty_col, quick_config(total_steps=5))
+        train(empty_col, quick_config(method=method, total_steps=5))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -169,26 +180,59 @@ def test_degenerate_rho_collapses_to_so():
     assert np.array_equal(ca.critics[0].theta, so.critics[0].theta)
 
 
-def test_asymmetry_guard_counters():
-    res = train(DS, quick_config(method="iql_ca", total_steps=200))
-    assert res.report.policy_collision_count == 0
-    # stratified critic batches carry the exact per-batch collision count
-    n_expected = round(0.1 * 64)
-    assert res.report.critic_col_min == n_expected
-    assert res.report.critic_col_max == n_expected
-    assert sum(r.collision_in_critic for r in res.report.rows) \
-        == 200 * n_expected
+@pytest.mark.parametrize("method", METHODS)
+def test_each_row_feeds_its_nets_the_batches_it_names(method):
+    recipe = METHODS[method]
+    cfg = quick_config(method=method, total_steps=200)
+    report = train(DS, cfg).report
+    critic_rows = sum(r.collision_in_critic for r in report.rows)
+    if recipe.critic is None:
+        assert report.critic_col_min is None and critic_rows == 0
+    elif recipe.critic == "pooled":
+        assert critic_rows > 0
+    else:
+        # a stratified batch holds exactly round(rho * B) collision rows
+        rho = cfg.rho if recipe.critic == "stratified_rho" else 0.0
+        n_expected = round_half_up(rho * cfg.batch_size)
+        assert report.critic_col_min == report.critic_col_max == n_expected
+        assert critic_rows == cfg.total_steps * n_expected
+    assert (report.policy_collision_count > 0) == (recipe.policy == "pooled")
 
 
-def test_dm_policy_actually_consumes_collisions():
-    res = train(DS, quick_config(method="iql_dm", total_steps=200))
-    assert res.report.policy_collision_count > 0
+def test_train_reaches_every_name_the_benchmark_traces():
+    # the benchmark's traced train workload fails on a name no call reaches
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        for method in METHODS:  # through the patched module attribute
+            trainers.train(DS, quick_config(method=method, total_steps=3))
+    finally:
+        tracer.uninstall()
+    missing = [n for n in module.REACHED["train"] if tracer.calls[n] == 0]
+    assert not missing, missing
 
 
-def test_so_and_bc_never_touch_collisions():
-    for method in ("iql_so", "bc"):
-        res = train(DS, quick_config(method=method, total_steps=150))
-        assert res.report.policy_collision_count == 0
+def test_param_digests_tool_hashes_each_methods_trace(tmp_path):
+    path = tmp_path / "toy.fanav"
+    save_dataset(DS, str(path))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "param_digests.py"), str(path),
+         "--steps", "3", "--seed", "2"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    expected = []
+    for method in METHODS:
+        trace = train(DS, TrainerConfig(method=method, total_steps=3, seed=2),
+                      trace_params=True).param_trace
+        assert len(trace) == 3
+        text = "".join(t + "\n" for t in trace)
+        expected.append(f"{hashlib.sha256(text.encode()).hexdigest()}  "
+                        f"{method}")
+    assert out.splitlines() == expected
 
 
 def test_weight_cap_respected():
