@@ -400,8 +400,9 @@ def cmd_pipeline(args, argv) -> int:
     world) -> compare, through the same stage functions as the subcommands.
     Only the suites have no subcommand of their own.
 
-    Collection runs in this process. Training jobs and evaluation jobs run
-    on the lanes (:func:`fanav.lanes.run_lanes`): on more than one core,
+    Collection, training jobs and evaluation jobs run on the lanes
+    (:func:`fanav.lanes.run_lanes`), collection in batches of episodes
+    whose results do not depend on the lane count: on more than one core,
     one lane more than the cores, with this process as lane 0 taking the
     larger first chunk, so bc and iql_so train here and iql_dm and iql_ca
     in a child each on two cores. Each stage ends before the next starts

@@ -311,6 +311,29 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.actions)
 
+    def __reduce__(self):
+        """Pickle as columns: the scans as one float64 matrix, the states'
+        four scalars and the actions. A lane then sends a few arrays per
+        episode, and the states it rebuilds view rows of one matrix."""
+        return _columns_to_trajectory, (
+            self.traj_id, self.outcome, np.stack([s.scan for s in self.states]),
+            np.array([(s.goal_dist, s.goal_bearing, s.lin_vel, s.ang_vel)
+                      for s in self.states], np.float64),
+            np.array([(a.v_cmd, a.omega_cmd) for a in self.actions],
+                     np.float64).reshape(-1, 2),
+            self.start, self.goal)
+
+
+def _columns_to_trajectory(traj_id: int, outcome: str, scans: np.ndarray,
+                           scalars: np.ndarray, actions: np.ndarray,
+                           start: Pose, goal: tuple[float, float]
+                           ) -> Trajectory:
+    """The :class:`Trajectory` that :meth:`Trajectory.__reduce__` packed."""
+    return Trajectory(traj_id, outcome,
+                      [NavState(scan, *row)
+                       for scan, row in zip(scans, scalars.tolist())],
+                      [Action(*row) for row in actions.tolist()], start, goal)
+
 
 def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 expert_cfg: ExpertConfig, rng: np.random.Generator,
@@ -353,6 +376,23 @@ def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                        np.random.default_rng([seed, ep]), mode, ep)
 
 
+def _try_episode(*args) -> Trajectory | Exception | None:
+    """:func:`_episode`, with its error returned rather than raised: an
+    episode run past the stop of :func:`collect_to_ratio` fails nothing."""
+    try:
+        return _episode(*args)
+    except Exception as exc:
+        return exc
+
+
+def _build_plan_grids(world: World, spec: RobotSpec,
+                      *cfgs: ExpertConfig) -> None:
+    """Build each config's planning grid on ``world`` before lanes fork, so
+    that every lane inherits it rather than building its own."""
+    for cfg in cfgs:
+        occupancy_grid(world, spec.radius + cfg.plan_inflation)
+
+
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
             seed: int) -> list[Trajectory]:
@@ -360,11 +400,13 @@ def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 
     Each episode draws from its own random stream derived from (seed,
     episode index), so parallel and serial collection agree exactly: the
-    episodes run on the lanes (:func:`fanav.lanes.run_lanes`).
+    episodes run on the lanes (:func:`fanav.lanes.run_lanes`), which
+    inherit the planning grid built here.
     """
     from .lanes import run_lanes
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
+    _build_plan_grids(world, spec, expert_cfg)
     trajs = run_lanes([partial(_episode, world, spec, episode_cfg, expert_cfg,
                                mode, seed, ep) for ep in range(n_episodes)])
     return [t for t in trajs
@@ -388,14 +430,34 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     short side is collected, from the phase that fills it. With a zero
     target only clean episodes run and collision trajectories are dropped.
 
-    Episodes run one after another in this process, each on its own random
-    stream derived from (seed, episode index).
+    Each episode draws from its own random stream derived from (seed,
+    episode index). A phase runs its next episodes as a batch on the lanes
+    (:func:`fanav.lanes.run_lanes`) and consumes the results in episode
+    order, exactly as the one-lane loop would: the phase stops at the same
+    episode, an episode's error is raised only when it is reached, and the
+    batch's episodes past the stop are dropped. So the trajectories do not
+    depend on the lane count. A batch holds one episode per lane, or more
+    when the phase's missing transitions need more at the rate (kept
+    transitions per episode) of the whole collection so far. On one lane a
+    batch is one episode, so nothing runs past the stop. The planning
+    grids are built before the first batch, so no lane builds its own.
     """
+    from .lanes import lane_count, run_lanes
     CollectConfig(min_transitions, target_col_ratio, ratio_tol)  # bound checks
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
     stalled = 0
+
+    def batch_size(outcome: str, target: int) -> int:
+        """One episode per lane, or more if the missing transitions need
+        more at the rate kept so far; one on one lane."""
+        lanes, kept_so_far = lane_count(), n[SUCCESS] + n[COLLISION]
+        if lanes == 1:
+            return 1
+        need = (-(-(target - n[outcome]) * ep // kept_so_far)
+                if kept_so_far else 0)
+        return min(max(lanes, need), MAX_EPISODES - ep)
 
     def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
              guard: bool = False) -> None:
@@ -406,26 +468,35 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 raise ConfigError(
                     f"only {n[outcome]}/{target} {outcome} transitions after "
                     f"{MAX_EPISODES} episodes")
-            traj = _episode(world, spec, episode_cfg, cfg, mode, seed, ep)
-            ep += 1
-            if guard:
-                stalled = 0 if (traj is not None
-                                and traj.outcome == COLLISION) \
-                    else stalled + 1
-                if stalled >= 500:
-                    raise ConfigError(
-                        "500 consecutive harvest episodes without a "
-                        "collision; lower target_col_ratio")
-            if traj is not None and traj.outcome in kept:
-                kept[traj.outcome].append(traj)
-                n[traj.outcome] += len(traj)
+            for traj in run_lanes([
+                    partial(_try_episode, world, spec, episode_cfg, cfg, mode,
+                            seed, i)
+                    for i in range(ep, ep + batch_size(outcome, target))]):
+                if n[outcome] >= target:
+                    break  # past the stop: the one-lane loop never ran it
+                if isinstance(traj, Exception):
+                    raise traj
+                ep += 1
+                if guard:
+                    stalled = 0 if (traj is not None
+                                    and traj.outcome == COLLISION) \
+                        else stalled + 1
+                    if stalled >= 500:
+                        raise ConfigError(
+                            "500 consecutive harvest episodes without a "
+                            "collision; lower target_col_ratio")
+                if traj is not None and traj.outcome in kept:
+                    kept[traj.outcome].append(traj)
+                    n[traj.outcome] += len(traj)
 
     if target_col_ratio == 0:
+        _build_plan_grids(world, spec, expert_cfg)
         fill(SUCCESS, min_transitions, CLEAN, expert_cfg)
         return _trim_to_ratio(kept[SUCCESS], [], 0.0, ratio_tol,
                               min_transitions)
 
     harvest = replace(expert_cfg, **HARVEST)
+    _build_plan_grids(world, spec, expert_cfg, harvest)
     fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions),
          PERTURBED, expert_cfg)
     fill(COLLISION, math.ceil(target_col_ratio * min_transitions),

@@ -208,39 +208,39 @@ def ray_circles(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
         return np.full_like(dirx, np.inf)
     fx = ox - params[:, 0:1]                      # (n, 1)
     fy = oy - params[:, 1:2]
-    b = fx * dirx[None, :] + fy * diry[None, :]   # (n, beams)
     c = fx * fx + fy * fy - params[:, 2:3] ** 2   # (n, 1)
-    disc = b * b - c
-    valid = disc >= 0.0
-    t1 = -b - np.sqrt(np.where(valid, disc, 0.0))
-    t = np.where(valid & (t1 >= 0.0), t1, np.inf)
-    t = np.where(c <= 0.0, 0.0, t)                # origin inside a circle
-    return t.min(axis=0)
+    if (c <= 0.0).any():  # origin inside or on a circle: immediate hits
+        return np.zeros_like(dirx)
+    b = fx * dirx + fy * diry                     # (n, beams)
+    with np.errstate(invalid="ignore"):
+        t1 = -b - np.sqrt(b * b - c)  # NaN where a ray misses its circle
+    return np.where(t1 >= 0.0, t1, np.inf).min(axis=0)  # NaN >= 0 is False
 
 
 def ray_rects(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
               params: np.ndarray) -> np.ndarray:
     """Min hit distance per ray over many rectangles; ``params`` is (n, 4)
-    of (x1, y1, x2, y2). Equivalent to reducing :func:`ray_rect`."""
+    of (x1, y1, x2, y2). Equivalent to reducing :func:`ray_rect`.
+
+    One broadcast over (bound, axis, rectangle, beam) gives every slab
+    crossing; a beam parallel to an axis is in that slab throughout or
+    never."""
     if params.shape[0] == 0:
         return np.full_like(dirx, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_x = np.where(np.abs(dirx) > _EPS, 1.0 / dirx, np.inf)[None, :]
-        inv_y = np.where(np.abs(diry) > _EPS, 1.0 / diry, np.inf)[None, :]
-        t1 = (params[:, 0:1] - ox) * inv_x
-        t2 = (params[:, 2:3] - ox) * inv_x
-        t3 = (params[:, 1:2] - oy) * inv_y
-        t4 = (params[:, 3:4] - oy) * inv_y
-    par_x = (np.abs(dirx) <= _EPS)[None, :]
-    par_y = (np.abs(diry) <= _EPS)[None, :]
-    in_x = (params[:, 0:1] <= ox) & (ox <= params[:, 2:3])
-    in_y = (params[:, 1:2] <= oy) & (oy <= params[:, 3:4])
-    tmin_x = np.where(par_x, np.where(in_x, -np.inf, np.inf), np.minimum(t1, t2))
-    tmax_x = np.where(par_x, np.where(in_x, np.inf, -np.inf), np.maximum(t1, t2))
-    tmin_y = np.where(par_y, np.where(in_y, -np.inf, np.inf), np.minimum(t3, t4))
-    tmax_y = np.where(par_y, np.where(in_y, np.inf, -np.inf), np.maximum(t3, t4))
-    tnear = np.maximum(tmin_x, tmin_y)
-    tfar = np.minimum(tmax_x, tmax_y)
-    hit = (tnear <= tfar) & (tfar >= 0.0)
-    t = np.where(tnear >= 0.0, tnear, 0.0)
-    return np.where(hit, t, np.inf).min(axis=0)
+    d = np.array((dirx, diry))[:, None, :]        # (axis, 1, beam)
+    rel = (params.T - np.array((ox, oy, ox, oy))[:, None]).reshape(2, 2, -1, 1)
+    with np.errstate(all="ignore"):
+        t = rel * (1.0 / d)                       # (bound, axis, rect, beam)
+    tmin = np.minimum(t[0], t[1])
+    tmax = np.maximum(t[0], t[1])
+    par = np.abs(d) <= _EPS
+    if par.any():
+        inside = (rel[0] <= 0.0) & (rel[1] >= 0.0)
+        tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
+        tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
+    tnear = np.maximum(tmin[0], tmin[1])
+    tfar = np.minimum(tmax[0], tmax[1])
+    t = np.where(tnear >= 0.0, tnear, 0.0)  # origin inside -> immediate hit
+    # a hit where the slabs overlap ahead of the origin: t <= tfar holds
+    # exactly when tnear <= tfar and tfar >= 0
+    return np.where(t <= tfar, t, np.inf).min(axis=0)

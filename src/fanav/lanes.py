@@ -8,10 +8,11 @@ its exception) back through a pipe and ends with ``os._exit``. Which lane
 runs which job depends only on the job and lane counts, never on timing, so
 the caller runs the same jobs on every run.
 
-The jobs fanav runs here are known in full before they start: ``collect``'s
-episodes and the pipeline's training and evaluation jobs.
-``collect_to_ratio`` stops at an episode that depends on what the earlier
-ones kept, so it runs in its caller.
+fanav runs here ``collect``'s episodes, the pipeline's training and
+evaluation jobs, and ``collect_to_ratio``'s episodes in batches: that
+collection stops at an episode that depends on what the earlier ones kept,
+so it consumes each batch's results in job order and drops those past the
+stop.
 
 On more than one core (``taskset`` limits them) there is one lane more than
 the cores the process may run on, and never more lanes than jobs. Chunks of

@@ -169,7 +169,9 @@ def collect_and_evaluate():
             [t.tobytes() for t in result.trajectories])
 
 
-def test_collection_and_evaluation_match_without_the_prefilter(monkeypatch):
+def test_collection_and_evaluation_match_without_the_prefilter(
+        monkeypatch, set_lanes):
+    set_lanes(1)  # the shape tests are counted in this process
     tests = []
     for module in (sim, expert):
         def counted(*args, _exact=module.segment_shape_distance):

@@ -1,5 +1,7 @@
 import heapq
 import math
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from fanav import expert
 from fanav.cli import BUNDLED_WORLDS, resolve_world
+from fanav.data import EncoderProfile, build_dataset, save_dataset
 from fanav.errors import ConfigError, NoPathError, NumericError
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
@@ -374,8 +377,28 @@ def test_collect_on_lanes_matches_serial(set_lanes):
     assert values[0] == values[1]
 
 
-def test_failing_episode_past_the_stop_is_dropped(monkeypatch):
-    ran = []  # (ep, harvest?) of every episode the loop runs
+def dataset_bytes(trajs, tmp_path):
+    path = tmp_path / "ratio.fanav"
+    save_dataset(build_dataset(
+        trajs, EncoderProfile.from_world_spec(RATIO_WORLD, SPEC), EPISODE),
+        str(path))
+    return path.read_bytes()
+
+
+def test_collect_to_ratio_does_not_depend_on_lanes(set_lanes, tmp_path):
+    for seed in (1, 2):
+        runs = []
+        for n in (1, 2, 3):
+            set_lanes(n)
+            trajs = ratio_run(seed)
+            runs.append((as_values(trajs), dataset_bytes(trajs, tmp_path)))
+        assert runs[1] == runs[0] and runs[2] == runs[0], seed
+
+
+def recorded_run(monkeypatch, seed):
+    """``ratio_run(seed)`` and the (ep, harvest?) of every episode that
+    ran in this process."""
+    ran = []
     original = expert.run_episode
 
     def recorded(world, spec, episode, cfg, rng, mode, ep, *rest):
@@ -383,14 +406,84 @@ def test_failing_episode_past_the_stop_is_dropped(monkeypatch):
         return original(world, spec, episode, cfg, rng, mode, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", recorded)
-    serial = ratio_run(2)
+    trajs = ratio_run(seed)
+    monkeypatch.setattr(expert, "run_episode", original)
+    return trajs, ran
+
+
+def test_one_lane_runs_no_episode_past_the_stop(monkeypatch, set_lanes):
+    set_lanes(1)
+    _, ran = recorded_run(monkeypatch, 2)
     # seed 2 runs 9 careful and 5 harvest episodes
     assert ran == [(ep, ep >= 9) for ep in range(14)]
 
+
+def test_failing_episode_past_the_stop_is_dropped(monkeypatch, set_lanes,
+                                                  tmp_path):
+    set_lanes(1)
+    serial, ran = recorded_run(monkeypatch, 2)
+    original = expert.run_episode
+
     def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
+        # any episode the one-lane loop never ran fails; it may run in a
+        # child, so it leaves a file behind to show that it ran
         if (ep, cfg == HARVEST) not in ran:
+            (tmp_path / f"{ep}-{cfg == HARVEST}").touch()
             raise NumericError(f"episode {ep} past the stop")
         return original(world, spec, episode, cfg, rng, mode, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", failing)
+    set_lanes(3)
     assert as_values(ratio_run(2)) == as_values(serial)
+    # batches ran past the careful stop (episode 9) and the harvest one (14)
+    assert {f.split("-")[1] for f in os.listdir(tmp_path)} == {"False", "True"}
+    with pytest.raises(ChildProcessError):  # every lane was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_episodes_error_is_raised_when_it_is_reached(monkeypatch,
+                                                        set_lanes):
+    original = expert.run_episode
+
+    def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
+        if ep in (4, 5):  # 5 is never reached: 4 raises first
+            raise NumericError(f"episode {ep}")
+        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+
+    monkeypatch.setattr(expert, "run_episode", failing)
+    for n in (1, 3):
+        set_lanes(n)
+        with pytest.raises(NumericError, match="episode 4"):
+            ratio_run(2)
+
+
+@pytest.mark.parametrize("ratio", [True, False], ids=["ratio", "episodes"])
+def test_no_lane_builds_a_planning_grid(ratio, monkeypatch, set_lanes,
+                                        tmp_path):
+    original = expert._grid_distances
+
+    def noted(*args):  # runs only while a grid is built
+        (tmp_path / str(os.getpid())).touch()
+        return original(*args)
+
+    monkeypatch.setattr(expert, "_grid_distances", noted)
+    set_lanes(3)
+    world = World(8, 8, RATIO_WORLD.obstacles)  # no grid built yet
+    if ratio:
+        collect_to_ratio(world, SPEC, EPISODE, ExpertConfig(), 600, 0.1,
+                         seed=2, ratio_tol=0.03)
+    else:
+        collect(world, SPEC, EPISODE, ExpertConfig(), 9, PERTURBED, seed=2)
+    assert os.listdir(tmp_path) == [str(os.getpid())]
+    assert set(world._grids) == {SPEC.radius + ExpertConfig().plan_inflation,
+                                 *([SPEC.radius] if ratio else [])}
+
+
+def test_trajectory_pickles_as_columns():
+    trajs = ratio_run(2)
+    back = pickle.loads(pickle.dumps(trajs, pickle.HIGHEST_PROTOCOL))
+    assert as_values(back) == as_values(trajs)
+    for t in back:
+        buffer = t.states[0].scan.base  # every scan views one buffer
+        assert buffer.nbytes == len(t.states) * SPEC.lidar_beams * 8
+        assert all(s.scan.base is buffer for s in t.states)

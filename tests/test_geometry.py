@@ -1,20 +1,28 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fanav.cli import (BUNDLED_WORLDS, resolve_config, resolve_world,
+                       robot_spec_from)
 from fanav.geometry import (
+    _EPS,
     Circle,
     Rect,
     point_segment_distance,
     point_shape_distance,
     ray_box_exit,
     ray_circle,
+    ray_circles,
     ray_rect,
+    ray_rects,
     segment_shape_distance,
     segments_intersect,
     wrap_angle,
 )
+
+DESK = str(Path(__file__).resolve().parents[1] / "desk.toml")
 
 
 @pytest.mark.parametrize("a,expected", [
@@ -127,3 +135,46 @@ def test_ray_rect_matches_dense_sampling():
             assert t == pytest.approx(ts[inside.argmax()], abs=1e-4)
         else:
             assert t > 10 or np.isinf(t)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized kernels against the one-shape oracles, bit for bit
+# ---------------------------------------------------------------------------
+
+def assert_kernels_equal_oracles(world, ox, oy, dirx, diry):
+    for kernel, oracle, params, kind in (
+            (ray_circles, ray_circle, world._circle_params, Circle),
+            (ray_rects, ray_rect, world._rect_params, Rect)):
+        hits = [oracle(ox, oy, dirx, diry, ob) for ob in world.obstacles
+                if isinstance(ob, kind)]
+        want = (np.min(hits, axis=0) if hits
+                else np.full_like(dirx, np.inf))
+        got = kernel(ox, oy, dirx, diry, params)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), \
+            (kernel.__name__, ox, oy)
+
+
+@pytest.mark.parametrize("name", BUNDLED_WORLDS)
+def test_ray_kernels_equal_the_oracles_bitwise(name):
+    world = resolve_world(name)
+    bearings = robot_spec_from(resolve_config(DESK, [])).beam_bearings()
+    rng = np.random.default_rng(7)
+    poses = [(x, y, h) for x, y, h in zip(
+        rng.uniform(0, world.width, 1000), rng.uniform(0, world.height, 1000),
+        rng.uniform(-math.pi, math.pi, 1000))]
+    # at 135 degrees the desk robot's first and last beams lie on the axes
+    corners = [(x, y) for ob in world.obstacles if isinstance(ob, Rect)
+               for x in (ob.x, ob.x2) for y in (ob.y, ob.y2)]
+    centers = [(ob.cx, ob.cy) for ob in world.obstacles
+               if isinstance(ob, Circle)]
+    poses += [(x, y, math.radians(135)) for x, y in corners + centers]
+    for ox, oy, heading in poses:
+        angles = heading + bearings
+        assert_kernels_equal_oracles(world, ox, oy, np.cos(angles),
+                                     np.sin(angles))
+    on_axis = math.radians(135) + bearings
+    assert np.abs(np.sin(on_axis[0])) <= _EPS
+    assert np.abs(np.cos(on_axis[-1])) <= _EPS
+    if centers:  # inside a circle every ray hits at once
+        assert not ray_circles(*centers[0], np.cos(on_axis), np.sin(on_axis),
+                               world._circle_params).any()
