@@ -35,7 +35,6 @@ from .sim import (
     Action,
     EpisodeConfig,
     EpisodeEngine,
-    NavState,
     Pose,
     RobotSpec,
     World,
@@ -56,7 +55,6 @@ __all__ = [
     "ExpertConfig",
     "FanavError",
     "METHODS",
-    "NavState",
     "NetworkPolicy",
     "OfflineDataset",
     "Pose",

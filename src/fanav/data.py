@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import binio
 from .errors import ConfigError, DataFormatError, ShapeError
 from .expert import Trajectory
-from .sim import COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec, World
+from .sim import COLLISION, SUCCESS, EpisodeConfig, RobotSpec, World
 
 # ---------------------------------------------------------------------------
 # feature encoding
@@ -29,7 +30,8 @@ from .sim import COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec, World
 
 @dataclass(frozen=True)
 class EncoderProfile:
-    """The robot and the goal-distance normalizer a NavState is encoded with.
+    """The robot and the goal-distance normalizer an observation is encoded
+    with.
 
     The profile is fixed at collection time and travels with datasets and
     checkpoints, whole robot included, so that training and deployment
@@ -60,6 +62,18 @@ class EncoderProfile:
     def dim(self) -> int:
         return self.beam_count + 4
 
+    @cached_property
+    def obs_scale(self) -> np.ndarray:
+        """What each column of an observation is divided by: lidar_range
+        for every beam, then d_norm, pi, v_max and omega_max; read-only,
+        as the profile is."""
+        scale = np.concatenate((np.full(self.beam_count,
+                                        self.robot.lidar_range),
+                                (self.d_norm, math.pi, self.v_max,
+                                 self.omega_max)))
+        scale.flags.writeable = False
+        return scale
+
     @property
     def action_scale(self) -> np.ndarray:
         """Bounds of the (v, omega) actions a policy on this robot emits."""
@@ -73,29 +87,23 @@ class EncoderProfile:
         return cls(RobotSpec(**d["robot"]), float(d["d_norm"]))
 
 
-def encode_state(state: NavState, profile: EncoderProfile) -> np.ndarray:
-    """Flatten a NavState into the network feature vector.
+def encode_state(obs: np.ndarray, profile: EncoderProfile) -> np.ndarray:
+    """Network features of one observation row (:func:`fanav.sim.observe`)
+    or of a matrix of them.
 
     Layout: [scan / lidar_range, d / d_norm, bearing / pi, v / v_max,
-    w / omega_max]. The distance channel is clipped to [0, 1] so goals
-    farther than the profile's normalizer (possible in a larger room than
-    the training one) stay in range; every other entry lands in [-1, 1] by
+    w / omega_max]. The distance channel is capped at 1 so goals farther
+    than the profile's normalizer (possible in a larger room than the
+    training one) stay in range; every other entry lands in [-1, 1] by
     construction.
     """
-    robot = profile.robot
-    n = robot.lidar_beams
-    scan = np.asarray(state.scan, dtype=np.float64)
-    if scan.shape != (n,):
-        raise ShapeError(
-            f"scan has {scan.shape[0] if scan.ndim == 1 else scan.shape} beams, "
-            f"encoder expects {n}")
-    out = np.empty(n + 4, dtype=np.float32)
-    out[:n] = scan / robot.lidar_range
-    out[n] = min(1.0, max(0.0, state.goal_dist / profile.d_norm))
-    out[n + 1] = state.goal_bearing / math.pi
-    out[n + 2] = state.lin_vel / robot.v_max
-    out[n + 3] = state.ang_vel / robot.omega_max
-    return out
+    n = profile.beam_count
+    if obs.shape[-1] != n + 4:
+        raise ShapeError(f"observation has {obs.shape[-1] - 4} beams, "
+                         f"encoder expects {n}")
+    feats = obs / profile.obs_scale
+    feats[..., n] = np.minimum(feats[..., n], 1.0)
+    return feats.astype(np.float32)
 
 
 def decode_goal_dist(features: np.ndarray, profile: EncoderProfile) -> np.ndarray:
@@ -210,10 +218,10 @@ def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
         block, T = blocks[traj.outcome], len(traj.actions)
         at = slice(filled[traj.outcome], filled[traj.outcome] + T)
         filled[traj.outcome] += T
-        feats = np.stack([encode_state(s, profile) for s in traj.states])
+        feats = encode_state(traj.obs, profile)
         block.dones[at] = dones = np.arange(T) == T - 1
         block.features[at], block.next_features[at] = feats[:-1], feats[1:]
-        block.actions[at] = [(a.v_cmd, a.omega_cmd) for a in traj.actions]
+        block.actions[at] = traj.actions
         block.rewards[at] = _transition_rewards(
             feats[:-1], feats[1:], dones, traj.outcome, profile, episode_cfg)
         block.traj_ids[at], block.step_ids[at] = traj.traj_id, np.arange(T)

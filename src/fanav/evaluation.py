@@ -5,7 +5,7 @@ robot radius, so every method is scored on identical tasks. Each trial
 re-runs the suite with a small collision-checked start-pose jitter; rates
 are averaged over trials (mean and population standard deviation).
 Success, collision and timeout counts partition the task set, so the three
-rates always sum to exactly 100 percent.
+rates sum to 100 percent, up to the rounding of each.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .sim import (
     Action,
     EpisodeConfig,
     EpisodeEngine,
-    NavState,
     Pose,
     RobotSpec,
     World,
@@ -190,7 +189,7 @@ class NetworkPolicy:
     def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
         pass
 
-    def act(self, state: NavState, pose: Pose) -> Action:
+    def act(self, state: np.ndarray, pose: Pose) -> Action:
         feats = encode_state(state, self.profile)
         v, w = self.head.mean_action(feats[None, :])[0]
         return Action(float(v), float(w))
@@ -206,9 +205,10 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
     """Run one episode; returns (outcome, trajectory).
 
     ``policy.reset(world, spec, task)`` is called once, then
-    ``policy.act(state, pose)`` once per step. The trajectory has one row
-    per visited pose: (t, x, y, heading, v, w), starting at rest and ending
-    at the terminal pose.
+    ``policy.act(state, pose)`` once per step, ``state`` being the row of
+    :func:`fanav.sim.observe`. The trajectory has one row per visited
+    pose: (t, x, y, heading, v, w), starting at rest and ending at the
+    terminal pose.
     """
     engine = EpisodeEngine(world, spec, episode)
     state = engine.reset(task.start, task.goal)
@@ -219,7 +219,7 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
         state = engine.step(policy.act(state, engine.pose))
         if record:
             rows.append((engine.t, engine.pose.x, engine.pose.y,
-                         engine.pose.heading, state.lin_vel, state.ang_vel))
+                         engine.pose.heading, state[-2], state[-1]))
     traj = np.array(rows, np.float64) if record else None
     return engine.terminal, traj
 
@@ -273,8 +273,7 @@ class EvalResult:
 
     @property
     def tr_trials(self) -> list[float]:
-        return [100.0 - sr - cr
-                for sr, cr in zip(self.sr_trials, self.cr_trials)]
+        return self._rates(TIMEOUT)
 
     @property
     def sr(self) -> float:
@@ -286,7 +285,7 @@ class EvalResult:
 
     @property
     def tr(self) -> float:
-        return max(0.0, 100.0 - self.sr - self.cr)
+        return float(np.mean(self.tr_trials))
 
     # population standard deviations over trials
     @property

@@ -24,7 +24,6 @@ from .sim import (
     Action,
     EpisodeConfig,
     EpisodeEngine,
-    NavState,
     Pose,
     RobotSpec,
     World,
@@ -299,40 +298,17 @@ def expert_action(pose: Pose, path: list[tuple[float, float]],
 
 @dataclass
 class Trajectory:
-    """One finished episode: raw observations plus the outcome label."""
+    """One finished episode: its observations (rows of
+    :func:`fanav.sim.observe`), the clamped (v, omega) commands taken
+    between them, and the outcome label."""
 
     traj_id: int
-    outcome: str                 # SUCCESS or COLLISION (timeouts are dropped)
-    states: list[NavState]       # length T+1
-    actions: list[Action]        # length T
-    start: Pose
-    goal: tuple[float, float]
+    outcome: str         # SUCCESS or COLLISION (timeouts are dropped)
+    obs: np.ndarray      # (T+1, beams+4) float64
+    actions: np.ndarray  # (T, 2) float64
 
     def __len__(self) -> int:
         return len(self.actions)
-
-    def __reduce__(self):
-        """Pickle as columns: the scans as one float64 matrix, the states'
-        four scalars and the actions. A lane then sends a few arrays per
-        episode, and the states it rebuilds view rows of one matrix."""
-        return _columns_to_trajectory, (
-            self.traj_id, self.outcome, np.stack([s.scan for s in self.states]),
-            np.array([(s.goal_dist, s.goal_bearing, s.lin_vel, s.ang_vel)
-                      for s in self.states], np.float64),
-            np.array([(a.v_cmd, a.omega_cmd) for a in self.actions],
-                     np.float64).reshape(-1, 2),
-            self.start, self.goal)
-
-
-def _columns_to_trajectory(traj_id: int, outcome: str, scans: np.ndarray,
-                           scalars: np.ndarray, actions: np.ndarray,
-                           start: Pose, goal: tuple[float, float]
-                           ) -> Trajectory:
-    """The :class:`Trajectory` that :meth:`Trajectory.__reduce__` packed."""
-    return Trajectory(traj_id, outcome,
-                      [NavState(scan, *row)
-                       for scan, row in zip(scans, scalars.tolist())],
-                      [Action(*row) for row in actions.tolist()], start, goal)
 
 
 def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
@@ -353,8 +329,8 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
         return None
 
     engine = EpisodeEngine(world, spec, episode_cfg)
-    states = [engine.reset(start, goal)]
-    actions: list[Action] = []
+    obs = [engine.reset(start, goal)]
+    actions: list[tuple[float, float]] = []
     while not engine.done:
         a = expert_action(engine.pose, path, spec, expert_cfg)
         if mode == PERTURBED and expert_cfg.noise_prob > 0:
@@ -363,9 +339,10 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
                            a.omega_cmd + dw * expert_cfg.noise_std_omega)
         a = clamp_action(a, spec)
-        states.append(engine.step(a))
-        actions.append(a)
-    return Trajectory(traj_id, engine.terminal, states, actions, start, goal)
+        obs.append(engine.step(a))
+        actions.append((a.v_cmd, a.omega_cmd))
+    return Trajectory(traj_id, engine.terminal, np.stack(obs),
+                      np.array(actions, np.float64))
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,

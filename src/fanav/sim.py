@@ -168,17 +168,6 @@ class Action:
     omega_cmd: float
 
 
-@dataclass
-class NavState:
-    """Observation: LiDAR scan, relative goal polar coordinates, velocities."""
-
-    scan: np.ndarray
-    goal_dist: float
-    goal_bearing: float
-    lin_vel: float
-    ang_vel: float
-
-
 class EpisodeConfig(Settings, section="episode"):
     """Horizon and goal threshold of an episode, and the reward constants
     (``r_success``, ``r_collision``, ``c1``) that only :mod:`fanav.data`
@@ -259,14 +248,18 @@ def _collides(world: World, spec: RobotSpec, old: Pose, new: Pose) -> bool:
 
 
 def observe(world: World, spec: RobotSpec, pose: Pose,
-            goal: tuple[float, float], v: float = 0.0, w: float = 0.0) -> NavState:
+            goal: tuple[float, float], v: float = 0.0,
+            w: float = 0.0) -> np.ndarray:
+    """The observation at ``pose``, one float64 row in feature layout: the
+    LiDAR ranges, then the goal's distance and bearing, then ``v`` and
+    ``w``."""
     d, phi = relative_goal(pose, goal)
-    return NavState(raycast(world, pose, spec), d, phi, v, w)
+    return np.concatenate((raycast(world, pose, spec), (d, phi, v, w)))
 
 
 def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
              goal: tuple[float, float], action: Action,
-             t: int) -> tuple[NavState, str, Pose]:
+             t: int) -> tuple[np.ndarray, str, Pose]:
     """Advance one control step.
 
     Returns the next observation, the terminal label (NONE, SUCCESS,
@@ -313,7 +306,7 @@ class EpisodeEngine:
         self.t = 0
         self.terminal = NONE
 
-    def reset(self, start: Pose, goal: tuple[float, float]) -> NavState:
+    def reset(self, start: Pose, goal: tuple[float, float]) -> np.ndarray:
         if not self.world.contains(start.x, start.y):
             raise InvalidPoseError("start pose outside world bounds")
         if self.world.clearance(start.x, start.y) < self.spec.radius:
@@ -328,7 +321,7 @@ class EpisodeEngine:
     def done(self) -> bool:
         return self.terminal != NONE
 
-    def step(self, action: Action) -> NavState:
+    def step(self, action: Action) -> np.ndarray:
         """Take one step; returns the next observation. How the step ended
         is left in :attr:`terminal`."""
         if self.pose is None:

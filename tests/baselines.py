@@ -3,10 +3,12 @@ scripted demonstrator, which should reach every goal of a suite, and a
 policy that stands still, which should time out on every task."""
 from __future__ import annotations
 
+import numpy as np
+
 from fanav.errors import FanavError, ProtocolError
 from fanav.evaluation import Task
 from fanav.expert import ExpertConfig, expert_action, plan_path
-from fanav.sim import Action, NavState, Pose, RobotSpec, World
+from fanav.sim import Action, Pose, RobotSpec, World
 
 
 class ExpertPilot:
@@ -32,7 +34,7 @@ class ExpertPilot:
                 last_exc = exc
         raise last_exc
 
-    def act(self, state: NavState, pose: Pose) -> Action:
+    def act(self, state: np.ndarray, pose: Pose) -> Action:
         if self._path is None:
             raise ProtocolError("ExpertPilot.act before reset")
         return expert_action(pose, self._path, self._spec, self.cfg)
@@ -46,5 +48,5 @@ class ZeroPolicy:
     def reset(self, world: World, spec: RobotSpec, task: Task) -> None:
         pass
 
-    def act(self, state: NavState, pose: Pose) -> Action:
+    def act(self, state: np.ndarray, pose: Pose) -> Action:
         return Action(0.0, 0.0)

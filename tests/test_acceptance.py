@@ -302,7 +302,7 @@ def test_c6_module_properties(tmp_path):
     assert traj.outcome == "success"
     rewards = build_dataset([traj], EncoderProfile.from_world_spec(
         world, spec), cfg).exp.rewards.astype(np.float64)
-    d0, dT = traj.states[0].goal_dist, traj.states[-2].goal_dist
+    d0, dT = traj.obs[0, -4], traj.obs[-2, -4]  # goal distances
     assert abs(rewards[:-1].sum() - cfg.c1 * (d0 - dT)) < 1e-5
     assert rewards[-1] == cfg.r_success
 

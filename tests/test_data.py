@@ -13,8 +13,7 @@ from fanav import binio
 from fanav.errors import DataFormatError, ShapeError
 from fanav.expert import CLEAN, PERTURBED, ExpertConfig, collect_to_ratio
 from fanav.geometry import Circle, Rect
-from fanav.sim import (COLLISION, SUCCESS, EpisodeConfig, NavState, RobotSpec,
-                       World)
+from fanav.sim import COLLISION, SUCCESS, EpisodeConfig, RobotSpec, World
 from fanav.data import (
     Batch,
     EncoderProfile,
@@ -52,18 +51,36 @@ DS = build_dataset(TRAJS, PROFILE, EPISODE, meta={"seed": 4})
 # encoding
 # ---------------------------------------------------------------------------
 
+def observation(scan, d, phi, v, w) -> np.ndarray:
+    """An observation row as :func:`fanav.sim.observe` lays it out."""
+    return np.concatenate((scan, (d, phi, v, w)))
+
+
+def reference_features(obs: np.ndarray, profile: EncoderProfile) -> np.ndarray:
+    """One observation row encoded field by field, as the per-state encoder
+    before the vectorized one did it; the reference the encoder must
+    equal bitwise."""
+    n = profile.beam_count
+    out = np.empty(n + 4, dtype=np.float32)
+    out[:n] = obs[:n] / profile.robot.lidar_range
+    out[n] = min(1.0, max(0.0, float(obs[n]) / profile.d_norm))
+    out[n + 1] = float(obs[n + 1]) / math.pi
+    out[n + 2] = float(obs[n + 2]) / profile.robot.v_max
+    out[n + 3] = float(obs[n + 3]) / profile.robot.omega_max
+    return out
+
+
 def test_encode_boundaries():
-    scan = np.full(24, SPEC.lidar_range)
-    state = NavState(scan, 0.0, 0.0, 0.0, 0.0)
-    f = encode_state(state, PROFILE)
-    assert f.shape == (28,)
+    f = encode_state(observation(np.full(24, SPEC.lidar_range), 0.0, 0.0,
+                                 0.0, 0.0), PROFILE)
+    assert f.shape == (28,) and f.dtype == np.float32
     assert np.all(f[:24] == 1.0)
     assert np.all(f[24:] == 0.0)
 
 
 def test_encode_velocity_channel():
-    state = NavState(np.zeros(24), 1.0, 0.5, SPEC.v_max, -SPEC.omega_max)
-    f = encode_state(state, PROFILE)
+    f = encode_state(observation(np.zeros(24), 1.0, 0.5, SPEC.v_max,
+                                 -SPEC.omega_max), PROFILE)
     assert f[26] == pytest.approx(1.0)
     assert f[27] == pytest.approx(-1.0)
 
@@ -71,20 +88,43 @@ def test_encode_velocity_channel():
 def test_encode_dimension_matches_beam_count():
     profile = EncoderProfile(RobotSpec(), 14.14)
     assert profile.dim == 112
-    state = NavState(np.zeros(108), 1.0, 0.0, 0.0, 0.0)
-    assert encode_state(state, profile).shape == (112,)
+    obs = observation(np.zeros(108), 1.0, 0.0, 0.0, 0.0)
+    assert encode_state(obs, profile).shape == (112,)
 
 
 def test_encode_rejects_wrong_beam_count():
-    state = NavState(np.zeros(10), 1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ShapeError):
-        encode_state(state, PROFILE)
+    row = observation(np.zeros(10), 1.0, 0.0, 0.0, 0.0)
+    for obs in (row, np.stack([row] * 3)):
+        with pytest.raises(ShapeError, match="has 10 beams, encoder "
+                                             "expects 24"):
+            encode_state(obs, PROFILE)
 
 
 def test_encode_distance_channel_clipped():
-    state = NavState(np.zeros(24), 99.0, 0.0, 0.0, 0.0)
-    f = encode_state(state, PROFILE)
+    f = encode_state(observation(np.zeros(24), 99.0, 0.0, 0.0, 0.0), PROFILE)
     assert f[24] == 1.0
+
+
+def test_encode_matrix_equals_each_row_and_the_field_reference():
+    # a real trajectory's rows, then random rows with goals up to twice
+    # d_norm (capped at 1) and bearings and velocities of either sign
+    rng = np.random.default_rng(0)
+    n = 40
+    rows = np.column_stack((
+        rng.uniform(0.0, SPEC.lidar_range, (n, 24)),
+        rng.uniform(0.0, 2.0 * PROFILE.d_norm, n),
+        rng.uniform(-math.pi, math.pi, n),
+        rng.uniform(-SPEC.v_max, SPEC.v_max, n),
+        rng.uniform(-SPEC.omega_max, SPEC.omega_max, n)))
+    obs = np.concatenate((TRAJS[0].obs, rows))
+    assert np.any(obs[:, 24] > PROFILE.d_norm)
+    assert np.any(obs[:, 25:] < 0, axis=0).all()
+    feats = encode_state(obs, PROFILE)
+    assert feats.dtype == np.float32 and feats.shape == obs.shape
+    by_row = np.stack([encode_state(row, PROFILE) for row in obs])
+    reference = np.stack([reference_features(row, PROFILE) for row in obs])
+    assert feats.tobytes() == by_row.tobytes() == reference.tobytes()
+    assert np.all(feats[:, 24] <= 1.0) and np.any(feats[:, 24] == 1.0)
 
 
 def test_encode_ranges_on_real_data():
@@ -145,9 +185,9 @@ def test_build_dataset_matches_a_per_transition_reference():
     ds = build_dataset(trajs, PROFILE, EPISODE)
     rows = {SUCCESS: [], COLLISION: []}
     for traj in trajs:
-        feats = [encode_state(s, PROFILE) for s in traj.states]
+        feats = [reference_features(s, PROFILE) for s in traj.obs]
         T = len(traj.actions)
-        for t, a in enumerate(traj.actions):
+        for t, (v, w) in enumerate(traj.actions.tolist()):
             done = t == T - 1
             if done:
                 r = EPISODE.r_success if traj.outcome == SUCCESS \
@@ -156,7 +196,7 @@ def test_build_dataset_matches_a_per_transition_reference():
                 d, d_next = (float(f[24]) * PROFILE.d_norm
                              for f in feats[t:t + 2])
                 r = EPISODE.c1 * (d - d_next)
-            rows[traj.outcome].append((feats[t], (a.v_cmd, a.omega_cmd), r,
+            rows[traj.outcome].append((feats[t], (v, w), r,
                                        feats[t + 1], done, traj.traj_id, t))
     for outcome, block in ((SUCCESS, ds.exp), (COLLISION, ds.col)):
         assert rows[outcome]
@@ -171,12 +211,12 @@ def staged_build(trajectories, profile, episode) -> list[TransitionBlock]:
     Kept as the reference the one-pass build must equal."""
     parts = {SUCCESS: [], COLLISION: []}
     for traj in trajectories:
-        feats = np.stack([encode_state(s, profile) for s in traj.states])
+        feats = np.stack([reference_features(s, profile) for s in traj.obs])
         T = len(traj.actions)
         dones = np.arange(T) == T - 1
         parts[traj.outcome].append({
             "features": feats[:-1],
-            "actions": [(a.v_cmd, a.omega_cmd) for a in traj.actions],
+            "actions": traj.actions.tolist(),
             "rewards": _transition_rewards(feats[:-1], feats[1:], dones,
                                            traj.outcome, profile, episode),
             "next_features": feats[1:], "dones": dones,

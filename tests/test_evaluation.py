@@ -211,6 +211,19 @@ def test_rates_match_hand_count():
     assert res.sr + res.cr + res.tr == 100.0
 
 
+def test_timeout_rate_is_zero_when_nothing_timed_out():
+    # TR is counted, not left over from 100 - SR - CR: for every split of
+    # n <= 60 tasks into successes and collisions, each trial's TR and
+    # their mean over all the splits of n as trials are exactly 0
+    for n in range(1, 61):
+        rows = [[SUCCESS] * k + [COLLISION] * (n - k) for k in range(n + 1)]
+        for row in rows:
+            assert EvalResult("w", "d", "m", [row]).tr_trials == [0.0], row
+        res = EvalResult("w", "d", "m", rows)
+        assert res.tr_trials == [0.0] * (n + 1) and res.tr == 0.0, n
+        assert res.tr_std == 0.0, n
+
+
 def test_suite_fixedness_same_checkpoint_same_result():
     suite = make_suite(WORLD, SPEC, EPISODE, 8, seed=9)
     policy = make_net_policy(3)

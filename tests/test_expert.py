@@ -220,9 +220,7 @@ def test_perturbed_with_zero_noise_matches_clean():
     for ta, tb in zip(a, b):
         assert ta.outcome == tb.outcome
         assert len(ta) == len(tb)
-        for sa, sb in zip(ta.states, tb.states):
-            assert np.array_equal(sa.scan, sb.scan)
-            assert sa.goal_dist == sb.goal_dist
+        assert np.array_equal(ta.obs, tb.obs)
 
 
 def test_collection_is_seed_reproducible():
@@ -232,16 +230,15 @@ def test_collection_is_seed_reproducible():
     b = collect(world, SPEC, EPISODE, cfg, 6, PERTURBED, seed=9)
     assert [t.outcome for t in a] == [t.outcome for t in b]
     for ta, tb in zip(a, b):
-        assert [x.v_cmd for x in ta.actions] == [x.v_cmd for x in tb.actions]
+        assert np.array_equal(ta.actions, tb.actions)
 
 
 def test_expert_actions_respect_limits():
     world = World(8, 8, (Circle(4, 4, 0.8),))
     trajs = collect(world, SPEC, EPISODE, ExpertConfig(), 6, PERTURBED, seed=5)
     for t in trajs:
-        for a in t.actions:
-            assert abs(a.v_cmd) <= SPEC.v_max + 1e-12
-            assert abs(a.omega_cmd) <= SPEC.omega_max + 1e-12
+        assert np.all(np.abs(t.actions) <= [SPEC.v_max + 1e-12,
+                                            SPEC.omega_max + 1e-12])
 
 
 def test_label_purity_and_done_position():
@@ -250,7 +247,8 @@ def test_label_purity_and_done_position():
     assert trajs, "expected at least one labeled trajectory"
     for t in trajs:
         assert t.outcome in (SUCCESS, COLLISION)
-        assert len(t.states) == len(t.actions) + 1
+        assert t.obs.shape == (len(t.actions) + 1, SPEC.lidar_beams + 4)
+        assert t.actions.shape == (len(t), 2)
 
 
 def test_collect_to_ratio_hits_target():
@@ -313,7 +311,8 @@ def test_collect_to_ratio_meets_the_tolerance_at_every_size():
 
 def test_search_keeps_the_oldest_trajectories_of_each_total():
     def trajs(outcome, lengths):
-        return [expert.Trajectory(i, outcome, [], [None] * n, None, None)
+        return [expert.Trajectory(i, outcome, np.zeros((n + 1, 0)),
+                                  np.zeros((n, 2)))
                 for i, n in enumerate(lengths)]
 
     succ = trajs(SUCCESS, [94, 57, 85, 80, 53, 127, 71, 90])
@@ -341,7 +340,7 @@ def test_run_episode_fixed_task_is_deterministic():
     t2 = run_episode(world, SPEC, EPISODE, ExpertConfig(), np.random.default_rng(0),
                      CLEAN, 0, start, goal)
     assert t1.outcome == t2.outcome == SUCCESS
-    assert [a.omega_cmd for a in t1.actions] == [a.omega_cmd for a in t2.actions]
+    assert np.array_equal(t1.actions, t2.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +354,9 @@ HARVEST = replace(ExpertConfig(), **expert.HARVEST)
 
 
 def as_values(trajs):
-    """Trajectories as comparable values (a NavState holds an array)."""
-    return [(t.traj_id, t.outcome, t.start, t.goal, t.actions,
-             [(s.scan.tobytes(), s.goal_dist, s.goal_bearing, s.lin_vel,
-               s.ang_vel) for s in t.states]) for t in trajs]
+    """Trajectories as comparable values (a trajectory holds arrays)."""
+    return [(t.traj_id, t.outcome, t.obs.shape, t.obs.tobytes(),
+             t.actions.shape, t.actions.tobytes()) for t in trajs]
 
 
 def ratio_run(seed):
@@ -479,11 +477,11 @@ def test_no_lane_builds_a_planning_grid(ratio, monkeypatch, set_lanes,
                                  *([SPEC.radius] if ratio else [])}
 
 
-def test_trajectory_pickles_as_columns():
+def test_trajectory_pickles_as_its_arrays():
+    # a lane sends each episode as its two matrices and little more
     trajs = ratio_run(2)
+    for t in trajs:
+        blob = pickle.dumps(t, pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= t.obs.nbytes + t.actions.nbytes + 1024
     back = pickle.loads(pickle.dumps(trajs, pickle.HIGHEST_PROTOCOL))
     assert as_values(back) == as_values(trajs)
-    for t in back:
-        buffer = t.states[0].scan.base  # every scan views one buffer
-        assert buffer.nbytes == len(t.states) * SPEC.lidar_beams * 8
-        assert all(s.scan.base is buffer for s in t.states)

@@ -26,6 +26,7 @@ from fanav.sim import (
     World,
     format_world,
     load_world,
+    observe,
     parse_world,
     raycast,
     relative_goal,
@@ -213,7 +214,16 @@ def test_step_env_dense_reward():
                                      (7.0, 5.0), Action(0.5, 0.0), 0)
     assert terminal == NONE
     assert pose.x == pytest.approx(2.1)
-    assert state.goal_dist == pytest.approx(4.9, abs=1e-12)
+    assert state[-4] == pytest.approx(4.9, abs=1e-12)  # goal distance
+
+
+def test_observe_is_the_scan_then_goal_and_velocities():
+    world = World(10, 10, (Circle(6, 5, 1.0),))
+    spec, pose = small_spec(), Pose(2.0, 5.0, 0.3)
+    row = observe(world, spec, pose, (7.0, 8.0), 0.25, -0.5)
+    assert row.dtype == np.float64 and row.shape == (spec.lidar_beams + 4,)
+    assert np.array_equal(row[:-4], raycast(world, pose, spec))
+    assert row[-4:].tolist() == [*relative_goal(pose, (7.0, 8.0)), 0.25, -0.5]
 
 
 def test_step_env_success_branch():
@@ -259,7 +269,7 @@ def test_step_env_clamps_action():
     state, _, pose = step_env(world, spec, cfg, Pose(2.0, 5.0, 0.0),
                               (9.0, 5.0), Action(10.0, 0.0), 0)
     assert pose.x == pytest.approx(2.0 + spec.v_max * spec.control_dt)
-    assert state.lin_vel == spec.v_max
+    assert state[-2] == spec.v_max
 
 
 def test_engine_protocol():
@@ -268,10 +278,10 @@ def test_engine_protocol():
     with pytest.raises(ProtocolError):
         eng.step(Action(0, 0))
     state = eng.reset(Pose(5.0, 5.0, 0.0), (5.35, 5.0))
-    assert state.goal_dist == pytest.approx(0.35)
+    assert state[-4] == pytest.approx(0.35)
     state = eng.step(Action(0.5, 0.0))
     assert eng.terminal == SUCCESS
-    assert state.goal_dist == pytest.approx(0.25)
+    assert state[-4] == pytest.approx(0.25)
     with pytest.raises(ProtocolError):
         eng.step(Action(0, 0))
 
@@ -297,7 +307,7 @@ def test_reward_telescoping():
     ds = build_dataset([traj], EncoderProfile.from_world_spec(world, spec),
                        cfg)
     rewards = ds.exp.rewards.astype(np.float64)
-    d0, dT = traj.states[0].goal_dist, traj.states[-2].goal_dist
+    d0, dT = traj.obs[0, -4], traj.obs[-2, -4]
     assert rewards[:-1].sum() == pytest.approx(cfg.c1 * (d0 - dT), abs=1e-5)
     assert rewards[-1] == cfg.r_success
 
@@ -333,8 +343,7 @@ def test_determinism_bitwise():
         while not eng.done:
             state = eng.step(Action(rng.uniform(0, 0.5), rng.uniform(-1, 1)))
             trace.append((eng.pose.x, eng.pose.y, eng.pose.heading,
-                          eng.terminal, state.scan.tobytes(),
-                          state.goal_dist, state.goal_bearing))
+                          eng.terminal, state.tobytes()))
         return trace
 
     assert run() == run()
