@@ -190,25 +190,32 @@ def numeric_platform() -> dict:
             "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
 
 
-def write_manifest(path: str, command: str, argv: list[str],
-                   tree: ConfigTree, inputs: list[str] | None = None,
-                   outputs: list[str] | None = None) -> None:
-    """Write the run manifest atomically to ``path``, creating its
-    directory: ``<out_dir>/manifest.json`` for a command that writes a
-    directory, ``<out>.manifest.json`` beside a command's output file. It
-    holds the SHA-256 of each file in ``inputs`` and the
-    :func:`numeric_platform`."""
+def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
+                   tree: ConfigTree, outputs: list[str] | None = None) -> None:
+    """Write the run manifest of ``args``' command atomically to ``path``,
+    creating its directory: ``<out_dir>/manifest.json`` for a command that
+    writes a directory, ``<out>.manifest.json`` beside a command's output
+    file. It holds the :func:`numeric_platform` and the SHA-256 of every
+    file the command read: its ``--config``, its dataset, checkpoint and
+    suite, and each world it loaded from a file rather than by bundled
+    name (``--world``, or the pipeline's collect and eval worlds)."""
     digest = hashlib.sha256(
         json.dumps(tree, sort_keys=True).encode()).hexdigest()
+    worlds = ([tree["pipeline"]["collect_world"],
+               *tree["pipeline"]["eval_worlds"]] if args.cmd == "pipeline"
+              else [getattr(args, "world", None)])
+    read = [args.config, *(w for w in worlds if w and os.path.exists(w)),
+            *(getattr(args, k, None) for k in ("dataset", "checkpoint",
+                                                "suite"))]
     payload = {
         "tool": "fanav",
         "version": __version__,
-        "command": command,
+        "command": args.cmd,
         "argv": argv,
         "seed": tree["run"]["seed"],
         "config": tree,
         "config_digest": digest,
-        "inputs": {p: _sha256_file(p) for p in (inputs or [])},
+        "inputs": {p: _sha256_file(p) for p in read if p},
         "outputs": outputs or [],
         "platform": numeric_platform(),
         "started_unix": time.time(),
@@ -301,7 +308,7 @@ def cmd_gen_world(args, argv) -> int:
                            tree["run"]["seed"], name=args.name,
                            robot_radius=float(tree["robot"]["radius"]))
     save_world(world, args.out)
-    write_manifest(args.out + ".manifest.json", "gen-world", argv, tree,
+    write_manifest(args.out + ".manifest.json", args, argv, tree,
                    outputs=[args.out])
     print(f"wrote {args.out}: {len(world.obstacles)} obstacles in "
           f"{world.width:g}x{world.height:g} m")
@@ -331,8 +338,7 @@ def cmd_collect(args, argv) -> int:
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
         "mode": mode, "version": __version__}, args.out)
-    write_manifest(args.out + ".manifest.json", "collect", argv, tree,
-                   inputs=[args.world] if os.path.exists(args.world) else [],
+    write_manifest(args.out + ".manifest.json", args, argv, tree,
                    outputs=[args.out])
     print(describe_dataset(ds))
     print(f"wrote {args.out}")
@@ -349,8 +355,8 @@ def cmd_train(args, argv) -> int:
     tree = resolve_config(args.config, args.set,
                           robot_of=(args.dataset, ds.profile.robot))
     cfg = trainer_from(tree, tree["run"]["seed"])
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), "train",
-                   argv, tree, inputs=[args.dataset])
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), args, argv,
+                   tree)
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
@@ -369,8 +375,8 @@ def cmd_eval(args, argv) -> int:
     suite = load_suite(args.suite, episode_from(tree))
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
                      args.out_dir)
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
-                   argv, tree, inputs=[args.checkpoint, args.suite])
+    write_manifest(os.path.join(args.out_dir, "manifest.json"), args, argv,
+                   tree)
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
@@ -439,8 +445,7 @@ def cmd_pipeline(args, argv) -> int:
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    write_manifest(os.path.join(out, "manifest.json"), "pipeline", argv,
-                   tree, inputs=[args.config] if args.config else [])
+    write_manifest(os.path.join(out, "manifest.json"), args, argv, tree)
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     # no name holds the episodes, so they are freed once they are encoded

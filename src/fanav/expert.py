@@ -185,8 +185,9 @@ def _astar(blocked: np.ndarray, start: tuple[int, int],
 
 
 def _segment_clear(world: World, ax, ay, bx, by, inflate: float) -> bool:
-    """Whether segment a-b keeps more than ``inflate`` from every wall and
-    obstacle; only obstacles :meth:`World.near` the segment are tested."""
+    """Whether segment a-b keeps at least ``inflate`` from every wall and
+    more than ``inflate`` from every obstacle; only obstacles
+    :meth:`World.near` the segment are tested."""
     x1, x2 = min(ax, bx), max(ax, bx)
     y1, y2 = min(ay, by), max(ay, by)
     if not (inflate <= x1 and x2 <= world.width - inflate

@@ -5,6 +5,14 @@ corner of the room. Obstacles are axis-aligned rectangles and circles.
 Ray casting is vectorized over beam directions. The distance tests here
 take one shape each; the bounding-box broad phase that picks the shapes
 worth testing is :meth:`fanav.sim.World.near`.
+
+A segment meets a rectangle when its parameter range survives clipping to
+the rectangle's x and y slabs (Liang and Barsky's line clipping). When the
+two are apart, both are convex, so their nearest pair of points has a
+vertex of one of them: an endpoint of the segment, whose distance to the
+rectangle is a point distance, or a corner of the rectangle, whose distance
+to the segment is a point-to-segment distance. The least of those six is
+the distance.
 """
 from __future__ import annotations
 
@@ -74,65 +82,31 @@ def point_segment_distance(px: float, py: float,
     return math.hypot(px - (ax + t * vx), py - (ay + t * vy))
 
 
-def _orient(ax, ay, bx, by, cx, cy) -> float:
-    return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-
-
-def segments_intersect(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    """Whether segments a-b and c-d intersect (including touching)."""
-    d1 = _orient(cx, cy, dx, dy, ax, ay)
-    d2 = _orient(cx, cy, dx, dy, bx, by)
-    d3 = _orient(ax, ay, bx, by, cx, cy)
-    d4 = _orient(ax, ay, bx, by, dx, dy)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on_seg(px, py, qx, qy, rx, ry):
-        return (min(px, qx) <= rx <= max(px, qx)
-                and min(py, qy) <= ry <= max(py, qy))
-
-    if d1 == 0 and on_seg(cx, cy, dx, dy, ax, ay):
-        return True
-    if d2 == 0 and on_seg(cx, cy, dx, dy, bx, by):
-        return True
-    if d3 == 0 and on_seg(ax, ay, bx, by, cx, cy):
-        return True
-    if d4 == 0 and on_seg(ax, ay, bx, by, dx, dy):
-        return True
-    return False
-
-
-def segment_segment_distance(ax, ay, bx, by, cx, cy, dx, dy) -> float:
-    if segments_intersect(ax, ay, bx, by, cx, cy, dx, dy):
-        return 0.0
-    return min(
-        point_segment_distance(ax, ay, cx, cy, dx, dy),
-        point_segment_distance(bx, by, cx, cy, dx, dy),
-        point_segment_distance(cx, cy, ax, ay, bx, by),
-        point_segment_distance(dx, dy, ax, ay, bx, by),
-    )
-
-
-def _point_in_rect(rect: Rect, px: float, py: float) -> bool:
-    return rect.x <= px <= rect.x2 and rect.y <= py <= rect.y2
-
-
 def segment_shape_distance(shape: Shape, ax: float, ay: float,
                            bx: float, by: float) -> float:
     """Distance from segment a-b to a shape; 0 on contact or overlap."""
     if isinstance(shape, Circle):
         return max(0.0, point_segment_distance(shape.cx, shape.cy,
                                                ax, ay, bx, by) - shape.r)
-    if _point_in_rect(shape, ax, ay) or _point_in_rect(shape, bx, by):
-        return 0.0
     x1, y1, x2, y2 = shape.x, shape.y, shape.x2, shape.y2
-    edges = (
-        (x1, y1, x2, y1),
-        (x2, y1, x2, y2),
-        (x2, y2, x1, y2),
-        (x1, y2, x1, y1),
-    )
-    return min(segment_segment_distance(ax, ay, bx, by, *e) for e in edges)
+    # clip the segment's parameter range [0, 1] to the x and y slabs
+    lo, hi = 0.0, 1.0
+    for a, d, s1, s2 in ((ax, bx - ax, x1, x2), (ay, by - ay, y1, y2)):
+        if d == 0.0:
+            if not s1 <= a <= s2:  # parallel to the slab and outside it
+                lo = math.inf
+                break
+        else:
+            t1, t2 = (s1 - a) / d, (s2 - a) / d
+            lo, hi = max(lo, min(t1, t2)), min(hi, max(t1, t2))
+    if lo <= hi:
+        return 0.0
+    return min(point_shape_distance(shape, ax, ay),
+               point_shape_distance(shape, bx, by),
+               point_segment_distance(x1, y1, ax, ay, bx, by),
+               point_segment_distance(x2, y1, ax, ay, bx, by),
+               point_segment_distance(x2, y2, ax, ay, bx, by),
+               point_segment_distance(x1, y2, ax, ay, bx, by))
 
 
 # ---------------------------------------------------------------------------
@@ -157,53 +131,10 @@ def ray_box_exit(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
     return np.minimum(tx, ty)
 
 
-def ray_circle(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
-               circle: Circle) -> np.ndarray:
-    """First hit distance of each ray against a circle; inf when missed."""
-    fx = ox - circle.cx
-    fy = oy - circle.cy
-    b = fx * dirx + fy * diry
-    c = fx * fx + fy * fy - circle.r * circle.r
-    if c <= 0.0:  # origin inside or on the circle: immediate hit
-        return np.zeros_like(dirx)
-    disc = b * b - c
-    hit = disc >= 0.0
-    sq = np.sqrt(np.where(hit, disc, 0.0))
-    t1 = -b - sq
-    t = np.where(t1 >= 0.0, t1, np.inf)
-    return np.where(hit, t, np.inf)
-
-
-def ray_rect(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
-             rect: Rect) -> np.ndarray:
-    """First hit distance of each ray against a rectangle; inf when missed."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_x = np.where(np.abs(dirx) > _EPS, 1.0 / dirx, np.inf)
-        inv_y = np.where(np.abs(diry) > _EPS, 1.0 / diry, np.inf)
-        t1 = (rect.x - ox) * inv_x
-        t2 = (rect.x2 - ox) * inv_x
-        t3 = (rect.y - oy) * inv_y
-        t4 = (rect.y2 - oy) * inv_y
-    # degenerate axis: ray parallel to slab, inside iff coordinate in range
-    par_x = np.abs(dirx) <= _EPS
-    par_y = np.abs(diry) <= _EPS
-    in_x = (rect.x <= ox) & (ox <= rect.x2)
-    in_y = (rect.y <= oy) & (oy <= rect.y2)
-    tmin_x = np.where(par_x, np.where(in_x, -np.inf, np.inf), np.minimum(t1, t2))
-    tmax_x = np.where(par_x, np.where(in_x, np.inf, -np.inf), np.maximum(t1, t2))
-    tmin_y = np.where(par_y, np.where(in_y, -np.inf, np.inf), np.minimum(t3, t4))
-    tmax_y = np.where(par_y, np.where(in_y, np.inf, -np.inf), np.maximum(t3, t4))
-    tnear = np.maximum(tmin_x, tmin_y)
-    tfar = np.minimum(tmax_x, tmax_y)
-    hit = (tnear <= tfar) & (tfar >= 0.0)
-    t = np.where(tnear >= 0.0, tnear, 0.0)  # origin inside -> immediate hit
-    return np.where(hit, t, np.inf)
-
-
 def ray_circles(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
                 params: np.ndarray) -> np.ndarray:
     """Min hit distance per ray over many circles; ``params`` is (n, 3) of
-    (cx, cy, r). Equivalent to reducing :func:`ray_circle` over the set."""
+    (cx, cy, r): bit for bit, the least of each circle's own first hit."""
     if params.shape[0] == 0:
         return np.full_like(dirx, np.inf)
     fx = ox - params[:, 0:1]                      # (n, 1)
@@ -220,7 +151,8 @@ def ray_circles(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
 def ray_rects(ox: float, oy: float, dirx: np.ndarray, diry: np.ndarray,
               params: np.ndarray) -> np.ndarray:
     """Min hit distance per ray over many rectangles; ``params`` is (n, 4)
-    of (x1, y1, x2, y2). Equivalent to reducing :func:`ray_rect`.
+    of (x1, y1, x2, y2): bit for bit, the least of each rectangle's own
+    first hit.
 
     One broadcast over (bound, axis, rectangle, beam) gives every slab
     crossing; a beam parallel to an axis is in that slab throughout or

@@ -43,30 +43,6 @@ def expectile_grad(u: np.ndarray, tau: float) -> np.ndarray:
     return 2.0 * expectile_weights(u, tau) * u / u.size
 
 
-def scalar_expectile(samples: np.ndarray, tau: float, tol: float = 1e-12) -> float:
-    """The tau-expectile of a sample set, found by bisection.
-
-    Solves sum(|tau - 1{q < e}| * (q - e)) = 0, which is the first-order
-    condition of the expectile loss in a single scalar parameter.
-    """
-    q = np.asarray(samples, np.float64)
-    lo, hi = float(q.min()), float(q.max())
-
-    def f(e):
-        u = q - e
-        return float(np.sum(expectile_weights(u, tau) * u))
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
-
-
 def value_loss_and_grad(value_net: Mlp, feats: np.ndarray,
                         q_targets: np.ndarray, tau: float
                         ) -> tuple[float, np.ndarray]:

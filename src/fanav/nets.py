@@ -328,11 +328,6 @@ class GaussianPolicyHead:
         z = np.arctanh(t)
         return z, t
 
-    def log_prob(self, feats: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        """Log density of raw actions, including the tanh change of variables."""
-        logp, _ = self._log_prob_parts(feats, actions)
-        return logp
-
     def _log_prob_parts(self, feats: np.ndarray, actions: np.ndarray):
         mu, cache = self.mean_net.forward_cached(feats)
         mu = np.asarray(mu, np.float64)

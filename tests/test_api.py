@@ -14,11 +14,6 @@ import fanav
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# reference implementations that tests compare the vectorized code against,
-# and the objective the finite-difference gradient checks differentiate
-TEST_ORACLES = {"ray_circle", "ray_rect", "scalar_expectile",
-                "GaussianPolicyHead.log_prob"}
-
 
 def quick_start_code() -> str:
     """The README's library quick start, as written."""
@@ -91,8 +86,7 @@ def test_every_public_name_has_a_caller():
                 for p in sources),
                code_references(ast.parse(quick_start_code())))
     unused = [f"{module}.{name}" for module, name in public_names()
-              if not refs[name.rsplit(".", 1)[-1]]
-              and name not in TEST_ORACLES]
+              if not refs[name.rsplit(".", 1)[-1]]]
     assert not unused, f"public names only tests use: {unused}"
 
 

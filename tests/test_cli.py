@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -276,6 +277,27 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
                 "--set", f"{key}={value}"]) == 3
     assert f"{key} must name" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pipeline_manifest_hashes_its_config_and_world_files(tmp_path,
+                                                             monkeypatch):
+    from fanav import cli
+
+    class Collected(Exception):
+        pass
+
+    def collect_to_ratio(*args, **kwargs):
+        raise Collected  # the manifest is written before collection
+
+    monkeypatch.setattr(cli, "collect_to_ratio", collect_to_ratio)
+    worlds = [str(cli.bundled_world_path(n)) for n in ("sparse", "dense")]
+    out = tmp_path / "p"
+    with pytest.raises(Collected):
+        run(["pipeline", "--out-dir", str(out), "--config", DESK,
+             "--set", f"pipeline.eval_worlds={json.dumps(worlds)}"])
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                      for p in (DESK, *worlds)}
 
 
 @pytest.mark.parametrize("pair, message", [

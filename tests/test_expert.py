@@ -85,6 +85,17 @@ def test_plan_path_clearance():
             assert world.clearance(x, y) > SPEC.radius * 0.85
 
 
+
+def test_segment_clear_accepts_a_wall_at_the_inflation_but_not_an_obstacle():
+    # exact in binary: a wall exactly ``inflate`` from the segment leaves it
+    # clear, an obstacle exactly ``inflate`` from it does not
+    world = World(4.0, 4.0, (Rect(2.0, 1.0, 1.0, 2.0),))
+    for x, clear in ((1.75, False), (math.nextafter(1.75, 0.0), True)):
+        assert expert._segment_clear(world, x, 1.5, x, 2.5, 0.25) is clear
+    for x, clear in ((0.25, True), (math.nextafter(0.25, 0.0), False)):
+        assert expert._segment_clear(World(4.0, 4.0), x, 1.0, x, 3.0,
+                                     0.25) is clear
+
 def test_plan_rejects_bad_endpoints():
     world = World(8, 8, (Circle(4, 4, 1.0),))
     with pytest.raises(ConfigError):

@@ -16,10 +16,11 @@ from fanav.losses import (
     expectile_grad,
     expectile_loss,
     min_target_q,
-    scalar_expectile,
     td_targets,
     value_loss_and_grad,
 )
+
+from oracles import log_prob, scalar_expectile
 
 SCALE = np.array([0.5, math.pi / 2])
 DIM = 8
@@ -277,8 +278,8 @@ def test_awr_full_gradient_fd():
     assert np.all(w <= 100.0)
 
     def f():
-        return float(-np.mean(w * policy.log_prob(batch.features,
-                                                  batch.actions)))
+        return float(-np.mean(w * log_prob(policy, batch.features,
+                                           batch.actions)))
 
     assert loss == pytest.approx(f(), rel=1e-12)
     rng = np.random.default_rng(20)

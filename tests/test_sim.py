@@ -12,6 +12,7 @@ from fanav.errors import (
     WorldFormatError,
 )
 from fanav.expert import CLEAN, ExpertConfig, run_episode
+from fanav import sim
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
     COLLISION,
@@ -246,6 +247,21 @@ def test_step_env_wall_collision():
     _, terminal, _ = step_env(world, spec, cfg, Pose(3.75, 2.0, 0.0),
                               (0.5, 3.5), Action(0.5, 0.0), 0)
     assert terminal == COLLISION
+
+
+
+def test_collision_ties_an_obstacle_at_the_radius_but_not_a_wall():
+    # every distance below is exact in binary: an obstacle exactly one
+    # radius from the chord collides, a wall exactly one radius from the
+    # new pose does not
+    spec = small_spec(radius=0.25)
+    world = World(4.0, 4.0, (Rect(2.0, 1.0, 1.0, 2.0),))
+    for x, hit in ((1.75, True), (math.nextafter(1.75, 0.0), False)):
+        assert sim._collides(world, spec, Pose(x, 1.5, 0.0),
+                             Pose(x, 2.5, 0.0)) is hit
+    for x, hit in ((0.25, False), (math.nextafter(0.25, 0.0), True)):
+        assert sim._collides(World(4.0, 4.0), spec, Pose(0.5, 2.0, 0.0),
+                             Pose(x, 2.0, 0.0)) is hit
 
 
 def test_step_env_success_beats_collision():
