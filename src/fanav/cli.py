@@ -191,30 +191,35 @@ def numeric_platform() -> dict:
 
 
 def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
-                   tree: ConfigTree, outputs: list[str] | None = None) -> None:
+                   tree: ConfigTree | None,
+                   outputs: list[str] | None = None) -> None:
     """Write the run manifest of ``args``' command atomically to ``path``,
     creating its directory: ``<out_dir>/manifest.json`` for a command that
     writes a directory, ``<out>.manifest.json`` beside a command's output
     file. It holds the :func:`numeric_platform` and the SHA-256 of every
     file the command read: its ``--config``, its dataset, checkpoint and
-    suite, and each world it loaded from a file rather than by bundled
-    name (``--world``, or the pipeline's collect and eval worlds)."""
-    digest = hashlib.sha256(
-        json.dumps(tree, sort_keys=True).encode()).hexdigest()
+    suite, each world it loaded from a file rather than by bundled name
+    (``--world``, or the pipeline's collect and eval worlds) and each
+    ``result.json`` it compared. ``compare`` reads no config, so its
+    ``tree`` is None, and so are its seed and config digest."""
     worlds = ([tree["pipeline"]["collect_world"],
                *tree["pipeline"]["eval_worlds"]] if args.cmd == "pipeline"
               else [getattr(args, "world", None)])
-    read = [args.config, *(w for w in worlds if w and os.path.exists(w)),
+    read = [getattr(args, "config", None),
+            *(w for w in worlds if w and os.path.exists(w)),
             *(getattr(args, k, None) for k in ("dataset", "checkpoint",
-                                                "suite"))]
+                                                "suite")),
+            *(os.path.join(d, "result.json")
+              for d in getattr(args, "results", []))]
     payload = {
         "tool": "fanav",
         "version": __version__,
         "command": args.cmd,
         "argv": argv,
-        "seed": tree["run"]["seed"],
+        "seed": tree and tree["run"]["seed"],
         "config": tree,
-        "config_digest": digest,
+        "config_digest": tree and hashlib.sha256(
+            json.dumps(tree, sort_keys=True).encode()).hexdigest(),
         "inputs": {p: _sha256_file(p) for p in read if p},
         "outputs": outputs or [],
         "platform": numeric_platform(),
@@ -397,7 +402,9 @@ def cmd_compare(args, argv) -> int:
         res = load_eval_result(path)
         grouped.setdefault(res.method, []).append(res)
     ordered = {m: grouped[m] for m in sorted(grouped, key=_method_sort_key)}
-    print(compare_stage(ordered, args.out_dir or "."), end="")
+    out_dir = args.out_dir or "."
+    print(compare_stage(ordered, out_dir), end="")
+    write_manifest(os.path.join(out_dir, "manifest.json"), args, argv, None)
     return 0
 
 

@@ -402,11 +402,12 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     Three phases: the careful demonstrator (perturbed mode) fills the
     success side; the reckless variant, ``expert_cfg`` with :data:`HARVEST`'s
     values, then runs until enough collision transitions exist (its
-    incidental successes are kept too); finally whole trajectories are
-    trimmed to land within ``ratio_tol`` of the target
-    (:func:`_trim_to_ratio`). While no trim can, one more trajectory of the
-    short side is collected, from the phase that fills it. With a zero
-    target only clean episodes run and collision trajectories are dropped.
+    incidental successes are kept too); finally the newest trajectories
+    are dropped while that brings the collision fraction nearer the target
+    (:func:`_trim_to_ratio`). While that misses ``ratio_tol``, one more
+    trajectory of the short side is collected, from the phase that fills
+    it, and the trim is tried again. With a zero target only clean episodes
+    run, collision trajectories are dropped and nothing is trimmed.
 
     Each episode draws from its own random stream derived from (seed,
     episode index). A phase runs its next episodes as a batch on the lanes
@@ -470,8 +471,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     if target_col_ratio == 0:
         _build_plan_grids(world, spec, expert_cfg)
         fill(SUCCESS, min_transitions, CLEAN, expert_cfg)
-        return _trim_to_ratio(kept[SUCCESS], [], 0.0, ratio_tol,
-                              min_transitions)
+        return kept[SUCCESS]
 
     harvest = replace(expert_cfg, **HARVEST)
     _build_plan_grids(world, spec, expert_cfg, harvest)
@@ -493,20 +493,19 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
                    target: float, tol: float,
                    min_transitions: int) -> list[Trajectory] | None:
     """The trajectories to keep: at least ``min_transitions`` transitions,
-    a collision share within ``tol`` of ``target``, at least one success
-    and, for a non-zero target, one collision; None if no choice of whole
-    trajectories has them. The lists are not changed.
+    a collision share within ``tol`` of a non-zero ``target``, and at least
+    one success and one collision. The lists are not changed.
 
     Newest trajectories are dropped one at a time while that improves the
-    ratio match. If that misses ``tol``, :func:`_search_drops` looks for
-    the drops among all of them.
+    ratio match. If the share still misses ``tol``, this returns None, and
+    :func:`collect_to_ratio` collects one more trajectory of the short side.
     """
     n_succ = sum(len(t) for t in succ)
     n_coll = sum(len(t) for t in coll)
     ks, kc = len(succ), len(coll)  # kept: the oldest ks and kc
 
     def ratio(ns, nc):
-        return nc / (ns + nc) if ns + nc else 0.0
+        return nc / (ns + nc)
 
     improved = True
     while improved:
@@ -520,7 +519,7 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
                 ks -= 1
                 improved = True
                 continue
-        if kc > (0 if target == 0 else 1):
+        if kc > 1:
             cand = n_coll - len(coll[kc - 1])
             if n_succ + cand >= min_transitions \
                     and abs(ratio(n_succ, cand) - target) < err:
@@ -529,41 +528,4 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
                 improved = True
     if abs(ratio(n_succ, n_coll) - target) <= tol:
         return succ[:ks] + coll[:kc]
-    return _search_drops(succ, coll, target, tol, min_transitions)
-
-
-def _search_drops(succ: list[Trajectory], coll: list[Trajectory],
-                  target: float, tol: float,
-                  min_transitions: int) -> list[Trajectory] | None:
-    """:func:`_trim_to_ratio` by exhaustive search: of the totals whole
-    trajectories make up, the (success, collision) pair within ``tol`` that
-    keeps the most transitions, ties to the fewer collisions. Each side
-    keeps its oldest trajectories that make up its total."""
-    def sums(trajs):  # [i]: bit s set when some of trajs[i:] hold s in all
-        out = [1]
-        for t in reversed(trajs):
-            out.append(out[-1] | out[-1] << len(t))
-        return out[::-1]
-
-    def oldest(trajs, reach, total):  # kept while the newer can make it up
-        out = []
-        for t, rest in zip(trajs, reach[1:]):
-            if len(t) <= total and rest >> (total - len(t)) & 1:
-                out.append(t)
-                total -= len(t)
-        return out
-
-    s_sums, c_sums = sums(succ), sums(coll)
-    n_succ, low = sum(len(t) for t in succ), target - tol
-    best = None
-    for nc in range(1, c_sums[0].bit_length()):
-        # the most success transitions that keep the share >= target - tol
-        cap = n_succ if low <= 0 else min(n_succ, int(nc * (1 - low) / low))
-        ns = (s_sums[0] & ((2 << cap) - 1)).bit_length() - 1
-        if c_sums[0] >> nc & 1 and ns >= 1 and ns + nc >= min_transitions \
-                and abs(nc / (ns + nc) - target) <= tol \
-                and (best is None or ns + nc > sum(best)):
-            best = (ns, nc)
-    if best is None:
-        return None
-    return oldest(succ, s_sums, best[0]) + oldest(coll, c_sums, best[1])
+    return None

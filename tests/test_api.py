@@ -2,6 +2,7 @@
 every public name in the package has a user outside the tests, and
 every name the benchmark's tracer patches is where it looks for it."""
 import ast
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -20,6 +21,22 @@ def quick_start_code() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     code = readme.split("## Quick start (library)", 1)[1]
     return code.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_results_equal_the_committed_csv():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Results\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("| ") and "---" not in line]
+    header, quoted = rows[0], rows[1:]
+    worlds = [h.removesuffix(" SR") for h in header[1:]]
+    with open(ROOT / "results" / "desk_seed0" / "comparison.csv",
+              encoding="utf-8") as fh:
+        committed = {(r["method"], r["world"]): f"{r['sr_mean']} ± "
+                     f"{r['sr_std']}" for r in csv.DictReader(fh)}
+    assert {(row[0], w): cell for row in quoted
+            for w, cell in zip(worlds, row[1:])} == committed
 
 
 def test_readme_quick_start_runs_at_toy_size(monkeypatch, capsys):

@@ -827,6 +827,19 @@ def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
     assert a.profile == b.profile
 
 
+def test_compare_manifest_hashes_each_result_it_read(pipeline_run, tmp_path):
+    dirs = [os.path.join(pipeline_run, "eval", m, "sparse")
+            for m in ("bc", "iql_ca")]
+    cdir = tmp_path / "cmp"
+    assert run(["compare", "--results", *dirs, "--out-dir", str(cdir)]) == 0
+    manifest = json.loads((cdir / "manifest.json").read_text())
+    assert manifest["command"] == "compare"
+    assert manifest["config"] is manifest["seed"] is None  # it reads none
+    assert manifest["inputs"] == {
+        os.path.join(d, "result.json"): hashlib.sha256(
+            Path(d, "result.json").read_bytes()).hexdigest() for d in dirs}
+
+
 def test_result_json_round_trips_and_malformed_ones_exit_four(
         pipeline_run, tmp_path, capsys):
     from fanav.evaluation import load_eval_result, save_eval_result

@@ -277,11 +277,13 @@ def test_collect_to_ratio_hits_target():
         assert t.outcome in (SUCCESS, COLLISION)
 
 
-# Episode ids kept at sizes where the newest-first trim alone lands within
-# the tolerance: the search and the top-up must leave them as they are.
-GREEDY_KEPT = {450: [0, 1, 2, 3, 4, 5, 8, 9], 800: list(range(11)),
-               1000: list(range(12)),
-               1200: [*range(12), 13, 16, 12, 14, 15, 17]}
+# Episode ids kept on cluttered at desk's robot, successes first. At 450,
+# 800, 1000 and 1200 the newest-first trim alone lands within the
+# tolerance. At 550 it misses until the top-up has collected successes 11,
+# 13, 14 and 15; collision 12, met on the way, is trimmed as the newest.
+KEPT = {450: [0, 1, 2, 3, 4, 5, 8, 9],
+        550: [*range(8), 11, 13, 14, 15, 8, 9, 10], 800: list(range(11)),
+        1000: list(range(12)), 1200: [*range(12), 13, 16, 12, 14, 15, 17]}
 
 
 @pytest.mark.parametrize("key, value", [
@@ -290,7 +292,7 @@ GREEDY_KEPT = {450: [0, 1, 2, 3, 4, 5, 8, 9], 800: list(range(11)),
     ("target_col_ratio", 1.0)])
 def test_collect_to_ratio_refuses_a_bad_target_before_an_episode(
         key, value, monkeypatch):
-    # a negative ratio_tol reached the trim search as a negative shift count
+    # a bad bound would otherwise surface only after the episodes, or never
     def episode(*args):
         raise AssertionError("ran an episode")
 
@@ -303,9 +305,9 @@ def test_collect_to_ratio_refuses_a_bad_target_before_an_episode(
 
 def test_collect_to_ratio_meets_the_tolerance_at_every_size():
     # cluttered at desk's robot: at 300-400, 550-750, 1050 and 1100 the
-    # newest-first trim misses 0.01; then the search drops older
-    # trajectories, or one more success is collected at 300-400, where a
-    # single 53-step collision outweighs every success
+    # newest-first trim misses 0.01, so the top-up collects one more
+    # trajectory of the short side until it lands; at 300-400 a single
+    # 53-step collision outweighs every success
     world = resolve_world("cluttered")
     spec = RobotSpec(lidar_range=6.0)
     for size in range(300, 1201, 50):
@@ -316,11 +318,22 @@ def test_collect_to_ratio_meets_the_tolerance_at_every_size():
         assert total >= size
         assert abs(n_coll / total - 0.1) <= 0.01, size
         assert {t.outcome for t in trajs} == {SUCCESS, COLLISION}
-        if size in GREEDY_KEPT:
-            assert [t.traj_id for t in trajs] == GREEDY_KEPT[size]
+        if size in KEPT:
+            assert [t.traj_id for t in trajs] == KEPT[size], size
 
 
-def test_search_keeps_the_oldest_trajectories_of_each_total():
+def test_collect_to_ratio_at_zero_keeps_every_clean_success():
+    trajs = collect_to_ratio(resolve_world("sparse"), SPEC, EPISODE,
+                             ExpertConfig(), 300, 0.0, seed=0)
+    ids = [t.traj_id for t in trajs]
+    assert ids == sorted(ids) and {t.outcome for t in trajs} == {SUCCESS}
+    total = sum(len(t) for t in trajs)
+    # nothing is trimmed: the last episode kept is the one that reached 300
+    assert total >= 300 and total - len(trajs[-1]) < 300
+
+
+def test_trim_returns_none_when_the_newest_first_drops_miss():
+    # collect_to_ratio then collects one more trajectory of the short side
     def trajs(outcome, lengths):
         return [expert.Trajectory(i, outcome, np.zeros((n + 1, 0)),
                                   np.zeros((n, 2)))
@@ -328,16 +341,14 @@ def test_search_keeps_the_oldest_trajectories_of_each_total():
 
     succ = trajs(SUCCESS, [94, 57, 85, 80, 53, 127, 71, 90])
     coll = trajs(COLLISION, [34, 16, 67])
-    # cluttered's lists at 550: newest-first ends at 0.081, but the newest
-    # collision alone with every success holds 0.0925
-    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 550) == \
-        succ + coll[2:]
+    # cluttered's lists at 550: newest-first ends at 0.081, though the
+    # newest collision alone with every success would hold 0.0925
+    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 550) is None
     assert len(succ) == 8 and len(coll) == 3  # the inputs are unchanged
-    # newest-first ends at 30/230; 150 success steps and the 15-step
-    # collision fit, and the oldest three successes make up the 150
+    # newest-first ends at 30/230, though 150 success steps and the 15-step
+    # collision would hold 0.0909
     succ, coll = trajs(SUCCESS, [50] * 4), trajs(COLLISION, [30, 15])
-    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 100) == \
-        succ[:3] + coll[1:]
+    assert expert._trim_to_ratio(succ, coll, 0.1, 0.01, 100) is None
     # a single collision too long for every success: nothing fits
     assert expert._trim_to_ratio(succ[:5], trajs(COLLISION, [53]), 0.1,
                                  0.01, 300) is None
