@@ -190,6 +190,25 @@ def numeric_platform() -> dict:
             "blas": f"{blas['name']} {blas['version']}", "cpu": cpu}
 
 
+def claim_manifest(path: str, cmd: str) -> None:
+    """Refuse with a :class:`ConfigError` to let ``cmd`` replace the file
+    at ``path`` unless it is a manifest that ``cmd`` wrote. A command calls
+    this before it writes anything, so a refused command writes nothing."""
+    if not os.path.exists(path):
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            old = json.load(fh)
+        owner = old["command"] if old["tool"] == "fanav" else None
+    except (ValueError, TypeError, KeyError):
+        owner = None
+    if owner != cmd:
+        what = (f"the manifest of fanav {owner}" if owner
+                else "not a fanav manifest")
+        raise ConfigError(f"{path} is {what}; fanav {cmd} will not replace "
+                          "it: choose another output path")
+
+
 def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
                    tree: ConfigTree | None,
                    outputs: list[str] | None = None) -> None:
@@ -201,7 +220,9 @@ def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
     suite, each world it loaded from a file rather than by bundled name
     (``--world``, or the pipeline's collect and eval worlds) and each
     ``result.json`` it compared. ``compare`` reads no config, so its
-    ``tree`` is None, and so are its seed and config digest."""
+    ``tree`` is None, and so are its seed and config digest. It replaces
+    only a manifest of the same command (:func:`claim_manifest`)."""
+    claim_manifest(path, args.cmd)
     worlds = ([tree["pipeline"]["collect_world"],
                *tree["pipeline"]["eval_worlds"]] if args.cmd == "pipeline"
               else [getattr(args, "world", None)])
@@ -309,6 +330,7 @@ def compare_stage(results: dict[str, list[EvalResult]], out_dir: str) -> str:
 
 def cmd_gen_world(args, argv) -> int:
     tree = resolve_config(args.config, args.set)
+    claim_manifest(args.out + ".manifest.json", args.cmd)
     world = generate_world(args.width, args.height, args.density,
                            tree["run"]["seed"], name=args.name,
                            robot_radius=float(tree["robot"]["radius"]))
@@ -328,6 +350,7 @@ def cmd_collect(args, argv) -> int:
         args.usage_error("--target-col-ratio and --set collect.* apply only "
                          "without --episodes")
     tree = resolve_config(args.config, args.set)
+    claim_manifest(args.out + ".manifest.json", args.cmd)
     seed = tree["run"]["seed"]
     world = resolve_world(args.world)
     spec = robot_spec_from(tree)
@@ -378,10 +401,11 @@ def cmd_eval(args, argv) -> int:
                           robot_of=(args.checkpoint, policy.profile.robot))
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
+    manifest = os.path.join(args.out_dir, "manifest.json")
+    claim_manifest(manifest, args.cmd)
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
                      args.out_dir)
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), args, argv,
-                   tree)
+    write_manifest(manifest, args, argv, tree)
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
@@ -403,8 +427,10 @@ def cmd_compare(args, argv) -> int:
         grouped.setdefault(res.method, []).append(res)
     ordered = {m: grouped[m] for m in sorted(grouped, key=_method_sort_key)}
     out_dir = args.out_dir or "."
+    manifest = os.path.join(out_dir, "manifest.json")
+    claim_manifest(manifest, args.cmd)
     print(compare_stage(ordered, out_dir), end="")
-    write_manifest(os.path.join(out_dir, "manifest.json"), args, argv, None)
+    write_manifest(manifest, args, argv, None)
     return 0
 
 

@@ -212,16 +212,16 @@ def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
             raise ConfigError(
                 f"trajectory {traj.traj_id} has outcome '{traj.outcome}', "
                 "only success/collision trajectories belong in a dataset")
-        rows[traj.outcome] += len(traj.actions)
+        rows[traj.outcome] += len(traj)
     blocks = {o: TransitionBlock.empty(profile.dim, n) for o, n in rows.items()}
     for traj in trajectories:
-        block, T = blocks[traj.outcome], len(traj.actions)
+        block, T = blocks[traj.outcome], len(traj)
         at = slice(filled[traj.outcome], filled[traj.outcome] + T)
         filled[traj.outcome] += T
         feats = encode_state(traj.obs, profile)
         block.dones[at] = dones = np.arange(T) == T - 1
         block.features[at], block.next_features[at] = feats[:-1], feats[1:]
-        block.actions[at] = traj.actions
+        block.actions[at] = traj.obs[1:, -2:]  # the clamped commands
         block.rewards[at] = _transition_rewards(
             feats[:-1], feats[1:], dones, traj.outcome, profile, episode_cfg)
         block.traj_ids[at], block.step_ids[at] = traj.traj_id, np.arange(T)

@@ -200,28 +200,21 @@ class NetworkPolicy:
 # ---------------------------------------------------------------------------
 
 def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
-            task: Task, record: bool = True
-            ) -> tuple[str, np.ndarray | None]:
+            task: Task) -> tuple[str, np.ndarray]:
     """Run one episode; returns (outcome, trajectory).
 
     ``policy.reset(world, spec, task)`` is called once, then
-    ``policy.act(state, pose)`` once per step, ``state`` being the row of
-    :func:`fanav.sim.observe`. The trajectory has one row per visited
-    pose: (t, x, y, heading, v, w), starting at rest and ending at the
-    terminal pose.
+    :meth:`EpisodeEngine.run` calls ``policy.act(state, pose)``, ``state``
+    being the row of :func:`fanav.sim.observe`. The trajectory has one row
+    per pose it returns: (t, x, y, heading, v, w), (v, w) being the clamped
+    command its observation ends with, starting at rest.
     """
     engine = EpisodeEngine(world, spec, episode)
-    state = engine.reset(task.start, task.goal)
+    engine.reset(task.start, task.goal)
     policy.reset(world, spec, task)
-    rows = [(0, task.start.x, task.start.y, task.start.heading, 0.0, 0.0)] \
-        if record else None
-    while not engine.done:
-        state = engine.step(policy.act(state, engine.pose))
-        if record:
-            rows.append((engine.t, engine.pose.x, engine.pose.y,
-                         engine.pose.heading, state[-2], state[-1]))
-    traj = np.array(rows, np.float64) if record else None
-    return engine.terminal, traj
+    obs, poses = engine.run(policy.act)
+    steps = np.arange(len(poses), dtype=np.float64)
+    return engine.terminal, np.column_stack((steps, poses, obs[:, -2:]))
 
 
 def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,
@@ -372,8 +365,7 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
         for idx, task in enumerate(suite.tasks):
             start = _jittered_start(world, spec, task, trial, idx, seed, jitter)
             jt = Task(start.x, start.y, start.heading, task.gx, task.gy)
-            outcome, traj = rollout(policy, world, spec, suite.episode, jt,
-                                    record=trial == 0)
+            outcome, traj = rollout(policy, world, spec, suite.episode, jt)
             row.append(outcome)
             if trial == 0:
                 trajectories.append(traj)

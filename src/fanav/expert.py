@@ -27,7 +27,6 @@ from .sim import (
     Pose,
     RobotSpec,
     World,
-    clamp_action,
     sample_task,
 )
 
@@ -300,50 +299,46 @@ def expert_action(pose: Pose, path: list[tuple[float, float]],
 @dataclass
 class Trajectory:
     """One finished episode: its observations (rows of
-    :func:`fanav.sim.observe`), the clamped (v, omega) commands taken
-    between them, and the outcome label."""
+    :func:`fanav.sim.observe`), whose ``obs[1:, -2:]`` are the clamped (v,
+    omega) commands taken, and the outcome label."""
 
     traj_id: int
     outcome: str         # SUCCESS or COLLISION (timeouts are dropped)
     obs: np.ndarray      # (T+1, beams+4) float64
-    actions: np.ndarray  # (T, 2) float64
 
     def __len__(self) -> int:
-        return len(self.actions)
+        return len(self.obs) - 1
 
 
 def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 expert_cfg: ExpertConfig, rng: np.random.Generator,
-                mode: str, traj_id: int,
-                start: Pose | None = None,
-                goal: tuple[float, float] | None = None) -> Trajectory | None:
-    """Run one demonstrator episode; return None on a planning dead end."""
+                mode: str, traj_id: int) -> Trajectory | None:
+    """Run one demonstrator episode on a task drawn from ``rng``, the
+    command pure pursuit plus in perturbed mode noise drawn from ``rng``;
+    return None on a planning dead end."""
     if mode not in (CLEAN, PERTURBED):
         raise ConfigError(f"unknown collection mode '{mode}'")
-    if start is None or goal is None:
-        start, goal = sample_task(world, rng, spec.radius + expert_cfg.plan_inflation
-                                  + 0.02, expert_cfg.min_separation)
+    start, goal = sample_task(world, rng, spec.radius + expert_cfg.plan_inflation
+                              + 0.02, expert_cfg.min_separation)
     try:
         path = plan_path(world, (start.x, start.y), goal, spec.radius,
                          expert_cfg.plan_inflation)
     except NoPathError:
         return None
+    noisy = mode == PERTURBED and expert_cfg.noise_prob > 0
+
+    def act(state: np.ndarray, pose: Pose) -> Action:
+        a = expert_action(pose, path, spec, expert_cfg)
+        if noisy and rng.uniform() < expert_cfg.noise_prob:
+            dv, dw = rng.normal(0.0, 1.0, 2)
+            a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
+                       a.omega_cmd + dw * expert_cfg.noise_std_omega)
+        return a
 
     engine = EpisodeEngine(world, spec, episode_cfg)
-    obs = [engine.reset(start, goal)]
-    actions: list[tuple[float, float]] = []
-    while not engine.done:
-        a = expert_action(engine.pose, path, spec, expert_cfg)
-        if mode == PERTURBED and expert_cfg.noise_prob > 0:
-            if rng.uniform() < expert_cfg.noise_prob:
-                dv, dw = rng.normal(0.0, 1.0, 2)
-                a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
-                           a.omega_cmd + dw * expert_cfg.noise_std_omega)
-        a = clamp_action(a, spec)
-        obs.append(engine.step(a))
-        actions.append((a.v_cmd, a.omega_cmd))
-    return Trajectory(traj_id, engine.terminal, np.stack(obs),
-                      np.array(actions, np.float64))
+    engine.reset(start, goal)
+    obs, _ = engine.run(act)
+    return Trajectory(traj_id, engine.terminal, obs)
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,

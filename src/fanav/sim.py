@@ -224,11 +224,6 @@ def step_kinematics(pose: Pose, action: Action, dt: float) -> Pose:
                 wrap_angle(h + w * dt))
 
 
-def clamp_action(action: Action, spec: RobotSpec) -> Action:
-    return Action(min(spec.v_max, max(-spec.v_max, action.v_cmd)),
-                  min(spec.omega_max, max(-spec.omega_max, action.omega_cmd)))
-
-
 def _collides(world: World, spec: RobotSpec, old: Pose, new: Pose) -> bool:
     """Swept-disk collision between two consecutive poses.
 
@@ -260,14 +255,15 @@ def observe(world: World, spec: RobotSpec, pose: Pose,
 def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
              goal: tuple[float, float], action: Action,
              t: int) -> tuple[np.ndarray, str, Pose]:
-    """Advance one control step.
+    """Advance one control step at the command clamped to the robot's limits.
 
     Returns the next observation, the terminal label (NONE, SUCCESS,
     COLLISION or TIMEOUT) and the post-step pose. ``t`` is the zero-based
     index of the step being taken; the episode times out when step
     t_max - 1 ends without another terminal.
     """
-    a = clamp_action(action, spec)
+    a = Action(min(spec.v_max, max(-spec.v_max, action.v_cmd)),
+               min(spec.omega_max, max(-spec.omega_max, action.omega_cmd)))
     new_pose = step_kinematics(pose, a, spec.control_dt)
 
     if relative_goal(new_pose, goal)[0] <= cfg.goal_radius:
@@ -303,6 +299,7 @@ class EpisodeEngine:
         self.cfg = cfg
         self.pose: Pose | None = None
         self.goal: tuple[float, float] | None = None
+        self.obs: np.ndarray | None = None  # the latest observation
         self.t = 0
         self.terminal = NONE
 
@@ -315,7 +312,8 @@ class EpisodeEngine:
         self.goal = (float(goal[0]), float(goal[1]))
         self.t = 0
         self.terminal = NONE
-        return observe(self.world, self.spec, start, self.goal)
+        self.obs = observe(self.world, self.spec, start, self.goal)
+        return self.obs
 
     @property
     def done(self) -> bool:
@@ -328,11 +326,24 @@ class EpisodeEngine:
             raise ProtocolError("step() before reset()")
         if self.done:
             raise ProtocolError(f"step() after terminal '{self.terminal}'")
-        state, self.terminal, self.pose = step_env(
+        self.obs, self.terminal, self.pose = step_env(
             self.world, self.spec, self.cfg, self.pose, self.goal, action,
             self.t)
         self.t += 1
-        return state
+        return self.obs
+
+    def run(self, act) -> tuple[np.ndarray, np.ndarray]:
+        """Step from :meth:`reset` to the end, each command ``act(state,
+        pose)``; returns the T+1 observations, each after the first ending
+        with the clamped command, and the T+1 (x, y, heading) poses."""
+        if self.pose is None or self.t:
+            raise ProtocolError("run() must follow reset()")
+        obs = [self.obs]
+        poses = [(self.pose.x, self.pose.y, self.pose.heading)]
+        while not self.done:
+            obs.append(self.step(act(self.obs, self.pose)))
+            poses.append((self.pose.x, self.pose.y, self.pose.heading))
+        return np.stack(obs), np.array(poses, np.float64)
 
 
 # ---------------------------------------------------------------------------

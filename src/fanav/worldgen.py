@@ -15,6 +15,11 @@ from .geometry import Circle, Rect, Shape
 from .sim import RobotSpec, World, sample_free_point
 
 PROBE_PAIRS = 20
+WALL_MARGIN = 0.3  # least gap between an obstacle and a wall (m)
+MAX_RADIUS = 0.55  # largest circle radius (m)
+# the least room side at which a circle of every radius fits between the
+# wall margins, to the millimetre the layouts are rounded to
+MIN_SIDE = round(2 * (WALL_MARGIN + MAX_RADIUS), 3)
 
 
 def _sample_layout(width: float, height: float, density: float,
@@ -22,7 +27,7 @@ def _sample_layout(width: float, height: float, density: float,
     target_area = density * width * height
     shapes: list[Shape] = []
     area = 0.0
-    margin = 0.3
+    margin = WALL_MARGIN
     while area < target_area:
         if rng.uniform() < 0.55:
             w = rng.uniform(0.4, 1.4)
@@ -33,7 +38,7 @@ def _sample_layout(width: float, height: float, density: float,
                                round(h, 3)))
             area += w * h
         else:
-            r = rng.uniform(0.2, 0.55)
+            r = rng.uniform(0.2, MAX_RADIUS)
             cx = rng.uniform(margin + r, width - r - margin)
             cy = rng.uniform(margin + r, height - r - margin)
             shapes.append(Circle(round(cx, 3), round(cy, 3), round(r, 3)))
@@ -61,10 +66,15 @@ def generate_world(width: float, height: float, density: float, seed: int,
     """Generate a connected cluttered room at the requested obstacle density.
 
     Identical arguments always produce the identical world; layouts failing
-    the reachability probe are discarded and resampled.
+    the reachability probe are discarded and resampled. Obstacles need each
+    side to be at least ``MIN_SIDE``.
     """
     if not (0.0 <= density <= 1.0):
         raise ConfigError("density must lie in [0, 1]")
+    if density > 0.0 and min(width, height) < MIN_SIDE:
+        raise ConfigError(
+            f"a {width:g} x {height:g} m room is too small for obstacles: at "
+            f"density > 0 each side must be at least {MIN_SIDE:g} m")
     if density == 0.0:
         return World(width, height, (), name)
     for attempt in range(max_attempts):

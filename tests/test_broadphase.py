@@ -160,8 +160,7 @@ def collect_and_evaluate():
     suite = make_suite(dense, spec, episode, 6, seed=3)
     result = evaluate_suite(ExpertPilot(), dense, spec, suite, n_trials=2,
                             seed=3)
-    return ([(t.traj_id, t.outcome, t.obs.tobytes(), t.actions.tobytes())
-             for t in trajs],
+    return ([(t.traj_id, t.outcome, t.obs.tobytes()) for t in trajs],
             [getattr(block, c).tobytes() for block in (ds.exp, ds.col)
              for c in vars(block)],
             suite.tasks, result.outcomes,

@@ -5,6 +5,7 @@ import math
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -463,6 +464,26 @@ def test_gen_world_density_zero(tmp_path):
     assert load_world(out).obstacles == ()
 
 
+def test_gen_world_refuses_a_room_too_small_for_obstacles(tmp_path, capsys):
+    # a circle of the largest radius, 0.55 m, needs 2 x (0.3 + 0.55) m
+    # between the walls; nothing is written for a narrower room
+    def gen(width, height, density, out):
+        return run(["gen-world", "--width", width, "--height", height,
+                    "--density", density, "--seed", "0", "--out", str(out)])
+
+    for width, height in (("1.6", "5"), ("5", "1.6")):
+        capsys.readouterr()
+        assert gen(width, height, "0.3", tmp_path / "narrow.world") == 3
+        assert "each side must be at least 1.7 m" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+    assert gen("1.7", "1.7", "0.3", tmp_path / "small.world") == 0
+    assert load_world(str(tmp_path / "small.world")).obstacles
+    # an empty room of any positive size is still accepted
+    assert gen("0.5", "0.4", "0", tmp_path / "tiny.world") == 0
+    tiny = load_world(str(tmp_path / "tiny.world"))
+    assert (tiny.width, tiny.height, tiny.obstacles) == (0.5, 0.4, ())
+
+
 def test_collect_episodes_and_inspect(tmp_path, capsys):
     out = str(tmp_path / "d.fanav")
     code = run(["collect", "--world", "sparse", "--episodes", "3",
@@ -838,6 +859,50 @@ def test_compare_manifest_hashes_each_result_it_read(pipeline_run, tmp_path):
     assert manifest["inputs"] == {
         os.path.join(d, "result.json"): hashlib.sha256(
             Path(d, "result.json").read_bytes()).hexdigest() for d in dirs}
+
+
+def test_a_command_does_not_replace_another_commands_manifest(
+        pipeline_run, tmp_path, capsys):
+    def files(root):
+        return {os.path.relpath(os.path.join(d, n), root):
+                Path(d, n).read_bytes()
+                for d, _, names in os.walk(root) for n in names}
+
+    out = tmp_path / "run"  # a copy: the shared run stays as it was made
+    shutil.copytree(pipeline_run, out)
+    before = files(out)
+    results = os.path.join(pipeline_run, "eval", "bc", "sparse")
+    manifest = str(out / "manifest.json")
+    for argv, cmd in ((["compare", "--results", results,
+                        "--out-dir", str(out)], "compare"),
+                      (eval_argv(pipeline_run, "bc", out), "eval")):
+        capsys.readouterr()
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert f"{manifest} is the manifest of fanav pipeline; fanav {cmd} " \
+               "will not replace it" in err
+    assert files(out) == before
+    # nor a file that is not a fanav manifest
+    other = tmp_path / "other"
+    other.mkdir()
+    for text in ("not json", '{"tool": "else", "command": "compare"}', "[]"):
+        (other / "manifest.json").write_text(text)
+        assert run(["compare", "--results", results,
+                    "--out-dir", str(other)]) == 3
+        assert os.listdir(other) == ["manifest.json"]
+        assert "is not a fanav manifest" in capsys.readouterr().err
+    # a rerun replaces its own manifest
+    cdir = str(tmp_path / "cmp")
+    for _ in range(2):
+        assert run(["compare", "--results", results, "--out-dir", cdir]) == 0
+    # collect refuses a path whose manifest gen-world wrote before it
+    # replaces the world
+    room = str(tmp_path / "room")
+    assert run(["gen-world", "--density", "0", "--out", room]) == 0
+    world = Path(room).read_bytes()
+    assert run(["collect", "--world", "sparse", "--episodes", "1",
+                "--out", room]) == 3
+    assert Path(room).read_bytes() == world
 
 
 def test_result_json_round_trips_and_malformed_ones_exit_four(

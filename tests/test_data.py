@@ -186,8 +186,8 @@ def test_build_dataset_matches_a_per_transition_reference():
     rows = {SUCCESS: [], COLLISION: []}
     for traj in trajs:
         feats = [reference_features(s, PROFILE) for s in traj.obs]
-        T = len(traj.actions)
-        for t, (v, w) in enumerate(traj.actions.tolist()):
+        T = len(traj)
+        for t, (v, w) in enumerate(traj.obs[1:, -2:].tolist()):
             done = t == T - 1
             if done:
                 r = EPISODE.r_success if traj.outcome == SUCCESS \
@@ -212,11 +212,11 @@ def staged_build(trajectories, profile, episode) -> list[TransitionBlock]:
     parts = {SUCCESS: [], COLLISION: []}
     for traj in trajectories:
         feats = np.stack([reference_features(s, profile) for s in traj.obs])
-        T = len(traj.actions)
+        T = len(traj)
         dones = np.arange(T) == T - 1
         parts[traj.outcome].append({
             "features": feats[:-1],
-            "actions": traj.actions.tolist(),
+            "actions": traj.obs[1:, -2:].tolist(),
             "rewards": _transition_rewards(feats[:-1], feats[1:], dones,
                                            traj.outcome, profile, episode),
             "next_features": feats[1:], "dones": dones,
@@ -255,7 +255,7 @@ def test_build_dataset_holds_each_column_once():
         tracemalloc.stop()
     nbytes = sum(getattr(block, c).nbytes for block in (ds.exp, ds.col)
                  for c in _COLUMNS)
-    longest = max(len(t.actions) for t in TRAJS) * nbytes / ds.n_total
+    longest = max(len(t) for t in TRAJS) * nbytes / ds.n_total
     assert peak < nbytes + longest + 64 * 1024, (peak, nbytes, longest)
 
 

@@ -241,15 +241,15 @@ def test_collection_is_seed_reproducible():
     b = collect(world, SPEC, EPISODE, cfg, 6, PERTURBED, seed=9)
     assert [t.outcome for t in a] == [t.outcome for t in b]
     for ta, tb in zip(a, b):
-        assert np.array_equal(ta.actions, tb.actions)
+        assert np.array_equal(ta.obs, tb.obs)
 
 
 def test_expert_actions_respect_limits():
     world = World(8, 8, (Circle(4, 4, 0.8),))
     trajs = collect(world, SPEC, EPISODE, ExpertConfig(), 6, PERTURBED, seed=5)
     for t in trajs:
-        assert np.all(np.abs(t.actions) <= [SPEC.v_max + 1e-12,
-                                            SPEC.omega_max + 1e-12])
+        assert np.all(np.abs(t.obs[1:, -2:]) <= [SPEC.v_max + 1e-12,
+                                                 SPEC.omega_max + 1e-12])
 
 
 def test_label_purity_and_done_position():
@@ -258,8 +258,7 @@ def test_label_purity_and_done_position():
     assert trajs, "expected at least one labeled trajectory"
     for t in trajs:
         assert t.outcome in (SUCCESS, COLLISION)
-        assert t.obs.shape == (len(t.actions) + 1, SPEC.lidar_beams + 4)
-        assert t.actions.shape == (len(t), 2)
+        assert t.obs.shape == (len(t) + 1, SPEC.lidar_beams + 4)
 
 
 def test_collect_to_ratio_hits_target():
@@ -335,8 +334,7 @@ def test_collect_to_ratio_at_zero_keeps_every_clean_success():
 def test_trim_returns_none_when_the_newest_first_drops_miss():
     # collect_to_ratio then collects one more trajectory of the short side
     def trajs(outcome, lengths):
-        return [expert.Trajectory(i, outcome, np.zeros((n + 1, 0)),
-                                  np.zeros((n, 2)))
+        return [expert.Trajectory(i, outcome, np.zeros((n + 1, 0)))
                 for i, n in enumerate(lengths)]
 
     succ = trajs(SUCCESS, [94, 57, 85, 80, 53, 127, 71, 90])
@@ -355,14 +353,15 @@ def test_trim_returns_none_when_the_newest_first_drops_miss():
 
 
 def test_run_episode_fixed_task_is_deterministic():
-    world = World(8, 8, (Circle(4, 4, 0.8),))
-    start, goal = Pose(1, 1, 0.3), (7.0, 7.0)
+    # the task is sampled from the seeded stream in an empty room, where
+    # the clean demonstrator succeeds
+    world = World(8, 8)
     t1 = run_episode(world, SPEC, EPISODE, ExpertConfig(), np.random.default_rng(0),
-                     CLEAN, 0, start, goal)
+                     CLEAN, 0)
     t2 = run_episode(world, SPEC, EPISODE, ExpertConfig(), np.random.default_rng(0),
-                     CLEAN, 0, start, goal)
+                     CLEAN, 0)
     assert t1.outcome == t2.outcome == SUCCESS
-    assert np.array_equal(t1.actions, t2.actions)
+    assert np.array_equal(t1.obs, t2.obs)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +376,8 @@ HARVEST = replace(ExpertConfig(), **expert.HARVEST)
 
 def as_values(trajs):
     """Trajectories as comparable values (a trajectory holds arrays)."""
-    return [(t.traj_id, t.outcome, t.obs.shape, t.obs.tobytes(),
-             t.actions.shape, t.actions.tobytes()) for t in trajs]
+    return [(t.traj_id, t.outcome, t.obs.shape, t.obs.tobytes())
+            for t in trajs]
 
 
 def ratio_run(seed):
@@ -500,10 +499,10 @@ def test_no_lane_builds_a_planning_grid(ratio, monkeypatch, set_lanes,
 
 
 def test_trajectory_pickles_as_its_arrays():
-    # a lane sends each episode as its two matrices and little more
+    # a lane sends each episode as its observation matrix and little more
     trajs = ratio_run(2)
     for t in trajs:
         blob = pickle.dumps(t, pickle.HIGHEST_PROTOCOL)
-        assert len(blob) <= t.obs.nbytes + t.actions.nbytes + 1024
+        assert len(blob) <= t.obs.nbytes + 1024
     back = pickle.loads(pickle.dumps(trajs, pickle.HIGHEST_PROTOCOL))
     assert as_values(back) == as_values(trajs)

@@ -302,6 +302,47 @@ def test_engine_protocol():
         eng.step(Action(0, 0))
 
 
+def test_run_returns_every_observation_and_pose_since_reset():
+    """run() steps until the terminal step and no further, and returns the
+    T+1 observations and poses a hand-stepped engine gives; each
+    observation after the first ends with the command clamped."""
+    world, spec, cfg = empty_episode()
+    cfg, start, goal = EpisodeConfig(t_max=30), Pose(1.0, 1.0, 0.3), (9, 9)
+    eng = EpisodeEngine(world, spec, cfg)
+    with pytest.raises(ProtocolError):
+        eng.run(lambda state, pose: Action(0, 0))
+    first = eng.reset(start, goal)
+    rng = np.random.default_rng(4)
+    limits = np.array([spec.v_max, spec.omega_max])
+    commands = []
+
+    def act(state, pose):
+        assert state is eng.obs and pose is eng.pose and not eng.done
+        commands.append(rng.uniform(-3.0, 3.0, 2) * limits)
+        return Action(*commands[-1])
+
+    obs, poses = eng.run(act)
+    T = len(commands)
+    assert eng.done and eng.t == T
+    assert obs.shape == (T + 1, spec.lidar_beams + 4)
+    assert poses.shape == (T + 1, 3)
+    assert np.array_equal(obs[0], first)
+    assert poses[0].tolist() == [start.x, start.y, start.heading]
+    assert (np.abs(commands) > limits).any()
+    assert np.array_equal(obs[1:, -2:], np.clip(commands, -limits, limits))
+    hand = EpisodeEngine(world, spec, cfg)
+    hand.reset(start, goal)
+    for k, command in enumerate(commands, start=1):
+        assert not hand.done
+        assert np.array_equal(hand.step(Action(*command)), obs[k])
+        assert poses[k].tolist() == [hand.pose.x, hand.pose.y,
+                                     hand.pose.heading]
+    assert hand.done and hand.terminal == eng.terminal
+    with pytest.raises(ProtocolError):
+        eng.run(act)
+    assert len(commands) == T
+
+
 def test_engine_reset_validation():
     world = World(10, 10, (Circle(5, 5, 1.0),))
     eng = EpisodeEngine(world, small_spec(), EpisodeConfig())
@@ -314,11 +355,11 @@ def test_engine_reset_validation():
 def test_reward_telescoping():
     """The stored dense rewards of one built trajectory sum to
     c1 * (d_0 - d_{T-1}), within float32 rounding, and its last transition
-    carries r_success exactly."""
+    carries r_success exactly. The task is sampled in an empty room, where
+    the clean demonstrator succeeds."""
     world, spec, cfg = empty_episode()
     traj = run_episode(world, spec, cfg, ExpertConfig(),
-                       np.random.default_rng(11), CLEAN, 0,
-                       start=Pose(1.0, 1.0, 0.3), goal=(9.0, 9.0))
+                       np.random.default_rng(11), CLEAN, 0)
     assert traj.outcome == SUCCESS and len(traj) > 40
     ds = build_dataset([traj], EncoderProfile.from_world_spec(world, spec),
                        cfg)
