@@ -34,12 +34,12 @@ from .expert import ExpertConfig, Trajectory, collect, collect_to_ratio, plan_pa
 from .sim import (
     Action,
     EpisodeConfig,
-    EpisodeEngine,
     Pose,
     RobotSpec,
     World,
     load_world,
     save_world,
+    simulate,
 )
 from .trainers import METHODS, TrainerConfig, TrainReport, train
 from .worldgen import generate_world
@@ -50,7 +50,6 @@ __all__ = [
     "Action",
     "EncoderProfile",
     "EpisodeConfig",
-    "EpisodeEngine",
     "EvalResult",
     "ExpertConfig",
     "FanavError",
@@ -82,6 +81,7 @@ __all__ = [
     "save_dataset",
     "save_suite",
     "save_world",
+    "simulate",
     "train",
     "__version__",
 ]

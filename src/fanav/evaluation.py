@@ -30,12 +30,12 @@ from .sim import (
     TIMEOUT,
     Action,
     EpisodeConfig,
-    EpisodeEngine,
     Pose,
     RobotSpec,
     World,
     read_directives,
     sample_task,
+    simulate,
 )
 
 OUTCOMES = (SUCCESS, COLLISION, TIMEOUT)
@@ -204,17 +204,16 @@ def rollout(policy, world: World, spec: RobotSpec, episode: EpisodeConfig,
     """Run one episode; returns (outcome, trajectory).
 
     ``policy.reset(world, spec, task)`` is called once, then
-    :meth:`EpisodeEngine.run` calls ``policy.act(state, pose)``, ``state``
-    being the row of :func:`fanav.sim.observe`. The trajectory has one row
-    per pose it returns: (t, x, y, heading, v, w), (v, w) being the clamped
-    command its observation ends with, starting at rest.
+    :func:`fanav.sim.simulate` calls ``policy.act(state, pose)`` per step,
+    ``state`` being the row of :func:`fanav.sim.observe`. The trajectory
+    has one row per pose it returns: (t, x, y, heading, v, w), (v, w) being
+    the clamped command its observation ends with, starting at rest.
     """
-    engine = EpisodeEngine(world, spec, episode)
-    engine.reset(task.start, task.goal)
     policy.reset(world, spec, task)
-    obs, poses = engine.run(policy.act)
+    outcome, obs, poses = simulate(world, spec, episode, task.start,
+                                   task.goal, policy.act)
     steps = np.arange(len(poses), dtype=np.float64)
-    return engine.terminal, np.column_stack((steps, poses, obs[:, -2:]))
+    return outcome, np.column_stack((steps, poses, obs[:, -2:]))
 
 
 def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,

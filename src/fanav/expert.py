@@ -23,11 +23,11 @@ from .sim import (
     SUCCESS,
     Action,
     EpisodeConfig,
-    EpisodeEngine,
     Pose,
     RobotSpec,
     World,
     sample_task,
+    simulate,
 )
 
 CLEAN = "clean"
@@ -335,10 +335,8 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                        a.omega_cmd + dw * expert_cfg.noise_std_omega)
         return a
 
-    engine = EpisodeEngine(world, spec, episode_cfg)
-    engine.reset(start, goal)
-    obs, _ = engine.run(act)
-    return Trajectory(traj_id, engine.terminal, obs)
+    outcome, obs, _ = simulate(world, spec, episode_cfg, start, goal, act)
+    return Trajectory(traj_id, outcome, obs)
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,

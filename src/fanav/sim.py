@@ -3,9 +3,10 @@
 The robot is a differential-drive disk moving in a walled rectangular room
 with static obstacles. Each control step clamps the commanded velocities,
 integrates the exact unicycle model, then evaluates termination in a fixed
-order: goal reached, collision, timeout. Everything here is noise-free and
-deterministic, so identical inputs produce bit-identical trajectories.
-Rewards are the dataset's (:mod:`fanav.data`).
+order: goal reached, collision, timeout. :func:`simulate`, the one step
+loop, runs an episode of the demonstrator or a policy to its terminal step.
+Everything here is noise-free and deterministic, so identical inputs produce
+bit-identical trajectories. Rewards are the dataset's (:mod:`fanav.data`).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .configfile import Settings, setting
-from .errors import (ConfigError, InvalidPoseError, NumericError, ProtocolError,
+from .errors import (ConfigError, InvalidPoseError, NumericError,
                      WorldFormatError)
 from .geometry import (
     Circle,
@@ -286,64 +287,30 @@ def step_env(world: World, spec: RobotSpec, cfg: EpisodeConfig, pose: Pose,
     return state, terminal, new_pose
 
 
-class EpisodeEngine:
-    """Single-owner mutable episode state over an immutable world.
+def simulate(world: World, spec: RobotSpec, cfg: EpisodeConfig, start: Pose,
+             goal: tuple[float, float], act
+             ) -> tuple[str, np.ndarray, np.ndarray]:
+    """Run one episode from ``start``, each command ``act(state, pose)``.
 
-    Parallel simulation is done by creating one engine per episode; the
-    world, spec and config objects are shared read-only.
+    Returns the terminal label, the T+1 observations, each after the first
+    ending with the clamped command, and the T+1 (x, y, heading) poses. A
+    start outside the room or within one radius of an obstacle is an
+    :class:`InvalidPoseError`, raised before ``act`` is called.
     """
-
-    def __init__(self, world: World, spec: RobotSpec, cfg: EpisodeConfig):
-        self.world = world
-        self.spec = spec
-        self.cfg = cfg
-        self.pose: Pose | None = None
-        self.goal: tuple[float, float] | None = None
-        self.obs: np.ndarray | None = None  # the latest observation
-        self.t = 0
-        self.terminal = NONE
-
-    def reset(self, start: Pose, goal: tuple[float, float]) -> np.ndarray:
-        if not self.world.contains(start.x, start.y):
-            raise InvalidPoseError("start pose outside world bounds")
-        if self.world.clearance(start.x, start.y) < self.spec.radius:
-            raise InvalidPoseError("start pose collides with an obstacle")
-        self.pose = start
-        self.goal = (float(goal[0]), float(goal[1]))
-        self.t = 0
-        self.terminal = NONE
-        self.obs = observe(self.world, self.spec, start, self.goal)
-        return self.obs
-
-    @property
-    def done(self) -> bool:
-        return self.terminal != NONE
-
-    def step(self, action: Action) -> np.ndarray:
-        """Take one step; returns the next observation. How the step ended
-        is left in :attr:`terminal`."""
-        if self.pose is None:
-            raise ProtocolError("step() before reset()")
-        if self.done:
-            raise ProtocolError(f"step() after terminal '{self.terminal}'")
-        self.obs, self.terminal, self.pose = step_env(
-            self.world, self.spec, self.cfg, self.pose, self.goal, action,
-            self.t)
-        self.t += 1
-        return self.obs
-
-    def run(self, act) -> tuple[np.ndarray, np.ndarray]:
-        """Step from :meth:`reset` to the end, each command ``act(state,
-        pose)``; returns the T+1 observations, each after the first ending
-        with the clamped command, and the T+1 (x, y, heading) poses."""
-        if self.pose is None or self.t:
-            raise ProtocolError("run() must follow reset()")
-        obs = [self.obs]
-        poses = [(self.pose.x, self.pose.y, self.pose.heading)]
-        while not self.done:
-            obs.append(self.step(act(self.obs, self.pose)))
-            poses.append((self.pose.x, self.pose.y, self.pose.heading))
-        return np.stack(obs), np.array(poses, np.float64)
+    if not world.contains(start.x, start.y):
+        raise InvalidPoseError("start pose outside world bounds")
+    if world.clearance(start.x, start.y) < spec.radius:
+        raise InvalidPoseError("start pose collides with an obstacle")
+    goal = (float(goal[0]), float(goal[1]))
+    pose, terminal = start, NONE
+    obs = [observe(world, spec, start, goal)]
+    poses = [(start.x, start.y, start.heading)]
+    while terminal == NONE:
+        state, terminal, pose = step_env(world, spec, cfg, pose, goal,
+                                         act(obs[-1], pose), len(poses) - 1)
+        obs.append(state)
+        poses.append((pose.x, pose.y, pose.heading))
+    return terminal, np.stack(obs), np.array(poses, np.float64)
 
 
 # ---------------------------------------------------------------------------

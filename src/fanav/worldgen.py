@@ -75,8 +75,9 @@ def generate_world(width: float, height: float, density: float, seed: int,
         raise ConfigError(
             f"a {width:g} x {height:g} m room is too small for obstacles: at "
             f"density > 0 each side must be at least {MIN_SIDE:g} m")
+    room = World(width, height, (), name)  # refuses a non-finite side
     if density == 0.0:
-        return World(width, height, (), name)
+        return room
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt])
         shapes = _sample_layout(width, height, density, rng)

@@ -45,14 +45,15 @@ from fanav.nets import GaussianPolicyHead, Mlp
 from fanav.sim import (
     Action,
     EpisodeConfig,
-    EpisodeEngine,
     Pose,
     RobotSpec,
     World,
     load_world,
     raycast,
+    simulate,
     step_kinematics,
 )
+from fanav import sim
 from fanav.trainers import TrainerConfig, train
 
 from baselines import ExpertPilot, ZeroPolicy
@@ -291,7 +292,7 @@ def test_c5_value_shaping():
 # criterion 6: module-level property battery
 # ---------------------------------------------------------------------------
 
-def test_c6_module_properties(tmp_path):
+def test_c6_module_properties(tmp_path, monkeypatch):
     # reward telescoping over one built trajectory's stored rewards, within
     # float32 rounding; the terminal reward is exact. The task is sampled in
     # an empty room, where the clean demonstrator succeeds.
@@ -306,17 +307,26 @@ def test_c6_module_properties(tmp_path):
     assert abs(rewards[:-1].sum() - cfg.c1 * (d0 - dT)) < 1e-5
     assert rewards[-1] == cfg.r_success
 
-    # terminal exclusivity
+    # terminal exclusivity: of the labels step_env gives, only the last,
+    # the episode's outcome, is terminal
     world2 = World(6, 6, (Circle(3, 3, 0.6),))
+    labels, step = [], sim.step_env
+
+    def recording(*args):
+        result = step(*args)
+        labels.append(result[1])
+        return result
+
+    monkeypatch.setattr(sim, "step_env", recording)
     for ep in range(10):
-        eng2 = EpisodeEngine(world2, spec, EpisodeConfig(t_max=40))
-        eng2.reset(Pose(1.0, 1.0, 0.0), (5.0, 5.0))
-        terminals = []
-        while not eng2.done:
-            eng2.step(Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6)))
-            if eng2.terminal != "none":
-                terminals.append(eng2.terminal)
-        assert len(terminals) == 1
+        labels.clear()
+        terminal, obs, _ = simulate(
+            world2, spec, EpisodeConfig(t_max=40), Pose(1.0, 1.0, 0.0),
+            (5.0, 5.0), lambda state, pose: Action(rng.uniform(-0.5, 0.5),
+                                                   rng.uniform(-1.6, 1.6)))
+        assert terminal in ("success", "collision", "timeout")
+        assert labels == ["none"] * (len(obs) - 2) + [terminal]
+    monkeypatch.undo()
 
     # raycast analytic cases
     scan = raycast(World(4, 4), Pose(2, 2, 0.0),

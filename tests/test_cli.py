@@ -476,6 +476,13 @@ def test_gen_world_refuses_a_room_too_small_for_obstacles(tmp_path, capsys):
         assert gen(width, height, "0.3", tmp_path / "narrow.world") == 3
         assert "each side must be at least 1.7 m" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+    # an infinite side is refused by the room's own bounds check, before
+    # any obstacle is sampled
+    for width, height in (("inf", "5"), ("5", "inf")):
+        capsys.readouterr()
+        assert gen(width, height, "0.3", tmp_path / "endless.world") == 3
+        assert "world bounds must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
     assert gen("1.7", "1.7", "0.3", tmp_path / "small.world") == 0
     assert load_world(str(tmp_path / "small.world")).obstacles
     # an empty room of any positive size is still accepted

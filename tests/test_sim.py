@@ -8,7 +8,6 @@ from fanav.errors import (
     ConfigError,
     InvalidPoseError,
     NumericError,
-    ProtocolError,
     WorldFormatError,
 )
 from fanav.expert import CLEAN, ExpertConfig, run_episode
@@ -21,7 +20,6 @@ from fanav.sim import (
     TIMEOUT,
     Action,
     EpisodeConfig,
-    EpisodeEngine,
     Pose,
     RobotSpec,
     World,
@@ -32,6 +30,7 @@ from fanav.sim import (
     raycast,
     relative_goal,
     sample_task,
+    simulate,
     step_env,
     step_kinematics,
 )
@@ -198,7 +197,7 @@ def test_kinematics_rejects_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# step_env and the episode engine
+# step_env and simulate
 # ---------------------------------------------------------------------------
 
 def empty_episode(width=10.0, height=10.0):
@@ -289,67 +288,71 @@ def test_step_env_clamps_action():
 
 
 def test_engine_protocol():
+    """simulate observes the start, then calls act once per step and not
+    after the terminal one: a goal 0.35 m ahead is reached in one step."""
     world, spec, cfg = empty_episode()
-    eng = EpisodeEngine(world, spec, cfg)
-    with pytest.raises(ProtocolError):
-        eng.step(Action(0, 0))
-    state = eng.reset(Pose(5.0, 5.0, 0.0), (5.35, 5.0))
-    assert state[-4] == pytest.approx(0.35)
-    state = eng.step(Action(0.5, 0.0))
-    assert eng.terminal == SUCCESS
-    assert state[-4] == pytest.approx(0.25)
-    with pytest.raises(ProtocolError):
-        eng.step(Action(0, 0))
+    calls = []
+
+    def act(state, pose):
+        calls.append(state)
+        return Action(0.5, 0.0)
+
+    terminal, obs, _ = simulate(world, spec, cfg, Pose(5.0, 5.0, 0.0),
+                                (5.35, 5.0), act)
+    assert terminal == SUCCESS and len(calls) == 1
+    assert obs[0, -4] == pytest.approx(0.35)
+    assert obs[1, -4] == pytest.approx(0.25)
 
 
 def test_run_returns_every_observation_and_pose_since_reset():
-    """run() steps until the terminal step and no further, and returns the
-    T+1 observations and poses a hand-stepped engine gives; each
-    observation after the first ends with the command clamped."""
+    """simulate calls act exactly T times, each time with the latest
+    observation and pose, and returns the T+1 observations and poses that
+    a hand loop over step_env gives, bit for bit; each observation after
+    the first ends with the command clamped."""
     world, spec, cfg = empty_episode()
     cfg, start, goal = EpisodeConfig(t_max=30), Pose(1.0, 1.0, 0.3), (9, 9)
-    eng = EpisodeEngine(world, spec, cfg)
-    with pytest.raises(ProtocolError):
-        eng.run(lambda state, pose: Action(0, 0))
-    first = eng.reset(start, goal)
     rng = np.random.default_rng(4)
     limits = np.array([spec.v_max, spec.omega_max])
-    commands = []
+    seen, commands = [], []
 
     def act(state, pose):
-        assert state is eng.obs and pose is eng.pose and not eng.done
+        seen.append((state, pose))
         commands.append(rng.uniform(-3.0, 3.0, 2) * limits)
         return Action(*commands[-1])
 
-    obs, poses = eng.run(act)
+    terminal, obs, poses = simulate(world, spec, cfg, start, goal, act)
     T = len(commands)
-    assert eng.done and eng.t == T
     assert obs.shape == (T + 1, spec.lidar_beams + 4)
     assert poses.shape == (T + 1, 3)
-    assert np.array_equal(obs[0], first)
     assert poses[0].tolist() == [start.x, start.y, start.heading]
     assert (np.abs(commands) > limits).any()
     assert np.array_equal(obs[1:, -2:], np.clip(commands, -limits, limits))
-    hand = EpisodeEngine(world, spec, cfg)
-    hand.reset(start, goal)
-    for k, command in enumerate(commands, start=1):
-        assert not hand.done
-        assert np.array_equal(hand.step(Action(*command)), obs[k])
-        assert poses[k].tolist() == [hand.pose.x, hand.pose.y,
-                                     hand.pose.heading]
-    assert hand.done and hand.terminal == eng.terminal
-    with pytest.raises(ProtocolError):
-        eng.run(act)
-    assert len(commands) == T
+    pose, state, label = start, observe(world, spec, start, goal), NONE
+    assert np.array_equal(obs[0], state)
+    for k, command in enumerate(commands):
+        assert label == NONE
+        assert np.array_equal(seen[k][0], state) and seen[k][1] == pose
+        state, label, pose = step_env(world, spec, cfg, pose, goal,
+                                      Action(*command), k)
+        assert np.array_equal(obs[k + 1], state)
+        assert poses[k + 1].tolist() == [pose.x, pose.y, pose.heading]
+    assert label == terminal != NONE
 
 
 def test_engine_reset_validation():
+    """A start outside the room or on an obstacle is refused before act
+    is ever called."""
     world = World(10, 10, (Circle(5, 5, 1.0),))
-    eng = EpisodeEngine(world, small_spec(), EpisodeConfig())
-    with pytest.raises(InvalidPoseError):
-        eng.reset(Pose(5.0, 5.0, 0.0), (1, 1))
-    with pytest.raises(InvalidPoseError):
-        eng.reset(Pose(-1.0, 5.0, 0.0), (1, 1))
+    calls = []
+
+    def act(state, pose):
+        calls.append(pose)
+        return Action(0, 0)
+
+    for start in (Pose(5.0, 5.0, 0.0), Pose(-1.0, 5.0, 0.0)):
+        with pytest.raises(InvalidPoseError):
+            simulate(world, small_spec(), EpisodeConfig(), start, (1, 1), act)
+    assert calls == []
 
 
 def test_reward_telescoping():
@@ -369,23 +372,39 @@ def test_reward_telescoping():
     assert rewards[-1] == cfg.r_success
 
 
-def test_terminal_exclusivity_and_no_post_terminal_steps():
+def recorded_labels(monkeypatch) -> list[str]:
+    """The terminal label of every step_env call simulate makes."""
+    labels, step = [], sim.step_env
+
+    def recording(*args):
+        result = step(*args)
+        labels.append(result[1])
+        return result
+
+    monkeypatch.setattr(sim, "step_env", recording)
+    return labels
+
+
+def test_terminal_exclusivity_and_no_post_terminal_steps(monkeypatch):
+    """Exactly one step of an episode ends in a terminal label, the last,
+    and act is called once per step."""
     world = World(6, 6, (Circle(3, 3, 0.6),))
     spec, cfg = small_spec(), EpisodeConfig(t_max=40)
     rng = np.random.default_rng(5)
+    labels = recorded_labels(monkeypatch)
     for ep in range(25):
-        eng = EpisodeEngine(world, spec, cfg)
         start, goal = sample_task(world, rng, spec.radius + 0.05, 2.0)
-        eng.reset(start, goal)
-        terminals = []
-        while not eng.done:
-            eng.step(Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6)))
-            if eng.terminal != NONE:
-                terminals.append(eng.terminal)
-        assert len(terminals) == 1
-        assert terminals[0] in (SUCCESS, COLLISION, TIMEOUT)
-        with pytest.raises(ProtocolError):
-            eng.step(Action(0, 0))
+        labels.clear()
+        calls = []
+
+        def act(state, pose):
+            calls.append(pose)
+            return Action(rng.uniform(-0.5, 0.5), rng.uniform(-1.6, 1.6))
+
+        terminal, obs, _ = simulate(world, spec, cfg, start, goal, act)
+        assert terminal in (SUCCESS, COLLISION, TIMEOUT)
+        assert labels == [NONE] * (len(labels) - 1) + [terminal]
+        assert len(calls) == len(labels) == len(obs) - 1
 
 
 def test_determinism_bitwise():
@@ -393,15 +412,12 @@ def test_determinism_bitwise():
     spec, cfg = small_spec(), EpisodeConfig(t_max=50)
 
     def run():
-        eng = EpisodeEngine(world, spec, cfg)
-        eng.reset(Pose(1.0, 1.0, 0.5), (7.0, 7.0))
         rng = np.random.default_rng(42)
-        trace = []
-        while not eng.done:
-            state = eng.step(Action(rng.uniform(0, 0.5), rng.uniform(-1, 1)))
-            trace.append((eng.pose.x, eng.pose.y, eng.pose.heading,
-                          eng.terminal, state.tobytes()))
-        return trace
+        terminal, obs, poses = simulate(
+            world, spec, cfg, Pose(1.0, 1.0, 0.5), (7.0, 7.0),
+            lambda state, pose: Action(rng.uniform(0, 0.5),
+                                       rng.uniform(-1, 1)))
+        return terminal, obs.tobytes(), poses.tobytes()
 
     assert run() == run()
 

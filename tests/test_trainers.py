@@ -18,9 +18,11 @@ from fanav.data import (
     round_half_up,
     save_dataset,
 )
-from fanav import binio, trainers
+from fanav import binio, data, evaluation, expert, trainers
+from fanav.cli import resolve_world
 from fanav.nets import load_checkpoint
-from fanav.sim import RobotSpec
+from fanav.expert import ExpertConfig
+from fanav.sim import EpisodeConfig, RobotSpec
 from fanav.trainers import (
     METHODS,
     EpochRow,
@@ -199,12 +201,18 @@ def test_each_row_feeds_its_nets_the_batches_it_names(method):
     assert (report.policy_collision_count > 0) == (recipe.policy == "pooled")
 
 
-def test_train_reaches_every_name_the_benchmark_traces():
-    # the benchmark's traced train workload fails on a name no call reaches
+def benchmark_tracer():
+    """The benchmark's tracer module, perfbench/tracer.py."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_train_reaches_every_name_the_benchmark_traces():
+    # the benchmark's traced train workload fails on a name no call reaches
+    module = benchmark_tracer()
     tracer = module.Tracer()
     try:
         tracer.install()
@@ -213,6 +221,37 @@ def test_train_reaches_every_name_the_benchmark_traces():
     finally:
         tracer.uninstall()
     missing = [n for n in module.REACHED["train"] if tracer.calls[n] == 0]
+    assert not missing, missing
+
+
+def test_collection_and_evaluation_reach_every_name_the_benchmark_traces(
+        tmp_path, set_lanes):
+    # the traced collect and eval workloads fail on a name no call reaches;
+    # on one lane every episode runs in this process, under the tracer
+    set_lanes(1)
+    module = benchmark_tracer()
+    tracer = module.Tracer()
+    world = resolve_world("cluttered")  # fresh, so it builds its grids
+    spec, episode = RobotSpec(lidar_beams=12), EpisodeConfig(t_max=60)
+    path = str(tmp_path / "d.fanav")
+    try:
+        tracer.install()  # through the patched module attributes
+        trajs = expert.collect_to_ratio(world, spec, episode, ExpertConfig(),
+                                        300, 0.1, seed=0, ratio_tol=0.05)
+        ds = data.build_dataset(
+            trajs, EncoderProfile.from_world_spec(world, spec), episode)
+        data.save_dataset(ds, path)
+        data.load_dataset(path)
+        run = trainers.train(ds, quick_config(method="bc", total_steps=3))
+        suite = evaluation.make_suite(world, spec, episode, 2, seed=0)
+        evaluation.evaluate_suite(
+            evaluation.NetworkPolicy(run.policy, run.profile, name="bc"),
+            world, spec, suite, n_trials=1)
+    finally:
+        tracer.uninstall()
+    missing = [n for n in sorted({*module.REACHED["collect"],
+                                  *module.REACHED["eval"]})
+               if tracer.calls[n] == 0]
     assert not missing, missing
 
 
