@@ -513,8 +513,7 @@ def cmd_pipeline(args, argv) -> int:
 
     print("[4/5] evaluating on " + ", ".join(eval_worlds))
     policies = {m: NetworkPolicy.from_checkpoint(os.path.join(
-        out, "train", m, f"ckpt_{cfgs[m].total_steps:08d}.famlp"))
-        for m in methods}
+        out, "train", m, cfgs[m].checkpoint_name)) for m in methods}
 
     def eval_job(method: str, world: World) -> EvalResult:
         return eval_stage(policies[method], world, suites[world.name], ecfg,

@@ -23,7 +23,7 @@ from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
 from .configfile import Settings, setting
 from .data import EncoderProfile, encode_state
 from .expert import plan_path
-from .nets import GaussianPolicyHead, load_checkpoint
+from .nets import GaussianPolicyHead, Mlp, load_checkpoint
 from .sim import (
     COLLISION,
     SUCCESS,
@@ -168,16 +168,15 @@ class NetworkPolicy:
 
     @classmethod
     def from_checkpoint(cls, path: str) -> "NetworkPolicy":
-        sections, meta = load_checkpoint(path)
-        if "policy_mean" not in sections or "policy_log_std" not in sections:
+        nets, meta = load_checkpoint(path)
+        mean_net, log_std = nets.get("policy_mean"), nets.get("policy_log_std")
+        if not (isinstance(mean_net, Mlp) and isinstance(log_std, np.ndarray)):
             raise DataFormatError(f"{path} is not a policy checkpoint: it "
-                                  f"has no policy_mean/policy_log_std "
-                                  f"sections")
+                                  "has no policy_mean net or policy_log_std")
         try:
             profile = EncoderProfile.from_dict(meta["profile"])
-            head = GaussianPolicyHead(
-                sections["policy_mean"].to_mlp(), profile.action_scale,
-                log_std=sections["policy_log_std"].params)
+            head = GaussianPolicyHead(mean_net, profile.action_scale,
+                                      log_std=log_std)
             name = meta["config"]["method"]
             if not isinstance(name, str):
                 raise TypeError(f"method {name!r} is not a name")

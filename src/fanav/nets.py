@@ -83,6 +83,9 @@ class Mlp:
                  theta: np.ndarray | None = None):
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ConfigError(f"bad layer widths {widths}")
+        if activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {activation!r}, expected "
+                              f"one of {list(ACTIVATIONS)}")
         self.widths = tuple(int(w) for w in widths)
         self.activation = activation
         n = param_count(self.widths)
@@ -377,53 +380,48 @@ class GaussianPolicyHead:
 # checkpoints
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Section:
-    """One named parameter vector with its topology; a checkpoint holds no
-    optimizer state, since nothing that loads one resumes training."""
-
-    widths: tuple[int, ...]
-    activation: str            # "relu" / "tanh" / "none" for bare vectors
-    params: np.ndarray
-
-    def to_mlp(self) -> Mlp:
-        if self.activation == "none":
-            raise ConfigError("section holds a bare vector, not a network")
-        return Mlp(self.widths, self.activation, self.params)
-
-
-def save_checkpoint(path: str, sections: dict[str, Section],
+def save_checkpoint(path: str, nets: dict[str, Mlp | np.ndarray],
                     meta: dict | None = None) -> None:
     """A :mod:`fanav.binio` container of kind ``checkpoint``: the header
-    lists each section's widths and activation in order, and
-    ``<section>/params`` holds its vector."""
-    specs = [{"name": name, "widths": [int(w) for w in sec.widths],
-              "activation": sec.activation}
-             for name, sec in sections.items()]
-    arrays = {f"{name}/params": sec.params for name, sec in sections.items()}
+    lists each network's widths and activation in order, a vector as
+    ``[len]`` and ``"none"``, and ``<name>/params`` holds the parameters.
+    No optimizer state: nothing that loads a checkpoint resumes training."""
+    specs, arrays = [], {}
+    for name, net in nets.items():
+        if isinstance(net, Mlp):
+            widths, act, params = net.widths, net.activation, net.theta
+        else:
+            widths, act, params = (len(net),), "none", net
+        specs.append({"name": name, "widths": list(widths),
+                      "activation": act})
+        arrays[f"{name}/params"] = params
     binio.write(path, "checkpoint", {"sections": specs, "meta": meta or {}},
                 arrays)
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, Section], dict]:
-    """Sections and metadata of a checkpoint. Members the sections do not
-    name, such as the Adam moments older files hold, are checked by
-    :func:`fanav.binio.read` and otherwise ignored."""
+def load_checkpoint(path: str) -> tuple[dict[str, Mlp | np.ndarray], dict]:
+    """The networks and vectors of a checkpoint, in order, and its
+    metadata; a spec that does not build is a ``DataFormatError``. Members
+    no spec names, such as the Adam moments older files hold, are checked
+    by :func:`fanav.binio.read` and otherwise ignored."""
     header, arrays = binio.read(path, "checkpoint")
     for key, arr in arrays.items():
         if arr.dtype not in (np.float32, np.float64) or arr.ndim != 1:
             raise DataFormatError(f"{path}: {key} is {arr.dtype} {arr.shape}, "
                                   "expected a float32 or float64 vector")
-    sections: dict[str, Section] = {}
+    nets: dict[str, Mlp | np.ndarray] = {}
     try:
         for spec in header["sections"]:
             name, act = spec["name"], spec["activation"]
-            if act not in ACTIVATIONS + ("none",):
-                raise DataFormatError(f"{path}: {name} has unknown "
-                                      f"activation {act!r}")
-            sections[name] = Section(tuple(int(w) for w in spec["widths"]),
-                                     act, arrays[f"{name}/params"])
-        return sections, dict(header["meta"])
+            widths = tuple(int(w) for w in spec["widths"])
+            params = arrays[f"{name}/params"]
+            if act == "none" and widths != params.shape:
+                raise ShapeError(f"a vector of {params.size} listed as "
+                                 f"{list(widths)}")
+            nets[name] = params if act == "none" else Mlp(widths, act, params)
+        return nets, dict(header["meta"])
+    except (ConfigError, ShapeError) as exc:
+        raise DataFormatError(f"{path}: {name}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad checkpoint ({exc!r})") from exc
 

@@ -45,7 +45,6 @@ from .nets import (
     AdamState,
     GaussianPolicyHead,
     Mlp,
-    Section,
     adam_step,
     params_digest,
     save_checkpoint,
@@ -75,7 +74,7 @@ class TrainerConfig(Settings, section="trainer"):
     """Every knob of a training run, serialized alongside its artifacts.
 
     A run writes two checkpoints, both at ``total_steps``: the policy
-    (``ckpt_<total_steps>.famlp``) and every network (``final.famlp``).
+    (:attr:`checkpoint_name`) and every network (``final.famlp``).
     """
 
     method: str = setting("iql_ca", among=METHODS)
@@ -96,6 +95,11 @@ class TrainerConfig(Settings, section="trainer"):
     seed: int = setting(0, ">= 0")
     hidden: tuple[int, ...] = setting((128, 128), ">= 1")
     activation: str = setting("relu", among=ACTIVATIONS)
+
+    @property
+    def checkpoint_name(self) -> str:
+        """The policy checkpoint's file name, ``ckpt_<total_steps>.famlp``."""
+        return f"ckpt_{self.total_steps:08d}.famlp"
 
 
 @dataclass
@@ -159,26 +163,6 @@ class TrainResult:
     target_critics: list[Mlp]
     report: TrainReport
     param_trace: list[str] = field(default_factory=list)
-
-    def checkpoint_sections(self, include_all: bool = False
-                            ) -> dict[str, Section]:
-        def of(net: Mlp) -> Section:
-            return Section(net.widths, net.activation, net.theta)
-
-        secs = {"policy_mean": of(self.policy.mean_net),
-                "policy_log_std": Section((2,), "none", self.policy.log_std)}
-        if include_all and self.value_net is not None:
-            secs["value"] = of(self.value_net)
-            for i, (c, t) in enumerate(zip(self.critics, self.target_critics)):
-                secs[f"critic_{i}"] = of(c)
-                secs[f"target_critic_{i}"] = of(t)
-        return secs
-
-
-def checkpoint_meta(cfg: TrainerConfig, profile: EncoderProfile,
-                    step: int) -> dict:
-    return {"step": step, "profile": profile.to_dict(),
-            "config": cfg.to_dict()}
 
 
 def _sum_sq(vec: np.ndarray) -> float:
@@ -336,12 +320,15 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     report.wall_clock = time.perf_counter() - t_start
     report.final_digest = params_digest(mean_net.theta, policy.log_std)
     if out_dir:
-        meta = checkpoint_meta(cfg, profile, cfg.total_steps)
-        save_checkpoint(
-            os.path.join(out_dir, f"ckpt_{cfg.total_steps:08d}.famlp"),
-            result.checkpoint_sections(), meta)
-        save_checkpoint(os.path.join(out_dir, "final.famlp"),
-                        result.checkpoint_sections(include_all=True), meta)
+        meta = {"step": cfg.total_steps, "profile": profile.to_dict(),
+                "config": cfg.to_dict()}
+        nets = {"policy_mean": mean_net, "policy_log_std": policy.log_std}
+        save_checkpoint(os.path.join(out_dir, cfg.checkpoint_name), nets, meta)
+        if uses_critics:
+            nets["value"] = value_net
+            for i, (c, t) in enumerate(zip(critics, target_critics)):
+                nets |= {f"critic_{i}": c, f"target_critic_{i}": t}
+        save_checkpoint(os.path.join(out_dir, "final.famlp"), nets, meta)
         with open(os.path.join(out_dir, "report.csv"), "w",
                   encoding="utf-8") as fh:
             fh.write(report.to_csv())

@@ -7,10 +7,12 @@ unreachable pockets at the robot's inflation radius.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError, GenerationError, NoPathError
-from .expert import plan_path
+from .expert import GRID_RES, plan_path
 from .geometry import Circle, Rect, Shape
 from .sim import RobotSpec, World, sample_free_point
 
@@ -20,6 +22,8 @@ MAX_RADIUS = 0.55  # largest circle radius (m)
 # the least room side at which a circle of every radius fits between the
 # wall margins, to the millimetre the layouts are rounded to
 MIN_SIDE = round(2 * (WALL_MARGIN + MAX_RADIUS), 3)
+# the most cells a room's planning grid may hold: a 100 m square at GRID_RES
+MAX_GRID_CELLS = 1_000_000
 
 
 def _sample_layout(width: float, height: float, density: float,
@@ -67,7 +71,8 @@ def generate_world(width: float, height: float, density: float, seed: int,
 
     Identical arguments always produce the identical world; layouts failing
     the reachability probe are discarded and resampled. Obstacles need each
-    side to be at least ``MIN_SIDE``.
+    side to be at least ``MIN_SIDE``, and a planning grid of at most
+    ``MAX_GRID_CELLS`` cells.
     """
     if not (0.0 <= density <= 1.0):
         raise ConfigError("density must lie in [0, 1]")
@@ -78,6 +83,11 @@ def generate_world(width: float, height: float, density: float, seed: int,
     room = World(width, height, (), name)  # refuses a non-finite side
     if density == 0.0:
         return room
+    cells = math.floor(width / GRID_RES) * math.floor(height / GRID_RES)
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(f"a {width:g} x {height:g} m room is too large for "
+                          f"obstacles: its planning grid would hold {cells:,} "
+                          f"cells, more than {MAX_GRID_CELLS:,}")
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt])
         shapes = _sample_layout(width, height, density, rng)

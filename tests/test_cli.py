@@ -8,13 +8,14 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fanav import errors
+from fanav import binio, errors
 from fanav.cli import (
     DEFAULT_CONFIG,
     SECTIONS,
@@ -489,6 +490,18 @@ def test_gen_world_refuses_a_room_too_small_for_obstacles(tmp_path, capsys):
     assert gen("0.5", "0.4", "0", tmp_path / "tiny.world") == 0
     tiny = load_world(str(tmp_path / "tiny.world"))
     assert (tiny.width, tiny.height, tiny.obstacles) == (0.5, 0.4, ())
+
+
+def test_gen_world_refuses_a_room_too_large_to_plan(tmp_path, capsys):
+    # 1e6 m sides would ask for 3e11 m2 of obstacles and a planning grid of
+    # 1e14 cells; the refusal comes before any obstacle is sampled
+    out = tmp_path / "huge.world"
+    start = time.perf_counter()
+    assert run(["gen-world", "--width", "1e6", "--height", "1e6",
+                "--density", "0.3", "--seed", "0", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "more than 1,000,000" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_collect_episodes_and_inspect(tmp_path, capsys):
@@ -1083,6 +1096,15 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
     save_checkpoint(bare, {"value": final_sections["value"]}, final_meta)
     assert eval_code(bare) == 4
     assert "is not a policy checkpoint" in capsys.readouterr().err
+    # a policy_mean whose 10 params do not fit its widths' 74
+    binio.write(bare, "checkpoint", {"sections": [
+        {"name": "policy_mean", "widths": [6, 8, 2], "activation": "relu"},
+        {"name": "policy_log_std", "widths": [2], "activation": "none"}],
+        "meta": meta}, {"policy_mean/params": np.zeros(10, np.float32),
+                        "policy_log_std/params": np.zeros(2, np.float32)})
+    assert eval_code(bare) == 4
+    assert f"{bare}: policy_mean: theta has shape (10,), expected (74,)" \
+        in capsys.readouterr().err
     save_checkpoint(bare, sections, {})
     assert eval_code(bare) == 4
     for key in ("profile", "config"):

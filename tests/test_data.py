@@ -32,7 +32,7 @@ from fanav.data import (
     round_half_up,
     save_dataset,
 )
-from fanav.nets import Section, load_checkpoint, save_checkpoint
+from fanav.nets import load_checkpoint, save_checkpoint
 
 SPEC = RobotSpec(lidar_beams=24)
 WORLD = World(8, 8, (Circle(4, 4, 0.8), Rect(2, 5.5, 1.2, 1.2),
@@ -482,8 +482,7 @@ def test_dataset_and_checkpoint_are_not_interchangeable(tmp_path):
                                               "checkpoint"):
         load_checkpoint(ds_path)
     ck_path = str(tmp_path / "ck.famlp")
-    save_checkpoint(ck_path, {"v": Section((2,), "none",
-                                           np.zeros(2, np.float32))})
+    save_checkpoint(ck_path, {"v": np.zeros(2, np.float32)})
     with pytest.raises(DataFormatError, match="holds a checkpoint, not a "
                                               "dataset"):
         load_dataset(ck_path)

@@ -12,7 +12,6 @@ from fanav.nets import (
     AdamState,
     GaussianPolicyHead,
     Mlp,
-    Section,
     adam_step,
     load_checkpoint,
     param_count,
@@ -92,6 +91,16 @@ def test_non_batch_input_is_refused():
 def test_bad_configs():
     with pytest.raises(ConfigError):
         Mlp((4,), "relu")
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "RELU", "none", ""])
+def test_an_unknown_activation_is_refused(activation):
+    # every name but "relu" used to build a tanh network
+    message = re.escape(f"unknown activation {activation!r}")
+    with pytest.raises(ConfigError, match=message):
+        Mlp((4, 2), activation)
+    with pytest.raises(ConfigError, match=message):
+        Mlp.initialized((4, 8, 2), activation, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -585,15 +594,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     net = Mlp.initialized((6, 8, 1), "relu", rng)
     log_std = np.array([-0.5, 0.1], dtype=np.float32)
     path = str(tmp_path / "ck.famlp")
-    save_checkpoint(path, {
-        "value": Section(net.widths, net.activation, net.theta),
-        "policy_log_std": Section((2,), "none", log_std),
-    }, meta={"note": "test", "dim": 6})
-    sections, meta = load_checkpoint(path)
+    save_checkpoint(path, {"value": net, "policy_log_std": log_std},
+                    meta={"note": "test", "dim": 6})
+    nets, meta = load_checkpoint(path)
     assert meta == {"note": "test", "dim": 6}
-    assert np.array_equal(sections["value"].params, net.theta)
-    assert np.array_equal(sections["policy_log_std"].params, log_std)
-    restored = sections["value"].to_mlp()
+    restored = nets["value"]
+    assert (restored.widths, restored.activation) == (net.widths, "relu")
+    assert np.array_equal(restored.theta, net.theta)
+    assert restored.theta.dtype == np.float32
+    assert np.array_equal(nets["policy_log_std"], log_std)
+    assert nets["policy_log_std"].dtype == np.float32
     x = rng.normal(size=(4, 6)).astype(np.float32)
     assert np.array_equal(restored.forward(x), net.forward(x))
 
@@ -614,7 +624,7 @@ def test_checkpoint_truncation(tmp_path):
     rng = np.random.default_rng(16)
     net = Mlp.initialized((4, 4, 1), "relu", rng)
     path = str(tmp_path / "ck.famlp")
-    save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta)})
+    save_checkpoint(path, {"v": net})
     blob = Path(path).read_bytes()
     cut = tmp_path / "cut.famlp"
     cut.write_bytes(blob[:-10])
@@ -630,7 +640,7 @@ def test_checkpoint_flipped_byte_fails_the_load(tmp_path):
     rng = np.random.default_rng(17)
     net = Mlp.initialized((6, 16, 1), "relu", rng)
     path = str(tmp_path / "ck.famlp")
-    save_checkpoint(path, {"v": Section(net.widths, "relu", net.theta)})
+    save_checkpoint(path, {"v": net})
     blob = bytearray(Path(path).read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     bad = tmp_path / "flip.famlp"
@@ -659,32 +669,58 @@ def test_checkpoint_with_adam_moments_loads_to_the_same_sections(tmp_path):
         {"value/params": net.theta, "value/adam_m": st.m,
          "value/adam_v": st.v, "policy_log_std/params": log_std})
     new = str(tmp_path / "new.famlp")
-    save_checkpoint(new, {
-        "value": Section(net.widths, net.activation, net.theta),
-        "policy_log_std": Section((2,), "none", log_std)}, meta={"step": 1})
-    old_sections, old_meta = load_checkpoint(old)
-    new_sections, new_meta = load_checkpoint(new)
+    save_checkpoint(new, {"value": net, "policy_log_std": log_std},
+                    meta={"step": 1})
+    old_nets, old_meta = load_checkpoint(old)
+    new_nets, new_meta = load_checkpoint(new)
     assert old_meta == new_meta == {"step": 1}
-    assert list(old_sections) == list(new_sections)
-    for name, sec in new_sections.items():
-        assert old_sections[name].widths == sec.widths
-        assert old_sections[name].activation == sec.activation
-        assert np.array_equal(old_sections[name].params, sec.params)
+    assert list(old_nets) == list(new_nets) == ["value", "policy_log_std"]
+    assert old_nets["value"].widths == new_nets["value"].widths
+    assert old_nets["value"].activation == new_nets["value"].activation
+    assert np.array_equal(old_nets["value"].theta, new_nets["value"].theta)
+    assert np.array_equal(old_nets["policy_log_std"],
+                          new_nets["policy_log_std"])
 
 
 def test_checkpoint_keeps_section_order_and_checks_types(tmp_path):
     vec = np.zeros(2, np.float32)
     names = ["zeta", "alpha", "mid"]
     path = str(tmp_path / "ck.famlp")
-    save_checkpoint(path, {n: Section((2,), "none", vec) for n in names})
-    sections, meta = load_checkpoint(path)
-    assert list(sections) == names and meta == {}
-    save_checkpoint(path, {"v": Section((2,), "none", vec.astype(np.int32))})
+    save_checkpoint(path, {n: vec for n in names})
+    nets, meta = load_checkpoint(path)
+    assert list(nets) == names and meta == {}
+    save_checkpoint(path, {"v": vec.astype(np.int32)})
     with pytest.raises(DataFormatError, match="expected a float32 or float64 "
                                               "vector"):
         load_checkpoint(path)
-    save_checkpoint(path, {"v": Section((2,), "sigmoid", vec)})
+    binio.write(path, "checkpoint", {
+        "sections": [{"name": "v", "widths": [1, 1], "activation": "sigmoid"}],
+        "meta": {}}, {"v/params": vec})
     with pytest.raises(DataFormatError, match="unknown activation 'sigmoid'"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("widths, activation, n, message", [
+    # 6*8+8 + 8*2+2 = 74 parameters
+    ([6, 8, 2], "relu", 10, r"theta has shape \(10,\), expected \(74,\)"),
+    ([6, 8, 2], "relu", 75, r"theta has shape \(75,\), expected \(74,\)"),
+    ([6], "relu", 1, r"bad layer widths \(6,\)"),
+    ([6, 0, 2], "tanh", 2, "bad layer widths"),
+    ([], "relu", 0, r"bad layer widths \(\)"),
+    ([3], "none", 2, r"a vector of 2 listed as \[3\]"),
+    ([1, 1], "none", 2, r"a vector of 2 listed as \[1, 1\]"),
+], ids=["short", "long", "one_width", "zero_width", "no_widths",
+        "vector_short", "vector_as_net"])
+def test_checkpoint_whose_params_do_not_fit_is_refused(tmp_path, widths,
+                                                       activation, n,
+                                                       message):
+    path = str(tmp_path / "ck.famlp")
+    binio.write(path, "checkpoint", {
+        "sections": [{"name": "policy_mean", "widths": widths,
+                      "activation": activation}],
+        "meta": {}}, {"policy_mean/params": np.zeros(n, np.float32)})
+    with pytest.raises(DataFormatError,
+                       match=f"^{re.escape(path)}: policy_mean: {message}"):
         load_checkpoint(path)
 
 

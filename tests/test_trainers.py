@@ -292,23 +292,31 @@ def test_checkpoints_written(tmp_path):
     # the policy that eval deploys, every network, and the loss curves
     assert {p.name for p in out.iterdir()} == {
         "ckpt_00000200.famlp", "final.famlp", "report.csv"}
-    sections, meta = load_checkpoint(str(out / "ckpt_00000200.famlp"))
-    assert set(sections) == {"policy_mean", "policy_log_std"}
+    nets, meta = load_checkpoint(str(out / "ckpt_00000200.famlp"))
+    assert set(nets) == {"policy_mean", "policy_log_std"}
     assert set(meta) == {"step", "profile", "config"}
     assert meta["step"] == 200 and meta["config"]["method"] == "iql_ca"
     assert meta["profile"] == {"robot": asdict(PROFILE.robot),
                                "d_norm": PROFILE.d_norm}
-    assert np.array_equal(sections["policy_mean"].params,
-                          res.policy.mean_net.theta)
+    mean_net = nets["policy_mean"]
+    assert (mean_net.widths, mean_net.activation) == (
+        res.policy.mean_net.widths, res.policy.mean_net.activation)
+    assert np.array_equal(mean_net.theta, res.policy.mean_net.theta)
+    assert np.array_equal(nets["policy_log_std"], res.policy.log_std)
     full, full_meta = load_checkpoint(str(out / "final.famlp"))
     assert set(full) == {"policy_mean", "policy_log_std", "value",
                          "critic_0", "critic_1", "target_critic_0",
                          "target_critic_1"}
     assert full_meta == meta
-    for name, sec in sections.items():
-        assert full[name].widths == sec.widths
-        assert full[name].activation == sec.activation
-        assert np.array_equal(full[name].params, sec.params)
+    assert full["policy_mean"].widths == mean_net.widths
+    assert full["policy_mean"].activation == mean_net.activation
+    assert np.array_equal(full["policy_mean"].theta, mean_net.theta)
+    assert np.array_equal(full["policy_log_std"], nets["policy_log_std"])
+    for name, net in (("value", res.value_net), ("critic_0", res.critics[0]),
+                      ("target_critic_1", res.target_critics[1])):
+        assert (full[name].widths, full[name].activation) == (
+            net.widths, net.activation)
+        assert np.array_equal(full[name].theta, net.theta)
     # no optimizer state: nothing that loads a checkpoint resumes training
     header, arrays = binio.read(str(out / "final.famlp"), "checkpoint")
     assert sorted(arrays) == sorted(f"{name}/params" for name in full)

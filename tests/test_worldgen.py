@@ -3,7 +3,8 @@ import pytest
 from fanav.errors import ConfigError, GenerationError
 from fanav.expert import plan_path
 from fanav.sim import format_world, sample_free_point
-from fanav.worldgen import generate_world
+from fanav import worldgen
+from fanav.worldgen import MAX_GRID_CELLS, generate_world
 
 import numpy as np
 
@@ -51,3 +52,16 @@ def test_impossible_layout_raises_generation_error():
     # a fat robot cannot connect a heavily cluttered small room
     with pytest.raises(GenerationError):
         generate_world(4, 4, 0.4, seed=0, robot_radius=0.9, max_attempts=3)
+
+
+def test_planning_grid_bounds_the_room(monkeypatch):
+    # 0.1 m cells: a 100 m square holds 1000 x 1000 of them, the most
+    # allowed; the room is refused before any obstacle is sampled
+    assert MAX_GRID_CELLS == 1000 * 1000
+    monkeypatch.setattr(worldgen, "_sample_layout", lambda *a: ())
+    assert generate_world(100, 100.05, 0.3, seed=0).obstacles == ()
+    for width, height in ((100, 100.2), (1e6, 1e6), (2, 1e12)):
+        with pytest.raises(ConfigError, match="too large for obstacles"):
+            generate_world(width, height, 0.3, seed=0)
+    # an empty room has nothing to sample and is not bounded
+    assert generate_world(1e6, 1e6, 0.0, seed=0).obstacles == ()
