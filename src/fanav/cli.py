@@ -278,6 +278,8 @@ def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
                   episode: EpisodeConfig, meta: dict,
                   path: str) -> OfflineDataset:
     """Encode ``trajs`` for ``world`` and ``spec``; save them to ``path``."""
+    if not trajs:
+        raise ConfigError("no episode ended in success or collision")
     profile = EncoderProfile.from_world_spec(world, spec)
     ds = build_dataset(trajs, profile, episode, meta=meta)
     save_dataset(ds, path)
@@ -286,13 +288,13 @@ def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
 
 def train_stage(ds: OfflineDataset, cfg: TrainerConfig, tree: ConfigTree,
                 out_dir: str) -> TrainResult:
-    """Echo every config value into ``out_dir``, then train there."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Train in ``out_dir``, then echo every config value there."""
+    result = train(ds, cfg, out_dir=out_dir)
     echo = {**tree, "trainer": {**tree["trainer"], "method": cfg.method}}
     with open(os.path.join(out_dir, "config.echo"), "w",
               encoding="utf-8") as fh:
         fh.write(format_config(echo))
-    return train(ds, cfg, out_dir=out_dir)
+    return result
 
 
 def eval_stage(policy: NetworkPolicy, world: World, suite: TaskSuite,
@@ -383,9 +385,10 @@ def cmd_train(args, argv) -> int:
     tree = resolve_config(args.config, args.set,
                           robot_of=(args.dataset, ds.profile.robot))
     cfg = trainer_from(tree, tree["run"]["seed"])
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), args, argv,
-                   tree)
+    manifest = os.path.join(args.out_dir, "manifest.json")
+    claim_manifest(manifest, args.cmd)
     result = train_stage(ds, cfg, tree, args.out_dir)
+    write_manifest(manifest, args, argv, tree)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
           f"{result.report.wall_clock:.1f}s, final losses "

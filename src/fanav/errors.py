@@ -17,7 +17,9 @@ class ConfigError(FanavError):
 
 
 class ProtocolError(FanavError):
-    """An API was used out of order (e.g. stepping a finished episode)."""
+    """Inputs that do not belong together: a task suite evaluated in another
+    world or with another robot radius, results compared over different
+    worlds or suites, or a collision row in a policy loss's batch."""
 
 
 class ShapeError(FanavError):

@@ -120,6 +120,19 @@ class EpochRow:
     weight_max: float
     seconds: float
 
+    @classmethod
+    def of_steps(cls, epoch: int, step: int, records: list[tuple],
+                 seconds: float) -> EpochRow:
+        """The row of an epoch whose steps each recorded a tuple of the
+        fields ``loss_value`` to ``weight_max``, in order: each field's mean
+        over the steps, but the summed ``collision_in_critic`` and the
+        largest ``weight_max``."""
+        cols = dict(zip((f.name for f in fields(cls)[2:-1]), zip(*records)))
+        row = {name: sum(col) / len(col) for name, col in cols.items()}
+        row["collision_in_critic"] = sum(cols["collision_in_critic"])
+        row["weight_max"] = max(cols["weight_max"])
+        return cls(epoch, step, **row, seconds=seconds)
+
 
 @dataclass
 class TrainReport:
@@ -165,9 +178,10 @@ class TrainResult:
     param_trace: list[str] = field(default_factory=list)
 
 
-def _sum_sq(vec: np.ndarray) -> float:
-    v = vec.astype(np.float64)
-    return float(v @ v)
+def _norm(*grads: np.ndarray) -> float:
+    """The L2 norm of ``grads`` joined, from their float64 square sums."""
+    return math.sqrt(sum(float(v @ v) for v in
+                         (g.astype(np.float64) for g in grads)))
 
 
 def _sampler(kind: str, ds: OfflineDataset, cfg: TrainerConfig, seed):
@@ -249,12 +263,14 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
             raise NumericError(f"{name} loss non-finite at step {step}")
         return out
 
-    acc = _EpochAccumulator()
-    t_start = time.perf_counter()
-    t_epoch = t_start
+    # every update is in place, so these are the live parameter vectors
+    traced = [mean_net.theta, policy.log_std, *(n.theta for n in (
+        value_net, *critics, *target_critics) if n is not None)]
+    records: list[tuple] = []  # one per step of the current epoch
+    t_start = t_epoch = time.perf_counter()
 
     for step in range(1, cfg.total_steps + 1):
-        loss_v = loss_q = grad_v_sq = grad_q_sq = n_col = 0
+        loss_v = loss_q = grad_v = grad_q = n_col = 0
         if uses_critics:
             batch = critic_sampler.sample()
             n_col = batch.n_collision
@@ -265,14 +281,14 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
             loss_v, g_v = guarded("value", step, lambda: value_loss_and_grad(
                 value_net, batch.features, q_hat, cfg.expectile))
             adam_step(value_net.theta, g_v, opt_value)
-            grad_v_sq = _sum_sq(g_v)
+            grad_v = _norm(g_v)
 
             y = td_targets(value_net, batch.rewards, batch.next_features,
                            batch.dones, cfg.gamma)
             loss_q, g_qs = guarded("critic", step, lambda: critic_loss_and_grads(
                 critics, x_sa, y))
+            grad_q = _norm(*g_qs)
             for c, g, opt in zip(critics, g_qs, opt_critics):
-                grad_q_sq += _sum_sq(g)
                 adam_step(c.theta, g, opt)
             for c, t in zip(critics, target_critics):
                 soft_update(t.theta, c.theta, cfg.target_alpha)
@@ -299,23 +315,17 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
         adam_step(mean_net.theta, g_mean, opt_mean)
         adam_step(policy.log_std, g_ls, opt_log_std)
 
-        acc.add(loss_v, loss_q, loss_pi, grad_v_sq, grad_q_sq,
-                _sum_sq(g_mean) + _sum_sq(g_ls), n_col,
-                float(adv.mean()), float(w.mean()), float(w.max()))
-
+        records.append((loss_v, loss_q, loss_pi, grad_v, grad_q,
+                        _norm(g_mean, g_ls), n_col, float(adv.mean()),
+                        float(w.mean()), float(w.max())))
         if trace_params:
-            nets = [value_net, *critics, *target_critics] if uses_critics \
-                else []
-            result.param_trace.append(params_digest(
-                mean_net.theta, policy.log_std, *(n.theta for n in nets)))
+            result.param_trace.append(params_digest(*traced))
 
         if step % cfg.epoch_steps == 0 or step == cfg.total_steps:
             now = time.perf_counter()
-            report.rows.append(acc.to_row(
-                epoch=(step + cfg.epoch_steps - 1) // cfg.epoch_steps,
-                step=step, seconds=now - t_epoch))
-            t_epoch = now
-            acc = _EpochAccumulator()
+            report.rows.append(EpochRow.of_steps(
+                len(report.rows) + 1, step, records, now - t_epoch))
+            t_epoch, records = now, []
 
     report.wall_clock = time.perf_counter() - t_start
     report.final_digest = params_digest(mean_net.theta, policy.log_std)
@@ -333,24 +343,3 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
                   encoding="utf-8") as fh:
             fh.write(report.to_csv())
     return result
-
-
-class _EpochAccumulator:
-    def __init__(self):
-        self.n = 0
-        self.sums = np.zeros(8, dtype=np.float64)
-        self.col = 0
-        self.w_max = 0.0
-
-    def add(self, lv, lq, lp, gv_sq, gq_sq, gp_sq, n_col, adv_mean, w_mean,
-            w_max):
-        self.n += 1
-        self.sums += (lv, lq, lp, math.sqrt(gv_sq), math.sqrt(gq_sq),
-                      math.sqrt(gp_sq), adv_mean, w_mean)
-        self.col += n_col
-        self.w_max = max(self.w_max, w_max)
-
-    def to_row(self, epoch: int, step: int, seconds: float) -> EpochRow:
-        s = self.sums / self.n
-        return EpochRow(epoch, step, s[0], s[1], s[2], s[3], s[4], s[5],
-                        self.col, s[6], s[7], self.w_max, seconds)

@@ -68,6 +68,17 @@ def test_missing_file_gives_io_or_config_code(tmp_path, capsys):
     code = run(["train", "--dataset", str(tmp_path / "m.fanav"),
                 "--out-dir", str(tmp_path / "o")])
     assert code == 6
+    # a world or a result that is not there is named, with the config code
+    world = str(tmp_path / "missing.world")
+    capsys.readouterr()
+    assert run(["collect", "--world", world, "--episodes", "1",
+                "--out", str(tmp_path / "d.fanav")]) == 3
+    assert f"world '{world}' is neither a file nor a bundled name" in \
+        capsys.readouterr().err
+    assert run(["compare", "--results", str(tmp_path),
+                "--out-dir", str(tmp_path / "c")]) == 3
+    assert f"no result.json under '{tmp_path}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 # every error class with the exit code the CLI documents for it
@@ -558,6 +569,17 @@ def test_non_finite_world_value_exits_three(text, lineno, tmp_path, capsys):
     assert code == 3
     assert f"{world}:{lineno}: non-finite value" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_collect_refuses_when_no_episode_ends_and_writes_nothing(tmp_path,
+                                                                capsys):
+    # one step per episode: each times out, and timeouts are not kept
+    assert run(["collect", "--world", "cluttered", "--episodes", "2",
+                "--set", "episode.t_max=1",
+                "--out", str(tmp_path / "d.fanav")]) == 3
+    assert "no episode ended in success or collision" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_collect_ratio_mode(tmp_path):
@@ -1218,6 +1240,20 @@ def test_train_emits_expected_artifacts(tmp_path):
     assert len(report) == 3  # header + 2 epochs
     manifest = json.loads(Path(tdir, "manifest.json").read_text())
     assert ds_path in manifest["inputs"]
+
+
+def test_a_refused_train_writes_nothing(tmp_path, capsys):
+    # a zero collision target keeps successes only
+    ds = str(tmp_path / "d.fanav")
+    assert run(["collect", "--world", "sparse", "--target-col-ratio", "0",
+                "--out", ds, "--set", "collect.min_transitions=50",
+                "--set", "robot.lidar_beams=8"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "t"
+    assert run(["train", "--method", "iql_ca", "--dataset", ds,
+                "--out-dir", str(out), "--set", "trainer.total_steps=2"]) == 3
+    assert "iql_ca: empty collision partition" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_manifest_goes_inside_an_out_dir_with_a_dot(tmp_path):

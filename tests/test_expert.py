@@ -352,6 +352,31 @@ def test_trim_returns_none_when_the_newest_first_drops_miss():
                                  0.01, 300) is None
 
 
+def test_a_trim_miss_short_of_collisions_harvests_one_more(monkeypatch,
+                                                          set_lanes):
+    # cluttered at 400, seed 9: the first trim misses at 42 collision steps
+    # of 525, so the harvest collects collision 9; the second misses the
+    # other way and a success is collected
+    set_lanes(1)
+    misses = []
+    original = expert._trim_to_ratio
+
+    def trim(succ, coll, *rest):
+        kept = original(succ, coll, *rest)
+        if kept is None:
+            n_coll = sum(len(t) for t in coll)
+            misses.append(n_coll / (n_coll + sum(len(t) for t in succ)))
+            assert len(misses) < 10, "no trajectory was added after a miss"
+        return kept
+
+    monkeypatch.setattr(expert, "_trim_to_ratio", trim)
+    trajs = collect_to_ratio(resolve_world("cluttered"),
+                             RobotSpec(lidar_beams=8), EPISODE,
+                             ExpertConfig(), 400, 0.1, seed=9, ratio_tol=0.01)
+    assert misses == [42 / 525, 79 / 645]
+    assert [t.traj_id for t in trajs if t.outcome == COLLISION] == [5, 7, 9]
+
+
 def test_run_episode_fixed_task_is_deterministic():
     # the task is sampled from the seeded stream in an empty room, where
     # the clean demonstrator succeeds
@@ -362,6 +387,20 @@ def test_run_episode_fixed_task_is_deterministic():
                      CLEAN, 0)
     assert t1.outcome == t2.outcome == SUCCESS
     assert np.array_equal(t1.obs, t2.obs)
+
+
+def test_a_planning_dead_end_is_dropped(set_lanes):
+    # a full-height wall splits the room: a task across it has no path
+    world = World(10, 4, (Rect(4.8, 0.0, 0.4, 4.0),))
+    runs = [run_episode(world, SPEC, EPISODE, ExpertConfig(),
+                        np.random.default_rng([0, ep]), CLEAN, ep)
+            for ep in range(8)]
+    ended = [t.traj_id for t in runs
+             if t is not None and t.outcome in (SUCCESS, COLLISION)]
+    assert 0 < runs.count(None) < 8 and ended
+    set_lanes(1)
+    trajs = collect(world, SPEC, EPISODE, ExpertConfig(), 8, CLEAN, seed=0)
+    assert [t.traj_id for t in trajs] == ended
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +513,30 @@ def test_an_episodes_error_is_raised_when_it_is_reached(monkeypatch,
         set_lanes(n)
         with pytest.raises(NumericError, match="episode 4"):
             ratio_run(2)
+
+
+def test_the_harvest_gives_up_after_500_episodes_without_a_collision(
+        monkeypatch, set_lanes):
+    # fake 10-step episodes: 9 careful successes fill that side; harvest
+    # episodes alternate dead ends and successes, but for one 1-step
+    # collision at episode 200, which restarts the count
+    ran = []
+
+    def episode(world, spec, episode_cfg, cfg, mode, seed, ep):
+        ran.append(ep)
+        if cfg != HARVEST or ep % 2:
+            return expert.Trajectory(ep, SUCCESS, np.zeros((11, 0)))
+        if ep == 200:
+            return expert.Trajectory(ep, COLLISION, np.zeros((2, 0)))
+        return None  # a planning dead end
+
+    monkeypatch.setattr(expert, "_episode", episode)
+    set_lanes(1)
+    with pytest.raises(ConfigError, match="^500 consecutive harvest "
+                       "episodes without a collision; lower "):
+        collect_to_ratio(World(8, 8), SPEC, EPISODE, ExpertConfig(), 100,
+                         0.1, seed=0)
+    assert ran == list(range(701))
 
 
 @pytest.mark.parametrize("ratio", [True, False], ids=["ratio", "episodes"])

@@ -5,10 +5,15 @@
   :data:`PIPELINE_SETS`), ``manifest.json`` lines left out;
 - ``desk_collect_seed0.txt``: the SHA-256 of the dataset ``fanav collect
   --config desk.toml --seed 0 --world cluttered`` writes;
+- ``train_seed0.txt``: per method of ``fanav.trainers.METHODS``, trained
+  on that dataset at seed 0 for :data:`TRAIN_STEPS` steps in epochs of
+  :data:`EPOCH_STEPS` (two full epochs and a partial one), the SHA-256 of
+  its every-step ``param_trace`` and the ``tools/run_digests.py`` lines of
+  its out-dir: ``report.csv`` less seconds and both checkpoints' members;
 - ``platform.json``: the ``fanav.cli.numeric_platform()`` they were made
   on. On another platform the bits cannot be judged, so the test skips.
 
-Both runs go on one lane, in process. A change that moves bytes on purpose
+The runs go on one lane, in process. A change that moves bytes on purpose
 regenerates the records, on the platform the test runs on, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +32,8 @@ import pytest
 
 from fanav import lanes
 from fanav.cli import main, numeric_platform
+from fanav.data import load_dataset
+from fanav.trainers import METHODS, TrainerConfig, train
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -35,6 +42,7 @@ DESK = str(ROOT / "desk.toml")
 PIPELINE_SETS = ("collect.min_transitions=2000", "collect.ratio_tol=0.03",
                  "trainer.total_steps=300", "eval.n_tasks=4",
                  "eval.n_trials=1")
+TRAIN_STEPS, EPOCH_STEPS = 250, 100
 
 
 def _run_digests():
@@ -45,8 +53,23 @@ def _run_digests():
     return module
 
 
+def train_lines(dataset: Path, tmp: Path) -> list[str]:
+    """Train every method on ``dataset`` under ``tmp``; the digest lines of
+    each method's ``param_trace`` and out-dir."""
+    ds = load_dataset(str(dataset))
+    lines = []
+    for method in METHODS:
+        cfg = TrainerConfig(method=method, total_steps=TRAIN_STEPS,
+                            epoch_steps=EPOCH_STEPS, seed=0)
+        trace = train(ds, cfg, out_dir=str(tmp / method),
+                      trace_params=True).param_trace
+        digest = hashlib.sha256("".join(t + "\n" for t in trace).encode())
+        lines.append(f"{digest.hexdigest()}  {method}/param_trace")
+    return lines + _run_digests().digest_lines(str(tmp))
+
+
 def records(tmp: Path) -> dict[str, list[str]]:
-    """Run both commands under ``tmp``; each record's lines, by file name."""
+    """Run the commands under ``tmp``; each record's lines, by file name."""
     run_dir, dataset = tmp / "pipeline", tmp / "desk.fanav"
     argv = ["pipeline", "--config", DESK, "--seed", "0",
             "--out-dir", str(run_dir)]
@@ -59,7 +82,8 @@ def records(tmp: Path) -> dict[str, list[str]]:
     return {"pipeline_seed0.txt": [
                 line for line in _run_digests().digest_lines(str(run_dir))
                 if not line.endswith("manifest.json")],
-            "desk_collect_seed0.txt": [f"{digest}  desk.fanav"]}
+            "desk_collect_seed0.txt": [f"{digest}  desk.fanav"],
+            "train_seed0.txt": train_lines(dataset, tmp / "train")}
 
 
 def _by_artifact(lines: list[str]) -> dict[str, str]:
