@@ -5,6 +5,9 @@
   :data:`PIPELINE_SETS`), ``manifest.json`` lines left out;
 - ``desk_collect_seed0.txt``: the SHA-256 of the dataset ``fanav collect
   --config desk.toml --seed 0 --world cluttered`` writes;
+- ``variants_seed0.txt``: the SHA-256 of the datasets the same command
+  writes from each demonstrator variant (:data:`VARIANTS`): the noise-off
+  demonstrator, the noisy one, and the ratio collector at a zero target;
 - ``train_seed0.txt``: per method of ``fanav.trainers.METHODS``, trained
   on that dataset at seed 0 for :data:`TRAIN_STEPS` steps in epochs of
   :data:`EPOCH_STEPS` (two full epochs and a partial one), the SHA-256 of
@@ -43,6 +46,11 @@ PIPELINE_SETS = ("collect.min_transitions=2000", "collect.ratio_tol=0.03",
                  "trainer.total_steps=300", "eval.n_tasks=4",
                  "eval.n_trials=1")
 TRAIN_STEPS, EPOCH_STEPS = 250, 100
+# the demonstrator variants' collect arguments, by dataset name
+VARIANTS = {"clean.fanav": ("--episodes", "8", "--mode", "clean"),
+            "perturbed.fanav": ("--episodes", "8", "--mode", "perturbed"),
+            "ratio0.fanav": ("--target-col-ratio", "0", "--set",
+                             "collect.min_transitions=1000")}
 
 
 def _run_digests():
@@ -68,6 +76,14 @@ def train_lines(dataset: Path, tmp: Path) -> list[str]:
     return lines + _run_digests().digest_lines(str(tmp))
 
 
+def collect_line(dataset: Path, *args: str) -> str:
+    """Collect the cluttered world at seed 0 into ``dataset``; its digest
+    line."""
+    assert main(["collect", "--config", DESK, "--seed", "0", "--world",
+                 "cluttered", "--out", str(dataset), *args]) == 0
+    return f"{hashlib.sha256(dataset.read_bytes()).hexdigest()}  {dataset.name}"
+
+
 def records(tmp: Path) -> dict[str, list[str]]:
     """Run the commands under ``tmp``; each record's lines, by file name."""
     run_dir, dataset = tmp / "pipeline", tmp / "desk.fanav"
@@ -76,13 +92,12 @@ def records(tmp: Path) -> dict[str, list[str]]:
     for pair in PIPELINE_SETS:
         argv += ["--set", pair]
     assert main(argv) == 0
-    assert main(["collect", "--config", DESK, "--seed", "0", "--world",
-                 "cluttered", "--out", str(dataset)]) == 0
-    digest = hashlib.sha256(dataset.read_bytes()).hexdigest()
     return {"pipeline_seed0.txt": [
                 line for line in _run_digests().digest_lines(str(run_dir))
                 if not line.endswith("manifest.json")],
-            "desk_collect_seed0.txt": [f"{digest}  desk.fanav"],
+            "desk_collect_seed0.txt": [collect_line(dataset)],
+            "variants_seed0.txt": [collect_line(tmp / name, *args)
+                                   for name, args in VARIANTS.items()],
             "train_seed0.txt": train_lines(dataset, tmp / "train")}
 
 
