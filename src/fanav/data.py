@@ -9,7 +9,8 @@ A saved dataset (``.fanav``) is a :mod:`fanav.binio` file of kind
 ``dataset``: its header meta holds the encoder profile (every
 ``RobotSpec`` field and ``d_norm``) and the dataset's meta, and the arrays
 ``exp/<column>`` and ``col/<column>`` hold each partition's columns, typed
-as in ``_COLUMNS``.
+as in ``_COLUMNS``. A partition's rows are its trajectories' transitions,
+each trajectory's in step order, and a load refuses rows that are not.
 """
 from __future__ import annotations
 
@@ -84,7 +85,10 @@ class EncoderProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderProfile":
-        return cls(RobotSpec(**d["robot"]), float(d["d_norm"]))
+        robot, d_norm = RobotSpec(**d["robot"]), float(d["d_norm"])
+        if not 0 < d_norm < math.inf:
+            raise ConfigError(f"d_norm must be finite and > 0, got {d_norm}")
+        return cls(robot, d_norm)
 
 
 def encode_state(obs: np.ndarray, profile: EncoderProfile) -> np.ndarray:
@@ -369,6 +373,32 @@ def save_dataset(ds: OfflineDataset, path: str) -> None:
                                   "meta": ds.meta}, arrays)
 
 
+def _check_episode_rows(block: TransitionBlock, where: str) -> None:
+    """Raise :class:`DataFormatError` unless ``block``'s rows could come
+    from episodes: each trajectory's rows contiguous, its ``step_ids`` 0 to
+    T-1 and its ``dones`` 1 on its last row and 0 on the others."""
+    n = len(block)
+    if n == 0:
+        return
+    dones, traj_ids = block.dones, block.traj_ids
+    if np.any(dones > 1):
+        raise DataFormatError(f"{where}: dones holds values other than 0 "
+                              "and 1")
+    first = np.ones(n, bool)  # the rows that start a trajectory
+    np.not_equal(traj_ids[1:], traj_ids[:-1], out=first[1:])
+    if np.count_nonzero(first) != len(np.unique(traj_ids)):
+        raise DataFormatError(f"{where}: a trajectory's rows are not "
+                              "contiguous")
+    rows = np.arange(n)
+    starts = np.maximum.accumulate(np.where(first, rows, 0))
+    if not np.array_equal(block.step_ids, rows - starts):
+        raise DataFormatError(f"{where}: step_ids do not run 0 to T-1 in "
+                              "each trajectory")
+    if not np.array_equal(dones, np.append(first[1:], True)):
+        raise DataFormatError(f"{where}: dones is not 1 exactly on each "
+                              "trajectory's last row")
+
+
 def load_dataset(path: str) -> OfflineDataset:
     header, arrays = binio.read(path, "dataset")
     try:
@@ -384,6 +414,7 @@ def load_dataset(path: str) -> OfflineDataset:
                         f"{path}: {part}/{c} is {arr.dtype} {arr.shape}, "
                         f"expected {np.dtype(dtype)} {shape}")
             blocks.append(TransitionBlock(**cols))
+            _check_episode_rows(blocks[-1], f"{path}: {part}")
         return OfflineDataset(*blocks, profile, dict(header["meta"]))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad dataset ({exc!r})") from exc

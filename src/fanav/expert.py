@@ -1,10 +1,12 @@
 """Scripted demonstrator: grid planner, pure-pursuit tracking, data collection.
 
 The demonstrator plans a shortcut-smoothed A* path and tracks it with pure
-pursuit. Run clean it reliably reaches the goal; run with action
-perturbations it produces genuine collision episodes. Every finished episode
-is labeled by its terminal outcome, which is what partitions the offline
-dataset downstream.
+pursuit, its command perturbed by random noise on a share of the steps.
+Each variant is one :class:`ExpertConfig`: with its noise off (``CLEAN``)
+it reliably reaches the goal; the careful default adds mild noise; the
+reckless variant (:data:`HARVEST`) produces genuine collision episodes.
+Every finished episode is labeled by its terminal outcome, which is what
+partitions the offline dataset downstream.
 """
 from __future__ import annotations
 
@@ -47,8 +49,10 @@ class ExpertConfig(Settings, section="expert"):
     The fields describe the careful demonstrator used for success
     demonstrations; mild per-step action noise decorrelates consecutive
     actions so clones cannot latch onto the velocity feedback channels.
-    The ratio collector fills the collision partition with a reckless
-    variant, these fields overridden by :data:`HARVEST`.
+    The other variants are these fields with some replaced: the clean
+    demonstrator has ``noise_prob`` 0, and the ratio collector fills the
+    collision partition with the reckless variant, overridden by
+    :data:`HARVEST`.
     """
 
     lookahead: float = setting(0.45, "> 0")  # meters ahead along the path
@@ -312,12 +316,10 @@ class Trajectory:
 
 def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 expert_cfg: ExpertConfig, rng: np.random.Generator,
-                mode: str, traj_id: int) -> Trajectory | None:
+                traj_id: int) -> Trajectory | None:
     """Run one demonstrator episode on a task drawn from ``rng``, the
-    command pure pursuit plus in perturbed mode noise drawn from ``rng``;
-    return None on a planning dead end."""
-    if mode not in (CLEAN, PERTURBED):
-        raise ConfigError(f"unknown collection mode '{mode}'")
+    command pure pursuit plus, at a ``noise_prob`` above 0, noise drawn
+    from ``rng``; return None on a planning dead end."""
     start, goal = sample_task(world, rng, spec.radius + expert_cfg.plan_inflation
                               + 0.02, expert_cfg.min_separation)
     try:
@@ -325,7 +327,7 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                          expert_cfg.plan_inflation)
     except NoPathError:
         return None
-    noisy = mode == PERTURBED and expert_cfg.noise_prob > 0
+    noisy = expert_cfg.noise_prob > 0
 
     def act(state: np.ndarray, pose: Pose) -> Action:
         a = expert_action(pose, path, spec, expert_cfg)
@@ -340,18 +342,14 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
 
 
 def _episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
-             expert_cfg: ExpertConfig, mode: str, seed: int,
-             ep: int) -> Trajectory | None:
-    """Episode ``ep`` on its own random stream, derived from (seed, ep)."""
-    return run_episode(world, spec, episode_cfg, expert_cfg,
-                       np.random.default_rng([seed, ep]), mode, ep)
-
-
-def _try_episode(*args) -> Trajectory | Exception | None:
-    """:func:`_episode`, with its error returned rather than raised: an
-    episode run past the stop of :func:`collect_to_ratio` fails nothing."""
+             cfg: ExpertConfig, seed: int,
+             ep: int) -> Trajectory | Exception | None:
+    """Episode ``ep`` on its own random stream, derived from (seed, ep),
+    its error returned rather than raised: an episode run past the stop of
+    :func:`collect_to_ratio` fails nothing."""
     try:
-        return _episode(*args)
+        return run_episode(world, spec, episode_cfg, cfg,
+                           np.random.default_rng([seed, ep]), ep)
     except Exception as exc:
         return exc
 
@@ -367,19 +365,28 @@ def _build_plan_grids(world: World, spec: RobotSpec,
 def collect(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
             expert_cfg: ExpertConfig, n_episodes: int, mode: str,
             seed: int) -> list[Trajectory]:
-    """Collect ``n_episodes`` labeled episodes, discarding timeouts.
+    """Collect ``n_episodes`` labeled episodes, discarding timeouts: in
+    mode ``CLEAN`` from the demonstrator with its noise off, in mode
+    ``PERTURBED`` from ``expert_cfg`` as it is.
 
     Each episode draws from its own random stream derived from (seed,
     episode index), so parallel and serial collection agree exactly: the
     episodes run on the lanes (:func:`fanav.lanes.run_lanes`), which
-    inherit the planning grid built here.
+    inherit the planning grid built here. The first episode's error, in
+    episode order, is raised once every episode has run.
     """
     from .lanes import run_lanes
+    if mode not in (CLEAN, PERTURBED):
+        raise ConfigError(f"unknown collection mode '{mode}'")
     if n_episodes < 1:
         raise ConfigError("n_episodes must be >= 1")
-    _build_plan_grids(world, spec, expert_cfg)
-    trajs = run_lanes([partial(_episode, world, spec, episode_cfg, expert_cfg,
-                               mode, seed, ep) for ep in range(n_episodes)])
+    cfg = replace(expert_cfg, noise_prob=0.0) if mode == CLEAN else expert_cfg
+    _build_plan_grids(world, spec, cfg)
+    trajs = run_lanes([partial(_episode, world, spec, episode_cfg, cfg, seed,
+                               ep) for ep in range(n_episodes)])
+    for t in trajs:
+        if isinstance(t, Exception):
+            raise t
     return [t for t in trajs
             if t is not None and t.outcome in (SUCCESS, COLLISION)]
 
@@ -392,15 +399,16 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     """Collect until the dataset holds at least ``min_transitions``
     transitions at the target collision fraction.
 
-    Three phases: the careful demonstrator (perturbed mode) fills the
-    success side; the reckless variant, ``expert_cfg`` with :data:`HARVEST`'s
-    values, then runs until enough collision transitions exist (its
-    incidental successes are kept too); finally the newest trajectories
-    are dropped while that brings the collision fraction nearer the target
-    (:func:`_trim_to_ratio`). While that misses ``ratio_tol``, one more
-    trajectory of the short side is collected, from the phase that fills
-    it, and the trim is tried again. With a zero target only clean episodes
-    run, collision trajectories are dropped and nothing is trimmed.
+    Three phases: the careful demonstrator, ``expert_cfg`` as it is,
+    fills the success side; the reckless variant, ``expert_cfg`` with
+    :data:`HARVEST`'s values, then runs until enough collision transitions
+    exist (its incidental successes are kept too); finally the newest
+    trajectories are dropped while that brings the collision fraction
+    nearer the target (:func:`_trim_to_ratio`). While that misses
+    ``ratio_tol``, one more trajectory of the short side is collected,
+    from the variant that fills it, and the trim is tried again. With a
+    zero target only the demonstrator with its noise off runs, collision
+    trajectories are dropped and nothing is trimmed.
 
     Each episode draws from its own random stream derived from (seed,
     episode index). A phase runs its next episodes as a batch on the lanes
@@ -416,10 +424,15 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
     """
     from .lanes import lane_count, run_lanes
     CollectConfig(min_transitions, target_col_ratio, ratio_tol)  # bound checks
+    # the demonstrator variant that fills each side of the dataset
+    cfgs = ({SUCCESS: replace(expert_cfg, noise_prob=0.0)}
+            if target_col_ratio == 0 else
+            {SUCCESS: expert_cfg, COLLISION: replace(expert_cfg, **HARVEST)})
+    _build_plan_grids(world, spec, *cfgs.values())
     kept: dict[str, list[Trajectory]] = {SUCCESS: [], COLLISION: []}
     n = {SUCCESS: 0, COLLISION: 0}  # transitions kept per outcome
     ep = 0
-    stalled = 0
+    stalled = 0  # consecutive harvest episodes without a collision
 
     def batch_size(outcome: str, target: int) -> int:
         """One episode per lane, or more if the missing transitions need
@@ -431,9 +444,9 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 if kept_so_far else 0)
         return min(max(lanes, need), MAX_EPISODES - ep)
 
-    def fill(outcome: str, target: int, mode: str, cfg: ExpertConfig,
-             guard: bool = False) -> None:
-        """Run episodes until ``target`` ``outcome`` transitions are kept."""
+    def fill(outcome: str, target: int) -> None:
+        """Run ``cfgs[outcome]``'s episodes until ``target`` ``outcome``
+        transitions are kept."""
         nonlocal ep, stalled
         while n[outcome] < target:
             if ep >= MAX_EPISODES:
@@ -441,7 +454,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                     f"only {n[outcome]}/{target} {outcome} transitions after "
                     f"{MAX_EPISODES} episodes")
             for traj in run_lanes([
-                    partial(_try_episode, world, spec, episode_cfg, cfg, mode,
+                    partial(_episode, world, spec, episode_cfg, cfgs[outcome],
                             seed, i)
                     for i in range(ep, ep + batch_size(outcome, target))]):
                 if n[outcome] >= target:
@@ -449,7 +462,7 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 if isinstance(traj, Exception):
                     raise traj
                 ep += 1
-                if guard:
+                if outcome == COLLISION:
                     stalled = 0 if (traj is not None
                                     and traj.outcome == COLLISION) \
                         else stalled + 1
@@ -462,23 +475,16 @@ def collect_to_ratio(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                     n[traj.outcome] += len(traj)
 
     if target_col_ratio == 0:
-        _build_plan_grids(world, spec, expert_cfg)
-        fill(SUCCESS, min_transitions, CLEAN, expert_cfg)
+        fill(SUCCESS, min_transitions)
         return kept[SUCCESS]
-
-    harvest = replace(expert_cfg, **HARVEST)
-    _build_plan_grids(world, spec, expert_cfg, harvest)
-    fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions),
-         PERTURBED, expert_cfg)
-    fill(COLLISION, math.ceil(target_col_ratio * min_transitions),
-         PERTURBED, harvest, guard=True)
+    fill(SUCCESS, math.ceil((1.0 - target_col_ratio) * min_transitions))
+    fill(COLLISION, math.ceil(target_col_ratio * min_transitions))
     while (trajs := _trim_to_ratio(kept[SUCCESS], kept[COLLISION],
                                    target_col_ratio, ratio_tol,
                                    min_transitions)) is None:
-        if n[COLLISION] > target_col_ratio * (n[SUCCESS] + n[COLLISION]):
-            fill(SUCCESS, n[SUCCESS] + 1, PERTURBED, expert_cfg)
-        else:
-            fill(COLLISION, n[COLLISION] + 1, PERTURBED, harvest, guard=True)
+        short = (SUCCESS if n[COLLISION] > target_col_ratio
+                 * (n[SUCCESS] + n[COLLISION]) else COLLISION)
+        fill(short, n[short] + 1)
     return trajs
 
 
@@ -490,35 +496,28 @@ def _trim_to_ratio(succ: list[Trajectory], coll: list[Trajectory],
     one success and one collision. The lists are not changed.
 
     Newest trajectories are dropped one at a time while that improves the
-    ratio match. If the share still misses ``tol``, this returns None, and
-    :func:`collect_to_ratio` collects one more trajectory of the short side.
+    ratio match, the success side tried first. If the share still misses
+    ``tol``, this returns None, and :func:`collect_to_ratio` collects one
+    more trajectory of the short side.
     """
-    n_succ = sum(len(t) for t in succ)
-    n_coll = sum(len(t) for t in coll)
-    ks, kc = len(succ), len(coll)  # kept: the oldest ks and kc
+    sides = (succ, coll)
+    ks = [len(succ), len(coll)]  # kept: the oldest ks[side] of each side
+    ns = [sum(len(t) for t in succ), sum(len(t) for t in coll)]
 
-    def ratio(ns, nc):
-        return nc / (ns + nc)
+    def miss(ns):
+        return abs(ns[1] / (ns[0] + ns[1]) - target)
 
-    improved = True
-    while improved:
-        improved = False
-        err = abs(ratio(n_succ, n_coll) - target)
-        if ks > 1:
-            cand = n_succ - len(succ[ks - 1])
-            if cand + n_coll >= min_transitions \
-                    and abs(ratio(cand, n_coll) - target) < err:
-                n_succ = cand
-                ks -= 1
-                improved = True
+    while True:
+        for side in (0, 1):
+            if ks[side] < 2:
                 continue
-        if kc > 1:
-            cand = n_coll - len(coll[kc - 1])
-            if n_succ + cand >= min_transitions \
-                    and abs(ratio(n_succ, cand) - target) < err:
-                n_coll = cand
-                kc -= 1
-                improved = True
-    if abs(ratio(n_succ, n_coll) - target) <= tol:
-        return succ[:ks] + coll[:kc]
+            cand = ns.copy()
+            cand[side] -= len(sides[side][ks[side] - 1])
+            if sum(cand) >= min_transitions and miss(cand) < miss(ns):
+                ns, ks[side] = cand, ks[side] - 1
+                break  # restart, the success side first
+        else:
+            break  # no drop improves the match
+    if miss(ns) <= tol:
+        return succ[:ks[0]] + coll[:ks[1]]
     return None

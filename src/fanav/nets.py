@@ -56,7 +56,7 @@ def param_count(widths: tuple[int, ...]) -> int:
 _ZEROS: dict[np.dtype, np.ndarray] = {}
 
 
-# entered once per forward or backward call, not once per layer
+# entered once per forward, backward or adam_step call, not once per layer
 _QUIET = np.errstate(invalid="ignore", over="ignore")
 
 
@@ -233,6 +233,7 @@ class AdamState:
         return cls(np.zeros(n, np.float32), np.zeros(n, np.float32), 0, lr)
 
 
+@_QUIET
 def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState
               ) -> tuple[np.ndarray, AdamState]:
     """One in-place Adam update; returns the same arrays for convenience.
@@ -413,7 +414,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, Mlp | np.ndarray], dict]:
     try:
         for spec in header["sections"]:
             name, act = spec["name"], spec["activation"]
-            widths = tuple(int(w) for w in spec["widths"])
+            widths = tuple(spec["widths"])
+            if not all(type(w) is int and w >= 1 for w in widths):
+                raise ShapeError(f"bad layer widths {list(widths)}, not "
+                                 "all integers >= 1")
             params = arrays[f"{name}/params"]
             if act == "none" and widths != params.shape:
                 raise ShapeError(f"a vector of {params.size} listed as "

@@ -27,7 +27,7 @@ from fanav.data import (
     save_dataset,
 )
 from fanav.evaluation import evaluate_suite, make_suite
-from fanav.expert import CLEAN, ExpertConfig, collect_to_ratio, run_episode
+from fanav.expert import ExpertConfig, collect_to_ratio, run_episode
 from fanav.geometry import Circle, Rect
 from fanav.losses import (
     advantages,
@@ -299,7 +299,7 @@ def test_c6_module_properties(tmp_path, monkeypatch):
     world, spec, cfg = World(10, 10), RobotSpec(lidar_beams=24), \
         EpisodeConfig()
     rng = np.random.default_rng(3)
-    traj = run_episode(world, spec, cfg, ExpertConfig(), rng, CLEAN, 0)
+    traj = run_episode(world, spec, cfg, ExpertConfig(noise_prob=0.0), rng, 0)
     assert traj.outcome == "success"
     rewards = build_dataset([traj], EncoderProfile.from_world_spec(
         world, spec), cfg).exp.rewards.astype(np.float64)

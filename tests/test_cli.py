@@ -1101,6 +1101,48 @@ def test_dataset_with_a_flat_profile_exits_four(pipeline_run, tmp_path,
             capsys.readouterr().err
 
 
+def mutated_dataset(meta: dict, arrays: dict, mutation: str
+                    ) -> tuple[dict, dict]:
+    """A dataset's header meta and arrays with one ``mutation`` applied to
+    its success partition."""
+    arrays = dict(arrays)
+    if mutation == "done 3":
+        arrays["exp/dones"] = arrays["exp/dones"].copy()
+        arrays["exp/dones"][5] = 3
+    elif mutation == "every step 7":
+        arrays["exp/step_ids"] = np.full_like(arrays["exp/step_ids"], 7)
+    elif mutation == "first row last":
+        for c in ("features", "actions", "rewards", "next_features", "dones",
+                  "traj_ids", "step_ids"):
+            arrays[f"exp/{c}"] = np.roll(arrays[f"exp/{c}"], -1, axis=0)
+    elif mutation == "dones a row early":
+        arrays["exp/dones"] = np.roll(arrays["exp/dones"], -1)
+    else:
+        meta = {**meta, "profile": {**meta["profile"], "d_norm": 0.0}}
+    return meta, arrays
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ("done 3", "exp: dones holds values other than 0 and 1"),
+    ("every step 7", "exp: step_ids do not run 0 to T-1 in each trajectory"),
+    ("first row last", "exp: a trajectory's rows are not contiguous"),
+    ("dones a row early",
+     "exp: dones is not 1 exactly on each trajectory's last row"),
+    ("d_norm 0", "d_norm must be finite and > 0, got 0.0")])
+def test_train_refuses_rows_that_no_episode_gives(mutation, message,
+                                                  pipeline_run, tmp_path,
+                                                  capsys):
+    meta, arrays = mutated_dataset(*binio.read(
+        os.path.join(pipeline_run, "dataset.fanav"), "dataset"), mutation)
+    bad = str(tmp_path / "bad.fanav")
+    binio.write(bad, "dataset", meta, arrays)
+    capsys.readouterr()
+    assert run(["train", "--dataset", bad, "--out-dir",
+                str(tmp_path / "t")]) == 4
+    assert f"{bad}: " in (err := capsys.readouterr().err) and message in err
+    assert not os.path.exists(tmp_path / "t")
+
+
 def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
     ckpt = os.path.join(pipeline_run, "train", "iql_ca", "ckpt_00000120.famlp")
     suite = os.path.join(pipeline_run, "suites", "sparse.suite")
@@ -1159,6 +1201,28 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
         fh.write(bytes(blob))
     assert eval_code(bare) == 4
     assert "Bad CRC-32" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("section, at, width", [
+    ("policy_mean", 0, -math.inf), ("policy_mean", -1, 2.5),
+    ("policy_mean", -1, 2.0), ("policy_mean", -1, "2"),
+    ("policy_log_std", 0, 2.0)])
+def test_eval_refuses_a_width_that_is_not_a_positive_integer(
+        section, at, width, pipeline_run, tmp_path, capsys):
+    # a width must be a JSON integer >= 1: int() would overflow on -inf
+    # and read 2.5, 2.0 and "2" as 2
+    argv = eval_argv(pipeline_run, "iql_ca", tmp_path / "e")
+    i = argv.index("--checkpoint") + 1
+    header, arrays = binio.read(argv[i], "checkpoint")
+    spec = next(s for s in header["sections"] if s["name"] == section)
+    spec["widths"][at] = width
+    argv[i] = str(tmp_path / "bad.famlp")
+    binio.write(argv[i], "checkpoint", header, arrays)
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert (f"{argv[i]}: {section}: bad layer widths {spec['widths']}, "
+            "not all integers >= 1") in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "e")
 
 

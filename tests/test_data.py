@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from fanav import binio
-from fanav.errors import DataFormatError, ShapeError
-from fanav.expert import CLEAN, PERTURBED, ExpertConfig, collect_to_ratio
+from fanav.errors import ConfigError, DataFormatError, ShapeError
+from fanav.expert import ExpertConfig, Trajectory, collect_to_ratio
 from fanav.geometry import Circle, Rect
-from fanav.sim import COLLISION, SUCCESS, EpisodeConfig, RobotSpec, World
+from fanav.sim import (COLLISION, SUCCESS, TIMEOUT, EpisodeConfig, RobotSpec,
+                       World)
 from fanav.data import (
     Batch,
     EncoderProfile,
@@ -151,6 +152,13 @@ def test_partitions_are_pure_and_nonempty():
             order = np.argsort(ts)
             assert dones[order][-1] == 1
             assert np.all(dones[order][:-1] == 0)
+
+
+def test_build_dataset_refuses_a_timeout_trajectory():
+    timeout = Trajectory(7, TIMEOUT, TRAJS[0].obs)
+    with pytest.raises(ConfigError, match="^trajectory 7 has outcome "
+                       "'timeout', only success/collision trajectories "):
+        build_dataset([TRAJS[0], timeout], PROFILE, EPISODE)
 
 
 def test_reward_audit_under_1e6():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fanav import expert
+from fanav import expert, lanes
 from fanav.cli import BUNDLED_WORLDS, resolve_world
 from fanav.data import EncoderProfile, build_dataset, save_dataset
 from fanav.errors import ConfigError, NoPathError, NumericError
@@ -381,10 +381,9 @@ def test_run_episode_fixed_task_is_deterministic():
     # the task is sampled from the seeded stream in an empty room, where
     # the clean demonstrator succeeds
     world = World(8, 8)
-    t1 = run_episode(world, SPEC, EPISODE, ExpertConfig(), np.random.default_rng(0),
-                     CLEAN, 0)
-    t2 = run_episode(world, SPEC, EPISODE, ExpertConfig(), np.random.default_rng(0),
-                     CLEAN, 0)
+    cfg = ExpertConfig(noise_prob=0.0)
+    t1 = run_episode(world, SPEC, EPISODE, cfg, np.random.default_rng(0), 0)
+    t2 = run_episode(world, SPEC, EPISODE, cfg, np.random.default_rng(0), 0)
     assert t1.outcome == t2.outcome == SUCCESS
     assert np.array_equal(t1.obs, t2.obs)
 
@@ -392,8 +391,8 @@ def test_run_episode_fixed_task_is_deterministic():
 def test_a_planning_dead_end_is_dropped(set_lanes):
     # a full-height wall splits the room: a task across it has no path
     world = World(10, 4, (Rect(4.8, 0.0, 0.4, 4.0),))
-    runs = [run_episode(world, SPEC, EPISODE, ExpertConfig(),
-                        np.random.default_rng([0, ep]), CLEAN, ep)
+    runs = [run_episode(world, SPEC, EPISODE, ExpertConfig(noise_prob=0.0),
+                        np.random.default_rng([0, ep]), ep)
             for ep in range(8)]
     ended = [t.traj_id for t in runs
              if t is not None and t.outcome in (SUCCESS, COLLISION)]
@@ -459,9 +458,9 @@ def recorded_run(monkeypatch, seed):
     ran = []
     original = expert.run_episode
 
-    def recorded(world, spec, episode, cfg, rng, mode, ep, *rest):
+    def recorded(world, spec, episode, cfg, rng, ep, *rest):
         ran.append((ep, cfg == HARVEST))
-        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+        return original(world, spec, episode, cfg, rng, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", recorded)
     trajs = ratio_run(seed)
@@ -482,13 +481,13 @@ def test_failing_episode_past_the_stop_is_dropped(monkeypatch, set_lanes,
     serial, ran = recorded_run(monkeypatch, 2)
     original = expert.run_episode
 
-    def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
+    def failing(world, spec, episode, cfg, rng, ep, *rest):
         # any episode the one-lane loop never ran fails; it may run in a
         # child, so it leaves a file behind to show that it ran
         if (ep, cfg == HARVEST) not in ran:
             (tmp_path / f"{ep}-{cfg == HARVEST}").touch()
             raise NumericError(f"episode {ep} past the stop")
-        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+        return original(world, spec, episode, cfg, rng, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", failing)
     set_lanes(3)
@@ -503,16 +502,19 @@ def test_an_episodes_error_is_raised_when_it_is_reached(monkeypatch,
                                                         set_lanes):
     original = expert.run_episode
 
-    def failing(world, spec, episode, cfg, rng, mode, ep, *rest):
+    def failing(world, spec, episode, cfg, rng, ep, *rest):
         if ep in (4, 5):  # 5 is never reached: 4 raises first
             raise NumericError(f"episode {ep}")
-        return original(world, spec, episode, cfg, rng, mode, ep, *rest)
+        return original(world, spec, episode, cfg, rng, ep, *rest)
 
     monkeypatch.setattr(expert, "run_episode", failing)
     for n in (1, 3):
         set_lanes(n)
         with pytest.raises(NumericError, match="episode 4"):
             ratio_run(2)
+        with pytest.raises(NumericError, match="episode 4"):  # first in order
+            collect(RATIO_WORLD, SPEC, EPISODE, ExpertConfig(), 7, PERTURBED,
+                    seed=2)
 
 
 def test_the_harvest_gives_up_after_500_episodes_without_a_collision(
@@ -522,7 +524,7 @@ def test_the_harvest_gives_up_after_500_episodes_without_a_collision(
     # collision at episode 200, which restarts the count
     ran = []
 
-    def episode(world, spec, episode_cfg, cfg, mode, seed, ep):
+    def episode(world, spec, episode_cfg, cfg, seed, ep):
         ran.append(ep)
         if cfg != HARVEST or ep % 2:
             return expert.Trajectory(ep, SUCCESS, np.zeros((11, 0)))
@@ -537,6 +539,45 @@ def test_the_harvest_gives_up_after_500_episodes_without_a_collision(
         collect_to_ratio(World(8, 8), SPEC, EPISODE, ExpertConfig(), 100,
                          0.1, seed=0)
     assert ran == list(range(701))
+
+
+@pytest.mark.parametrize("n_lanes", [1, 3])
+def test_collect_to_ratio_gives_up_after_max_episodes(n_lanes, monkeypatch,
+                                                      set_lanes):
+    # every episode a planning dead end: the careful side never fills
+    def dead_end(world, spec, episode_cfg, cfg, seed, ep):
+        assert ep < expert.MAX_EPISODES, "ran past MAX_EPISODES"
+
+    def run_lanes(jobs, original=lanes.run_lanes):
+        assert jobs, "an empty batch"  # MAX_EPISODES - ep episodes
+        return original(jobs)
+
+    monkeypatch.setattr(expert, "_episode", dead_end)
+    monkeypatch.setattr(expert, "MAX_EPISODES", 10)
+    monkeypatch.setattr(lanes, "run_lanes", run_lanes)
+    set_lanes(n_lanes)
+    with pytest.raises(ConfigError, match="^only 0/90 success transitions "
+                       "after 10 episodes$"):
+        collect_to_ratio(World(8, 8), SPEC, EPISODE, ExpertConfig(), 100,
+                         0.1, seed=0)
+
+
+@pytest.mark.parametrize("mode, n_episodes, message", [
+    ("noisy", 4, "^unknown collection mode 'noisy'$"),
+    (CLEAN, 0, "^n_episodes must be >= 1$")])
+def test_collect_refuses_before_an_episode_or_a_grid(mode, n_episodes,
+                                                     message, monkeypatch,
+                                                     set_lanes):
+    def episode(*args):
+        raise AssertionError("ran an episode")
+
+    monkeypatch.setattr(expert, "_episode", episode)
+    set_lanes(1)
+    world = World(8, 8, RATIO_WORLD.obstacles)
+    with pytest.raises(ConfigError, match=message):
+        collect(world, SPEC, EPISODE, ExpertConfig(), n_episodes, mode,
+                seed=0)
+    assert not world._grids
 
 
 @pytest.mark.parametrize("ratio", [True, False], ids=["ratio", "episodes"])

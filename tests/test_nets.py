@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,18 @@ def test_adam_rejects_nonfinite():
     st = AdamState.for_params(3, lr=1e-3)
     with pytest.raises(NumericError):
         adam_step(p, np.array([1.0, np.inf, 0.0]), st)
+
+
+def test_adam_overflowing_square_warns_nothing():
+    # 1e30 squared overflows float32; the second moment saturates to inf
+    # and that parameter does not move, without a RuntimeWarning
+    p = np.zeros(3, np.float32)
+    st = AdamState.for_params(3, lr=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        adam_step(p, np.array([1.0, 1e30, 0.0], np.float32), st)
+    assert np.isinf(st.v[1]) and p[1] == 0.0
+    assert p[0] == pytest.approx(-1e-3) and p[2] == 0.0
 
 
 def test_soft_update_cases():

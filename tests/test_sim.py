@@ -10,7 +10,7 @@ from fanav.errors import (
     NumericError,
     WorldFormatError,
 )
-from fanav.expert import CLEAN, ExpertConfig, run_episode
+from fanav.expert import ExpertConfig, run_episode
 from fanav import sim
 from fanav.geometry import Circle, Rect
 from fanav.sim import (
@@ -248,6 +248,18 @@ def test_step_env_wall_collision():
     assert terminal == COLLISION
 
 
+def test_a_step_out_of_the_room_is_observed_at_the_clipped_pose():
+    # a 0.1 m step exceeds the 0.05 m radius, so the robot can leave the
+    # room in one step; the record is the observation at the wall
+    world, spec, cfg = World(4.0, 4.0), small_spec(radius=0.05), \
+        EpisodeConfig()
+    state, terminal, pose = step_env(world, spec, cfg, Pose(0.06, 2.0, math.pi),
+                                     (3.0, 2.0), Action(0.5, 0.0), 0)
+    assert terminal == COLLISION and pose.x < 0.0
+    assert np.array_equal(state, observe(world, spec, Pose(0.0, 2.0, math.pi),
+                                         (3.0, 2.0), 0.5, 0.0))
+
+
 
 def test_collision_ties_an_obstacle_at_the_radius_but_not_a_wall():
     # every distance below is exact in binary: an obstacle exactly one
@@ -361,8 +373,8 @@ def test_reward_telescoping():
     carries r_success exactly. The task is sampled in an empty room, where
     the clean demonstrator succeeds."""
     world, spec, cfg = empty_episode()
-    traj = run_episode(world, spec, cfg, ExpertConfig(),
-                       np.random.default_rng(11), CLEAN, 0)
+    traj = run_episode(world, spec, cfg, ExpertConfig(noise_prob=0.0),
+                       np.random.default_rng(11), 0)
     assert traj.outcome == SUCCESS and len(traj) > 40
     ds = build_dataset([traj], EncoderProfile.from_world_spec(world, spec),
                        cfg)
