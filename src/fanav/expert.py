@@ -79,6 +79,8 @@ class CollectConfig(Settings, section="collect"):
 # ---------------------------------------------------------------------------
 
 GRID_RES = 0.1
+# the most cells a planning grid may hold: a 100 m square at GRID_RES
+MAX_GRID_CELLS = 1_000_000
 
 _SQRT2 = math.sqrt(2.0)
 _MOVES = ((1, 0, 1.0), (-1, 0, 1.0), (0, 1, 1.0), (0, -1, 1.0),
@@ -93,15 +95,26 @@ def _grid_distances(ob, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
+def grid_shape(width: float, height: float) -> tuple[int, int]:
+    """The cells along x and along y of a ``width`` x ``height`` m room's
+    planning grid."""
+    return (max(1, math.floor(width / GRID_RES)),
+            max(1, math.floor(height / GRID_RES)))
+
+
 def occupancy_grid(world: World, inflate: float) -> np.ndarray:
     """Boolean blocked-grid of ``GRID_RES`` cell centers, inflated by
     ``inflate`` meters; built once per inflation and kept, read-only, on
-    ``world``."""
+    ``world``. A grid of more than ``MAX_GRID_CELLS`` cells is a
+    ``ConfigError``, raised before anything is allocated."""
     grid = world._grids.get(inflate)
     if grid is not None:
         return grid
-    nx = max(1, int(math.floor(world.width / GRID_RES)))
-    ny = max(1, int(math.floor(world.height / GRID_RES)))
+    nx, ny = grid_shape(world.width, world.height)
+    if nx * ny > MAX_GRID_CELLS:
+        raise ConfigError(f"world '{world.name}' is too large to plan in: its "
+                          f"planning grid would hold {nx * ny:,} cells, more "
+                          f"than {MAX_GRID_CELLS:,}")
     xs = (np.arange(nx) + 0.5) * GRID_RES
     ys = (np.arange(ny) + 0.5) * GRID_RES
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
@@ -318,8 +331,9 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                 expert_cfg: ExpertConfig, rng: np.random.Generator,
                 traj_id: int) -> Trajectory | None:
     """Run one demonstrator episode on a task drawn from ``rng``, the
-    command pure pursuit plus, at a ``noise_prob`` above 0, noise drawn
-    from ``rng``; return None on a planning dead end."""
+    command pure pursuit; return None on a planning dead end. Each step
+    draws one uniform from ``rng`` and, when it is below ``noise_prob``
+    (never at 0), adds noise drawn from ``rng``."""
     start, goal = sample_task(world, rng, spec.radius + expert_cfg.plan_inflation
                               + 0.02, expert_cfg.min_separation)
     try:
@@ -327,11 +341,10 @@ def run_episode(world: World, spec: RobotSpec, episode_cfg: EpisodeConfig,
                          expert_cfg.plan_inflation)
     except NoPathError:
         return None
-    noisy = expert_cfg.noise_prob > 0
 
     def act(state: np.ndarray, pose: Pose) -> Action:
         a = expert_action(pose, path, spec, expert_cfg)
-        if noisy and rng.uniform() < expert_cfg.noise_prob:
+        if rng.uniform() < expert_cfg.noise_prob:
             dv, dw = rng.normal(0.0, 1.0, 2)
             a = Action(a.v_cmd + dv * expert_cfg.noise_std_v,
                        a.omega_cmd + dw * expert_cfg.noise_std_omega)

@@ -1,10 +1,11 @@
 """Offline trainers: behavior cloning and three IQL variants in one loop.
 
-Each method is a row of :data:`METHODS`: what its value and critic batches
-hold, what its policy batches hold, and how its policy weights them. The
-central row, ``iql_ca``, mixes collision rows into the critic batches only;
-the others are controlled degenerations of it. Per step the update order
-is fixed: value, critics, target blend, policy.
+Each method is a row of :data:`METHODS`, the paper's two choices: what its
+value and critic batches hold, and what its policy batches hold. The
+policy weights follow: unit without critics, advantage weights with them,
+as in IQL. The central row, ``iql_ca``, mixes collision rows into the
+critic batches only; the others are controlled degenerations of it. Per
+step the update order is fixed: value, critics, target blend, policy.
 
 Runs are bit-reproducible for a given config: network init and each
 sampler use independent child streams of the config seed, and the loop
@@ -55,18 +56,17 @@ from .nets import (
 @dataclass(frozen=True)
 class Recipe:
     """A row of :data:`METHODS`: the batches of the value and critic nets
-    (``None``: no such nets), those of the policy, and its weights."""
+    (``None``: no such nets, so unit policy weights) and of the policy."""
 
     critic: str | None  # "stratified_rho", "stratified_0" or "pooled"
     policy: str  # "success" or "pooled"
-    weights: str  # "unit" or "advantage"
 
 
 METHODS = {
-    "bc": Recipe(None, "success", "unit"),
-    "iql_so": Recipe("stratified_0", "success", "advantage"),
-    "iql_dm": Recipe("pooled", "pooled", "advantage"),
-    "iql_ca": Recipe("stratified_rho", "success", "advantage"),
+    "bc": Recipe(None, "success"),
+    "iql_so": Recipe("stratified_0", "success"),
+    "iql_dm": Recipe("pooled", "pooled"),
+    "iql_ca": Recipe("stratified_rho", "success"),
 }
 
 
@@ -295,7 +295,7 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
 
         pbatch = policy_sampler.sample()
         report.policy_collision_count += pbatch.n_collision
-        if recipe.weights == "unit":
+        if not uses_critics:
             adv = np.zeros(len(pbatch))
             w = np.ones(len(pbatch))
             loss_pi, g_mean, g_ls = guarded(

@@ -7,12 +7,10 @@ unreachable pockets at the robot's inflation radius.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ConfigError, GenerationError, NoPathError
-from .expert import GRID_RES, plan_path
+from .expert import MAX_GRID_CELLS, grid_shape, plan_path
 from .geometry import Circle, Rect, Shape
 from .sim import RobotSpec, World, sample_free_point
 
@@ -22,8 +20,6 @@ MAX_RADIUS = 0.55  # largest circle radius (m)
 # the least room side at which a circle of every radius fits between the
 # wall margins, to the millimetre the layouts are rounded to
 MIN_SIDE = round(2 * (WALL_MARGIN + MAX_RADIUS), 3)
-# the most cells a room's planning grid may hold: a 100 m square at GRID_RES
-MAX_GRID_CELLS = 1_000_000
 
 
 def _sample_layout(width: float, height: float, density: float,
@@ -83,7 +79,8 @@ def generate_world(width: float, height: float, density: float, seed: int,
     room = World(width, height, (), name)  # refuses a non-finite side
     if density == 0.0:
         return room
-    cells = math.floor(width / GRID_RES) * math.floor(height / GRID_RES)
+    nx, ny = grid_shape(width, height)
+    cells = nx * ny
     if cells > MAX_GRID_CELLS:
         raise ConfigError(f"a {width:g} x {height:g} m room is too large for "
                           f"obstacles: its planning grid would hold {cells:,} "

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tomllib
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -444,8 +445,10 @@ def test_set_reaches_the_same_named_field(section, build):
 
 
 def test_desk_toml_is_the_defaults_but_lidar_range():
-    # as its header says: a desk value that drifts from its code default
-    # fails here
+    # as its header says: desk.toml sets its 6 m sensor and nothing else,
+    # so every other value is its code default
+    with open(DESK, "rb") as fh:
+        assert tomllib.load(fh) == {"robot": {"lidar_range": 6.0}}
     desk, default = resolve_config(DESK, []), resolve_config(None, [])
     assert robot_spec_from(desk) == RobotSpec(lidar_range=6.0)
     assert desk["robot"].pop("lidar_range") == 6.0
@@ -580,6 +583,34 @@ def test_collect_refuses_when_no_episode_ends_and_writes_nothing(tmp_path,
     assert "no episode ended in success or collision" in \
         capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("text", ["bounds 1000000 1000000\nrect 10 10 1 1\n",
+                                  "bounds 1000000 1000000\n"])
+def test_collect_refuses_a_world_too_large_to_plan_in(text, tmp_path, capsys):
+    # collect builds the planning grid before any episode; this one would
+    # hold 10^7 x 10^7 cells, and the room is refused before allocating
+    world = tmp_path / "huge.world"
+    world.write_text("name huge\n" + text)
+    assert run(["collect", "--world", str(world), "--episodes", "1",
+                "--out", str(tmp_path / "d.fanav")]) == 3
+    assert ("world 'huge' is too large to plan in: its planning grid would "
+            "hold 100,000,000,000,000 cells, more than 1,000,000"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["huge.world"]
+
+
+def test_collect_takes_a_config_files_collect_section_with_episodes(
+        tmp_path):
+    # one config file serves every command, so its [collect] section is
+    # allowed with --episodes, where --set collect.* is a usage error
+    cfg = tmp_path / "c.toml"
+    cfg.write_text("[collect]\nmin_transitions = 5\n")
+    out = tmp_path / "d.fanav"
+    assert run(["collect", "--world", "sparse", "--episodes", "1",
+                "--config", str(cfg), "--out", str(out),
+                "--set", "robot.lidar_beams=8"]) == 0
+    assert load_dataset(str(out)).meta["mode"] == "clean"
 
 
 def test_collect_ratio_mode(tmp_path):
@@ -799,6 +830,27 @@ def test_peak_rss_tool_runs_one_command_and_keeps_its_exit_code(tmp_path):
     failed = subprocess.run([*tool, *argv], capture_output=True, text=True)
     assert failed.returncode == run(argv) != 0
     assert failed.stdout.startswith("peak_rss_mb ")
+
+
+def test_untested_lines_tool_names_the_statements_a_run_missed():
+    # test_worldgen.py never asks for a room too small for obstacles
+    source = (ROOT / "src" / "fanav" / "worldgen.py").read_text().splitlines()
+    refusal = 1 + next(i for i, line in enumerate(source)
+                       if "m room is too small for obstacles" in line)
+    sampled = 1 + next(i for i, line in enumerate(source)
+                       if "shapes = _sample_layout(" in line)
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "untested_lines.py"), "-q",
+         "-p", "no:cacheprovider", str(ROOT / "tests" / "test_worldgen.py")],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stdout
+    lines = done.stdout.splitlines()
+    missed = [line for line in lines
+              if re.fullmatch(r"src/fanav/\w+\.py:\d+", line)]
+    assert lines[-1] == f"{len(missed)} statements never ran"
+    assert f"src/fanav/worldgen.py:{refusal}" in missed
+    assert f"src/fanav/worldgen.py:{sampled}" not in missed
 
 
 def eval_argv(pipeline_run, method, out_dir, *extra, world="sparse",

@@ -315,6 +315,18 @@ def test_export_csv_and_svg(tmp_path):
     assert render_overlay_svg(res2, suite, WORLD) == svg
 
 
+def test_nothing_to_evaluate_or_export_is_refused(tmp_path):
+    empty = TaskSuite(WORLD.name, SPEC.radius, [], EPISODE)
+    with pytest.raises(ConfigError, match="^empty task suite$"):
+        evaluate_suite(ZeroPolicy(), WORLD, SPEC, empty)
+    res = EvalResult(WORLD.name, empty.digest, "m", [[TIMEOUT]])
+    out = tmp_path / "traj"
+    with pytest.raises(ConfigError,
+                       match="^result carries no trajectories to export$"):
+        export_trajectories(res, empty, WORLD, str(out))
+    assert not out.exists()
+
+
 def test_svg_marker_counts():
     suite = make_suite(WORLD, SPEC, EPISODE, 5, seed=19)
     res = evaluate_suite(ZeroPolicy(), WORLD, SPEC, suite, n_trials=1, seed=0)
@@ -379,6 +391,8 @@ def test_compare_rejects_suite_mismatch():
 
 
 def test_compare_refuses_a_method_without_results():
+    with pytest.raises(ConfigError, match="^no results to compare$"):
+        compare({})
     # averaging no worlds gave nan rows, on which a pipeline with no
     # evaluation world exited 0
     with pytest.raises(ConfigError, match="'bc' has no results"):

@@ -67,6 +67,14 @@ def test_plan_no_path_through_full_wall():
         plan_path(world, (1, 4), (7, 4), SPEC.radius)
 
 
+def test_plan_refuses_a_blocked_start_or_goal_cell():
+    # inflated by 0.5 m, every cell of a 1 m room's grid is blocked, and
+    # the straight segment is not clear either
+    with pytest.raises(NoPathError) as exc:
+        plan_path(World(1, 1), (0.5, 0.5), (0.5, 0.7), 0.2, 0.3)
+    assert str(exc.value) == "start or goal cell blocked on the planning grid"
+
+
 def test_plan_l_corridor_length_bound():
     # wall with a gap near the top forces a detour
     world = World(8, 8, (Rect(3.8, 0, 0.4, 6.5),))
@@ -223,10 +231,12 @@ def test_clean_collection_all_success_in_empty_world():
 
 
 def test_perturbed_with_zero_noise_matches_clean():
+    # clean turns the default demonstrator's noise off; perturbed runs the
+    # config as given
     world = World(8, 8, (Circle(4, 4, 0.8),))
-    cfg = ExpertConfig(noise_prob=0.0)
-    a = collect(world, SPEC, EPISODE, cfg, 4, CLEAN, seed=3)
-    b = collect(world, SPEC, EPISODE, cfg, 4, PERTURBED, seed=3)
+    a = collect(world, SPEC, EPISODE, ExpertConfig(), 4, CLEAN, seed=3)
+    b = collect(world, SPEC, EPISODE, replace(ExpertConfig(), noise_prob=0.0),
+                4, PERTURBED, seed=3)
     assert len(a) == len(b)
     for ta, tb in zip(a, b):
         assert ta.outcome == tb.outcome

@@ -461,6 +461,25 @@ def test_world_file_errors():
         parse_world("bounds 5 5\nbounds 4 4\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name a b\nbounds 5 5\n", "t.world:1: name takes exactly one identifier"),
+    ("bounds 5\n", "t.world:1: bounds takes width and height"),
+    ("bounds 5 5\nrect 1 1 0 1\n", "t.world:2: rect size must be positive"),
+    ("bounds 5 5\ncircle 1 1\n", "t.world:2: circle takes cx cy r"),
+    ("bounds 5 5\ncircle 1 1 0\n",
+     "t.world:2: circle radius must be positive"),
+    ("bounds -5 5\n", "t.world: world bounds must be strictly positive")])
+def test_world_file_refuses_each_malformed_line(text, message):
+    with pytest.raises(WorldFormatError) as exc:
+        parse_world(text, source="t.world")
+    assert str(exc.value) == message
+
+
+def test_world_file_without_a_name_takes_its_stem():
+    assert parse_world("bounds 5 5\n", source="/x/room.world").name == "room"
+    assert parse_world("bounds 5 5\n").name == "world"
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("bounds inf 10\n", 1), ("bounds 10 1e999\n", 1), ("bounds nan 10\n", 1),
     ("bounds 10 10\nrect 1 1 inf 1\n", 2),

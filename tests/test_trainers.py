@@ -286,6 +286,16 @@ def test_nan_abort_names_loss_and_step():
         train(bad, quick_config(method="iql_so", total_steps=2000))
 
 
+def test_a_non_finite_loss_aborts_when_no_layer_raises():
+    # linear critics have no hidden layer whose backward checks its delta,
+    # so the non-finite loss itself is what stops the run
+    bad = synthetic_dataset(seed=3)
+    bad.exp.rewards[:] = np.nan
+    with pytest.raises(NumericError) as exc:
+        train(bad, quick_config(method="iql_so", hidden=(), total_steps=2))
+    assert str(exc.value) == "critic loss non-finite at step 1"
+
+
 def test_checkpoints_written(tmp_path):
     out = tmp_path / "run"
     res = train(DS, quick_config(total_steps=200), out_dir=str(out))

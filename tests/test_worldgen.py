@@ -1,10 +1,10 @@
 import pytest
 
 from fanav.errors import ConfigError, GenerationError
-from fanav.expert import plan_path
+from fanav.expert import MAX_GRID_CELLS, plan_path
 from fanav.sim import format_world, sample_free_point
 from fanav import worldgen
-from fanav.worldgen import MAX_GRID_CELLS, generate_world
+from fanav.worldgen import generate_world
 
 import numpy as np
 
