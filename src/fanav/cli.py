@@ -192,8 +192,8 @@ def numeric_platform() -> dict:
 
 def claim_manifest(path: str, cmd: str) -> None:
     """Refuse with a :class:`ConfigError` to let ``cmd`` replace the file
-    at ``path`` unless it is a manifest that ``cmd`` wrote. A command calls
-    this before it writes anything, so a refused command writes nothing."""
+    at ``path`` unless it is a manifest that ``cmd`` wrote; :func:`dispatch`
+    calls it before the command runs, so a refused command writes nothing."""
     if not os.path.exists(path):
         return
     try:
@@ -209,20 +209,27 @@ def claim_manifest(path: str, cmd: str) -> None:
                           "it: choose another output path")
 
 
+def manifest_path(args: argparse.Namespace) -> str | None:
+    """Where a command writes its manifest: ``<out>.manifest.json`` beside
+    its output file, ``manifest.json`` in its ``--out-dir`` (``.`` when
+    empty), and None for ``dataset inspect``."""
+    if hasattr(args, "out"):
+        return args.out + ".manifest.json"
+    if hasattr(args, "out_dir"):
+        return os.path.join(args.out_dir or ".", "manifest.json")
+    return None
+
+
 def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
-                   tree: ConfigTree | None,
-                   outputs: list[str] | None = None) -> None:
+                   tree: ConfigTree | None, started_unix: float) -> None:
     """Write the run manifest of ``args``' command atomically to ``path``,
-    creating its directory: ``<out_dir>/manifest.json`` for a command that
-    writes a directory, ``<out>.manifest.json`` beside a command's output
-    file. It holds the :func:`numeric_platform` and the SHA-256 of every
-    file the command read: its ``--config``, its dataset, checkpoint and
-    suite, each world it loaded from a file rather than by bundled name
-    (``--world``, or the pipeline's collect and eval worlds) and each
-    ``result.json`` it compared. ``compare`` reads no config, so its
-    ``tree`` is None, and so are its seed and config digest. It replaces
-    only a manifest of the same command (:func:`claim_manifest`)."""
-    claim_manifest(path, args.cmd)
+    creating its directory. It holds the :func:`numeric_platform`, the
+    command's ``--out`` file as its one output, ``started_unix`` and the
+    SHA-256 of every file the command read: its ``--config``, its dataset,
+    checkpoint and suite, each world it loaded from a file rather than by
+    bundled name (``--world``, or the pipeline's collect and eval worlds)
+    and each ``result.json`` it compared. ``compare`` reads no config, so
+    its ``tree`` is None, and so are its seed and config digest."""
     worlds = ([tree["pipeline"]["collect_world"],
                *tree["pipeline"]["eval_worlds"]] if args.cmd == "pipeline"
               else [getattr(args, "world", None)])
@@ -242,9 +249,9 @@ def write_manifest(path: str, args: argparse.Namespace, argv: list[str],
         "config_digest": tree and hashlib.sha256(
             json.dumps(tree, sort_keys=True).encode()).hexdigest(),
         "inputs": {p: _sha256_file(p) for p in read if p},
-        "outputs": outputs or [],
+        "outputs": [args.out] if hasattr(args, "out") else [],
         "platform": numeric_platform(),
-        "started_unix": time.time(),
+        "started_unix": started_unix,
     }
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
@@ -312,11 +319,16 @@ def eval_stage(policy: NetworkPolicy, world: World, suite: TaskSuite,
     return res
 
 
+def _method_sort_key(method: str):
+    return (list(METHODS).index(method) if method in METHODS
+            else len(METHODS), method)
+
+
 def compare_stage(results: dict[str, list[EvalResult]], out_dir: str) -> str:
-    """Write comparison.csv/.txt with the methods in ``results``' order and
-    each method's worlds by name; returns the text table."""
-    by_world = {m: sorted(rs, key=lambda r: r.world_name)
-                for m, rs in results.items()}
+    """Write comparison.csv/.txt, the methods in :data:`METHODS` order and
+    then by name, each method's worlds by name; returns the text table."""
+    by_world = {m: sorted(results[m], key=lambda r: r.world_name)
+                for m in sorted(results, key=_method_sort_key)}
     _, csv_text, table = compare(by_world)
     os.makedirs(out_dir, exist_ok=True)
     for name, text in (("comparison.csv", csv_text),
@@ -330,21 +342,18 @@ def compare_stage(results: dict[str, list[EvalResult]], out_dir: str) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_world(args, argv) -> int:
+def cmd_gen_world(args) -> ConfigTree:
     tree = resolve_config(args.config, args.set)
-    claim_manifest(args.out + ".manifest.json", args.cmd)
     world = generate_world(args.width, args.height, args.density,
                            tree["run"]["seed"], name=args.name,
                            robot_radius=float(tree["robot"]["radius"]))
     save_world(world, args.out)
-    write_manifest(args.out + ".manifest.json", args, argv, tree,
-                   outputs=[args.out])
     print(f"wrote {args.out}: {len(world.obstacles)} obstacles in "
           f"{world.width:g}x{world.height:g} m")
-    return 0
+    return tree
 
 
-def cmd_collect(args, argv) -> int:
+def cmd_collect(args) -> ConfigTree:
     if args.mode and args.episodes is None:
         args.usage_error("--mode applies only with --episodes")
     if (args.episodes is not None
@@ -352,7 +361,6 @@ def cmd_collect(args, argv) -> int:
         args.usage_error("--target-col-ratio and --set collect.* apply only "
                          "without --episodes")
     tree = resolve_config(args.config, args.set)
-    claim_manifest(args.out + ".manifest.json", args.cmd)
     seed = tree["run"]["seed"]
     world = resolve_world(args.world)
     spec = robot_spec_from(tree)
@@ -368,59 +376,45 @@ def cmd_collect(args, argv) -> int:
     ds = dataset_stage(trajs, world, spec, episode, {
         "command": "collect", "seed": seed, "world": world.name,
         "mode": mode, "version": __version__}, args.out)
-    write_manifest(args.out + ".manifest.json", args, argv, tree,
-                   outputs=[args.out])
     print(describe_dataset(ds))
     print(f"wrote {args.out}")
-    return 0
+    return tree
 
 
-def cmd_dataset(args, argv) -> int:
+def cmd_dataset(args) -> None:
     print(describe_dataset(load_dataset(args.path)))  # the one action: inspect
-    return 0
 
 
-def cmd_train(args, argv) -> int:
+def cmd_train(args) -> ConfigTree:
     ds = load_dataset(args.dataset)
     tree = resolve_config(args.config, args.set,
                           robot_of=(args.dataset, ds.profile.robot))
     cfg = trainer_from(tree, tree["run"]["seed"])
-    manifest = os.path.join(args.out_dir, "manifest.json")
-    claim_manifest(manifest, args.cmd)
     result = train_stage(ds, cfg, tree, args.out_dir)
-    write_manifest(manifest, args, argv, tree)
     last = result.report.rows[-1]
     print(f"{cfg.method}: {cfg.total_steps} steps in "
           f"{result.report.wall_clock:.1f}s, final losses "
           f"V={last.loss_value:.4f} Q={last.loss_critic:.4f} "
           f"pi={last.loss_policy:.4f}")
     print(f"policy digest {result.report.final_digest[:16]}")
-    return 0
+    return tree
 
 
-def cmd_eval(args, argv) -> int:
+def cmd_eval(args) -> ConfigTree:
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
     tree = resolve_config(args.config, args.set,
                           robot_of=(args.checkpoint, policy.profile.robot))
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
-    manifest = os.path.join(args.out_dir, "manifest.json")
-    claim_manifest(manifest, args.cmd)
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
                      args.out_dir)
-    write_manifest(manifest, args, argv, tree)
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")
-    return 0
+    return tree
 
 
-def _method_sort_key(method: str):
-    return (list(METHODS).index(method) if method in METHODS
-            else len(METHODS), method)
-
-
-def cmd_compare(args, argv) -> int:
+def cmd_compare(args) -> None:
     grouped: dict[str, list] = {}
     for d in args.results:
         path = os.path.join(d, "result.json")
@@ -428,16 +422,10 @@ def cmd_compare(args, argv) -> int:
             raise ConfigError(f"no result.json under '{d}'")
         res = load_eval_result(path)
         grouped.setdefault(res.method, []).append(res)
-    ordered = {m: grouped[m] for m in sorted(grouped, key=_method_sort_key)}
-    out_dir = args.out_dir or "."
-    manifest = os.path.join(out_dir, "manifest.json")
-    claim_manifest(manifest, args.cmd)
-    print(compare_stage(ordered, out_dir), end="")
-    write_manifest(manifest, args, argv, None)
-    return 0
+    print(compare_stage(grouped, args.out_dir or "."), end="")
 
 
-def cmd_pipeline(args, argv) -> int:
+def cmd_pipeline(args) -> ConfigTree:
     """collect -> suites -> train each method -> evaluate each (method,
     world) -> compare, through the same stage functions as the subcommands.
     Only the suites have no subcommand of their own.
@@ -455,7 +443,8 @@ def cmd_pipeline(args, argv) -> int:
     Evaluation reads each suite back from the file it saved, so ``fanav
     eval`` on that file replays the pipeline's episodes exactly. A bundled
     name and the path of its file are one world, so naming both is a
-    ``ConfigError``, raised before anything is written."""
+    ``ConfigError``, raised before anything is written. Its manifest, like
+    every command's, is written when it ends."""
     from .lanes import run_lanes
     tree = resolve_config(args.config, args.set)
     seed = tree["run"]["seed"]
@@ -481,7 +470,6 @@ def cmd_pipeline(args, argv) -> int:
     cfgs = {m: trainer_from(tree, seed, method=m) for m in methods}
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
-    write_manifest(os.path.join(out, "manifest.json"), args, argv, tree)
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
     # no name holds the episodes, so they are freed once they are encoded
@@ -532,7 +520,7 @@ def cmd_pipeline(args, argv) -> int:
 
     print("[5/5] comparison")
     print(compare_stage(results, os.path.join(out, "compare")), end="")
-    return 0
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -620,13 +608,22 @@ SHORTHANDS = {"seed": "run.seed", "method": "trainer.method",
 
 def dispatch(argv: list[str]) -> int:
     """Run ``argv``'s subcommand; a shorthand flag becomes a ``--set`` pair
-    after the user's own, so it wins."""
+    after the user's own, so it wins. Its manifest (:func:`manifest_path`)
+    is claimed before it runs and written, with the moment it started,
+    from the config tree it returns; a failed command writes none."""
     args = build_parser().parse_args(argv)
     for dest, key in SHORTHANDS.items():
         value = getattr(args, dest, None)
         if value is not None:
             args.set = [*(args.set or []), f"{key}={format_scalar(value)}"]
-    return args.fn(args, ["fanav"] + list(argv))
+    manifest = manifest_path(args)
+    if manifest:
+        claim_manifest(manifest, args.cmd)
+    started = time.time()
+    tree = args.fn(args)
+    if manifest:
+        write_manifest(manifest, args, ["fanav", *argv], tree, started)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

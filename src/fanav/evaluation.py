@@ -181,6 +181,8 @@ class NetworkPolicy:
             if not isinstance(name, str):
                 raise TypeError(f"method {name!r} is not a name")
             return cls(head, profile, name=name)
+        except ShapeError as exc:
+            raise DataFormatError(f"{path}: {exc}") from exc
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: incomplete or malformed "
                                   f"checkpoint metadata ({exc!r})") from exc
@@ -314,12 +316,16 @@ def save_eval_result(result: EvalResult, path: str) -> None:
 
 def load_eval_result(path: str) -> EvalResult:
     """Read a ``result.json``; a file that is not JSON, lacks a field, holds
-    an empty, ragged or unknown outcome, or stores a count or rate other
-    than its outcomes give is a :class:`DataFormatError`."""
+    a world, suite digest or method that is not a string, an empty, ragged
+    or unknown outcome, or stores a count or rate other than its outcomes
+    give is a :class:`DataFormatError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
         res = EvalResult.from_dict(d)
+        if not all(isinstance(name, str) for name in
+                   (res.world_name, res.suite_digest, res.method)):
+            raise TypeError("world, suite_digest and method must be strings")
         rows = res.outcomes
         if not rows or any(not row or len(row) != len(rows[0])
                            for row in rows):

@@ -95,26 +95,26 @@ def _grid_distances(ob, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.hypot(dx, dy)
 
 
-def grid_shape(width: float, height: float) -> tuple[int, int]:
-    """The cells along x and along y of a ``width`` x ``height`` m room's
-    planning grid."""
-    return (max(1, math.floor(width / GRID_RES)),
-            max(1, math.floor(height / GRID_RES)))
-
-
-def occupancy_grid(world: World, inflate: float) -> np.ndarray:
-    """Boolean blocked-grid of ``GRID_RES`` cell centers, inflated by
-    ``inflate`` meters; built once per inflation and kept, read-only, on
-    ``world``. A grid of more than ``MAX_GRID_CELLS`` cells is a
-    ``ConfigError``, raised before anything is allocated."""
-    grid = world._grids.get(inflate)
-    if grid is not None:
-        return grid
-    nx, ny = grid_shape(world.width, world.height)
+def grid_shape(world: World) -> tuple[int, int]:
+    """The cells along x and along y of ``world``'s planning grid; the one
+    room-size rule: more than ``MAX_GRID_CELLS`` cells is a ``ConfigError``."""
+    nx = max(1, math.floor(world.width / GRID_RES))
+    ny = max(1, math.floor(world.height / GRID_RES))
     if nx * ny > MAX_GRID_CELLS:
         raise ConfigError(f"world '{world.name}' is too large to plan in: its "
                           f"planning grid would hold {nx * ny:,} cells, more "
                           f"than {MAX_GRID_CELLS:,}")
+    return nx, ny
+
+
+def occupancy_grid(world: World, inflate: float) -> np.ndarray:
+    """Boolean blocked-grid of ``GRID_RES`` cell centers, inflated by
+    ``inflate`` meters; built, once :func:`grid_shape` accepts the room,
+    once per inflation and kept, read-only, on ``world``."""
+    grid = world._grids.get(inflate)
+    if grid is not None:
+        return grid
+    nx, ny = grid_shape(world)
     xs = (np.arange(nx) + 0.5) * GRID_RES
     ys = (np.arange(ny) + 0.5) * GRID_RES
     gx, gy = np.meshgrid(xs, ys, indexing="ij")

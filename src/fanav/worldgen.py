@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, GenerationError, NoPathError
-from .expert import MAX_GRID_CELLS, grid_shape, plan_path
+from .expert import grid_shape, plan_path
 from .geometry import Circle, Rect, Shape
 from .sim import RobotSpec, World, sample_free_point
 
@@ -67,8 +67,8 @@ def generate_world(width: float, height: float, density: float, seed: int,
 
     Identical arguments always produce the identical world; layouts failing
     the reachability probe are discarded and resampled. Obstacles need each
-    side to be at least ``MIN_SIDE``, and a planning grid of at most
-    ``MAX_GRID_CELLS`` cells.
+    side to be at least ``MIN_SIDE``. Any room, an empty one too, must be
+    one the planner can plan in (:func:`fanav.expert.grid_shape`).
     """
     if not (0.0 <= density <= 1.0):
         raise ConfigError("density must lie in [0, 1]")
@@ -77,14 +77,9 @@ def generate_world(width: float, height: float, density: float, seed: int,
             f"a {width:g} x {height:g} m room is too small for obstacles: at "
             f"density > 0 each side must be at least {MIN_SIDE:g} m")
     room = World(width, height, (), name)  # refuses a non-finite side
+    grid_shape(room)  # refuses a room too large to plan in
     if density == 0.0:
         return room
-    nx, ny = grid_shape(width, height)
-    cells = nx * ny
-    if cells > MAX_GRID_CELLS:
-        raise ConfigError(f"a {width:g} x {height:g} m room is too large for "
-                          f"obstacles: its planning grid would hold {cells:,} "
-                          f"cells, more than {MAX_GRID_CELLS:,}")
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, attempt])
         shapes = _sample_layout(width, height, density, rng)

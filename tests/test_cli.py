@@ -30,7 +30,8 @@ from fanav.cli import (
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
-from fanav.nets import GaussianPolicyHead, load_checkpoint, save_checkpoint
+from fanav.nets import (GaussianPolicyHead, Mlp, load_checkpoint,
+                        save_checkpoint)
 from fanav.sim import RobotSpec, load_world
 from fanav.trainers import METHODS
 
@@ -97,7 +98,7 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
                if isinstance(cls, type) and issubclass(cls, errors.FanavError)}
     assert sorted(classes) == sorted(DOCUMENTED_EXIT_CODES)
     for name, cls in [*classes.items(), ("OSError", OSError)]:
-        def cmd_dataset(args, argv, cls=cls):
+        def cmd_dataset(args, cls=cls):
             raise cls(f"raised {cls.__name__}")
 
         monkeypatch.setattr(cli, "cmd_dataset", cmd_dataset)
@@ -293,22 +294,15 @@ def test_duplicate_pipeline_entry_exits_three(names, key, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_pipeline_manifest_hashes_its_config_and_world_files(tmp_path,
-                                                             monkeypatch):
+def test_pipeline_manifest_hashes_its_config_and_world_files(tmp_path):
     from fanav import cli
 
-    class Collected(Exception):
-        pass
-
-    def collect_to_ratio(*args, **kwargs):
-        raise Collected  # the manifest is written before collection
-
-    monkeypatch.setattr(cli, "collect_to_ratio", collect_to_ratio)
     worlds = [str(cli.bundled_world_path(n)) for n in ("sparse", "dense")]
     out = tmp_path / "p"
-    with pytest.raises(Collected):
-        run(["pipeline", "--out-dir", str(out), "--config", DESK,
-             "--set", f"pipeline.eval_worlds={json.dumps(worlds)}"])
+    assert run(["pipeline", "--out-dir", str(out), "--config", DESK,
+                *PIPELINE_SETS, "--set", 'pipeline.methods=["bc"]',
+                "--set", "eval.n_tasks=1", "--set", "eval.n_trials=1",
+                "--set", f"pipeline.eval_worlds={json.dumps(worlds)}"]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert inputs == {p: hashlib.sha256(Path(p).read_bytes()).hexdigest()
                       for p in (DESK, *worlds)}
@@ -515,6 +509,27 @@ def test_gen_world_refuses_a_room_too_large_to_plan(tmp_path, capsys):
                 "--density", "0.3", "--seed", "0", "--out", str(out)]) == 3
     assert time.perf_counter() - start < 1.0
     assert "more than 1,000,000" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_collect_gives_up_on_a_separation_its_world_cannot_hold(tmp_path,
+                                                                capsys):
+    out = tmp_path / "d.fanav"
+    start = time.perf_counter()
+    assert run(["collect", "--world", "sparse", "--episodes", "1",
+                "--out", str(out), "--set", "expert.min_separation=100"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "no start/goal pair 100.0 m apart after 10000 samples" in \
+        capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_gen_world_refuses_an_empty_room_too_large_to_plan(tmp_path, capsys):
+    # no later command could plan in it, so it is not written either
+    assert run(["gen-world", "--width", "1e6", "--height", "1e6",
+                "--density", "0", "--out", str(tmp_path / "huge.world")]) == 3
+    assert "world 'generated' is too large to plan in" in \
+        capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
@@ -942,6 +957,22 @@ def test_eval_and_compare_from_pipeline_artifacts(pipeline_run, tmp_path,
     assert a.profile == b.profile
 
 
+def test_pipeline_and_compare_order_a_table_alike(tmp_path):
+    # the pipeline hands its results over in pipeline.methods order and
+    # compare in --results order; both tables list methods as METHODS does
+    out = tmp_path / "p"
+    assert run(["pipeline", "--out-dir", str(out), "--seed", "3",
+                *PIPELINE_SETS, "--set", 'pipeline.methods=["iql_ca", "bc"]',
+                "--set", "eval.n_tasks=1", "--set", "eval.n_trials=1"]) == 0
+    cdir = tmp_path / "cmp"
+    assert run(["compare", "--results",
+                *(str(out / "eval" / m / "sparse") for m in ("iql_ca", "bc")),
+                "--out-dir", str(cdir)]) == 0
+    piped = (out / "compare" / "comparison.csv").read_bytes()
+    assert (cdir / "comparison.csv").read_bytes() == piped
+    assert piped.index(b"bc") < piped.index(b"iql_ca")
+
+
 def test_compare_manifest_hashes_each_result_it_read(pipeline_run, tmp_path):
     dirs = [os.path.join(pipeline_run, "eval", m, "sparse")
             for m in ("bc", "iql_ca")]
@@ -1033,6 +1064,23 @@ def test_result_json_round_trips_and_malformed_ones_exit_four(
         err = capsys.readouterr().err
         assert err.startswith(f"error: {rdir / 'result.json'}: malformed "
                               "evaluation result"), err
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+@pytest.mark.parametrize("key", ["world", "suite_digest", "method"])
+def test_a_result_naming_by_a_number_exits_four(key, pipeline_run, tmp_path,
+                                                capsys):
+    # compare would table the result under it, or fail to sort it
+    good = os.path.join(pipeline_run, "eval", "bc", "sparse", "result.json")
+    rdir = tmp_path / "r"
+    os.makedirs(rdir)
+    (rdir / "result.json").write_text(json.dumps(
+        {**json.loads(Path(good).read_text()), key: 0.5}))
+    capsys.readouterr()
+    assert run(["compare", "--results", str(rdir),
+                "--out-dir", str(tmp_path / "cmp")]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: {rdir / 'result.json'}: malformed evaluation result")
     assert not os.path.exists(tmp_path / "cmp")
 
 
@@ -1278,6 +1326,49 @@ def test_eval_refuses_a_width_that_is_not_a_positive_integer(
     assert not os.path.exists(tmp_path / "e")
 
 
+@pytest.mark.parametrize("header", [
+    {"sections": 5, "meta": {}}, {"sections": []},
+    {"sections": ["x"], "meta": {}}])
+def test_eval_refuses_a_checkpoint_header_it_cannot_read(
+        header, pipeline_run, tmp_path, capsys):
+    argv = eval_argv(pipeline_run, "iql_ca", tmp_path / "e")
+    i = argv.index("--checkpoint") + 1
+    argv[i] = str(tmp_path / "bad.famlp")
+    binio.write(argv[i], "checkpoint", header, {})
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert f"error: {argv[i]}: bad checkpoint (" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "e")
+
+
+@pytest.mark.parametrize("part", ["outputs", "log_std", "features"])
+def test_eval_names_the_checkpoint_whose_policy_head_does_not_fit(
+        part, pipeline_run, tmp_path, capsys):
+    argv = eval_argv(pipeline_run, "iql_ca", tmp_path / "e")
+    i = argv.index("--checkpoint") + 1
+    nets, meta = load_checkpoint(argv[i])
+    widths = list(nets["policy_mean"].widths)
+    if part == "outputs":
+        widths[-1] = 3
+        message = "policy mean network must have 2 outputs"
+    elif part == "log_std":
+        nets["policy_log_std"] = np.zeros(3, np.float32)
+        message = "log_std must have shape (2,)"
+    else:
+        widths[0] += 1
+        message = (f"checkpoint expects {widths[0]}-dim features but the "
+                   f"encoder produces {widths[0] - 1}")
+    nets["policy_mean"] = Mlp.initialized(
+        tuple(widths), nets["policy_mean"].activation,
+        np.random.default_rng(0))
+    argv[i] = str(tmp_path / "bad.famlp")
+    save_checkpoint(argv[i], nets, meta)
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert f"error: {argv[i]}: {message}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "e")
+
+
 # the four [trainer] settings that were the policy head's constants, at the
 # values every checkpoint written with them lists
 HEAD_SETTINGS = {"log_std_min": -5.0, "log_std_max": 2.0,
@@ -1386,3 +1477,25 @@ def test_train_manifest_goes_inside_an_out_dir_with_a_dot(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert not (tmp_path / "run.v2.manifest.json").exists()
+
+
+def test_a_manifest_records_when_its_command_started(tmp_path, monkeypatch):
+    from fanav import cli
+
+    ds = str(tmp_path / "d.fanav")
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", ds, "--seed", "1",
+                "--set", "robot.lidar_beams=8"]) == 0
+    stage_began = []
+
+    def train_stage(*args, real=cli.train_stage):
+        stage_began.append(time.time())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "train_stage", train_stage)
+    out = tmp_path / "t"
+    assert run(["train", "--method", "bc", "--dataset", ds,
+                "--out-dir", str(out), "--set", "trainer.total_steps=2",
+                "--set", "trainer.hidden=[8]"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["started_unix"] <= stage_began[0]

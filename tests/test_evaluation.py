@@ -103,6 +103,15 @@ def test_make_suite_drops_only_planner_failures(monkeypatch):
         make_suite(WORLD, SPEC, EPISODE, 3, seed=3)
 
 
+def test_make_suite_gives_up_when_no_far_pair_is_connected():
+    # a wall splits the room into halves whose free points lie under 4 m
+    # apart, so every pair 4 m apart straddles the wall
+    split = World(6, 2, (Rect(2.9, 0.0, 0.2, 2.0),), name="split")
+    with pytest.raises(ConfigError,
+                       match="could not sample enough feasible tasks"):
+        make_suite(split, SPEC, EPISODE, 2, seed=0, min_separation=4.0)
+
+
 def test_suite_roundtrip(tmp_path):
     suite = make_suite(WORLD, SPEC, EPISODE, 6, seed=1)
     path = str(tmp_path / "tasks.suite")
@@ -257,6 +266,16 @@ def test_zero_jitter_starts_each_task_at_its_stored_pose():
                    jitter=(0.0, 0.0))
     stored = [(t.sx, t.sy, t.sheading) for t in suite.tasks]
     assert policy.starts == stored * 2
+
+
+def test_a_start_that_fails_every_jitter_draw_is_kept_as_stored():
+    # at zero jitter each of the 50 draws is the stored start, which fails
+    # the draw's clearance check when it lies in [radius, radius + 0.01)
+    room = World(4, 4, (), name="room")
+    task = Task(SPEC.radius + 0.005, 2.0, 0.3, 3.0, 2.0)
+    assert room.clearance(task.sx, task.sy) < SPEC.radius + 0.01
+    assert evaluation._jittered_start(room, SPEC, task, 0, 0, 0,
+                                      (0.0, 0.0)) == task.start
 
 
 def test_eval_result_json_roundtrip(tmp_path):

@@ -61,7 +61,8 @@ def test_planning_grid_bounds_the_room(monkeypatch):
     monkeypatch.setattr(worldgen, "_sample_layout", lambda *a: ())
     assert generate_world(100, 100.05, 0.3, seed=0).obstacles == ()
     for width, height in ((100, 100.2), (1e6, 1e6), (2, 1e12)):
-        with pytest.raises(ConfigError, match="too large for obstacles"):
+        with pytest.raises(ConfigError, match="too large to plan in"):
             generate_world(width, height, 0.3, seed=0)
-    # an empty room has nothing to sample and is not bounded
-    assert generate_world(1e6, 1e6, 0.0, seed=0).obstacles == ()
+    # an empty room is refused too: no later command could plan in it
+    with pytest.raises(ConfigError, match="too large to plan in"):
+        generate_world(1e6, 1e6, 0.0, seed=0)
