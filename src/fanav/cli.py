@@ -57,7 +57,7 @@ from .evaluation import (
     save_suite,
 )
 from .expert import (CLEAN, PERTURBED, CollectConfig, ExpertConfig,
-                     Trajectory, collect, collect_to_ratio)
+                     collect, collect_to_ratio)
 from .sim import EpisodeConfig, RobotSpec, World, load_world, save_world
 from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
@@ -281,15 +281,33 @@ def resolve_world(spec: str) -> World:
 # stages: each subcommand wraps one, and the pipeline chains them
 # ---------------------------------------------------------------------------
 
-def dataset_stage(trajs: list[Trajectory], world: World, spec: RobotSpec,
-                  episode: EpisodeConfig, meta: dict,
-                  path: str) -> OfflineDataset:
-    """Encode ``trajs`` for ``world`` and ``spec``; save them to ``path``."""
+def collect_stage(tree: ConfigTree, world: World, command: str, path: str,
+                  episodes: int | None = None,
+                  mode: str | None = None) -> OfflineDataset:
+    """Collect demonstrations in ``world`` to the ``[collect]`` ratio, or
+    ``episodes`` episodes in ``mode`` (default clean); save their dataset
+    to ``path`` and print its summary. Every dataset's meta is its
+    ``command``, seed, world, ``mode`` (``ratio`` for a ratio collection)
+    and fanav version. A collection with no success or collision episode
+    is a ``ConfigError``, raised before anything is written."""
+    seed = tree["run"]["seed"]
+    spec, episode = robot_spec_from(tree), episode_from(tree)
+    expert_cfg = expert_from(tree)
+    if episodes is None:
+        mode = "ratio"
+        trajs = collect_to_ratio(world, spec, episode, expert_cfg, seed=seed,
+                                 **tree["collect"])
+    else:
+        mode = mode or CLEAN
+        trajs = collect(world, spec, episode, expert_cfg, episodes, mode, seed)
     if not trajs:
         raise ConfigError("no episode ended in success or collision")
-    profile = EncoderProfile.from_world_spec(world, spec)
-    ds = build_dataset(trajs, profile, episode, meta=meta)
+    ds = build_dataset(trajs, EncoderProfile.from_world_spec(world, spec),
+                       episode, meta={"command": command, "seed": seed,
+                                      "world": world.name, "mode": mode,
+                                      "version": __version__})
     save_dataset(ds, path)
+    print(describe_dataset(ds))
     return ds
 
 
@@ -361,22 +379,8 @@ def cmd_collect(args) -> ConfigTree:
         args.usage_error("--target-col-ratio and --set collect.* apply only "
                          "without --episodes")
     tree = resolve_config(args.config, args.set)
-    seed = tree["run"]["seed"]
-    world = resolve_world(args.world)
-    spec = robot_spec_from(tree)
-    episode = episode_from(tree)
-    expert_cfg = expert_from(tree)
-    mode = "ratio" if args.episodes is None else args.mode or CLEAN
-    if mode == "ratio":
-        trajs = collect_to_ratio(world, spec, episode, expert_cfg,
-                                 seed=seed, **tree["collect"])
-    else:
-        trajs = collect(world, spec, episode, expert_cfg, args.episodes,
-                        mode, seed)
-    ds = dataset_stage(trajs, world, spec, episode, {
-        "command": "collect", "seed": seed, "world": world.name,
-        "mode": mode, "version": __version__}, args.out)
-    print(describe_dataset(ds))
+    collect_stage(tree, resolve_world(args.world), "collect", args.out,
+                  args.episodes, args.mode)
     print(f"wrote {args.out}")
     return tree
 
@@ -427,8 +431,10 @@ def cmd_compare(args) -> None:
 
 def cmd_pipeline(args) -> ConfigTree:
     """collect -> suites -> train each method -> evaluate each (method,
-    world) -> compare, through the same stage functions as the subcommands.
-    Only the suites have no subcommand of their own.
+    world) -> compare, through the same stage functions as the subcommands:
+    its dataset is the one ``fanav collect`` writes at the same seed and
+    config, but for ``command`` in its meta. Only the suites have no
+    subcommand of their own.
 
     Collection, training jobs and evaluation jobs run on the lanes
     (:func:`fanav.lanes.run_lanes`), collection in batches of episodes
@@ -451,7 +457,6 @@ def cmd_pipeline(args) -> ConfigTree:
 
     spec = robot_spec_from(tree)
     episode = episode_from(tree)
-    expert_cfg = expert_from(tree)
     pcfg, ecfg = tree["pipeline"], tree["eval"]
     methods = pcfg["methods"]
     eval_worlds = {w.name: w for w in map(resolve_world, pcfg["eval_worlds"])}
@@ -472,13 +477,8 @@ def cmd_pipeline(args) -> ConfigTree:
     os.makedirs(out, exist_ok=True)
 
     print(f"[1/5] collecting demonstrations in '{collect_world.name}'")
-    # no name holds the episodes, so they are freed once they are encoded
-    ds = dataset_stage(collect_to_ratio(
-        collect_world, spec, episode, expert_cfg, seed=seed,
-        **tree["collect"]), collect_world, spec, episode, {
-        "command": "pipeline", "seed": seed, "world": collect_world.name,
-        "version": __version__}, os.path.join(out, "dataset.fanav"))
-    print(describe_dataset(ds))
+    ds = collect_stage(tree, collect_world, "pipeline",
+                       os.path.join(out, "dataset.fanav"))
 
     print("[2/5] building task suites")
     suites = {}

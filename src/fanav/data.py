@@ -10,7 +10,8 @@ A saved dataset (``.fanav``) is a :mod:`fanav.binio` file of kind
 ``RobotSpec`` field and ``d_norm``) and the dataset's meta, and the arrays
 ``exp/<column>`` and ``col/<column>`` hold each partition's columns, typed
 as in ``_COLUMNS``. A partition's rows are its trajectories' transitions,
-each trajectory's in step order, and a load refuses rows that are not.
+each trajectory's in step order, and a load refuses rows that are not,
+and a float column that holds a non-finite value.
 """
 from __future__ import annotations
 
@@ -413,6 +414,9 @@ def load_dataset(path: str) -> OfflineDataset:
                     raise DataFormatError(
                         f"{path}: {part}/{c} is {arr.dtype} {arr.shape}, "
                         f"expected {np.dtype(dtype)} {shape}")
+                if dtype == np.float32 and not np.isfinite(arr).all():
+                    raise DataFormatError(
+                        f"{path}: {part}/{c} holds a non-finite value")
             blocks.append(TransitionBlock(**cols))
             _check_episode_rows(blocks[-1], f"{path}: {part}")
         return OfflineDataset(*blocks, profile, dict(header["meta"]))

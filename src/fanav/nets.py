@@ -16,14 +16,10 @@ product's result, the ReLU mask into the backward pass's own delta, the
 bias and weight gradients into their slices of the gradient vector, and an
 Adam step into the moments, the parameters and two scratch arrays. The bits are those of the textbook formulas
 ``act(a @ W + b)``, ``delta * act'(z)``, ``a.T @ delta``, ``delta @ W.T``
-and Adam's. Three exact shortcuts keep them so:
+and Adam's. Two exact shortcuts keep them so:
 
 - ReLU's mask is ``post > 0``, which equals ``pre > 0``, so the cache keeps
   only the layer outputs (``cache["inputs"]``).
-- The finiteness check is one pass: ``isnan(x . 0)`` is true exactly when
-  some element is +-inf or NaN, since 0 * x is NaN only for those and a sum
-  of zeros cannot overflow. It still runs on every layer's pre-activation,
-  so a -inf that ReLU would map to 0 is caught where it first appears.
 - ``delta @ W.T`` for a one-column W (the value and critic heads) is an
   outer product, which ``np.multiply`` computes without a BLAS call. Its
   -0.0 where BLAS gives +0.0 reaches only sums that start from +0.0, so
@@ -32,6 +28,9 @@ and Adam's. Three exact shortcuts keep them so:
 A forward or backward call runs under one ``np.errstate`` that silences
 invalid and overflow warnings, so a non-finite weight ends in the
 ``NumericError`` of the layer where it shows, never in a RuntimeWarning.
+The finiteness check, numpy's ``isfinite``, runs on every layer's
+pre-activation, so a -inf that ReLU would map to 0 is caught where it
+first appears.
 """
 from __future__ import annotations
 
@@ -51,28 +50,13 @@ def param_count(widths: tuple[int, ...]) -> int:
     return sum(a * b + b for a, b in zip(widths, widths[1:]))
 
 
-# One read-only zero vector per dtype, replaced by a longer one when a longer
-# array is checked; its contents never change, so every caller may share it.
-_ZEROS: dict[np.dtype, np.ndarray] = {}
-
-
 # entered once per forward, backward or adam_step call, not once per layer
 _QUIET = np.errstate(invalid="ignore", over="ignore")
 
 
 def _all_finite(arr: np.ndarray) -> bool:
-    """True when no element of ``arr`` is +-inf or NaN, in one pass.
-
-    0 * x is NaN exactly for those, and a sum of zeros cannot overflow, so
-    the dot product with a zero vector is NaN exactly when one is present.
-    ``np.vdot``, unlike ``np.dot``, raises no RuntimeWarning for the NaN.
-    """
-    zeros = _ZEROS.get(arr.dtype)
-    if zeros is None or zeros.size < arr.size:
-        zeros = np.zeros(arr.size, arr.dtype)
-        zeros.flags.writeable = False
-        _ZEROS[arr.dtype] = zeros
-    return not np.isnan(np.vdot(arr, zeros[:arr.size]))
+    """True when no element of ``arr`` is +-inf or NaN."""
+    return bool(np.isfinite(arr).all())
 
 
 class Mlp:

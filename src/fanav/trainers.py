@@ -248,17 +248,19 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
     result = TrainResult(profile, policy, value_net, critics, target_critics,
                          report)
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-
-    def guarded(name: str, step: int, fn):
-        """Run a loss computation, tagging any numeric failure with its
-        loss name and step index."""
+    def guarded(phase: str, fn, *args):
+        """``fn(*args)``, a numeric failure in it tagged with ``phase`` and
+        the loop's current step."""
         try:
-            out = fn()
+            return fn(*args)
         except NumericError as exc:
             raise NumericError(
-                f"{name} loss non-finite at step {step}: {exc}") from exc
+                f"{phase} non-finite at step {step}: {exc}") from exc
+
+    def loss(name: str, fn, *args):
+        """A guarded loss computation whose loss, its first output, must
+        be finite too."""
+        out = guarded(f"{name} loss", fn, *args)
         if not math.isfinite(out[0]):
             raise NumericError(f"{name} loss non-finite at step {step}")
         return out
@@ -276,20 +278,20 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
             n_col = batch.n_collision
             report.note_critic_batch(n_col)
             x_sa = critic_inputs(batch.features, batch.actions, action_scale)
-            q_hat = min_target_q(target_critics, x_sa)
+            q_hat = guarded("target Q", min_target_q, target_critics, x_sa)
 
-            loss_v, g_v = guarded("value", step, lambda: value_loss_and_grad(
-                value_net, batch.features, q_hat, cfg.expectile))
-            adam_step(value_net.theta, g_v, opt_value)
+            loss_v, g_v = loss("value", value_loss_and_grad, value_net,
+                               batch.features, q_hat, cfg.expectile)
+            guarded("value update", adam_step, value_net.theta, g_v, opt_value)
             grad_v = _norm(g_v)
 
-            y = td_targets(value_net, batch.rewards, batch.next_features,
-                           batch.dones, cfg.gamma)
-            loss_q, g_qs = guarded("critic", step, lambda: critic_loss_and_grads(
-                critics, x_sa, y))
+            y = guarded("TD target", td_targets, value_net, batch.rewards,
+                        batch.next_features, batch.dones, cfg.gamma)
+            loss_q, g_qs = loss("critic", critic_loss_and_grads, critics,
+                                x_sa, y)
             grad_q = _norm(*g_qs)
             for c, g, opt in zip(critics, g_qs, opt_critics):
-                adam_step(c.theta, g, opt)
+                guarded("critic update", adam_step, c.theta, g, opt)
             for c, t in zip(critics, target_critics):
                 soft_update(t.theta, c.theta, cfg.target_alpha)
 
@@ -298,22 +300,22 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
         if not uses_critics:
             adv = np.zeros(len(pbatch))
             w = np.ones(len(pbatch))
-            loss_pi, g_mean, g_ls = guarded(
-                "policy", step, lambda: bc_loss_and_grads(policy, pbatch))
+            loss_pi, g_mean, g_ls = loss("policy", bc_loss_and_grads, policy,
+                                         pbatch)
         else:
-            adv = advantages(target_critics, value_net, pbatch.features,
-                             pbatch.actions, action_scale)
+            adv = guarded("advantage", advantages, target_critics, value_net,
+                          pbatch.features, pbatch.actions, action_scale)
             if recipe.policy == "pooled":
                 w = awr_weights(adv, cfg.weight_temp, cfg.max_weight)
-                loss_pi, g_mean, g_ls = guarded(
-                    "policy", step, lambda: weighted_nll_and_grads(
-                        policy, pbatch.features, pbatch.actions, w))
+                loss_pi, g_mean, g_ls = loss(
+                    "policy", weighted_nll_and_grads, policy,
+                    pbatch.features, pbatch.actions, w)
             else:
-                loss_pi, g_mean, g_ls, w = guarded(
-                    "policy", step, lambda: awr_loss_and_grads(
-                        policy, pbatch, adv, cfg.weight_temp, cfg.max_weight))
-        adam_step(mean_net.theta, g_mean, opt_mean)
-        adam_step(policy.log_std, g_ls, opt_log_std)
+                loss_pi, g_mean, g_ls, w = loss(
+                    "policy", awr_loss_and_grads, policy, pbatch, adv,
+                    cfg.weight_temp, cfg.max_weight)
+        guarded("policy update", adam_step, mean_net.theta, g_mean, opt_mean)
+        guarded("policy update", adam_step, policy.log_std, g_ls, opt_log_std)
 
         records.append((loss_v, loss_q, loss_pi, grad_v, grad_q,
                         _norm(g_mean, g_ls), n_col, float(adv.mean()),
@@ -329,7 +331,8 @@ def train(ds: OfflineDataset, cfg: TrainerConfig,
 
     report.wall_clock = time.perf_counter() - t_start
     report.final_digest = params_digest(mean_net.theta, policy.log_std)
-    if out_dir:
+    if out_dir:  # made only now, so a failed run leaves no directory
+        os.makedirs(out_dir, exist_ok=True)
         meta = {"step": cfg.total_steps, "profile": profile.to_dict(),
                 "config": cfg.to_dict()}
         nets = {"policy_mean": mean_net, "policy_log_std": policy.log_std}

@@ -107,6 +107,33 @@ def test_each_error_class_exits_with_its_code(monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: raised {name}\n"
 
 
+def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
+    ds, bad = tmp_path / "d.fanav", tmp_path / "nan.fanav"
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", str(ds), "--seed", "1",
+                "--set", "robot.lidar_beams=8"]) == 0
+    # a NaN reward: refused on reading, before anything is written
+    meta, arrays = binio.read(str(ds), "dataset")
+    arrays["exp/rewards"] = arrays["exp/rewards"].copy()
+    arrays["exp/rewards"][3] = np.nan
+    binio.write(str(bad), "dataset", meta, arrays)
+    out = tmp_path / "t"
+    capsys.readouterr()
+    assert run(["train", "--dataset", str(bad), "--out-dir", str(out),
+                "--method", "bc"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: {bad}: exp/rewards holds a non-finite value\n")
+    assert not out.exists()
+    # a run that diverges: refused at its first non-finite step
+    assert run(["train", "--dataset", str(ds), "--out-dir", str(out),
+                "--method", "iql_so", "--set", "trainer.lr_value=1e30",
+                "--set", "trainer.lr_critic=1e30",
+                "--set", "trainer.hidden=[16]",
+                "--set", "trainer.batch_size=32"]) == 5
+    assert "at step 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_value_exits_three(tmp_path, capsys):
     # every command checks every section, the ones it does not read too
     cfg = tmp_path / "bad.toml"
@@ -734,6 +761,25 @@ def test_pipeline_banners_are_the_tracers_stage_marks(tmp_path, capsys):
     marks = [line[:5] for line in capsys.readouterr().out.splitlines()
              if line[:5] in tracer.BANNERS]
     assert marks == list(tracer.BANNERS)
+
+
+def test_pipeline_collects_as_fanav_collect_does(tmp_path):
+    # one stage writes both datasets, so only the command in their meta
+    # tells them apart
+    sets = ["--seed", "3", *PIPELINE_SETS]
+    collected = tmp_path / "collect.fanav"
+    assert run(["collect", "--world", "sparse", "--out", str(collected),
+                *sets]) == 0
+    assert run(["pipeline", "--out-dir", str(tmp_path / "p"), *sets,
+                "--set", 'pipeline.methods=["bc"]',
+                "--set", "eval.n_tasks=1", "--set", "eval.n_trials=1"]) == 0
+    a = load_dataset(str(collected))
+    b = load_dataset(str(tmp_path / "p" / "dataset.fanav"))
+    assert a.profile == b.profile
+    assert a.exp.equals(b.exp) and a.col.equals(b.col)
+    assert (a.meta["command"], b.meta["command"]) == ("collect", "pipeline")
+    assert {**b.meta, "command": "collect"} == a.meta
+    assert a.meta["mode"] == "ratio"
 
 
 def test_lane_error_exits_as_in_serial(tmp_path, monkeypatch, capsys,

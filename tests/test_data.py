@@ -506,6 +506,23 @@ def test_arrays_must_fit_the_profile(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("part", ["exp", "col"])
+@pytest.mark.parametrize("column", ["features", "next_features", "actions",
+                                    "rewards"])
+def test_a_non_finite_value_is_refused(column, part, tmp_path):
+    # a NaN in rewards or next_features would otherwise train to the end
+    block = getattr(DS, part)
+    arr = getattr(block, column).copy()
+    arr.flat[arr.size // 2] = np.nan
+    blocks = {"exp": DS.exp, "col": DS.col,
+              part: replace(block, **{column: arr})}
+    path = str(tmp_path / "ds.fanav")
+    save_dataset(OfflineDataset(blocks["exp"], blocks["col"], PROFILE), path)
+    with pytest.raises(DataFormatError,
+                       match=f"{part}/{column} holds a non-finite value"):
+        load_dataset(path)
+
+
 def test_corrupt_body_digest_or_trailing(tmp_path):
     path = str(tmp_path / "ds.fanav")
     save_dataset(DS, path)

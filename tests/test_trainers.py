@@ -296,6 +296,20 @@ def test_a_non_finite_loss_aborts_when_no_layer_raises():
     assert str(exc.value) == "critic loss non-finite at step 1"
 
 
+def test_a_diverging_run_names_its_phase_and_step_and_makes_no_out_dir(
+        tmp_path):
+    # td_targets runs outside every loss, so only its own guard can say
+    # where in the run the value net first diverged
+    out = tmp_path / "run"
+    with pytest.raises(NumericError) as exc:
+        train(DS, quick_config(method="iql_so", lr_value=1e30,
+                               lr_critic=1e30, total_steps=5),
+              out_dir=str(out))
+    assert str(exc.value) == ("TD target non-finite at step 1: non-finite "
+                              "values at layer 1 (forward)")
+    assert not out.exists()
+
+
 def test_checkpoints_written(tmp_path):
     out = tmp_path / "run"
     res = train(DS, quick_config(total_steps=200), out_dir=str(out))
