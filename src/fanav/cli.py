@@ -6,7 +6,8 @@ Configuration is layered: built-in desk-scale defaults, then a config file
 ``--seed``, ``train --method`` and ``collect --target-col-ratio`` are
 shorthands (:data:`SHORTHANDS`). ``train`` and ``eval`` take ``[robot]``
 from the dataset or checkpoint they read, and refuse a config that says
-otherwise. Every value ends up echoed into the run artifacts, so no
+otherwise; ``train`` takes ``[episode]`` from its dataset the same way.
+Every value ends up echoed into the run artifacts, so no
 hyperparameter is hidden: ``fanav train --config
 <run>/train/<method>/config.echo --dataset <run>/dataset.fanav`` replays
 one method of a pipeline run.
@@ -23,7 +24,6 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
 from functools import partial
 from importlib import resources
 
@@ -119,27 +119,28 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 
 
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
-                   robot_of: tuple[str, RobotSpec] | None = None
+                   held_by: tuple[str, tuple[Settings, ...]] = ("", ())
                    ) -> ConfigTree:
     """Defaults, then the config file, then ``--set``; every section is
     built, so a value outside its declared bound is a ``ConfigError``.
 
-    ``robot_of`` is the path of a dataset or checkpoint and the robot it
-    holds: ``[robot]`` starts from that robot, and a config file or
-    ``--set`` value that differs from it is a ``ConfigError``."""
+    ``held_by`` is the path of a dataset or checkpoint and the sections it
+    holds (its robot, and a dataset's episode): each such section starts
+    from the file's, and a config file or ``--set`` value that differs
+    from it is a ``ConfigError``."""
+    path, held = held_by
     tree = {s: dict(kv) for s, kv in DEFAULT_CONFIG.items()}
-    if robot_of:
-        tree["robot"] = asdict(robot_of[1])
+    tree.update({h.section: h.to_dict() for h in held})
     if config_path:
         tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
-    if robot_of:
-        path, robot = robot_of
-        for key, value in asdict(robot).items():
-            if tree["robot"][key] != value:
+    for h in held:
+        for key, value in h.to_dict().items():
+            if tree[h.section][key] != value:
+                where = f"{h.section}.{key}"
                 raise ConfigError(
-                    f"the config gives robot.{key}={tree['robot'][key]!r} "
-                    f"but {path} holds robot.{key}={value!r}; the robot is "
+                    f"the config gives {where}={tree[h.section][key]!r} but "
+                    f"{path} holds {where}={value!r}; the {h.section} is "
                     "read from that file")
     for cls in SECTIONS:  # building a section checks it
         cls.from_dict(tree[cls.section])
@@ -391,8 +392,8 @@ def cmd_dataset(args) -> None:
 
 def cmd_train(args) -> ConfigTree:
     ds = load_dataset(args.dataset)
-    tree = resolve_config(args.config, args.set,
-                          robot_of=(args.dataset, ds.profile.robot))
+    tree = resolve_config(args.config, args.set, held_by=(
+        args.dataset, (ds.profile.robot, ds.episode)))
     cfg = trainer_from(tree, tree["run"]["seed"])
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
@@ -406,8 +407,8 @@ def cmd_train(args) -> ConfigTree:
 
 def cmd_eval(args) -> ConfigTree:
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
-    tree = resolve_config(args.config, args.set,
-                          robot_of=(args.checkpoint, policy.profile.robot))
+    tree = resolve_config(args.config, args.set, held_by=(
+        args.checkpoint, (policy.profile.robot,)))
     world = resolve_world(args.world)
     suite = load_suite(args.suite, episode_from(tree))
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],

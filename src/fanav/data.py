@@ -7,11 +7,14 @@ controllable.
 
 A saved dataset (``.fanav``) is a :mod:`fanav.binio` file of kind
 ``dataset``: its header meta holds the encoder profile (every
-``RobotSpec`` field and ``d_norm``) and the dataset's meta, and the arrays
-``exp/<column>`` and ``col/<column>`` hold each partition's columns, typed
-as in ``_COLUMNS``. A partition's rows are its trajectories' transitions,
-each trajectory's in step order, and a load refuses rows that are not,
-and a float column that holds a non-finite value.
+``RobotSpec`` field and ``d_norm``), the ``EpisodeConfig`` the rewards
+follow from and the dataset's meta. Each partition (``exp/``, ``col/``)
+is stored as its trajectories, laid end to end: per row ``features`` and
+``actions``, per trajectory ``traj_ids``, ``lengths`` and ``last``, the
+state it ended in. :func:`_partition` derives the in-memory columns from
+these for a build and a load alike, so the two cannot disagree. A load
+refuses a member of the wrong dtype or shape, a float member that holds a
+non-finite value and a length below 1.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import binio
-from .errors import ConfigError, DataFormatError, ShapeError
+from .errors import ConfigError, DataFormatError, ProtocolError, ShapeError
 from .expert import Trajectory
 from .sim import COLLISION, SUCCESS, EpisodeConfig, RobotSpec, World
 
@@ -121,22 +124,12 @@ def decode_goal_dist(features: np.ndarray, profile: EncoderProfile) -> np.ndarra
 # transition storage
 # ---------------------------------------------------------------------------
 
-# every column of a partition: its dtype and the width of a row, None for
-# a scalar and "D" for the feature dim
-_COLUMNS = {"features": (np.float32, "D"), "actions": (np.float32, 2),
-            "rewards": (np.float32, None), "next_features": (np.float32, "D"),
-            "dones": (np.uint8, None), "traj_ids": (np.int64, None),
-            "step_ids": (np.int32, None)}
-
-
-def _column_shape(name: str, n: int, dim: int) -> tuple[int, ...]:
-    width = _COLUMNS[name][1]
-    return (n,) if width is None else (n, dim if width == "D" else width)
-
-
 @dataclass
 class TransitionBlock:
-    """Column-array storage for one partition, typed as in ``_COLUMNS``."""
+    """Column-array storage for one partition, as :func:`_partition` makes
+    it: float32 ``features`` and ``next_features`` (rows x dim), ``actions``
+    (rows x 2) and ``rewards``, uint8 ``dones``, int64 ``traj_ids`` and
+    int32 ``step_ids``."""
 
     features: np.ndarray
     actions: np.ndarray
@@ -149,24 +142,21 @@ class TransitionBlock:
     def __len__(self) -> int:
         return self.features.shape[0]
 
-    @classmethod
-    def empty(cls, dim: int, n: int = 0) -> "TransitionBlock":
-        return cls(**{c: np.empty(_column_shape(c, n, dim), dtype)
-                      for c, (dtype, _) in _COLUMNS.items()})
-
     def equals(self, other: "TransitionBlock") -> bool:
-        return all(np.array_equal(getattr(self, c), getattr(other, c))
-                   for c in _COLUMNS)
+        return all(np.array_equal(a, b) for a, b in zip(vars(self).values(),
+                                                        vars(other).values()))
 
 
 @dataclass
 class OfflineDataset:
-    """Success/collision partitioned transition store."""
+    """Success/collision partitioned transition store, with the episode
+    config its rewards follow from."""
 
     exp: TransitionBlock
     col: TransitionBlock
     profile: EncoderProfile
     meta: dict = field(default_factory=dict)
+    episode: EpisodeConfig = field(default_factory=EpisodeConfig)
 
     @property
     def n_exp(self) -> int:
@@ -185,6 +175,11 @@ class OfflineDataset:
         return self.n_col / self.n_total if self.n_total else 0.0
 
 
+# the members of a partition in a dataset file, in _partition's order: per
+# row, then per trajectory
+_MEMBERS = ("features", "actions", "traj_ids", "lengths", "last")
+
+
 def _transition_rewards(features: np.ndarray, next_features: np.ndarray,
                         dones: np.ndarray, terminal: str,
                         profile: EncoderProfile,
@@ -201,36 +196,68 @@ def _transition_rewards(features: np.ndarray, next_features: np.ndarray,
     return np.where(dones.astype(bool), reward[terminal], dense)
 
 
+def _partition(features: np.ndarray, actions: np.ndarray,
+               traj_ids: np.ndarray, lengths: np.ndarray, last: np.ndarray,
+               outcome: str, profile: EncoderProfile,
+               episode: EpisodeConfig) -> TransitionBlock:
+    """One partition's columns from its trajectories, laid end to end:
+    each trajectory's ``lengths`` rows of ``features`` and ``actions`` in
+    step order, its id and its ``last`` state, the one its final step
+    reached.
+
+    A row's next features are the next row's, or on a trajectory's final
+    row, its one done row, the trajectory's last state. Rewards are
+    :func:`_transition_rewards` cast to float32; a reward too large for
+    float32 becomes an infinity without a warning, which a value or critic
+    update then refuses as non-finite.
+    """
+    ends = np.cumsum(lengths)
+    dones = np.zeros(len(features), np.uint8)
+    dones[ends - 1] = 1
+    # each row's successor; a trajectory's final row then takes its last
+    next_features = np.concatenate((features[1:], features[:1]))
+    next_features[ends - 1] = last
+    step_ids = np.arange(len(features)) - np.repeat(ends - lengths, lengths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rewards = _transition_rewards(features, next_features, dones, outcome,
+                                      profile, episode).astype(np.float32)
+    return TransitionBlock(features, actions, rewards, next_features, dones,
+                           np.repeat(traj_ids, lengths),
+                           step_ids.astype(np.int32))
+
+
 def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
                   episode_cfg: EpisodeConfig,
                   meta: dict | None = None) -> OfflineDataset:
     """Encode labeled trajectories into a partitioned dataset, writing each
-    trajectory's rows straight into its partition's preallocated columns.
+    trajectory's rows straight into its partition's preallocated features
+    and actions, from which :func:`_partition` derives the other columns.
 
     Dense rewards are computed from the float32-quantized encoded distances
     so that a reward audit against the stored features is exact to well
     under 1e-6; terminal rewards keep their exact configured values.
     """
-    rows, filled = {SUCCESS: 0, COLLISION: 0}, {SUCCESS: 0, COLLISION: 0}
     for traj in trajectories:
-        if traj.outcome not in rows:
+        if traj.outcome not in (SUCCESS, COLLISION):
             raise ConfigError(
                 f"trajectory {traj.traj_id} has outcome '{traj.outcome}', "
                 "only success/collision trajectories belong in a dataset")
-        rows[traj.outcome] += len(traj)
-    blocks = {o: TransitionBlock.empty(profile.dim, n) for o, n in rows.items()}
-    for traj in trajectories:
-        block, T = blocks[traj.outcome], len(traj)
-        at = slice(filled[traj.outcome], filled[traj.outcome] + T)
-        filled[traj.outcome] += T
-        feats = encode_state(traj.obs, profile)
-        block.dones[at] = dones = np.arange(T) == T - 1
-        block.features[at], block.next_features[at] = feats[:-1], feats[1:]
-        block.actions[at] = traj.obs[1:, -2:]  # the clamped commands
-        block.rewards[at] = _transition_rewards(
-            feats[:-1], feats[1:], dones, traj.outcome, profile, episode_cfg)
-        block.traj_ids[at], block.step_ids[at] = traj.traj_id, np.arange(T)
-    return OfflineDataset(*blocks.values(), profile, dict(meta or {}))
+    blocks = []
+    for outcome in (SUCCESS, COLLISION):
+        trajs = [t for t in trajectories if t.outcome == outcome]
+        lengths = np.array([len(t) for t in trajs], np.int64)
+        features = np.empty((lengths.sum(), profile.dim), np.float32)
+        actions = np.empty((len(features), 2), np.float32)
+        last = np.empty((len(trajs), profile.dim), np.float32)
+        for i, (traj, end) in enumerate(zip(trajs, np.cumsum(lengths))):
+            feats = encode_state(traj.obs, profile)
+            at = slice(end - len(traj), end)
+            features[at], last[i] = feats[:-1], feats[-1]
+            actions[at] = traj.obs[1:, -2:]  # the clamped commands
+        blocks.append(_partition(
+            features, actions, np.array([t.traj_id for t in trajs], np.int64),
+            lengths, last, outcome, profile, episode_cfg))
+    return OfflineDataset(*blocks, profile, dict(meta or {}), episode_cfg)
 
 
 def audit_rewards(ds: OfflineDataset, episode_cfg: EpisodeConfig) -> float:
@@ -367,59 +394,54 @@ class PooledSampler:
 # ---------------------------------------------------------------------------
 
 def save_dataset(ds: OfflineDataset, path: str) -> None:
-    arrays = {f"{part}/{c}": np.asarray(getattr(block, c), dtype)
-              for part, block in (("exp", ds.exp), ("col", ds.col))
-              for c, (dtype, _) in _COLUMNS.items()}
+    """Write ``ds`` as its trajectories (see the module docstring), each of
+    which ends at a row that ``dones`` marks; a partition whose last row
+    ends no trajectory is a :class:`ProtocolError`, raised before anything
+    is written."""
+    arrays = {}
+    for part, block in (("exp", ds.exp), ("col", ds.col)):
+        if len(block) and not block.dones[-1]:
+            raise ProtocolError(f"{path}: {part}'s last row ends no trajectory")
+        ends = np.flatnonzero(block.dones)
+        arrays |= zip((f"{part}/{m}" for m in _MEMBERS), (
+            block.features, block.actions, block.traj_ids[ends],
+            np.diff(ends, prepend=-1), block.next_features[ends]))
     binio.write(path, "dataset", {"profile": ds.profile.to_dict(),
+                                  "episode": ds.episode.to_dict(),
                                   "meta": ds.meta}, arrays)
-
-
-def _check_episode_rows(block: TransitionBlock, where: str) -> None:
-    """Raise :class:`DataFormatError` unless ``block``'s rows could come
-    from episodes: each trajectory's rows contiguous, its ``step_ids`` 0 to
-    T-1 and its ``dones`` 1 on its last row and 0 on the others."""
-    n = len(block)
-    if n == 0:
-        return
-    dones, traj_ids = block.dones, block.traj_ids
-    if np.any(dones > 1):
-        raise DataFormatError(f"{where}: dones holds values other than 0 "
-                              "and 1")
-    first = np.ones(n, bool)  # the rows that start a trajectory
-    np.not_equal(traj_ids[1:], traj_ids[:-1], out=first[1:])
-    if np.count_nonzero(first) != len(np.unique(traj_ids)):
-        raise DataFormatError(f"{where}: a trajectory's rows are not "
-                              "contiguous")
-    rows = np.arange(n)
-    starts = np.maximum.accumulate(np.where(first, rows, 0))
-    if not np.array_equal(block.step_ids, rows - starts):
-        raise DataFormatError(f"{where}: step_ids do not run 0 to T-1 in "
-                              "each trajectory")
-    if not np.array_equal(dones, np.append(first[1:], True)):
-        raise DataFormatError(f"{where}: dones is not 1 exactly on each "
-                              "trajectory's last row")
 
 
 def load_dataset(path: str) -> OfflineDataset:
     header, arrays = binio.read(path, "dataset")
+    if "exp/lengths" not in arrays:
+        raise DataFormatError(f"{path}: holds a column per transition field, "
+                              "the layout before trajectories; re-create it")
     try:
         profile = EncoderProfile.from_dict(header["profile"])
-        blocks = []
-        for part in ("exp", "col"):
-            n = len(arrays[f"{part}/rewards"])
-            cols = {c: arrays[f"{part}/{c}"] for c in _COLUMNS}
-            for c, arr in cols.items():
-                dtype, shape = _COLUMNS[c][0], _column_shape(c, n, profile.dim)
-                if arr.dtype != dtype or arr.shape != shape:
+        episode = EpisodeConfig(**header["episode"])
+        blocks, dim = [], profile.dim
+        for part, outcome in (("exp", SUCCESS), ("col", COLLISION)):
+            got = {m: arrays[f"{part}/{m}"] for m in _MEMBERS}
+            # a Python sum, which no crafted length can wrap round
+            k, n = len(got["lengths"]), sum(got["lengths"].tolist())
+            for m, dtype, shape in (
+                    ("lengths", np.int64, (k,)), ("traj_ids", np.int64, (k,)),
+                    ("last", np.float32, (k, dim)),
+                    ("features", np.float32, (n, dim)),
+                    ("actions", np.float32, (n, 2))):
+                if got[m].dtype != dtype or got[m].shape != shape:
                     raise DataFormatError(
-                        f"{path}: {part}/{c} is {arr.dtype} {arr.shape}, "
-                        f"expected {np.dtype(dtype)} {shape}")
-                if dtype == np.float32 and not np.isfinite(arr).all():
+                        f"{path}: {part}/{m} is {got[m].dtype} "
+                        f"{got[m].shape}, expected {np.dtype(dtype)} {shape}")
+                if dtype == np.float32 and not np.isfinite(got[m]).all():
                     raise DataFormatError(
-                        f"{path}: {part}/{c} holds a non-finite value")
-            blocks.append(TransitionBlock(**cols))
-            _check_episode_rows(blocks[-1], f"{path}: {part}")
-        return OfflineDataset(*blocks, profile, dict(header["meta"]))
+                        f"{path}: {part}/{m} holds a non-finite value")
+            if np.any(got["lengths"] < 1):
+                raise DataFormatError(f"{path}: {part}/lengths holds a length "
+                                      "below 1")
+            blocks.append(_partition(**got, outcome=outcome, profile=profile,
+                                     episode=episode))
+        return OfflineDataset(*blocks, profile, dict(header["meta"]), episode)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad dataset ({exc!r})") from exc
 

@@ -19,7 +19,8 @@ class ConfigError(FanavError):
 class ProtocolError(FanavError):
     """Inputs that do not belong together: a task suite evaluated in another
     world or with another robot radius, results compared over different
-    worlds or suites, or a collision row in a policy loss's batch."""
+    worlds or suites, a collision row in a policy loss's batch, or a
+    partition saved whose last row ends no trajectory."""
 
 
 class ShapeError(FanavError):

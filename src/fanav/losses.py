@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .data import Batch
-from .nets import GaussianPolicyHead, Mlp
+from .nets import _QUIET, GaussianPolicyHead, Mlp
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +43,7 @@ def expectile_grad(u: np.ndarray, tau: float) -> np.ndarray:
     return 2.0 * expectile_weights(u, tau) * u / u.size
 
 
+@_QUIET
 def value_loss_and_grad(value_net: Mlp, feats: np.ndarray,
                         q_targets: np.ndarray, tau: float
                         ) -> tuple[float, np.ndarray]:
@@ -59,6 +60,7 @@ def value_loss_and_grad(value_net: Mlp, feats: np.ndarray,
 # TD critic regression
 # ---------------------------------------------------------------------------
 
+@_QUIET
 def critic_inputs(feats: np.ndarray, actions: np.ndarray,
                   action_scale: np.ndarray) -> np.ndarray:
     """Concatenate state features with actions normalized to [-1, 1]."""
@@ -74,6 +76,7 @@ def td_targets(value_net: Mlp, rewards: np.ndarray, next_feats: np.ndarray,
             + (1.0 - np.asarray(dones, np.float64)) * gamma * v_next)
 
 
+@_QUIET
 def critic_loss_and_grads(critics: list[Mlp], x_sa: np.ndarray,
                           targets: np.ndarray
                           ) -> tuple[float, list[np.ndarray]]:

@@ -27,7 +27,9 @@ and Adam's. Two exact shortcuts keep them so:
 
 A forward or backward call runs under one ``np.errstate`` that silences
 invalid and overflow warnings, so a non-finite weight ends in the
-``NumericError`` of the layer where it shows, never in a RuntimeWarning.
+``NumericError`` of the layer where it shows, never in a RuntimeWarning;
+so do the loss functions that cast float64 gradients to a network's
+float32, whose overflow the gradient check then refuses.
 The finiteness check, numpy's ``isfinite``, runs on every layer's
 pre-activation, so a -inf that ReLU would map to 0 is caught where it
 first appears.
@@ -332,6 +334,7 @@ class GaussianPolicyHead:
                  "log_std": log_std}
         return logp, parts
 
+    @_QUIET
     def nll_and_grads(self, feats: np.ndarray, actions: np.ndarray,
                       weights: np.ndarray):
         """Weighted negative log-likelihood and its parameter gradients.

@@ -112,17 +112,17 @@ def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
     assert run(["collect", "--world", "sparse", "--episodes", "2",
                 "--out", str(ds), "--seed", "1",
                 "--set", "robot.lidar_beams=8"]) == 0
-    # a NaN reward: refused on reading, before anything is written
+    # a NaN feature: refused on reading, before anything is written
     meta, arrays = binio.read(str(ds), "dataset")
-    arrays["exp/rewards"] = arrays["exp/rewards"].copy()
-    arrays["exp/rewards"][3] = np.nan
+    arrays["exp/features"] = arrays["exp/features"].copy()
+    arrays["exp/features"][3, 0] = np.nan
     binio.write(str(bad), "dataset", meta, arrays)
     out = tmp_path / "t"
     capsys.readouterr()
     assert run(["train", "--dataset", str(bad), "--out-dir", str(out),
                 "--method", "bc"]) == 4
     assert capsys.readouterr().err == (
-        f"error: {bad}: exp/rewards holds a non-finite value\n")
+        f"error: {bad}: exp/features holds a non-finite value\n")
     assert not out.exists()
     # a run that diverges: refused at its first non-finite step
     assert run(["train", "--dataset", str(ds), "--out-dir", str(out),
@@ -131,6 +131,33 @@ def test_a_train_that_fails_writes_nothing(tmp_path, capsys):
                 "--set", "trainer.hidden=[16]",
                 "--set", "trainer.batch_size=32"]) == 5
     assert "at step 1: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("huge", [1e30, 3e38])
+def test_a_huge_finite_feature_ends_train_in_a_numeric_error(huge, tmp_path,
+                                                             capsys):
+    # a finite value loads; the policy's float32 gradients overflow, and at
+    # 3e38 so do the rewards the load derives, and the run ends in the
+    # error that names its phase and step, not in a cast's RuntimeWarning
+    # (an exception under this suite)
+    ds, big = tmp_path / "d.fanav", tmp_path / "big.fanav"
+    assert run(["collect", "--world", "sparse", "--episodes", "2",
+                "--out", str(ds), "--seed", "1",
+                "--set", "robot.lidar_beams=8"]) == 0
+    meta, arrays = binio.read(str(ds), "dataset")
+    arrays["exp/features"] = arrays["exp/features"].copy()
+    arrays["exp/features"][::2] = huge
+    binio.write(str(big), "dataset", meta, arrays)
+    assert np.isinf(load_dataset(str(big)).exp.rewards).any() == (huge > 1e38)
+    out = tmp_path / "t"
+    capsys.readouterr()
+    assert run(["train", "--dataset", str(big), "--out-dir", str(out),
+                "--method", "bc", "--set", "trainer.total_steps=3",
+                "--set", "trainer.hidden=[8]",
+                "--set", "trainer.batch_size=8"]) == 5
+    assert re.match(r"error: policy \w+ non-finite at step 1: ",
+                    capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -1200,6 +1227,31 @@ def test_train_refuses_a_robot_other_than_the_datasets(field, pipeline_run,
     assert not os.path.exists(tmp_path / "t")
 
 
+def test_train_refuses_an_episode_other_than_the_datasets(pipeline_run,
+                                                         tmp_path, capsys):
+    # the dataset's rewards were made with r_success 20 and c1 2
+    ds = os.path.join(pipeline_run, "dataset.fanav")
+    cfg = tmp_path / "episode.toml"
+    cfg.write_text("[episode]\nc1 = 9.0\n")
+    for argv, given in ((["--set", "episode.r_success=5",
+                          "--set", "episode.c1=9"], "episode.r_success=5.0"),
+                        (["--config", str(cfg)], "episode.c1=9.0")):
+        capsys.readouterr()
+        assert run(["train", "--method", "bc", "--dataset", ds, "--out-dir",
+                    str(tmp_path / "t"), "--set", "trainer.total_steps=2",
+                    "--set", "trainer.hidden=[8]", *argv]) == 3
+        err = capsys.readouterr().err
+        assert f"the config gives {given} but {ds} holds" in err, err
+        assert not os.path.exists(tmp_path / "t")
+    # the dataset's own values pass, and the echo records them
+    assert run(["train", "--method", "bc", "--dataset", ds, "--out-dir",
+                str(tmp_path / "t"), "--set", "trainer.total_steps=2",
+                "--set", "trainer.hidden=[8]",
+                "--set", "episode.r_success=20.0"]) == 0
+    echo = tomllib.loads((tmp_path / "t" / "config.echo").read_text())
+    assert echo["episode"] == load_dataset(ds).episode.to_dict()
+
+
 @pytest.mark.parametrize("method, pair, key", [
     ("iql_ca", "lr_value=-3e-4", "lr_value"),  # Adam would ascend the loss
     ("iql_ca", "lr_policy=0", "lr_policy"),
@@ -1252,28 +1304,36 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
     """A dataset's header meta and arrays with one ``mutation`` applied to
     its success partition."""
     arrays = dict(arrays)
-    if mutation == "done 3":
-        arrays["exp/dones"] = arrays["exp/dones"].copy()
-        arrays["exp/dones"][5] = 3
-    elif mutation == "every step 7":
-        arrays["exp/step_ids"] = np.full_like(arrays["exp/step_ids"], 7)
-    elif mutation == "first row last":
-        for c in ("features", "actions", "rewards", "next_features", "dones",
-                  "traj_ids", "step_ids"):
-            arrays[f"exp/{c}"] = np.roll(arrays[f"exp/{c}"], -1, axis=0)
-    elif mutation == "dones a row early":
-        arrays["exp/dones"] = np.roll(arrays["exp/dones"], -1)
+    lengths = arrays["exp/lengths"].copy()
+    if mutation == "length 0":
+        lengths[1:3] = lengths[1] + lengths[2], 0
+    elif mutation == "lengths one row short":
+        lengths[-1] -= 1
+    elif mutation == "one last too many":
+        arrays["exp/last"] = np.concatenate((arrays["exp/last"],
+                                             arrays["exp/last"][:1]))
+    elif mutation == "one traj_id too few":
+        arrays["exp/traj_ids"] = arrays["exp/traj_ids"][:-1]
+    elif mutation == "per-row layout":
+        arrays = {k: v for k, v in arrays.items()
+                  if not k.endswith(("/lengths", "/last"))}
     else:
         meta = {**meta, "profile": {**meta["profile"], "d_norm": 0.0}}
+    if "exp/lengths" in arrays:
+        arrays["exp/lengths"] = lengths
     return meta, arrays
 
 
 @pytest.mark.parametrize("mutation, message", [
-    ("done 3", "exp: dones holds values other than 0 and 1"),
-    ("every step 7", "exp: step_ids do not run 0 to T-1 in each trajectory"),
-    ("first row last", "exp: a trajectory's rows are not contiguous"),
-    ("dones a row early",
-     "exp: dones is not 1 exactly on each trajectory's last row"),
+    ("length 0", "exp/lengths holds a length below 1"),
+    ("lengths one row short", r"exp/features is float32 \((\d+), 20\), "
+                              r"expected float32 \((?!\1)\d+, 20\)"),
+    ("one last too many", r"exp/last is float32 \((\d+), 20\), expected "
+                          r"float32 \((?!\1)\d+, 20\)"),
+    ("one traj_id too few", r"exp/traj_ids is int64 \((\d+),\), expected "
+                            r"int64 \((?!\1)\d+,\)"),
+    ("per-row layout", "holds a column per transition field, the layout "
+                       "before trajectories; re-create it"),
     ("d_norm 0", "d_norm must be finite and > 0, got 0.0")])
 def test_train_refuses_rows_that_no_episode_gives(mutation, message,
                                                   pipeline_run, tmp_path,
@@ -1285,7 +1345,8 @@ def test_train_refuses_rows_that_no_episode_gives(mutation, message,
     capsys.readouterr()
     assert run(["train", "--dataset", bad, "--out-dir",
                 str(tmp_path / "t")]) == 4
-    assert f"{bad}: " in (err := capsys.readouterr().err) and message in err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and re.search(message, err), err
     assert not os.path.exists(tmp_path / "t")
 
 

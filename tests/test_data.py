@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from fanav import binio
-from fanav.errors import ConfigError, DataFormatError, ShapeError
+from fanav.errors import (ConfigError, DataFormatError, ProtocolError,
+                          ShapeError)
 from fanav.expert import ExpertConfig, Trajectory, collect_to_ratio
 from fanav.geometry import Circle, Rect
 from fanav.sim import (COLLISION, SUCCESS, TIMEOUT, EpisodeConfig, RobotSpec,
@@ -23,7 +24,6 @@ from fanav.data import (
     PooledSampler,
     StratifiedSampler,
     TransitionBlock,
-    _COLUMNS,
     _transition_rewards,
     audit_rewards,
     build_dataset,
@@ -46,6 +46,15 @@ TRAJS = collect_to_ratio(WORLD, SPEC, EPISODE, ExpertConfig(),
                          min_transitions=1200, target_col_ratio=0.1, seed=4,
                          ratio_tol=0.02)
 DS = build_dataset(TRAJS, PROFILE, EPISODE, meta={"seed": 4})
+# each column's dtype, in the order TransitionBlock lists them
+DTYPES = {"features": np.float32, "actions": np.float32,
+          "rewards": np.float32, "next_features": np.float32,
+          "dones": np.uint8, "traj_ids": np.int64, "step_ids": np.int32}
+
+
+def no_rows(block: TransitionBlock) -> TransitionBlock:
+    """A partition with ``block``'s columns and no row."""
+    return TransitionBlock(**{c: arr[:0] for c, arr in vars(block).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,13 @@ def staged_build(trajectories, profile, episode) -> list[TransitionBlock]:
     """The success and collision blocks as the build before the one-pass
     one made them: every trajectory's columns staged, then concatenated.
     Kept as the reference the one-pass build must equal."""
-    parts = {SUCCESS: [], COLLISION: []}
+    dim = profile.dim
+    # each partition's pieces start from an empty one, so that a partition
+    # with no trajectory still has its columns' shapes
+    parts = {o: [{"features": np.empty((0, dim)), "actions": np.empty((0, 2)),
+                  "rewards": [], "next_features": np.empty((0, dim)),
+                  "dones": [], "traj_ids": [], "step_ids": []}]
+             for o in (SUCCESS, COLLISION)}
     for traj in trajectories:
         feats = np.stack([reference_features(s, profile) for s in traj.obs])
         T = len(traj)
@@ -230,10 +245,9 @@ def staged_build(trajectories, profile, episode) -> list[TransitionBlock]:
             "next_features": feats[1:], "dones": dones,
             "traj_ids": np.full(T, traj.traj_id), "step_ids": np.arange(T)})
     return [TransitionBlock(**{
-        c: np.concatenate([np.asarray(t[c], dtype) for t in trajs])
-        for c, (dtype, _) in _COLUMNS.items()})
-        if trajs else TransitionBlock.empty(profile.dim)
-        for trajs in (parts[SUCCESS], parts[COLLISION])]
+        c: np.concatenate([np.asarray(t[c], dtype) for t in pieces])
+        for c, dtype in DTYPES.items()})
+        for pieces in (parts[SUCCESS], parts[COLLISION])]
 
 
 @pytest.mark.parametrize("outcomes", [(SUCCESS, COLLISION), (SUCCESS,),
@@ -245,7 +259,7 @@ def test_one_pass_build_equals_the_staged_build(outcomes):
                                            COLLISION in outcomes)
     for block, ref in zip((ds.exp, ds.col),
                           staged_build(trajs, PROFILE, EPISODE)):
-        for c in _COLUMNS:
+        for c in DTYPES:
             got, want = getattr(block, c), getattr(ref, c)
             assert got.dtype == want.dtype and got.shape == want.shape, c
             assert np.array_equal(got, want), c
@@ -261,8 +275,8 @@ def test_build_dataset_holds_each_column_once():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    nbytes = sum(getattr(block, c).nbytes for block in (ds.exp, ds.col)
-                 for c in _COLUMNS)
+    nbytes = sum(arr.nbytes for block in (ds.exp, ds.col)
+                 for arr in vars(block).values())
     longest = max(len(t) for t in TRAJS) * nbytes / ds.n_total
     assert peak < nbytes + longest + 64 * 1024, (peak, nbytes, longest)
 
@@ -304,7 +318,7 @@ def test_rho_zero_draws_exp_only():
 
 
 def test_rho_zero_works_with_empty_col():
-    empty = OfflineDataset(DS.exp, TransitionBlock.empty(PROFILE.dim), PROFILE)
+    empty = OfflineDataset(DS.exp, no_rows(DS.col), PROFILE)
     s = StratifiedSampler(empty, 0.0, 32, seed=3)
     assert s.sample().n_collision == 0
 
@@ -420,13 +434,15 @@ def test_members_hold_write_arrays_bytes(tmp_path):
 
 
 def test_save_dataset_copies_no_column(tmp_path):
+    # 80 trajectories of 100 rows, each done on its last row
     rng = np.random.default_rng(0)
     n, dim = 8000, PROFILE.dim
+    step_ids = np.arange(n, dtype=np.int32) % 100
     block = TransitionBlock(
         rng.random((n, dim), np.float32), rng.random((n, 2), np.float32),
         rng.random(n, np.float32), rng.random((n, dim), np.float32),
-        np.zeros(n, np.uint8), np.zeros(n, np.int64), np.zeros(n, np.int32))
-    ds = OfflineDataset(block, TransitionBlock.empty(dim), PROFILE, {})
+        (step_ids == 99).astype(np.uint8), np.arange(n) // 100, step_ids)
+    ds = OfflineDataset(block, no_rows(block), PROFILE, {})
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -436,6 +452,50 @@ def test_save_dataset_copies_no_column(tmp_path):
         tracemalloc.stop()
     # a copy of the largest column would be n * dim * 4 bytes
     assert peak < n * dim * 4 // 8, peak
+
+
+def test_roundtrip_keeps_the_episode_beside_the_meta(tmp_path):
+    path = str(tmp_path / "ds.fanav")
+    episode = EpisodeConfig(r_success=5.0, c1=9.0)
+    ds = build_dataset(TRAJS, PROFILE, episode, meta={"seed": 4})
+    save_dataset(ds, path)
+    header, _ = binio.read(path, "dataset")
+    assert header["episode"] == episode.to_dict()
+    assert header["meta"] == {"seed": 4}
+    loaded = load_dataset(path)
+    assert loaded.episode == episode and loaded.meta == {"seed": 4}
+    assert loaded.exp.equals(ds.exp) and loaded.col.equals(ds.col)
+    assert np.all(loaded.exp.rewards[loaded.exp.dones == 1] == 5.0)
+
+
+def test_a_file_holds_each_trajectory_once(tmp_path):
+    path = str(tmp_path / "ds.fanav")
+    save_dataset(DS, path)
+    _, arrays = binio.read(path, "dataset")
+    for part, outcome, block in (("exp", SUCCESS, DS.exp),
+                                 ("col", COLLISION, DS.col)):
+        trajs = [t for t in TRAJS if t.outcome == outcome]
+        assert arrays[f"{part}/traj_ids"].tolist() == [t.traj_id
+                                                        for t in trajs]
+        assert arrays[f"{part}/lengths"].tolist() == [len(t) for t in trajs]
+        assert np.array_equal(arrays[f"{part}/features"], block.features)
+        assert np.array_equal(arrays[f"{part}/last"], np.stack(
+            [encode_state(t.obs[-1], PROFILE) for t in trajs]))
+    assert sorted(arrays) == [f"{part}/{m}" for part in ("col", "exp")
+                              for m in ("actions", "features", "last",
+                                        "lengths", "traj_ids")]
+
+
+def test_save_refuses_a_partition_whose_last_row_ends_no_trajectory(
+        tmp_path):
+    dones = DS.col.dones.copy()
+    dones[-1] = 0
+    path = tmp_path / "ds.fanav"
+    with pytest.raises(ProtocolError,
+                       match="ds.fanav: col's last row ends no trajectory"):
+        save_dataset(OfflineDataset(DS.exp, replace(DS.col, dones=dones),
+                                    PROFILE), str(path))
+    assert not path.exists()
 
 
 def rewrite_header(src, dst, **changes):
@@ -507,19 +567,22 @@ def test_arrays_must_fit_the_profile(tmp_path):
 
 
 @pytest.mark.parametrize("part", ["exp", "col"])
-@pytest.mark.parametrize("column", ["features", "next_features", "actions",
-                                    "rewards"])
+@pytest.mark.parametrize("column", ["features", "next_features", "actions"])
 def test_a_non_finite_value_is_refused(column, part, tmp_path):
-    # a NaN in rewards or next_features would otherwise train to the end
+    # a NaN state or action would otherwise train to the end; on a
+    # trajectory's final row each column is stored, its next state as the
+    # trajectory's last
     block = getattr(DS, part)
     arr = getattr(block, column).copy()
-    arr.flat[arr.size // 2] = np.nan
+    ends = np.flatnonzero(block.dones)
+    arr[ends[len(ends) // 2], 0] = np.nan
     blocks = {"exp": DS.exp, "col": DS.col,
               part: replace(block, **{column: arr})}
     path = str(tmp_path / "ds.fanav")
     save_dataset(OfflineDataset(blocks["exp"], blocks["col"], PROFILE), path)
+    member = "last" if column == "next_features" else column
     with pytest.raises(DataFormatError,
-                       match=f"{part}/{column} holds a non-finite value"):
+                       match=f"{part}/{member} holds a non-finite value"):
         load_dataset(path)
 
 

@@ -2,7 +2,9 @@
 
 - ``pipeline_seed0.txt``: the ``tools/run_digests.py`` lines of the
   reduced pipeline (``fanav pipeline --config desk.toml --seed 0`` with
-  :data:`PIPELINE_SETS`), ``manifest.json`` lines left out;
+  :data:`PIPELINE_SETS`), its ``manifest.json`` with the ``inputs`` keyed
+  by their paths relative to the checkout, so no line depends on where the
+  checkout is;
 - ``desk_collect_seed0.txt``: the SHA-256 of the dataset ``fanav collect
   --config desk.toml --seed 0 --world cluttered`` writes;
 - ``variants_seed0.txt``: the SHA-256 of the datasets the same command
@@ -28,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -92,9 +95,12 @@ def records(tmp: Path) -> dict[str, list[str]]:
     for pair in PIPELINE_SETS:
         argv += ["--set", pair]
     assert main(argv) == 0
-    return {"pipeline_seed0.txt": [
-                line for line in _run_digests().digest_lines(str(run_dir))
-                if not line.endswith("manifest.json")],
+    manifest = run_dir / "manifest.json"
+    payload = json.loads(manifest.read_text())
+    payload["inputs"] = {os.path.relpath(path, ROOT): digest
+                         for path, digest in payload["inputs"].items()}
+    manifest.write_text(json.dumps(payload))
+    return {"pipeline_seed0.txt": _run_digests().digest_lines(str(run_dir)),
             "desk_collect_seed0.txt": [collect_line(dataset)],
             "variants_seed0.txt": [collect_line(tmp / name, *args)
                                    for name, args in VARIANTS.items()],

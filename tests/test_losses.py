@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fanav.errors import ProtocolError
+from fanav.errors import NumericError, ProtocolError
 from fanav.data import Batch
 from fanav.nets import GaussianPolicyHead, Mlp
 from fanav.losses import (
@@ -232,6 +232,31 @@ def test_min_target_q_is_elementwise_min():
     q0 = targets[0].forward(x)[:, 0]
     q1 = targets[1].forward(x)[:, 0]
     assert np.allclose(m, np.minimum(q0, q1))
+
+
+@pytest.mark.parametrize("case", ["value", "critic_inputs", "critic",
+                                  "policy"])
+def test_a_float64_term_beyond_float32_casts_quietly(case):
+    # a finite float64 term too large for a float32 network casts to inf
+    # without a RuntimeWarning (an exception under this suite), and the
+    # backward pass then names the layer where it shows
+    rng = np.random.default_rng(14)
+    batch, huge = make_batch(), np.full(16, 1e100)
+    value = Mlp.initialized((DIM, 16, 1), "relu", rng)
+    critic = Mlp.initialized((DIM + 2, 16, 1), "relu", rng)
+    policy = GaussianPolicyHead(Mlp.initialized((DIM, 16, 2), "relu", rng),
+                                SCALE, np.full(2, -0.5, np.float32))
+    if case == "critic_inputs":
+        x_sa = critic_inputs(batch.features, batch.actions, np.full(2, 1e-300))
+        assert x_sa.dtype == np.float32 and np.isinf(x_sa[:, DIM:]).any()
+        return
+    x_sa = critic_inputs(batch.features, batch.actions, SCALE)
+    with pytest.raises(NumericError, match="backward"):
+        {"value": lambda: value_loss_and_grad(value, batch.features, huge,
+                                              0.7),
+         "critic": lambda: critic_loss_and_grads([critic], x_sa, huge),
+         "policy": lambda: policy.nll_and_grads(batch.features, batch.actions,
+                                                huge)}[case]()
 
 
 # ---------------------------------------------------------------------------

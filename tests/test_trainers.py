@@ -78,8 +78,6 @@ def synthetic_dataset(n_traj=12, traj_len=18, seed=0,
             rows[is_col].append((feats[t], a, r, feats[t + 1], done, tid, t))
 
     def pack(rs):
-        if not rs:
-            return TransitionBlock.empty(DIM)
         return TransitionBlock(
             np.stack([r[0] for r in rs]).astype(np.float32),
             np.array([r[1] for r in rs], np.float32),
@@ -95,6 +93,8 @@ def synthetic_dataset(n_traj=12, traj_len=18, seed=0,
 
 ROOT = Path(__file__).resolve().parents[1]
 DS = synthetic_dataset()
+# a partition with DS's columns and no row
+NO_ROWS = TransitionBlock(*(arr[:0] for arr in vars(DS.exp).values()))
 
 
 def quick_config(**kw) -> TrainerConfig:
@@ -129,7 +129,7 @@ def test_config_roundtrip():
 @pytest.mark.parametrize("method", [m for m, r in METHODS.items()
                                     if r.critic == "stratified_rho"])
 def test_ca_requires_collision_partition(method):
-    empty_col = OfflineDataset(DS.exp, TransitionBlock.empty(DIM), PROFILE)
+    empty_col = OfflineDataset(DS.exp, NO_ROWS, PROFILE)
     with pytest.raises(ConfigError, match="collision"):
         train(empty_col, quick_config(method=method, total_steps=5))
 
@@ -137,7 +137,7 @@ def test_ca_requires_collision_partition(method):
 @pytest.mark.parametrize("method", METHODS)
 def test_train_refuses_an_empty_success_partition(method, tmp_path):
     # the one guard in front of the samplers, which draw from this partition
-    empty_exp = OfflineDataset(TransitionBlock.empty(DIM), DS.col, PROFILE)
+    empty_exp = OfflineDataset(NO_ROWS, DS.col, PROFILE)
     out = tmp_path / "run"
     with pytest.raises(ConfigError, match="empty success partition"):
         train(empty_exp, quick_config(method=method, total_steps=5), str(out))
