@@ -121,8 +121,8 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                    held_by: tuple[str, tuple[Settings, ...]] = ("", ())
                    ) -> ConfigTree:
-    """Defaults, then the config file, then ``--set``; every section is
-    built, so a value outside its declared bound is a ``ConfigError``.
+    """Defaults, then the config file, then ``--set``, each section as its
+    :class:`Settings` types it; a value it refuses is a ``ConfigError``.
 
     ``held_by`` is the path of a dataset or checkpoint and the sections it
     holds (its robot, and a dataset's episode): each such section starts
@@ -134,6 +134,9 @@ def resolve_config(config_path: str | None, set_pairs: list[str] | None,
     if config_path:
         tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
+    for cls in SECTIONS:  # building a section checks it; [trainer] has no seed
+        built = cls.from_dict(tree[cls.section]).to_dict()
+        tree[cls.section] = {key: built[key] for key in tree[cls.section]}
     for h in held:
         for key, value in h.to_dict().items():
             if tree[h.section][key] != value:
@@ -142,8 +145,6 @@ def resolve_config(config_path: str | None, set_pairs: list[str] | None,
                     f"the config gives {where}={tree[h.section][key]!r} but "
                     f"{path} holds {where}={value!r}; the {h.section} is "
                     "read from that file")
-    for cls in SECTIONS:  # building a section checks it
-        cls.from_dict(tree[cls.section])
     return tree
 
 
@@ -161,10 +162,8 @@ def expert_from(tree: ConfigTree) -> ExpertConfig:
 
 def trainer_from(tree: ConfigTree, seed: int,
                  method: str | None = None) -> TrainerConfig:
-    t = {**tree["trainer"], "seed": seed}
-    if method:
-        t["method"] = method
-    return TrainerConfig.from_dict(t)
+    t = tree["trainer"]
+    return TrainerConfig(**{**t, "method": method or t["method"]}, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +364,7 @@ def cmd_gen_world(args) -> ConfigTree:
     tree = resolve_config(args.config, args.set)
     world = generate_world(args.width, args.height, args.density,
                            tree["run"]["seed"], name=args.name,
-                           robot_radius=float(tree["robot"]["radius"]))
+                           robot_radius=tree["robot"]["radius"])
     save_world(world, args.out)
     print(f"wrote {args.out}: {len(world.obstacles)} obstacles in "
           f"{world.width:g}x{world.height:g} m")

@@ -14,9 +14,9 @@ A repeated key or section is an error, as TOML requires. Values keep
 their parsed Python types. ``format_config`` writes the same grammar, so
 a resolved configuration echoes back to its tree.
 
-Each section is a frozen :class:`Settings` dataclass; a setting declares
-its bounds, or the values it must be among, beside its default
-(:func:`setting`), and building the section refuses a value outside them.
+Each section is a frozen :class:`Settings` dataclass, which checks its own
+types and bounds wherever its values come from; a setting declares its
+bounds, or the values it must be among, beside its default (:func:`setting`).
 """
 from __future__ import annotations
 
@@ -56,8 +56,6 @@ def format_scalar(v) -> str:
         return "true" if v else "false"
     if isinstance(v, str):
         return f'"{v.translate(_ESCAPES)}"'
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
@@ -80,21 +78,8 @@ def load_config(path: str) -> ConfigTree:
         return parse_config(fh.read(), source=path)
 
 
-def _typed(value, default, where: str):
-    """``value`` with the type of ``default``; an int also passes for (and
-    becomes) a float, and list items go by the default list's items."""
-    if isinstance(default, float) and type(value) is int:
-        return float(value)
-    if isinstance(default, list) and isinstance(value, list) and default:
-        return [_typed(v, default[0], where) for v in value]
-    if type(value) is not type(default):
-        raise ConfigError(f"config {where} = {value!r} does not have the "
-                          f"type of its default {default!r}")
-    return value
-
-
 def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
-    """Overlay ``override`` onto ``base``, typed as in ``base``."""
+    """Overlay ``override`` onto ``base``, naming only ``base``'s keys."""
     out = {s: dict(kv) for s, kv in base.items()}
     for section, kv in override.items():
         if section not in out:
@@ -102,8 +87,7 @@ def merge_tree(base: ConfigTree, override: ConfigTree) -> ConfigTree:
         for key, value in kv.items():
             if key not in out[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-            out[section][key] = _typed(value, out[section][key],
-                                       f"{section}.{key}")
+            out[section][key] = value
     return out
 
 
@@ -118,12 +102,27 @@ _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
                 "<=": operator.le}
 
 
+def _typed(value, default, where: str):
+    """``value`` with ``default``'s type: an int or numpy's float64 becomes a
+    float, and a list's or tuple's items go by the default's first item."""
+    if isinstance(default, tuple) and isinstance(value, list | tuple):
+        return tuple(_typed(v, default[0], where) for v in value)
+    if isinstance(default, float) and (type(value) is int
+                                       or isinstance(value, float)):
+        return float(value)
+    if type(value) is not type(default):
+        raise ConfigError(f"config {where} = {value!r} does not have the "
+                          f"type of its default {default!r}")
+    return value
+
+
 @dataclass_transform(frozen_default=True)
 class Settings:
     """Base of the config sections: ``class RobotSpec(Settings,
     section="robot")`` is a frozen dataclass of ``[robot]``. Building one
-    refuses a value that fails a rule of its field, or a non-finite float,
-    with a ``ConfigError`` that names ``section.key`` and the value."""
+    types each value by its default (:func:`_typed`) and refuses a value
+    that fails a rule of its field, or a non-finite float, with a
+    ``ConfigError`` that names ``section.key`` and the value."""
 
     def __init_subclass__(cls, section: str, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -132,7 +131,9 @@ class Settings:
 
     def __post_init__(self):
         for f in fields(self):
-            value, where = getattr(self, f.name), f"{self.section}.{f.name}"
+            where = f"{self.section}.{f.name}"
+            value = _typed(getattr(self, f.name), f.default, where)
+            object.__setattr__(self, f.name, value)
             among = f.metadata.get("among")
             for item in value if isinstance(value, tuple) else (value,):
                 for bound in f.metadata.get("bounds", ()):
@@ -153,6 +154,5 @@ class Settings:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Settings":
-        """The section of ``d``'s values: lists as tuples."""
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in d.items()})
+        """The section of ``d``'s values, as :meth:`to_dict` gives them."""
+        return cls(**d)

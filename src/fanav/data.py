@@ -13,13 +13,14 @@ is stored as its trajectories, laid end to end: per row ``features`` and
 ``actions``, per trajectory ``traj_ids``, ``lengths`` and ``last``, the
 state it ended in. :func:`_partition` derives the in-memory columns from
 these for a build and a load alike, so the two cannot disagree. A load
-refuses a member of the wrong dtype or shape, a float member that holds a
-non-finite value and a length below 1.
+refuses a header setting its section refuses, a member of the wrong dtype
+or shape, a float member that holds a non-finite value, a length below 1
+and a trajectory id that repeats.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -85,11 +86,11 @@ class EncoderProfile:
         return np.array([self.v_max, self.omega_max])
 
     def to_dict(self) -> dict:
-        return {"robot": asdict(self.robot), "d_norm": self.d_norm}
+        return {"robot": self.robot.to_dict(), "d_norm": self.d_norm}
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderProfile":
-        robot, d_norm = RobotSpec(**d["robot"]), float(d["d_norm"])
+        robot, d_norm = RobotSpec.from_dict(d["robot"]), float(d["d_norm"])
         if not 0 < d_norm < math.inf:
             raise ConfigError(f"d_norm must be finite and > 0, got {d_norm}")
         return cls(robot, d_norm)
@@ -242,6 +243,9 @@ def build_dataset(trajectories: list[Trajectory], profile: EncoderProfile,
             raise ConfigError(
                 f"trajectory {traj.traj_id} has outcome '{traj.outcome}', "
                 "only success/collision trajectories belong in a dataset")
+    if len({t.traj_id for t in trajectories}) < len(trajectories):
+        raise ConfigError("a trajectory id repeats; each trajectory of a "
+                          "dataset has an id of its own")
     blocks = []
     for outcome in (SUCCESS, COLLISION):
         trajs = [t for t in trajectories if t.outcome == outcome]
@@ -418,7 +422,7 @@ def load_dataset(path: str) -> OfflineDataset:
                               "the layout before trajectories; re-create it")
     try:
         profile = EncoderProfile.from_dict(header["profile"])
-        episode = EpisodeConfig(**header["episode"])
+        episode = EpisodeConfig.from_dict(header["episode"])
         blocks, dim = [], profile.dim
         for part, outcome in (("exp", SUCCESS), ("col", COLLISION)):
             got = {m: arrays[f"{part}/{m}"] for m in _MEMBERS}
@@ -441,6 +445,10 @@ def load_dataset(path: str) -> OfflineDataset:
                                       "below 1")
             blocks.append(_partition(**got, outcome=outcome, profile=profile,
                                      episode=episode))
+        ids = np.concatenate([arrays["exp/traj_ids"], arrays["col/traj_ids"]])
+        if len(np.unique(ids)) < len(ids):
+            raise DataFormatError(f"{path}: a trajectory id repeats in "
+                                  "exp/traj_ids or col/traj_ids")
         return OfflineDataset(*blocks, profile, dict(header["meta"]), episode)
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: bad dataset ({exc!r})") from exc
@@ -453,7 +461,6 @@ def describe_dataset(ds: OfflineDataset) -> str:
         f"success:collision ratio: "
         f"{ds.n_exp}:{ds.n_col} (collision fraction {ds.collision_ratio:.4f})",
         f"feature dim: {ds.profile.dim} ({ds.profile.beam_count} beams + 4)",
-        f"trajectories: "
-        f"{len(np.unique(ds.exp.traj_ids)) + len(np.unique(ds.col.traj_ids))}",
+        f"trajectories: {int(ds.exp.dones.sum()) + int(ds.col.dones.sum())}",
     ]
     return "\n".join(lines)

@@ -48,6 +48,15 @@ from .errors import ConfigError, DataFormatError, NumericError, ShapeError
 ACTIVATIONS = ("relu", "tanh")
 
 
+def layer_widths(widths) -> tuple[int, ...]:
+    """``widths`` as a tuple; a width that is not an int >= 1, such as a
+    bool, 2.0 or "2", is a ``ConfigError``."""
+    if not all(type(w) is int and w >= 1 for w in widths):
+        raise ConfigError(f"bad layer widths {list(widths)}, not all "
+                          "integers >= 1")
+    return tuple(widths)
+
+
 def param_count(widths: tuple[int, ...]) -> int:
     return sum(a * b + b for a, b in zip(widths, widths[1:]))
 
@@ -67,12 +76,12 @@ class Mlp:
 
     def __init__(self, widths: tuple[int, ...], activation: str,
                  theta: np.ndarray | None = None):
-        if len(widths) < 2 or any(w < 1 for w in widths):
-            raise ConfigError(f"bad layer widths {widths}")
+        self.widths = layer_widths(widths)
+        if len(self.widths) < 2:
+            raise ConfigError(f"bad layer widths {self.widths}")
         if activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}, expected "
                               f"one of {list(ACTIVATIONS)}")
-        self.widths = tuple(int(w) for w in widths)
         self.activation = activation
         n = param_count(self.widths)
         theta = np.zeros(n, np.float32) if theta is None else np.asarray(theta)
@@ -400,13 +409,9 @@ def load_checkpoint(path: str) -> tuple[dict[str, Mlp | np.ndarray], dict]:
     nets: dict[str, Mlp | np.ndarray] = {}
     try:
         for spec in header["sections"]:
-            name, act = spec["name"], spec["activation"]
-            widths = tuple(spec["widths"])
-            if not all(type(w) is int and w >= 1 for w in widths):
-                raise ShapeError(f"bad layer widths {list(widths)}, not "
-                                 "all integers >= 1")
+            name, act, widths = spec["name"], spec["activation"], spec["widths"]
             params = arrays[f"{name}/params"]
-            if act == "none" and widths != params.shape:
+            if act == "none" and layer_widths(widths) != params.shape:
                 raise ShapeError(f"a vector of {params.size} listed as "
                                  f"{list(widths)}")
             nets[name] = params if act == "none" else Mlp(widths, act, params)

@@ -1299,6 +1299,11 @@ def test_dataset_with_a_flat_profile_exits_four(pipeline_run, tmp_path,
             capsys.readouterr().err
 
 
+def robot_set(profile: dict, **values) -> dict:
+    """An encoder profile whose robot holds ``values`` instead."""
+    return {**profile, "robot": {**profile["robot"], **values}}
+
+
 def mutated_dataset(meta: dict, arrays: dict, mutation: str
                     ) -> tuple[dict, dict]:
     """A dataset's header meta and arrays with one ``mutation`` applied to
@@ -1317,6 +1322,18 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
     elif mutation == "per-row layout":
         arrays = {k: v for k, v in arrays.items()
                   if not k.endswith(("/lengths", "/last"))}
+    elif mutation == "every traj_id 7":
+        arrays["exp/traj_ids"] = np.full_like(arrays["exp/traj_ids"], 7)
+    elif mutation == "a traj_id in both partitions":
+        arrays["col/traj_ids"] = arrays["col/traj_ids"].copy()
+        arrays["col/traj_ids"][-1] = arrays["exp/traj_ids"][0]
+    elif mutation == "t_max true, lidar_range an int":
+        meta = {**meta, "episode": {**meta["episode"], "t_max": True},
+                "profile": robot_set(meta["profile"], lidar_range=6)}
+    elif mutation == "lidar_beams a float":
+        beams = meta["profile"]["robot"]["lidar_beams"]
+        meta = {**meta, "profile": robot_set(meta["profile"],
+                                             lidar_beams=float(beams))}
     else:
         meta = {**meta, "profile": {**meta["profile"], "d_norm": 0.0}}
     if "exp/lengths" in arrays:
@@ -1334,7 +1351,17 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
                             r"int64 \((?!\1)\d+,\)"),
     ("per-row layout", "holds a column per transition field, the layout "
                        "before trajectories; re-create it"),
-    ("d_norm 0", "d_norm must be finite and > 0, got 0.0")])
+    ("d_norm 0", "d_norm must be finite and > 0, got 0.0"),
+    ("every traj_id 7", "a trajectory id repeats in exp/traj_ids or "
+                        "col/traj_ids"),
+    ("a traj_id in both partitions", "a trajectory id repeats in "
+                                     "exp/traj_ids or col/traj_ids"),
+    # a header meets a config file's type rule: a bool is no int, and
+    # neither is 16.0, which used to end in an IndexError
+    ("t_max true, lidar_range an int", "config episode.t_max = True does "
+                                       "not have the type of its default 200"),
+    ("lidar_beams a float", "config robot.lidar_beams = 16.0 does not have "
+                            "the type of its default 108")])
 def test_train_refuses_rows_that_no_episode_gives(mutation, message,
                                                   pipeline_run, tmp_path,
                                                   capsys):
@@ -1342,12 +1369,33 @@ def test_train_refuses_rows_that_no_episode_gives(mutation, message,
         os.path.join(pipeline_run, "dataset.fanav"), "dataset"), mutation)
     bad = str(tmp_path / "bad.fanav")
     binio.write(bad, "dataset", meta, arrays)
-    capsys.readouterr()
-    assert run(["train", "--dataset", bad, "--out-dir",
-                str(tmp_path / "t")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and re.search(message, err), err
-    assert not os.path.exists(tmp_path / "t")
+    # a file that loaded would train briefly, with or without desk.toml
+    for config in ([], ["--config", DESK]):
+        capsys.readouterr()
+        assert run(["train", "--method", "bc", "--dataset", bad, "--out-dir",
+                    str(tmp_path / "t"), "--set", "trainer.total_steps=2",
+                    "--set", "trainer.hidden=[8]", *config]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and re.search(message, err), \
+            err
+        assert not os.path.exists(tmp_path / "t")
+
+
+def test_a_header_int_passes_for_a_float_setting(pipeline_run, tmp_path):
+    # lidar_range 6 in the header and 6.0 in desk.toml are one value
+    meta, arrays = binio.read(os.path.join(pipeline_run, "dataset.fanav"),
+                              "dataset")
+    ds = str(tmp_path / "int.fanav")
+    binio.write(ds, "dataset",
+                {**meta, "profile": robot_set(meta["profile"], lidar_range=6)},
+                arrays)
+    out = tmp_path / "t"
+    assert run(["train", "--method", "bc", "--dataset", ds, "--out-dir",
+                str(out), "--config", DESK, "--set", "trainer.total_steps=2",
+                "--set", "trainer.hidden=[8]"]) == 0
+    assert "lidar_range = 6.0\n" in (out / "config.echo").read_text()
+    _, meta = load_checkpoint(str(out / "final.famlp"))
+    assert repr(meta["profile"]["robot"]["lidar_range"]) == "6.0"
 
 
 def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):

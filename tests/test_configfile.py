@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from fanav.cli import DEFAULT_CONFIG
 from fanav.errors import ConfigError
-from fanav.configfile import format_config, merge_tree, parse_config
+from fanav.configfile import Settings, format_config, merge_tree, parse_config
 
 
 def test_parse_types():
@@ -84,11 +85,27 @@ def test_merge_tree_strict():
         merge_tree(base, {"nope": {"x": 1}})
 
 
-def test_merge_tree_checks_types_against_the_base():
-    base = {"a": {"f": 1.5, "i": 2, "b": True, "l": [1, 2], "s": "x"}}
-    out = merge_tree(base, {"a": {"f": 3, "l": [4]}})
-    assert out["a"]["f"] == 3.0 and isinstance(out["a"]["f"], float)
-    for key, value in (("i", True), ("i", 2.5), ("f", False), ("b", 1),
-                       ("l", 3), ("l", [1, "x"]), ("s", ["x"])):
+class Sample(Settings, section="a"):
+    f: float = 1.5
+    i: int = 2
+    b: bool = True
+    l: tuple[int, ...] = (1, 2)
+    s: str = "x"
+
+
+def test_merge_tree_types_nothing():
+    out = merge_tree({"a": {"f": 1.5}}, {"a": {"f": "text"}})
+    assert out["a"]["f"] == "text"
+
+
+def test_a_section_types_its_values_by_their_defaults():
+    out = Sample.from_dict({"f": 3, "l": [4]})
+    assert out.f == 3.0 and isinstance(out.f, float)
+    assert out.l == (4,)
+    # numpy's float64 is a float; it is stored as Python's own
+    assert type(Sample(f=np.float64(2.5)).f) is float
+    for key, value in (("i", True), ("i", 2.5), ("i", 2.0), ("f", False),
+                       ("b", 1), ("l", 3), ("l", [1, "x"]), ("s", ["x"]),
+                       ("i", np.int64(2))):
         with pytest.raises(ConfigError, match=f"config a.{key} = "):
-            merge_tree(base, {"a": {key: value}})
+            Sample.from_dict({key: value})

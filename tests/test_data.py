@@ -170,6 +170,13 @@ def test_build_dataset_refuses_a_timeout_trajectory():
         build_dataset([TRAJS[0], timeout], PROFILE, EPISODE)
 
 
+def test_build_dataset_refuses_a_repeated_trajectory_id():
+    # a load would refuse the file, so a build refuses the trajectories
+    again = Trajectory(TRAJS[0].traj_id, COLLISION, TRAJS[1].obs)
+    with pytest.raises(ConfigError, match="^a trajectory id repeats"):
+        build_dataset([TRAJS[0], again], PROFILE, EPISODE)
+
+
 def test_reward_audit_under_1e6():
     assert audit_rewards(DS, EPISODE) < 1e-6
 
@@ -607,3 +614,12 @@ def test_describe_dataset_mentions_ratio():
     text = describe_dataset(DS)
     assert "success" in text and "collision" in text
     assert str(DS.n_total) in text
+
+
+def test_describe_dataset_counts_each_trajectory_by_its_end():
+    # one trajectory per done row, whatever the ids say
+    assert describe_dataset(DS).endswith(f"trajectories: {len(TRAJS)}")
+    same_ids = OfflineDataset(
+        replace(DS.exp, traj_ids=np.full_like(DS.exp.traj_ids, 7)), DS.col,
+        PROFILE)
+    assert describe_dataset(same_ids) == describe_dataset(DS)

@@ -41,8 +41,8 @@ CASE_SECONDS = 3.0
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
 # what a mutated value becomes in a JSON header, a result or a config file
-VALUES = (-1, 0, 0.5, 2, -1e-9, math.inf, -math.inf, math.nan, "x", "",
-          [], {}, [1, 2], True, None)
+VALUES = (-1, 0, 0.5, 2, 2.0, -1e-9, math.inf, -math.inf, math.nan, "x",
+          "", [], {}, [1, 2], True, None)
 # what a mutated token of a world or suite file becomes
 TOKENS = ("-1", "0", "0.5", "1e-9", "1e6", "inf", "nan", "x", "")
 # what a mutated array element becomes, by the array's kind

@@ -92,6 +92,11 @@ def test_non_batch_input_is_refused():
 def test_bad_configs():
     with pytest.raises(ConfigError):
         Mlp((4,), "relu")
+    # int() once read 2.5 as 2
+    for widths in ((4, 2.5, 1), (4, 2.0, 1), (4, True, 1)):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"bad layer widths {list(widths)}, not all integers >= 1")):
+            Mlp(widths, "relu")
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "RELU", "none", ""])
@@ -719,11 +724,13 @@ def test_checkpoint_keeps_section_order_and_checks_types(tmp_path):
     ([6, 8, 2], "relu", 75, r"theta has shape \(75,\), expected \(74,\)"),
     ([6], "relu", 1, r"bad layer widths \(6,\)"),
     ([6, 0, 2], "tanh", 2, "bad layer widths"),
+    ([6, 2.5, 2], "relu", 2, r"bad layer widths \[6, 2\.5, 2\], not all "
+                             "integers >= 1"),
     ([], "relu", 0, r"bad layer widths \(\)"),
     ([3], "none", 2, r"a vector of 2 listed as \[3\]"),
     ([1, 1], "none", 2, r"a vector of 2 listed as \[1, 1\]"),
-], ids=["short", "long", "one_width", "zero_width", "no_widths",
-        "vector_short", "vector_as_net"])
+], ids=["short", "long", "one_width", "zero_width", "float_width",
+        "no_widths", "vector_short", "vector_as_net"])
 def test_checkpoint_whose_params_do_not_fit_is_refused(tmp_path, widths,
                                                        activation, n,
                                                        message):
