@@ -4,9 +4,9 @@ Subcommands: gen-world, collect, dataset, train, eval, compare, pipeline.
 Configuration is layered: built-in desk-scale defaults, then a config file
 (``--config``), then ``--set section.key=value`` overrides, of which
 ``--seed``, ``train --method`` and ``collect --target-col-ratio`` are
-shorthands (:data:`SHORTHANDS`). ``train`` and ``eval`` take ``[robot]``
-from the dataset or checkpoint they read, and refuse a config that says
-otherwise; ``train`` takes ``[episode]`` from its dataset the same way.
+shorthands (:data:`SHORTHANDS`). ``train`` takes ``[robot]`` and
+``[episode]`` from its dataset, ``eval`` ``[robot]`` from its checkpoint
+and ``[episode]`` from its suite, and each refuses a config that differs.
 Every value ends up echoed into the run artifacts, so no
 hyperparameter is hidden: ``fanav train --config
 <run>/train/<method>/config.echo --dataset <run>/dataset.fanav`` replays
@@ -119,25 +119,23 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
 
 
 def resolve_config(config_path: str | None, set_pairs: list[str] | None,
-                   held_by: tuple[str, tuple[Settings, ...]] = ("", ())
-                   ) -> ConfigTree:
+                   held: list[tuple[str, Settings]] = ()) -> ConfigTree:
     """Defaults, then the config file, then ``--set``, each section as its
     :class:`Settings` types it; a value it refuses is a ``ConfigError``.
 
-    ``held_by`` is the path of a dataset or checkpoint and the sections it
-    holds (its robot, and a dataset's episode): each such section starts
-    from the file's, and a config file or ``--set`` value that differs
-    from it is a ``ConfigError``."""
-    path, held = held_by
+    ``held`` pairs a file with a section it holds (a dataset's or
+    checkpoint's robot, a dataset's or suite's episode): that section
+    starts from the file's, and a config file or ``--set`` value that
+    differs from it is a ``ConfigError``."""
     tree = {s: dict(kv) for s, kv in DEFAULT_CONFIG.items()}
-    tree.update({h.section: h.to_dict() for h in held})
+    tree.update({h.section: h.to_dict() for _, h in held})
     if config_path:
         tree = merge_tree(tree, load_config(config_path))
     tree = merge_tree(tree, _parse_set_overrides(set_pairs or []))
     for cls in SECTIONS:  # building a section checks it; [trainer] has no seed
         built = cls.from_dict(tree[cls.section]).to_dict()
         tree[cls.section] = {key: built[key] for key in tree[cls.section]}
-    for h in held:
+    for path, h in held:
         for key, value in h.to_dict().items():
             if tree[h.section][key] != value:
                 where = f"{h.section}.{key}"
@@ -391,8 +389,8 @@ def cmd_dataset(args) -> None:
 
 def cmd_train(args) -> ConfigTree:
     ds = load_dataset(args.dataset)
-    tree = resolve_config(args.config, args.set, held_by=(
-        args.dataset, (ds.profile.robot, ds.episode)))
+    tree = resolve_config(args.config, args.set, held=[
+        (args.dataset, ds.profile.robot), (args.dataset, ds.episode)])
     cfg = trainer_from(tree, tree["run"]["seed"])
     result = train_stage(ds, cfg, tree, args.out_dir)
     last = result.report.rows[-1]
@@ -406,10 +404,11 @@ def cmd_train(args) -> ConfigTree:
 
 def cmd_eval(args) -> ConfigTree:
     policy = NetworkPolicy.from_checkpoint(args.checkpoint)
-    tree = resolve_config(args.config, args.set, held_by=(
-        args.checkpoint, (policy.profile.robot,)))
+    suite = load_suite(args.suite)
+    tree = resolve_config(args.config, args.set, held=[
+        (args.checkpoint, policy.profile.robot),
+        (args.suite, suite.episode)])
     world = resolve_world(args.world)
-    suite = load_suite(args.suite, episode_from(tree))
     res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
                      args.out_dir)
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
@@ -456,7 +455,6 @@ def cmd_pipeline(args) -> ConfigTree:
     seed = tree["run"]["seed"]
 
     spec = robot_spec_from(tree)
-    episode = episode_from(tree)
     pcfg, ecfg = tree["pipeline"], tree["eval"]
     methods = pcfg["methods"]
     eval_worlds = {w.name: w for w in map(resolve_world, pcfg["eval_worlds"])}
@@ -486,10 +484,10 @@ def cmd_pipeline(args) -> ConfigTree:
     os.makedirs(suite_dir, exist_ok=True)
     for wi, world in enumerate(eval_worlds.values()):
         path = os.path.join(suite_dir, f"{world.name}.suite")
-        save_suite(make_suite(world, spec, episode, ecfg["n_tasks"],
+        save_suite(make_suite(world, spec, episode_from(tree), ecfg["n_tasks"],
                               seed=seed + wi,
                               min_separation=ecfg["min_separation"]), path)
-        suites[world.name] = load_suite(path, episode)
+        suites[world.name] = load_suite(path)
 
     print("[3/5] training " + ", ".join(methods))
 

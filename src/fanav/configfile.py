@@ -154,5 +154,9 @@ class Settings:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Settings":
-        """The section of ``d``'s values, as :meth:`to_dict` gives them."""
+        """The section of ``d``'s values, as :meth:`to_dict` gives them; a
+        key the section lacks is a ``ConfigError`` naming ``section.key``."""
+        if unknown := set(d) - {f.name for f in fields(cls)}:
+            raise ConfigError("unknown config key "
+                              f"{cls.section}.{min(unknown)}")
         return cls(**d)

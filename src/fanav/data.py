@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import binio
+from .configfile import _typed
 from .errors import ConfigError, DataFormatError, ProtocolError, ShapeError
 from .expert import Trajectory
 from .sim import COLLISION, SUCCESS, EpisodeConfig, RobotSpec, World
@@ -90,7 +91,8 @@ class EncoderProfile:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderProfile":
-        robot, d_norm = RobotSpec.from_dict(d["robot"]), float(d["d_norm"])
+        robot = RobotSpec.from_dict(d["robot"])
+        d_norm = _typed(d["d_norm"], 1.0, "profile.d_norm")
         if not 0 < d_norm < math.inf:
             raise ConfigError(f"d_norm must be finite and > 0, got {d_norm}")
         return cls(robot, d_norm)

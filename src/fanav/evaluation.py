@@ -1,9 +1,9 @@
 """Policy evaluation: fixed task suites, SR/CR/TR metrics, trajectory export.
 
-A suite is a persisted list of start/goal tasks for one world and one
-robot radius, so every method is scored on identical tasks. Each trial
-re-runs the suite with a small collision-checked start-pose jitter; rates
-are averaged over trials (mean and population standard deviation).
+A suite is a file of tasks for one world, robot radius and ``[episode]``,
+so every method is scored on identical tasks by identical rules. Each
+trial re-runs the suite with a small collision-checked start-pose jitter;
+rates are averaged over trials (mean and population standard deviation).
 Success, collision and timeout counts partition the task set, so the three
 rates sum to 100 percent, up to the rounding of each.
 """
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
                      ShapeError)
-from .configfile import Settings, setting
+from .configfile import Settings, format_scalar, parse_config, setting
 from .data import EncoderProfile, encode_state
 from .expert import plan_path
 from .nets import GaussianPolicyHead, Mlp, load_checkpoint
@@ -72,7 +72,7 @@ class Task:
 @dataclass
 class TaskSuite:
     """Tasks sampled in the world ``world_name`` with clearance for a robot
-    of ``radius``; a file holds both in its first two lines."""
+    of ``radius``, run under ``episode``; its file is :meth:`text`."""
 
     world_name: str
     radius: float
@@ -82,17 +82,18 @@ class TaskSuite:
     def __len__(self) -> int:
         return len(self.tasks)
 
-    def canonical_text(self) -> str:
-        lines = [f"task {t.sx:.6f} {t.sy:.6f} {t.sheading:.6f} "
-                 f"{t.gx:.6f} {t.gy:.6f}" for t in self.tasks]
+    def text(self) -> str:
+        episode = " ".join(f"{k}={format_scalar(v)}"
+                           for k, v in self.episode.to_dict().items())
+        lines = [f"world {self.world_name}", f"radius {self.radius!r}",
+                 f"episode {episode}",
+                 *(f"task {t.sx:.6f} {t.sy:.6f} {t.sheading:.6f} "
+                   f"{t.gx:.6f} {t.gy:.6f}" for t in self.tasks)]
         return "\n".join(lines) + "\n"
 
     @property
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.world_name.encode())
-        h.update(self.canonical_text().encode())
-        return h.hexdigest()
+        return hashlib.sha256(self.text().encode()).hexdigest()
 
 
 def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
@@ -120,24 +121,31 @@ def make_suite(world: World, spec: RobotSpec, episode: EpisodeConfig,
 
 def save_suite(suite: TaskSuite, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"world {suite.world_name}\nradius {suite.radius!r}\n"
-                 + suite.canonical_text())
+        fh.write(suite.text())
 
 
-def load_suite(path: str, episode: EpisodeConfig) -> TaskSuite:
-    """Read a suite: a ``world <name>`` line, a ``radius <r>`` line, then
-    one ``task sx sy sh gx gy`` line per task."""
+def load_suite(path: str) -> TaskSuite:
+    """Read the file :meth:`TaskSuite.text` writes: ``world``, ``radius``
+    and ``episode`` lines, then one ``task sx sy sh gx gy`` line per task."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     heads, tasks = [], []
     for lineno, kind, args in read_directives(text, path, ConfigError,
-                                              words=("world",)):
-        if len(heads) < 2:
-            want = ("world", "radius")[len(heads)]
-            if kind != want or len(args) != 1:
+                                              words=("world", "episode")):
+        if len(heads) < 3:
+            want = ("world", "radius", "episode")[len(heads)]
+            if kind != want or (want != "episode" and len(args) != 1):
                 raise ConfigError(
                     f"{path}:{lineno}: expected '{want} ...': a suite "
-                    "starts with its world and radius lines; re-create it")
+                    "starts with its world, radius and episode lines; "
+                    "re-create it")
+            if want == "episode":
+                toml = "episode = {" + ", ".join(args) + "}"
+                try:
+                    args = [EpisodeConfig.from_dict(
+                        parse_config(toml, source=toml)["episode"])]
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
             heads.append(args[0])
         elif kind != "task" or len(args) != 5:
             raise ConfigError(f"{path}:{lineno}: expected "
@@ -146,7 +154,7 @@ def load_suite(path: str, episode: EpisodeConfig) -> TaskSuite:
             tasks.append(Task(*args))
     if not tasks:
         raise ConfigError(f"{path}: empty suite")
-    return TaskSuite(*heads, tasks, episode)
+    return TaskSuite(*heads[:2], tasks, heads[2])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ every public name in the package has a user outside the tests, and
 every name the benchmark's tracer patches is where it looks for it."""
 import ast
 import csv
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -37,6 +38,17 @@ def test_readme_results_equal_the_committed_csv():
                      f"{r['sr_std']}" for r in csv.DictReader(fh)}
     assert {(row[0], w): cell for row in quoted
             for w, cell in zip(worlds, row[1:])} == committed
+
+
+def test_desk_digests_name_the_committed_comparison():
+    # digests.txt records the run the committed tables came from
+    desk = ROOT / "results" / "desk_seed0"
+    lines = (desk / "digests.txt").read_text(encoding="utf-8").splitlines()
+    recorded = {name: digest for digest, name in
+                (line.split("  ", 1) for line in lines)}
+    for name in ("comparison.csv", "comparison.txt"):
+        assert recorded[f"compare/{name}"] == hashlib.sha256(
+            (desk / name).read_bytes()).hexdigest(), name
 
 
 def test_readme_quick_start_runs_at_toy_size(monkeypatch, capsys):

@@ -30,6 +30,7 @@ from fanav.cli import (
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
+from fanav.evaluation import load_suite
 from fanav.nets import (GaussianPolicyHead, Mlp, load_checkpoint,
                         save_checkpoint)
 from fanav.sim import RobotSpec, load_world
@@ -944,12 +945,11 @@ def test_untested_lines_tool_names_the_statements_a_run_missed():
 def eval_argv(pipeline_run, method, out_dir, *extra, world="sparse",
               suite=None):
     """``fanav eval`` of the pipeline's ``method`` checkpoint on its sparse
-    suite with the pipeline's seed and episode horizon."""
+    suite with the pipeline's seed; the suite gives the episode horizon."""
     ckpt = os.path.join(pipeline_run, "train", method, "ckpt_00000120.famlp")
     suite = suite or os.path.join(pipeline_run, "suites", "sparse.suite")
     return ["eval", "--checkpoint", ckpt, "--world", world, "--suite", suite,
-            "--out-dir", str(out_dir), "--seed", "5",
-            "--set", "episode.t_max=120", *extra]
+            "--out-dir", str(out_dir), "--seed", "5", *extra]
 
 
 def test_eval_takes_the_robot_from_the_checkpoint(pipeline_run, tmp_path):
@@ -1162,11 +1162,12 @@ def test_a_result_naming_by_a_number_exits_four(key, pipeline_run, tmp_path,
 def test_non_finite_suite_value_exits_three(line, pipeline_run, tmp_path,
                                             capsys):
     suite = tmp_path / "bad.suite"
-    suite.write_text("world sparse\nradius 0.2\n" + line + "\n")
+    suite.write_text("world sparse\nradius 0.2\nepisode t_max=120\n" + line
+                     + "\n")
     capsys.readouterr()
     assert run(eval_argv(pipeline_run, "bc", tmp_path / "e",
                          suite=str(suite))) == 3
-    assert f"{suite}:3: non-finite value" in capsys.readouterr().err
+    assert f"{suite}:4: non-finite value" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "e")
 
 
@@ -1178,10 +1179,11 @@ def test_suite_of_another_world_or_radius_exits_three(pipeline_run,
     assert ("suite was built for world 'sparse', got 'cluttered'"
             in capsys.readouterr().err)
     text = Path(pipeline_run, "suites", "sparse.suite").read_text()
-    head, radius, tasks = text.split("\n", 2)
+    head, radius, episode, tasks = text.split("\n", 3)
     assert (head, radius) == ("world sparse", "radius 0.2")
+    assert episode.startswith("episode t_max=120 ")
     suite = tmp_path / "wide.suite"
-    suite.write_text(f"{head}\nradius 0.35\n{tasks}")
+    suite.write_text(f"{head}\nradius 0.35\n{episode}\n{tasks}")
     assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
     assert ("suite was built for robot radius 0.35, got 0.2"
             in capsys.readouterr().err)
@@ -1191,6 +1193,81 @@ def test_suite_of_another_world_or_radius_exits_three(pipeline_run,
     err = capsys.readouterr().err
     assert f"{suite}:1: expected 'world ...'" in err and "re-create it" in err
     assert not edir.exists()
+
+
+def edited_suite(pipeline_run, tmp_path, episode_line: str | None) -> str:
+    """The pipeline's sparse suite with its episode line replaced by
+    ``episode_line``, or dropped when it is None, saved under
+    ``tmp_path``."""
+    lines = Path(pipeline_run, "suites", "sparse.suite").read_text(
+        ).splitlines(keepends=True)
+    assert lines[2].startswith("episode t_max=120 ")
+    lines[2:3] = [] if episode_line is None else [episode_line + "\n"]
+    path = tmp_path / "edited.suite"
+    path.write_text("".join(lines))
+    return str(path)
+
+
+def test_eval_takes_the_episode_from_the_suite(pipeline_run, tmp_path,
+                                              capsys):
+    suite = os.path.join(pipeline_run, "suites", "sparse.suite")
+    cfg = tmp_path / "episode.toml"
+    cfg.write_text("[episode]\ngoal_radius = 0.5\n")
+    for argv, given in ((["--set", "episode.t_max=40"], "episode.t_max=40"),
+                        (["--config", str(cfg)], "episode.goal_radius=0.5")):
+        capsys.readouterr()
+        assert run(eval_argv(pipeline_run, "iql_ca", tmp_path / "e",
+                             *argv)) == 3
+        err = capsys.readouterr().err
+        assert f"the config gives {given} but {suite} holds" in err, err
+        assert not (tmp_path / "e").exists()
+    # the suite's own value, and the pipeline's echo, pass; the manifest
+    # records the suite's episode
+    echo = os.path.join(pipeline_run, "train", "iql_ca", "config.echo")
+    for name, argv in (("set", ["--set", "episode.t_max=120"]),
+                       ("echo", ["--config", echo])):
+        edir = tmp_path / name
+        assert run(eval_argv(pipeline_run, "iql_ca", edir, *argv)) == 0
+        config = json.loads((edir / "manifest.json").read_text())["config"]
+        assert config["episode"] == load_suite(suite).episode.to_dict()
+        assert config["episode"]["t_max"] == 120
+
+
+def test_compare_refuses_results_of_another_episode(pipeline_run, tmp_path,
+                                                    capsys):
+    # the same tasks under a shorter horizon evaluate, but are another suite
+    suite = edited_suite(pipeline_run, tmp_path,
+                         "episode t_max=40 r_success=20.0 r_collision=-20.0 "
+                         "c1=2.0 goal_radius=0.3")
+    edir = tmp_path / "e"
+    assert run(eval_argv(pipeline_run, "iql_ca", edir, suite=suite)) == 0
+    assert json.loads((edir / "result.json").read_text())["suite_digest"] == \
+        hashlib.sha256(Path(suite).read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert run(["compare", "--results",
+                os.path.join(pipeline_run, "eval", "bc", "sparse"), str(edir),
+                "--out-dir", str(tmp_path / "cmp")]) == 3
+    assert ("method 'iql_ca' world 'sparse' used a different task suite"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("episode_line, message", [
+    ("episode t_max=120 speed=1.0", ":3: unknown config key episode.speed"),
+    ("episode t_max=200.5", ":3: config episode.t_max = 200.5 does not have "
+                            "the type of its default 200"),
+    ("episode t_max=true", ":3: config episode.t_max = True does not have "
+                           "the type of its default 200"),
+    (None, ":3: expected 'episode ...': a suite starts with its world, "
+           "radius and episode lines; re-create it")])
+def test_a_malformed_episode_line_exits_three(episode_line, message,
+                                              pipeline_run, tmp_path, capsys):
+    suite = edited_suite(pipeline_run, tmp_path, episode_line)
+    capsys.readouterr()
+    assert run(eval_argv(pipeline_run, "bc", tmp_path / "e",
+                         suite=suite)) == 3
+    assert f"error: {suite}{message}" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 # a valid value other than the pipeline robot's, for each RobotSpec field
@@ -1335,7 +1412,9 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
         meta = {**meta, "profile": robot_set(meta["profile"],
                                              lidar_beams=float(beams))}
     else:
-        meta = {**meta, "profile": {**meta["profile"], "d_norm": 0.0}}
+        d_norm = {"d_norm 0": 0.0, "d_norm a string": "5",
+                  "d_norm true": True}[mutation]
+        meta = {**meta, "profile": {**meta["profile"], "d_norm": d_norm}}
     if "exp/lengths" in arrays:
         arrays["exp/lengths"] = lengths
     return meta, arrays
@@ -1352,6 +1431,11 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
     ("per-row layout", "holds a column per transition field, the layout "
                        "before trajectories; re-create it"),
     ("d_norm 0", "d_norm must be finite and > 0, got 0.0"),
+    # d_norm is no Settings field, but meets the same type rule
+    ("d_norm a string", "config profile.d_norm = '5' does not have the type "
+                        "of its default 1.0"),
+    ("d_norm true", "config profile.d_norm = True does not have the type "
+                    "of its default 1.0"),
     ("every traj_id 7", "a trajectory id repeats in exp/traj_ids or "
                         "col/traj_ids"),
     ("a traj_id in both partitions", "a trajectory id repeats in "

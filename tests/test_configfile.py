@@ -109,3 +109,11 @@ def test_a_section_types_its_values_by_their_defaults():
                        ("i", np.int64(2))):
         with pytest.raises(ConfigError, match=f"config a.{key} = "):
             Sample.from_dict({key: value})
+
+
+def test_a_section_refuses_a_key_it_lacks():
+    # a ConfigError naming section.key, as merge_tree's, not a TypeError
+    for d, key in (({"z": 1}, "z"), ({"f": 2.5, "z": 1, "y": 2}, "y")):
+        with pytest.raises(ConfigError,
+                           match=rf"^unknown config key a\.{key}$"):
+            Sample.from_dict(d)

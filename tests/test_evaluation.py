@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -113,45 +114,98 @@ def test_make_suite_gives_up_when_no_far_pair_is_connected():
 
 
 def test_suite_roundtrip(tmp_path):
-    suite = make_suite(WORLD, SPEC, EPISODE, 6, seed=1)
+    episode = EpisodeConfig(t_max=120, goal_radius=0.25)
+    suite = make_suite(WORLD, SPEC, episode, 6, seed=1)
     path = str(tmp_path / "tasks.suite")
     save_suite(suite, path)
     text = Path(path).read_text()
-    assert text.startswith(f"world w8\nradius {SPEC.radius!r}\ntask ")
-    loaded = load_suite(path, EPISODE)
+    assert text.startswith(f"world w8\nradius {SPEC.radius!r}\nepisode "
+                           "t_max=120 r_success=20.0 r_collision=-20.0 "
+                           "c1=2.0 goal_radius=0.25\ntask ")
+    loaded = load_suite(path)
     assert loaded.digest == suite.digest
     assert (loaded.world_name, loaded.radius) == ("w8", SPEC.radius)
     assert len(loaded) == 6
+    # the suite is its file: its text, episode included, and that text's
+    # SHA-256 as its digest
+    assert loaded.episode == episode
+    assert loaded.text() == text
+    assert loaded.digest == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_a_suite_digest_covers_every_line():
+    suite = make_suite(WORLD, SPEC, EPISODE, 2, seed=1)
+    others = [TaskSuite("w9", suite.radius, suite.tasks, EPISODE),
+              TaskSuite(WORLD.name, 0.25, suite.tasks, EPISODE),
+              TaskSuite(WORLD.name, suite.radius, suite.tasks,
+                        EpisodeConfig(t_max=40)),
+              TaskSuite(WORLD.name, suite.radius, suite.tasks,
+                        EpisodeConfig(goal_radius=0.5)),
+              TaskSuite(WORLD.name, suite.radius, suite.tasks[:1], EPISODE)]
+    digests = {suite.digest, *(o.digest for o in others)}
+    assert len(digests) == 1 + len(others)
 
 
 def test_suite_load_errors(tmp_path):
-    head = "world w\nradius 0.2\n"
+    head = "world w\nradius 0.2\nepisode t_max=200\n"
     p = tmp_path / "bad.suite"
     p.write_text(head + "task 1 2 3\n")
     with pytest.raises(ConfigError, match="expected"):
-        load_suite(str(p), EPISODE)
+        load_suite(str(p))
     p2 = tmp_path / "empty.suite"
     for text in ("# nothing\n", head):
         p2.write_text(text)
         with pytest.raises(ConfigError, match="empty"):
-            load_suite(str(p2), EPISODE)
+            load_suite(str(p2))
     p3 = tmp_path / "nan.suite"
     for line in ("task 1 1 0 nan 5", "task inf 1 0 5 5", "task 1 1 1e999 5 5"):
         p3.write_text(head + "task 1 1 0 5 5\n" + line + "\n")
-        with pytest.raises(ConfigError, match=f"{p3}:4: non-finite value"):
-            load_suite(str(p3), EPISODE)
-    p3.write_text("world w\nradius nan\ntask 1 1 0 5 5\n")
+        with pytest.raises(ConfigError, match=f"{p3}:5: non-finite value"):
+            load_suite(str(p3))
+    p3.write_text("world w\nradius nan\nepisode t_max=200\ntask 1 1 0 5 5\n")
     with pytest.raises(ConfigError, match=f"{p3}:2: non-finite value"):
-        load_suite(str(p3), EPISODE)
-    # the world and radius lines come first, in that order
+        load_suite(str(p3))
+    # the world, radius and episode lines come first, in that order
     for text, lineno in (("task 1 1 0 5 5\n", 1),
                          ("radius 0.2\nworld w\ntask 1 1 0 5 5\n", 1),
                          ("world w\ntask 1 1 0 5 5\n", 2),
-                         ("world w x\nradius 0.2\ntask 1 1 0 5 5\n", 1)):
+                         ("world w x\nradius 0.2\ntask 1 1 0 5 5\n", 1),
+                         ("world w\nradius 0.2\ntask 1 1 0 5 5\n", 3),
+                         ("world w\nepisode t_max=200\nradius 0.2\n"
+                          "task 1 1 0 5 5\n", 2)):
         p3.write_text(text)
         with pytest.raises(ConfigError, match=f"{p3}:{lineno}: expected "
                                               ".*; re-create it"):
-            load_suite(str(p3), EPISODE)
+            load_suite(str(p3))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("episode t_max=200.5", "config episode.t_max = 200.5 does not have the "
+                            "type of its default 200"),
+    ("episode t_max=true", "config episode.t_max = True does not have the "
+                           "type of its default 200"),
+    ("episode speed=1.0", "unknown config key episode.speed"),
+    ("episode t_max=0", r"episode.t_max must be >= 1, got 0"),
+    ("episode c1=inf", "episode.c1 must be finite, got inf"),
+    ("episode t_max=1 t_max=2", "Duplicate inline table key 't_max'"),
+    ("episode t_max", "Expected '=' after a key"),
+])
+def test_a_malformed_episode_line_names_its_file_and_line(line, message,
+                                                          tmp_path):
+    p = tmp_path / "bad.suite"
+    p.write_text(f"world w\nradius 0.2\n{line}\ntask 1 1 0 5 5\n")
+    with pytest.raises(ConfigError, match=f"^{p}:3: .*{message}"):
+        load_suite(str(p))
+
+
+def test_an_episode_line_takes_defaults_for_the_keys_it_omits(tmp_path):
+    p = tmp_path / "short.suite"
+    p.write_text("world w\nradius 0.2\nepisode t_max=40\ntask 1 1 0 5 5\n")
+    suite = load_suite(str(p))
+    assert suite.episode == EpisodeConfig(t_max=40)
+    assert suite.text().splitlines()[2] == (
+        "episode t_max=40 r_success=20.0 r_collision=-20.0 c1=2.0 "
+        "goal_radius=0.3")
 
 
 # ---------------------------------------------------------------------------

@@ -165,9 +165,10 @@ def base(tmp_path_factory):
         assert main(["train", "--method", "iql_ca", "--dataset",
                      paths["dataset"], "--out-dir", paths["train"],
                      *TRAIN_SETS]) == 0
+        # the suite holds the episode eval runs: SHORT's horizon
         save_suite(make_suite(world, RobotSpec(lidar_beams=8),
-                              EpisodeConfig(), 2, seed=0, min_separation=2.0),
-                   paths["suite"])
+                              EpisodeConfig(t_max=60), 2, seed=0,
+                              min_separation=2.0), paths["suite"])
         paths["checkpoint"] = os.path.join(paths["train"],
                                            "ckpt_00000003.famlp")
         assert main(eval_argv(paths, paths["checkpoint"], paths["suite"],
