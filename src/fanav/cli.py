@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .configfile import (ConfigTree, Settings, format_config,
-                         format_scalar, load_config, merge_tree, parse_config,
+                         format_value, load_config, merge_tree, parse_config,
                          setting)
 from .data import (
     EncoderProfile,
@@ -58,7 +58,8 @@ from .evaluation import (
 )
 from .expert import (CLEAN, PERTURBED, CollectConfig, ExpertConfig,
                      collect, collect_to_ratio)
-from .sim import EpisodeConfig, RobotSpec, World, load_world, save_world
+from .sim import (EpisodeConfig, RobotSpec, World, load_world, parse_world,
+                  save_world)
 from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
 
@@ -109,10 +110,8 @@ def _parse_set_overrides(pairs: list[str]) -> ConfigTree:
         if not eq or "." not in key_path:
             raise ConfigError(
                 f"--set expects section.key=value, got '{pair}'")
-        try:
-            sub = parse_config(pair, source=f"--set '{pair}'")
-        except ConfigError as exc:
-            raise ConfigError(f"{exc}; strings need double quotes") from None
+        sub = parse_config(pair, f"--set '{pair}'",
+                           "; strings need double quotes")
         for section, kv in sub.items():
             tree.setdefault(section, {}).update(kv)
     return tree
@@ -269,7 +268,6 @@ def resolve_world(spec: str) -> World:
         return load_world(spec)
     if spec in BUNDLED_WORLDS:
         ref = bundled_world_path(spec)
-        from .sim import parse_world
         return parse_world(ref.read_text(encoding="utf-8"), source=str(ref))
     raise ConfigError(f"world '{spec}' is neither a file nor a bundled name "
                       f"{BUNDLED_WORLDS}")
@@ -613,7 +611,7 @@ def dispatch(argv: list[str]) -> int:
     for dest, key in SHORTHANDS.items():
         value = getattr(args, dest, None)
         if value is not None:
-            args.set = [*(args.set or []), f"{key}={format_scalar(value)}"]
+            args.set = [*(args.set or []), f"{key}={format_value(value)}"]
     manifest = manifest_path(args)
     if manifest:
         claim_manifest(manifest, args.cmd)

@@ -1,4 +1,4 @@
-"""Configuration files: TOML, read by the standard library's ``tomllib``.
+"""Text files (configs, ``--set`` pairs, worlds, suites): TOML via ``tomllib``.
 
 Every key belongs to a ``[section]``::
 
@@ -17,6 +17,7 @@ a resolved configuration echoes back to its tree.
 Each section is a frozen :class:`Settings` dataclass, which checks its own
 types and bounds wherever its values come from; a setting declares its
 bounds, or the values it must be among, beside its default (:func:`setting`).
+World and suite files type their values by the same rule (:func:`_typed`).
 """
 from __future__ import annotations
 
@@ -36,22 +37,29 @@ _ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\",
             **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)}}
 
 
-def parse_config(text: str, source: str = "<config>") -> ConfigTree:
+def parse_config(text: str, source: str = "<config>", hint: str = "",
+                 error: type[Exception] = ConfigError) -> ConfigTree:
     """The sections of TOML ``text``. A TOML error, whose message gives
-    the line, or a key outside any section is a ``ConfigError`` that
-    names ``source``."""
+    the line, an integer too long for Python to read, or a key outside any
+    section is an ``error`` that names ``source`` and ends in ``hint``."""
     try:
         tree = tomllib.loads(text)
-    except tomllib.TOMLDecodeError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+    except ValueError as exc:  # TOMLDecodeError is one
+        raise error(f"{source}: {exc}{hint}") from None
     for key, value in tree.items():
         if not isinstance(value, dict):
-            raise ConfigError(f"{source}: key '{key}' outside of any "
-                              "[section]")
+            raise error(f"{source}: key '{key}' outside of any "
+                        f"[section]{hint}")
     return tree
 
 
-def format_scalar(v) -> str:
+def format_value(v) -> str:
+    """``v`` as TOML; a list of lists gets a line per item."""
+    if isinstance(v, list | tuple):
+        if any(isinstance(x, list | tuple) for x in v):
+            rows = (f"    {format_value(x)},\n" for x in v)
+            return "[\n" + "".join(rows) + "]"
+        return f"[{', '.join(map(format_value, v))}]"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, str):
@@ -64,11 +72,7 @@ def format_config(tree: ConfigTree) -> str:
     for section, kv in tree.items():
         lines.append(f"[{section}]")
         for key, value in kv.items():
-            if isinstance(value, (list, tuple)):
-                body = ", ".join(format_scalar(v) for v in value)
-                lines.append(f"{key} = [{body}]")
-            else:
-                lines.append(f"{key} = {format_scalar(value)}")
+            lines.append(f"{key} = {format_value(value)}")
         lines.append("")
     return "\n".join(lines)
 
@@ -109,11 +113,34 @@ def _typed(value, default, where: str):
         return tuple(_typed(v, default[0], where) for v in value)
     if isinstance(default, float) and (type(value) is int
                                        or isinstance(value, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the largest float
+            raise ConfigError(f"{where} must fit a float, got an int "
+                              "beyond 1.8e308") from None
     if type(value) is not type(default):
         raise ConfigError(f"config {where} = {value!r} does not have the "
                           f"type of its default {default!r}")
     return value
+
+
+def typed_section(tree: ConfigTree, section: str, **types) -> dict:
+    """``tree``'s ``[section]``: exactly the keys of ``types``, each value
+    typed like its entry there (:func:`_typed`)."""
+    kv = tree[section]
+    if odd := sorted(set(kv) ^ set(types)):
+        raise ConfigError(f"{section}.{odd[0]} is " + (
+            "missing" if odd[0] in types else "an unknown key"))
+    return {k: _typed(kv[k], t, f"{section}.{k}") for k, t in types.items()}
+
+
+def typed_numbers(values, n: int, where: str) -> tuple[float, ...]:
+    """A list of ``n`` finite numbers, as floats (:func:`_typed`)."""
+    nums = _typed(values, (0.0,), where)
+    if len(nums) != n or not all(map(math.isfinite, nums)):
+        raise ConfigError(f"{where} must be {n} finite numbers, got "
+                          f"{values!r}")
+    return nums
 
 
 @dataclass_transform(frozen_default=True)

@@ -44,7 +44,7 @@ class DataFormatError(FanavError):
 
 
 class WorldFormatError(FanavError):
-    """Malformed world file; message carries file name and line number."""
+    """Malformed world file; the message names the file and the entry."""
 
 
 class InvalidPoseError(FanavError):

@@ -1,6 +1,6 @@
 """Policy evaluation: fixed task suites, SR/CR/TR metrics, trajectory export.
 
-A suite is a file of tasks for one world, robot radius and ``[episode]``,
+A TOML suite file holds tasks for one world, robot radius and ``[episode]``,
 so every method is scored on identical tasks by identical rules. Each
 trial re-runs the suite with a small collision-checked start-pose jitter;
 rates are averaged over trials (mean and population standard deviation).
@@ -14,13 +14,14 @@ import hashlib
 import io
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
                      ShapeError)
-from .configfile import Settings, format_scalar, parse_config, setting
+from .configfile import (Settings, format_config, parse_config, setting,
+                         typed_numbers, typed_section)
 from .data import EncoderProfile, encode_state
 from .expert import plan_path
 from .nets import GaussianPolicyHead, Mlp, load_checkpoint
@@ -33,7 +34,6 @@ from .sim import (
     Pose,
     RobotSpec,
     World,
-    read_directives,
     sample_task,
     simulate,
 )
@@ -83,13 +83,11 @@ class TaskSuite:
         return len(self.tasks)
 
     def text(self) -> str:
-        episode = " ".join(f"{k}={format_scalar(v)}"
-                           for k, v in self.episode.to_dict().items())
-        lines = [f"world {self.world_name}", f"radius {self.radius!r}",
-                 f"episode {episode}",
-                 *(f"task {t.sx:.6f} {t.sy:.6f} {t.sheading:.6f} "
-                   f"{t.gx:.6f} {t.gy:.6f}" for t in self.tasks)]
-        return "\n".join(lines) + "\n"
+        """The file: each task to the micrometre and microradian."""
+        return format_config({"suite": {
+            "world": self.world_name, "radius": self.radius,
+            "tasks": [[round(v, 6) for v in astuple(t)] for t in self.tasks]},
+            "episode": self.episode.to_dict()})
 
     @property
     def digest(self) -> str:
@@ -125,36 +123,25 @@ def save_suite(suite: TaskSuite, path: str) -> None:
 
 
 def load_suite(path: str) -> TaskSuite:
-    """Read the file :meth:`TaskSuite.text` writes: ``world``, ``radius``
-    and ``episode`` lines, then one ``task sx sy sh gx gy`` line per task."""
+    """Read the file :meth:`TaskSuite.text` writes, ``[episode]`` as a config
+    file's; a ``ConfigError`` names ``path`` and the entry."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    heads, tasks = [], []
-    for lineno, kind, args in read_directives(text, path, ConfigError,
-                                              words=("world", "episode")):
-        if len(heads) < 3:
-            want = ("world", "radius", "episode")[len(heads)]
-            if kind != want or (want != "episode" and len(args) != 1):
-                raise ConfigError(
-                    f"{path}:{lineno}: expected '{want} ...': a suite "
-                    "starts with its world, radius and episode lines; "
-                    "re-create it")
-            if want == "episode":
-                toml = "episode = {" + ", ".join(args) + "}"
-                try:
-                    args = [EpisodeConfig.from_dict(
-                        parse_config(toml, source=toml)["episode"])]
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            heads.append(args[0])
-        elif kind != "task" or len(args) != 5:
-            raise ConfigError(f"{path}:{lineno}: expected "
-                              "'task sx sy sh gx gy'")
-        else:
-            tasks.append(Task(*args))
-    if not tasks:
-        raise ConfigError(f"{path}: empty suite")
-    return TaskSuite(*heads[:2], tasks, heads[2])
+        tree = parse_config(fh.read(), path, "; a suite is the TOML file "
+                            "fanav pipeline writes: re-create it")
+    try:
+        if set(tree) != {"suite", "episode"}:
+            raise ConfigError(f"sections {sorted(tree)}, not [suite] and "
+                              "[episode]")
+        d = typed_section(tree, "suite", world="", radius=0.0, tasks=[])
+        tasks = [Task(*typed_numbers(t, 5, f"suite.tasks[{i}]"))
+                 for i, t in enumerate(d["tasks"])]
+        if not tasks:
+            raise ConfigError("suite.tasks is empty")
+        # the radius meets the robot's own rules
+        return TaskSuite(d["world"], RobotSpec(radius=d["radius"]).radius,
+                         tasks, EpisodeConfig.from_dict(tree["episode"]))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,19 @@ order: goal reached, collision, timeout. :func:`simulate`, the one step
 loop, runs an episode of the demonstrator or a policy to its terminal step.
 Everything here is noise-free and deterministic, so identical inputs produce
 bit-identical trajectories. Rewards are the dataset's (:mod:`fanav.data`).
+A world file is TOML, one ``[world]`` section (:func:`parse_world`).
 """
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .configfile import Settings, setting
+from .configfile import (Settings, format_config, parse_config, setting,
+                         typed_numbers, typed_section)
 from .errors import (ConfigError, InvalidPoseError, NumericError,
                      WorldFormatError)
 from .geometry import (
@@ -55,6 +57,11 @@ class World:
     name: str = "world"
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or not all(
+                c.isprintable() and c not in " /\\" for c in self.name):
+            raise ConfigError(f"world name {self.name!r} names files: it must "
+                              "be printable, without whitespace, / or \\, and "
+                              "not empty, . or ..")
         if not (math.isfinite(self.width) and math.isfinite(self.height)):
             raise ConfigError("world bounds must be finite")
         if not (self.width > 0 and self.height > 0):
@@ -62,6 +69,8 @@ class World:
         for i, ob in enumerate(self.obstacles):
             if not all(map(math.isfinite, astuple(ob))):
                 raise ConfigError(f"obstacle {i} has a non-finite value")
+            if min(astuple(ob)[2:]) <= 0:
+                raise ConfigError(f"obstacle {i} has a size not above 0")
             if not self._intersects_bounds(ob):
                 raise ConfigError(f"obstacle {i} lies entirely outside bounds")
 
@@ -343,91 +352,48 @@ def sample_task(world: World, rng: np.random.Generator, clearance: float,
 
 
 # ---------------------------------------------------------------------------
-# world file format: `bounds W H`, `rect X Y W H`, `circle CX CY R`, `name ID`
+# world files: TOML, one [world] section
 # ---------------------------------------------------------------------------
 
 def load_world(path: str) -> World:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_world(text, source=path)
+        return parse_world(fh.read(), source=path)
 
 
-def read_directives(text: str, source: str, error: type[Exception],
-                    words: tuple[str, ...] = ()):
-    """Each line of a line format (worlds, task suites) that holds more
-    than a ``#`` comment, as ``(lineno, directive, args)``. The args of a
-    directive in ``words`` stay strings; any other directive's are finite
-    floats, or ``error`` names ``source:lineno`` and the line."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kind, *args = line.split()
-        if kind not in words:
-            try:
-                args = [float(v) for v in args]
-            except ValueError:
-                raise error(f"{source}:{lineno}: non-numeric value in "
-                            f"'{line}'") from None
-            if not all(map(math.isfinite, args)):
-                raise error(f"{source}:{lineno}: non-finite value in "
-                            f"'{line}'")
-        yield lineno, kind, args
+def _shape(entry, where: str) -> Shape:
+    """An obstacle from the world file entry :func:`format_world` writes."""
+    kind = entry[0] if isinstance(entry, list) and entry else None
+    if (cls := {"rect": Rect, "circle": Circle}.get(str(kind))) is None:
+        raise ConfigError(f'{where} must be ["rect", x, y, w, h] or ["circle",'
+                          f' cx, cy, r], got {entry!r}')
+    return cls(*typed_numbers(entry[1:], len(fields(cls)), where))
 
 
 def parse_world(text: str, source: str = "<string>") -> World:
-    bounds: tuple[float, float] | None = None
-    obstacles: list[Shape] = []
-    name: str | None = None
-
-    def fail(lineno: int, msg: str):
-        raise WorldFormatError(f"{source}:{lineno}: {msg}")
-
-    for lineno, kind, vals in read_directives(text, source, WorldFormatError,
-                                              words=("name",)):
-        if kind == "name":
-            if len(vals) != 1:
-                fail(lineno, "name takes exactly one identifier")
-            name = vals[0]
-        elif kind == "bounds":
-            if len(vals) != 2:
-                fail(lineno, "bounds takes width and height")
-            if bounds is not None:
-                fail(lineno, "duplicate bounds line")
-            bounds = (vals[0], vals[1])
-        elif kind == "rect":
-            if len(vals) != 4:
-                fail(lineno, "rect takes x y w h")
-            if vals[2] <= 0 or vals[3] <= 0:
-                fail(lineno, "rect size must be positive")
-            obstacles.append(Rect(*vals))
-        elif kind == "circle":
-            if len(vals) != 3:
-                fail(lineno, "circle takes cx cy r")
-            if vals[2] <= 0:
-                fail(lineno, "circle radius must be positive")
-            obstacles.append(Circle(*vals))
-        else:
-            fail(lineno, f"unknown directive '{kind}'")
-    if bounds is None:
-        raise WorldFormatError(f"{source}: missing bounds line")
-    if name is None:
-        stem = os.path.splitext(os.path.basename(source))[0]
-        name = stem if stem and source != "<string>" else "world"
+    """The world of the TOML ``text`` :func:`format_world` writes, named by
+    ``source``'s stem if it has no ``name``; refusals name the entry."""
+    tree = parse_config(text, source, "; a world file is TOML, as README "
+                        "shows", WorldFormatError)
     try:
-        return World(bounds[0], bounds[1], tuple(obstacles), name)
+        if set(tree) != {"world"}:
+            raise ConfigError(f"sections {sorted(tree)}, not one [world]")
+        tree["world"].setdefault("name", "world" if source == "<string>" else
+                                 os.path.splitext(os.path.basename(source))[0])
+        d = typed_section(tree, "world", name="", width=0.0, height=0.0,
+                          obstacles=[])
+        return World(d["width"], d["height"],
+                     tuple(_shape(ob, f"world.obstacles[{i}]")
+                           for i, ob in enumerate(d["obstacles"])), d["name"])
     except ConfigError as exc:
-        raise WorldFormatError(f"{source}: {exc}") from exc
+        raise WorldFormatError(f"{source}: {exc}") from None
 
 
 def format_world(world: World) -> str:
-    lines = [f"name {world.name}", f"bounds {world.width:.6g} {world.height:.6g}"]
-    for ob in world.obstacles:
-        if isinstance(ob, Rect):
-            lines.append(f"rect {ob.x:.6g} {ob.y:.6g} {ob.w:.6g} {ob.h:.6g}")
-        else:
-            lines.append(f"circle {ob.cx:.6g} {ob.cy:.6g} {ob.r:.6g}")
-    return "\n".join(lines) + "\n"
+    return format_config({"world": {
+        "name": world.name, "width": float(world.width),
+        "height": float(world.height),
+        "obstacles": [["rect" if isinstance(ob, Rect) else "circle",
+                       *map(float, astuple(ob))] for ob in world.obstacles]}})
 
 
 def save_world(world: World, path: str) -> None:

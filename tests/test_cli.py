@@ -423,6 +423,8 @@ BAD_SETTINGS = [
     ("pipeline.methods", ["bc", "iql_so", "bc"]),
     ("pipeline.eval_worlds", ["sparse", "dense", "sparse"]),
     ("eval.min_separation", 100.0), ("expert.min_separation", 100.0),
+    # an int past the largest float, which float() would not convert
+    ("robot.radius", 10 ** 400),
 ]
 
 
@@ -629,19 +631,55 @@ def test_collect_refuses_a_flag_it_would_ignore(flags, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("text, lineno", [
-    ("bounds inf 10\n", 1),
-    ("bounds 10 10\nrect 1 1 inf 1\n", 2),
-    ("bounds 10 10\ncircle 5 5 inf\n", 2)])
-def test_non_finite_world_value_exits_three(text, lineno, tmp_path, capsys):
+# ids name each case in the line form world files had before TOML
+@pytest.mark.parametrize("width, obstacles, message", [
+    pytest.param("inf", "", "world bounds must be finite",
+                 id="bounds inf 10\n-1"),
+    pytest.param("10.0", '["rect", 1, 1, inf, 1]',
+                 "world.obstacles[0] must be 4 finite numbers",
+                 id="bounds 10 10\nrect 1 1 inf 1\n-2"),
+    pytest.param("10.0", '["circle", 5, 5, inf]',
+                 "world.obstacles[0] must be 3 finite numbers",
+                 id="bounds 10 10\ncircle 5 5 inf\n-2")])
+def test_non_finite_world_value_exits_three(width, obstacles, message,
+                                            tmp_path, capsys):
     world = tmp_path / "bad.world"
-    world.write_text(text)
+    world.write_text(f"[world]\nwidth = {width}\nheight = 10.0\n"
+                     f"obstacles = [{obstacles}]\n")
     out = tmp_path / "d.fanav"
     code = run(["collect", "--world", str(world), "--episodes", "1",
                 "--seed", "1", "--out", str(out)])
     assert code == 3
-    assert f"{world}:{lineno}: non-finite value" in capsys.readouterr().err
+    assert f"error: {world}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_setting_too_long_to_read_exits_three(tmp_path, capsys):
+    # Python reads no int of more than 4300 digits from text
+    out = tmp_path / "g.world"
+    assert run(["gen-world", "--density", "0", "--out", str(out), "--set",
+                "robot.radius=1" + "0" * 5000]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --set 'robot.radius=1000") and \
+        "Exceeds the limit (4300 digits)" in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_world_name_cannot_leave_the_run_directory(tmp_path, capsys):
+    # the name names the world's suite and evaluation directory
+    evil = tmp_path / "evil.world"
+    evil.write_text('[world]\nname = "../escaped"\nwidth = 8.0\n'
+                    "height = 8.0\nobstacles = []\n")
+    out = tmp_path / "run"
+    assert run(["pipeline", "--out-dir", str(out), "--set",
+                f'pipeline.eval_worlds=["{evil}"]']) == 3
+    assert (f"error: {evil}: world name '../escaped' names files"
+            in capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["evil.world"]
+    assert run(["gen-world", "--density", "0", "--name", "../escaped",
+                "--out", str(tmp_path / "g.world")]) == 3
+    assert "world name '../escaped' names files" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["evil.world"]
 
 
 def test_collect_refuses_when_no_episode_ends_and_writes_nothing(tmp_path,
@@ -655,13 +693,17 @@ def test_collect_refuses_when_no_episode_ends_and_writes_nothing(tmp_path,
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("text", ["bounds 1000000 1000000\nrect 10 10 1 1\n",
-                                  "bounds 1000000 1000000\n"])
-def test_collect_refuses_a_world_too_large_to_plan_in(text, tmp_path, capsys):
+@pytest.mark.parametrize("obstacles", [
+    pytest.param('["rect", 10, 10, 1, 1]',
+                 id="bounds 1000000 1000000\nrect 10 10 1 1\n"),
+    pytest.param("", id="bounds 1000000 1000000\n")])
+def test_collect_refuses_a_world_too_large_to_plan_in(obstacles, tmp_path,
+                                                      capsys):
     # collect builds the planning grid before any episode; this one would
     # hold 10^7 x 10^7 cells, and the room is refused before allocating
     world = tmp_path / "huge.world"
-    world.write_text("name huge\n" + text)
+    world.write_text('[world]\nname = "huge"\nwidth = 1000000\n'
+                     f"height = 1000000\nobstacles = [{obstacles}]\n")
     assert run(["collect", "--world", str(world), "--episodes", "1",
                 "--out", str(tmp_path / "d.fanav")]) == 3
     assert ("world 'huge' is too large to plan in: its planning grid would "
@@ -1157,17 +1199,21 @@ def test_a_result_naming_by_a_number_exits_four(key, pipeline_run, tmp_path,
     assert not os.path.exists(tmp_path / "cmp")
 
 
-@pytest.mark.parametrize("line", ["task 1 1 0 nan 5", "task nan 1 0 5 5",
-                                  "task 1 1 0 5 inf"])
-def test_non_finite_suite_value_exits_three(line, pipeline_run, tmp_path,
+# ids name each case in the line form suites had before TOML
+@pytest.mark.parametrize("task", [
+    pytest.param("[1, 1, 0, nan, 5]", id="task 1 1 0 nan 5"),
+    pytest.param("[nan, 1, 0, 5, 5]", id="task nan 1 0 5 5"),
+    pytest.param("[1, 1, 0, 5, inf]", id="task 1 1 0 5 inf")])
+def test_non_finite_suite_value_exits_three(task, pipeline_run, tmp_path,
                                             capsys):
     suite = tmp_path / "bad.suite"
-    suite.write_text("world sparse\nradius 0.2\nepisode t_max=120\n" + line
-                     + "\n")
+    suite.write_text('[suite]\nworld = "sparse"\nradius = 0.2\n'
+                     f"tasks = [{task}]\n[episode]\nt_max = 120\n")
     capsys.readouterr()
     assert run(eval_argv(pipeline_run, "bc", tmp_path / "e",
                          suite=str(suite))) == 3
-    assert f"{suite}:4: non-finite value" in capsys.readouterr().err
+    assert f"{suite}: suite.tasks[0] must be 5 finite numbers, got " in \
+        capsys.readouterr().err
     assert not os.path.exists(tmp_path / "e")
 
 
@@ -1179,32 +1225,37 @@ def test_suite_of_another_world_or_radius_exits_three(pipeline_run,
     assert ("suite was built for world 'sparse', got 'cluttered'"
             in capsys.readouterr().err)
     text = Path(pipeline_run, "suites", "sparse.suite").read_text()
-    head, radius, episode, tasks = text.split("\n", 3)
-    assert (head, radius) == ("world sparse", "radius 0.2")
-    assert episode.startswith("episode t_max=120 ")
+    head = '[suite]\nworld = "sparse"\nradius = 0.2\n'
+    assert text.startswith(head) and "\n[episode]\nt_max = 120\n" in text
     suite = tmp_path / "wide.suite"
-    suite.write_text(f"{head}\nradius 0.35\n{episode}\n{tasks}")
+    suite.write_text(text.replace("radius = 0.2\n", "radius = 0.35\n"))
     assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
     assert ("suite was built for robot radius 0.35, got 0.2"
             in capsys.readouterr().err)
-    # a suite from before the world and radius lines
-    suite.write_text(tasks)
+    # a suite without its world and radius
+    suite.write_text(text.replace(head, "[suite]\n"))
+    assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
+    assert f"{suite}: suite.radius is missing" in capsys.readouterr().err
+    # a suite in the line form, before TOML
+    suite.write_text("world sparse\nradius 0.2\nepisode t_max=120\n"
+                     "task 1 1 0 5 5\n")
     assert run(eval_argv(pipeline_run, "bc", edir, suite=str(suite))) == 3
     err = capsys.readouterr().err
-    assert f"{suite}:1: expected 'world ...'" in err and "re-create it" in err
+    assert f"{suite}: Expected '=' after a key" in err
+    assert err.rstrip().endswith("re-create it")
     assert not edir.exists()
 
 
-def edited_suite(pipeline_run, tmp_path, episode_line: str | None) -> str:
-    """The pipeline's sparse suite with its episode line replaced by
-    ``episode_line``, or dropped when it is None, saved under
+def edited_suite(pipeline_run, tmp_path, episode: str | None) -> str:
+    """The pipeline's sparse suite with its ``[episode]`` section holding
+    ``episode``, or without the section when it is None, saved under
     ``tmp_path``."""
-    lines = Path(pipeline_run, "suites", "sparse.suite").read_text(
-        ).splitlines(keepends=True)
-    assert lines[2].startswith("episode t_max=120 ")
-    lines[2:3] = [] if episode_line is None else [episode_line + "\n"]
+    text = Path(pipeline_run, "suites", "sparse.suite").read_text()
+    tasks, held = text.split("[episode]\n")
+    assert held.startswith("t_max = 120\n")
     path = tmp_path / "edited.suite"
-    path.write_text("".join(lines))
+    path.write_text(tasks if episode is None
+                    else f"{tasks}[episode]\n{episode}\n")
     return str(path)
 
 
@@ -1237,8 +1288,8 @@ def test_compare_refuses_results_of_another_episode(pipeline_run, tmp_path,
                                                     capsys):
     # the same tasks under a shorter horizon evaluate, but are another suite
     suite = edited_suite(pipeline_run, tmp_path,
-                         "episode t_max=40 r_success=20.0 r_collision=-20.0 "
-                         "c1=2.0 goal_radius=0.3")
+                         "t_max = 40\nr_success = 20.0\nr_collision = -20.0\n"
+                         "c1 = 2.0\ngoal_radius = 0.3")
     edir = tmp_path / "e"
     assert run(eval_argv(pipeline_run, "iql_ca", edir, suite=suite)) == 0
     assert json.loads((edir / "result.json").read_text())["suite_digest"] == \
@@ -1252,17 +1303,26 @@ def test_compare_refuses_results_of_another_episode(pipeline_run, tmp_path,
     assert not (tmp_path / "cmp").exists()
 
 
-@pytest.mark.parametrize("episode_line, message", [
-    ("episode t_max=120 speed=1.0", ":3: unknown config key episode.speed"),
-    ("episode t_max=200.5", ":3: config episode.t_max = 200.5 does not have "
-                            "the type of its default 200"),
-    ("episode t_max=true", ":3: config episode.t_max = True does not have "
-                           "the type of its default 200"),
-    (None, ":3: expected 'episode ...': a suite starts with its world, "
-           "radius and episode lines; re-create it")])
-def test_a_malformed_episode_line_exits_three(episode_line, message,
+# ids name each case in the line form suites had before TOML
+@pytest.mark.parametrize("episode, message", [
+    pytest.param("t_max = 120\nspeed = 1.0",
+                 ": unknown config key episode.speed",
+                 id="episode t_max=120 speed=1.0-:3: unknown config key "
+                    "episode.speed"),
+    pytest.param("t_max = 200.5", ": config episode.t_max = 200.5 does not "
+                 "have the type of its default 200",
+                 id="episode t_max=200.5-:3: config episode.t_max = 200.5 "
+                    "does not have the type of its default 200"),
+    pytest.param("t_max = true", ": config episode.t_max = True does not "
+                 "have the type of its default 200",
+                 id="episode t_max=true-:3: config episode.t_max = True does "
+                    "not have the type of its default 200"),
+    pytest.param(None, ": sections ['suite'], not [suite] and [episode]",
+                 id="None-:3: expected 'episode ...': a suite starts with its "
+                    "world, radius and episode lines; re-create it")])
+def test_a_malformed_episode_line_exits_three(episode, message,
                                               pipeline_run, tmp_path, capsys):
-    suite = edited_suite(pipeline_run, tmp_path, episode_line)
+    suite = edited_suite(pipeline_run, tmp_path, episode)
     capsys.readouterr()
     assert run(eval_argv(pipeline_run, "bc", tmp_path / "e",
                          suite=suite)) == 3
@@ -1407,6 +1467,11 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
     elif mutation == "t_max true, lidar_range an int":
         meta = {**meta, "episode": {**meta["episode"], "t_max": True},
                 "profile": robot_set(meta["profile"], lidar_range=6)}
+    elif mutation == "radius past the largest float":
+        meta = {**meta, "profile": robot_set(meta["profile"],
+                                             radius=10 ** 400)}
+    elif mutation == "r_success past the largest float":
+        meta = {**meta, "episode": {**meta["episode"], "r_success": 10 ** 400}}
     elif mutation == "lidar_beams a float":
         beams = meta["profile"]["robot"]["lidar_beams"]
         meta = {**meta, "profile": robot_set(meta["profile"],
@@ -1445,7 +1510,11 @@ def mutated_dataset(meta: dict, arrays: dict, mutation: str
     ("t_max true, lidar_range an int", "config episode.t_max = True does "
                                        "not have the type of its default 200"),
     ("lidar_beams a float", "config robot.lidar_beams = 16.0 does not have "
-                            "the type of its default 108")])
+                            "the type of its default 108"),
+    ("radius past the largest float", "robot.radius must fit a float, got "
+                                      "an int beyond 1.8e308"),
+    ("r_success past the largest float", "episode.r_success must fit a "
+                                         "float, got an int beyond 1.8e308")])
 def test_train_refuses_rows_that_no_episode_gives(mutation, message,
                                                   pipeline_run, tmp_path,
                                                   capsys):
@@ -1528,7 +1597,10 @@ def test_eval_refuses_a_malformed_checkpoint(pipeline_run, tmp_path, capsys):
                 # compare would table the result under such a method
                 {"config": {**config, "method": 7}},
                 {"config": {**config, "method": ["bc"]}},
-                {"profile": {**meta["profile"], "d_norm": "far"}}):
+                {"profile": {**meta["profile"], "d_norm": "far"}},
+                # an int past the largest float, which float() would not
+                # convert
+                {"profile": robot_set(meta["profile"], radius=10 ** 400)}):
         save_checkpoint(bare, sections, {**meta, **bad})
         assert eval_code(bare) == 4
         assert "malformed checkpoint metadata" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -119,9 +121,10 @@ def test_suite_roundtrip(tmp_path):
     path = str(tmp_path / "tasks.suite")
     save_suite(suite, path)
     text = Path(path).read_text()
-    assert text.startswith(f"world w8\nradius {SPEC.radius!r}\nepisode "
-                           "t_max=120 r_success=20.0 r_collision=-20.0 "
-                           "c1=2.0 goal_radius=0.25\ntask ")
+    assert text.startswith(f'[suite]\nworld = "w8"\nradius = {SPEC.radius!r}'
+                           "\ntasks = [\n    [")
+    assert text.endswith("]\n\n[episode]\nt_max = 120\nr_success = 20.0\n"
+                         "r_collision = -20.0\nc1 = 2.0\ngoal_radius = 0.25\n")
     loaded = load_suite(path)
     assert loaded.digest == suite.digest
     assert (loaded.world_name, loaded.radius) == ("w8", SPEC.radius)
@@ -131,6 +134,9 @@ def test_suite_roundtrip(tmp_path):
     assert loaded.episode == episode
     assert loaded.text() == text
     assert loaded.digest == hashlib.sha256(text.encode()).hexdigest()
+    # each task to the micrometre and microradian: six decimals
+    for task, back in zip(suite.tasks, loaded.tasks):
+        assert astuple(back) == tuple(float(f"{v:.6f}") for v in astuple(task))
 
 
 def test_a_suite_digest_covers_every_line():
@@ -146,66 +152,108 @@ def test_a_suite_digest_covers_every_line():
     assert len(digests) == 1 + len(others)
 
 
+def suite_text(tasks: str = "[1, 1, 0, 5, 5]", radius: str = "0.2",
+               episode: str = "t_max = 200\n") -> str:
+    return (f'[suite]\nworld = "w"\nradius = {radius}\ntasks = [{tasks}]\n\n'
+            f"[episode]\n{episode}")
+
+
 def test_suite_load_errors(tmp_path):
-    head = "world w\nradius 0.2\nepisode t_max=200\n"
     p = tmp_path / "bad.suite"
-    p.write_text(head + "task 1 2 3\n")
-    with pytest.raises(ConfigError, match="expected"):
+    p.write_text(suite_text("[1, 2, 3]"))
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{p}: suite.tasks[0] must be 5 finite numbers")):
         load_suite(str(p))
     p2 = tmp_path / "empty.suite"
-    for text in ("# nothing\n", head):
-        p2.write_text(text)
-        with pytest.raises(ConfigError, match="empty"):
-            load_suite(str(p2))
+    p2.write_text(suite_text(""))
+    with pytest.raises(ConfigError, match="empty"):
+        load_suite(str(p2))
+    p2.write_text("# nothing\n")
+    with pytest.raises(ConfigError, match="not \\[suite\\] and \\[episode\\]"):
+        load_suite(str(p2))
     p3 = tmp_path / "nan.suite"
-    for line in ("task 1 1 0 nan 5", "task inf 1 0 5 5", "task 1 1 1e999 5 5"):
-        p3.write_text(head + "task 1 1 0 5 5\n" + line + "\n")
-        with pytest.raises(ConfigError, match=f"{p3}:5: non-finite value"):
+    for task in ("[1, 1, 0, nan, 5]", "[inf, 1, 0, 5, 5]",
+                 "[1, 1, 1e999, 5, 5]"):
+        p3.write_text(suite_text(f"[1, 1, 0, 5, 5], {task}"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p3}: suite.tasks[1] must be 5 finite numbers, got ")):
             load_suite(str(p3))
-    p3.write_text("world w\nradius nan\nepisode t_max=200\ntask 1 1 0 5 5\n")
-    with pytest.raises(ConfigError, match=f"{p3}:2: non-finite value"):
-        load_suite(str(p3))
-    # the world, radius and episode lines come first, in that order
-    for text, lineno in (("task 1 1 0 5 5\n", 1),
-                         ("radius 0.2\nworld w\ntask 1 1 0 5 5\n", 1),
-                         ("world w\ntask 1 1 0 5 5\n", 2),
-                         ("world w x\nradius 0.2\ntask 1 1 0 5 5\n", 1),
-                         ("world w\nradius 0.2\ntask 1 1 0 5 5\n", 3),
-                         ("world w\nepisode t_max=200\nradius 0.2\n"
-                          "task 1 1 0 5 5\n", 2)):
+    # the radius is a robot's
+    for radius in ("nan", "-0.2"):
+        p3.write_text(suite_text(radius=radius))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{p3}: robot.radius must be > 0, got ")):
+            load_suite(str(p3))
+    # the suite holds its world, radius, tasks and episode, nothing else
+    for text, message in (
+            (suite_text().replace('world = "w"\n', ""),
+             "suite.world is missing"),
+            (suite_text().replace("radius = 0.2\n", ""),
+             "suite.radius is missing"),
+            (suite_text().replace("world", "room", 1),
+             "suite.room is an unknown key"),
+            (suite_text().replace('"w"', "8"), "config suite.world = 8 does "
+                                               "not have the type"),
+            (suite_text().split("\n[episode]")[0],
+             "sections ['suite'], not [suite] and [episode]"),
+            (suite_text() + "[robot]\nradius = 0.2\n",
+             "sections ['episode', 'robot', 'suite'], not [suite] and "
+             "[episode]")):
         p3.write_text(text)
-        with pytest.raises(ConfigError, match=f"{p3}:{lineno}: expected "
-                                              ".*; re-create it"):
+        with pytest.raises(ConfigError, match=re.escape(f"{p3}: {message}")):
             load_suite(str(p3))
 
 
-@pytest.mark.parametrize("line, message", [
-    ("episode t_max=200.5", "config episode.t_max = 200.5 does not have the "
-                            "type of its default 200"),
-    ("episode t_max=true", "config episode.t_max = True does not have the "
-                           "type of its default 200"),
-    ("episode speed=1.0", "unknown config key episode.speed"),
-    ("episode t_max=0", r"episode.t_max must be >= 1, got 0"),
-    ("episode c1=inf", "episode.c1 must be finite, got inf"),
-    ("episode t_max=1 t_max=2", "Duplicate inline table key 't_max'"),
-    ("episode t_max", "Expected '=' after a key"),
+def test_a_suite_in_the_line_form_is_refused_to_be_re_created(tmp_path):
+    p = tmp_path / "old.suite"
+    p.write_text("world w\nradius 0.2\nepisode t_max=200\ntask 1 1 0 5 5\n")
+    with pytest.raises(ConfigError) as exc:
+        load_suite(str(p))
+    message = str(exc.value)
+    assert message.startswith(f"{p}: ") and "(at line 1, column " in message
+    assert message.endswith("re-create it")
+
+
+# ids name each case in the line form suites had before TOML
+@pytest.mark.parametrize("episode, message", [
+    pytest.param("t_max = 200.5", "config episode.t_max = 200.5 does not have "
+                 "the type of its default 200",
+                 id="episode t_max=200.5-config episode.t_max = 200.5 does "
+                    "not have the type of its default 200"),
+    pytest.param("t_max = true", "config episode.t_max = True does not have "
+                 "the type of its default 200",
+                 id="episode t_max=true-config episode.t_max = True does not "
+                    "have the type of its default 200"),
+    pytest.param("speed = 1.0", "unknown config key episode.speed",
+                 id="episode speed=1.0-unknown config key episode.speed"),
+    pytest.param("t_max = 0", "episode.t_max must be >= 1, got 0",
+                 id="episode t_max=0-episode.t_max must be >= 1, got 0"),
+    pytest.param("c1 = inf", "episode.c1 must be finite, got inf",
+                 id="episode c1=inf-episode.c1 must be finite, got inf"),
+    pytest.param("t_max = 1\nt_max = 2",
+                 "Cannot overwrite a value (at line 8, column 10)",
+                 id="episode t_max=1 t_max=2-Duplicate inline table key "
+                    "'t_max'"),
+    pytest.param("t_max", "Expected '=' after a key in a key/value pair (at "
+                 "line 7, column 6)",
+                 id="episode t_max-Expected '=' after a key"),
 ])
-def test_a_malformed_episode_line_names_its_file_and_line(line, message,
+def test_a_malformed_episode_line_names_its_file_and_line(episode, message,
                                                           tmp_path):
     p = tmp_path / "bad.suite"
-    p.write_text(f"world w\nradius 0.2\n{line}\ntask 1 1 0 5 5\n")
-    with pytest.raises(ConfigError, match=f"^{p}:3: .*{message}"):
+    p.write_text(suite_text(episode=episode + "\n"))
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}: {message}')}"):
         load_suite(str(p))
 
 
 def test_an_episode_line_takes_defaults_for_the_keys_it_omits(tmp_path):
     p = tmp_path / "short.suite"
-    p.write_text("world w\nradius 0.2\nepisode t_max=40\ntask 1 1 0 5 5\n")
+    p.write_text(suite_text(episode="t_max = 40\n"))
     suite = load_suite(str(p))
     assert suite.episode == EpisodeConfig(t_max=40)
-    assert suite.text().splitlines()[2] == (
-        "episode t_max=40 r_success=20.0 r_collision=-20.0 c1=2.0 "
-        "goal_radius=0.3")
+    assert suite.text().endswith(
+        "[episode]\nt_max = 40\nr_success = 20.0\nr_collision = -20.0\n"
+        "c1 = 2.0\ngoal_radius = 0.3\n")
 
 
 # ---------------------------------------------------------------------------

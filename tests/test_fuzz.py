@@ -1,10 +1,12 @@
 """A seeded mutation fuzz of every input format the CLI reads.
 
 Each case changes one value of a valid input: a token of a world or suite
-file, one setting of a config file, one value of a ``result.json``, and
-one header value or array element of a dataset or checkpoint, rewritten
-through :func:`fanav.binio.write` so that the checksums hold and the reader
-itself must judge the value. The command that reads the input then runs in
+file, or in half of their cases one value of the file's TOML tree (an
+obstacle's kind or number, a task's number, the radius or an ``[episode]``
+value), written back as TOML so that the reader itself must judge it; one
+setting of a config file, one value of a ``result.json``, and one header
+value or array element of a dataset or checkpoint, rewritten through
+:func:`fanav.binio.write` so that the checksums hold. The command that reads the input then runs in
 this process on one lane: ``collect --episodes 1`` (worlds, configs),
 ``train --set trainer.total_steps=3`` (datasets, configs), ``eval``
 (checkpoints, suites) and ``compare`` (results). Every case must end
@@ -30,7 +32,7 @@ import pytest
 
 from fanav import binio, lanes
 from fanav.cli import DEFAULT_CONFIG, main
-from fanav.configfile import format_scalar
+from fanav.configfile import format_config, format_value, parse_config
 from fanav.evaluation import make_suite, save_suite
 from fanav.sim import EpisodeConfig, RobotSpec, format_world
 from fanav.worldgen import generate_world
@@ -40,7 +42,8 @@ CASES = 64  # per format
 CASE_SECONDS = 3.0
 EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
-# what a mutated value becomes in a JSON header, a result or a config file
+# what a mutated value becomes in a JSON header, a result, a config file or
+# the TOML tree of a world or suite file
 VALUES = (-1, 0, 0.5, 2, 2.0, -1e-9, math.inf, -math.inf, math.nan, "x",
           "", [], {}, [1, 2], True, None)
 # what a mutated token of a world or suite file becomes
@@ -135,15 +138,28 @@ def mutate_binary(rng, src: str, dst: str, kind: str) -> None:
 
 
 def toml_value(value) -> str:
-    if value is None:
-        return ""  # a key with no value
-    if isinstance(value, float) and not math.isfinite(value):
-        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
-    if isinstance(value, dict):
-        return "{}"
-    if isinstance(value, list):
-        return "[" + ", ".join(map(str, value)) + "]"
-    return format_scalar(value)
+    return "" if value is None else format_value(value)  # None: no value
+
+
+def mutate_file(rng, text: str, leaf) -> str:
+    """``text`` with one token changed (:func:`mutate_text`), or, by a coin,
+    one value of its TOML tree at a path ``leaf`` accepts replaced by one of
+    :data:`VALUES` and the tree written back as TOML."""
+    if rng.integers(2):
+        return mutate_text(rng, text)
+    tree = parse_config(text)
+    path = pick(rng, [path for path in nodes(tree) if leaf(path)])
+    return format_config(replaced(tree, path, pick(rng, VALUES)))
+
+
+def obstacle_value(path) -> bool:
+    return path[:2] == ("world", "obstacles") and len(path) == 4
+
+
+def suite_value(path) -> bool:
+    return (path[:2] == ("suite", "tasks") and len(path) == 4
+            or path == ("suite", "radius")
+            or path[0] == "episode" and len(path) == 2)
 
 
 @pytest.fixture(scope="module")
@@ -199,13 +215,13 @@ def cases(base, root):
 
         path = str(root / f"w{i}.world")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(mutate_text(rng, world_text))
+            fh.write(mutate_file(rng, world_text, obstacle_value))
         yield f"world {i}", ["collect", "--world", path, "--episodes", "1",
                              "--out", out + ".fanav", *COLLECT_SETS]
 
         path = str(root / f"s{i}.suite")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(mutate_text(rng, suite_text))
+            fh.write(mutate_file(rng, suite_text, suite_value))
         yield f"suite {i}", eval_argv(base, base["checkpoint"], path,
                                       out + "-suite")
 

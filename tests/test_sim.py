@@ -1,8 +1,10 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from fanav.configfile import format_value
 from fanav.data import EncoderProfile, build_dataset
 from fanav.errors import (
     ConfigError,
@@ -438,6 +440,12 @@ def test_determinism_bitwise():
 # world files
 # ---------------------------------------------------------------------------
 
+def room(obstacles: str = "", head: str = "width = 10.0\nheight = 10.0\n"
+         ) -> str:
+    """A world file's text: ``head``, then ``obstacles``' entries."""
+    return f"[world]\n{head}obstacles = [{obstacles}]\n"
+
+
 def test_world_file_roundtrip(tmp_path):
     world = World(10, 8, (Rect(1, 2, 0.5, 3), Circle(5, 5, 0.4)), name="demo")
     path = tmp_path / "demo.world"
@@ -446,29 +454,64 @@ def test_world_file_roundtrip(tmp_path):
     loaded = load_world(str(path))
     assert loaded == world
     assert format_world(loaded) == text
+    assert text == ('[world]\nname = "demo"\nwidth = 10.0\nheight = 8.0\n'
+                    'obstacles = [\n    ["rect", 1.0, 2.0, 0.5, 3.0],\n'
+                    '    ["circle", 5.0, 5.0, 0.4],\n]\n')
+
+
+@pytest.mark.parametrize("name", ["cluttered", "sparse", "dense"])
+def test_a_bundled_world_file_is_what_format_world_writes(name):
+    ref = resources.files("fanav").joinpath("worlds", f"{name}.world")
+    text = ref.read_text(encoding="utf-8")
+    world = parse_world(text, source=str(ref))
+    assert world.name == name
+    assert format_world(world) == text
 
 
 def test_world_file_errors():
-    with pytest.raises(WorldFormatError, match="missing bounds"):
-        parse_world("rect 1 1 1 1\n")
-    with pytest.raises(WorldFormatError, match=":2:"):
-        parse_world("bounds 5 5\nrect 1 1 1\n")
-    with pytest.raises(WorldFormatError, match="non-numeric"):
-        parse_world("bounds 5 x\n")
-    with pytest.raises(WorldFormatError, match="unknown directive"):
-        parse_world("bounds 5 5\ntriangle 1 2 3\n")
-    with pytest.raises(WorldFormatError, match="duplicate bounds"):
-        parse_world("bounds 5 5\nbounds 4 4\n")
+    with pytest.raises(WorldFormatError, match="world.width is missing"):
+        parse_world(room(head="height = 5.0\n"))
+    with pytest.raises(WorldFormatError, match="unknown key"):
+        parse_world(room(head="width = 5.0\nheight = 5.0\ndepth = 1.0\n"))
+    with pytest.raises(WorldFormatError, match="not one \\[world\\]"):
+        parse_world(room() + "[robot]\nradius = 0.2\n")
+    with pytest.raises(WorldFormatError, match="not one \\[world\\]"):
+        parse_world("")
+    with pytest.raises(WorldFormatError, match=r"obstacles\[1\] must be 4 "):
+        parse_world(room('["circle", 1, 1, 0.5], ["rect", 1, 1, 1]'))
+    with pytest.raises(WorldFormatError, match=r"obstacles\[0\] must be \["):
+        parse_world(room('["triangle", 1, 2, 3]'))
+    with pytest.raises(WorldFormatError, match="Cannot overwrite a value"):
+        parse_world(room(head="width = 5.0\nwidth = 4.0\nheight = 5.0\n"))
 
 
+# ids name each case in the line form world files had before TOML
 @pytest.mark.parametrize("text, message", [
-    ("name a b\nbounds 5 5\n", "t.world:1: name takes exactly one identifier"),
-    ("bounds 5\n", "t.world:1: bounds takes width and height"),
-    ("bounds 5 5\nrect 1 1 0 1\n", "t.world:2: rect size must be positive"),
-    ("bounds 5 5\ncircle 1 1\n", "t.world:2: circle takes cx cy r"),
-    ("bounds 5 5\ncircle 1 1 0\n",
-     "t.world:2: circle radius must be positive"),
-    ("bounds -5 5\n", "t.world: world bounds must be strictly positive")])
+    pytest.param(room(head='name = "a b"\nwidth = 5.0\nheight = 5.0\n'),
+                 "t.world: world name 'a b' names files: it must be "
+                 "printable, without whitespace, / or \\, and not empty, . or "
+                 "..",
+                 id="name a b\nbounds 5 5\n-t.world:1: name takes exactly one "
+                    "identifier"),
+    pytest.param(room(head="width = 5.0\n"), "t.world: world.height is "
+                 "missing", id="bounds 5\n-t.world:1: bounds takes width and "
+                               "height"),
+    pytest.param(room('["rect", 1, 1, 0, 1]'),
+                 "t.world: obstacle 0 has a size not above 0",
+                 id="bounds 5 5\nrect 1 1 0 1\n-t.world:2: rect size must be "
+                    "positive"),
+    pytest.param(room('["circle", 1, 1]'), "t.world: world.obstacles[0] must "
+                 "be 3 finite numbers, got [1, 1]",
+                 id="bounds 5 5\ncircle 1 1\n-t.world:2: circle takes cx cy "
+                    "r"),
+    pytest.param(room('["circle", 1, 1, 0]'),
+                 "t.world: obstacle 0 has a size not above 0",
+                 id="bounds 5 5\ncircle 1 1 0\n-t.world:2: circle radius must "
+                    "be positive"),
+    pytest.param(room(head="width = -5.0\nheight = 5.0\n"),
+                 "t.world: world bounds must be strictly positive",
+                 id="bounds -5 5\n-t.world: world bounds must be strictly "
+                    "positive")])
 def test_world_file_refuses_each_malformed_line(text, message):
     with pytest.raises(WorldFormatError) as exc:
         parse_world(text, source="t.world")
@@ -476,20 +519,72 @@ def test_world_file_refuses_each_malformed_line(text, message):
 
 
 def test_world_file_without_a_name_takes_its_stem():
-    assert parse_world("bounds 5 5\n", source="/x/room.world").name == "room"
-    assert parse_world("bounds 5 5\n").name == "world"
+    assert parse_world(room(), source="/x/room.world").name == "room"
+    assert parse_world(room()).name == "world"
 
 
-@pytest.mark.parametrize("text, lineno", [
-    ("bounds inf 10\n", 1), ("bounds 10 1e999\n", 1), ("bounds nan 10\n", 1),
-    ("bounds 10 10\nrect 1 1 inf 1\n", 2),
-    ("bounds 10 10\nrect nan 1 1 1\n", 2),
-    ("bounds 10 10\ncircle 5 5 inf\n", 2),
-    ("bounds 10 10\ncircle 5 -inf 1\n", 2)])
-def test_world_file_refuses_non_finite_values(text, lineno):
+@pytest.mark.parametrize("text, entry", [
+    pytest.param(room(head="width = inf\nheight = 10.0\n"), "world bounds",
+                 id="bounds inf 10\n-1"),
+    pytest.param(room(head="width = 10.0\nheight = 1e999\n"), "world bounds",
+                 id="bounds 10 1e999\n-1"),
+    pytest.param(room(head="width = nan\nheight = 10.0\n"), "world bounds",
+                 id="bounds nan 10\n-1"),
+    pytest.param(room('["rect", 1, 1, inf, 1]'), r"world.obstacles\[0\]",
+                 id="bounds 10 10\nrect 1 1 inf 1\n-2"),
+    pytest.param(room('["rect", nan, 1, 1, 1]'), r"world.obstacles\[0\]",
+                 id="bounds 10 10\nrect nan 1 1 1\n-2"),
+    pytest.param(room('["circle", 5, 5, inf]'), r"world.obstacles\[0\]",
+                 id="bounds 10 10\ncircle 5 5 inf\n-2"),
+    pytest.param(room('["circle", 5, -inf, 1]'), r"world.obstacles\[0\]",
+                 id="bounds 10 10\ncircle 5 -inf 1\n-2")])
+def test_world_file_refuses_non_finite_values(text, entry):
     with pytest.raises(WorldFormatError,
-                       match=rf"^room\.world:{lineno}: non-finite value"):
+                       match=rf"^room\.world: {entry} must be \S*\s?finite"):
         parse_world(text, source="room.world")
+
+
+@pytest.mark.parametrize("value", ["true", '"3"', "[1.0]", "1" + "0" * 400])
+def test_world_file_refuses_a_number_of_another_type(value):
+    # an int becomes a float, but a bool, a string, a list or an int past
+    # the largest float is refused, naming the entry
+    for text in (room(head=f"width = {value}\nheight = 10.0\n"),
+                 room(f'["circle", 5, 5, {value}]')):
+        with pytest.raises(WorldFormatError) as exc:
+            parse_world(text, source="w.world")
+        assert str(exc.value).startswith("w.world: ")
+        assert ("world.width" in str(exc.value)
+                or "world.obstacles[0]" in str(exc.value))
+
+
+@pytest.mark.parametrize("text", [
+    "name cluttered\nbounds 10 10\ncircle 5 5 0.5\n",
+    "# a room\nbounds 10 10\nrect 1 1 2 2\n"])
+def test_a_world_file_in_the_line_form_points_to_the_toml_form(text):
+    with pytest.raises(WorldFormatError) as exc:
+        parse_world(text, source="old.world")
+    assert str(exc.value).startswith("old.world: ")
+    assert "(at line " in str(exc.value)
+    assert str(exc.value).endswith("a world file is TOML, as README shows")
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b",
+                                  "a b", "a\tb", "a\x00b", "a\u2028b"])
+def test_a_world_name_that_is_no_file_name_is_refused(name):
+    with pytest.raises(ConfigError, match="names files"):
+        World(5.0, 5.0, name=name)
+    text = room(head=f"name = {format_value(name)}\nwidth = 5.0\n"
+                     "height = 5.0\n")
+    with pytest.raises(WorldFormatError, match="^w.world: world name"):
+        parse_world(text, source="w.world")
+
+
+def test_world_refuses_an_obstacle_of_no_size():
+    # so a world built in code saves to a file its reader takes back
+    for ob in (Rect(3.0, 1.0, -1.0, 1.0), Rect(1.0, 1.0, 1.0, 0.0),
+               Circle(5.0, 5.0, -0.5)):
+        with pytest.raises(ConfigError, match="obstacle 0 has a size not "):
+            World(10.0, 10.0, (ob,))
 
 
 def test_world_refuses_non_finite_values():
@@ -503,6 +598,11 @@ def test_world_refuses_non_finite_values():
 
 
 def test_world_file_comments_and_name():
-    w = parse_world("# room\nname foo\nbounds 5 5  # size\ncircle 2 2 0.3\n")
+    w = parse_world('# room\n[world]\nname = "foo"\nwidth = 5  # size\n'
+                    'height = 5\nobstacles = [\n  ["circle", 2, 2, 0.3],  '
+                    '# a post\n]\n')
     assert w.name == "foo"
     assert len(w.obstacles) == 1
+    # an int is a float
+    assert (w.width, w.obstacles[0]) == (5.0, Circle(2.0, 2.0, 0.3))
+    assert type(w.width) is float and type(w.obstacles[0].cx) is float
