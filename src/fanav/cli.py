@@ -30,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .configfile import (ConfigTree, Settings, format_config,
+from .configfile import (ConfigTree, RunConfig, Settings, format_config,
                          format_value, load_config, merge_tree, parse_config,
                          setting)
 from .data import (
@@ -41,7 +41,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, FanavError
+from .errors import ConfigError, FanavError, InvalidPoseError
 from .evaluation import (
     EvalConfig,
     EvalResult,
@@ -64,12 +64,6 @@ from .trainers import METHODS, TrainerConfig, TrainResult, train
 from .worldgen import generate_world
 
 BUNDLED_WORLDS = ("cluttered", "sparse", "dense")
-
-
-class RunConfig(Settings, section="run"):
-    """``[run]``: the seed every stage derives its random streams from."""
-
-    seed: int = setting(0, ">= 0")
 
 
 class PipelineConfig(Settings, section="pipeline"):
@@ -407,8 +401,11 @@ def cmd_eval(args) -> ConfigTree:
         (args.checkpoint, policy.profile.robot),
         (args.suite, suite.episode)])
     world = resolve_world(args.world)
-    res = eval_stage(policy, world, suite, tree["eval"], tree["run"]["seed"],
-                     args.out_dir)
+    try:
+        res = eval_stage(policy, world, suite, tree["eval"],
+                         tree["run"]["seed"], args.out_dir)
+    except InvalidPoseError as exc:  # a task the world does not admit
+        raise InvalidPoseError(f"{args.suite}: {exc}") from None
     print(f"{policy.name} on {world.name}: SR {res.sr:.2f} ± {res.sr_std:.2f}"
           f"  CR {res.cr:.2f} ± {res.cr_std:.2f}"
           f"  TR {res.tr:.2f} ± {res.tr_std:.2f}")

@@ -187,3 +187,9 @@ class Settings:
             raise ConfigError("unknown config key "
                               f"{cls.section}.{min(unknown)}")
         return cls(**d)
+
+
+class RunConfig(Settings, section="run"):
+    """``[run]``: the seed every stage derives its random streams from."""
+
+    seed: int = setting(0, ">= 0")

@@ -19,7 +19,7 @@ class ConfigError(FanavError):
 class ProtocolError(FanavError):
     """Inputs that do not belong together: a task suite evaluated in another
     world or with another robot radius, results compared over different
-    worlds or suites, a collision row in a policy loss's batch, or a
+    worlds, suites, rooms, seeds or start jitters, a collision row in a policy loss's batch, or a
     partition saved whose last row ends no trajectory."""
 
 

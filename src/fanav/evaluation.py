@@ -5,7 +5,8 @@ so every method is scored on identical tasks by identical rules. Each
 trial re-runs the suite with a small collision-checked start-pose jitter;
 rates are averaged over trials (mean and population standard deviation).
 Success, collision and timeout counts partition the task set, so the three
-rates sum to 100 percent, up to the rounding of each.
+rates sum to 100 percent, up to the rounding of each. A ``result.json``
+holds the outcomes and what decided them, and no figure derived from them.
 """
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import (ConfigError, DataFormatError, NoPathError, ProtocolError,
-                     ShapeError)
-from .configfile import (Settings, format_config, parse_config, setting,
-                         typed_numbers, typed_section)
+from .errors import (ConfigError, DataFormatError, InvalidPoseError,
+                     NoPathError, ProtocolError, ShapeError)
+from .configfile import (RunConfig, Settings, format_config, parse_config,
+                         setting, typed_numbers, typed_section)
 from .data import EncoderProfile, encode_state
 from .expert import plan_path
 from .nets import GaussianPolicyHead, Mlp, load_checkpoint
@@ -34,6 +35,7 @@ from .sim import (
     Pose,
     RobotSpec,
     World,
+    format_world,
     sample_task,
     simulate,
 )
@@ -230,23 +232,19 @@ def _jittered_start(world: World, spec: RobotSpec, task: Task, trial: int,
 class EvalResult:
     """Suite metrics for one policy on one world.
 
-    The outcome matrix is the record: the counts, the per-trial rates and
-    their summaries are computed from it on each access.
+    The record is the outcome matrix and what decided its episodes; the
+    per-trial rates and their summaries are computed from it on each access.
     """
 
     world_name: str
     suite_digest: str
     method: str
     outcomes: list[list[str]]            # [trial][task]
+    world_digest: str = ""
+    seed: int = RunConfig.seed
+    jitter_pos: float = EvalConfig.jitter_pos
+    jitter_heading: float = EvalConfig.jitter_heading
     trajectories: list[np.ndarray] = field(default_factory=list, repr=False)
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.outcomes[0])
-
-    @property
-    def n_trials(self) -> int:
-        return len(self.outcomes)
 
     def _rates(self, label: str) -> list[float]:
         return [100.0 * row.count(label) / len(row) for row in self.outcomes]
@@ -288,54 +286,47 @@ class EvalResult:
     def tr_std(self) -> float:
         return float(np.std(self.tr_trials))
 
-    def to_dict(self) -> dict:
-        return {"world": self.world_name, "suite_digest": self.suite_digest,
-                "method": self.method, "n_tasks": self.n_tasks,
-                "n_trials": self.n_trials, "outcomes": self.outcomes,
-                "sr_trials": self.sr_trials, "cr_trials": self.cr_trials,
-                "tr_trials": self.tr_trials,
-                "sr": self.sr, "cr": self.cr, "tr": self.tr,
-                "sr_std": self.sr_std, "cr_std": self.cr_std,
-                "tr_std": self.tr_std}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
-        return cls(d["world"], d["suite_digest"], d["method"], d["outcomes"])
-
 
 def save_eval_result(result: EvalResult, path: str) -> None:
+    record = {"world": result.world_name, "world_digest": result.world_digest,
+              "suite_digest": result.suite_digest, "method": result.method,
+              "seed": result.seed, "jitter_pos": result.jitter_pos,
+              "jitter_heading": result.jitter_heading,
+              "outcomes": result.outcomes}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_eval_result(path: str) -> EvalResult:
-    """Read a ``result.json``; a file that is not JSON, lacks a field, holds
-    a world, suite digest or method that is not a string, an empty, ragged
-    or unknown outcome, or stores a count or rate other than its outcomes
-    give is a :class:`DataFormatError`."""
+    """Read a ``result.json``: the keys :func:`save_eval_result` writes,
+    typed by the config type rule, the seed and jitter within their
+    sections' bounds, and a non-empty, rectangular matrix of known outcomes.
+    Any other file, as one of an earlier layout, is a
+    :class:`DataFormatError` naming ``path`` and saying to re-run eval."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-        res = EvalResult.from_dict(d)
-        if not all(isinstance(name, str) for name in
-                   (res.world_name, res.suite_digest, res.method)):
-            raise TypeError("world, suite_digest and method must be strings")
-        rows = res.outcomes
-        if not rows or any(not row or len(row) != len(rows[0])
-                           for row in rows):
-            raise ValueError("outcome rows are empty or of unequal lengths")
+        if not isinstance(d, dict):
+            raise ConfigError(f"a JSON {type(d).__name__}, not an object")
+        r = typed_section({"result": d}, "result", world="", world_digest="",
+                          suite_digest="", method="", seed=0, jitter_pos=0.0,
+                          jitter_heading=0.0, outcomes=[])
+        RunConfig(seed=r["seed"])  # bound checks
+        EvalConfig(jitter_pos=r["jitter_pos"],
+                   jitter_heading=r["jitter_heading"])
+        rows = r["outcomes"]
+        if not rows or any(not isinstance(row, list) or not row
+                           or len(row) != len(rows[0]) for row in rows):
+            raise ConfigError("outcome rows are empty or of unequal lengths")
         unknown = {o for row in rows for o in row} - set(OUTCOMES)
         if unknown:
-            raise ValueError(f"outcomes {sorted(unknown)} are not in "
-                             f"{OUTCOMES}")
-        if res.to_dict() != d:
-            raise ValueError("stored fields differ from what its outcomes "
-                             "give")
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise DataFormatError(f"{path}: malformed evaluation result "
-                              f"({exc!r})") from exc
-    return res
+            raise ConfigError(f"outcomes {sorted(unknown)} are not in "
+                              f"{OUTCOMES}")
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed evaluation result ({exc}); "
+                              "re-run fanav eval to write it anew") from None
+    return EvalResult(r.pop("world"), **r)
 
 
 def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
@@ -345,10 +336,12 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
                    method: str | None = None) -> EvalResult:
     """Score a policy on every task of a suite across jittered trials.
 
-    The first trial's trajectories are kept for :func:`export_trajectories`.
+    A task whose start or goal :meth:`World.pose_fault` faults is refused
+    before the first rollout. The first trial's trajectories are kept for
+    :func:`export_trajectories`.
     """
-    EvalConfig(n_trials=n_trials, jitter_pos=jitter[0],
-               jitter_heading=jitter[1])  # bound checks
+    ecfg = EvalConfig(n_trials=n_trials, jitter_pos=jitter[0],
+                      jitter_heading=jitter[1])  # bound checks
     if not suite.tasks:
         raise ConfigError("empty task suite")
     if suite.world_name != world.name:
@@ -357,6 +350,11 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
     if suite.radius != spec.radius:
         raise ProtocolError(f"suite was built for robot radius "
                             f"{suite.radius!r}, got {spec.radius!r}")
+    for i, task in enumerate(suite.tasks):
+        for end, point in (("start", (task.sx, task.sy)), ("goal", task.goal)):
+            if fault := world.pose_fault(*point, spec.radius):
+                raise InvalidPoseError(f"suite.tasks[{i}] {end} {point} "
+                                       f"{fault}")
     outcomes: list[list[str]] = []
     trajectories: list[np.ndarray] = []
     for trial in range(n_trials):
@@ -369,9 +367,11 @@ def evaluate_suite(policy, world: World, spec: RobotSpec, suite: TaskSuite,
             if trial == 0:
                 trajectories.append(traj)
         outcomes.append(row)
+    world_digest = hashlib.sha256(format_world(world).encode()).hexdigest()
     return EvalResult(world.name, suite.digest,
-                      method or getattr(policy, "name", "policy"),
-                      outcomes, trajectories)
+                      method or getattr(policy, "name", "policy"), outcomes,
+                      world_digest, seed, ecfg.jitter_pos, ecfg.jitter_heading,
+                      trajectories)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +472,10 @@ def render_overlay_svg(result: EvalResult, suite: TaskSuite,
 # ---------------------------------------------------------------------------
 
 _FIGURES = ("sr", "sr_std", "cr", "cr_std", "tr", "tr_std")
+# what decides a result's episodes besides its policy, by field
+_DECIDERS = {"suite_digest": "task suite", "world_digest": "room",
+             "seed": "seed", "jitter_pos": "jitter",
+             "jitter_heading": "jitter"}
 
 
 def compare(results: dict[str, list[EvalResult]]
@@ -479,28 +483,30 @@ def compare(results: dict[str, list[EvalResult]]
     """Aggregate per-method results over worlds into a comparison table.
 
     ``results`` maps method name to its per-world results. All methods must
-    cover the same worlds, each once, with identical suites. Returns (rows,
-    csv text, aligned text table); the overall row per method is the
+    cover the same worlds, each once, and on each world share the first
+    method's suite, room, seed and jitter, so their episodes pair. Returns
+    (rows, csv text, aligned text table); the overall row per method is the
     arithmetic mean across worlds.
     """
     if not results:
         raise ConfigError("no results to compare")
-    ref = next(iter(results.values()))
+    ref_method, ref = next(iter(results.items()))
     world_order = [r.world_name for r in ref]
     if len(set(world_order)) != len(world_order):
         raise ProtocolError(f"a world appears twice in {world_order}")
-    digests = [r.suite_digest for r in ref]
     table: dict[str, list[dict]] = {}  # method -> its worlds' rows, overall
     for m, rs in results.items():
         if not rs:
             raise ConfigError(f"method '{m}' has no results to compare")
         if [r.world_name for r in rs] != world_order:
             raise ProtocolError(f"method '{m}' covers different worlds")
-        for r, digest in zip(rs, digests):
-            if r.suite_digest != digest:
-                raise ProtocolError(
-                    f"method '{m}' world '{r.world_name}' used a different "
-                    "task suite")
+        for r, first in zip(rs, ref):
+            for key, what in _DECIDERS.items():
+                if getattr(r, key) != getattr(first, key):
+                    raise ProtocolError(
+                        f"method '{m}' world '{r.world_name}' used a "
+                        f"different {what}: {key} {getattr(r, key)!r} where "
+                        f"method '{ref_method}' has {getattr(first, key)!r}")
         per_world = [{"method": m, "world": r.world_name,
                       **{k: getattr(r, k) for k in _FIGURES}} for r in rs]
         table[m] = per_world + [{

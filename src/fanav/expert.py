@@ -237,13 +237,11 @@ def plan_path(world: World, start: tuple[float, float],
     keeps 0.9 times that clearance, a little less than the grid's.
     """
     inflate = robot_radius + inflation
+    # endpoints must be legal robot positions; the extra margin is a
+    # planning preference, handled by snapping to the nearest free cell
     for label, (px, py) in (("start", start), ("goal", goal)):
-        if not world.contains(px, py):
-            raise ConfigError(f"{label} outside world bounds")
-        # endpoints must be legal robot positions; the extra margin is a
-        # planning preference, handled by snapping to the nearest free cell
-        if world.clearance(px, py) < robot_radius:
-            raise ConfigError(f"{label} inside an obstacle at robot radius")
+        if fault := world.pose_fault(px, py, robot_radius):
+            raise ConfigError(f"{label} {fault}")
 
     if _segment_clear(world, start[0], start[1], goal[0], goal[1], inflate):
         return [tuple(map(float, start)), tuple(map(float, goal))]

@@ -141,6 +141,16 @@ class World:
             d = min(d, point_shape_distance(ob, x, y))
         return d
 
+    def pose_fault(self, x: float, y: float, radius: float) -> str | None:
+        """Why a robot of ``radius`` cannot stand at (x, y): it is outside
+        the room or nearer than ``radius`` to an obstacle or wall. None if
+        it can: this is the rule for an episode's start and a path's ends."""
+        if not self.contains(x, y):
+            return "is outside the room"
+        if self.clearance(x, y) < radius:
+            return "is within a robot radius of an obstacle or wall"
+        return None
+
 
 class RobotSpec(Settings, section="robot"):
     """Physical robot and sensor parameters."""
@@ -303,13 +313,11 @@ def simulate(world: World, spec: RobotSpec, cfg: EpisodeConfig, start: Pose,
 
     Returns the terminal label, the T+1 observations, each after the first
     ending with the clamped command, and the T+1 (x, y, heading) poses. A
-    start outside the room or within one radius of an obstacle is an
-    :class:`InvalidPoseError`, raised before ``act`` is called.
+    start outside the room or within one radius of an obstacle or wall is
+    an :class:`InvalidPoseError`, raised before ``act`` is called.
     """
-    if not world.contains(start.x, start.y):
-        raise InvalidPoseError("start pose outside world bounds")
-    if world.clearance(start.x, start.y) < spec.radius:
-        raise InvalidPoseError("start pose collides with an obstacle")
+    if fault := world.pose_fault(start.x, start.y, spec.radius):
+        raise InvalidPoseError(f"start pose {fault}")
     goal = (float(goal[0]), float(goal[1]))
     pose, terminal = start, NONE
     obs = [observe(world, spec, start, goal)]

@@ -66,7 +66,7 @@ def test_readme_quick_start_runs_at_toy_size(monkeypatch, capsys):
     assert ns["actions"].shape == (8, 2)
     assert ns["v_col"].shape == (8,)
     result = ns["result"]
-    assert len(ns["suite"]) == 2 and result.n_trials == 3
+    assert len(ns["suite"]) == 2 and len(result.outcomes) == 3
     assert result.sr + result.cr + result.tr == 100.0
     assert capsys.readouterr().out.strip()
 

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 import tomllib
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from fanav.cli import (
 )
 from fanav.data import load_dataset
 from fanav.errors import NumericError
-from fanav.evaluation import load_suite
+from fanav.evaluation import load_suite, save_suite
 from fanav.nets import (GaussianPolicyHead, Mlp, load_checkpoint,
                         save_checkpoint)
 from fanav.sim import RobotSpec, load_world
@@ -1155,18 +1155,28 @@ def test_result_json_round_trips_and_malformed_ones_exit_four(
     assert Path(again).read_bytes() == Path(good).read_bytes()
 
     d = json.loads(Path(good).read_text())
-    n = d["n_tasks"]
+    n_trials, n = len(d["outcomes"]), len(d["outcomes"][0])
+    res = load_eval_result(good)
+    # the layout of earlier versions: the record plus eleven figures
+    # derived from its outcomes, without the room digest, seed and jitter
+    earlier = {"world": d["world"], "suite_digest": d["suite_digest"],
+               "method": d["method"], "outcomes": d["outcomes"],
+               "n_tasks": n, "n_trials": n_trials,
+               **{k: getattr(res, k) for k in (
+                   "sr_trials", "cr_trials", "tr_trials", "sr", "cr", "tr",
+                   "sr_std", "cr_std", "tr_std")}}
     bad_dicts = [
         {k: v for k, v in d.items() if k != "suite_digest"},
         {**d, "outcomes": []},
-        {**d, "outcomes": [[]] * d["n_trials"]},
+        {**d, "outcomes": [[]] * n_trials},
         {**d, "outcomes": [["success"] * n, ["success"] * (n - 1)]},
-        {**d, "outcomes": [["crashed"] * n] * d["n_trials"]},
-        {**d, "outcomes": [[1] * n] * d["n_trials"]},
-        {**d, "sr": d["sr"] + 1.0},
+        {**d, "outcomes": [["crashed"] * n] * n_trials},
+        {**d, "outcomes": [[1] * n] * n_trials},
+        {**d, "sr": res.sr + 1.0},
         {**d, "n_tasks": n + 1},
-        {**d, "tr_trials": [0.5] * d["n_trials"]},
+        {**d, "tr_trials": [0.5] * n_trials},
         [d],
+        earlier,
     ]
     texts = [json.dumps(b) for b in bad_dicts] + ["{not json", ""]
     rdir = tmp_path / "r"
@@ -1179,6 +1189,7 @@ def test_result_json_round_trips_and_malformed_ones_exit_four(
         err = capsys.readouterr().err
         assert err.startswith(f"error: {rdir / 'result.json'}: malformed "
                               "evaluation result"), err
+        assert err.endswith("re-run fanav eval to write it anew\n"), err
     assert not os.path.exists(tmp_path / "cmp")
 
 
@@ -1301,6 +1312,89 @@ def test_compare_refuses_results_of_another_episode(pipeline_run, tmp_path,
     assert ("method 'iql_ca' world 'sparse' used a different task suite"
             in capsys.readouterr().err)
     assert not (tmp_path / "cmp").exists()
+
+
+def compare_with_bc(pipeline_run, tmp_path, edir) -> int:
+    """``fanav compare`` of the pipeline's bc result on sparse and
+    ``edir``'s, into ``tmp_path``/cmp."""
+    return run(["compare", "--results",
+                os.path.join(pipeline_run, "eval", "bc", "sparse"), str(edir),
+                "--out-dir", str(tmp_path / "cmp")])
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param([], None, id="paired"),
+    pytest.param(["--seed", "6"],
+                 "used a different seed: seed 6 where method 'bc' has 5",
+                 id="seed"),
+    pytest.param(["--set", "eval.jitter_pos=0.05"],
+                 "used a different jitter: jitter_pos 0.05 where "
+                 "method 'bc' has 0.1", id="jitter_pos"),
+    pytest.param(["--set", "eval.jitter_heading=0.2"],
+                 "used a different jitter: jitter_heading 0.2 where "
+                 "method 'bc' has 0.1", id="jitter_heading"),
+])
+def test_compare_refuses_results_whose_starts_differ(extra, message,
+                                                     pipeline_run, tmp_path,
+                                                     capsys):
+    # the same suite under another seed or jitter starts each task
+    # elsewhere, so its episodes pair with none of bc's
+    edir = tmp_path / "e"
+    assert run(eval_argv(pipeline_run, "iql_ca", edir,
+                         "--set", "eval.n_trials=2", *extra)) == 0
+    capsys.readouterr()
+    if message is None:
+        assert compare_with_bc(pipeline_run, tmp_path, edir) == 0
+        return
+    assert compare_with_bc(pipeline_run, tmp_path, edir) == 3
+    assert (f"method 'iql_ca' world 'sparse' {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "cmp").exists()
+
+
+def test_compare_refuses_a_result_scored_in_another_room(pipeline_run,
+                                                         tmp_path, capsys):
+    # an empty room of sparse's size and name passes eval's name check
+    room = str(tmp_path / "room.world")
+    assert run(["gen-world", "--width", "8", "--height", "8", "--density",
+                "0", "--name", "sparse", "--out", room]) == 0
+    edir = tmp_path / "e"
+    assert run(eval_argv(pipeline_run, "iql_ca", edir,
+                         "--set", "eval.n_trials=2", world=room)) == 0
+    capsys.readouterr()
+    assert compare_with_bc(pipeline_run, tmp_path, edir) == 3
+    assert ("method 'iql_ca' world 'sparse' used a different room: "
+            "world_digest" in capsys.readouterr().err)
+    assert not (tmp_path / "cmp").exists()
+
+
+# sparse's first circle has its centre at (5.38, 1.298)
+@pytest.mark.parametrize("moved, message", [
+    pytest.param({"sx": 5.38, "sy": 1.298},
+                 "start (5.38, 1.298) is within a robot radius of an "
+                 "obstacle or wall", id="start-in-an-obstacle"),
+    pytest.param({"gx": 5.38, "gy": 1.298},
+                 "goal (5.38, 1.298) is within a robot radius of an "
+                 "obstacle or wall", id="goal-in-an-obstacle"),
+    pytest.param({"sx": -1.0, "sy": 2.0},
+                 "start (-1.0, 2.0) is outside the room",
+                 id="start-outside-the-room"),
+])
+def test_eval_refuses_a_task_the_room_does_not_admit(moved, message,
+                                                     pipeline_run, tmp_path,
+                                                     capsys):
+    # such a start failed in the first rollout, naming neither the suite
+    # nor the task, and such a goal was scored as an ordinary failure
+    suite = load_suite(os.path.join(pipeline_run, "suites", "sparse.suite"))
+    suite.tasks[0] = replace(suite.tasks[0], **moved)
+    path = str(tmp_path / "moved.suite")
+    save_suite(suite, path)
+    capsys.readouterr()
+    assert run(eval_argv(pipeline_run, "iql_ca", tmp_path / "e",
+                         suite=path)) == 3
+    assert capsys.readouterr().err == \
+        f"error: {path}: suite.tasks[0] {message}\n"
+    assert not (tmp_path / "e").exists()
 
 
 # ids name each case in the line form suites had before TOML

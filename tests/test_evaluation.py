@@ -1,14 +1,15 @@
 import hashlib
 import math
 import re
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fanav import evaluation
-from fanav.errors import ConfigError, NoPathError, ProtocolError, ShapeError
+from fanav.errors import (ConfigError, InvalidPoseError, NoPathError,
+                          ProtocolError, ShapeError)
 from fanav.data import EncoderProfile
 from fanav.geometry import Circle, Rect
 from fanav.nets import GaussianPolicyHead, Mlp
@@ -21,6 +22,7 @@ from fanav.sim import (
     Pose,
     RobotSpec,
     World,
+    format_world,
 )
 from fanav.evaluation import (
     EvalResult,
@@ -302,7 +304,7 @@ def test_rates_counting_and_identity():
     res = evaluate_suite(ZeroPolicy(), WORLD, SPEC, suite, n_trials=3, seed=1)
     assert res.tr == 100.0 and res.sr == 0.0 and res.cr == 0.0
     assert res.sr + res.cr + res.tr == 100.0
-    assert res.n_tasks == 10 and res.n_trials == 3
+    assert len(res.outcomes[0]) == 10 and len(res.outcomes) == 3
     assert len(res.outcomes) == 3
     assert res.tr_std == 0.0
 
@@ -312,7 +314,7 @@ def test_rates_match_hand_count():
     outcomes = [[SUCCESS] * 47 + [COLLISION] * 2 + [TIMEOUT],
                 [TIMEOUT] + [COLLISION] * 4 + [SUCCESS] * 45]
     res = EvalResult("w", "d", "m", outcomes)
-    assert (res.n_trials, res.n_tasks) == (2, 50)
+    assert (len(res.outcomes), len(res.outcomes[0])) == (2, 50)
     assert res.sr_trials == [94.0, 90.0]
     assert res.cr_trials == [4.0, 8.0]
     assert res.tr_trials == [2.0, 2.0]
@@ -380,6 +382,27 @@ def test_a_start_that_fails_every_jitter_draw_is_kept_as_stored():
                                       (0.0, 0.0)) == task.start
 
 
+def test_a_task_the_room_does_not_admit_is_refused_before_any_rollout():
+    class StartRecorder(StraightPolicy):
+        def __init__(self):
+            self.starts = []
+
+        def reset(self, world, spec, task):
+            self.starts.append(task.start)
+
+    suite = make_suite(WORLD, SPEC, EPISODE, 4, seed=7)
+    last = suite.tasks[3]
+    # WORLD's circle has its centre at (4, 4); a wall is 0.1 m from x = 0.1
+    for moved, end in (({"gx": 4.0, "gy": 4.0}, "goal (4.0, 4.0)"),
+                       ({"sx": 0.1}, f"start (0.1, {last.sy})")):
+        suite.tasks[3] = replace(last, **moved)
+        policy = StartRecorder()
+        with pytest.raises(InvalidPoseError, match=re.escape(
+                f"suite.tasks[3] {end} is within a robot radius")):
+            evaluate_suite(policy, WORLD, SPEC, suite)
+        assert policy.starts == []
+
+
 def test_eval_result_json_roundtrip(tmp_path):
     suite = make_suite(WORLD, SPEC, EPISODE, 5, seed=13)
     res = evaluate_suite(ZeroPolicy(), WORLD, SPEC, suite, n_trials=2, seed=0)
@@ -387,8 +410,10 @@ def test_eval_result_json_roundtrip(tmp_path):
     save_eval_result(res, path)
     loaded = load_eval_result(path)
     assert loaded.sr == res.sr and loaded.tr == res.tr
-    assert loaded.outcomes == res.outcomes
-    assert loaded.suite_digest == res.suite_digest
+    assert loaded == replace(res, trajectories=[])
+    assert (loaded.world_digest, loaded.seed, loaded.jitter_pos,
+            loaded.jitter_heading) == (hashlib.sha256(format_world(
+                WORLD).encode()).hexdigest(), 0, 0.1, 0.1)
 
 
 def test_world_name_mismatch_rejected():
